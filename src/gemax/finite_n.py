@@ -25,12 +25,23 @@ from .fredholm import (
     hermite_kernel,
     inner_product,
     nystrom_extend,
-    resolvent_solve,
     resolvent_solve_many,
 )
 from .special import build_grid, phi_psi_values
 
 DEFAULT_NODES = 64
+
+#: largest kernel index of the supported and tested range; by n ~ 700 the
+#: recurrence seed exp(-x^2/2) underflows on the grid and F_{n,2} reads 1.0
+N_MAX = 400
+
+
+def _check_n(n: int, parity: int | None = None) -> None:
+    """The finite-n domain: 1 <= n <= N_MAX, and n % 2 == parity where one is given."""
+    if not 1 <= n <= N_MAX:
+        raise ParameterError(f"need 1 <= n <= {N_MAX}, got {n}")
+    if parity is not None and n % 2 != parity:
+        raise ParameterError(f"need {('even', 'odd')[parity]} n, got {n}")
 
 
 def _upper_cutoff(n: int, t: float) -> float:
@@ -91,8 +102,7 @@ def _endpoint_state(n: int, t: float, nodes: int):
 
 def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
     """Endpoint resolvent values (q_n(t), p_n(t))."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    _check_n(n)
     _, _, _, q_t, p_t = _endpoint_state(n, t, nodes)
     return q_t, p_t
 
@@ -113,8 +123,7 @@ def _tail_integrals(n: int, t: float, nodes: int):
 
 def ab(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
     """Tail integrals a(t) = int_t^inf q_n, b(t) = int_t^inf p_n."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    _check_n(n)
     a, b, _ = _tail_integrals(n, t, nodes)
     return a, b
 
@@ -128,8 +137,7 @@ def c_constants(n: int, nodes: int = 400) -> tuple[float, float]:
     (pi (n-1))^{1/4} 2^{-3/4-(n-1)/2} ((n-1)!)^{1/2} / ((n-1)/2)!;
     for n even c_phi is computed by quadrature of the even integrand.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    _check_n(n)
     if n % 2 == 1:
         m = n - 1
         if m == 0:
@@ -148,17 +156,31 @@ def c_constants(n: int, nodes: int = 400) -> tuple[float, float]:
     return c_phi, 0.0
 
 
+# log F <= 0 for a probability; rounding puts a computed value at most about
+# nodes * eps (~1e-14) above zero.  Anything above this bound is a failed
+# evaluation, not a probability: far in the left tail the exponential path's
+# moment quadrature breaks down (log F = +734 at n = 40, t = -2)
+LOG_F_ROUNDING = 1e-10
+
+
 def log_f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
-    """log F_{n,2}(t); safe where the probability underflows."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    """log F_{n,2}(t); safe where the probability underflows.
+
+    Raises NumericalError where the determinant loses positivity or the
+    value exceeds LOG_F_ROUNDING.
+    """
+    _check_n(n)
     if method == "determinant":
         op, _, _, _, _ = _endpoint_state(n, t, nodes)
-        return fredholm_log_det(op)
-    if method == "exponential":
+        log_f = fredholm_log_det(op)
+    elif method == "exponential":
         _, _, moment = _tail_integrals(n, t, nodes)
-        return -2.0 * moment
-    raise ParameterError(f"unknown method {method!r}")
+        log_f = -2.0 * moment
+    else:
+        raise ParameterError(f"unknown method {method!r}")
+    if log_f > LOG_F_ROUNDING:
+        raise NumericalError(f"log F_n2 = {log_f:.6g} > 0 at n={n}, t={t} ({method})")
+    return log_f
 
 
 # when log det(I - K) is this small the resolvent conditioning no longer
@@ -167,13 +189,37 @@ def log_f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT
 LOG_FLOOR = -30.0
 
 
+def _cdf(
+    n: int, t: float, parity: int | None, nodes: int, method: str = "determinant", bracket=None
+) -> float:
+    """A finite-n CDF value under the one failure policy every public CDF shares.
+
+    Without ``bracket`` the value is F_{n,2}(t) = exp(log_f_n2).  With it,
+    ``bracket()`` returns F^2 / F_{n,2} and the value is sqrt(F_{n,2} bracket),
+    the GOE/GSE form.  The result is clamped to [0, 1].
+    """
+    _check_n(n, parity)
+    try:
+        log_f = log_f_n2(n, t, method, nodes)
+    except NumericalError:
+        # sign loss, or a log F above rounding, happens only where F_{n,2}
+        # is far beyond double-precision resolution
+        return 0.0
+    if bracket is not None:
+        ratio = bracket()
+        if ratio < -1e-10:
+            if log_f < LOG_FLOOR:
+                return 0.0
+            raise NumericalError(f"negative squared ratio {ratio} at n={n}, t={t}")
+        if ratio <= 0.0:
+            return 0.0
+        log_f = 0.5 * (log_f + math.log(ratio))
+    return min(math.exp(log_f), 1.0)
+
+
 def f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
     """GUE distribution F_{n,2}(t) = det(I - K_{n,2}) = exp(-2 int (x-t) q_n p_n)."""
-    try:
-        return float(math.exp(log_f_n2(n, t, method, nodes)))
-    except NumericalError:
-        # sign loss happens only once det(I - K) is below rounding noise
-        return 0.0
+    return _cdf(n, t, None, nodes, method)
 
 
 def cosh_sqrt(z: float) -> float:
@@ -228,8 +274,7 @@ def epsilon_closed(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuant
     (:func:`epsilon_numeric`) and by the requirement that the assembled
     determinant reproduce the direct F_{n,1}/F_{n,4} formulas.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    _check_n(n)
     a, b = ab(n, t, nodes)
     c_phi, c_psi = c_constants(n)
     cosh_g, rho_s, r_s = _hyperbolic_block(a, b)
@@ -270,8 +315,7 @@ def epsilon_numeric(
     extensions of P_n and of the resolvent kernel over (-inf, t) and
     against the kernel of eps.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    _check_n(n)
     if outer_nodes is None:
         # phi_n oscillates ~n/2 times across the bulk; GL resolves ~m/pi periods
         outer_nodes = max(200, 6 * n)
@@ -295,39 +339,33 @@ def _epsilon_numeric(n: int, t: float, nodes: int, outer_nodes: int) -> EpsilonQ
         vals = np.array([c_phi - tail_phi(float(p)) for p in pts])
         return vals if np.asarray(x).ndim else float(vals[0])
 
-    _, psi_nodes = phi_psi_values(n, grid.nodes)
-    eps_phi_nodes = np.asarray(eps_phi(grid.nodes))
-    q_eps_sol = resolvent_solve(op, eps_phi_nodes, rhs_id="eps phi")
-    v_tilde = inner_product(grid, q_eps_sol.node_values, psi_nodes)
-    q_eps = nystrom_extend(op, q_eps_sol, eps_phi, t)
+    def psi_fn(pts):
+        return phi_psi_values(n, pts)[1]
 
-    # P_n(x;t) extension and resolvent kernel column R_n(x,t;t)
-    psi_sol_obj = resolvent_solve(op, psi_nodes, rhs_id="psi")
+    psi_nodes = psi_fn(grid.nodes)
+    # eps phi and the resolvent kernel column R_n(x, t; t) share one solve;
+    # p_sol, the psi solution behind P_n(x; t), comes with the operator
     k_col = op.kernel_row(t)  # K(t, x_j) = K(x_j, t)
-    r_sol = resolvent_solve(op, np.asarray(k_col), rhs_id="K(.,t)")
-
-    def p_extend(x):
-        def psi_fn(pts):
-            _, ps = phi_psi_values(n, pts)
-            return ps
-
-        return nystrom_extend(op, psi_sol_obj, psi_fn, x)
+    sols = resolvent_solve_many(op, np.column_stack([eps_phi(grid.nodes), k_col]))
+    q_eps_sol, r_sol = sols[:, 0], sols[:, 1]
+    v_tilde = inner_product(grid, q_eps_sol, psi_nodes)
+    q_eps = nystrom_extend(op, q_eps_sol, eps_phi, t)
 
     # quadratures over (-inf, t): integrands decay like the wave functions
     low = _lower_cutoff(n)
     left = build_grid(min(low, t - 1.0), t, outer_nodes)
-    p_left = p_extend(left.nodes)
+    p_left = nystrom_extend(op, p_sol, psi_fn, left.nodes)
     # R_n(x, t) for x on the left grid
     k_left = hermite_kernel(n, left.nodes[:, None], grid.nodes[None, :])
-    k_xt = hermite_kernel(n, left.nodes, np.full_like(left.nodes, t))
-    r_left = k_xt + k_left @ (grid.weights * r_sol.node_values)
+    k_xt = hermite_kernel(n, left.nodes, t)
+    r_left = k_xt + k_left @ (grid.weights * r_sol)
     p1 = float(np.sum(left.weights * p_left))
     r1 = float(np.sum(left.weights * r_left))
 
     # right-side pieces int_t^inf P_n and int_t^inf R_n(x,t)
     p_right = float(np.sum(grid.weights * p_sol))
     k_nodes_t = np.asarray(op.kernel_row(grid.nodes[:, None]))  # (m, m) full block
-    r_right_vals = np.asarray(k_col) + k_nodes_t @ (grid.weights * r_sol.node_values)
+    r_right_vals = k_col + k_nodes_t @ (grid.weights * r_sol)
     r_right = float(np.sum(grid.weights * r_right_vals))
 
     p4 = 0.5 * (p_right - p1)
@@ -376,35 +414,25 @@ def f_n1(
     hyperbolic bracket in a(t), b(t) instead, which is an edge asymptotic
     (it degrades to percent-level accuracy at small n away from t -> inf).
     """
-    if n < 1 or n % 2 != 0:
-        raise ParameterError(f"F_n1 requires even n, got {n}")
-    try:
-        log_f2 = log_f_n2(n, t, "determinant", nodes)
-    except NumericalError:
-        # sign loss happens only once det(I - K) is below rounding noise,
-        # where the true probability is far beyond double-precision resolution
-        return 0.0
     if method == "assembly":
-        eps = epsilon_numeric(n, t, nodes, outer_nodes)
-        bracket = f1_sq_ratio(eps)
+        bracket = lambda: f1_sq_ratio(epsilon_numeric(n, t, nodes, outer_nodes))
     elif method == "closed":
-        a, b = ab(n, t, nodes)
-        c_phi, _ = c_constants(n)
-        cosh_g, _, r_s = _hyperbolic_block(a, b)
-        # regrouped so the (b/a)(cosh g - 1) piece is entire in the product ab
-        bracket = (
-            0.5 * (1.0 + cosh_g)
-            + 2.0 * c_phi * c_phi * b * b * coshm1_sqrt(2.0 * a * b)
-            - 2.0 * c_phi * r_s
-        )
+        bracket = lambda: _f1_closed_bracket(n, t, nodes)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    if bracket < -1e-10:
-        if log_f2 < LOG_FLOOR:
-            return 0.0  # ill-conditioned bracket noise on a vanishing probability
-        raise NumericalError(f"negative squared ratio {bracket} at n={n}, t={t}")
-    val = math.exp(0.5 * (log_f2 + math.log(max(bracket, 0.0)))) if bracket > 0 else 0.0
-    return min(val, 1.0)
+    return _cdf(n, t, 0, nodes, bracket=bracket)
+
+
+def _f1_closed_bracket(n: int, t: float, nodes: int) -> float:
+    a, b = ab(n, t, nodes)
+    c_phi, _ = c_constants(n)
+    cosh_g, _, r_s = _hyperbolic_block(a, b)
+    # regrouped so the (b/a)(cosh g - 1) piece is entire in the product ab
+    return (
+        0.5 * (1.0 + cosh_g)
+        + 2.0 * c_phi * c_phi * b * b * coshm1_sqrt(2.0 * a * b)
+        - 2.0 * c_phi * r_s
+    )
 
 
 def f_n4(
@@ -425,29 +453,23 @@ def f_n4(
     The default "assembly" method is exact up to quadrature error; "closed"
     is the edge-asymptotic cosh(sqrt(ab/2)) exp(-int (x-t) q_n p_n) form.
     """
-    if n < 1 or n % 2 != 1:
-        raise ParameterError(f"F_n4 requires odd n, got {n}")
     t = u * math.sqrt(2.0)
-    try:
-        log_f2 = log_f_n2(n, t, "determinant", nodes)
-    except NumericalError:
-        return 0.0
     if method == "assembly":
-        eps = epsilon_numeric(n, t, nodes, outer_nodes)
-        bracket = f4_sq_ratio(eps)
-        if bracket < -1e-10:
-            if log_f2 < LOG_FLOOR:
-                return 0.0
-            raise NumericalError(f"negative squared ratio {bracket} at n={n}, u={u}")
-        val = (
-            math.exp(0.5 * (log_f2 + math.log(max(bracket, 0.0)))) if bracket > 0 else 0.0
-        )
+        bracket = lambda: f4_sq_ratio(epsilon_numeric(n, t, nodes, outer_nodes))
     elif method == "closed":
-        a, b, moment = _tail_integrals(n, t, nodes)
-        val = cosh_sqrt(0.5 * a * b) * math.exp(-moment)
+        bracket = lambda: _f4_closed_bracket(n, t, nodes)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    return min(val, 1.0)
+    return _cdf(n, t, 1, nodes, bracket=bracket)
+
+
+def _f4_closed_bracket(n: int, t: float, nodes: int) -> float:
+    # F_{n,2} = exp(-2 int (x-t) q_n p_n), so the closed form's square is
+    # cosh^2(sqrt(ab/2)) F_{n,2}; signed, so that cos(sqrt(-ab/2)) < 0 is a
+    # negative bracket
+    a, b = ab(n, t, nodes)
+    c = cosh_sqrt(0.5 * a * b)
+    return c * abs(c)
 
 
 def gse_largest_cdf(
@@ -467,10 +489,10 @@ def gse_largest_cdf(
 def evaluate(n: int, t: float, nodes: int = DEFAULT_NODES) -> FiniteNEvaluation:
     """Bundle q_n, p_n, a, b and all parity-valid distribution values at t."""
     q_t, p_t = q_p_n(n, t, nodes)
-    a, b, moment = _tail_integrals(n, t, nodes)
-    fn2 = math.exp(-2.0 * moment)
-    fn1 = f_n1(n, t, nodes) if n % 2 == 0 else None
-    fn4 = f_n4(n, t / math.sqrt(2.0), nodes) if n % 2 == 1 else None
+    a, b = ab(n, t, nodes)
     return FiniteNEvaluation(
-        n=n, t=t, q_n=q_t, p_n=p_t, a=a, b=b, f_n2=min(fn2, 1.0), f_n1=fn1, f_n4=fn4
+        n=n, t=t, q_n=q_t, p_n=p_t, a=a, b=b,
+        f_n2=f_n2(n, t, "exponential", nodes),
+        f_n1=f_n1(n, t, nodes) if n % 2 == 0 else None,
+        f_n4=f_n4(n, t / math.sqrt(2.0), nodes) if n % 2 == 1 else None,
     )

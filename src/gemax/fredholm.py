@@ -1,82 +1,86 @@
-"""Nystrom discretization of the Hermite and Airy kernels.
+"""Nystrom discretization of the integrable Hermite and Airy kernels.
+
+Both kernels have the integrable form c (f(x)g(y) - f(y)g(x))/(x - y):
+f, g = phi_n, phi_{n-1} with c = sqrt(n/2) for the Christoffel-Darboux
+Hermite kernel, and f, g = Ai, Ai' for the Airy kernel.  One private core
+evaluates that form and its diagonal limit; each kernel supplies only its
+pair and its diagonal.
 
 A kernel K on (lower, upper) is discretized as the symmetric matrix
 A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Fredholm determinants are
-det(I - A); resolvent solves return the node values of (I - K)^{-1} f,
-and the natural Nystrom formula extends solutions off the grid.
+det(I - A), taken in log space; resolvent solves return the node values of
+(I - K)^{-1} f, and the natural Nystrom formula extends solutions off the
+grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NumericalError, ParameterError
-from .special import QuadratureGrid, airy, hermite_phi_deriv, hermite_phi_two
+from .special import QuadratureGrid, airy, hermite_phi_two
 
 #: below this separation the difference quotient loses too many digits
 #: and the diagonal-limit form with a first-order Taylor step is used
 DIAG_GUARD = 1e-6
 
 
-def _hermite_parts(n: int, x):
-    """phi_n, phi_{n-1} and their derivatives, scaled by sqrt(n/2)."""
-    f, g = hermite_phi_two(n, x)  # f = phi_n, g = phi_{n-1}
+def _integrable_kernel(parts, x, y, scale: float = 1.0):
+    """scale (f(x)g(y) - f(y)g(x))/(x - y), where parts(z) = (f(z), g(z), K(z, z)).
+
+    Within DIAG_GUARD of the diagonal the midpoint of the two diagonal
+    values is used: K(x, x+h) = K(x, x) + (h/2) d/dx K(x, x) + O(h^2).
+    """
     x = np.asarray(x, dtype=float)
-    fp = -x * f + np.sqrt(2.0 * n) * g
-    gp = hermite_phi_deriv(n - 1, x)
-    return f, g, fp, gp
+    y = np.asarray(y, dtype=float)
+    fx, gx, diag_x = parts(x)
+    fy, gy, diag_y = parts(y)
+    diff = x - y
+    near = np.abs(diff) <= DIAG_GUARD
+    safe = np.where(near, 1.0, diff)
+    off = scale * (fx * gy - fy * gx) / safe
+    out = np.where(near, 0.5 * (diag_x + diag_y), off)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def hermite_kernel(n: int, x, y):
     """Christoffel-Darboux kernel sqrt(n/2) (phi_n(x)phi_{n-1}(y) - phi_n(y)phi_{n-1}(x))/(x-y).
 
-    Near the diagonal the limit form sqrt(n/2)(phi_n'(x)phi_{n-1}(x) -
-    phi_n(x)phi_{n-1}'(x)) is used, with a first-order Taylor correction
-    in (y - x).
+    The diagonal is sqrt(n/2)(phi_n' phi_{n-1} - phi_n phi_{n-1}'), with the
+    derivatives from the lowering and raising identities
+    phi_n' = -x phi_n + sqrt(2n) phi_{n-1} and
+    phi_{n-1}' = x phi_{n-1} - sqrt(2n) phi_n, so one recurrence pass per
+    side serves both the quotient and the diagonal.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     c = np.sqrt(n / 2.0)
-    fx, gx, fpx, gpx = _hermite_parts(n, x)
-    fy, gy, fpy, gpy = _hermite_parts(n, y)
-    diff = x - y
-    near = np.abs(diff) <= DIAG_GUARD
-    safe = np.where(near, 1.0, diff)
-    off = c * (fx * gy - fy * gx) / safe
-    # diagonal limit at x plus d/dy of the limit, evaluated via symmetry:
-    # K(x, x+h) = K0(x) + (h/2) K0'(x) + O(h^2) with K0 the diagonal value
-    diag_x = c * (fpx * gx - fx * gpx)
-    diag_y = c * (fpy * gy - fy * gpy)
-    taylor = 0.5 * (diag_x + diag_y)  # midpoint form, first-order accurate
-    out = np.where(near, taylor, off)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    root = np.sqrt(2.0 * n)
+
+    def parts(z):
+        f, g = hermite_phi_two(n, z)  # f = phi_n, g = phi_{n-1}
+        fp = -z * f + root * g
+        gp = z * g - root * f
+        return f, g, c * (fp * g - f * gp)
+
+    return _integrable_kernel(parts, x, y, c)
 
 
 def airy_kernel(x, y):
     """(Ai(x)Ai'(y) - Ai(y)Ai'(x))/(x - y) with diagonal limit Ai'(x)^2 - x Ai(x)^2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ax, apx = airy(x)
-    ay, apy = airy(y)
-    diff = x - y
-    near = np.abs(diff) <= DIAG_GUARD
-    safe = np.where(near, 1.0, diff)
-    off = (ax * apy - ay * apx) / safe
-    diag_x = apx * apx - x * ax * ax
-    diag_y = apy * apy - y * ay * ay
-    taylor = 0.5 * (diag_x + diag_y)
-    out = np.where(near, taylor, off)
-    if out.ndim == 0:
-        return float(out)
-    return out
+
+    def parts(z):
+        ai, aip = airy(z)
+        return ai, aip, aip * aip - z * ai * ai
+
+    return _integrable_kernel(parts, x, y)
 
 
 @dataclass(frozen=True)
@@ -86,13 +90,12 @@ class DiscretizedKernel:
     grid: QuadratureGrid
     matrix: np.ndarray
     kernel_id: str
-    _hermite_n: int | None = field(default=None, repr=False)
+    #: the kernel function K(x, y) the matrix was assembled from
+    kernel: Callable = field(repr=False)
 
     def kernel_row(self, x) -> np.ndarray:
         """Kernel values K(x, x_j) at the grid nodes (unsymmetrized)."""
-        if self._hermite_n is not None:
-            return hermite_kernel(self._hermite_n, x, self.grid.nodes)
-        return airy_kernel(x, self.grid.nodes)
+        return self.kernel(x, self.grid.nodes)
 
     @cached_property
     def _lu(self):
@@ -100,29 +103,20 @@ class DiscretizedKernel:
         return lu_factor(ident - self.matrix)
 
 
-@dataclass(frozen=True)
-class ResolventSolution:
-    """Node values of (I - K)^{-1} rhs on the grid of the parent operator."""
-
-    node_values: np.ndarray
-    rhs_id: str
-
-
 def assemble(kernel_id: str, grid: QuadratureGrid) -> DiscretizedKernel:
     """Build the symmetrized Nystrom matrix for ``"airy"`` or ``"hermite(n)"``."""
-    x = grid.nodes
     if kernel_id == "airy":
-        raw = airy_kernel(x[:, None], x[None, :])
-        n = None
+        kernel = airy_kernel
     elif kernel_id.startswith("hermite(") and kernel_id.endswith(")"):
-        n = int(kernel_id[len("hermite(") : -1])
-        raw = hermite_kernel(n, x[:, None], x[None, :])
+        kernel = partial(hermite_kernel, int(kernel_id[len("hermite(") : -1]))
     else:
         raise ParameterError(f"unknown kernel_id {kernel_id!r}")
+    x = grid.nodes
+    raw = kernel(x[:, None], x[None, :])
     sw = grid.sqrt_weights
     matrix = sw[:, None] * raw * sw[None, :]
     matrix = 0.5 * (matrix + matrix.T)  # scrub last-bit asymmetry
-    return DiscretizedKernel(grid=grid, matrix=matrix, kernel_id=kernel_id, _hermite_n=n)
+    return DiscretizedKernel(grid=grid, matrix=matrix, kernel_id=kernel_id, kernel=kernel)
 
 
 def fredholm_log_det(op: DiscretizedKernel) -> float:
@@ -133,29 +127,16 @@ def fredholm_log_det(op: DiscretizedKernel) -> float:
     return float(logdet)
 
 
-def fredholm_det(op: DiscretizedKernel) -> float:
-    """det(I - K) via pivoted LU in log space; value in (0, 1] for these kernels."""
-    return float(np.exp(fredholm_log_det(op)))
-
-
-def resolvent_solve(op: DiscretizedKernel, rhs: np.ndarray, rhs_id: str = "") -> ResolventSolution:
-    """Solve the Nystrom system (I - K) f = rhs; returns f at the nodes.
-
-    With the symmetrized matrix A the solve is (I - A) y = sqrt(w) rhs,
-    f_j = y_j / sqrt(w_j).
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != op.grid.nodes.shape:
-        raise ParameterError("rhs sample count does not match grid")
-    sw = op.grid.sqrt_weights
-    y = lu_solve(op._lu, sw * rhs)
-    if not np.all(np.isfinite(y)):
-        raise NumericalError(f"resolvent solve failed for {op.kernel_id}")
-    return ResolventSolution(node_values=y / sw, rhs_id=rhs_id)
-
-
 def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.ndarray:
-    """Column-wise solves sharing one factorization; returns node values."""
+    """Solve (I - K) f = rhs for each column of ``rhs_block``, shape (count, k).
+
+    All columns share one factorization.  With the symmetrized matrix A the
+    solve is (I - A) y = sqrt(w) rhs, f_j = y_j / sqrt(w_j); returns the
+    node values f, one column per right-hand side.
+    """
+    rhs_block = np.asarray(rhs_block, dtype=float)
+    if rhs_block.ndim != 2 or rhs_block.shape[0] != op.grid.count:
+        raise ParameterError("rhs sample count does not match grid")
     sw = op.grid.sqrt_weights
     y = lu_solve(op._lu, sw[:, None] * rhs_block)
     if not np.all(np.isfinite(y)):
@@ -163,9 +144,10 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
     return y / sw[:, None]
 
 
-def nystrom_extend(op: DiscretizedKernel, sol: ResolventSolution, rhs_fn, x):
+def nystrom_extend(op: DiscretizedKernel, node_values: np.ndarray, rhs_fn, x):
     """Natural Nystrom extension rhs(x) + sum_j w_j K(x, x_j) f_j.
 
+    ``node_values`` are the node values f_j of one resolvent solution.
     Valid at any finite x, including points below the grid interval;
     at a node it reproduces the node value.
     """
@@ -173,9 +155,7 @@ def nystrom_extend(op: DiscretizedKernel, sol: ResolventSolution, rhs_fn, x):
     scalar = xarr.ndim == 0
     pts = np.atleast_1d(xarr)
     kernel_block = op.kernel_row(pts[:, None])  # shape (len(pts), count)
-    vals = np.asarray(rhs_fn(pts), dtype=float) + kernel_block @ (
-        op.grid.weights * sol.node_values
-    )
+    vals = np.asarray(rhs_fn(pts), dtype=float) + kernel_block @ (op.grid.weights * node_values)
     return float(vals[0]) if scalar else vals
 
 

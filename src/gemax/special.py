@@ -6,7 +6,11 @@ The wave functions are evaluated with the normalized three-term recurrence
 
 seeded with phi_0(x) = pi^{-1/4} exp(-x^2/2).  The Gaussian factor is kept
 inside the recurrence, so intermediate values stay bounded and the functions
-are usable far past k = 30 where raw Hermite polynomials overflow.
+are usable far past k = 30 where raw Hermite polynomials overflow.  One pass
+yields the pair (phi_k, phi_{k-1}); the ladder identities
+phi_k' = -x phi_k + sqrt(2k) phi_{k-1} and
+phi_{k-1}' = x phi_{k-1} - sqrt(2k) phi_k give both derivatives from that
+pair, so no separate derivative routine is needed.
 """
 
 from __future__ import annotations
@@ -40,14 +44,6 @@ class QuadratureGrid:
     @property
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
-
-
-@dataclass(frozen=True)
-class WaveFunctionPair:
-    """Values of phi(x) = (n/2)^{1/4} phi_n(x) and psi(x) = (n/2)^{1/4} phi_{n-1}(x)."""
-
-    phi: float
-    psi: float
 
 
 @lru_cache(maxsize=64)
@@ -102,24 +98,8 @@ def hermite_phi(k: int, x):
     return hermite_phi_two(k, x)[0]
 
 
-def hermite_phi_deriv(k: int, x):
-    """phi_k'(x) via the lowering identity phi_k' = -x phi_k + sqrt(2k) phi_{k-1}."""
-    cur, prev = hermite_phi_two(k, x)
-    x = np.asarray(x, dtype=float)
-    return -x * cur + np.sqrt(2.0 * k) * prev
-
-
-def phi_psi(n: int, x: float) -> WaveFunctionPair:
-    """The pair (phi, psi) = (n/2)^{1/4} (phi_n, phi_{n-1})."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    scale = (n / 2.0) ** 0.25
-    cur, prev = hermite_phi_two(n, x)
-    return WaveFunctionPair(phi=float(scale * cur), psi=float(scale * prev))
-
-
 def phi_psi_values(n: int, x):
-    """Array-valued version of :func:`phi_psi`; returns (phi(x), psi(x))."""
+    """The pair (phi(x), psi(x)) = (n/2)^{1/4} (phi_n(x), phi_{n-1}(x)); scalars or arrays."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     scale = (n / 2.0) ** 0.25

@@ -56,6 +56,26 @@ class TestTabulate:
         )
         assert code == 2
 
+    def test_exponential_left_tail(self):
+        # the exponential path's log F read +9612 at n = 40, t = -2 and the
+        # command died with an OverflowError traceback
+        code, out = run_cli(
+            ["tabulate", "--n", "40", "--t-min", "-2", "--t-max", "0",
+             "--steps", "3", "--method", "exponential"]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(0.0 <= float(f) <= 1e-12 for _, f in rows)
+
+    def test_n_above_supported_range(self, capsys):
+        code, out = run_cli(
+            ["tabulate", "--n", "800", "--t-min", "38", "--t-max", "39", "--steps", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "table.csv"
         code, out = run_cli(

@@ -8,7 +8,6 @@ from scipy import integrate
 
 from gemax.errors import ParameterError
 from gemax.finite_n import (
-    EpsilonQuantities,
     ab,
     c_constants,
     cosh_sqrt,
@@ -17,7 +16,6 @@ from gemax.finite_n import (
     epsilon_numeric,
     evaluate,
     f1_sq_ratio,
-    f4_sq_ratio,
     f_n1,
     f_n2,
     f_n4,
@@ -68,6 +66,23 @@ class TestFn2:
     def test_bad_n(self):
         with pytest.raises(ParameterError):
             f_n2(0, 0.0)
+
+    def test_n_above_supported_range(self):
+        # past n = 400 the recurrence seed underflows and F_{n,2} read 1.0
+        # deep below the edge; the range is enforced instead
+        assert f_n2(400, math.sqrt(800) - 1.0) < 0.01
+        for n, t in ((401, 27.0), (800, math.sqrt(1600) - 1.0), (1200, math.sqrt(2400) - 3.0)):
+            with pytest.raises(ParameterError):
+                f_n2(n, t)
+        with pytest.raises(ParameterError):
+            gse_largest_cdf(200, 10.0)  # kernel index 401
+
+    def test_exponential_left_tail(self):
+        # far left of the edge the moment quadrature of the exponential path
+        # breaks down (log F read +9612 at n = 40, t = -2); the policy turns
+        # that into 0.0, as it does the determinant path's sign loss
+        det = f_n2(40, -2.0, method="determinant")
+        assert f_n2(40, -2.0, method="exponential") == pytest.approx(det, abs=1e-12)
 
 
 class TestEndpointQuantities:
@@ -130,11 +145,11 @@ class TestCConstants:
     def test_even_quadrature_oracle(self):
         # [DERIVED] c_phi(n even) = (1/2) int phi, cross-checked by adaptive
         # quadrature of the wave function
-        from gemax.special import phi_psi
+        from gemax.special import phi_psi_values
 
         c_phi, c_psi = c_constants(4)
         assert c_psi == 0.0
-        target, _ = integrate.quad(lambda x: phi_psi(4, x).phi, -14.0, 14.0)
+        target, _ = integrate.quad(lambda x: phi_psi_values(4, x)[0], -14.0, 14.0)
         assert c_phi == pytest.approx(0.5 * target, rel=1e-10)
 
 
@@ -159,25 +174,19 @@ class TestHyperbolicHelpers:
 
 class TestEpsilonQuantities:
     def test_numeric_brute_force_vtilde(self):
-        # [DERIVED] v_tilde_eps = (1/2) int_t^inf q_n(x) dx * adjustment is
-        # internally defined; cross-check the whole bundle through the
-        # assembled CDFs instead (TestFn1/TestFn4).  The copy below keeps
-        # every field, so this only checks that the GSE assembly is a
-        # function of the bundle's fields; the c_psi cancellation itself is
-        # checked, to rounding, by acceptance criterion 4.
-        n, t = 5, 0.4
-        eps = epsilon_numeric(n, t)
-        zeroed = EpsilonQuantities(
-            v_tilde_eps=eps.v_tilde_eps,
-            q_eps=eps.q_eps,
-            p1=eps.p1,
-            r1=eps.r1,
-            p4=eps.p4,
-            r4=eps.r4,
-            c_phi=eps.c_phi,
-            c_psi=eps.c_psi,
-        )
-        assert f4_sq_ratio(zeroed) == pytest.approx(f4_sq_ratio(eps), rel=1e-12)
+        # [DERIVED] Sherman-Morrison for the n = 1 projector kernel
+        # K = phi_0 (x) phi_0 on (t, inf).  With phi = (1/2)^{1/4} phi_1,
+        # psi = (1/2)^{1/4} phi_0, c_phi = 0 and I00 = int_t^inf phi_0^2 =
+        # (1 - erf t)/2:  eps phi = -int_x^inf phi = -2^{1/4} phi_0 and
+        # (I - K)^{-1} phi_0 = phi_0 / (1 - I00), so
+        # v_tilde_eps = <(I - K)^{-1} eps phi, psi> = -I00 / (1 - I00) and
+        # q_eps = -2^{1/4} phi_0(t) / (1 - I00).
+        for t in (-1.0, 0.0, 0.4, 1.5):
+            eps = epsilon_numeric(1, t)
+            i00 = 0.5 * (1.0 - math.erf(t))
+            phi0 = math.pi ** -0.25 * math.exp(-t * t / 2)
+            assert eps.v_tilde_eps == pytest.approx(-i00 / (1.0 - i00), rel=1e-10)
+            assert eps.q_eps == pytest.approx(-(2.0 ** 0.25) * phi0 / (1.0 - i00), rel=1e-10)
 
     def test_closed_approaches_numeric_at_large_n(self):
         # the closed forms are soft-edge asymptotics: agreement improves

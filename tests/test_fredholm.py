@@ -9,12 +9,10 @@ from gemax.errors import ParameterError
 from gemax.fredholm import (
     airy_kernel,
     assemble,
-    fredholm_det,
     fredholm_log_det,
     hermite_kernel,
     inner_product,
     nystrom_extend,
-    resolvent_solve,
     resolvent_solve_many,
 )
 from gemax.special import airy, build_grid, hermite_phi
@@ -48,6 +46,16 @@ class TestHermiteKernel:
         grid = build_grid(-half, half, 160)
         diag = np.array([hermite_kernel(n, float(x), float(x)) for x in grid.nodes])
         assert float(np.sum(grid.weights * diag)) == pytest.approx(n, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 9, 30, 400])
+    def test_diagonal_oracle(self, n):
+        # [DERIVED] K_n(x, x) = sum_{k<n} phi_k(x)^2, a sum of positive terms
+        # with no cancellation, against the diagonal from the ladder identities
+        edge = math.sqrt(2 * n)
+        xs = np.linspace(-edge - 3.0, edge + 6.0, 37)
+        reference = sum(hermite_phi(k, xs) ** 2 for k in range(n))
+        got = hermite_kernel(n, xs, xs)
+        assert np.allclose(got, reference, rtol=1e-11, atol=0.0)
 
     def test_reproducing_property(self):
         # [DERIVED] int K_n(x, y) phi_k(y) dy = phi_k(x) for k < n
@@ -92,19 +100,20 @@ class TestFredholmDet:
         # 1 - int_t^T phi_0(x)^2 dx = (1 + erf(t))/2 for large T
         t = 0.4
         grid = build_grid(t, t + 12.0, 64)
-        det = fredholm_det(assemble("hermite(1)", grid))
+        det = math.exp(fredholm_log_det(assemble("hermite(1)", grid)))
         assert det == pytest.approx((1 + math.erf(t)) / 2, abs=1e-12)
 
     def test_log_det_matches_det(self):
         grid = build_grid(-1.0, 9.0, 48)
         op = assemble("hermite(4)", grid)
-        assert math.exp(fredholm_log_det(op)) == pytest.approx(fredholm_det(op), rel=1e-14)
+        direct = np.linalg.det(np.eye(grid.count) - op.matrix)
+        assert math.exp(fredholm_log_det(op)) == pytest.approx(direct, rel=1e-13)
 
     def test_airy_tracy_widom_value(self):
         # [DERIVED] F_2(0) from high-precision published evaluations of the
         # Tracy-Widom GUE distribution: F_2(0) = 0.9693728283552...
         grid = build_grid(0.0, 30.0, 96)
-        det = fredholm_det(assemble("airy", grid))
+        det = math.exp(fredholm_log_det(assemble("airy", grid)))
         assert det == pytest.approx(0.9693728283552, abs=1e-10)
 
 
@@ -117,35 +126,39 @@ class TestResolvent:
         op = assemble("hermite(1)", grid)
         phi0 = hermite_phi(0, grid.nodes)
         rhs = np.cos(grid.nodes)
-        sol = resolvent_solve(op, rhs)
+        sol = resolvent_solve_many(op, rhs[:, None])[:, 0]
         s = inner_product(grid, phi0, phi0)
         proj = inner_product(grid, phi0, rhs)
         expect = rhs + phi0 * proj / (1 - s)
-        assert np.allclose(sol.node_values, expect, atol=1e-10)
+        assert np.allclose(sol, expect, atol=1e-10)
 
     def test_solve_many_matches_single(self):
+        # each column against a dense solve of the Nystrom system (I - A) y = sqrt(w) rhs
         grid = build_grid(-1.0, 8.0, 40)
         op = assemble("hermite(3)", grid)
         rhs = np.stack([np.exp(-grid.nodes**2), grid.nodes], axis=1)
         block = resolvent_solve_many(op, rhs)
+        sw = grid.sqrt_weights
+        system = np.eye(grid.count) - op.matrix
         for j in range(2):
-            single = resolvent_solve(op, rhs[:, j])
-            assert np.allclose(block[:, j], single.node_values, atol=1e-13)
+            single = np.linalg.solve(system, sw * rhs[:, j]) / sw
+            assert np.allclose(block[:, j], single, atol=1e-13)
 
     def test_rhs_shape_check(self):
         grid = build_grid(-1.0, 8.0, 40)
         op = assemble("hermite(3)", grid)
-        with pytest.raises(ParameterError):
-            resolvent_solve(op, np.zeros(7))
+        for bad in (np.zeros((7, 1)), np.zeros(40)):
+            with pytest.raises(ParameterError):
+                resolvent_solve_many(op, bad)
 
     def test_nystrom_extend_reproduces_nodes(self):
         grid = build_grid(-0.5, 9.0, 48)
         op = assemble("hermite(2)", grid)
         rhs_fn = lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
-        sol = resolvent_solve(op, rhs_fn(grid.nodes))
+        sol = resolvent_solve_many(op, rhs_fn(grid.nodes)[:, None])[:, 0]
         mid = 5  # probe an interior node
         got = nystrom_extend(op, sol, rhs_fn, float(grid.nodes[mid]))
-        assert got == pytest.approx(float(sol.node_values[mid]), rel=1e-10)
+        assert got == pytest.approx(float(sol[mid]), rel=1e-10)
 
     def test_nystrom_extend_below_interval(self):
         # extension at the left endpoint t, below the first node, must agree
@@ -154,13 +167,12 @@ class TestResolvent:
         op_a = assemble("hermite(4)", build_grid(t, t + 12.0, 48))
         op_b = assemble("hermite(4)", build_grid(t, t + 12.0, 96))
         rhs_fn = lambda x: np.asarray(hermite_kernel(4, t, x), dtype=float)
-        val_a = nystrom_extend(
-            op_a, resolvent_solve(op_a, rhs_fn(op_a.grid.nodes)), rhs_fn, t
-        )
-        val_b = nystrom_extend(
-            op_b, resolvent_solve(op_b, rhs_fn(op_b.grid.nodes)), rhs_fn, t
-        )
-        assert val_a == pytest.approx(val_b, rel=1e-10)
+
+        def extend(op):
+            sol = resolvent_solve_many(op, rhs_fn(op.grid.nodes)[:, None])[:, 0]
+            return nystrom_extend(op, sol, rhs_fn, t)
+
+        assert extend(op_a) == pytest.approx(extend(op_b), rel=1e-10)
 
 
 class TestInnerProduct:

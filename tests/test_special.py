@@ -13,8 +13,7 @@ from gemax.special import (
     airy,
     build_grid,
     hermite_phi,
-    hermite_phi_deriv,
-    phi_psi,
+    hermite_phi_two,
     phi_psi_values,
 )
 
@@ -59,54 +58,73 @@ class TestHermitePhi:
         assert np.allclose(gram, np.eye(4), atol=1e-9)
 
 
+def lowering_deriv(k: int, x: float) -> float:
+    """phi_k'(x) from the pair: phi_k' = -x phi_k + sqrt(2k) phi_{k-1}."""
+    cur, prev = hermite_phi_two(k, x)
+    return float(-x * cur + math.sqrt(2.0 * k) * prev)
+
+
+def raising_deriv(k: int, x: float) -> float:
+    """phi_{k-1}'(x) from the pair: phi_{k-1}' = x phi_{k-1} - sqrt(2k) phi_k."""
+    cur, prev = hermite_phi_two(k, x)
+    return float(x * prev - math.sqrt(2.0 * k) * cur)
+
+
 class TestHermitePhiDeriv:
+    # the Hermite kernel takes phi_n' and phi_{n-1}' from the pair that
+    # hermite_phi_two returns, through the two ladder identities above
+
     def test_even_state_flat_at_origin(self):
         # [TRIVIAL]
-        assert hermite_phi_deriv(0, 0.0) == 0.0
+        assert lowering_deriv(0, 0.0) == 0.0
+        assert raising_deriv(1, 0.0) == 0.0
 
     def test_k1_at_origin(self):
         # [TRIVIAL] phi_1'(0) = sqrt(2) pi^{-1/4}
-        assert hermite_phi_deriv(1, 0.0) == pytest.approx(math.sqrt(2) * math.pi ** -0.25, rel=1e-14)
+        assert lowering_deriv(1, 0.0) == pytest.approx(math.sqrt(2) * math.pi ** -0.25, rel=1e-14)
+        assert raising_deriv(2, 0.0) == pytest.approx(math.sqrt(2) * math.pi ** -0.25, rel=1e-14)
 
     def test_finite_difference_oracle(self):
         # [DERIVED] central difference, h = 1e-6
         h = 1e-6
         fd = (hermite_phi(5, 0.7 + h) - hermite_phi(5, 0.7 - h)) / (2 * h)
-        assert hermite_phi_deriv(5, 0.7) == pytest.approx(fd, abs=1e-8)
+        assert lowering_deriv(5, 0.7) == pytest.approx(fd, abs=1e-8)
+        assert raising_deriv(6, 0.7) == pytest.approx(fd, abs=1e-8)
 
     @pytest.mark.parametrize("k", [2, 9, 30])
     @pytest.mark.parametrize("x", [-10.0, -1.3, 0.2, 4.8])
     def test_recurrence_consistency(self, k, x):
         h = 1e-6
         fd = (hermite_phi(k, x + h) - hermite_phi(k, x - h)) / (2 * h)
-        assert abs(hermite_phi_deriv(k, x) - fd) < 1e-7
+        assert abs(lowering_deriv(k, x) - fd) < 1e-7
+        assert abs(raising_deriv(k + 1, x) - fd) < 1e-7
 
 
 class TestPhiPsi:
     def test_n1_at_origin(self):
         # [TRIVIAL] phi_1 odd, psi = (1/2)^{1/4} phi_0(0)
-        pair = phi_psi(1, 0.0)
-        assert pair.phi == 0.0
-        assert pair.psi == pytest.approx(0.5 ** 0.25 * math.pi ** -0.25, rel=1e-14)
+        phi, psi = phi_psi_values(1, 0.0)
+        assert phi == 0.0
+        assert psi == pytest.approx(0.5 ** 0.25 * math.pi ** -0.25, rel=1e-14)
 
     def test_n4_parity(self):
         # [TRIVIAL] phi_3 is odd
-        assert phi_psi(4, 0.0).psi == 0.0
+        assert phi_psi_values(4, 0.0)[1] == 0.0
 
     def test_high_precision_oracle(self):
         # [DERIVED] (n/2)^{1/4} phi_n against the mpmath oracle at n=10, x=5
-        pair = phi_psi(10, 5.0)
+        phi, psi = phi_psi_values(10, 5.0)
         scale = 5.0 ** 0.25
-        assert pair.phi == pytest.approx(scale * mpmath_phi(10, 5.0), rel=1e-11)
-        assert pair.psi == pytest.approx(scale * mpmath_phi(9, 5.0), rel=1e-11)
+        assert phi == pytest.approx(scale * mpmath_phi(10, 5.0), rel=1e-11)
+        assert psi == pytest.approx(scale * mpmath_phi(9, 5.0), rel=1e-11)
 
     def test_array_version_matches_scalar(self):
         xs = np.array([-2.0, 0.3, 4.0])
         phi, psi = phi_psi_values(7, xs)
         for i, x in enumerate(xs):
-            pair = phi_psi(7, float(x))
-            assert phi[i] == pytest.approx(pair.phi, rel=1e-14)
-            assert psi[i] == pytest.approx(pair.psi, rel=1e-14)
+            phi_x, psi_x = phi_psi_values(7, float(x))
+            assert phi[i] == pytest.approx(phi_x, rel=1e-14)
+            assert psi[i] == pytest.approx(psi_x, rel=1e-14)
 
 
 class TestAiry:
