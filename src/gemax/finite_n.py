@@ -24,7 +24,6 @@ from .fredholm import (
     fredholm_log_det,
     hermite_kernel,
     inner_product,
-    nystrom_extend,
     resolvent_solve_many,
 )
 from .special import build_grid, phi_psi_values
@@ -196,7 +195,8 @@ def _cdf(
 
     Without ``bracket`` the value is F_{n,2}(t) = exp(log_f_n2).  With it,
     ``bracket()`` returns F^2 / F_{n,2} and the value is sqrt(F_{n,2} bracket),
-    the GOE/GSE form.  The result is clamped to [0, 1].
+    the GOE/GSE form.  A bracket that overflows, or is not finite, raises
+    NumericalError.  The result is clamped to [0, 1].
     """
     _check_n(n, parity)
     try:
@@ -207,6 +207,8 @@ def _cdf(
         return 0.0
     if bracket is not None:
         ratio = bracket()
+        if not math.isfinite(ratio):
+            raise NumericalError(f"non-finite squared ratio {ratio} at n={n}, t={t}")
         if ratio < -1e-10:
             if log_f < LOG_FLOOR:
                 return 0.0
@@ -223,11 +225,17 @@ def f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT_NOD
 
 
 def cosh_sqrt(z: float) -> float:
-    """cosh(sqrt(z)) as an entire function of z (cos(sqrt(-z)) for z < 0)."""
+    """cosh(sqrt(z)) as an entire function of z (cos(sqrt(-z)) for z < 0).
+
+    Raises NumericalError where cosh overflows (z above about 5e5).
+    """
     if abs(z) < 1e-8:
         return 1.0 + z / 2.0 + z * z / 24.0
     if z >= 0.0:
-        return math.cosh(math.sqrt(z))
+        try:
+            return math.cosh(math.sqrt(z))
+        except OverflowError:
+            raise NumericalError(f"cosh(sqrt({z:.6g})) overflows") from None
     return math.cos(math.sqrt(-z))
 
 
@@ -239,12 +247,18 @@ def coshm1_sqrt(z: float) -> float:
 
 
 def sinhc_sqrt(z: float) -> float:
-    """sinh(sqrt(z))/sqrt(z) as an entire function of z."""
+    """sinh(sqrt(z))/sqrt(z) as an entire function of z.
+
+    Raises NumericalError where sinh overflows, as :func:`cosh_sqrt` does.
+    """
     if abs(z) < 1e-8:
         return 1.0 + z / 6.0 + z * z / 120.0
     if z >= 0.0:
         g = math.sqrt(z)
-        return math.sinh(g) / g
+        try:
+            return math.sinh(g) / g
+        except OverflowError:
+            raise NumericalError(f"sinh(sqrt({z:.6g})) overflows") from None
     g = math.sqrt(-z)
     return math.sin(g) / g
 
@@ -322,54 +336,63 @@ def epsilon_numeric(
     return _epsilon_numeric(n, t, nodes, outer_nodes)
 
 
+def _tail_phi_integrals(n: int, lowers: np.ndarray, upper: float, nodes: int) -> np.ndarray:
+    """int_x^{max(upper, x + 1)} phi for every x in ``lowers``.
+
+    Each integral is the ``nodes``-point Gauss-Legendre rule mapped onto its
+    own interval, exactly as :func:`build_grid` maps it; the rules are
+    stacked as the rows of one array, so a single recurrence pass evaluates
+    phi on all of them.
+    """
+    ref = build_grid(-1.0, 1.0, nodes)  # the unmapped rule, reproduced exactly
+    lower = np.asarray(lowers, dtype=float)[:, None]
+    top = np.maximum(upper, lower + 1.0)
+    half = 0.5 * (top - lower)
+    mid = 0.5 * (top + lower)
+    phi, _ = phi_psi_values(n, mid + half * ref.nodes)
+    return np.sum(half * ref.weights * phi, axis=1)
+
+
 @lru_cache(maxsize=50_000)
 def _epsilon_numeric(n: int, t: float, nodes: int, outer_nodes: int) -> EpsilonQuantities:
+    """The epsilon quantities with one recurrence pass per point set.
+
+    The point sets are the stacked tail rules behind eps phi = c_phi -
+    int_x^inf phi (one rule per node and one for t, see
+    :func:`_tail_phi_integrals`), the operator's nodes, t, and the outer
+    rule on (-inf, t).  eps phi and the kernel column K(x_j, t) share one
+    resolvent solve, whose second column is the resolvent kernel
+    R_n(x_j, t); one kernel block K(x, [x_j, t]) on the outer rule extends
+    both that and P_n (the psi solution that comes with the operator) to
+    the left of t.  The Nystrom solution reproduces itself at the nodes, so
+    int_t^inf R_n(x, t) dx is the quadrature sum of the solution itself.
+    """
     op, _, p_sol, _, _ = _endpoint_state(n, t, nodes)
     grid = op.grid
     c_phi, c_psi = c_constants(n)
-    upper = grid.upper
+    w = grid.weights
+    nodes_t = np.append(grid.nodes, t)
 
-    def tail_phi(x: float) -> float:
-        g = build_grid(x, max(upper, x + 1.0), nodes)
-        phi, _ = phi_psi_values(n, g.nodes)
-        return float(np.sum(g.weights * phi))
-
-    def eps_phi(x):
-        pts = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.array([c_phi - tail_phi(float(p)) for p in pts])
-        return vals if np.asarray(x).ndim else float(vals[0])
-
-    def psi_fn(pts):
-        return phi_psi_values(n, pts)[1]
-
-    psi_nodes = psi_fn(grid.nodes)
-    # eps phi and the resolvent kernel column R_n(x, t; t) share one solve;
-    # p_sol, the psi solution behind P_n(x; t), comes with the operator
+    eps_phi = c_phi - _tail_phi_integrals(n, nodes_t, grid.upper, nodes)
+    _, psi_nodes = phi_psi_values(n, grid.nodes)
     k_col = op.kernel_row(t)  # K(t, x_j) = K(x_j, t)
-    sols = resolvent_solve_many(op, np.column_stack([eps_phi(grid.nodes), k_col]))
+    sols = resolvent_solve_many(op, np.column_stack([eps_phi[:-1], k_col]))
     q_eps_sol, r_sol = sols[:, 0], sols[:, 1]
     v_tilde = inner_product(grid, q_eps_sol, psi_nodes)
-    q_eps = nystrom_extend(op, q_eps_sol, eps_phi, t)
+    q_eps = eps_phi[-1] + k_col @ (w * q_eps_sol)
 
     # quadratures over (-inf, t): integrands decay like the wave functions
-    low = _lower_cutoff(n)
-    left = build_grid(min(low, t - 1.0), t, outer_nodes)
-    p_left = nystrom_extend(op, p_sol, psi_fn, left.nodes)
-    # R_n(x, t) for x on the left grid
-    k_left = hermite_kernel(n, left.nodes[:, None], grid.nodes[None, :])
-    k_xt = hermite_kernel(n, left.nodes, t)
-    r_left = k_xt + k_left @ (grid.weights * r_sol)
+    left = build_grid(min(_lower_cutoff(n), t - 1.0), t, outer_nodes)
+    k_left = hermite_kernel(n, left.nodes[:, None], nodes_t[None, :])
+    _, psi_left = phi_psi_values(n, left.nodes)
+    p_left = psi_left + k_left[:, :-1] @ (w * p_sol)
+    r_left = k_left[:, -1] + k_left[:, :-1] @ (w * r_sol)  # R_n(x, t)
     p1 = float(np.sum(left.weights * p_left))
     r1 = float(np.sum(left.weights * r_left))
 
-    # right-side pieces int_t^inf P_n and int_t^inf R_n(x,t)
-    p_right = float(np.sum(grid.weights * p_sol))
-    k_nodes_t = np.asarray(op.kernel_row(grid.nodes[:, None]))  # (m, m) full block
-    r_right_vals = k_col + k_nodes_t @ (grid.weights * r_sol)
-    r_right = float(np.sum(grid.weights * r_right_vals))
-
-    p4 = 0.5 * (p_right - p1)
-    r4 = 0.5 * (r_right - r1)
+    # right-side pieces int_t^inf P_n and int_t^inf R_n(x, t)
+    p4 = 0.5 * (float(np.sum(w * p_sol)) - p1)
+    r4 = 0.5 * (float(np.sum(w * r_sol)) - r1)
     return EpsilonQuantities(
         v_tilde_eps=float(v_tilde),
         q_eps=float(q_eps),

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import erfc
 
-from gemax.errors import ParameterError
+from gemax import fredholm, special
+from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
+    DEFAULT_NODES,
+    EpsilonQuantities,
+    _endpoint_state,
+    _lower_cutoff,
+    _tail_phi_integrals,
     ab,
     c_constants,
     cosh_sqrt,
@@ -24,6 +31,13 @@ from gemax.finite_n import (
     q_p_n,
     sinhc_sqrt,
 )
+from gemax.fredholm import (
+    hermite_kernel,
+    inner_product,
+    nystrom_extend,
+    resolvent_solve_many,
+)
+from gemax.special import build_grid, phi_psi_values
 
 
 def gaussian_cdf(t: float) -> float:
@@ -145,8 +159,6 @@ class TestCConstants:
     def test_even_quadrature_oracle(self):
         # [DERIVED] c_phi(n even) = (1/2) int phi, cross-checked by adaptive
         # quadrature of the wave function
-        from gemax.special import phi_psi_values
-
         c_phi, c_psi = c_constants(4)
         assert c_psi == 0.0
         target, _ = integrate.quad(lambda x: phi_psi_values(4, x)[0], -14.0, 14.0)
@@ -198,6 +210,153 @@ class TestEpsilonQuantities:
             return abs(clo.v_tilde_eps - num.v_tilde_eps)
 
         assert gap(40) < gap(10)
+
+
+def _phi_tail_oracle(n: int, x: np.ndarray) -> np.ndarray:
+    """int_x^inf phi = (n/2)^{1/4} I_n(x), I_k = int_x^inf phi_k, exactly.
+
+    [DERIVED] Integrating phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1}
+    over (x, inf) gives I_{k+1} = sqrt(k/(k+1)) I_{k-1} + sqrt(2/(k+1)) phi_k(x),
+    seeded with I_0 = pi^{-1/4} sqrt(pi/2) erfc(x/sqrt 2) and I_1 = sqrt(2) phi_0(x).
+    The wave functions come from the test's own recurrence; no quadrature.
+    """
+    x = np.asarray(x, dtype=float)
+    phi_lo, phi_k = np.zeros_like(x), math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    i_lo = math.pi ** -0.25 * math.sqrt(math.pi / 2.0) * erfc(x / math.sqrt(2.0))
+    i_hi = math.sqrt(2.0) * phi_k
+    for k in range(1, n):
+        phi_lo, phi_k = phi_k, x * math.sqrt(2.0 / k) * phi_k - math.sqrt((k - 1) / k) * phi_lo
+        i_lo, i_hi = i_hi, math.sqrt(k / (k + 1)) * i_lo + math.sqrt(2.0 / (k + 1)) * phi_k
+    return (n / 2.0) ** 0.25 * i_hi
+
+
+def _per_node_epsilon(n: int, t: float) -> EpsilonQuantities:
+    """The epsilon quantities the way they were first computed, kept as a reference.
+
+    eps phi gets a fresh Gauss-Legendre rule and recurrence at every node,
+    the extensions to the left of t are separate kernel evaluations, and
+    int_t^inf R_n(x, t) dx re-evaluates the full kernel block on the nodes.
+    """
+    nodes, outer_nodes = DEFAULT_NODES, max(200, 6 * n)
+    op, _, p_sol, _, _ = _endpoint_state(n, t, nodes)
+    grid = op.grid
+    c_phi, c_psi = c_constants(n)
+
+    def tail_phi(x):
+        g = build_grid(x, max(grid.upper, x + 1.0), nodes)
+        return float(np.sum(g.weights * phi_psi_values(n, g.nodes)[0]))
+
+    def eps_phi(pts):
+        return np.array([c_phi - tail_phi(float(p)) for p in np.atleast_1d(pts)])
+
+    def psi_fn(pts):
+        return phi_psi_values(n, pts)[1]
+
+    k_col = op.kernel_row(t)
+    sols = resolvent_solve_many(op, np.column_stack([eps_phi(grid.nodes), k_col]))
+    q_eps_sol, r_sol = sols[:, 0], sols[:, 1]
+    v_tilde = inner_product(grid, q_eps_sol, psi_fn(grid.nodes))
+    q_eps = nystrom_extend(op, q_eps_sol, eps_phi, t)
+    left = build_grid(min(_lower_cutoff(n), t - 1.0), t, outer_nodes)
+    p_left = nystrom_extend(op, p_sol, psi_fn, left.nodes)
+    k_left = hermite_kernel(n, left.nodes[:, None], grid.nodes[None, :])
+    r_left = hermite_kernel(n, left.nodes, t) + k_left @ (grid.weights * r_sol)
+    p1 = float(np.sum(left.weights * p_left))
+    r1 = float(np.sum(left.weights * r_left))
+    k_nodes = op.kernel_row(grid.nodes[:, None])
+    r_right_vals = k_col + k_nodes @ (grid.weights * r_sol)
+    p4 = 0.5 * (float(np.sum(grid.weights * p_sol)) - p1)
+    r4 = 0.5 * (float(np.sum(grid.weights * r_right_vals)) - r1)
+    return EpsilonQuantities(v_tilde, q_eps, p1, r1, p4, r4, c_phi, c_psi)
+
+
+EPS_INDICES = (2, 5, 40, 41, 399, 400)
+EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4")
+
+
+class TestEpsilonBatched:
+    @pytest.mark.parametrize("n", EPS_INDICES)
+    def test_tail_integrals_oracle(self, n):
+        # the batched tail rules behind eps phi, on each operator's nodes and t
+        for t in (math.sqrt(2.0 * n) - 4.0, math.sqrt(2.0 * n) + 0.5):
+            grid = _endpoint_state(n, t, DEFAULT_NODES)[0].grid
+            x = np.append(grid.nodes, t)
+            got = _tail_phi_integrals(n, x, grid.upper, DEFAULT_NODES)
+            np.testing.assert_allclose(got, _phi_tail_oracle(n, x), rtol=0, atol=1e-12)
+
+    def test_tail_oracle_n1(self):
+        # [TRIVIAL] the oracle itself: phi = 2^{-1/4} phi_1 and phi_1 = sqrt(2) x phi_0,
+        # so int_x^inf phi = 2^{1/4} phi_0(x)
+        x = np.linspace(-3.0, 4.0, 15)
+        want = 2.0 ** 0.25 * math.pi ** -0.25 * np.exp(-0.5 * x * x)
+        np.testing.assert_allclose(_phi_tail_oracle(1, x), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", EPS_INDICES)
+    def test_matches_per_node_algorithm(self, n):
+        # near the edge and in the left tail
+        for t in (math.sqrt(2.0 * n) - 4.0, math.sqrt(2.0 * n) + 0.5):
+            got, ref = epsilon_numeric(n, t), _per_node_epsilon(n, t)
+            for name in EPS_FIELDS:
+                a, b = getattr(got, name), getattr(ref, name)
+                assert abs(a - b) <= 1e-13 * abs(b), (name, t, a, b)
+
+    def test_one_recurrence_pass_per_point_set(self, monkeypatch):
+        # tail rules, nodes, t and the outer rule: a handful of passes, not one per node
+        n, t = 40, 8.5
+        _endpoint_state(n, t, DEFAULT_NODES)
+        c_constants(n)
+        calls = []
+        recurrence = special.hermite_phi_two
+
+        def counted(k, x):
+            calls.append(k)
+            return recurrence(k, x)
+
+        monkeypatch.setattr(special, "hermite_phi_two", counted)
+        monkeypatch.setattr(fredholm, "hermite_phi_two", counted)
+        epsilon_numeric(n, t, outer_nodes=257)  # a fresh key of the value cache
+        assert 0 < len(calls) <= 12
+
+
+GOE_SWEEP = (2, 4, 10, 40)
+GSE_SWEEP = (3, 5, 11, 41)
+
+
+class TestCdfContract:
+    @pytest.mark.parametrize("method", ("assembly", "closed"))
+    @pytest.mark.parametrize("n", GOE_SWEEP + GSE_SWEEP)
+    def test_unit_interval_or_typed_error(self, n, method):
+        # every value is in [0, 1] or a ParameterError/NumericalError, on
+        # edge - 8 .. edge + 4 of the GUE-side variable t (u = t / sqrt 2)
+        for t in math.sqrt(2.0 * n) + np.linspace(-8.0, 4.0, 49):
+            try:
+                if n % 2 == 0:
+                    v = f_n1(n, float(t), method=method)
+                else:
+                    v = f_n4(n, float(t) / math.sqrt(2.0), method=method)
+            except (ParameterError, NumericalError):
+                continue
+            assert 0.0 <= v <= 1.0, (t, v)
+
+    def test_closed_bracket_overflow(self):
+        # cosh(sqrt(2ab)) overflows where the determinant is still positive;
+        # math.cosh raised OverflowError there
+        with pytest.raises(NumericalError):
+            f_n1(2, -4.5, method="closed")
+        with pytest.raises(NumericalError):
+            f_n4(3, (math.sqrt(6.0) - 7.75) / math.sqrt(2.0), method="closed")
+
+    def test_closed_bracket_infinite(self):
+        # cosh(sqrt(ab/2)) is finite but its square is not; the value read 1.0
+        # where the assembly gives 3.8e-8
+        with pytest.raises(NumericalError):
+            f_n4(3, (math.sqrt(6.0) - 6.5) / math.sqrt(2.0), method="closed")
+
+    def test_overflow_helpers(self):
+        with pytest.raises(NumericalError):
+            cosh_sqrt(1e6)
+        with pytest.raises(NumericalError):
+            sinhc_sqrt(1e6)
 
 
 class TestFn1:
