@@ -195,7 +195,7 @@ def criterion_5(scale: float = 1.0, count: int = 100_000) -> CriterionResult:
 
 
 def criterion_6(scale: float = 1.0) -> CriterionResult:
-    """Airy-side identities: nu = alpha - q, Painleve II, boundary, dual path."""
+    """Airy-side identities: nu = alpha - q, Painleve II, boundary, dual paths."""
     nu_gap = max(
         abs(airy.airy_bundle(s).nu - (airy.airy_bundle(s).alpha - airy.airy_bundle(s).q[0]))
         for s in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0)
@@ -207,17 +207,30 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
         pii = max(pii, abs((qm - 2 * q0 + qp) / h**2 - (s * q0 + 2 * q0**3)))
     bdry = abs(airy.hastings_mcleod_q(5.0) / airy_fn(5.0)[0] - 1.0)
     dual = abs(airy.f2_limit(-1.0, "exponential") - airy.f2_limit(-1.0, "determinant"))
-    ok = (
-        nu_gap < 1e-8 * scale
-        and pii < 1e-4 * scale
-        and bdry < 1e-4 * scale
-        and dual < 1e-7 * scale
+    # F_1 and F_4 from their determinants against sqrt(F_2) e^{-mu/2} and
+    # sqrt(F_2) cosh(mu/2), with F_2 on the exponential path and the bundle's mu
+    f1_gap = f4_gap = 0.0
+    for s in (-4.0, -1.0, 2.0):
+        mu = airy.airy_bundle(s).mu
+        root = math.sqrt(airy.f2_limit(s, "exponential"))
+        f1_gap = max(f1_gap, abs(airy.f1_limit(s) - root * math.exp(-0.5 * mu)))
+        f4_gap = max(f4_gap, abs(airy.f4_limit(s) - root * math.cosh(0.5 * mu)))
+    clauses = (
+        Clause("nu identity", nu_gap, 1e-8 * scale),
+        Clause("Painleve II", pii, 1e-4 * scale),
+        Clause("boundary", bdry, 1e-4 * scale),
+        Clause("F2 dual path", dual, 1e-7 * scale),
+        Clause("F1 dual path", f1_gap, 1e-12 * scale),
+        Clause("F4 dual path", f4_gap, 1e-12 * scale),
     )
     return CriterionResult(
         6,
         "Airy identities",
-        ok,
-        f"nu {nu_gap:.1e}, PII {pii:.1e}, boundary {bdry:.1e}, dual {dual:.1e}",
+        all(c.passed for c in clauses),
+        "nu {:.1e}, PII {:.1e}, boundary {:.1e}, dual {:.1e}, F1 dual {:.1e}, F4 dual {:.1e}".format(
+            *(c.value for c in clauses)
+        ),
+        clauses,
     )
 
 

@@ -1,15 +1,22 @@
-"""Limiting soft-edge quantities on the Airy kernel and Edgeworth expansions.
+"""Tracy-Widom limit laws on the Airy kernel and Edgeworth expansions.
 
-The building block is the resolvent (I - K_Ai)^{-1} on (s, infinity).  Its
-endpoint values against x^i Ai and x^i Ai' give q_i(s), p_i(s); inner
-products give u_i, v_i, v~_i, w_i.  In particular q_0 is the Hastings-McLeod
-solution of Painleve II, recovered here from the resolvent rather than by
-ODE shooting (which is exponentially unstable).
+The three limit laws are Fredholm determinants on one Gauss-Legendre
+Nystrom grid on (s, max(s, 0) + 30):  F_2(s) = det(I - K_Ai), and, after
+Ferrari-Spohn and Bornemann, F_1(s) = det(I - A_s) and
+F_4(s) = (det(I - A_s) + det(I + A_s))/2 with A_s(x, y) = Ai((x + y)/2)/2.
+With the Hastings-McLeod q and mu(s) = int_s^inf q, these are
+F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
+convention.
 
-The integrals mu, nu, alpha, eta need the endpoint scalars as *functions*
-of the left endpoint, so the outer quadratures re-evaluate a small bundle
-at every outer node; an LRU cache keyed by the node makes repeated bundle
-construction cheap.
+The Edgeworth terms need the Airy bundle: the resolvent (I - K_Ai)^{-1} on
+(s, infinity) and its endpoint values against x^i Ai and x^i Ai' give
+q_i(s), p_i(s); inner products give u_i, v_i, v~_i, w_i.  In particular q_0
+is the Hastings-McLeod q, recovered here from the resolvent rather than by
+ODE shooting (which is exponentially unstable).  The integrals mu, nu,
+alpha, eta need the endpoint scalars as *functions* of the left endpoint,
+so the bundle re-evaluates them at every outer node; an LRU cache keyed by
+the node makes repeated bundle construction cheap.  The bundle serves only
+the Edgeworth terms and the acceptance cross-checks of the limit laws.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .fredholm import assemble, fredholm_log_det, resolvent_solve_many
 from .special import airy as airy_fn
 from .special import build_grid
@@ -118,8 +125,9 @@ def hastings_mcleod_q(s: float, nodes: int = DEFAULT_NODES) -> float:
 
 
 def _q_prime(s: float, nodes: int, h: float = 1e-3) -> float:
-    # 5-point central difference; q is analytic so the error is ~h^4
-    vals = [hastings_mcleod_q(s + k * h, nodes) for k in (-2, -1, 1, 2)]
+    # 5-point central difference; q is analytic so the error is ~h^4.  The
+    # stencil reaches 2h past the window edges, so it skips the window check.
+    vals = [_point_values(s + k * h, nodes)[0][0] for k in (-2, -1, 1, 2)]
     return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
 
 
@@ -170,8 +178,8 @@ def airy_bundle(s: float, nodes: int = DEFAULT_NODES) -> AiryBundle:
     return _bundle_cached(s, nodes)
 
 
-def log_f2_limit(s: float, method: str = "exponential", nodes: int = DEFAULT_NODES) -> float:
-    """log F_2(s); exponential integral or Airy Fredholm determinant path."""
+def log_f2_limit(s: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
+    """log F_2(s); Airy Fredholm determinant or exponential integral path."""
     _window_check(s)
     if method == "determinant":
         grid = build_grid(s, _cutoff(s), nodes)
@@ -183,22 +191,47 @@ def log_f2_limit(s: float, method: str = "exponential", nodes: int = DEFAULT_NOD
     raise ParameterError(f"unknown method {method!r}")
 
 
-def f2_limit(s: float, method: str = "exponential", nodes: int = DEFAULT_NODES) -> float:
-    """Tracy-Widom distribution F_2(s) = exp(-int (x-s) q(x)^2 dx) = det(I - K_Ai)."""
+def f2_limit(s: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
+    """Tracy-Widom distribution F_2(s) = det(I - K_Ai) = exp(-int (x-s) q(x)^2 dx)."""
     return min(math.exp(log_f2_limit(s, method, nodes)), 1.0)
 
 
+def _log_dets(s: float, nodes: int, signs: tuple[float, ...]) -> list[float]:
+    """log det(I - sign A_s) for each sign, with A_s(x, y) = Ai((x + y)/2)/2 on (s, infinity).
+
+    One Nystrom matrix on the F_2 grid; Ai is evaluated once per distinct
+    pairwise sum (the upper triangle).  Raises NumericalError where a
+    determinant loses positivity, as `fredholm_log_det` does.
+    """
+    _window_check(s)
+    grid = build_grid(s, _cutoff(s), nodes)
+    sw = grid.sqrt_weights
+    i, j = np.triu_indices(nodes)
+    a = np.empty((nodes, nodes))
+    a[i, j] = a[j, i] = 0.5 * sw[i] * airy_fn(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
+    eye = np.eye(nodes)
+    logs = []
+    for sign in signs:
+        det_sign, logdet = np.linalg.slogdet(eye - sign * a)
+        if det_sign <= 0 or not np.isfinite(logdet):
+            raise NumericalError(f"determinant lost positivity for the Airy sum kernel at s = {s}")
+        logs.append(float(logdet))
+    return logs
+
+
 def f1_limit(s: float, nodes: int = DEFAULT_NODES) -> float:
-    """Limiting orthogonal-ensemble law F_1(s) = sqrt(F_2(s)) e^{-mu/2}."""
-    b = airy_bundle(s, nodes)
-    return min(math.exp(0.5 * (log_f2_limit(s, "exponential", nodes) - b.mu)), 1.0)
+    """Limiting orthogonal-ensemble law F_1(s) = det(I - A_s) = sqrt(F_2(s)) e^{-mu/2}."""
+    (minus,) = _log_dets(s, nodes, (1.0,))
+    return min(math.exp(minus), 1.0)
 
 
 def f4_limit(s: float, nodes: int = DEFAULT_NODES) -> float:
-    """Limiting symplectic-ensemble law F_4(s) = sqrt(F_2(s)) cosh(mu/2)."""
-    b = airy_bundle(s, nodes)
-    val = math.exp(0.5 * log_f2_limit(s, "exponential", nodes)) * math.cosh(0.5 * b.mu)
-    return min(val, 1.0)
+    """Limiting symplectic-ensemble law F_4(s) = (det(I - A_s) + det(I + A_s))/2.
+
+    Equal to sqrt(F_2(s)) cosh(mu/2).
+    """
+    minus, plus = _log_dets(s, nodes, (1.0, -1.0))
+    return min(0.5 * (math.exp(minus) + math.exp(plus)), 1.0)
 
 
 def e_c2(s: float, c: float, nodes: int = DEFAULT_NODES) -> float:

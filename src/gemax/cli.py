@@ -83,8 +83,7 @@ def cmd_tabulate(args, stream) -> int:
 
 
 def cmd_limit(args, stream) -> int:
-    law = {"gue": lambda s: airy.f2_limit(s, "determinant"),
-           "goe": airy.f1_limit, "gse": airy.f4_limit}[args.ensemble]
+    law = {"gue": airy.f2_limit, "goe": airy.f1_limit, "gse": airy.f4_limit}[args.ensemble]
     grid = np.linspace(args.s_min, args.s_max, args.steps)
     rows = [(float(s), law(float(s))) for s in grid]
     config = {"ensemble": args.ensemble, "s_min": args.s_min,

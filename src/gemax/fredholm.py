@@ -30,35 +30,34 @@ from .special import QuadratureGrid, airy, hermite_phi_two
 DIAG_GUARD = 1e-6
 
 
-def _integrable_kernel(parts, x, y, scale: float = 1.0):
-    """scale (f(x)g(y) - f(y)g(x))/(x - y), where parts(z) = (f(z), g(z), K(z, z)).
+def _integrable_form(x, px, y, py, scale: float):
+    """scale (f(x)g(y) - f(y)g(x))/(x - y) from px = parts(x) and py = parts(y).
 
-    Within DIAG_GUARD of the diagonal the midpoint of the two diagonal
-    values is used: K(x, x+h) = K(x, x) + (h/2) d/dx K(x, x) + O(h^2).
+    parts(z) = (f(z), g(z), K(z, z)).  Within DIAG_GUARD of the diagonal the
+    midpoint of the two diagonal values is used:
+    K(x, x+h) = K(x, x) + (h/2) d/dx K(x, x) + O(h^2).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx, gx, diag_x = parts(x)
-    fy, gy, diag_y = parts(y)
+    fx, gx, diag_x = px
+    fy, gy, diag_y = py
     diff = x - y
     near = np.abs(diff) <= DIAG_GUARD
     safe = np.where(near, 1.0, diff)
     off = scale * (fx * gy - fy * gx) / safe
-    out = np.where(near, 0.5 * (diag_x + diag_y), off)
+    return np.where(near, 0.5 * (diag_x + diag_y), off)
+
+
+def _integrable_kernel(parts, x, y, scale: float = 1.0):
+    """The integrable form at (x, y), evaluating parts on each side."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = _integrable_form(x, parts(x), y, parts(y), scale)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def hermite_kernel(n: int, x, y):
-    """Christoffel-Darboux kernel sqrt(n/2) (phi_n(x)phi_{n-1}(y) - phi_n(y)phi_{n-1}(x))/(x-y).
-
-    The diagonal is sqrt(n/2)(phi_n' phi_{n-1} - phi_n phi_{n-1}'), with the
-    derivatives from the lowering and raising identities
-    phi_n' = -x phi_n + sqrt(2n) phi_{n-1} and
-    phi_{n-1}' = x phi_{n-1} - sqrt(2n) phi_n, so one recurrence pass per
-    side serves both the quotient and the diagonal.
-    """
+def _hermite_parts(n: int):
+    """(parts, scale) of the Christoffel-Darboux kernel of order n."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     c = np.sqrt(n / 2.0)
@@ -70,17 +69,30 @@ def hermite_kernel(n: int, x, y):
         gp = z * g - root * f
         return f, g, c * (fp * g - f * gp)
 
+    return parts, c
+
+
+def _airy_parts(z):
+    ai, aip = airy(z)
+    return ai, aip, aip * aip - z * ai * ai
+
+
+def hermite_kernel(n: int, x, y):
+    """Christoffel-Darboux kernel sqrt(n/2) (phi_n(x)phi_{n-1}(y) - phi_n(y)phi_{n-1}(x))/(x-y).
+
+    The diagonal is sqrt(n/2)(phi_n' phi_{n-1} - phi_n phi_{n-1}'), with the
+    derivatives from the lowering and raising identities
+    phi_n' = -x phi_n + sqrt(2n) phi_{n-1} and
+    phi_{n-1}' = x phi_{n-1} - sqrt(2n) phi_n, so one recurrence pass per
+    side serves both the quotient and the diagonal.
+    """
+    parts, c = _hermite_parts(n)
     return _integrable_kernel(parts, x, y, c)
 
 
 def airy_kernel(x, y):
     """(Ai(x)Ai'(y) - Ai(y)Ai'(x))/(x - y) with diagonal limit Ai'(x)^2 - x Ai(x)^2."""
-
-    def parts(z):
-        ai, aip = airy(z)
-        return ai, aip, aip * aip - z * ai * ai
-
-    return _integrable_kernel(parts, x, y)
+    return _integrable_kernel(_airy_parts, x, y)
 
 
 @dataclass(frozen=True)
@@ -104,15 +116,22 @@ class DiscretizedKernel:
 
 
 def assemble(kernel_id: str, grid: QuadratureGrid) -> DiscretizedKernel:
-    """Build the symmetrized Nystrom matrix for ``"airy"`` or ``"hermite(n)"``."""
+    """Build the symmetrized Nystrom matrix for ``"airy"`` or ``"hermite(n)"``.
+
+    The kernel's parts are evaluated once on the nodes and serve both the
+    row and the column side of the matrix.
+    """
     if kernel_id == "airy":
-        kernel = airy_kernel
+        kernel, parts, scale = airy_kernel, _airy_parts, 1.0
     elif kernel_id.startswith("hermite(") and kernel_id.endswith(")"):
-        kernel = partial(hermite_kernel, int(kernel_id[len("hermite(") : -1]))
+        n = int(kernel_id[len("hermite(") : -1])
+        kernel = partial(hermite_kernel, n)
+        parts, scale = _hermite_parts(n)
     else:
         raise ParameterError(f"unknown kernel_id {kernel_id!r}")
     x = grid.nodes
-    raw = kernel(x[:, None], x[None, :])
+    values = parts(x)
+    raw = _integrable_form(x[:, None], tuple(v[:, None] for v in values), x, values, scale)
     sw = grid.sqrt_weights
     matrix = sw[:, None] * raw * sw[None, :]
     matrix = 0.5 * (matrix + matrix.T)  # scrub last-bit asymmetry

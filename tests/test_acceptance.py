@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gemax import acceptance, finite_n
+from gemax import acceptance, airy, finite_n
 
 
 def check(result):
@@ -83,6 +83,27 @@ class TestAcceptance:
 
     def test_criterion_6_airy_identities(self):
         check(acceptance.criterion_6())
+
+    def test_criterion_6_limit_dual_paths(self, monkeypatch):
+        # F_1 and F_4 from the determinants of A_s against sqrt(F_2) e^{-mu/2}
+        # and sqrt(F_2) cosh(mu/2) with the bundle's mu
+        names = ("F1 dual path", "F4 dual path")
+        result = acceptance.criterion_6()
+        for name in names:
+            clause = result.clause(name)
+            assert clause.value < clause.bound, name
+        # negative control: mu off by 1e-10 must break both clauses
+        bundle = airy.airy_bundle
+
+        def shifted(s, *args):
+            b = bundle(s, *args)
+            return replace(b, mu=b.mu + 1e-10)
+
+        monkeypatch.setattr(airy, "airy_bundle", shifted)
+        broken = acceptance.criterion_6()
+        assert not broken.passed
+        for name in names:
+            assert not broken.clause(name).passed, name
 
     def test_criterion_7_convergence_rates(self):
         check(acceptance.criterion_7())

@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from gemax import airy as airy_module
 from gemax.airy import (
+    S_MAX,
+    S_MIN,
     airy_bundle,
     e_c2,
     edgeworth_f1_sq,
@@ -17,6 +21,7 @@ from gemax.airy import (
     log_f2_limit,
     tau,
 )
+from gemax.errors import NumericalError, ParameterError
 from gemax.special import airy
 
 
@@ -97,6 +102,57 @@ class TestLimitLaws:
         s = -2.5
         assert math.exp(log_f2_limit(s)) == pytest.approx(f2_limit(s), rel=1e-12)
 
+    def test_f1_f4_match_bundle_formulas(self):
+        # [DERIVED] F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), with
+        # F_2 from the exponential path and mu from the bundle: an independent
+        # route to the Fredholm determinants of A_s
+        for s in np.linspace(-8.0, 6.0, 15):
+            s = float(s)
+            mu = airy_bundle(s).mu
+            root = math.sqrt(f2_limit(s, "exponential"))
+            assert f1_limit(s) == pytest.approx(root * math.exp(-0.5 * mu), abs=1e-12)
+            assert f4_limit(s) == pytest.approx(root * math.cosh(0.5 * mu), abs=1e-12)
+
+    @pytest.mark.parametrize("law", [f1_limit, f4_limit], ids=["F1", "F4"])
+    def test_one_matrix_per_value(self, law, monkeypatch):
+        # one grid and one Ai evaluation over the upper triangle of pairwise
+        # sums; the bundle and its point values are never reached
+        def unused(*args):
+            raise AssertionError("the limit law reached the Airy bundle")
+
+        grids, points = [], []
+        build_grid, airy_fn = airy_module.build_grid, airy_module.airy_fn
+        monkeypatch.setattr(airy_module, "airy_bundle", unused)
+        monkeypatch.setattr(airy_module, "_point_values", unused)
+        monkeypatch.setattr(airy_module, "build_grid", lambda *a: grids.append(a) or build_grid(*a))
+        monkeypatch.setattr(airy_module, "airy_fn", lambda x: points.append(np.size(x)) or airy_fn(x))
+        value = law(-1.37)
+        nodes = airy_module.DEFAULT_NODES
+        assert len(grids) == 1
+        assert points == [nodes * (nodes + 1) // 2]
+        assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("law", [f1_limit, f4_limit], ids=["F1", "F4"])
+    def test_sign_loss_raises(self, law, monkeypatch):
+        # with Ai doubled, A_s at s = -3 has one eigenvalue 1.9 > 1 (the others
+        # in (-0.9, 0.2)), so det(I - A_s) < 0: a typed error, not a value
+        airy_fn = airy_module.airy_fn
+        monkeypatch.setattr(airy_module, "airy_fn", lambda x: tuple(2.0 * v for v in airy_fn(x)))
+        with pytest.raises(NumericalError):
+            law(-3.0)
+
+    @pytest.mark.parametrize("law", [f1_limit, f2_limit, f4_limit], ids=["F1", "F2", "F4"])
+    def test_unit_interval_or_typed_error(self, law):
+        for s in np.linspace(S_MIN, S_MAX, 41):
+            try:
+                value = law(float(s))
+            except (ParameterError, NumericalError):
+                continue
+            assert 0.0 <= value <= 1.0, (s, value)
+        for s in (S_MIN - 0.01, S_MAX + 0.01):
+            with pytest.raises(ParameterError):
+                law(s)
+
 
 class TestBundleIdentities:
     @pytest.mark.parametrize("s", [-3.0, -1.0, 0.5, 2.0])
@@ -158,7 +214,37 @@ class TestEdgeworth:
         assert res.leading == pytest.approx(f4_limit(s) ** 2, rel=1e-10)
 
     def test_window_guard(self):
-        from gemax.errors import ParameterError
-
         with pytest.raises(ParameterError):
             edgeworth_f2(50, 0.0, -30.0)
+
+
+class TestWindowEdges:
+    """The documented window [S_MIN, S_MAX] is usable up to both of its edges.
+
+    The five-point q' stencil reaches 2e-3 past each edge, where the window
+    check would reject it.
+    """
+
+    @pytest.mark.parametrize("s", [S_MIN, S_MAX])
+    def test_bundle(self, s):
+        b = airy_bundle(s)
+        scalars = (*b.q, *b.p, *b.u, *b.v, *b.v_tilde, *b.w)
+        scalars += (b.mu, b.nu, b.alpha, b.eta_integral, b.q_prime)
+        assert all(math.isfinite(v) for v in scalars)
+
+    def test_bundle_right_edge_q_prime(self):
+        # [DERIVED] q ~ Ai for large s, so q'(8) ~ Ai'(8)
+        assert airy_bundle(S_MAX).q_prime == pytest.approx(airy(S_MAX)[1], rel=1e-6)
+
+    @pytest.mark.parametrize("s", [S_MIN, S_MAX])
+    def test_expansions(self, s):
+        f2 = f2_limit(s, "exponential")
+        for expansion, leading in (
+            (edgeworth_f2, f2),
+            (edgeworth_f1_sq, f1_limit(s) ** 2),
+            (edgeworth_f4_sq, f4_limit(s) ** 2),
+        ):
+            r = expansion(40, 0.5, s)
+            terms = (r.leading, r.order_one_third, r.order_two_thirds, r.combined)
+            assert all(math.isfinite(v) for v in terms)
+            assert r.leading == pytest.approx(leading, abs=1e-12)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from gemax import cli
+from gemax import airy, cli
 
 
 def run_cli(argv):
@@ -96,6 +96,29 @@ class TestLimit:
         # [DERIVED] F_2(0) from published Tracy-Widom evaluations
         assert value == pytest.approx(0.9693728283552, abs=1e-9)
 
+    @pytest.mark.parametrize("ensemble", ["goe", "gue", "gse"])
+    @pytest.mark.parametrize("window", [("-10", "-9"), ("7", "8")], ids=["left", "right"])
+    def test_window_edges(self, ensemble, window):
+        # the documented window [-10, 8] is usable up to both edges
+        code, out = run_cli(
+            ["limit", "--ensemble", ensemble, "--s-min", window[0], "--s-max", window[1],
+             "--steps", "2"]
+        )
+        assert code == 0
+        values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        assert len(values) == 2
+        assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_sign_loss_exit_code(self, monkeypatch, capsys):
+        # a determinant of I - A_s that loses positivity is a numerical failure
+        airy_fn = airy.airy_fn
+        monkeypatch.setattr(airy, "airy_fn", lambda x: tuple(2.0 * v for v in airy_fn(x)))
+        code, _ = run_cli(
+            ["limit", "--ensemble", "goe", "--s-min", "-3", "--s-max", "-3", "--steps", "1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
 
 class TestEdgeworth:
     def test_columns(self):
@@ -108,6 +131,20 @@ class TestEdgeworth:
         assert header == [
             "s", "finite_n", "leading", "first_order", "second_order", "combined", "error",
         ]
+
+    @pytest.mark.parametrize("ensemble,n", [("gue", 40), ("goe", 40), ("gse", 41)])
+    @pytest.mark.parametrize("window", [("-10", "-9"), ("7", "8")], ids=["left", "right"])
+    def test_window_edges(self, ensemble, n, window):
+        # the Edgeworth terms at s = -10 and s = 8 reach q' through a stencil
+        # 2e-3 past the window, which the window check must not reject
+        code, out = run_cli(
+            ["edgeworth", "--ensemble", ensemble, "--n", str(n),
+             "--s-min", window[0], "--s-max", window[1], "--steps", "2"]
+        )
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(math.isfinite(v) for row in rows for v in row)
 
     def test_window_exit_code(self):
         code, _ = run_cli(

@@ -1,10 +1,12 @@
 """Oracle tests for the Nystrom kernel discretization and resolvent solves."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from gemax import fredholm
 from gemax.errors import ParameterError
 from gemax.fredholm import (
     airy_kernel,
@@ -92,6 +94,38 @@ class TestAssemble:
         grid = build_grid(-1.0, 5.0, 8)
         with pytest.raises(ParameterError):
             assemble("bessel", grid)
+
+    CASES = [
+        ("hermite(1)", partial(hermite_kernel, 1), -3.0, 10.0),
+        ("hermite(40)", partial(hermite_kernel, 40), math.sqrt(80) - 4.0, math.sqrt(80) + 10.0),
+        ("hermite(400)", partial(hermite_kernel, 400), math.sqrt(800) - 4.0, math.sqrt(800) + 10.0),
+        ("airy", airy_kernel, -10.0, 30.0),
+    ]
+
+    @pytest.mark.parametrize("kernel_id,kernel,lower,upper", CASES, ids=[c[0] for c in CASES])
+    def test_one_pass_matches_two_pass(self, kernel_id, kernel, lower, upper):
+        # the kernel evaluated separately on the row and the column side, as
+        # kernel(x_i, x_j), must give the very same matrix
+        grid = build_grid(lower, upper, 96)
+        x, sw = grid.nodes, grid.sqrt_weights
+        two_pass = sw[:, None] * kernel(x[:, None], x[None, :]) * sw[None, :]
+        two_pass = 0.5 * (two_pass + two_pass.T)
+        assert np.array_equal(assemble(kernel_id, grid).matrix, two_pass)
+
+    @pytest.mark.parametrize("kernel_id,name", [("hermite(400)", "hermite_phi_two"), ("airy", "airy")])
+    def test_one_pass_per_assembly(self, kernel_id, name, monkeypatch):
+        # one evaluation of the wave functions (or of Ai, Ai') on the nodes serves
+        # both sides of the matrix
+        calls = []
+        real = getattr(fredholm, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fredholm, name, counting)
+        assemble(kernel_id, build_grid(25.0, 40.0, 96))
+        assert len(calls) == 1
 
 
 class TestFredholmDet:
