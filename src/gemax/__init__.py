@@ -24,12 +24,10 @@ from .airy import (
 from .errors import NumericalError, ParameterError
 from .finite_n import (
     EpsilonQuantities,
-    FiniteNEvaluation,
     ab,
     c_constants,
     epsilon_closed,
     epsilon_numeric,
-    evaluate,
     f_n1,
     f_n2,
     f_n4,
@@ -52,7 +50,6 @@ __all__ = [
     "AiryBundle",
     "EdgeworthResult",
     "EpsilonQuantities",
-    "FiniteNEvaluation",
     "McRun",
     "NumericalError",
     "ParameterError",
@@ -67,7 +64,6 @@ __all__ = [
     "empirical_cdf",
     "epsilon_closed",
     "epsilon_numeric",
-    "evaluate",
     "f1_limit",
     "f2_limit",
     "f4_limit",

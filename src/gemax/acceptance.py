@@ -150,8 +150,9 @@ def cpsi_residual(n: int, t: float) -> float:
     one.  Raises ParameterError where that size vanishes (sin g = 0 on the
     trigonometric branch, or rho_s underflowing) and the change does not.
     """
-    eps = finite_n.epsilon_closed(n, t)
-    cosh_g, rho_s, r_s = finite_n._hyperbolic_block(*finite_n.ab(n, t))
+    a, b = finite_n.ab(n, t)
+    eps = finite_n._epsilon_closed(n, a, b)
+    cosh_g, rho_s, r_s = finite_n._hyperbolic_block(a, b)
     zeroed = replace(eps, p4=r_s, r4=cosh_g - 1.0, c_psi=0.0)
     residual = abs(finite_n.f4_sq_ratio(eps) - finite_n.f4_sq_ratio(zeroed))
     size = abs(eps.c_psi * rho_s * 0.5 * (1.0 + cosh_g))

@@ -14,9 +14,11 @@ q_i(s), p_i(s); inner products give u_i, v_i, v~_i, w_i.  In particular q_0
 is the Hastings-McLeod q, recovered here from the resolvent rather than by
 ODE shooting (which is exponentially unstable).  The integrals mu, nu,
 alpha, eta need the endpoint scalars as *functions* of the left endpoint,
-so the bundle re-evaluates them at every outer node; an LRU cache keyed by
-the node makes repeated bundle construction cheap.  The bundle serves only
-the Edgeworth terms and the acceptance cross-checks of the limit laws.
+so the bundle evaluates them at every outer node.  The same outer values
+give the exponential log F_2 = -int (x - s) q^2, and the endpoint values
+at s give q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The bundle serves
+only the Edgeworth terms, the exponential F_2 and the acceptance
+cross-checks of the limit laws.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ class EdgeworthResult:
     combined: float
 
 
-@lru_cache(maxsize=100_000)
 def _point_values(s: float, nodes: int):
     """Endpoint scalars (q_i, p_i, u_i, v_i, v~_i, w_i) of the operator on (s, S)."""
     grid = build_grid(s, _cutoff(s), nodes)
@@ -124,15 +125,13 @@ def hastings_mcleod_q(s: float, nodes: int = DEFAULT_NODES) -> float:
     return q[0]
 
 
-def _q_prime(s: float, nodes: int, h: float = 1e-3) -> float:
-    # 5-point central difference; q is analytic so the error is ~h^4.  The
-    # stencil reaches 2h past the window edges, so it skips the window check.
-    vals = [_point_values(s + k * h, nodes)[0][0] for k in (-2, -1, 1, 2)]
-    return (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-
-
+# The one cache keyed on a float argument.  One bundle costs 97 operators, and
+# callers read the same s again: the three Edgeworth expansions at one s and
+# the exponential F_2 they share, and `convergence`, `edgeworth` and
+# criterion 6, which repeat an s for many n
 @lru_cache(maxsize=10_000)
-def _bundle_cached(s: float, nodes: int) -> AiryBundle:
+def _bundle_cached(s: float, nodes: int) -> tuple[AiryBundle, float]:
+    """The bundle at s and the exponential log F_2(s), from one set of outer values."""
     q, p, u, v, v_tilde, w = _point_values(s, nodes)
     outer = build_grid(s, _cutoff(s), nodes)
     local = [_point_values(float(x), nodes) for x in outer.nodes]
@@ -156,7 +155,8 @@ def _bundle_cached(s: float, nodes: int) -> AiryBundle:
         ]
     )
     eta_integral = float(np.sum(outer.weights * eta_integrand)) / (20.0 * SQRT2)
-    return AiryBundle(
+    log_f2 = -float(np.sum(outer.weights * (outer.nodes - s) * qx * qx))
+    bundle = AiryBundle(
         s=s,
         q=q,
         p=p,
@@ -168,14 +168,15 @@ def _bundle_cached(s: float, nodes: int) -> AiryBundle:
         nu=nu,
         alpha=alpha,
         eta_integral=eta_integral,
-        q_prime=_q_prime(s, nodes),
+        q_prime=p[0] - q[0] * u[0],
     )
+    return bundle, log_f2
 
 
 def airy_bundle(s: float, nodes: int = DEFAULT_NODES) -> AiryBundle:
     """All Airy-resolvent scalars and integrals at s (cached)."""
     _window_check(s)
-    return _bundle_cached(s, nodes)
+    return _bundle_cached(s, nodes)[0]
 
 
 def log_f2_limit(s: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
@@ -185,9 +186,7 @@ def log_f2_limit(s: float, method: str = "determinant", nodes: int = DEFAULT_NOD
         grid = build_grid(s, _cutoff(s), nodes)
         return fredholm_log_det(assemble("airy", grid))
     if method == "exponential":
-        outer = build_grid(s, _cutoff(s), nodes)
-        qx = np.array([_point_values(float(x), nodes)[0][0] for x in outer.nodes])
-        return -float(np.sum(outer.weights * (outer.nodes - s) * qx * qx))
+        return _bundle_cached(s, nodes)[1]
     raise ParameterError(f"unknown method {method!r}")
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .fredholm import (
+    DiscretizedKernel,
     assemble,
     fredholm_log_det,
     hermite_kernel,
@@ -53,21 +54,6 @@ def _lower_cutoff(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class FiniteNEvaluation:
-    """Per-(n, t) bundle of endpoint quantities and distribution values."""
-
-    n: int
-    t: float
-    q_n: float
-    p_n: float
-    a: float
-    b: float
-    f_n2: float
-    f_n1: float | None
-    f_n4: float | None
-
-
-@dataclass(frozen=True)
 class EpsilonQuantities:
     """The epsilon-operator quantities entering the GOE/GSE representations."""
 
@@ -81,32 +67,48 @@ class EpsilonQuantities:
     c_psi: float
 
 
-@lru_cache(maxsize=200_000)
-def _endpoint_state(n: int, t: float, nodes: int):
+def _operator(n: int, t: float, nodes: int) -> DiscretizedKernel:
+    """The Nystrom operator of K_{n,2} on (t, T)."""
+    return assemble(f"hermite({n})", build_grid(t, _upper_cutoff(n, t), nodes))
+
+
+@dataclass(frozen=True)
+class _EndpointState:
+    """The operator on (t, T) and what a value reads from it, built once per value.
+
+    psi at the nodes, the kernel row K(t, x_j) and the psi solution P_n at
+    the nodes serve both q_n(t), p_n(t) and the epsilon quantities.
+    """
+
+    n: int
+    t: float
+    op: DiscretizedKernel
+    psi: np.ndarray
+    krow: np.ndarray
+    p_sol: np.ndarray
+    q_t: float
+    p_t: float
+
+
+def _endpoint_state(n: int, t: float, nodes: int) -> _EndpointState:
     """Operator on (t, T), LU-backed q_n(t), p_n(t) and node solutions."""
-    grid = build_grid(t, _upper_cutoff(n, t), nodes)
-    op = assemble(f"hermite({n})", grid)
-    phi, psi = phi_psi_values(n, grid.nodes)
+    op = _operator(n, t, nodes)
+    phi, psi = phi_psi_values(n, op.grid.nodes)
     sols = resolvent_solve_many(op, np.column_stack([phi, psi]))
-    q_sol = sols[:, 0]
-    p_sol = sols[:, 1]
-    wq = op.grid.weights * q_sol
-    wp = op.grid.weights * p_sol
     krow = op.kernel_row(t)
     phi_t, psi_t = phi_psi_values(n, t)
-    q_t = float(phi_t + krow @ wq)
-    p_t = float(psi_t + krow @ wp)
-    return op, q_sol, p_sol, q_t, p_t
+    q_t = float(phi_t + krow @ (op.grid.weights * sols[:, 0]))
+    p_t = float(psi_t + krow @ (op.grid.weights * sols[:, 1]))
+    return _EndpointState(n, t, op, psi, krow, sols[:, 1], q_t, p_t)
 
 
 def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
     """Endpoint resolvent values (q_n(t), p_n(t))."""
     _check_n(n)
-    _, _, _, q_t, p_t = _endpoint_state(n, t, nodes)
-    return q_t, p_t
+    state = _endpoint_state(n, t, nodes)
+    return state.q_t, state.p_t
 
 
-@lru_cache(maxsize=50_000)
 def _tail_integrals(n: int, t: float, nodes: int):
     """a(t), b(t) and int_t^inf (x - t) q_n(x) p_n(x) dx on a shared outer grid."""
     outer = build_grid(t, _upper_cutoff(n, t), nodes)
@@ -128,7 +130,7 @@ def ab(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=1024)
-def c_constants(n: int, nodes: int = 400) -> tuple[float, float]:
+def c_constants(n: int) -> tuple[float, float]:
     """The constants c_phi = (1/2) int phi and c_psi = (1/2) int psi.
 
     Parity kills one of the two: c_phi = 0 for n odd, c_psi = 0 for n even.
@@ -149,7 +151,7 @@ def c_constants(n: int, nodes: int = 400) -> tuple[float, float]:
         return 0.0, c_psi
     # n even: c_phi by quadrature of the even function phi on (0, T), doubled
     upper = _upper_cutoff(n, 0.0)
-    grid = build_grid(0.0, upper, nodes)
+    grid = build_grid(0.0, upper, 400)
     phi, _ = phi_psi_values(n, grid.nodes)
     c_phi = float(np.sum(grid.weights * phi))  # = (1/2) * 2 * int_0^inf phi
     return c_phi, 0.0
@@ -170,13 +172,16 @@ def log_f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT
     """
     _check_n(n)
     if method == "determinant":
-        op, _, _, _, _ = _endpoint_state(n, t, nodes)
-        log_f = fredholm_log_det(op)
+        log_f = fredholm_log_det(_operator(n, t, nodes))
     elif method == "exponential":
         _, _, moment = _tail_integrals(n, t, nodes)
         log_f = -2.0 * moment
     else:
         raise ParameterError(f"unknown method {method!r}")
+    return _checked_log_f(log_f, n, t, method)
+
+
+def _checked_log_f(log_f: float, n: int, t: float, method: str) -> float:
     if log_f > LOG_F_ROUNDING:
         raise NumericalError(f"log F_n2 = {log_f:.6g} > 0 at n={n}, t={t} ({method})")
     return log_f
@@ -193,20 +198,28 @@ def _cdf(
 ) -> float:
     """A finite-n CDF value under the one failure policy every public CDF shares.
 
-    Without ``bracket`` the value is F_{n,2}(t) = exp(log_f_n2).  With it,
-    ``bracket()`` returns F^2 / F_{n,2} and the value is sqrt(F_{n,2} bracket),
-    the GOE/GSE form.  A bracket that overflows, or is not finite, raises
-    NumericalError.  The result is clamped to [0, 1].
+    Without ``bracket`` the value is F_{n,2}(t) = exp(log_f_n2) by ``method``.
+    With it, ``bracket(state)`` returns F^2 / F_{n,2} and the value is
+    sqrt(F_{n,2} bracket), the GOE/GSE form, with F_{n,2} the determinant.
+    Under method "assembly" the endpoint state is built here, once: its
+    operator gives the determinant and the bracket reads the rest of it;
+    under "closed" ``state`` is None.  A bracket that overflows, or is not
+    finite, raises NumericalError.  The result is clamped to [0, 1].
     """
     _check_n(n, parity)
     try:
-        log_f = log_f_n2(n, t, method, nodes)
+        if bracket is None:
+            log_f = log_f_n2(n, t, method, nodes)
+        else:
+            state = _endpoint_state(n, t, nodes) if method == "assembly" else None
+            op = _operator(n, t, nodes) if state is None else state.op
+            log_f = _checked_log_f(fredholm_log_det(op), n, t, "determinant")
     except NumericalError:
         # sign loss, or a log F above rounding, happens only where F_{n,2}
         # is far beyond double-precision resolution
         return 0.0
     if bracket is not None:
-        ratio = bracket()
+        ratio = bracket(state)
         if not math.isfinite(ratio):
             raise NumericalError(f"non-finite squared ratio {ratio} at n={n}, t={t}")
         if ratio < -1e-10:
@@ -289,7 +302,11 @@ def epsilon_closed(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuant
     determinant reproduce the direct F_{n,1}/F_{n,4} formulas.
     """
     _check_n(n)
-    a, b = ab(n, t, nodes)
+    return _epsilon_closed(n, *ab(n, t, nodes))
+
+
+def _epsilon_closed(n: int, a: float, b: float) -> EpsilonQuantities:
+    """The closed-form epsilon quantities from the tail integrals a(t), b(t)."""
     c_phi, c_psi = c_constants(n)
     cosh_g, rho_s, r_s = _hyperbolic_block(a, b)
     half = 0.5 * (1.0 + cosh_g)
@@ -319,9 +336,7 @@ def epsilon_closed(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuant
     )
 
 
-def epsilon_numeric(
-    n: int, t: float, nodes: int = DEFAULT_NODES, outer_nodes: int | None = None
-) -> EpsilonQuantities:
+def epsilon_numeric(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuantities:
     """First-principles epsilon quantities from the resolvent, no closed forms.
 
     eps phi(x) = c_phi - int_x^inf phi is built by quadrature, fed through
@@ -330,10 +345,7 @@ def epsilon_numeric(
     against the kernel of eps.
     """
     _check_n(n)
-    if outer_nodes is None:
-        # phi_n oscillates ~n/2 times across the bulk; GL resolves ~m/pi periods
-        outer_nodes = max(200, 6 * n)
-    return _epsilon_numeric(n, t, nodes, outer_nodes)
+    return _epsilon_numeric(_endpoint_state(n, t, nodes))
 
 
 def _tail_phi_integrals(n: int, lowers: np.ndarray, upper: float, nodes: int) -> np.ndarray:
@@ -353,8 +365,7 @@ def _tail_phi_integrals(n: int, lowers: np.ndarray, upper: float, nodes: int) ->
     return np.sum(half * ref.weights * phi, axis=1)
 
 
-@lru_cache(maxsize=50_000)
-def _epsilon_numeric(n: int, t: float, nodes: int, outer_nodes: int) -> EpsilonQuantities:
+def _epsilon_numeric(state: _EndpointState) -> EpsilonQuantities:
     """The epsilon quantities with one recurrence pass per point set.
 
     The point sets are the stacked tail rules behind eps phi = c_phi -
@@ -366,23 +377,23 @@ def _epsilon_numeric(n: int, t: float, nodes: int, outer_nodes: int) -> EpsilonQ
     both that and P_n (the psi solution that comes with the operator) to
     the left of t.  The Nystrom solution reproduces itself at the nodes, so
     int_t^inf R_n(x, t) dx is the quadrature sum of the solution itself.
+    psi at the nodes and K(t, x_j) = K(x_j, t) come with the state.
     """
-    op, _, p_sol, _, _ = _endpoint_state(n, t, nodes)
+    n, t, op, p_sol = state.n, state.t, state.op, state.p_sol
     grid = op.grid
     c_phi, c_psi = c_constants(n)
     w = grid.weights
     nodes_t = np.append(grid.nodes, t)
 
-    eps_phi = c_phi - _tail_phi_integrals(n, nodes_t, grid.upper, nodes)
-    _, psi_nodes = phi_psi_values(n, grid.nodes)
-    k_col = op.kernel_row(t)  # K(t, x_j) = K(x_j, t)
-    sols = resolvent_solve_many(op, np.column_stack([eps_phi[:-1], k_col]))
+    eps_phi = c_phi - _tail_phi_integrals(n, nodes_t, grid.upper, grid.count)
+    sols = resolvent_solve_many(op, np.column_stack([eps_phi[:-1], state.krow]))
     q_eps_sol, r_sol = sols[:, 0], sols[:, 1]
-    v_tilde = inner_product(grid, q_eps_sol, psi_nodes)
-    q_eps = eps_phi[-1] + k_col @ (w * q_eps_sol)
+    v_tilde = inner_product(grid, q_eps_sol, state.psi)
+    q_eps = eps_phi[-1] + state.krow @ (w * q_eps_sol)
 
-    # quadratures over (-inf, t): integrands decay like the wave functions
-    left = build_grid(min(_lower_cutoff(n), t - 1.0), t, outer_nodes)
+    # quadratures over (-inf, t): integrands decay like the wave functions;
+    # phi_n oscillates ~n/2 times across the bulk, GL resolves ~m/pi periods
+    left = build_grid(min(_lower_cutoff(n), t - 1.0), t, max(200, 6 * n))
     k_left = hermite_kernel(n, left.nodes[:, None], nodes_t[None, :])
     _, psi_left = phi_psi_values(n, left.nodes)
     p_left = psi_left + k_left[:, :-1] @ (w * p_sol)
@@ -422,13 +433,7 @@ def f4_sq_ratio(eps: EpsilonQuantities) -> float:
     return (1.0 - eps.v_tilde_eps) * (1.0 + 0.5 * eps.r4) + 0.5 * eps.q_eps * eps.p4
 
 
-def f_n1(
-    n: int,
-    t: float,
-    nodes: int = DEFAULT_NODES,
-    method: str = "assembly",
-    outer_nodes: int | None = None,
-) -> float:
+def f_n1(n: int, t: float, nodes: int = DEFAULT_NODES, method: str = "assembly") -> float:
     """GOE distribution F_{n,1}(t) for n even.
 
     The default "assembly" method squares to F_{n,2} times the determinant
@@ -438,12 +443,12 @@ def f_n1(
     (it degrades to percent-level accuracy at small n away from t -> inf).
     """
     if method == "assembly":
-        bracket = lambda: f1_sq_ratio(epsilon_numeric(n, t, nodes, outer_nodes))
+        bracket = lambda state: f1_sq_ratio(_epsilon_numeric(state))
     elif method == "closed":
-        bracket = lambda: _f1_closed_bracket(n, t, nodes)
+        bracket = lambda _: _f1_closed_bracket(n, t, nodes)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    return _cdf(n, t, 0, nodes, bracket=bracket)
+    return _cdf(n, t, 0, nodes, method, bracket)
 
 
 def _f1_closed_bracket(n: int, t: float, nodes: int) -> float:
@@ -458,13 +463,7 @@ def _f1_closed_bracket(n: int, t: float, nodes: int) -> float:
     )
 
 
-def f_n4(
-    n: int,
-    u: float,
-    nodes: int = DEFAULT_NODES,
-    method: str = "assembly",
-    outer_nodes: int | None = None,
-) -> float:
+def f_n4(n: int, u: float, nodes: int = DEFAULT_NODES, method: str = "assembly") -> float:
     """GSE-side distribution F_{n,4}(u) for odd kernel index n.
 
     u is the GSE-scale argument; the representations live on the GUE-side
@@ -478,12 +477,12 @@ def f_n4(
     """
     t = u * math.sqrt(2.0)
     if method == "assembly":
-        bracket = lambda: f4_sq_ratio(epsilon_numeric(n, t, nodes, outer_nodes))
+        bracket = lambda state: f4_sq_ratio(_epsilon_numeric(state))
     elif method == "closed":
-        bracket = lambda: _f4_closed_bracket(n, t, nodes)
+        bracket = lambda _: _f4_closed_bracket(n, t, nodes)
     else:
         raise ParameterError(f"unknown method {method!r}")
-    return _cdf(n, t, 1, nodes, bracket=bracket)
+    return _cdf(n, t, 1, nodes, method, bracket)
 
 
 def _f4_closed_bracket(n: int, t: float, nodes: int) -> float:
@@ -508,14 +507,3 @@ def gse_largest_cdf(
         raise ParameterError(f"need n_eigs >= 1, got {n_eigs}")
     return f_n4(2 * n_eigs + 1, u, nodes, method)
 
-
-def evaluate(n: int, t: float, nodes: int = DEFAULT_NODES) -> FiniteNEvaluation:
-    """Bundle q_n, p_n, a, b and all parity-valid distribution values at t."""
-    q_t, p_t = q_p_n(n, t, nodes)
-    a, b = ab(n, t, nodes)
-    return FiniteNEvaluation(
-        n=n, t=t, q_n=q_t, p_n=p_t, a=a, b=b,
-        f_n2=f_n2(n, t, "exponential", nodes),
-        f_n1=f_n1(n, t, nodes) if n % 2 == 0 else None,
-        f_n4=f_n4(n, t / math.sqrt(2.0), nodes) if n % 2 == 1 else None,
-    )

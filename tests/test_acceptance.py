@@ -55,19 +55,19 @@ class TestAcceptance:
         assert clause.value < clause.bound
         # negative control: closed forms that lose the c_psi term of p4 or of
         # r4 must leave an O(1) relative residual
-        closed = finite_n.epsilon_closed
+        closed = finite_n._epsilon_closed
 
         def dropping(field):
-            def broken(n, t, *args):
-                eps = closed(n, t, *args)
-                cosh_g, rho_s, _ = finite_n._hyperbolic_block(*finite_n.ab(n, t))
+            def broken(n, a, b):
+                eps = closed(n, a, b)
+                cosh_g, rho_s, _ = finite_n._hyperbolic_block(a, b)
                 term = {"p4": -eps.c_psi * 0.5 * (1.0 + cosh_g), "r4": -eps.c_psi * rho_s}[field]
                 return replace(eps, **{field: getattr(eps, field) - term})
 
             return broken
 
         for field in ("p4", "r4"):
-            monkeypatch.setattr(finite_n, "epsilon_closed", dropping(field))
+            monkeypatch.setattr(finite_n, "_epsilon_closed", dropping(field))
             broken = max(acceptance.cpsi_residual(5, t) for t in (-1.0, 0.0, 1.0))
             assert broken > 1e6 * clause.bound
 

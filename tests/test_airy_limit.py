@@ -221,8 +221,8 @@ class TestEdgeworth:
 class TestWindowEdges:
     """The documented window [S_MIN, S_MAX] is usable up to both of its edges.
 
-    The five-point q' stencil reaches 2e-3 past each edge, where the window
-    check would reject it.
+    Every bundle field, q' = p_0 - q_0 u_0 included, comes from operators on
+    (x, x + 30) with x in [s, s + 30]; nothing reaches past the window.
     """
 
     @pytest.mark.parametrize("s", [S_MIN, S_MAX])
@@ -235,6 +235,22 @@ class TestWindowEdges:
     def test_bundle_right_edge_q_prime(self):
         # [DERIVED] q ~ Ai for large s, so q'(8) ~ Ai'(8)
         assert airy_bundle(S_MAX).q_prime == pytest.approx(airy(S_MAX)[1], rel=1e-6)
+
+    def test_q_prime_negative(self):
+        # [DERIVED] the Hastings-McLeod q decreases on the whole real line; near
+        # S_MIN q itself carries errors of order 1e-3, which a finite
+        # difference of q would turn into noise of either sign
+        for s in np.linspace(S_MIN, S_MAX, 73):
+            assert airy_bundle(float(s)).q_prime < 0.0, s
+
+    @pytest.mark.parametrize("s", [-3.0, -1.0, 0.0, 1.0, 3.0, 6.0])
+    def test_q_prime_matches_central_difference(self, s):
+        # [DERIVED] q' = p_0 - q_0 u_0 against a five-point central difference
+        # of q itself; q is analytic, so the stencil's error is O(h^4)
+        h = 1e-3
+        q = [hastings_mcleod_q(s + k * h) for k in (-2, -1, 1, 2)]
+        stencil = (q[0] - 8.0 * q[1] + 8.0 * q[2] - q[3]) / (12.0 * h)
+        assert airy_bundle(s).q_prime == pytest.approx(stencil, rel=1e-9)
 
     @pytest.mark.parametrize("s", [S_MIN, S_MAX])
     def test_expansions(self, s):

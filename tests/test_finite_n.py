@@ -7,12 +7,13 @@ import pytest
 from scipy import integrate
 from scipy.special import erfc
 
-from gemax import fredholm, special
+from gemax import finite_n, fredholm, special
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
     DEFAULT_NODES,
     EpsilonQuantities,
     _endpoint_state,
+    _epsilon_numeric,
     _lower_cutoff,
     _tail_phi_integrals,
     ab,
@@ -21,7 +22,6 @@ from gemax.finite_n import (
     coshm1_sqrt,
     epsilon_closed,
     epsilon_numeric,
-    evaluate,
     f1_sq_ratio,
     f_n1,
     f_n2,
@@ -238,7 +238,8 @@ def _per_node_epsilon(n: int, t: float) -> EpsilonQuantities:
     int_t^inf R_n(x, t) dx re-evaluates the full kernel block on the nodes.
     """
     nodes, outer_nodes = DEFAULT_NODES, max(200, 6 * n)
-    op, _, p_sol, _, _ = _endpoint_state(n, t, nodes)
+    state = _endpoint_state(n, t, nodes)
+    op, p_sol = state.op, state.p_sol
     grid = op.grid
     c_phi, c_psi = c_constants(n)
 
@@ -279,7 +280,7 @@ class TestEpsilonBatched:
     def test_tail_integrals_oracle(self, n):
         # the batched tail rules behind eps phi, on each operator's nodes and t
         for t in (math.sqrt(2.0 * n) - 4.0, math.sqrt(2.0 * n) + 0.5):
-            grid = _endpoint_state(n, t, DEFAULT_NODES)[0].grid
+            grid = _endpoint_state(n, t, DEFAULT_NODES).op.grid
             x = np.append(grid.nodes, t)
             got = _tail_phi_integrals(n, x, grid.upper, DEFAULT_NODES)
             np.testing.assert_allclose(got, _phi_tail_oracle(n, x), rtol=0, atol=1e-12)
@@ -301,9 +302,11 @@ class TestEpsilonBatched:
                 assert abs(a - b) <= 1e-13 * abs(b), (name, t, a, b)
 
     def test_one_recurrence_pass_per_point_set(self, monkeypatch):
-        # tail rules, nodes, t and the outer rule: a handful of passes, not one per node
+        # on a prebuilt endpoint state: one pass over the stacked tail rules,
+        # one for psi on the outer rule and one on each side of the kernel
+        # block K(x, [nodes, t]); psi at the nodes and K(t, x_j) come with the state
         n, t = 40, 8.5
-        _endpoint_state(n, t, DEFAULT_NODES)
+        state = _endpoint_state(n, t, DEFAULT_NODES)
         c_constants(n)
         calls = []
         recurrence = special.hermite_phi_two
@@ -314,8 +317,41 @@ class TestEpsilonBatched:
 
         monkeypatch.setattr(special, "hermite_phi_two", counted)
         monkeypatch.setattr(fredholm, "hermite_phi_two", counted)
-        epsilon_numeric(n, t, outer_nodes=257)  # a fresh key of the value cache
-        assert 0 < len(calls) <= 12
+        got = _epsilon_numeric(state)
+        assert len(calls) == 4
+        assert got == epsilon_numeric(n, t)
+
+
+class TestWorkPerValue:
+    """Each value builds what it reads once and nothing it does not read."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    def test_determinant_is_one_operator_and_no_solve(self, monkeypatch):
+        assembled = self._count(monkeypatch, finite_n, "assemble")
+        solves = self._count(monkeypatch, finite_n, "resolvent_solve_many")
+        passes = self._count(monkeypatch, fredholm, "hermite_phi_two")
+        value = f_n2(400, math.sqrt(800.0) - 1.0)
+        assert (len(assembled), len(solves), len(passes)) == (1, 0, 1)
+        assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("n", (40, 41))
+    def test_assembly_builds_one_endpoint_state(self, n, monkeypatch):
+        # the operator, its LU and the psi solution serve both log F_{n,2}
+        # and the epsilon quantities: one operator, two two-column solves
+        c_constants(n)
+        assembled = self._count(monkeypatch, finite_n, "assemble")
+        solves = self._count(monkeypatch, finite_n, "resolvent_solve_many")
+        t = math.sqrt(2.0 * n) + 0.3
+        value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
+        assert len(assembled) == 1
+        assert [a[1].shape[1] for a in solves] == [2, 2]
+        assert 0.0 < value < 1.0
 
 
 GOE_SWEEP = (2, 4, 10, 40)
@@ -414,20 +450,6 @@ class TestFn4:
     def test_deep_tail_returns_zero_not_error(self):
         # determinant positivity loss far in the left tail degrades to 0.0
         assert f_n4(3, -4.5) >= 0.0
-
-
-class TestEvaluate:
-    def test_bundle_consistency(self):
-        res = evaluate(5, 0.9)
-        assert res.f_n2 == pytest.approx(f_n2(5, 0.9), rel=1e-12)
-        assert res.f_n1 is None  # parity: n = 5 has no GOE value
-        # the bundle reports the symplectic value on the t-axis, u = t/sqrt(2)
-        assert res.f_n4 == pytest.approx(f_n4(5, 0.9 / math.sqrt(2.0)), rel=1e-12)
-
-    def test_even_bundle(self):
-        res = evaluate(4, 0.2)
-        assert res.f_n1 == pytest.approx(f_n1(4, 0.2), rel=1e-12)
-        assert res.f_n4 is None
 
 
 class TestLogFn2:
