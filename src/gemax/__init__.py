@@ -39,9 +39,7 @@ from .mc import (
     empirical_cdf,
     ks_critical_1pct,
     ks_statistic,
-    ks_two_sample,
     sample_lambda_max,
-    sample_lambda_max_dense,
 )
 
 __version__ = "0.1.0"
@@ -74,10 +72,8 @@ __all__ = [
     "hastings_mcleod_q",
     "ks_critical_1pct",
     "ks_statistic",
-    "ks_two_sample",
     "q_p_n",
     "sample_lambda_max",
-    "sample_lambda_max_dense",
     "tau",
     "__version__",
 ]

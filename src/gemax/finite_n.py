@@ -160,7 +160,8 @@ def c_constants(n: int) -> tuple[float, float]:
 # log F <= 0 for a probability; rounding puts a computed value at most about
 # nodes * eps (~1e-14) above zero.  Anything above this bound is a failed
 # evaluation, not a probability: far in the left tail the exponential path's
-# moment quadrature breaks down (log F = +734 at n = 40, t = -2)
+# moment quadrature breaks down (log F = +734 at n = 40, t = -2), and the
+# closed GOE/GSE brackets are edge asymptotics that can exceed 1 / F_{n,2}
 LOG_F_ROUNDING = 1e-10
 
 
@@ -183,7 +184,7 @@ def log_f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT
 
 def _checked_log_f(log_f: float, n: int, t: float, method: str) -> float:
     if log_f > LOG_F_ROUNDING:
-        raise NumericalError(f"log F_n2 = {log_f:.6g} > 0 at n={n}, t={t} ({method})")
+        raise NumericalError(f"log F = {log_f:.6g} > 0 at n={n}, t={t} ({method})")
     return log_f
 
 
@@ -204,7 +205,9 @@ def _cdf(
     Under method "assembly" the endpoint state is built here, once: its
     operator gives the determinant and the bracket reads the rest of it;
     under "closed" ``state`` is None.  A bracket that overflows, or is not
-    finite, raises NumericalError.  The result is clamped to [0, 1].
+    finite, raises NumericalError, and so does a combined log F above
+    LOG_F_ROUNDING.  The result is clamped to [0, 1], which absorbs rounding
+    only.
     """
     _check_n(n, parity)
     try:
@@ -228,7 +231,7 @@ def _cdf(
             raise NumericalError(f"negative squared ratio {ratio} at n={n}, t={t}")
         if ratio <= 0.0:
             return 0.0
-        log_f = 0.5 * (log_f + math.log(ratio))
+        log_f = _checked_log_f(0.5 * (log_f + math.log(ratio)), n, t, method)
     return min(math.exp(log_f), 1.0)
 
 

@@ -9,8 +9,7 @@ pair and its diagonal.
 A kernel K on (lower, upper) is discretized as the symmetric matrix
 A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Fredholm determinants are
 det(I - A), taken in log space; resolvent solves return the node values of
-(I - K)^{-1} f, and the natural Nystrom formula extends solutions off the
-grid.
+(I - K)^{-1} f.
 """
 
 from __future__ import annotations
@@ -161,21 +160,6 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"resolvent solve failed for {op.kernel_id}")
     return y / sw[:, None]
-
-
-def nystrom_extend(op: DiscretizedKernel, node_values: np.ndarray, rhs_fn, x):
-    """Natural Nystrom extension rhs(x) + sum_j w_j K(x, x_j) f_j.
-
-    ``node_values`` are the node values f_j of one resolvent solution.
-    Valid at any finite x, including points below the grid interval;
-    at a node it reproduces the node value.
-    """
-    xarr = np.asarray(x, dtype=float)
-    scalar = xarr.ndim == 0
-    pts = np.atleast_1d(xarr)
-    kernel_block = op.kernel_row(pts[:, None])  # shape (len(pts), count)
-    vals = np.asarray(rhs_fn(pts), dtype=float) + kernel_block @ (op.grid.weights * node_values)
-    return float(vals[0]) if scalar else vals
 
 
 def inner_product(grid: QuadratureGrid, f: np.ndarray, g: np.ndarray) -> float:

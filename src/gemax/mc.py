@@ -8,8 +8,7 @@ has eigenvalue density proportional to
 
 Dividing the eigenvalues by sqrt(beta) converts the Gaussian weight to
 exp(-(beta/2) sum x^2), the convention used by the analytic distributions
-(for beta = 2 this is the e^{-x^2} weight of the Hermite kernel).  Dense
-GOE/GUE samplers are kept as independent cross-checks.
+(for beta = 2 this is the e^{-x^2} weight of the Hermite kernel).
 """
 
 from __future__ import annotations
@@ -67,38 +66,6 @@ def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
     return McRun(beta=beta, n=n, seed=seed, samples=out, count=count)
 
 
-def sample_lambda_max_dense(beta: int, n: int, count: int, seed: int) -> McRun:
-    """Cross-check sampler from dense GOE/GUE matrices (beta = 1, 2 only)."""
-    if beta not in (1, 2):
-        raise ParameterError(f"dense sampler supports beta 1 or 2, got {beta}")
-    if n < 1 or count < 1:
-        raise ParameterError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    out = np.empty(count)
-    done = 0
-    while done < count:
-        m = min(_BATCH, count - done)
-        if beta == 1:
-            # diagonal N(0,1), off-diagonal N(0, 1/2): density e^{-(1/2) sum x^2}
-            g = rng.normal(size=(m, n, n))
-            mats = (g + np.swapaxes(g, 1, 2)) / 2.0
-            idx = np.arange(n)
-            mats[:, idx, idx] = g[:, idx, idx]
-        else:
-            # Hermitian with density e^{-Tr H^2}: diagonal N(0, 1/2),
-            # off-diagonal real and imaginary parts N(0, 1/4) each
-            re = rng.normal(size=(m, n, n), scale=0.5)
-            im = rng.normal(size=(m, n, n), scale=0.5)
-            g = re + 1j * im
-            mats = (g + np.conj(np.swapaxes(g, 1, 2))) / math.sqrt(2.0)
-            idx = np.arange(n)
-            mats[:, idx, idx] = rng.normal(size=(m, n), scale=math.sqrt(0.5))
-        out[done : done + m] = np.linalg.eigvalsh(mats)[:, -1]
-        done += m
-    out.sort()
-    return McRun(beta=beta, n=n, seed=seed, samples=out, count=count)
-
-
 def empirical_cdf(run: McRun, t: float) -> float:
     """Fraction of samples <= t (binary search on the sorted samples)."""
     return bisect_right(run.samples, t) / run.count
@@ -126,14 +93,6 @@ def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
         values = np.array([cdf(float(x)) for x in run.samples])
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - values, values - (i - 1) / n)))
-
-
-def ks_two_sample(run_a: McRun, run_b: McRun) -> float:
-    """Two-sample KS statistic between two runs."""
-    data = np.concatenate([run_a.samples, run_b.samples])
-    cdf_a = np.searchsorted(run_a.samples, data, side="right") / run_a.count
-    cdf_b = np.searchsorted(run_b.samples, data, side="right") / run_b.count
-    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def ks_critical_1pct(count: int, two_sample_count: int | None = None) -> float:

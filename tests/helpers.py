@@ -1,0 +1,65 @@
+"""Reference routines that only the tests use: the Nystrom extension, the
+dense GOE/GUE sampler and the two-sample KS statistic."""
+
+import math
+
+import numpy as np
+
+from gemax.errors import ParameterError
+from gemax.fredholm import DiscretizedKernel
+from gemax.mc import _BATCH, McRun
+
+
+def nystrom_extend(op: DiscretizedKernel, node_values: np.ndarray, rhs_fn, x):
+    """Natural Nystrom extension rhs(x) + sum_j w_j K(x, x_j) f_j.
+
+    ``node_values`` are the node values f_j of one resolvent solution.
+    Valid at any finite x, including points below the grid interval;
+    at a node it reproduces the node value.
+    """
+    xarr = np.asarray(x, dtype=float)
+    scalar = xarr.ndim == 0
+    pts = np.atleast_1d(xarr)
+    kernel_block = op.kernel_row(pts[:, None])  # shape (len(pts), count)
+    vals = np.asarray(rhs_fn(pts), dtype=float) + kernel_block @ (op.grid.weights * node_values)
+    return float(vals[0]) if scalar else vals
+
+
+def sample_lambda_max_dense(beta: int, n: int, count: int, seed: int) -> McRun:
+    """Cross-check sampler from dense GOE/GUE matrices (beta = 1, 2 only)."""
+    if beta not in (1, 2):
+        raise ParameterError(f"dense sampler supports beta 1 or 2, got {beta}")
+    if n < 1 or count < 1:
+        raise ParameterError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
+    rng = np.random.default_rng(np.random.Philox(key=seed))
+    out = np.empty(count)
+    done = 0
+    while done < count:
+        m = min(_BATCH, count - done)
+        if beta == 1:
+            # diagonal N(0,1), off-diagonal N(0, 1/2): density e^{-(1/2) sum x^2}
+            g = rng.normal(size=(m, n, n))
+            mats = (g + np.swapaxes(g, 1, 2)) / 2.0
+            idx = np.arange(n)
+            mats[:, idx, idx] = g[:, idx, idx]
+        else:
+            # Hermitian with density e^{-Tr H^2}: diagonal N(0, 1/2),
+            # off-diagonal real and imaginary parts N(0, 1/4) each
+            re = rng.normal(size=(m, n, n), scale=0.5)
+            im = rng.normal(size=(m, n, n), scale=0.5)
+            g = re + 1j * im
+            mats = (g + np.conj(np.swapaxes(g, 1, 2))) / math.sqrt(2.0)
+            idx = np.arange(n)
+            mats[:, idx, idx] = rng.normal(size=(m, n), scale=math.sqrt(0.5))
+        out[done : done + m] = np.linalg.eigvalsh(mats)[:, -1]
+        done += m
+    out.sort()
+    return McRun(beta=beta, n=n, seed=seed, samples=out, count=count)
+
+
+def ks_two_sample(run_a: McRun, run_b: McRun) -> float:
+    """Two-sample KS statistic between two runs."""
+    data = np.concatenate([run_a.samples, run_b.samples])
+    cdf_a = np.searchsorted(run_a.samples, data, side="right") / run_a.count
+    cdf_b = np.searchsorted(run_b.samples, data, side="right") / run_b.count
+    return float(np.max(np.abs(cdf_a - cdf_b)))

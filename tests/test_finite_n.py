@@ -34,10 +34,10 @@ from gemax.finite_n import (
 from gemax.fredholm import (
     hermite_kernel,
     inner_product,
-    nystrom_extend,
     resolvent_solve_many,
 )
 from gemax.special import build_grid, phi_psi_values
+from helpers import nystrom_extend
 
 
 def gaussian_cdf(t: float) -> float:
@@ -373,14 +373,34 @@ class TestCdfContract:
             except (ParameterError, NumericalError):
                 continue
             assert 0.0 <= v <= 1.0, (t, v)
+            # a closed value of exactly 1.0 left of the edge is a clamp, not a probability
+            assert not (method == "closed" and v == 1.0 and t < math.sqrt(2.0 * n)), (t, v)
 
-    def test_closed_bracket_overflow(self):
+    def test_closed_bracket_overflow(self, monkeypatch):
         # cosh(sqrt(2ab)) overflows where the determinant is still positive;
         # math.cosh raised OverflowError there
         with pytest.raises(NumericalError):
             f_n1(2, -4.5, method="closed")
-        with pytest.raises(NumericalError):
-            f_n4(3, (math.sqrt(6.0) - 7.75) / math.sqrt(2.0), method="closed")
+        # deep in the GSE left tail b(t) is rounding noise of either sign, so
+        # the (a, b) of such a point is pinned: with b = 3.81e6, cosh(sqrt(ab/2))
+        # overflows at a t where the determinant is positive
+        t = math.sqrt(6.0) - 6.0
+        assert math.isfinite(log_f_n2(3, t))
+        monkeypatch.setattr(finite_n, "ab", lambda n, t, nodes: (2.069, 3.81e6))
+        with pytest.raises(NumericalError, match="overflows"):
+            f_n4(3, t / math.sqrt(2.0), method="closed")
+
+    @pytest.mark.parametrize(
+        "f, n, x",
+        [(f_n1, 2, -1.75), (f_n4, 3, (math.sqrt(6.0) - 4.5) / math.sqrt(2.0))],
+        ids=["f_n1", "f_n4"],
+    )
+    def test_closed_log_f_above_zero_raises(self, f, n, x):
+        # the closed bracket times F_n2 exceeds 1 here (combined log F = 0.56
+        # and 2.46); the value read 1.0 where the assembly gives 5.4e-4 and 1.9e-3
+        assert 0.0 < f(n, x) < 0.01
+        with pytest.raises(NumericalError, match="log F"):
+            f(n, x, method="closed")
 
     def test_closed_bracket_infinite(self):
         # cosh(sqrt(ab/2)) is finite but its square is not; the value read 1.0

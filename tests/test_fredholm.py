@@ -14,10 +14,10 @@ from gemax.fredholm import (
     fredholm_log_det,
     hermite_kernel,
     inner_product,
-    nystrom_extend,
     resolvent_solve_many,
 )
 from gemax.special import airy, build_grid, hermite_phi
+from helpers import nystrom_extend
 
 
 class TestHermiteKernel:

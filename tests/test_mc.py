@@ -11,10 +11,9 @@ from gemax.mc import (
     empirical_cdf,
     ks_critical_1pct,
     ks_statistic,
-    ks_two_sample,
     sample_lambda_max,
-    sample_lambda_max_dense,
 )
+from helpers import ks_two_sample, sample_lambda_max_dense
 
 
 class TestSampler:

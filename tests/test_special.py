@@ -148,6 +148,42 @@ class TestAiry:
         assert airy(1.0)[1] == pytest.approx(fd, abs=1e-9)
 
 
+RULE_SIZES = (4, 5, 64, 96, 200, 201, 2400)
+
+
+class TestGaussLegendreRule:
+    # the unmapped rule: build_grid on (-1, 1) returns it unchanged
+
+    @pytest.mark.parametrize("m", RULE_SIZES)
+    def test_nodes_and_symmetry(self, m):
+        grid = build_grid(-1.0, 1.0, m)
+        x, w = grid.nodes, grid.weights
+        assert -1.0 < x[0] and x[-1] < 1.0
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert math.fsum(w) == pytest.approx(2.0, abs=1e-14)
+
+    @pytest.mark.parametrize("m", RULE_SIZES)
+    def test_exact_for_legendre_polynomials(self, m):
+        # [DERIVED] int_{-1}^{1} P_j = 2 delta_{j0}, exact for every j <= 2m - 1
+        grid = build_grid(-1.0, 1.0, m)
+        x, w = grid.nodes, grid.weights
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        assert abs(np.sum(w * cur) - 2.0) < 1e-13
+        for j in range(2 * m - 1):
+            prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+            assert abs(np.sum(w * cur)) < 1e-13, j + 1
+
+    @pytest.mark.parametrize("m", [m for m in RULE_SIZES if m <= 200])
+    def test_nodes_match_numpy(self, m):
+        # [DERIVED] numpy's companion-matrix rule as oracle; x = cos(theta)
+        # carries an absolute rounding error, so the unit is the ulp of 1
+        ref, _ = np.polynomial.legendre.leggauss(m)
+        got = build_grid(-1.0, 1.0, m).nodes
+        assert np.max(np.abs(got - ref)) <= 2 * np.spacing(1.0)
+
+
 class TestBuildGrid:
     def test_weight_sum(self):
         # [TRIVIAL] quadrature exactness for constants
