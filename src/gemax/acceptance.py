@@ -173,11 +173,24 @@ MC_CASES = (
 
 
 def mc_cdf(ensemble: str, n: int):
+    """The analytic CDF that n-eigenvalue samples of the ensemble are tested against.
+
+    Checks n against that CDF's domain at once, so a caller can reject n
+    before it samples: 1 <= n <= N_MAX for the GUE, the same with n even for
+    the GOE, and a kernel index 2n + 1 <= N_MAX for the GSE.
+    """
     if ensemble == "gue":
+        finite_n._check_n(n)
         return lambda t: finite_n.f_n2(n, t)
     if ensemble == "goe":
+        finite_n._check_n(n, 0)
         return lambda t: finite_n.f_n1(n, t)
     if ensemble == "gse":
+        top = (finite_n.N_MAX - 1) // 2
+        if not 1 <= n <= top:
+            raise ParameterError(
+                f"need 1 <= n <= {top} (kernel index 2n + 1 <= {finite_n.N_MAX}), got {n}"
+            )
         return lambda u: finite_n.gse_largest_cdf(n, u)
     raise ValueError(ensemble)
 

@@ -118,13 +118,10 @@ def cmd_edgeworth(args, stream) -> int:
 
 
 def cmd_mc(args, stream) -> int:
-    if args.ensemble == "goe" and args.n % 2 != 0:
-        raise ParameterError(
-            f"the orthogonal analytic CDF requires even n (got {args.n})"
-        )
+    cdf = mc_cdf(args.ensemble, args.n)  # rejects n outside its domain before sampling
     beta = {"goe": 1, "gue": 2, "gse": 4}[args.ensemble]
     run = mc.sample_lambda_max(beta, args.n, args.samples, args.seed)
-    ks = mc.ks_statistic(run, mc_cdf(args.ensemble, args.n), grid_points=201)
+    ks = mc.ks_statistic(run, cdf, grid_points=201)
     crit = mc.ks_critical_1pct(args.samples)
     config = {"ensemble": args.ensemble, "n": args.n,
               "samples": args.samples, "seed": args.seed}

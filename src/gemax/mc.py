@@ -1,14 +1,23 @@
 """Seeded Monte Carlo sampling of the largest eigenvalue for beta = 1, 2, 4.
 
-The sampler is the tridiagonal beta-Hermite model: a symmetric tridiagonal
-matrix with diagonal N(0, 2)/sqrt(2) and k-th subdiagonal chi_{beta(n-k)}/sqrt(2)
-has eigenvalue density proportional to
+The sampler is the tridiagonal beta-Hermite model (Dumitriu & Edelman,
+J. Math. Phys. 43, 2002): a symmetric tridiagonal matrix with diagonal
+N(0, 2)/sqrt(2) and k-th subdiagonal chi_{beta(n-k)}/sqrt(2) has eigenvalue
+density proportional to
 
     prod |x_i - x_j|^beta * exp(-sum x_i^2 / 2).
 
 Dividing the eigenvalues by sqrt(beta) converts the Gaussian weight to
 exp(-(beta/2) sum x^2), the convention used by the analytic distributions
 (for beta = 2 this is the e^{-x^2} weight of the Hermite kernel).
+
+Only the largest eigenvalue is wanted, so no matrix is formed: Sturm-sequence
+bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; LAPACK dstebz)
+runs on the diagonal and squared subdiagonal of a whole batch at once.  It
+halves a Gershgorin bracket to the last bit of every row's eigenvalue: 53-54
+halvings at n >= 16, up to about 64 at n <= 4, where some samples lie near 0.
+Each halving is one pass of the n-step pivot recurrence over the batch, so a
+batch costs O(batch * n * ~55) time and O(batch * n) memory.
 """
 
 from __future__ import annotations
@@ -36,6 +45,41 @@ class McRun:
     count: int
 
 
+def _top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each row's symmetric tridiagonal matrix.
+
+    Row k has diagonal diag[k] (length n) and squared off-diagonal sub2[k]
+    (length n - 1).  The LDL^T pivots of T - x I are d_1 = a_1 - x and
+    d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}; the largest eigenvalue lies below x
+    exactly when all n are negative.  Bisection on that test starts from
+    [max a_i, max(a_i + |b_{i-1}| + |b_i|)] (Gershgorin) and halves the
+    bracket until its midpoint rounds to an end.  Squared off-diagonals are
+    raised to dstebz's pivmin, tiny * max(1, max b^2), so a zero pivot gives
+    an IEEE infinity and never 0/0; a zero coupling moves the eigenvalue by
+    at most sqrt(pivmin).
+    """
+    a = np.ascontiguousarray(diag.T)
+    b2 = np.ascontiguousarray(sub2.T)
+    pivots = np.empty_like(a)
+    edge = np.zeros((len(a) + 1, a.shape[1]))
+    np.sqrt(b2, out=edge[1:-1])
+    np.add(a, edge[:-1], out=pivots)
+    pivots += edge[1:]
+    lo, hi = a.max(axis=0), pivots.max(axis=0)
+    np.maximum(b2, np.finfo(float).tiny * max(1.0, b2.max(initial=0.0)), out=b2)
+    with np.errstate(divide="ignore", over="ignore"):
+        while True:
+            x = 0.5 * (lo + hi)
+            if not np.any((lo < x) & (x < hi)):
+                return x
+            np.subtract(a, x, out=pivots)
+            for i in range(1, len(a)):
+                pivots[i] -= b2[i - 1] / pivots[i - 1]
+            below = pivots.max(axis=0) < 0.0
+            hi = np.where(below, x, hi)
+            lo = np.where(below, lo, x)
+
+
 def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
     """Draw `count` largest eigenvalues of the n-eigenvalue beta ensemble."""
     if beta not in VALID_BETA:
@@ -49,18 +93,9 @@ def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
     done = 0
     while done < count:
         m = min(_BATCH, count - done)
-        if n == 1:
-            out[done : done + m] = rng.normal(0.0, math.sqrt(2.0), size=m) * scale
-        else:
-            diag = rng.normal(0.0, math.sqrt(2.0), size=(m, n))
-            sub = np.sqrt(rng.chisquare(dof, size=(m, n - 1)))
-            mats = np.zeros((m, n, n))
-            idx = np.arange(n)
-            mats[:, idx, idx] = diag
-            jdx = np.arange(n - 1)
-            mats[:, jdx, jdx + 1] = sub
-            mats[:, jdx + 1, jdx] = sub
-            out[done : done + m] = np.linalg.eigvalsh(mats)[:, -1] * scale
+        diag = rng.normal(0.0, math.sqrt(2.0), size=(m, n))
+        sub2 = rng.chisquare(dof, size=(m, n - 1))
+        out[done : done + m] = _top_eigenvalue(diag, sub2) * scale
         done += m
     out.sort()
     return McRun(beta=beta, n=n, seed=seed, samples=out, count=count)
@@ -95,9 +130,6 @@ def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
     return float(np.max(np.maximum(i / n - values, values - (i - 1) / n)))
 
 
-def ks_critical_1pct(count: int, two_sample_count: int | None = None) -> float:
-    """1% critical value 1.63/sqrt(N); harmonic N for the two-sample case."""
-    if two_sample_count is None:
-        return 1.63 / math.sqrt(count)
-    eff = count * two_sample_count / (count + two_sample_count)
-    return 1.63 / math.sqrt(eff)
+def ks_critical_1pct(count: int) -> float:
+    """1% critical value 1.63/sqrt(N) of the one-sample KS statistic."""
+    return 1.63 / math.sqrt(count)

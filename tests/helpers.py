@@ -1,5 +1,5 @@
 """Reference routines that only the tests use: the Nystrom extension, the
-dense GOE/GUE sampler and the two-sample KS statistic."""
+dense GOE/GUE sampler and the two-sample KS statistic with its critical value."""
 
 import math
 
@@ -63,3 +63,8 @@ def ks_two_sample(run_a: McRun, run_b: McRun) -> float:
     cdf_a = np.searchsorted(run_a.samples, data, side="right") / run_a.count
     cdf_b = np.searchsorted(run_b.samples, data, side="right") / run_b.count
     return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def ks_critical_1pct_two_sample(count_a: int, count_b: int) -> float:
+    """1% critical value of the two-sample KS statistic: 1.63/sqrt of the harmonic N."""
+    return 1.63 / math.sqrt(count_a * count_b / (count_a + count_b))

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from gemax import airy, cli
+from gemax import airy, cli, mc
+from gemax.acceptance import mc_cdf
 
 
 def run_cli(argv):
@@ -170,9 +171,20 @@ class TestMc:
         argv = ["mc", "--ensemble", "gue", "--n", "2", "--samples", "1000", "--seed", "3"]
         assert run_cli(argv) == run_cli(argv)
 
-    def test_goe_odd_n_rejected(self):
-        code, _ = run_cli(["mc", "--ensemble", "goe", "--n", "3", "--samples", "100"])
+    @pytest.mark.parametrize("ensemble, n", [("gue", 401), ("goe", 3), ("gse", 200), ("gse", 0)])
+    def test_domain_checked_before_sampling(self, monkeypatch, capsys, ensemble, n):
+        def refuse(*args):
+            raise AssertionError("sampled before the domain check")
+
+        monkeypatch.setattr(mc, "sample_lambda_max", refuse)
+        code, out = run_cli(["mc", "--ensemble", ensemble, "--n", str(n), "--samples", "256"])
         assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("ensemble, n", [("gue", 400), ("goe", 400), ("gse", 199), ("gse", 1)])
+    def test_domain_edges_accepted(self, ensemble, n):
+        assert callable(mc_cdf(ensemble, n))
 
 
 class TestConvergence:

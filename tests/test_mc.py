@@ -1,6 +1,7 @@
 """Tests for the seeded Monte Carlo samplers and KS machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,32 @@ from scipy import stats
 
 from gemax.errors import ParameterError
 from gemax.mc import (
+    _BATCH,
+    _top_eigenvalue,
     empirical_cdf,
     ks_critical_1pct,
     ks_statistic,
     sample_lambda_max,
 )
-from helpers import ks_two_sample, sample_lambda_max_dense
+from helpers import ks_critical_1pct_two_sample, ks_two_sample, sample_lambda_max_dense
+
+
+def dense_eigenvalues(diag, sub2):
+    """All eigenvalues of each row's tridiagonal, from the explicit dense matrix."""
+    m, n = diag.shape
+    mats = np.zeros((m, n, n))
+    idx = np.arange(n)
+    mats[:, idx, idx] = diag
+    sub = np.sqrt(sub2)
+    mats[:, idx[:-1], idx[1:]] = sub
+    mats[:, idx[1:], idx[:-1]] = sub
+    return np.linalg.eigvalsh(mats)
+
+
+def gershgorin_bracket(diag, sub2):
+    edge = np.zeros((diag.shape[0], diag.shape[1] + 1))
+    edge[:, 1:-1] = np.sqrt(sub2)
+    return diag.max(axis=1), (diag + edge[:, :-1] + edge[:, 1:]).max(axis=1)
 
 
 class TestSampler:
@@ -54,13 +75,13 @@ class TestSampler:
         tri = sample_lambda_max(1, 4, 8_000, seed=101)
         dense = sample_lambda_max_dense(1, 4, 8_000, seed=202)
         d = ks_two_sample(tri, dense)
-        assert d < ks_critical_1pct(tri.count, dense.count)
+        assert d < ks_critical_1pct_two_sample(tri.count, dense.count)
 
     def test_tridiagonal_vs_dense_hermitian(self):
         tri = sample_lambda_max(2, 3, 8_000, seed=303)
         dense = sample_lambda_max_dense(2, 3, 8_000, seed=404)
         d = ks_two_sample(tri, dense)
-        assert d < ks_critical_1pct(tri.count, dense.count)
+        assert d < ks_critical_1pct_two_sample(tri.count, dense.count)
 
 
 class TestEmpiricalCdf:
@@ -95,4 +116,85 @@ class TestKsStatistic:
         # [TRIVIAL] 1.63/sqrt(N)
         assert ks_critical_1pct(10_000) == pytest.approx(0.0163, rel=1e-12)
         # harmonic sample size for the two-sample variant
-        assert ks_critical_1pct(100, 300) == pytest.approx(1.63 / math.sqrt(75.0), rel=1e-12)
+        assert ks_critical_1pct_two_sample(100, 300) == pytest.approx(
+            1.63 / math.sqrt(75.0), rel=1e-12
+        )
+
+
+class TestTopEigenvalue:
+    """The bisection against eigvalsh of the explicit dense tridiagonal."""
+
+    def check(self, diag, sub2, rel=1e-13):
+        with np.errstate(invalid="raise"):  # no pivot may become 0/0 = NaN
+            top = _top_eigenvalue(diag, sub2)
+        eigs = dense_eigenvalues(diag, sub2)
+        norm = np.abs(eigs).max(axis=1)
+        assert not np.any(np.isnan(top))
+        assert np.all(np.abs(top - eigs[:, -1]) <= rel * norm)
+        lo, hi = gershgorin_bracket(diag, sub2)
+        assert np.all((lo <= top) & (top <= hi))
+        return top
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 96, 400])
+    def test_random_rows(self, n):
+        rng = np.random.default_rng(n)
+        m = 64 if n == 400 else 256
+        diag = rng.normal(0.0, math.sqrt(2.0), size=(m, n))
+        sub2 = rng.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(m, n - 1))
+        self.check(diag, sub2)
+
+    def test_one_by_one(self):
+        diag = np.array([[-1.5], [0.0], [2.25]])
+        assert np.array_equal(_top_eigenvalue(diag, np.zeros((3, 0))), diag[:, 0])
+
+    def test_zero_pivot_at_midpoint(self):
+        # the first midpoint of the bracket [0, 2] is x = 1, where the leading
+        # block [[0, 1], [1, 0]] makes the second pivot exactly +0; in the
+        # second row the next coupling is 0 as well, so 0/0 would follow
+        diag = np.zeros((2, 4))
+        sub2 = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 4.0]])
+        top = self.check(diag, sub2)
+        assert top[1] == pytest.approx(2.0, rel=1e-15)
+        # integer diagonals led by two entries at the maximum 2, unit couplings:
+        # the first midpoint x = 3 is the top eigenvalue of the leading 2 x 2
+        # block, so the second pivot is exactly +0 in every row
+        diag = np.random.default_rng(4).integers(-2, 3, size=(24, 9)).astype(float)
+        diag[:, :2] = 2.0
+        self.check(diag, np.ones((24, 8)))
+
+    @pytest.mark.parametrize("coupling", [0.0, 1e-300, 1e-150])
+    def test_decoupled_blocks(self, coupling):
+        rng = np.random.default_rng(5)
+        diag = np.round(rng.normal(size=(200, 12)), 1)
+        sub2 = rng.chisquare(3.0, size=(200, 11))
+        sub2[:, 2::3] = coupling**2
+        self.check(diag, sub2)
+        self.check(diag, np.full_like(sub2, coupling**2))
+
+    def test_large_scale(self):
+        rng = np.random.default_rng(6)
+        diag = 1e150 * rng.normal(size=(100, 20))
+        sub2 = 1e300 * rng.chisquare(2.0, size=(100, 19))
+        self.check(diag, sub2)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_sampler_matches_dense(self, beta):
+        # rebuild the sampler's draws from its Philox stream
+        n, count, seed = 24, 500, 77
+        rng = np.random.default_rng(np.random.Philox(key=seed))
+        diag = rng.normal(0.0, math.sqrt(2.0), size=(count, n))
+        sub2 = rng.chisquare(beta * np.arange(n - 1, 0, -1, dtype=float), size=(count, n - 1))
+        dense = np.sort(dense_eigenvalues(diag, sub2)[:, -1]) / math.sqrt(2.0 * beta)
+        run = sample_lambda_max(beta, n, count, seed)
+        assert count <= _BATCH
+        assert np.all(np.abs(run.samples - dense) <= 1e-13 * np.abs(dense))
+
+    def test_memory_bound(self):
+        # the dense (2048, 400, 400) batch took 2.6 GB
+        tracemalloc.start()
+        try:
+            sample_lambda_max(2, 400, 2048, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
