@@ -192,7 +192,7 @@ def mc_cdf(ensemble: str, n: int):
                 f"need 1 <= n <= {top} (kernel index 2n + 1 <= {finite_n.N_MAX}), got {n}"
             )
         return lambda u: finite_n.gse_largest_cdf(n, u)
-    raise ValueError(ensemble)
+    raise ParameterError(f"unknown ensemble {ensemble!r}")
 
 
 def criterion_5(scale: float = 1.0, count: int = 100_000) -> CriterionResult:
@@ -294,7 +294,7 @@ def edgeworth_comparison(ensemble: str, n: int, c: float, s: float):
         truth = finite_n.f_n4(n, airy.tau(n, c, s) / SQRT2, nodes=96) ** 2
         r = airy.edgeworth_f4_sq(n, c, s)
     else:
-        raise ValueError(ensemble)
+        raise ParameterError(f"unknown ensemble {ensemble!r}")
     return truth, r.leading, r.combined
 
 
@@ -409,4 +409,7 @@ CRITERIA = {
 def run_criteria(indices=None, tolerance_scale: float = 1.0):
     """Run the selected criteria (all by default) and return their results."""
     chosen = sorted(indices) if indices else sorted(CRITERIA)
+    unknown = set(chosen) - set(CRITERIA)
+    if unknown:
+        raise ParameterError(f"unknown criteria {sorted(unknown)}, choose from 1-{len(CRITERIA)}")
     return [CRITERIA[i](tolerance_scale) for i in chosen]

@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
-from .fredholm import assemble, fredholm_log_det, resolvent_solve_many
+from .errors import ParameterError
+from .fredholm import assemble, fredholm_log_det, positive_log_det, resolvent_solve_many
 from .special import airy as airy_fn
 from .special import build_grid
 
@@ -52,8 +52,8 @@ def _cutoff(s: float) -> float:
 
 def tau(n: int, c: float, s: float) -> float:
     """Soft-edge scaling tau(s) = sqrt(2(n+c)) + 2^{-1/2} n^{-1/6} s."""
-    if n + c <= 0:
-        raise ParameterError(f"need n + c > 0, got n={n}, c={c}")
+    if n < 1 or n + c <= 0:
+        raise ParameterError(f"need n >= 1 and n + c > 0, got n={n}, c={c}")
     return math.sqrt(2.0 * (n + c)) + s / (SQRT2 * n ** (1.0 / 6.0))
 
 
@@ -95,16 +95,17 @@ class EdgeworthResult:
     combined: float
 
 
-def _point_values(s: float, nodes: int):
+def _point_values(s: float):
     """Endpoint scalars (q_i, p_i, u_i, v_i, v~_i, w_i) of the operator on (s, S)."""
-    grid = build_grid(s, _cutoff(s), nodes)
+    grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
     op = assemble("airy", grid)
-    ai, aip = airy_fn(grid.nodes)
-    powers = np.column_stack([np.ones(nodes), grid.nodes, grid.nodes**2])
+    ai, aip, _ = op.node_parts  # from assemble's one Airy call on the nodes
+    powers = np.column_stack([np.ones(DEFAULT_NODES), grid.nodes, grid.nodes**2])
     rhs = np.column_stack([powers * ai[:, None], powers * aip[:, None]])
     sols = resolvent_solve_many(op, rhs)  # columns: Q0 Q1 Q2 P0 P1 P2
-    krow = op.kernel_row(s)
-    ai_s, aip_s = airy_fn(s)
+    s_parts = op.parts(s)  # the one Airy call at s
+    krow = op.kernel_row(s, s_parts)
+    ai_s, aip_s, _ = s_parts
     endpoint_rhs = np.array([ai_s, s * ai_s, s * s * ai_s, aip_s, s * aip_s, s * s * aip_s])
     endpoint = endpoint_rhs + krow @ (grid.weights[:, None] * sols)
     w_ai = grid.weights * ai
@@ -118,10 +119,10 @@ def _point_values(s: float, nodes: int):
     return q, p, u, v, v_tilde, w
 
 
-def hastings_mcleod_q(s: float, nodes: int = DEFAULT_NODES) -> float:
+def hastings_mcleod_q(s: float) -> float:
     """Hastings-McLeod Painleve II solution q(s), from the Airy resolvent."""
     _window_check(s)
-    q, _, _, _, _, _ = _point_values(s, nodes)
+    q, _, _, _, _, _ = _point_values(s)
     return q[0]
 
 
@@ -130,11 +131,11 @@ def hastings_mcleod_q(s: float, nodes: int = DEFAULT_NODES) -> float:
 # the exponential F_2 they share, and `convergence`, `edgeworth` and
 # criterion 6, which repeat an s for many n
 @lru_cache(maxsize=10_000)
-def _bundle_cached(s: float, nodes: int) -> tuple[AiryBundle, float]:
+def _bundle_cached(s: float) -> tuple[AiryBundle, float]:
     """The bundle at s and the exponential log F_2(s), from one set of outer values."""
-    q, p, u, v, v_tilde, w = _point_values(s, nodes)
-    outer = build_grid(s, _cutoff(s), nodes)
-    local = [_point_values(float(x), nodes) for x in outer.nodes]
+    q, p, u, v, v_tilde, w = _point_values(s)
+    outer = build_grid(s, _cutoff(s), DEFAULT_NODES)
+    local = [_point_values(float(x)) for x in outer.nodes]
     qx = np.array([loc[0][0] for loc in local])
     px = np.array([loc[1][0] for loc in local])
     ux = np.array([loc[2][0] for loc in local])
@@ -173,69 +174,64 @@ def _bundle_cached(s: float, nodes: int) -> tuple[AiryBundle, float]:
     return bundle, log_f2
 
 
-def airy_bundle(s: float, nodes: int = DEFAULT_NODES) -> AiryBundle:
+def airy_bundle(s: float) -> AiryBundle:
     """All Airy-resolvent scalars and integrals at s (cached)."""
     _window_check(s)
-    return _bundle_cached(s, nodes)[0]
+    return _bundle_cached(s)[0]
 
 
-def log_f2_limit(s: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
+def log_f2_limit(s: float, method: str = "determinant") -> float:
     """log F_2(s); Airy Fredholm determinant or exponential integral path."""
     _window_check(s)
     if method == "determinant":
-        grid = build_grid(s, _cutoff(s), nodes)
+        grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
         return fredholm_log_det(assemble("airy", grid))
     if method == "exponential":
-        return _bundle_cached(s, nodes)[1]
+        return _bundle_cached(s)[1]
     raise ParameterError(f"unknown method {method!r}")
 
 
-def f2_limit(s: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
+def f2_limit(s: float, method: str = "determinant") -> float:
     """Tracy-Widom distribution F_2(s) = det(I - K_Ai) = exp(-int (x-s) q(x)^2 dx)."""
-    return min(math.exp(log_f2_limit(s, method, nodes)), 1.0)
+    return min(math.exp(log_f2_limit(s, method)), 1.0)
 
 
-def _log_dets(s: float, nodes: int, signs: tuple[float, ...]) -> list[float]:
+def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
     """log det(I - sign A_s) for each sign, with A_s(x, y) = Ai((x + y)/2)/2 on (s, infinity).
 
     One Nystrom matrix on the F_2 grid; Ai is evaluated once per distinct
     pairwise sum (the upper triangle).  Raises NumericalError where a
-    determinant loses positivity, as `fredholm_log_det` does.
+    determinant loses positivity, by the check `fredholm_log_det` makes.
     """
     _window_check(s)
+    nodes = DEFAULT_NODES
     grid = build_grid(s, _cutoff(s), nodes)
     sw = grid.sqrt_weights
     i, j = np.triu_indices(nodes)
     a = np.empty((nodes, nodes))
     a[i, j] = a[j, i] = 0.5 * sw[i] * airy_fn(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
-    eye = np.eye(nodes)
-    logs = []
-    for sign in signs:
-        det_sign, logdet = np.linalg.slogdet(eye - sign * a)
-        if det_sign <= 0 or not np.isfinite(logdet):
-            raise NumericalError(f"determinant lost positivity for the Airy sum kernel at s = {s}")
-        logs.append(float(logdet))
-    return logs
+    what = f"the Airy sum kernel at s = {s}"
+    return [positive_log_det(np.eye(nodes) - sign * a, what) for sign in signs]
 
 
-def f1_limit(s: float, nodes: int = DEFAULT_NODES) -> float:
+def f1_limit(s: float) -> float:
     """Limiting orthogonal-ensemble law F_1(s) = det(I - A_s) = sqrt(F_2(s)) e^{-mu/2}."""
-    (minus,) = _log_dets(s, nodes, (1.0,))
+    (minus,) = _log_dets(s, (1.0,))
     return min(math.exp(minus), 1.0)
 
 
-def f4_limit(s: float, nodes: int = DEFAULT_NODES) -> float:
+def f4_limit(s: float) -> float:
     """Limiting symplectic-ensemble law F_4(s) = (det(I - A_s) + det(I + A_s))/2.
 
     Equal to sqrt(F_2(s)) cosh(mu/2).
     """
-    minus, plus = _log_dets(s, nodes, (1.0, -1.0))
+    minus, plus = _log_dets(s, (1.0, -1.0))
     return min(0.5 * (math.exp(minus) + math.exp(plus)), 1.0)
 
 
-def e_c2(s: float, c: float, nodes: int = DEFAULT_NODES) -> float:
+def e_c2(s: float, c: float) -> float:
     """Second-order unitary correction polynomial E_{c,2}(s)."""
-    b = airy_bundle(s, nodes)
+    b = airy_bundle(s)
     return (
         2.0 * b.w[1]
         - 3.0 * b.u[2]
@@ -247,16 +243,16 @@ def e_c2(s: float, c: float, nodes: int = DEFAULT_NODES) -> float:
     )
 
 
-def e_c1(s: float, c: float, nodes: int = DEFAULT_NODES) -> float:
+def e_c1(s: float, c: float) -> float:
     """Second-order orthogonal correction E_{c,1}(s), assembled term by term."""
-    b = airy_bundle(s, nodes)
+    b = airy_bundle(s)
     mu = b.mu
     if mu < 1e-12:
         return 0.0
     q, p, u, nu, alpha = b.q[0], b.p[0], b.u[0], b.nu, b.alpha
     eta = b.eta(c)
     emu = math.exp(-mu)
-    total = -e_c2(s, c, nodes) * emu / 20.0
+    total = -e_c2(s, c) * emu / 20.0
     total += -c * alpha / (2.0 * mu * mu) + c * p / (2.0 * mu)
     total += (2.0 * c - 1.0) * nu * nu / (4.0 * mu * mu)
     total += c * u * (c * q * emu - nu * (1.0 - emu) / (2.0 * mu))
@@ -280,24 +276,24 @@ def e_c1(s: float, c: float, nodes: int = DEFAULT_NODES) -> float:
     return total
 
 
-def edgeworth_f2(n: int, c: float, s: float, nodes: int = DEFAULT_NODES) -> EdgeworthResult:
+def edgeworth_f2(n: int, c: float, s: float) -> EdgeworthResult:
     """Unitary expansion F_{n,2}(tau(s)) ~ F_2 {1 + c u_0 n^{-1/3} - E_{c,2}/20 n^{-2/3}}."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    b = airy_bundle(s, nodes)
-    f2 = f2_limit(s, "exponential", nodes)
+    b = airy_bundle(s)
+    f2 = f2_limit(s, "exponential")
     first = f2 * c * b.u[0]
-    second = -f2 * e_c2(s, c, nodes) / 20.0
+    second = -f2 * e_c2(s, c) / 20.0
     combined = f2 + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)
     return EdgeworthResult(f2, first, second, combined)
 
 
-def edgeworth_f1_sq(n: int, c: float, s: float, nodes: int = DEFAULT_NODES) -> EdgeworthResult:
+def edgeworth_f1_sq(n: int, c: float, s: float) -> EdgeworthResult:
     """Orthogonal expansion of F_{n,1}(tau(s))^2 through order n^{-2/3}."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    b = airy_bundle(s, nodes)
-    f2 = f2_limit(s, "exponential", nodes)
+    b = airy_bundle(s)
+    f2 = f2_limit(s, "exponential")
     mu = b.mu
     emu = math.exp(-mu)
     leading = f2 * emu
@@ -308,17 +304,17 @@ def edgeworth_f1_sq(n: int, c: float, s: float, nodes: int = DEFAULT_NODES) -> E
         first = f2 * (
             c * (b.q[0] + b.u[0]) * emu - b.nu * (1.0 - emu) / (2.0 * mu)
         )
-        second = f2 * e_c1(s, c, nodes)
+        second = f2 * e_c1(s, c)
     combined = leading + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)
     return EdgeworthResult(leading, first, second, combined)
 
 
-def edgeworth_f4_sq(n: int, c: float, s: float, nodes: int = DEFAULT_NODES) -> EdgeworthResult:
+def edgeworth_f4_sq(n: int, c: float, s: float) -> EdgeworthResult:
     """Symplectic expansion of F_{n,4}(tau(s)/sqrt2)^2 through order n^{-2/3}."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    b = airy_bundle(s, nodes)
-    f2 = f2_limit(s, "exponential", nodes)
+    b = airy_bundle(s)
+    f2 = f2_limit(s, "exponential")
     mu = b.mu
     ch, sh = math.cosh(mu), math.sinh(mu)
     q, u0, nu = b.q[0], b.u[0], b.nu
@@ -330,7 +326,7 @@ def edgeworth_f4_sq(n: int, c: float, s: float, nodes: int = DEFAULT_NODES) -> E
         second = f2 * 0.25 * (
             nu * sh / (2.0 * SQRT2 * mu)
             + c * c * q * q * ch
-            + (ch - 1.0) / 10.0 * e_c2(s, c, nodes)
+            + (ch - 1.0) / 10.0 * e_c2(s, c)
             + SQRT2 * (b.eta(c) - SQRT2 * c * c * q * u0) * sh
         )
     combined = leading + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)

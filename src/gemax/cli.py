@@ -58,9 +58,22 @@ def _check_parity(ensemble: str, n: int) -> None:
         )
 
 
+def _linspace(lower: float, upper: float, steps: int) -> np.ndarray:
+    if steps < 0:
+        raise ParameterError(f"need --steps >= 0, got {steps}")
+    return np.linspace(lower, upper, steps)
+
+
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ParameterError(f"{option} takes comma-separated integers, got {text!r}") from None
+
+
 def cmd_tabulate(args, stream) -> int:
     _check_parity(args.ensemble, args.n)
-    grid = np.linspace(args.t_min, args.t_max, args.steps)
+    grid = _linspace(args.t_min, args.t_max, args.steps)
     rows = []
     for x in grid:
         x = float(x)
@@ -84,7 +97,7 @@ def cmd_tabulate(args, stream) -> int:
 
 def cmd_limit(args, stream) -> int:
     law = {"gue": airy.f2_limit, "goe": airy.f1_limit, "gse": airy.f4_limit}[args.ensemble]
-    grid = np.linspace(args.s_min, args.s_max, args.steps)
+    grid = _linspace(args.s_min, args.s_max, args.steps)
     rows = [(float(s), law(float(s))) for s in grid]
     config = {"ensemble": args.ensemble, "s_min": args.s_min,
               "s_max": args.s_max, "steps": args.steps}
@@ -101,7 +114,7 @@ def cmd_edgeworth(args, stream) -> int:
     builder = {"gue": airy.edgeworth_f2, "goe": airy.edgeworth_f1_sq,
                "gse": airy.edgeworth_f4_sq}[args.ensemble]
     rows = []
-    for s in np.linspace(args.s_min, args.s_max, args.steps):
+    for s in _linspace(args.s_min, args.s_max, args.steps):
         s = float(s)
         truth, _, _ = edgeworth_comparison(args.ensemble, args.n, args.c, s)
         r = builder(args.n, args.c, s)
@@ -131,10 +144,12 @@ def cmd_mc(args, stream) -> int:
 
 
 def cmd_convergence(args, stream) -> int:
-    ns = [int(v) for v in args.n_list.split(",")]
+    ns = _int_list(args.n_list, "--n-list")
     if len(ns) < 3:
         raise ParameterError(f"need at least 3 n values, got {ns}")
-    s_grid = np.linspace(args.s_min, args.s_max, args.steps)
+    if len(set(ns)) < len(ns):
+        raise ParameterError(f"--n-list repeats an n, got {ns}")
+    s_grid = _linspace(args.s_min, args.s_max, args.steps)
     sup_errors = []
     for n in ns:
         worst = 0.0
@@ -158,7 +173,7 @@ def cmd_convergence(args, stream) -> int:
 
 
 def cmd_validate(args, stream) -> int:
-    indices = [int(v) for v in args.criteria.split(",")] if args.criteria else None
+    indices = _int_list(args.criteria, "--criteria") if args.criteria else None
     results = run_criteria(indices, args.tolerance_scale)
     all_pass = True
     for r in results:

@@ -23,11 +23,10 @@ from .fredholm import (
     DiscretizedKernel,
     assemble,
     fredholm_log_det,
-    hermite_kernel,
     inner_product,
     resolvent_solve_many,
 )
-from .special import build_grid, phi_psi_values
+from .special import build_grid, phi_psi_scale, phi_psi_values
 
 DEFAULT_NODES = 64
 
@@ -76,13 +75,14 @@ def _operator(n: int, t: float, nodes: int) -> DiscretizedKernel:
 class _EndpointState:
     """The operator on (t, T) and what a value reads from it, built once per value.
 
-    psi at the nodes, the kernel row K(t, x_j) and the psi solution P_n at
-    the nodes serve both q_n(t), p_n(t) and the epsilon quantities.
+    The kernel's parts at t, psi and its solution P_n at the nodes and the row
+    K(t, x_j) serve both q_n(t), p_n(t) and the epsilon quantities.
     """
 
     n: int
     t: float
     op: DiscretizedKernel
+    t_parts: tuple
     psi: np.ndarray
     krow: np.ndarray
     p_sol: np.ndarray
@@ -93,13 +93,14 @@ class _EndpointState:
 def _endpoint_state(n: int, t: float, nodes: int) -> _EndpointState:
     """Operator on (t, T), LU-backed q_n(t), p_n(t) and node solutions."""
     op = _operator(n, t, nodes)
-    phi, psi = phi_psi_values(n, op.grid.nodes)
+    scale = phi_psi_scale(n)
+    phi, psi = scale * op.node_parts[0], scale * op.node_parts[1]  # from assemble's pass
     sols = resolvent_solve_many(op, np.column_stack([phi, psi]))
-    krow = op.kernel_row(t)
-    phi_t, psi_t = phi_psi_values(n, t)
-    q_t = float(phi_t + krow @ (op.grid.weights * sols[:, 0]))
-    p_t = float(psi_t + krow @ (op.grid.weights * sols[:, 1]))
-    return _EndpointState(n, t, op, psi, krow, sols[:, 1], q_t, p_t)
+    t_parts = op.parts(t)  # the one recurrence pass at t
+    krow = op.kernel_row(t, t_parts)
+    q_t = float(scale * t_parts[0] + krow @ (op.grid.weights * sols[:, 0]))
+    p_t = float(scale * t_parts[1] + krow @ (op.grid.weights * sols[:, 1]))
+    return _EndpointState(n, t, op, t_parts, psi, krow, sols[:, 1], q_t, p_t)
 
 
 def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
@@ -380,7 +381,7 @@ def _epsilon_numeric(state: _EndpointState) -> EpsilonQuantities:
     both that and P_n (the psi solution that comes with the operator) to
     the left of t.  The Nystrom solution reproduces itself at the nodes, so
     int_t^inf R_n(x, t) dx is the quadrature sum of the solution itself.
-    psi at the nodes and K(t, x_j) = K(x_j, t) come with the state.
+    The kernel's parts at the nodes and at t and K(t, x_j) = K(x_j, t) come with the state.
     """
     n, t, op, p_sol = state.n, state.t, state.op, state.p_sol
     grid = op.grid
@@ -397,8 +398,10 @@ def _epsilon_numeric(state: _EndpointState) -> EpsilonQuantities:
     # quadratures over (-inf, t): integrands decay like the wave functions;
     # phi_n oscillates ~n/2 times across the bulk, GL resolves ~m/pi periods
     left = build_grid(min(_lower_cutoff(n), t - 1.0), t, max(200, 6 * n))
-    k_left = hermite_kernel(n, left.nodes[:, None], nodes_t[None, :])
-    _, psi_left = phi_psi_values(n, left.nodes)
+    rows = tuple(v[:, None] for v in op.parts(left.nodes))
+    columns = tuple(np.append(v, vt) for v, vt in zip(op.node_parts, state.t_parts))
+    k_left = op.kernel_from_parts(left.nodes[:, None], rows, nodes_t, columns)
+    psi_left = phi_psi_scale(n) * rows[1][:, 0]
     p_left = psi_left + k_left[:, :-1] @ (w * p_sol)
     r_left = k_left[:, -1] + k_left[:, :-1] @ (w * r_sol)  # R_n(x, t)
     p1 = float(np.sum(left.weights * p_left))

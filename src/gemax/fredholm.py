@@ -4,7 +4,7 @@ Both kernels have the integrable form c (f(x)g(y) - f(y)g(x))/(x - y):
 f, g = phi_n, phi_{n-1} with c = sqrt(n/2) for the Christoffel-Darboux
 Hermite kernel, and f, g = Ai, Ai' for the Airy kernel.  One private core
 evaluates that form and its diagonal limit; each kernel supplies only its
-pair and its diagonal.
+pair and its diagonal, and an operator keeps them at its nodes.
 
 A kernel K on (lower, upper) is discretized as the symmetric matrix
 A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Fredholm determinants are
@@ -15,8 +15,7 @@ det(I - A), taken in log space; resolvent solves return the node values of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -45,8 +44,9 @@ def _integrable_form(x, px, y, py, scale: float):
     return np.where(near, 0.5 * (diag_x + diag_y), off)
 
 
-def _integrable_kernel(parts, x, y, scale: float = 1.0):
+def _integrable_kernel(kernel_id: str, x, y):
     """The integrable form at (x, y), evaluating parts on each side."""
+    parts, scale = _kernel_parts(kernel_id)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = _integrable_form(x, parts(x), y, parts(y), scale)
@@ -55,8 +55,13 @@ def _integrable_kernel(parts, x, y, scale: float = 1.0):
     return out
 
 
-def _hermite_parts(n: int):
-    """(parts, scale) of the Christoffel-Darboux kernel of order n."""
+def _kernel_parts(kernel_id: str):
+    """(parts, scale) of ``"airy"`` or ``"hermite(n)"``; parts(z) = (f(z), g(z), K(z, z))."""
+    if kernel_id == "airy":
+        return _airy_parts, 1.0
+    if not (kernel_id.startswith("hermite(") and kernel_id.endswith(")")):
+        raise ParameterError(f"unknown kernel_id {kernel_id!r}")
+    n = int(kernel_id[len("hermite(") : -1])
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     c = np.sqrt(n / 2.0)
@@ -85,13 +90,12 @@ def hermite_kernel(n: int, x, y):
     phi_{n-1}' = x phi_{n-1} - sqrt(2n) phi_n, so one recurrence pass per
     side serves both the quotient and the diagonal.
     """
-    parts, c = _hermite_parts(n)
-    return _integrable_kernel(parts, x, y, c)
+    return _integrable_kernel(f"hermite({n})", x, y)
 
 
 def airy_kernel(x, y):
     """(Ai(x)Ai'(y) - Ai(y)Ai'(x))/(x - y) with diagonal limit Ai'(x)^2 - x Ai(x)^2."""
-    return _integrable_kernel(_airy_parts, x, y)
+    return _integrable_kernel("airy", x, y)
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,22 @@ class DiscretizedKernel:
     grid: QuadratureGrid
     matrix: np.ndarray
     kernel_id: str
-    #: the kernel function K(x, y) the matrix was assembled from
-    kernel: Callable = field(repr=False)
+    #: the kernel's parts (f, g, K(x, x)) at the nodes, as assembled
+    node_parts: tuple = field(repr=False)
 
-    def kernel_row(self, x) -> np.ndarray:
-        """Kernel values K(x, x_j) at the grid nodes (unsymmetrized)."""
-        return self.kernel(x, self.grid.nodes)
+    def parts(self, x) -> tuple:
+        """The kernel's parts (f(x), g(x), K(x, x)) at new points x."""
+        return _kernel_parts(self.kernel_id)[0](np.asarray(x, dtype=float))
+
+    def kernel_from_parts(self, x, px, y, py) -> np.ndarray:
+        """K(x, y) from the parts px at x and py at y; evaluates no function."""
+        return _integrable_form(x, px, y, py, _kernel_parts(self.kernel_id)[1])
+
+    def kernel_row(self, x, px=None) -> np.ndarray:
+        """K(x, x_j) at the grid nodes (unsymmetrized), from px = parts(x) if given."""
+        x = np.asarray(x, dtype=float)
+        px = self.parts(x) if px is None else px
+        return self.kernel_from_parts(x, px, self.grid.nodes, self.node_parts)
 
     @cached_property
     def _lu(self):
@@ -117,32 +131,30 @@ class DiscretizedKernel:
 def assemble(kernel_id: str, grid: QuadratureGrid) -> DiscretizedKernel:
     """Build the symmetrized Nystrom matrix for ``"airy"`` or ``"hermite(n)"``.
 
-    The kernel's parts are evaluated once on the nodes and serve both the
-    row and the column side of the matrix.
+    The kernel's parts are evaluated once on the nodes, serve both the row
+    and the column side of the matrix, and stay with the operator.
     """
-    if kernel_id == "airy":
-        kernel, parts, scale = airy_kernel, _airy_parts, 1.0
-    elif kernel_id.startswith("hermite(") and kernel_id.endswith(")"):
-        n = int(kernel_id[len("hermite(") : -1])
-        kernel = partial(hermite_kernel, n)
-        parts, scale = _hermite_parts(n)
-    else:
-        raise ParameterError(f"unknown kernel_id {kernel_id!r}")
+    parts, scale = _kernel_parts(kernel_id)
     x = grid.nodes
     values = parts(x)
     raw = _integrable_form(x[:, None], tuple(v[:, None] for v in values), x, values, scale)
     sw = grid.sqrt_weights
     matrix = sw[:, None] * raw * sw[None, :]
     matrix = 0.5 * (matrix + matrix.T)  # scrub last-bit asymmetry
-    return DiscretizedKernel(grid=grid, matrix=matrix, kernel_id=kernel_id, kernel=kernel)
+    return DiscretizedKernel(grid=grid, matrix=matrix, kernel_id=kernel_id, node_parts=values)
+
+
+def positive_log_det(matrix: np.ndarray, what: str) -> float:
+    """log det(matrix); NumericalError where the determinant is not positive and finite."""
+    sign, logdet = np.linalg.slogdet(matrix)
+    if sign <= 0 or not np.isfinite(logdet):
+        raise NumericalError(f"determinant lost positivity for {what}")
+    return float(logdet)
 
 
 def fredholm_log_det(op: DiscretizedKernel) -> float:
     """log det(I - K); stays finite where the determinant underflows."""
-    sign, logdet = np.linalg.slogdet(np.eye(op.matrix.shape[0]) - op.matrix)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise NumericalError(f"determinant lost positivity for {op.kernel_id}")
-    return float(logdet)
+    return positive_log_det(np.eye(op.matrix.shape[0]) - op.matrix, op.kernel_id)
 
 
 def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.ndarray:

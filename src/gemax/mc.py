@@ -86,6 +86,8 @@ def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
         raise ParameterError(f"beta must be one of {VALID_BETA}, got {beta}")
     if n < 1 or count < 1:
         raise ParameterError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
+    if not 0 <= seed < 2**128:
+        raise ParameterError(f"seed must be in [0, 2**128), got {seed}")
     rng = np.random.default_rng(np.random.Philox(key=seed))
     scale = 1.0 / math.sqrt(2.0 * beta)  # tridiagonal /sqrt2, eigenvalues /sqrt(beta)
     dof = beta * np.arange(n - 1, 0, -1, dtype=float)

@@ -133,11 +133,16 @@ def hermite_phi(k: int, x):
     return hermite_phi_two(k, x)[0]
 
 
+def phi_psi_scale(n: int) -> float:
+    """The factor (n/2)^{1/4} that takes (phi_n, phi_{n-1}) to (phi, psi)."""
+    return (n / 2.0) ** 0.25
+
+
 def phi_psi_values(n: int, x):
     """The pair (phi(x), psi(x)) = (n/2)^{1/4} (phi_n(x), phi_{n-1}(x)); scalars or arrays."""
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    scale = (n / 2.0) ** 0.25
+    scale = phi_psi_scale(n)
     cur, prev = hermite_phi_two(n, x)
     return scale * cur, scale * prev
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from gemax import acceptance, airy, finite_n
+from gemax.errors import ParameterError
 
 
 def check(result):
@@ -124,3 +125,16 @@ class TestAcceptance:
 
     def test_criterion_10_determinism(self):
         check(acceptance.criterion_10())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: acceptance.mc_cdf("goa", 4),
+        lambda: acceptance.edgeworth_comparison("goa", 4, 0.0, -1.0),
+    ],
+    ids=["mc_cdf", "edgeworth_comparison"],
+)
+def test_unknown_ensemble(call):
+    with pytest.raises(ParameterError):
+        call()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gemax import airy as airy_module
+from gemax import fredholm
 from gemax.airy import (
     S_MAX,
     S_MIN,
@@ -131,6 +132,18 @@ class TestLimitLaws:
         assert len(grids) == 1
         assert points == [nodes * (nodes + 1) // 2]
         assert 0.0 < value < 1.0
+
+    def test_point_values_two_airy_calls(self, monkeypatch):
+        # Ai, Ai' on the nodes (in assemble) and at s; the nodes' values come
+        # with the operator, and s's serve both the row K(s, x_j) and the rhs
+        points = []
+        for module, name in ((fredholm, "airy"), (airy_module, "airy_fn")):
+            real = getattr(module, name)
+            counted = lambda x, real=real: points.append(np.size(x)) or real(x)
+            monkeypatch.setattr(module, name, counted)
+        q, _, _, _, _, _ = airy_module._point_values(-1.37)
+        assert points == [airy_module.DEFAULT_NODES, 1]
+        assert q[0] == hastings_mcleod_q(-1.37)
 
     @pytest.mark.parametrize("law", [f1_limit, f4_limit], ids=["F1", "F4"])
     def test_sign_loss_raises(self, law, monkeypatch):

@@ -211,5 +211,31 @@ class TestParser:
     def test_unknown_command(self):
         assert run_cli(["frobnicate"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tabulate", "--n", "4", "--t-min", "0", "--t-max", "1", "--steps", "-1"],
+            ["limit", "--steps", "-1"],
+            ["edgeworth", "--n", "40", "--steps", "-1"],
+            ["convergence", "--steps", "-1"],
+            ["convergence", "--n-list", "20,4O,80"],
+            ["convergence", "--n-list", "20,20,40"],
+            ["edgeworth", "--n", "0", "--c", "0.5", "--steps", "1"],
+            ["validate", "--criteria", "1.5"],
+            ["validate", "--criteria", "11"],
+            ["mc", "--n", "2", "--samples", "100", "--seed", "-1"],
+        ],
+        ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
+             "n-list letter", "n-list repeat", "edgeworth n=0", "criteria float",
+             "criteria 11", "mc seed"],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        # each of these used to end in a traceback (ValueError, KeyError or
+        # ZeroDivisionError); none may get as far as computing a value
+        code, out = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_required(self):
         assert run_cli(["tabulate"])[0] == 2

@@ -302,9 +302,10 @@ class TestEpsilonBatched:
                 assert abs(a - b) <= 1e-13 * abs(b), (name, t, a, b)
 
     def test_one_recurrence_pass_per_point_set(self, monkeypatch):
-        # on a prebuilt endpoint state: one pass over the stacked tail rules,
-        # one for psi on the outer rule and one on each side of the kernel
-        # block K(x, [nodes, t]); psi at the nodes and K(t, x_j) come with the state
+        # on a prebuilt endpoint state: one pass over the stacked tail rules and
+        # one on the outer rule, which gives psi there and the row side of the
+        # kernel block K(x, [nodes, t]); the parts at the nodes and at t come
+        # with the state
         n, t = 40, 8.5
         state = _endpoint_state(n, t, DEFAULT_NODES)
         c_constants(n)
@@ -318,7 +319,7 @@ class TestEpsilonBatched:
         monkeypatch.setattr(special, "hermite_phi_two", counted)
         monkeypatch.setattr(fredholm, "hermite_phi_two", counted)
         got = _epsilon_numeric(state)
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert got == epsilon_numeric(n, t)
 
 
@@ -351,6 +352,18 @@ class TestWorkPerValue:
         value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
         assert len(assembled) == 1
         assert [a[1].shape[1] for a in solves] == [2, 2]
+        assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("n", (40, 41))
+    def test_assembly_is_one_pass_per_point_set(self, n, monkeypatch):
+        # the nodes (in assemble), t, the stacked tail rules and the outer rule
+        # left of t: four recurrence passes for a whole GOE/GSE value
+        c_constants(n)
+        in_kernel = self._count(monkeypatch, fredholm, "hermite_phi_two")
+        elsewhere = self._count(monkeypatch, special, "hermite_phi_two")
+        t = math.sqrt(2.0 * n) + 0.3
+        value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
+        assert len(in_kernel) + len(elsewhere) == 4
         assert 0.0 < value < 1.0
 
 

@@ -56,6 +56,11 @@ class TestSampler:
         with pytest.raises(ParameterError):
             sample_lambda_max(3, 2, 10, seed=0)
 
+    @pytest.mark.parametrize("seed", (-1, 2**128), ids=("negative", "2**128"))
+    def test_seed_outside_philox_keys(self, seed):
+        with pytest.raises(ParameterError):
+            sample_lambda_max(2, 2, 10, seed=seed)
+
     def test_n1_gaussian(self):
         # [DERIVED] a single beta = 2 eigenvalue is N(0, 1/2): KS test
         # against the exact normal CDF
