@@ -47,15 +47,8 @@ def _emit(stream, command: str, config: dict, header, rows, fmt: str) -> None:
         stream.write("\n")
 
 
-def _check_parity(ensemble: str, n: int) -> None:
-    if ensemble == "goe" and n % 2 != 0:
-        raise ParameterError(
-            f"the orthogonal closed form requires even n (got {n})"
-        )
-    if ensemble == "gse" and n % 2 != 1:
-        raise ParameterError(
-            f"the symplectic closed form requires odd n (got {n})"
-        )
+#: the kernel-index parity each ensemble's finite-n law requires
+PARITY = {"gue": None, "goe": 0, "gse": 1}
 
 
 def _linspace(lower: float, upper: float, steps: int) -> np.ndarray:
@@ -72,7 +65,7 @@ def _int_list(text: str, option: str) -> list[int]:
 
 
 def cmd_tabulate(args, stream) -> int:
-    _check_parity(args.ensemble, args.n)
+    finite_n._check_n(args.n, PARITY[args.ensemble])
     grid = _linspace(args.t_min, args.t_max, args.steps)
     rows = []
     for x in grid:
@@ -106,7 +99,7 @@ def cmd_limit(args, stream) -> int:
 
 
 def cmd_edgeworth(args, stream) -> int:
-    _check_parity(args.ensemble, args.n)
+    finite_n._check_n(args.n, PARITY[args.ensemble])
     if args.s_min < airy.S_MIN or args.s_max > airy.S_MAX:
         raise ParameterError(
             f"s-window [{args.s_min}, {args.s_max}] outside supported [{airy.S_MIN}, {airy.S_MAX}]"

@@ -8,13 +8,16 @@ on (t, infinity) and their tail integrals a(t) = int_t^inf q_n,
 b(t) = int_t^inf p_n.  The GOE/GSE closed forms are hyperbolic functions
 of g = sqrt(2 a b); an independent first-principles path recomputes the
 same epsilon quantities directly from the resolvent for cross-checking.
+Every Hermite-function integral that path needs (eps phi, the integrals
+left of t, c_phi and c_psi) is exact, from the integral recurrence of
+:func:`gemax.special.hermite_integrals`; quadrature enters only through the
+Nystrom operator on (t, T).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .fredholm import (
     inner_product,
     resolvent_solve_many,
 )
-from .special import build_grid, phi_psi_scale, phi_psi_values
+from .special import build_grid, hermite_integrals, phi_psi_scale
 
 DEFAULT_NODES = 64
 
@@ -46,10 +49,6 @@ def _check_n(n: int, parity: int | None = None) -> None:
 def _upper_cutoff(n: int, t: float) -> float:
     # beyond sqrt(2n)+10 the wave functions are < 1e-16 of their peak
     return max(t + 1.0, math.sqrt(2.0 * n) + 10.0)
-
-
-def _lower_cutoff(n: int) -> float:
-    return -(math.sqrt(2.0 * n) + 10.0)
 
 
 @dataclass(frozen=True)
@@ -75,14 +74,13 @@ def _operator(n: int, t: float, nodes: int) -> DiscretizedKernel:
 class _EndpointState:
     """The operator on (t, T) and what a value reads from it, built once per value.
 
-    The kernel's parts at t, psi and its solution P_n at the nodes and the row
-    K(t, x_j) serve both q_n(t), p_n(t) and the epsilon quantities.
+    psi and its solution P_n at the nodes and the row K(t, x_j) serve both
+    q_n(t), p_n(t) and the epsilon quantities.
     """
 
     n: int
     t: float
     op: DiscretizedKernel
-    t_parts: tuple
     psi: np.ndarray
     krow: np.ndarray
     p_sol: np.ndarray
@@ -100,7 +98,7 @@ def _endpoint_state(n: int, t: float, nodes: int) -> _EndpointState:
     krow = op.kernel_row(t, t_parts)
     q_t = float(scale * t_parts[0] + krow @ (op.grid.weights * sols[:, 0]))
     p_t = float(scale * t_parts[1] + krow @ (op.grid.weights * sols[:, 1]))
-    return _EndpointState(n, t, op, t_parts, psi, krow, sols[:, 1], q_t, p_t)
+    return _EndpointState(n, t, op, psi, krow, sols[:, 1], q_t, p_t)
 
 
 def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
@@ -130,32 +128,21 @@ def ab(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
     return a, b
 
 
-@lru_cache(maxsize=1024)
 def c_constants(n: int) -> tuple[float, float]:
     """The constants c_phi = (1/2) int phi and c_psi = (1/2) int psi.
 
     Parity kills one of the two: c_phi = 0 for n odd, c_psi = 0 for n even.
-    For n odd c_psi has the closed form
-    (pi (n-1))^{1/4} 2^{-3/4-(n-1)/2} ((n-1)!)^{1/2} / ((n-1)/2)!;
-    for n even c_phi is computed by quadrature of the even integrand.
+    The other is (1/2)(n/2)^{1/4} int phi_m, m the even one of n and n - 1,
+    with int phi_m = sqrt(2) pi^{1/4} sqrt(m!) / (2^{m/2} (m/2)!); for n odd
+    that is c_psi = (pi n)^{1/4} 2^{-3/4-(n-1)/2} ((n-1)!)^{1/2} / ((n-1)/2)!.
+    The factorial ratio is the product of sqrt(j/(j+1)) over odd j < m, the
+    integral recurrence of :func:`hermite_integrals` on the whole line.
     """
     _check_n(n)
-    if n % 2 == 1:
-        m = n - 1
-        if m == 0:
-            # psi = (1/2)^{1/4} phi_0 and int phi_0 = sqrt(2) pi^{1/4}
-            c_psi = 2.0 ** -0.75 * math.pi ** 0.25
-        else:
-            log_cpsi = 0.25 * math.log(math.pi * m) + (-0.75 - 0.5 * m) * math.log(2.0)
-            log_cpsi += 0.5 * math.lgamma(m + 1) - math.lgamma(m // 2 + 1)
-            c_psi = math.exp(log_cpsi)
-        return 0.0, c_psi
-    # n even: c_phi by quadrature of the even function phi on (0, T), doubled
-    upper = _upper_cutoff(n, 0.0)
-    grid = build_grid(0.0, upper, 400)
-    phi, _ = phi_psi_values(n, grid.nodes)
-    c_phi = float(np.sum(grid.weights * phi))  # = (1/2) * 2 * int_0^inf phi
-    return c_phi, 0.0
+    m = n - n % 2
+    ratio = math.sqrt(math.prod(j / (j + 1.0) for j in range(1, m, 2)))
+    c = 0.5 * phi_psi_scale(n) * math.sqrt(2.0) * math.pi ** 0.25 * ratio
+    return (0.0, c) if n % 2 else (c, 0.0)
 
 
 # log F <= 0 for a probability; rounding puts a computed value at most about
@@ -343,69 +330,45 @@ def _epsilon_closed(n: int, a: float, b: float) -> EpsilonQuantities:
 def epsilon_numeric(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuantities:
     """First-principles epsilon quantities from the resolvent, no closed forms.
 
-    eps phi(x) = c_phi - int_x^inf phi is built by quadrature, fed through
-    (I - K)^{-1}, and the script quantities are quadratures of the Nystrom
-    extensions of P_n and of the resolvent kernel over (-inf, t) and
-    against the kernel of eps.
+    eps phi(x) = c_phi - int_x^inf phi, exact from the integral recurrence,
+    is fed through (I - K)^{-1}, and the script quantities are the integrals
+    of the Nystrom extensions of P_n and of the resolvent kernel over
+    (-inf, t), taken term by term with the same recurrence.
     """
     _check_n(n)
     return _epsilon_numeric(_endpoint_state(n, t, nodes))
 
 
-def _tail_phi_integrals(n: int, lowers: np.ndarray, upper: float, nodes: int) -> np.ndarray:
-    """int_x^{max(upper, x + 1)} phi for every x in ``lowers``.
-
-    Each integral is the ``nodes``-point Gauss-Legendre rule mapped onto its
-    own interval, exactly as :func:`build_grid` maps it; the rules are
-    stacked as the rows of one array, so a single recurrence pass evaluates
-    phi on all of them.
-    """
-    ref = build_grid(-1.0, 1.0, nodes)  # the unmapped rule, reproduced exactly
-    lower = np.asarray(lowers, dtype=float)[:, None]
-    top = np.maximum(upper, lower + 1.0)
-    half = 0.5 * (top - lower)
-    mid = 0.5 * (top + lower)
-    phi, _ = phi_psi_values(n, mid + half * ref.nodes)
-    return np.sum(half * ref.weights * phi, axis=1)
-
-
 def _epsilon_numeric(state: _EndpointState) -> EpsilonQuantities:
-    """The epsilon quantities with one recurrence pass per point set.
+    """The epsilon quantities from the endpoint state and one integral pass.
 
-    The point sets are the stacked tail rules behind eps phi = c_phi -
-    int_x^inf phi (one rule per node and one for t, see
-    :func:`_tail_phi_integrals`), the operator's nodes, t, and the outer
-    rule on (-inf, t).  eps phi and the kernel column K(x_j, t) share one
-    resolvent solve, whose second column is the resolvent kernel
-    R_n(x_j, t); one kernel block K(x, [x_j, t]) on the outer rule extends
-    both that and P_n (the psi solution that comes with the operator) to
-    the left of t.  The Nystrom solution reproduces itself at the nodes, so
-    int_t^inf R_n(x, t) dx is the quadrature sum of the solution itself.
-    The kernel's parts at the nodes and at t and K(t, x_j) = K(x_j, t) come with the state.
+    eps phi = c_phi - int_x^inf phi at the nodes and at t, and the integrals
+    left of t of psi and of the kernel K(s, x) at the nodes and at t, come
+    exactly from one recurrence pass (:func:`hermite_integrals`).  eps phi
+    and the kernel column K(x_j, t) share one resolvent solve, whose second
+    column is the resolvent kernel R_n(x_j, t).  The Nystrom extensions
+    P_n(x) = psi(x) + sum_j w_j K(x, x_j) P_n(x_j) and
+    R_n(x, t) = K(x, t) + sum_j w_j K(x, x_j) R_n(x_j, t) are then integrated
+    over (-inf, t) term by term, and over (t, inf) as the quadrature sums of
+    the node solutions, which the Nystrom solution reproduces.  psi and
+    K(t, x_j) = K(x_j, t) at the nodes come with the state.
     """
     n, t, op, p_sol = state.n, state.t, state.op, state.p_sol
     grid = op.grid
     c_phi, c_psi = c_constants(n)
     w = grid.weights
-    nodes_t = np.append(grid.nodes, t)
+    scale = phi_psi_scale(n)
+    tail, psi_left, kernel_left = hermite_integrals(n, grid.nodes, t)
 
-    eps_phi = c_phi - _tail_phi_integrals(n, nodes_t, grid.upper, grid.count)
+    eps_phi = c_phi - scale * tail
     sols = resolvent_solve_many(op, np.column_stack([eps_phi[:-1], state.krow]))
     q_eps_sol, r_sol = sols[:, 0], sols[:, 1]
     v_tilde = inner_product(grid, q_eps_sol, state.psi)
     q_eps = eps_phi[-1] + state.krow @ (w * q_eps_sol)
 
-    # quadratures over (-inf, t): integrands decay like the wave functions;
-    # phi_n oscillates ~n/2 times across the bulk, GL resolves ~m/pi periods
-    left = build_grid(min(_lower_cutoff(n), t - 1.0), t, max(200, 6 * n))
-    rows = tuple(v[:, None] for v in op.parts(left.nodes))
-    columns = tuple(np.append(v, vt) for v, vt in zip(op.node_parts, state.t_parts))
-    k_left = op.kernel_from_parts(left.nodes[:, None], rows, nodes_t, columns)
-    psi_left = phi_psi_scale(n) * rows[1][:, 0]
-    p_left = psi_left + k_left[:, :-1] @ (w * p_sol)
-    r_left = k_left[:, -1] + k_left[:, :-1] @ (w * r_sol)  # R_n(x, t)
-    p1 = float(np.sum(left.weights * p_left))
-    r1 = float(np.sum(left.weights * r_left))
+    # int_{-inf}^t P_n and int_{-inf}^t R_n(x, t) dx
+    p1 = float(scale * psi_left + kernel_left[:-1] @ (w * p_sol))
+    r1 = float(kernel_left[-1] + kernel_left[:-1] @ (w * r_sol))
 
     # right-side pieces int_t^inf P_n and int_t^inf R_n(x, t)
     p4 = 0.5 * (float(np.sum(w * p_sol)) - p1)

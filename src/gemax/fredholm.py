@@ -44,17 +44,6 @@ def _integrable_form(x, px, y, py, scale: float):
     return np.where(near, 0.5 * (diag_x + diag_y), off)
 
 
-def _integrable_kernel(kernel_id: str, x, y):
-    """The integrable form at (x, y), evaluating parts on each side."""
-    parts, scale = _kernel_parts(kernel_id)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = _integrable_form(x, parts(x), y, parts(y), scale)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _kernel_parts(kernel_id: str):
     """(parts, scale) of ``"airy"`` or ``"hermite(n)"``; parts(z) = (f(z), g(z), K(z, z))."""
     if kernel_id == "airy":
@@ -81,23 +70,6 @@ def _airy_parts(z):
     return ai, aip, aip * aip - z * ai * ai
 
 
-def hermite_kernel(n: int, x, y):
-    """Christoffel-Darboux kernel sqrt(n/2) (phi_n(x)phi_{n-1}(y) - phi_n(y)phi_{n-1}(x))/(x-y).
-
-    The diagonal is sqrt(n/2)(phi_n' phi_{n-1} - phi_n phi_{n-1}'), with the
-    derivatives from the lowering and raising identities
-    phi_n' = -x phi_n + sqrt(2n) phi_{n-1} and
-    phi_{n-1}' = x phi_{n-1} - sqrt(2n) phi_n, so one recurrence pass per
-    side serves both the quotient and the diagonal.
-    """
-    return _integrable_kernel(f"hermite({n})", x, y)
-
-
-def airy_kernel(x, y):
-    """(Ai(x)Ai'(y) - Ai(y)Ai'(x))/(x - y) with diagonal limit Ai'(x)^2 - x Ai(x)^2."""
-    return _integrable_kernel("airy", x, y)
-
-
 @dataclass(frozen=True)
 class DiscretizedKernel:
     """Symmetrized Nystrom matrix of a kernel on a grid."""
@@ -112,15 +84,12 @@ class DiscretizedKernel:
         """The kernel's parts (f(x), g(x), K(x, x)) at new points x."""
         return _kernel_parts(self.kernel_id)[0](np.asarray(x, dtype=float))
 
-    def kernel_from_parts(self, x, px, y, py) -> np.ndarray:
-        """K(x, y) from the parts px at x and py at y; evaluates no function."""
-        return _integrable_form(x, px, y, py, _kernel_parts(self.kernel_id)[1])
-
     def kernel_row(self, x, px=None) -> np.ndarray:
         """K(x, x_j) at the grid nodes (unsymmetrized), from px = parts(x) if given."""
         x = np.asarray(x, dtype=float)
         px = self.parts(x) if px is None else px
-        return self.kernel_from_parts(x, px, self.grid.nodes, self.node_parts)
+        scale = _kernel_parts(self.kernel_id)[1]
+        return _integrable_form(x, px, self.grid.nodes, self.node_parts, scale)
 
     @cached_property
     def _lu(self):

@@ -10,7 +10,9 @@ are usable far past k = 30 where raw Hermite polynomials overflow.  One pass
 yields the pair (phi_k, phi_{k-1}); the ladder identities
 phi_k' = -x phi_k + sqrt(2k) phi_{k-1} and
 phi_{k-1}' = x phi_{k-1} - sqrt(2k) phi_k give both derivatives from that
-pair, so no separate derivative routine is needed.
+pair, so no separate derivative routine is needed.  The integrals of the
+wave functions obey a recurrence of the same shape (see
+:func:`hermite_integrals`), so they too come exactly from one pass.
 
 The Gauss-Legendre rules behind every quadrature grid are built by Newton's
 method in theta on P_m(cos theta) (Hale & Townsend, SIAM J. Sci. Comput. 35,
@@ -20,6 +22,7 @@ ones and weights free of the 1 - x^2 cancellation at the endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,6 +134,36 @@ def hermite_phi_two(k: int, x):
 def hermite_phi(k: int, x):
     """Normalized harmonic-oscillator wave function phi_k(x)."""
     return hermite_phi_two(k, x)[0]
+
+
+def hermite_integrals(n: int, x, t: float):
+    """One recurrence pass giving the wave-function integrals at the points z = [x, t].
+
+    Returns (I_n(z), J_{n-1}(t), L(z)) with I_k(z) = int_z^inf phi_k,
+    J_k(t) = int_{-inf}^t phi_k and L(z) = sum_{k<n} phi_k(z) J_k(t), which
+    is int_{-inf}^t K_n(s, z) ds for the Christoffel-Darboux kernel K_n.
+    Integrating phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} gives
+    I_{k+1} = sqrt(k/(k+1)) I_{k-1} + sqrt(2/(k+1)) phi_k from
+    I_0 = pi^{-1/4} sqrt(pi/2) erfc(z/sqrt 2) and I_1 = sqrt(2) phi_0(z); J
+    obeys the same with the sign of every phi term flipped.  No quadrature.
+    """
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
+    _check_k(n)
+    z = np.append(np.asarray(x, dtype=float), t)
+    prev = np.zeros_like(z)
+    cur = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
+    seed = np.pi ** (-0.25) * math.sqrt(0.5 * np.pi)
+    i_prev, i_cur = seed * _sp.erfc(z / math.sqrt(2.0)), math.sqrt(2.0) * cur
+    j_prev, j_cur = seed * float(_sp.erfc(-t / math.sqrt(2.0))), -math.sqrt(2.0) * cur[-1]
+    total = j_prev * cur
+    for k in range(1, n):
+        prev, cur = cur, z * math.sqrt(2.0 / k) * cur - math.sqrt((k - 1.0) / k) * prev
+        total += j_cur * cur
+        down, up = math.sqrt(k / (k + 1.0)), math.sqrt(2.0 / (k + 1))
+        i_prev, i_cur = i_cur, down * i_prev + up * cur
+        j_prev, j_cur = j_cur, down * j_prev - up * cur[-1]
+    return i_cur, j_prev, total
 
 
 def phi_psi_scale(n: int) -> float:

@@ -1,13 +1,42 @@
-"""Reference routines that only the tests use: the Nystrom extension, the
-dense GOE/GUE sampler and the two-sample KS statistic with its critical value."""
+"""Reference routines that only the tests use: the pointwise Hermite and Airy
+kernels, the Nystrom extension, the dense GOE/GUE sampler and the two-sample
+KS statistic with its critical value."""
 
 import math
 
 import numpy as np
 
 from gemax.errors import ParameterError
-from gemax.fredholm import DiscretizedKernel
+from gemax.fredholm import DiscretizedKernel, _integrable_form, _kernel_parts
 from gemax.mc import _BATCH, McRun
+
+
+def _integrable_kernel(kernel_id: str, x, y):
+    """The integrable form at (x, y), evaluating parts on each side."""
+    parts, scale = _kernel_parts(kernel_id)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = _integrable_form(x, parts(x), y, parts(y), scale)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def hermite_kernel(n: int, x, y):
+    """Christoffel-Darboux kernel sqrt(n/2) (phi_n(x)phi_{n-1}(y) - phi_n(y)phi_{n-1}(x))/(x-y).
+
+    The diagonal is sqrt(n/2)(phi_n' phi_{n-1} - phi_n phi_{n-1}'), with the
+    derivatives from the lowering and raising identities
+    phi_n' = -x phi_n + sqrt(2n) phi_{n-1} and
+    phi_{n-1}' = x phi_{n-1} - sqrt(2n) phi_n, so one recurrence pass per
+    side serves both the quotient and the diagonal.
+    """
+    return _integrable_kernel(f"hermite({n})", x, y)
+
+
+def airy_kernel(x, y):
+    """(Ai(x)Ai'(y) - Ai(y)Ai'(x))/(x - y) with diagonal limit Ai'(x)^2 - x Ai(x)^2."""
+    return _integrable_kernel("airy", x, y)
 
 
 def nystrom_extend(op: DiscretizedKernel, node_values: np.ndarray, rhs_fn, x):

@@ -7,9 +7,9 @@ import gemax
 
 CACHE_DECORATORS = {"lru_cache", "cache"}
 
-#: the int-keyed Gauss-Legendre rules and c constants, and the Airy bundle,
-#: the one cache keyed on a float argument
-EXPECTED = {"special._leggauss", "finite_n.c_constants", "airy._bundle_cached"}
+#: the int-keyed Gauss-Legendre rules, and the Airy bundle, the one cache
+#: keyed on a float argument
+EXPECTED = {"special._leggauss", "airy._bundle_cached"}
 
 
 def _decorator_name(node: ast.expr) -> str:

@@ -224,14 +224,20 @@ class TestParser:
             ["validate", "--criteria", "1.5"],
             ["validate", "--criteria", "11"],
             ["mc", "--n", "2", "--samples", "100", "--seed", "-1"],
+            ["tabulate", "--ensemble", "gue", "--n", "0", "--t-min", "0", "--t-max", "1",
+             "--steps", "0"],
+            ["tabulate", "--ensemble", "gue", "--n", "401", "--t-min", "0", "--t-max", "1",
+             "--steps", "0"],
+            ["edgeworth", "--ensemble", "gue", "--n", "500", "--steps", "0"],
         ],
         ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
              "n-list letter", "n-list repeat", "edgeworth n=0", "criteria float",
-             "criteria 11", "mc seed"],
+             "criteria 11", "mc seed", "tabulate n=0", "tabulate n=401", "edgeworth n=500"],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         # each of these used to end in a traceback (ValueError, KeyError or
-        # ZeroDivisionError); none may get as far as computing a value
+        # ZeroDivisionError) or, with n outside 1..400 and --steps 0, in an
+        # empty table; none may get as far as computing a value
         code, out = run_cli(argv)
         assert code == 2
         assert out == ""

@@ -9,15 +9,13 @@ import pytest
 from gemax import fredholm
 from gemax.errors import ParameterError
 from gemax.fredholm import (
-    airy_kernel,
     assemble,
     fredholm_log_det,
-    hermite_kernel,
     inner_product,
     resolvent_solve_many,
 )
 from gemax.special import airy, build_grid, hermite_phi
-from helpers import nystrom_extend
+from helpers import airy_kernel, hermite_kernel, nystrom_extend
 
 
 class TestHermiteKernel:

@@ -12,6 +12,7 @@ from gemax.errors import ParameterError
 from gemax.special import (
     airy,
     build_grid,
+    hermite_integrals,
     hermite_phi,
     hermite_phi_two,
     phi_psi_values,
@@ -125,6 +126,58 @@ class TestPhiPsi:
             phi_x, psi_x = phi_psi_values(7, float(x))
             assert phi[i] == pytest.approx(phi_x, rel=1e-14)
             assert psi[i] == pytest.approx(psi_x, rel=1e-14)
+
+
+def mpmath_phis(n: int):
+    """s -> [phi_0(s), ..., phi_n(s)] at mpmath points, memoized, by the
+    recurrence at the working precision in force when this is called."""
+    two = mpmath.mpf(2)
+    steps = [(mpmath.sqrt(two / k), mpmath.sqrt((k - 1) / mpmath.mpf(k))) for k in range(1, n + 1)]
+    seed, cache = mpmath.pi ** mpmath.mpf(-0.25), {}
+
+    def phis(s):
+        if s not in cache:
+            out, prev = [seed * mpmath.exp(-s * s / 2)], mpmath.mpf(0)
+            for up, down in steps:
+                out.append(s * up * out[-1] - down * prev)
+                prev = out[-2]
+            cache[s] = out
+        return cache[s]
+
+    return phis
+
+
+class TestHermiteIntegrals:
+    @pytest.mark.parametrize("n", (1, 2, 5, 12, 40))
+    def test_mpmath_quadrature(self, n):
+        # [DERIVED] I_n(z) = int_z^inf phi_n, J_{n-1}(t) = int_{-inf}^t phi_{n-1}
+        # and L(z) = sum_{k<n} phi_k(z) J_k(t), every integral by 40-digit
+        # quadrature, at points and t left of, inside and right of the bulk;
+        # beyond sqrt(2n) + 14 the wave functions are below 1e-40
+        edge = math.sqrt(2.0 * n)
+        x = np.array([-edge - 2.0, 0.4, edge + 1.5])
+        with mpmath.workdps(40):
+            phis = mpmath_phis(n)
+
+            def quad(k, lower, upper):
+                return mpmath.quad(lambda s: phis(s)[k], [mpmath.mpf(lower), mpmath.mpf(upper)])
+
+            tails = [float(quad(n, z, edge + 14.0)) for z in x]
+            for t in (-edge - 1.0, 0.3, edge + 1.0):
+                tail, left, kernel = hermite_integrals(n, x, t)
+                lefts = [quad(k, -edge - 14.0, t) for k in range(n)]
+                want_tail = tails + [float(quad(n, t, edge + 14.0))]
+                want_kernel = [
+                    float(mpmath.fdot(phis(mpmath.mpf(z))[:n], lefts))
+                    for z in np.append(x, t)
+                ]
+                np.testing.assert_allclose(tail, want_tail, rtol=0, atol=1e-14)
+                assert left == pytest.approx(float(lefts[-1]), rel=0, abs=1e-14)
+                np.testing.assert_allclose(kernel, want_kernel, rtol=0, atol=1e-14)
+
+    def test_bad_order(self):
+        with pytest.raises(ParameterError):
+            hermite_integrals(0, [0.0], 0.0)
 
 
 class TestAiry:
