@@ -284,6 +284,12 @@ def criterion_7(scale: float = 1.0) -> CriterionResult:
 
 def edgeworth_comparison(ensemble: str, n: int, c: float, s: float):
     """(finite-n truth, leading, combined) for one expansion point."""
+    truth, r = _edgeworth_point(ensemble, n, c, s)
+    return truth, r.leading, r.combined
+
+
+def _edgeworth_point(ensemble: str, n: int, c: float, s: float):
+    """(finite-n truth, the ensemble's EdgeworthResult) for one expansion point."""
     if ensemble == "gue":
         truth = finite_n.f_n2(n, airy.tau(n, c, s), "determinant", nodes=96)
         r = airy.edgeworth_f2(n, c, s)
@@ -295,7 +301,7 @@ def edgeworth_comparison(ensemble: str, n: int, c: float, s: float):
         r = airy.edgeworth_f4_sq(n, c, s)
     else:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
-    return truth, r.leading, r.combined
+    return truth, r
 
 
 def criterion_8(scale: float = 1.0, ensembles=("gue", "goe", "gse")) -> CriterionResult:

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, airy, finite_n, mc
-from .acceptance import edgeworth_comparison, mc_cdf, run_criteria
+from .acceptance import _edgeworth_point, edgeworth_comparison, mc_cdf, run_criteria
 from .errors import NumericalError, ParameterError
 
 SQRT2 = math.sqrt(2.0)
@@ -66,6 +66,8 @@ def _int_list(text: str, option: str) -> list[int]:
 
 def cmd_tabulate(args, stream) -> int:
     finite_n._check_n(args.n, PARITY[args.ensemble])
+    if args.method != "determinant" and args.ensemble != "gue":
+        raise ParameterError(f"--method {args.method} applies to the GUE only")
     grid = _linspace(args.t_min, args.t_max, args.steps)
     rows = []
     for x in grid:
@@ -104,13 +106,10 @@ def cmd_edgeworth(args, stream) -> int:
         raise ParameterError(
             f"s-window [{args.s_min}, {args.s_max}] outside supported [{airy.S_MIN}, {airy.S_MAX}]"
         )
-    builder = {"gue": airy.edgeworth_f2, "goe": airy.edgeworth_f1_sq,
-               "gse": airy.edgeworth_f4_sq}[args.ensemble]
     rows = []
     for s in _linspace(args.s_min, args.s_max, args.steps):
         s = float(s)
-        truth, _, _ = edgeworth_comparison(args.ensemble, args.n, args.c, s)
-        r = builder(args.n, args.c, s)
+        truth, r = _edgeworth_point(args.ensemble, args.n, args.c, s)
         rows.append(
             (s, truth, r.leading, r.order_one_third, r.order_two_thirds,
              r.combined, r.combined - truth)
@@ -142,6 +141,10 @@ def cmd_convergence(args, stream) -> int:
         raise ParameterError(f"need at least 3 n values, got {ns}")
     if len(set(ns)) < len(ns):
         raise ParameterError(f"--n-list repeats an n, got {ns}")
+    for n in ns:
+        finite_n._check_n(n, PARITY[args.ensemble])
+    if args.steps < 1:
+        raise ParameterError(f"need --steps >= 1, got {args.steps}")
     s_grid = _linspace(args.s_min, args.s_max, args.steps)
     sup_errors = []
     for n in ns:

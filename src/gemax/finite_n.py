@@ -70,26 +70,9 @@ def _operator(n: int, t: float, nodes: int) -> DiscretizedKernel:
     return assemble(f"hermite({n})", build_grid(t, _upper_cutoff(n, t), nodes))
 
 
-@dataclass(frozen=True)
-class _EndpointState:
-    """The operator on (t, T) and what a value reads from it, built once per value.
-
-    psi and its solution P_n at the nodes and the row K(t, x_j) serve both
-    q_n(t), p_n(t) and the epsilon quantities.
-    """
-
-    n: int
-    t: float
-    op: DiscretizedKernel
-    psi: np.ndarray
-    krow: np.ndarray
-    p_sol: np.ndarray
-    q_t: float
-    p_t: float
-
-
-def _endpoint_state(n: int, t: float, nodes: int) -> _EndpointState:
-    """Operator on (t, T), LU-backed q_n(t), p_n(t) and node solutions."""
+def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
+    """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve."""
+    _check_n(n)
     op = _operator(n, t, nodes)
     scale = phi_psi_scale(n)
     phi, psi = scale * op.node_parts[0], scale * op.node_parts[1]  # from assemble's pass
@@ -98,14 +81,7 @@ def _endpoint_state(n: int, t: float, nodes: int) -> _EndpointState:
     krow = op.kernel_row(t, t_parts)
     q_t = float(scale * t_parts[0] + krow @ (op.grid.weights * sols[:, 0]))
     p_t = float(scale * t_parts[1] + krow @ (op.grid.weights * sols[:, 1]))
-    return _EndpointState(n, t, op, psi, krow, sols[:, 1], q_t, p_t)
-
-
-def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
-    """Endpoint resolvent values (q_n(t), p_n(t))."""
-    _check_n(n)
-    state = _endpoint_state(n, t, nodes)
-    return state.q_t, state.p_t
+    return q_t, p_t
 
 
 def _tail_integrals(n: int, t: float, nodes: int):
@@ -188,11 +164,10 @@ def _cdf(
     """A finite-n CDF value under the one failure policy every public CDF shares.
 
     Without ``bracket`` the value is F_{n,2}(t) = exp(log_f_n2) by ``method``.
-    With it, ``bracket(state)`` returns F^2 / F_{n,2} and the value is
-    sqrt(F_{n,2} bracket), the GOE/GSE form, with F_{n,2} the determinant.
-    Under method "assembly" the endpoint state is built here, once: its
-    operator gives the determinant and the bracket reads the rest of it;
-    under "closed" ``state`` is None.  A bracket that overflows, or is not
+    With it, ``bracket(op)`` returns F^2 / F_{n,2} and the value is
+    sqrt(F_{n,2} bracket), the GOE/GSE form, with F_{n,2} the determinant of
+    the operator op on (t, T), built here once; the "assembly" bracket
+    solves with the same operator.  A bracket that overflows, or is not
     finite, raises NumericalError, and so does a combined log F above
     LOG_F_ROUNDING.  The result is clamped to [0, 1], which absorbs rounding
     only.
@@ -202,15 +177,14 @@ def _cdf(
         if bracket is None:
             log_f = log_f_n2(n, t, method, nodes)
         else:
-            state = _endpoint_state(n, t, nodes) if method == "assembly" else None
-            op = _operator(n, t, nodes) if state is None else state.op
+            op = _operator(n, t, nodes)
             log_f = _checked_log_f(fredholm_log_det(op), n, t, "determinant")
     except NumericalError:
         # sign loss, or a log F above rounding, happens only where F_{n,2}
         # is far beyond double-precision resolution
         return 0.0
     if bracket is not None:
-        ratio = bracket(state)
+        ratio = bracket(op)
         if not math.isfinite(ratio):
             raise NumericalError(f"non-finite squared ratio {ratio} at n={n}, t={t}")
         if ratio < -1e-10:
@@ -336,35 +310,36 @@ def epsilon_numeric(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuan
     (-inf, t), taken term by term with the same recurrence.
     """
     _check_n(n)
-    return _epsilon_numeric(_endpoint_state(n, t, nodes))
+    return _epsilon_numeric(_operator(n, t, nodes), n, t)
 
 
-def _epsilon_numeric(state: _EndpointState) -> EpsilonQuantities:
-    """The epsilon quantities from the endpoint state and one integral pass.
+def _epsilon_numeric(op: DiscretizedKernel, n: int, t: float) -> EpsilonQuantities:
+    """The epsilon quantities from the operator on (t, T) and one resolvent solve.
 
     eps phi = c_phi - int_x^inf phi at the nodes and at t, and the integrals
     left of t of psi and of the kernel K(s, x) at the nodes and at t, come
-    exactly from one recurrence pass (:func:`hermite_integrals`).  eps phi
-    and the kernel column K(x_j, t) share one resolvent solve, whose second
-    column is the resolvent kernel R_n(x_j, t).  The Nystrom extensions
-    P_n(x) = psi(x) + sum_j w_j K(x, x_j) P_n(x_j) and
+    exactly from one recurrence pass (:func:`hermite_integrals`).  psi (from
+    the parts ``assemble`` kept at the nodes), eps phi and the kernel column
+    K(x_j, t) = K(t, x_j) share one three-column resolvent solve, whose
+    columns are P_n, (I - K)^{-1} eps phi and the resolvent kernel R_n(x_j, t).
+    The Nystrom extensions P_n(x) = psi(x) + sum_j w_j K(x, x_j) P_n(x_j) and
     R_n(x, t) = K(x, t) + sum_j w_j K(x, x_j) R_n(x_j, t) are then integrated
     over (-inf, t) term by term, and over (t, inf) as the quadrature sums of
-    the node solutions, which the Nystrom solution reproduces.  psi and
-    K(t, x_j) = K(x_j, t) at the nodes come with the state.
+    the node solutions, which the Nystrom solution reproduces.
     """
-    n, t, op, p_sol = state.n, state.t, state.op, state.p_sol
     grid = op.grid
     c_phi, c_psi = c_constants(n)
     w = grid.weights
     scale = phi_psi_scale(n)
+    psi = scale * op.node_parts[1]
+    krow = op.kernel_row(t)  # the one recurrence pass at t
     tail, psi_left, kernel_left = hermite_integrals(n, grid.nodes, t)
 
     eps_phi = c_phi - scale * tail
-    sols = resolvent_solve_many(op, np.column_stack([eps_phi[:-1], state.krow]))
-    q_eps_sol, r_sol = sols[:, 0], sols[:, 1]
-    v_tilde = inner_product(grid, q_eps_sol, state.psi)
-    q_eps = eps_phi[-1] + state.krow @ (w * q_eps_sol)
+    sols = resolvent_solve_many(op, np.column_stack([psi, eps_phi[:-1], krow]))
+    p_sol, q_eps_sol, r_sol = sols[:, 0], sols[:, 1], sols[:, 2]
+    v_tilde = inner_product(grid, q_eps_sol, psi)
+    q_eps = eps_phi[-1] + krow @ (w * q_eps_sol)
 
     # int_{-inf}^t P_n and int_{-inf}^t R_n(x, t) dx
     p1 = float(scale * psi_left + kernel_left[:-1] @ (w * p_sol))
@@ -412,7 +387,7 @@ def f_n1(n: int, t: float, nodes: int = DEFAULT_NODES, method: str = "assembly")
     (it degrades to percent-level accuracy at small n away from t -> inf).
     """
     if method == "assembly":
-        bracket = lambda state: f1_sq_ratio(_epsilon_numeric(state))
+        bracket = lambda op: f1_sq_ratio(_epsilon_numeric(op, n, t))
     elif method == "closed":
         bracket = lambda _: _f1_closed_bracket(n, t, nodes)
     else:
@@ -438,19 +413,22 @@ def f_n4(n: int, u: float, nodes: int = DEFAULT_NODES, method: str = "assembly")
     u is the GSE-scale argument; the representations live on the GUE-side
     variable t = u sqrt(2).  The index n labels the Hermite kernel K_{n,2},
     not a matrix size: F_{n,4} is the largest-eigenvalue distribution of the
-    symplectic ensemble with (n-1)/2 eigenvalues (so F_{1,4} is identically
-    one).  See :func:`gse_largest_cdf` for the matrix-size parametrization.
+    symplectic ensemble with (n-1)/2 eigenvalues, so F_{1,4} is exactly one
+    and builds no operator.  See :func:`gse_largest_cdf` for the matrix-size
+    parametrization.
 
     The default "assembly" method is exact up to quadrature error; "closed"
     is the edge-asymptotic cosh(sqrt(ab/2)) exp(-int (x-t) q_n p_n) form.
     """
     t = u * math.sqrt(2.0)
     if method == "assembly":
-        bracket = lambda state: f4_sq_ratio(_epsilon_numeric(state))
+        bracket = lambda op: f4_sq_ratio(_epsilon_numeric(op, n, t))
     elif method == "closed":
         bracket = lambda _: _f4_closed_bracket(n, t, nodes)
     else:
         raise ParameterError(f"unknown method {method!r}")
+    if n == 1:  # no symplectic eigenvalues
+        return 1.0
     return _cdf(n, t, 1, nodes, method, bracket)
 
 

@@ -69,6 +69,42 @@ class TestTabulate:
         assert len(rows) == 3
         assert all(0.0 <= float(f) <= 1e-12 for _, f in rows)
 
+    @pytest.mark.parametrize("ensemble, n", [("goe", 40), ("gse", 41)])
+    def test_exponential_is_gue_only(self, ensemble, n, monkeypatch, capsys):
+        # the GOE/GSE values ran the assembly path while the JSON config
+        # echoed "method": "exponential"
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a value for a rejected method")
+
+        monkeypatch.setattr(cli.finite_n, "f_n1", refuse)
+        monkeypatch.setattr(cli.finite_n, "f_n4", refuse)
+        code, out = run_cli(
+            ["tabulate", "--ensemble", ensemble, "--n", str(n), "--t-min", "8",
+             "--t-max", "9", "--steps", "2", "--method", "exponential"]
+        )
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("ensemble, n", [("gue", 4), ("goe", 4), ("gse", 5)])
+    def test_determinant_method_accepted(self, ensemble, n):
+        code, out = run_cli(
+            ["tabulate", "--ensemble", ensemble, "--n", str(n), "--t-min", "2",
+             "--t-max", "3", "--steps", "2", "--method", "determinant"]
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 3
+
+    def test_gse_n1_is_one(self):
+        # kernel index 1 has no symplectic eigenvalue; this row exited 1
+        # (log F above zero at u = -4) and read 0 further left
+        code, out = run_cli(
+            ["tabulate", "--ensemble", "gse", "--n", "1", "--t-min", "-5",
+             "--t-max", "-3", "--steps", "5"]
+        )
+        assert code == 0
+        assert [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]] == [1.0] * 5
+
     def test_n_above_supported_range(self, capsys):
         code, out = run_cli(
             ["tabulate", "--n", "800", "--t-min", "38", "--t-max", "39", "--steps", "2"]
@@ -154,6 +190,19 @@ class TestEdgeworth:
         )
         assert code == 2
 
+    def test_one_expansion_per_point(self, monkeypatch):
+        # the expansion was built once inside the comparison and once more
+        # for the row
+        calls = []
+        expansion = airy.edgeworth_f1_sq
+        monkeypatch.setattr(airy, "edgeworth_f1_sq", lambda *a: calls.append(a) or expansion(*a))
+        code, _ = run_cli(
+            ["edgeworth", "--ensemble", "goe", "--n", "40",
+             "--s-min", "-1", "--s-max", "0", "--steps", "2"]
+        )
+        assert code == 0
+        assert calls == [(40, 0.0, -1.0), (40, 0.0, 0.0)]
+
 
 class TestMc:
     def test_ks_row(self):
@@ -206,6 +255,23 @@ class TestConvergence:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "ensemble, n_list", [("goe", "20,41,80"), ("gse", "21,41,80"), ("gue", "20,40,401")]
+    )
+    def test_n_list_checked_before_computing(self, ensemble, n_list, monkeypatch, capsys):
+        # a wrong-parity or out-of-range n late in the list was rejected only
+        # after the values of the n before it were computed
+        def refuse(*args):
+            raise AssertionError("computed a value before the n-list check")
+
+        monkeypatch.setattr(cli, "edgeworth_comparison", refuse)
+        code, out = run_cli(
+            ["convergence", "--ensemble", ensemble, "--n-list", n_list, "--steps", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestParser:
     def test_unknown_command(self):
@@ -218,6 +284,7 @@ class TestParser:
             ["limit", "--steps", "-1"],
             ["edgeworth", "--n", "40", "--steps", "-1"],
             ["convergence", "--steps", "-1"],
+            ["convergence", "--steps", "0"],
             ["convergence", "--n-list", "20,4O,80"],
             ["convergence", "--n-list", "20,20,40"],
             ["edgeworth", "--n", "0", "--c", "0.5", "--steps", "1"],
@@ -231,6 +298,7 @@ class TestParser:
             ["edgeworth", "--ensemble", "gue", "--n", "500", "--steps", "0"],
         ],
         ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
+             "convergence steps 0",
              "n-list letter", "n-list repeat", "edgeworth n=0", "criteria float",
              "criteria 11", "mc seed", "tabulate n=0", "tabulate n=401", "edgeworth n=500"],
     )

@@ -12,8 +12,8 @@ from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
     DEFAULT_NODES,
     EpsilonQuantities,
-    _endpoint_state,
     _epsilon_numeric,
+    _operator,
     ab,
     c_constants,
     cosh_sqrt,
@@ -254,8 +254,7 @@ def _per_node_epsilon(n: int, t: float) -> EpsilonQuantities:
     int_t^inf R_n(x, t) dx re-evaluates the full kernel block on the nodes.
     """
     nodes, outer_nodes = DEFAULT_NODES, max(200, 6 * n)
-    state = _endpoint_state(n, t, nodes)
-    op, p_sol = state.op, state.p_sol
+    op = _operator(n, t, nodes)
     grid = op.grid
     c_phi, c_psi = c_constants(n)
 
@@ -270,8 +269,9 @@ def _per_node_epsilon(n: int, t: float) -> EpsilonQuantities:
         return phi_psi_values(n, pts)[1]
 
     k_col = op.kernel_row(t)
-    sols = resolvent_solve_many(op, np.column_stack([eps_phi(grid.nodes), k_col]))
-    q_eps_sol, r_sol = sols[:, 0], sols[:, 1]
+    psi_nodes = phi_psi_scale(n) * op.node_parts[1]
+    sols = resolvent_solve_many(op, np.column_stack([psi_nodes, eps_phi(grid.nodes), k_col]))
+    p_sol, q_eps_sol, r_sol = sols[:, 0], sols[:, 1], sols[:, 2]
     v_tilde = inner_product(grid, q_eps_sol, psi_fn(grid.nodes))
     q_eps = nystrom_extend(op, q_eps_sol, eps_phi, t)
     left = build_grid(min(-math.sqrt(2.0 * n) - 10.0, t - 1.0), t, outer_nodes)
@@ -308,7 +308,7 @@ class TestEpsilonBatched:
     def test_tail_integrals_oracle(self, n):
         # the tail integrals behind eps phi, on each operator's nodes and t
         for t in (math.sqrt(2.0 * n) - 4.0, math.sqrt(2.0 * n) + 0.5):
-            grid = _endpoint_state(n, t, DEFAULT_NODES).op.grid
+            grid = _operator(n, t, DEFAULT_NODES).grid
             got = phi_psi_scale(n) * hermite_integrals(n, grid.nodes, t)[0]
             want = _phi_tail_oracle(n, np.append(grid.nodes, t))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -346,10 +346,11 @@ class TestEpsilonBatched:
             assert abs(got - want) <= tol * want, (offset, got, want)
 
     def test_one_recurrence_pass_per_point_set(self, monkeypatch):
-        # on a prebuilt endpoint state: the one integral pass over the nodes and
-        # t; the kernel's parts at the nodes and at t come with the state
+        # on a prebuilt operator: the pass at t for K(t, x_j) and the one
+        # integral pass over the nodes and t; the kernel's parts at the nodes
+        # come with the operator
         n, t = 40, 8.5
-        state = _endpoint_state(n, t, DEFAULT_NODES)
+        op = _operator(n, t, DEFAULT_NODES)
         calls = []
 
         def counted(module, name):
@@ -359,8 +360,8 @@ class TestEpsilonBatched:
         counted(special, "hermite_phi_two")
         counted(fredholm, "hermite_phi_two")
         counted(finite_n, "hermite_integrals")
-        got = _epsilon_numeric(state)
-        assert len(calls) == 1
+        got = _epsilon_numeric(op, n, t)
+        assert len(calls) == 2
         assert got == epsilon_numeric(n, t)
 
 
@@ -384,15 +385,39 @@ class TestWorkPerValue:
 
     @pytest.mark.parametrize("n", (40, 41))
     def test_assembly_builds_one_endpoint_state(self, n, monkeypatch):
-        # the operator, its LU and the psi solution serve both log F_{n,2}
-        # and the epsilon quantities: one operator, two two-column solves
+        # the operator gives log F_{n,2}, and its LU serves the epsilon
+        # quantities: one operator, one solve of the three columns
+        # [psi, eps phi, K(., t)]
         assembled = self._count(monkeypatch, finite_n, "assemble")
         solves = self._count(monkeypatch, finite_n, "resolvent_solve_many")
         t = math.sqrt(2.0 * n) + 0.3
         value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
         assert len(assembled) == 1
-        assert [a[1].shape[1] for a in solves] == [2, 2]
+        assert [a[1].shape[1] for a in solves] == [3]
         assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize(
+        "value, operators",
+        [
+            (lambda: f_n1(40, math.sqrt(80.0) - 0.5), 1),
+            (lambda: f_n4(41, (math.sqrt(82.0) - 0.5) / math.sqrt(2.0)), 1),
+            (lambda: q_p_n(40, math.sqrt(80.0) - 0.5), 1),
+            (lambda: f_n2(4, 2.0, "exponential"), DEFAULT_NODES),
+        ],
+        ids=["f_n1", "f_n4", "q_p_n", "f_n2 exponential"],
+    )
+    def test_each_operator_solved_once(self, value, operators, monkeypatch):
+        # no operator is left unsolved and none is solved twice
+        built = []
+        solved = []
+        assemble, solve = finite_n.assemble, finite_n.resolvent_solve_many
+        monkeypatch.setattr(finite_n, "assemble", lambda *a: built.append(assemble(*a)) or built[-1])
+        monkeypatch.setattr(
+            finite_n, "resolvent_solve_many", lambda op, rhs: solved.append(op) or solve(op, rhs)
+        )
+        value()
+        assert len(built) == operators
+        assert [id(op) for op in solved] == [id(op) for op in built]
 
     @pytest.mark.parametrize("n", (40, 41))
     def test_assembly_is_one_pass_per_point_set(self, n, monkeypatch):
@@ -504,6 +529,17 @@ class TestFn4:
         # kernel index 1 corresponds to zero quaternion eigenvalues
         for u in (-2.0, 0.0, 3.0):
             assert f_n4(1, u) == pytest.approx(1.0, abs=1e-10)
+
+    def test_n1_is_exactly_one(self, monkeypatch):
+        # F_{1,4} is the law of zero eigenvalues; in the left tail the assembly
+        # read 0.0 or raised ("log F = 2.04e-08 > 0" at u = -4)
+        def refuse(*args):
+            raise AssertionError("built an operator for n = 1")
+
+        monkeypatch.setattr(finite_n, "assemble", refuse)
+        for u in np.linspace(-8.0, 4.0, 49):
+            for method in ("assembly", "closed"):
+                assert f_n4(1, float(u), method=method) == 1.0
 
     def test_parity_check(self):
         with pytest.raises(ParameterError):
