@@ -95,19 +95,25 @@ class EdgeworthResult:
     combined: float
 
 
+def _operator(s: float):
+    """The operator of K_Ai on (s, S) from one Airy call on [nodes, s]."""
+    grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
+    z = np.append(grid.nodes, s)
+    ai, aip = airy_fn(z)
+    return assemble(grid, (ai, aip, aip * aip - z * ai * ai), 1.0)
+
+
 def _point_values(s: float):
     """Endpoint scalars (q_i, p_i, u_i, v_i, v~_i, w_i) of the operator on (s, S)."""
-    grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
-    op = assemble("airy", grid)
-    ai, aip, _ = op.node_parts  # from assemble's one Airy call on the nodes
+    op = _operator(s)
+    grid = op.grid
+    ai, aip, _ = op.node_parts
     powers = np.column_stack([np.ones(DEFAULT_NODES), grid.nodes, grid.nodes**2])
     rhs = np.column_stack([powers * ai[:, None], powers * aip[:, None]])
     sols = resolvent_solve_many(op, rhs)  # columns: Q0 Q1 Q2 P0 P1 P2
-    s_parts = op.parts(s)  # the one Airy call at s
-    krow = op.kernel_row(s, s_parts)
-    ai_s, aip_s, _ = s_parts
+    ai_s, aip_s, _ = op.end_parts
     endpoint_rhs = np.array([ai_s, s * ai_s, s * s * ai_s, aip_s, s * aip_s, s * s * aip_s])
-    endpoint = endpoint_rhs + krow @ (grid.weights[:, None] * sols)
+    endpoint = endpoint_rhs + op.end_row @ (grid.weights[:, None] * sols)
     w_ai = grid.weights * ai
     w_aip = grid.weights * aip
     u = tuple(float(w_ai @ sols[:, i]) for i in range(3))
@@ -184,8 +190,7 @@ def log_f2_limit(s: float, method: str = "determinant") -> float:
     """log F_2(s); Airy Fredholm determinant or exponential integral path."""
     _window_check(s)
     if method == "determinant":
-        grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
-        return fredholm_log_det(assemble("airy", grid))
+        return fredholm_log_det(_operator(s))
     if method == "exponential":
         return _bundle_cached(s)[1]
     raise ParameterError(f"unknown method {method!r}")

@@ -156,8 +156,8 @@ def cmd_convergence(args, stream) -> int:
         sup_errors.append(worst)
     rows = []
     for i, (n, err) in enumerate(zip(ns, sup_errors)):
-        if i == 0:
-            rate = float("nan")
+        if i == 0 or err == 0.0 or sup_errors[i - 1] == 0.0:
+            rate = float("nan")  # no rate from a zero error
         else:
             rate = math.log(err / sup_errors[i - 1]) / math.log(n / ns[i - 1])
         rows.append((n, err, rate))
@@ -256,7 +256,11 @@ def main(argv=None, stdout=None) -> int:
     stream = stdout if stdout is not None else sys.stdout
     try:
         if args.out:
-            with open(args.out, "w", newline="") as handle:
+            try:
+                handle = open(args.out, "w", newline="")
+            except OSError as exc:
+                raise ParameterError(f"cannot open --out {args.out}: {exc.strerror}") from None
+            with handle:
                 return COMMANDS[args.command](args, handle)
         return COMMANDS[args.command](args, stream)
     except ParameterError as exc:

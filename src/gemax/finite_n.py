@@ -11,7 +11,11 @@ same epsilon quantities directly from the resolvent for cross-checking.
 Every Hermite-function integral that path needs (eps phi, the integrals
 left of t, c_phi and c_psi) is exact, from the integral recurrence of
 :func:`gemax.special.hermite_integrals`; quadrature enters only through the
-Nystrom operator on (t, T).
+Nystrom operator on (t, T).  Each operator takes its kernel's parts on its
+nodes and t from one recurrence pass (``hermite_parts``, or for a GOE/GSE
+value the ``hermite_integrals`` pass that also gives its integrals), so a
+GOE/GSE value, a determinant F_{n,2} value and q_p_n make one pass each,
+and an exponential f_n2 or ab value one per outer node.
 """
 
 from __future__ import annotations
@@ -22,14 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fredholm import (
-    DiscretizedKernel,
-    assemble,
-    fredholm_log_det,
-    inner_product,
-    resolvent_solve_many,
-)
-from .special import build_grid, hermite_integrals, phi_psi_scale
+from .fredholm import DiscretizedKernel, assemble, fredholm_log_det, resolvent_solve_many
+from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
 
 DEFAULT_NODES = 64
 
@@ -66,8 +64,16 @@ class EpsilonQuantities:
 
 
 def _operator(n: int, t: float, nodes: int) -> DiscretizedKernel:
-    """The Nystrom operator of K_{n,2} on (t, T)."""
-    return assemble(f"hermite({n})", build_grid(t, _upper_cutoff(n, t), nodes))
+    """The Nystrom operator of K_{n,2} on (t, T), from one recurrence pass on [nodes, t]."""
+    grid = build_grid(t, _upper_cutoff(n, t), nodes)
+    return assemble(grid, hermite_parts(n, np.append(grid.nodes, t)), math.sqrt(n / 2.0))
+
+
+def _integral_operator(n: int, t: float, nodes: int):
+    """The operator of :func:`_operator` and the integrals on [nodes, t], from one pass."""
+    grid = build_grid(t, _upper_cutoff(n, t), nodes)
+    parts, *integrals = hermite_integrals(n, grid.nodes, t)
+    return assemble(grid, parts, math.sqrt(n / 2.0)), integrals
 
 
 def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
@@ -75,12 +81,10 @@ def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
     _check_n(n)
     op = _operator(n, t, nodes)
     scale = phi_psi_scale(n)
-    phi, psi = scale * op.node_parts[0], scale * op.node_parts[1]  # from assemble's pass
+    phi, psi = scale * op.node_parts[0], scale * op.node_parts[1]
     sols = resolvent_solve_many(op, np.column_stack([phi, psi]))
-    t_parts = op.parts(t)  # the one recurrence pass at t
-    krow = op.kernel_row(t, t_parts)
-    q_t = float(scale * t_parts[0] + krow @ (op.grid.weights * sols[:, 0]))
-    p_t = float(scale * t_parts[1] + krow @ (op.grid.weights * sols[:, 1]))
+    q_t = float(scale * op.end_parts[0] + op.end_row @ (op.grid.weights * sols[:, 0]))
+    p_t = float(scale * op.end_parts[1] + op.end_row @ (op.grid.weights * sols[:, 1]))
     return q_t, p_t
 
 
@@ -158,33 +162,42 @@ def _checked_log_f(log_f: float, n: int, t: float, method: str) -> float:
 LOG_FLOOR = -30.0
 
 
-def _cdf(
-    n: int, t: float, parity: int | None, nodes: int, method: str = "determinant", bracket=None
-) -> float:
-    """A finite-n CDF value under the one failure policy every public CDF shares.
+def _cdf(n: int, t: float, parity: int | None, nodes: int, method: str) -> float:
+    """A finite-n CDF value under the one method dispatch and failure policy.
 
-    Without ``bracket`` the value is F_{n,2}(t) = exp(log_f_n2) by ``method``.
-    With it, ``bracket(op)`` returns F^2 / F_{n,2} and the value is
-    sqrt(F_{n,2} bracket), the GOE/GSE form, with F_{n,2} the determinant of
-    the operator op on (t, T), built here once; the "assembly" bracket
-    solves with the same operator.  A bracket that overflows, or is not
-    finite, raises NumericalError, and so does a combined log F above
-    LOG_F_ROUNDING.  The result is clamped to [0, 1], which absorbs rounding
-    only.
+    With parity None the value is F_{n,2}(t) = exp(log_f_n2) by ``method``.
+    With parity 0 (GOE) or 1 (GSE) it is sqrt(F_{n,2} bracket), the
+    bracket being F^2 / F_{n,2} and F_{n,2} the determinant of the operator
+    on (t, T).  The "assembly" bracket comes from the epsilon quantities of
+    that operator, built with their Hermite integrals from one recurrence
+    pass; the "closed" one is the hyperbolic form in a(t), b(t).  A bracket
+    that overflows, or is not finite, raises NumericalError, and so does a
+    combined log F above LOG_F_ROUNDING.  The result is clamped to [0, 1],
+    which absorbs rounding only.
     """
     _check_n(n, parity)
-    try:
-        if bracket is None:
-            log_f = log_f_n2(n, t, method, nodes)
+    if parity is not None:
+        if method not in ("assembly", "closed"):
+            raise ParameterError(f"unknown method {method!r}")
+        if parity == 1 and n == 1:  # F_{1,4}: no symplectic eigenvalues
+            return 1.0
+        if method == "assembly":
+            op, integrals = _integral_operator(n, t, nodes)
+            bracket = lambda: (f1_sq_ratio, f4_sq_ratio)[parity](_epsilon_numeric(op, integrals, n))
         else:
             op = _operator(n, t, nodes)
+            bracket = lambda: (_f1_closed_bracket, _f4_closed_bracket)[parity](n, t, nodes)
+    try:
+        if parity is None:
+            log_f = log_f_n2(n, t, method, nodes)
+        else:
             log_f = _checked_log_f(fredholm_log_det(op), n, t, "determinant")
     except NumericalError:
         # sign loss, or a log F above rounding, happens only where F_{n,2}
         # is far beyond double-precision resolution
         return 0.0
-    if bracket is not None:
-        ratio = bracket(op)
+    if parity is not None:
+        ratio = bracket()
         if not math.isfinite(ratio):
             raise NumericalError(f"non-finite squared ratio {ratio} at n={n}, t={t}")
         if ratio < -1e-10:
@@ -310,16 +323,17 @@ def epsilon_numeric(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuan
     (-inf, t), taken term by term with the same recurrence.
     """
     _check_n(n)
-    return _epsilon_numeric(_operator(n, t, nodes), n, t)
+    return _epsilon_numeric(*_integral_operator(n, t, nodes), n)
 
 
-def _epsilon_numeric(op: DiscretizedKernel, n: int, t: float) -> EpsilonQuantities:
+def _epsilon_numeric(op: DiscretizedKernel, integrals, n: int) -> EpsilonQuantities:
     """The epsilon quantities from the operator on (t, T) and one resolvent solve.
 
-    eps phi = c_phi - int_x^inf phi at the nodes and at t, and the integrals
-    left of t of psi and of the kernel K(s, x) at the nodes and at t, come
-    exactly from one recurrence pass (:func:`hermite_integrals`).  psi (from
-    the parts ``assemble`` kept at the nodes), eps phi and the kernel column
+    ``integrals`` are the integrals :func:`hermite_integrals` gives with the
+    operator's parts in one recurrence pass: eps phi = c_phi - int_x^inf phi
+    at the nodes and at t, and the integrals left of t of psi and of the
+    kernel K(s, x) at the nodes and at t.  psi (from the operator's node
+    parts), eps phi and the kernel column
     K(x_j, t) = K(t, x_j) share one three-column resolvent solve, whose
     columns are P_n, (I - K)^{-1} eps phi and the resolvent kernel R_n(x_j, t).
     The Nystrom extensions P_n(x) = psi(x) + sum_j w_j K(x, x_j) P_n(x_j) and
@@ -332,14 +346,13 @@ def _epsilon_numeric(op: DiscretizedKernel, n: int, t: float) -> EpsilonQuantiti
     w = grid.weights
     scale = phi_psi_scale(n)
     psi = scale * op.node_parts[1]
-    krow = op.kernel_row(t)  # the one recurrence pass at t
-    tail, psi_left, kernel_left = hermite_integrals(n, grid.nodes, t)
+    tail, psi_left, kernel_left = integrals
 
     eps_phi = c_phi - scale * tail
-    sols = resolvent_solve_many(op, np.column_stack([psi, eps_phi[:-1], krow]))
+    sols = resolvent_solve_many(op, np.column_stack([psi, eps_phi[:-1], op.end_row]))
     p_sol, q_eps_sol, r_sol = sols[:, 0], sols[:, 1], sols[:, 2]
-    v_tilde = inner_product(grid, q_eps_sol, psi)
-    q_eps = eps_phi[-1] + krow @ (w * q_eps_sol)
+    v_tilde = float(np.sum(w * q_eps_sol * psi))
+    q_eps = eps_phi[-1] + op.end_row @ (w * q_eps_sol)
 
     # int_{-inf}^t P_n and int_{-inf}^t R_n(x, t) dx
     p1 = float(scale * psi_left + kernel_left[:-1] @ (w * p_sol))
@@ -386,13 +399,7 @@ def f_n1(n: int, t: float, nodes: int = DEFAULT_NODES, method: str = "assembly")
     hyperbolic bracket in a(t), b(t) instead, which is an edge asymptotic
     (it degrades to percent-level accuracy at small n away from t -> inf).
     """
-    if method == "assembly":
-        bracket = lambda op: f1_sq_ratio(_epsilon_numeric(op, n, t))
-    elif method == "closed":
-        bracket = lambda _: _f1_closed_bracket(n, t, nodes)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    return _cdf(n, t, 0, nodes, method, bracket)
+    return _cdf(n, t, 0, nodes, method)
 
 
 def _f1_closed_bracket(n: int, t: float, nodes: int) -> float:
@@ -420,16 +427,7 @@ def f_n4(n: int, u: float, nodes: int = DEFAULT_NODES, method: str = "assembly")
     The default "assembly" method is exact up to quadrature error; "closed"
     is the edge-asymptotic cosh(sqrt(ab/2)) exp(-int (x-t) q_n p_n) form.
     """
-    t = u * math.sqrt(2.0)
-    if method == "assembly":
-        bracket = lambda op: f4_sq_ratio(_epsilon_numeric(op, n, t))
-    elif method == "closed":
-        bracket = lambda _: _f4_closed_bracket(n, t, nodes)
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    if n == 1:  # no symplectic eigenvalues
-        return 1.0
-    return _cdf(n, t, 1, nodes, method, bracket)
+    return _cdf(n, u * math.sqrt(2.0), 1, nodes, method)
 
 
 def _f4_closed_bracket(n: int, t: float, nodes: int) -> float:

@@ -1,10 +1,12 @@
-"""Nystrom discretization of the integrable Hermite and Airy kernels.
+"""Nystrom discretization of integrable kernels.
 
-Both kernels have the integrable form c (f(x)g(y) - f(y)g(x))/(x - y):
-f, g = phi_n, phi_{n-1} with c = sqrt(n/2) for the Christoffel-Darboux
-Hermite kernel, and f, g = Ai, Ai' for the Airy kernel.  One private core
-evaluates that form and its diagonal limit; each kernel supplies only its
-pair and its diagonal, and an operator keeps them at its nodes.
+The Hermite and Airy kernels both have the integrable form
+scale (f(x)g(y) - f(y)g(x))/(x - y): f, g = phi_n, phi_{n-1} with
+scale = sqrt(n/2) for the Christoffel-Darboux Hermite kernel, and
+f, g = Ai, Ai' with scale = 1 for the Airy kernel.  This module knows no
+kernel by name: each caller evaluates its kernel's parts (f, g, K(z, z))
+once, on the nodes and the left end, and hands them to :func:`assemble`;
+one private core evaluates the form and its diagonal limit from them.
 
 A kernel K on (lower, upper) is discretized as the symmetric matrix
 A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Fredholm determinants are
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NumericalError, ParameterError
-from .special import QuadratureGrid, airy, hermite_phi_two
+from .special import QuadratureGrid
 
 #: below this separation the difference quotient loses too many digits
 #: and the diagonal-limit form with a first-order Taylor step is used
@@ -44,52 +46,25 @@ def _integrable_form(x, px, y, py, scale: float):
     return np.where(near, 0.5 * (diag_x + diag_y), off)
 
 
-def _kernel_parts(kernel_id: str):
-    """(parts, scale) of ``"airy"`` or ``"hermite(n)"``; parts(z) = (f(z), g(z), K(z, z))."""
-    if kernel_id == "airy":
-        return _airy_parts, 1.0
-    if not (kernel_id.startswith("hermite(") and kernel_id.endswith(")")):
-        raise ParameterError(f"unknown kernel_id {kernel_id!r}")
-    n = int(kernel_id[len("hermite(") : -1])
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    c = np.sqrt(n / 2.0)
-    root = np.sqrt(2.0 * n)
-
-    def parts(z):
-        f, g = hermite_phi_two(n, z)  # f = phi_n, g = phi_{n-1}
-        fp = -z * f + root * g
-        gp = z * g - root * f
-        return f, g, c * (fp * g - f * gp)
-
-    return parts, c
-
-
-def _airy_parts(z):
-    ai, aip = airy(z)
-    return ai, aip, aip * aip - z * ai * ai
-
-
 @dataclass(frozen=True)
 class DiscretizedKernel:
     """Symmetrized Nystrom matrix of a kernel on a grid."""
 
     grid: QuadratureGrid
     matrix: np.ndarray
-    kernel_id: str
-    #: the kernel's parts (f, g, K(x, x)) at the nodes, as assembled
+    scale: float
+    #: the kernel's parts (f, g, K(x, x)) at the nodes and at the left end
     node_parts: tuple = field(repr=False)
+    end_parts: tuple = field(repr=False)
 
-    def parts(self, x) -> tuple:
-        """The kernel's parts (f(x), g(x), K(x, x)) at new points x."""
-        return _kernel_parts(self.kernel_id)[0](np.asarray(x, dtype=float))
+    def kernel_row(self, x, px) -> np.ndarray:
+        """K(x, x_j) at the grid nodes (unsymmetrized), from the parts px at x."""
+        return _integrable_form(x, px, self.grid.nodes, self.node_parts, self.scale)
 
-    def kernel_row(self, x, px=None) -> np.ndarray:
-        """K(x, x_j) at the grid nodes (unsymmetrized), from px = parts(x) if given."""
-        x = np.asarray(x, dtype=float)
-        px = self.parts(x) if px is None else px
-        scale = _kernel_parts(self.kernel_id)[1]
-        return _integrable_form(x, px, self.grid.nodes, self.node_parts, scale)
+    @cached_property
+    def end_row(self) -> np.ndarray:
+        """K(lower, x_j) at the grid nodes, built on first use."""
+        return self.kernel_row(self.grid.lower, self.end_parts)
 
     @cached_property
     def _lu(self):
@@ -97,20 +72,21 @@ class DiscretizedKernel:
         return lu_factor(ident - self.matrix)
 
 
-def assemble(kernel_id: str, grid: QuadratureGrid) -> DiscretizedKernel:
-    """Build the symmetrized Nystrom matrix for ``"airy"`` or ``"hermite(n)"``.
+def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKernel:
+    """Build the symmetrized Nystrom matrix of an integrable kernel.
 
-    The kernel's parts are evaluated once on the nodes, serve both the row
-    and the column side of the matrix, and stay with the operator.
+    ``parts`` = (f, g, K(z, z)) at z = [nodes..., lower].  The node values
+    serve both the row and the column side of the matrix; they and the
+    values at the left end stay with the operator.
     """
-    parts, scale = _kernel_parts(kernel_id)
+    node_parts = tuple(v[:-1] for v in parts)
     x = grid.nodes
-    values = parts(x)
-    raw = _integrable_form(x[:, None], tuple(v[:, None] for v in values), x, values, scale)
+    raw = _integrable_form(x[:, None], tuple(v[:, None] for v in node_parts), x, node_parts, scale)
     sw = grid.sqrt_weights
     matrix = sw[:, None] * raw * sw[None, :]
     matrix = 0.5 * (matrix + matrix.T)  # scrub last-bit asymmetry
-    return DiscretizedKernel(grid=grid, matrix=matrix, kernel_id=kernel_id, node_parts=values)
+    end_parts = tuple(v[-1] for v in parts)
+    return DiscretizedKernel(grid, matrix, scale, node_parts, end_parts)
 
 
 def positive_log_det(matrix: np.ndarray, what: str) -> float:
@@ -123,7 +99,8 @@ def positive_log_det(matrix: np.ndarray, what: str) -> float:
 
 def fredholm_log_det(op: DiscretizedKernel) -> float:
     """log det(I - K); stays finite where the determinant underflows."""
-    return positive_log_det(np.eye(op.matrix.shape[0]) - op.matrix, op.kernel_id)
+    what = f"the kernel on ({op.grid.lower}, {op.grid.upper})"
+    return positive_log_det(np.eye(op.matrix.shape[0]) - op.matrix, what)
 
 
 def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.ndarray:
@@ -139,14 +116,5 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
     sw = op.grid.sqrt_weights
     y = lu_solve(op._lu, sw[:, None] * rhs_block)
     if not np.all(np.isfinite(y)):
-        raise NumericalError(f"resolvent solve failed for {op.kernel_id}")
+        raise NumericalError(f"resolvent solve failed on ({op.grid.lower}, {op.grid.upper})")
     return y / sw[:, None]
-
-
-def inner_product(grid: QuadratureGrid, f: np.ndarray, g: np.ndarray) -> float:
-    """Quadrature inner product sum_j w_j f_j g_j on the grid interval."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != grid.nodes.shape or g.shape != grid.nodes.shape:
-        raise ParameterError("sample count does not match grid")
-    return float(np.sum(grid.weights * f * g))

@@ -10,9 +10,11 @@ are usable far past k = 30 where raw Hermite polynomials overflow.  One pass
 yields the pair (phi_k, phi_{k-1}); the ladder identities
 phi_k' = -x phi_k + sqrt(2k) phi_{k-1} and
 phi_{k-1}' = x phi_{k-1} - sqrt(2k) phi_k give both derivatives from that
-pair, so no separate derivative routine is needed.  The integrals of the
-wave functions obey a recurrence of the same shape (see
-:func:`hermite_integrals`), so they too come exactly from one pass.
+pair, so no separate derivative routine is needed, and
+:func:`hermite_parts` turns it into the parts (f, g, K(z, z)) of the
+Christoffel-Darboux kernel that :func:`gemax.fredholm.assemble` takes.  The
+integrals of the wave functions obey a recurrence of the same shape, so
+:func:`hermite_integrals` gives them and the same parts from one pass.
 
 The Gauss-Legendre rules behind every quadrature grid are built by Newton's
 method in theta on P_m(cos theta) (Hale & Townsend, SIAM J. Sci. Comput. 35,
@@ -131,15 +133,29 @@ def hermite_phi_two(k: int, x):
     return cur, prev
 
 
-def hermite_phi(k: int, x):
-    """Normalized harmonic-oscillator wave function phi_k(x)."""
-    return hermite_phi_two(k, x)[0]
+def _christoffel_darboux_parts(n: int, z, f, g):
+    """(f, g, K_n(z, z)) from f = phi_n(z), g = phi_{n-1}(z) and the ladder identities."""
+    root = np.sqrt(2.0 * n)
+    fp = -z * f + root * g
+    gp = z * g - root * f
+    return f, g, np.sqrt(n / 2.0) * (fp * g - f * gp)
+
+
+def hermite_parts(n: int, z):
+    """The parts (phi_n(z), phi_{n-1}(z), K_n(z, z)) of the Christoffel-Darboux kernel.
+
+    K_n(x, y) = sqrt(n/2) (phi_n(x) phi_{n-1}(y) - phi_n(y) phi_{n-1}(x))/(x - y),
+    the integrable form with scale sqrt(n/2); one recurrence pass.
+    """
+    z = np.asarray(z, dtype=float)
+    return _christoffel_darboux_parts(n, z, *hermite_phi_two(n, z))
 
 
 def hermite_integrals(n: int, x, t: float):
-    """One recurrence pass giving the wave-function integrals at the points z = [x, t].
+    """One recurrence pass giving the kernel's parts and integrals at the points z = [x, t].
 
-    Returns (I_n(z), J_{n-1}(t), L(z)) with I_k(z) = int_z^inf phi_k,
+    Returns (parts, I_n(z), J_{n-1}(t), L(z)): parts is :func:`hermite_parts`
+    at z, bit for bit; I_k(z) = int_z^inf phi_k,
     J_k(t) = int_{-inf}^t phi_k and L(z) = sum_{k<n} phi_k(z) J_k(t), which
     is int_{-inf}^t K_n(s, z) ds for the Christoffel-Darboux kernel K_n.
     Integrating phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} gives
@@ -163,21 +179,13 @@ def hermite_integrals(n: int, x, t: float):
         down, up = math.sqrt(k / (k + 1.0)), math.sqrt(2.0 / (k + 1))
         i_prev, i_cur = i_cur, down * i_prev + up * cur
         j_prev, j_cur = j_cur, down * j_prev - up * cur[-1]
-    return i_cur, j_prev, total
+    f = z * math.sqrt(2.0 / n) * cur - math.sqrt((n - 1.0) / n) * prev  # phi_n
+    return _christoffel_darboux_parts(n, z, f, cur), i_cur, j_prev, total
 
 
 def phi_psi_scale(n: int) -> float:
     """The factor (n/2)^{1/4} that takes (phi_n, phi_{n-1}) to (phi, psi)."""
     return (n / 2.0) ** 0.25
-
-
-def phi_psi_values(n: int, x):
-    """The pair (phi(x), psi(x)) = (n/2)^{1/4} (phi_n(x), phi_{n-1}(x)); scalars or arrays."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    scale = phi_psi_scale(n)
-    cur, prev = hermite_phi_two(n, x)
-    return scale * cur, scale * prev
 
 
 def airy(x):

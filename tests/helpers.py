@@ -1,19 +1,41 @@
-"""Reference routines that only the tests use: the pointwise Hermite and Airy
-kernels, the Nystrom extension, the dense GOE/GUE sampler and the two-sample
-KS statistic with its critical value."""
+"""Reference routines that only the tests use: the wave functions one order
+at a time, the pointwise Hermite and Airy kernels and their operators, the
+Nystrom extension, the dense GOE/GUE sampler and the two-sample KS statistic
+with its critical value."""
 
 import math
+from functools import partial
 
 import numpy as np
 
 from gemax.errors import ParameterError
-from gemax.fredholm import DiscretizedKernel, _integrable_form, _kernel_parts
+from gemax.fredholm import DiscretizedKernel, _integrable_form, assemble
 from gemax.mc import _BATCH, McRun
+from gemax.special import airy, hermite_parts, hermite_phi_two, phi_psi_scale
 
 
-def _integrable_kernel(kernel_id: str, x, y):
+def hermite_phi(k: int, x):
+    """Normalized harmonic-oscillator wave function phi_k(x)."""
+    return hermite_phi_two(k, x)[0]
+
+
+def phi_psi_values(n: int, x):
+    """The pair (phi(x), psi(x)) = (n/2)^{1/4} (phi_n(x), phi_{n-1}(x)); scalars or arrays."""
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
+    scale = phi_psi_scale(n)
+    cur, prev = hermite_phi_two(n, x)
+    return scale * cur, scale * prev
+
+
+def airy_parts(z):
+    """The parts (Ai(z), Ai'(z), K_Ai(z, z)) of the Airy kernel, K_Ai(z, z) = Ai'^2 - z Ai^2."""
+    ai, aip = airy(z)
+    return ai, aip, aip * aip - z * ai * ai
+
+
+def _integrable_kernel(parts, scale: float, x, y):
     """The integrable form at (x, y), evaluating parts on each side."""
-    parts, scale = _kernel_parts(kernel_id)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = _integrable_form(x, parts(x), y, parts(y), scale)
@@ -31,26 +53,38 @@ def hermite_kernel(n: int, x, y):
     phi_{n-1}' = x phi_{n-1} - sqrt(2n) phi_n, so one recurrence pass per
     side serves both the quotient and the diagonal.
     """
-    return _integrable_kernel(f"hermite({n})", x, y)
+    return _integrable_kernel(partial(hermite_parts, n), math.sqrt(n / 2.0), x, y)
 
 
 def airy_kernel(x, y):
     """(Ai(x)Ai'(y) - Ai(y)Ai'(x))/(x - y) with diagonal limit Ai'(x)^2 - x Ai(x)^2."""
-    return _integrable_kernel("airy", x, y)
+    return _integrable_kernel(airy_parts, 1.0, x, y)
 
 
-def nystrom_extend(op: DiscretizedKernel, node_values: np.ndarray, rhs_fn, x):
+def hermite_operator(n: int, grid) -> DiscretizedKernel:
+    """The Nystrom operator of the Hermite kernel K_n on the grid."""
+    return assemble(grid, hermite_parts(n, np.append(grid.nodes, grid.lower)), math.sqrt(n / 2.0))
+
+
+def airy_operator(grid) -> DiscretizedKernel:
+    """The Nystrom operator of the Airy kernel on the grid."""
+    return assemble(grid, airy_parts(np.append(grid.nodes, grid.lower)), 1.0)
+
+
+def nystrom_extend(op: DiscretizedKernel, parts, node_values: np.ndarray, rhs_fn, x):
     """Natural Nystrom extension rhs(x) + sum_j w_j K(x, x_j) f_j.
 
+    ``parts`` maps points z to the kernel's parts (f(z), g(z), K(z, z)), and
     ``node_values`` are the node values f_j of one resolvent solution.
     Valid at any finite x, including points below the grid interval;
     at a node it reproduces the node value.
     """
     xarr = np.asarray(x, dtype=float)
     scalar = xarr.ndim == 0
-    pts = np.atleast_1d(xarr)
-    kernel_block = op.kernel_row(pts[:, None])  # shape (len(pts), count)
-    vals = np.asarray(rhs_fn(pts), dtype=float) + kernel_block @ (op.grid.weights * node_values)
+    pts = np.atleast_1d(xarr)[:, None]
+    kernel_block = op.kernel_row(pts, parts(pts))  # shape (len(pts), count)
+    vals = np.asarray(rhs_fn(pts[:, 0]), dtype=float)
+    vals = vals + kernel_block @ (op.grid.weights * node_values)
     return float(vals[0]) if scalar else vals
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gemax import airy as airy_module
-from gemax import fredholm
 from gemax.airy import (
     S_MAX,
     S_MIN,
@@ -133,17 +132,25 @@ class TestLimitLaws:
         assert points == [nodes * (nodes + 1) // 2]
         assert 0.0 < value < 1.0
 
-    def test_point_values_two_airy_calls(self, monkeypatch):
-        # Ai, Ai' on the nodes (in assemble) and at s; the nodes' values come
-        # with the operator, and s's serve both the row K(s, x_j) and the rhs
+    def test_point_values_one_airy_call(self, monkeypatch):
+        # Ai, Ai' on the nodes and at s in one call; the nodes' values serve the
+        # matrix and the rhs, s's the row K(s, x_j) and the endpoint values
         points = []
-        for module, name in ((fredholm, "airy"), (airy_module, "airy_fn")):
-            real = getattr(module, name)
-            counted = lambda x, real=real: points.append(np.size(x)) or real(x)
-            monkeypatch.setattr(module, name, counted)
+        airy_fn = airy_module.airy_fn
+        counted = lambda x: points.append(np.size(x)) or airy_fn(x)
+        monkeypatch.setattr(airy_module, "airy_fn", counted)
         q, _, _, _, _, _ = airy_module._point_values(-1.37)
-        assert points == [airy_module.DEFAULT_NODES, 1]
+        assert points == [airy_module.DEFAULT_NODES + 1]
         assert q[0] == hastings_mcleod_q(-1.37)
+
+    def test_fresh_bundle_airy_calls(self, monkeypatch):
+        # one Airy call for the point values at s and one at each outer node
+        points = []
+        airy_fn = airy_module.airy_fn
+        counted = lambda x: points.append(np.size(x)) or airy_fn(x)
+        monkeypatch.setattr(airy_module, "airy_fn", counted)
+        airy_module._bundle_cached.__wrapped__(-1.37)
+        assert points == [airy_module.DEFAULT_NODES + 1] * (airy_module.DEFAULT_NODES + 1)
 
     @pytest.mark.parametrize("law", [f1_limit, f4_limit], ids=["F1", "F4"])
     def test_sign_loss_raises(self, law, monkeypatch):

@@ -248,6 +248,18 @@ class TestConvergence:
         last_rate = float(lines[-1].split(",")[-1])
         assert last_rate == pytest.approx(-2.0 / 3.0, abs=0.25)
 
+    def test_zero_error_rate_is_nan(self):
+        # at s = 8 truth and expansion both round to 1.0: every sup error is
+        # 0, and a rate between two zero errors ended in ZeroDivisionError
+        code, out = run_cli(
+            ["convergence", "--reference", "edgeworth", "--s-min", "8", "--s-max", "8",
+             "--steps", "1", "--n-list", "20,40,80"]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == [0.0, 0.0, 0.0]
+        assert all(math.isnan(float(row[2])) for row in rows)
+
     def test_n_list_validation(self):
         code, _ = run_cli(
             ["convergence", "--ensemble", "gue", "--n-list", "20,40",
@@ -307,6 +319,18 @@ class TestParser:
         # ZeroDivisionError) or, with n outside 1..400 and --steps 0, in an
         # empty table; none may get as far as computing a value
         code, out = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["limit", "--steps", "2"], ["validate", "--criteria", "1"]],
+        ids=["limit", "validate"],
+    )
+    def test_unopenable_out_is_a_usage_error(self, argv, tmp_path, capsys):
+        # a path in a missing directory ended in a FileNotFoundError traceback
+        code, out = run_cli([*argv, "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,18 +1,20 @@
 """Oracle tests for the finite-n largest-eigenvalue distributions."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import erfc
 
-from gemax import finite_n, fredholm, special
+from gemax import finite_n, special
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
     DEFAULT_NODES,
     EpsilonQuantities,
     _epsilon_numeric,
+    _integral_operator,
     _operator,
     ab,
     c_constants,
@@ -30,9 +32,9 @@ from gemax.finite_n import (
     q_p_n,
     sinhc_sqrt,
 )
-from gemax.fredholm import inner_product, resolvent_solve_many
-from gemax.special import build_grid, hermite_integrals, phi_psi_scale, phi_psi_values
-from helpers import hermite_kernel, nystrom_extend
+from gemax.fredholm import resolvent_solve_many
+from gemax.special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
+from helpers import hermite_kernel, nystrom_extend, phi_psi_values
 
 
 def gaussian_cdf(t: float) -> float:
@@ -268,19 +270,20 @@ def _per_node_epsilon(n: int, t: float) -> EpsilonQuantities:
     def psi_fn(pts):
         return phi_psi_values(n, pts)[1]
 
-    k_col = op.kernel_row(t)
+    parts = partial(hermite_parts, n)
+    k_col = op.kernel_row(t, parts(t))
     psi_nodes = phi_psi_scale(n) * op.node_parts[1]
     sols = resolvent_solve_many(op, np.column_stack([psi_nodes, eps_phi(grid.nodes), k_col]))
     p_sol, q_eps_sol, r_sol = sols[:, 0], sols[:, 1], sols[:, 2]
-    v_tilde = inner_product(grid, q_eps_sol, psi_fn(grid.nodes))
-    q_eps = nystrom_extend(op, q_eps_sol, eps_phi, t)
+    v_tilde = float(np.sum(grid.weights * q_eps_sol * psi_fn(grid.nodes)))
+    q_eps = nystrom_extend(op, parts, q_eps_sol, eps_phi, t)
     left = build_grid(min(-math.sqrt(2.0 * n) - 10.0, t - 1.0), t, outer_nodes)
-    p_left = nystrom_extend(op, p_sol, psi_fn, left.nodes)
+    p_left = nystrom_extend(op, parts, p_sol, psi_fn, left.nodes)
     k_left = hermite_kernel(n, left.nodes[:, None], grid.nodes[None, :])
     r_left = hermite_kernel(n, left.nodes, t) + k_left @ (grid.weights * r_sol)
     p1 = float(np.sum(left.weights * p_left))
     r1 = float(np.sum(left.weights * r_left))
-    k_nodes = op.kernel_row(grid.nodes[:, None])
+    k_nodes = op.kernel_row(grid.nodes[:, None], parts(grid.nodes[:, None]))
     r_right_vals = k_col + k_nodes @ (grid.weights * r_sol)
     p4 = 0.5 * (float(np.sum(grid.weights * p_sol)) - p1)
     r4 = 0.5 * (float(np.sum(grid.weights * r_right_vals)) - r1)
@@ -309,7 +312,7 @@ class TestEpsilonBatched:
         # the tail integrals behind eps phi, on each operator's nodes and t
         for t in (math.sqrt(2.0 * n) - 4.0, math.sqrt(2.0 * n) + 0.5):
             grid = _operator(n, t, DEFAULT_NODES).grid
-            got = phi_psi_scale(n) * hermite_integrals(n, grid.nodes, t)[0]
+            got = phi_psi_scale(n) * hermite_integrals(n, grid.nodes, t)[1]
             want = _phi_tail_oracle(n, np.append(grid.nodes, t))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -346,23 +349,38 @@ class TestEpsilonBatched:
             assert abs(got - want) <= tol * want, (offset, got, want)
 
     def test_one_recurrence_pass_per_point_set(self, monkeypatch):
-        # on a prebuilt operator: the pass at t for K(t, x_j) and the one
-        # integral pass over the nodes and t; the kernel's parts at the nodes
-        # come with the operator
+        # the operator, with its parts at the nodes and at t, and the integrals
+        # come from one hermite_integrals pass over the nodes and t; the
+        # epsilon quantities on a prebuilt operator make no pass of their own
         n, t = 40, 8.5
-        op = _operator(n, t, DEFAULT_NODES)
         calls = []
 
         def counted(module, name):
             original = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda k, *a: calls.append(k) or original(k, *a))
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or original(*a))
 
         counted(special, "hermite_phi_two")
-        counted(fredholm, "hermite_phi_two")
+        counted(finite_n, "hermite_parts")
         counted(finite_n, "hermite_integrals")
-        got = _epsilon_numeric(op, n, t)
-        assert len(calls) == 2
-        assert got == epsilon_numeric(n, t)
+        got = epsilon_numeric(n, t)
+        assert calls == ["hermite_integrals"]
+        op, integrals = _integral_operator(n, t, DEFAULT_NODES)
+        calls.clear()
+        assert _epsilon_numeric(op, integrals, n) == got
+        assert calls == []
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 40, 41, 399, 400))
+    def test_integral_pass_builds_the_same_operator(self, n):
+        # the parts hermite_integrals gives on [nodes, t] are those of
+        # hermite_parts bit for bit, so the GOE/GSE operator is the GUE one
+        edge = math.sqrt(2.0 * n)
+        for t in (edge - 4.0, edge, edge + 2.0):
+            op, _ = _integral_operator(n, t, DEFAULT_NODES)
+            ref = _operator(n, t, DEFAULT_NODES)
+            assert np.array_equal(op.matrix, ref.matrix)
+            for got, want in zip(op.node_parts + op.end_parts, ref.node_parts + ref.end_parts):
+                assert np.array_equal(got, want)
+            assert np.array_equal(op.end_row, ref.end_row)
 
 
 class TestWorkPerValue:
@@ -376,11 +394,18 @@ class TestWorkPerValue:
         return calls
 
     def test_determinant_is_one_operator_and_no_solve(self, monkeypatch):
-        assembled = self._count(monkeypatch, finite_n, "assemble")
+        # one pass on the nodes and t, and no row K(t, x_j)
+        built = []
+        assemble = finite_n.assemble
+        monkeypatch.setattr(
+            finite_n, "assemble", lambda *a: built.append(assemble(*a)) or built[-1]
+        )
         solves = self._count(monkeypatch, finite_n, "resolvent_solve_many")
-        passes = self._count(monkeypatch, fredholm, "hermite_phi_two")
+        passes = self._count(monkeypatch, special, "hermite_phi_two")
         value = f_n2(400, math.sqrt(800.0) - 1.0)
-        assert (len(assembled), len(solves), len(passes)) == (1, 0, 1)
+        assert (len(built), len(solves), len(passes)) == (1, 0, 1)
+        assert np.size(passes[0][1]) == DEFAULT_NODES + 1
+        assert "end_row" not in built[0].__dict__
         assert 0.0 < value < 1.0
 
     @pytest.mark.parametrize("n", (40, 41))
@@ -421,15 +446,29 @@ class TestWorkPerValue:
 
     @pytest.mark.parametrize("n", (40, 41))
     def test_assembly_is_one_pass_per_point_set(self, n, monkeypatch):
-        # the nodes (in assemble), t, and the integral pass over both: three
-        # recurrence passes for a whole GOE/GSE value
-        in_kernel = self._count(monkeypatch, fredholm, "hermite_phi_two")
-        elsewhere = self._count(monkeypatch, special, "hermite_phi_two")
+        # one integral pass over the nodes and t gives the operator, its row
+        # K(t, x_j) and the integrals: one recurrence pass for a whole GOE/GSE value
+        phi_two = self._count(monkeypatch, special, "hermite_phi_two")
         integrals = self._count(monkeypatch, finite_n, "hermite_integrals")
         t = math.sqrt(2.0 * n) + 0.3
         value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
-        assert len(in_kernel) + len(elsewhere) + len(integrals) == 3
+        assert (len(integrals), len(phi_two)) == (1, 0)
         assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize(
+        "value, passes",
+        [
+            (lambda: q_p_n(40, math.sqrt(80.0) - 0.5), 1),
+            (lambda: f_n2(4, 2.0, "exponential"), DEFAULT_NODES),
+            (lambda: ab(4, 2.0), DEFAULT_NODES),
+        ],
+        ids=["q_p_n", "f_n2 exponential", "ab"],
+    )
+    def test_one_pass_per_operator(self, value, passes, monkeypatch):
+        # each q_p_n operator takes its parts at the nodes and at t from one pass
+        phi_two = self._count(monkeypatch, special, "hermite_phi_two")
+        value()
+        assert [np.size(a[1]) for a in phi_two] == [DEFAULT_NODES + 1] * passes
 
 
 GOE_SWEEP = (2, 4, 10, 40)

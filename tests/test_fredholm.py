@@ -6,16 +6,17 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gemax import fredholm
 from gemax.errors import ParameterError
-from gemax.fredholm import (
-    assemble,
-    fredholm_log_det,
-    inner_product,
-    resolvent_solve_many,
+from gemax.fredholm import fredholm_log_det, resolvent_solve_many
+from gemax.special import airy, build_grid, hermite_parts
+from helpers import (
+    airy_kernel,
+    airy_operator,
+    hermite_kernel,
+    hermite_operator,
+    hermite_phi,
+    nystrom_extend,
 )
-from gemax.special import airy, build_grid, hermite_phi
-from helpers import airy_kernel, hermite_kernel, nystrom_extend
 
 
 class TestHermiteKernel:
@@ -85,45 +86,36 @@ class TestAiryKernel:
 class TestAssemble:
     def test_matrix_symmetric(self):
         grid = build_grid(-1.0, 5.0, 24)
-        op = assemble("hermite(3)", grid)
+        op = hermite_operator(3, grid)
         assert np.array_equal(op.matrix, op.matrix.T)
 
-    def test_unknown_kernel(self):
-        grid = build_grid(-1.0, 5.0, 8)
-        with pytest.raises(ParameterError):
-            assemble("bessel", grid)
-
     CASES = [
-        ("hermite(1)", partial(hermite_kernel, 1), -3.0, 10.0),
-        ("hermite(40)", partial(hermite_kernel, 40), math.sqrt(80) - 4.0, math.sqrt(80) + 10.0),
-        ("hermite(400)", partial(hermite_kernel, 400), math.sqrt(800) - 4.0, math.sqrt(800) + 10.0),
-        ("airy", airy_kernel, -10.0, 30.0),
+        ("hermite(1)", partial(hermite_operator, 1), partial(hermite_kernel, 1), -3.0, 10.0),
+        ("hermite(40)", partial(hermite_operator, 40), partial(hermite_kernel, 40),
+         math.sqrt(80) - 4.0, math.sqrt(80) + 10.0),
+        ("hermite(400)", partial(hermite_operator, 400), partial(hermite_kernel, 400),
+         math.sqrt(800) - 4.0, math.sqrt(800) + 10.0),
+        ("airy", airy_operator, airy_kernel, -10.0, 30.0),
     ]
 
-    @pytest.mark.parametrize("kernel_id,kernel,lower,upper", CASES, ids=[c[0] for c in CASES])
-    def test_one_pass_matches_two_pass(self, kernel_id, kernel, lower, upper):
+    @pytest.mark.parametrize("name,operator,kernel,lower,upper", CASES, ids=[c[0] for c in CASES])
+    def test_one_pass_matches_two_pass(self, name, operator, kernel, lower, upper):
         # the kernel evaluated separately on the row and the column side, as
         # kernel(x_i, x_j), must give the very same matrix
         grid = build_grid(lower, upper, 96)
         x, sw = grid.nodes, grid.sqrt_weights
         two_pass = sw[:, None] * kernel(x[:, None], x[None, :]) * sw[None, :]
         two_pass = 0.5 * (two_pass + two_pass.T)
-        assert np.array_equal(assemble(kernel_id, grid).matrix, two_pass)
+        assert np.array_equal(operator(grid).matrix, two_pass)
 
-    @pytest.mark.parametrize("kernel_id,name", [("hermite(400)", "hermite_phi_two"), ("airy", "airy")])
-    def test_one_pass_per_assembly(self, kernel_id, name, monkeypatch):
-        # one evaluation of the wave functions (or of Ai, Ai') on the nodes serves
-        # both sides of the matrix
-        calls = []
-        real = getattr(fredholm, name)
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(fredholm, name, counting)
-        assemble(kernel_id, build_grid(25.0, 40.0, 96))
-        assert len(calls) == 1
+    @pytest.mark.parametrize("name,operator,kernel,lower,upper", CASES, ids=[c[0] for c in CASES])
+    def test_end_row_is_kernel_at_lower(self, name, operator, kernel, lower, upper):
+        # the row K(lower, x_j) comes from the parts the caller gave at the
+        # left end, and is built only when first read
+        grid = build_grid(lower, upper, 96)
+        op = operator(grid)
+        assert "end_row" not in op.__dict__
+        np.testing.assert_allclose(op.end_row, kernel(lower, grid.nodes), rtol=1e-14, atol=0.0)
 
 
 class TestFredholmDet:
@@ -132,12 +124,12 @@ class TestFredholmDet:
         # 1 - int_t^T phi_0(x)^2 dx = (1 + erf(t))/2 for large T
         t = 0.4
         grid = build_grid(t, t + 12.0, 64)
-        det = math.exp(fredholm_log_det(assemble("hermite(1)", grid)))
+        det = math.exp(fredholm_log_det(hermite_operator(1, grid)))
         assert det == pytest.approx((1 + math.erf(t)) / 2, abs=1e-12)
 
     def test_log_det_matches_det(self):
         grid = build_grid(-1.0, 9.0, 48)
-        op = assemble("hermite(4)", grid)
+        op = hermite_operator(4, grid)
         direct = np.linalg.det(np.eye(grid.count) - op.matrix)
         assert math.exp(fredholm_log_det(op)) == pytest.approx(direct, rel=1e-13)
 
@@ -145,7 +137,7 @@ class TestFredholmDet:
         # [DERIVED] F_2(0) from high-precision published evaluations of the
         # Tracy-Widom GUE distribution: F_2(0) = 0.9693728283552...
         grid = build_grid(0.0, 30.0, 96)
-        det = math.exp(fredholm_log_det(assemble("airy", grid)))
+        det = math.exp(fredholm_log_det(airy_operator(grid)))
         assert det == pytest.approx(0.9693728283552, abs=1e-10)
 
 
@@ -155,19 +147,19 @@ class TestResolvent:
         # (I - K)^{-1} f = f + phi_0 <phi_0, f> / (1 - <phi_0, phi_0>)
         t, width = -0.2, 14.0
         grid = build_grid(t, t + width, 72)
-        op = assemble("hermite(1)", grid)
+        op = hermite_operator(1, grid)
         phi0 = hermite_phi(0, grid.nodes)
         rhs = np.cos(grid.nodes)
         sol = resolvent_solve_many(op, rhs[:, None])[:, 0]
-        s = inner_product(grid, phi0, phi0)
-        proj = inner_product(grid, phi0, rhs)
+        s = float(np.sum(grid.weights * phi0 * phi0))
+        proj = float(np.sum(grid.weights * phi0 * rhs))
         expect = rhs + phi0 * proj / (1 - s)
         assert np.allclose(sol, expect, atol=1e-10)
 
     def test_solve_many_matches_single(self):
         # each column against a dense solve of the Nystrom system (I - A) y = sqrt(w) rhs
         grid = build_grid(-1.0, 8.0, 40)
-        op = assemble("hermite(3)", grid)
+        op = hermite_operator(3, grid)
         rhs = np.stack([np.exp(-grid.nodes**2), grid.nodes], axis=1)
         block = resolvent_solve_many(op, rhs)
         sw = grid.sqrt_weights
@@ -178,39 +170,31 @@ class TestResolvent:
 
     def test_rhs_shape_check(self):
         grid = build_grid(-1.0, 8.0, 40)
-        op = assemble("hermite(3)", grid)
+        op = hermite_operator(3, grid)
         for bad in (np.zeros((7, 1)), np.zeros(40)):
             with pytest.raises(ParameterError):
                 resolvent_solve_many(op, bad)
 
     def test_nystrom_extend_reproduces_nodes(self):
         grid = build_grid(-0.5, 9.0, 48)
-        op = assemble("hermite(2)", grid)
+        op = hermite_operator(2, grid)
         rhs_fn = lambda x: np.exp(-0.5 * np.asarray(x) ** 2)
         sol = resolvent_solve_many(op, rhs_fn(grid.nodes)[:, None])[:, 0]
         mid = 5  # probe an interior node
-        got = nystrom_extend(op, sol, rhs_fn, float(grid.nodes[mid]))
+        got = nystrom_extend(op, partial(hermite_parts, 2), sol, rhs_fn, float(grid.nodes[mid]))
         assert got == pytest.approx(float(sol[mid]), rel=1e-10)
 
     def test_nystrom_extend_below_interval(self):
         # extension at the left endpoint t, below the first node, must agree
         # with an independently refined grid
         t = 0.3
-        op_a = assemble("hermite(4)", build_grid(t, t + 12.0, 48))
-        op_b = assemble("hermite(4)", build_grid(t, t + 12.0, 96))
+        op_a = hermite_operator(4, build_grid(t, t + 12.0, 48))
+        op_b = hermite_operator(4, build_grid(t, t + 12.0, 96))
         rhs_fn = lambda x: np.asarray(hermite_kernel(4, t, x), dtype=float)
 
         def extend(op):
             sol = resolvent_solve_many(op, rhs_fn(op.grid.nodes)[:, None])[:, 0]
-            return nystrom_extend(op, sol, rhs_fn, t)
+            return nystrom_extend(op, partial(hermite_parts, 4), sol, rhs_fn, t)
 
         assert extend(op_a) == pytest.approx(extend(op_b), rel=1e-10)
 
-
-class TestInnerProduct:
-    def test_orthogonality_oracle(self):
-        # [DERIVED] <phi_0, phi_1> = 0 by parity on a symmetric interval
-        grid = build_grid(-10.0, 10.0, 120)
-        f = hermite_phi(0, grid.nodes)
-        g = hermite_phi(1, grid.nodes)
-        assert abs(inner_product(grid, f, g)) < 1e-14

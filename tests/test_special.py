@@ -9,14 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemax.errors import ParameterError
-from gemax.special import (
-    airy,
-    build_grid,
-    hermite_integrals,
-    hermite_phi,
-    hermite_phi_two,
-    phi_psi_values,
-)
+from gemax.special import airy, build_grid, hermite_integrals, hermite_parts, hermite_phi_two
+from helpers import hermite_phi, phi_psi_values
 
 
 def mpmath_phi(k: int, x: float) -> float:
@@ -164,7 +158,10 @@ class TestHermiteIntegrals:
 
             tails = [float(quad(n, z, edge + 14.0)) for z in x]
             for t in (-edge - 1.0, 0.3, edge + 1.0):
-                tail, left, kernel = hermite_integrals(n, x, t)
+                parts, tail, left, kernel = hermite_integrals(n, x, t)
+                # the parts come from the same pass, bit for bit
+                for got, want in zip(parts, hermite_parts(n, np.append(x, t))):
+                    assert np.array_equal(got, want)
                 lefts = [quad(k, -edge - 14.0, t) for k in range(n)]
                 want_tail = tails + [float(quad(n, t, edge + 14.0))]
                 want_kernel = [

@@ -1,0 +1,175 @@
+"""Record every value of a fixed sweep, or compare two records.
+
+    python tools/snapshot.py TREE OUT.json
+    python tools/snapshot.py --compare A.json B.json
+
+The first form imports gemax from TREE/src (run it in a fresh process, as
+above, so no other copy is imported) and writes one JSON object: each key
+names a value of the public API or a CLI argv, each float is stored as its
+``repr``, a raised error as ``raises <class>``, and each argv as its stdout
+and exit code.  The second form prints every key whose entry differs, with
+both entries and the relative gap of differing floats, and exits 1 if any
+key differs.  A change that must keep every result bit for bit compares the
+records of its parent tree and of itself.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+FINITE_N = (1, 2, 3, 4, 5, 10, 11, 40, 41, 100, 101, 399, 400)
+#: offsets from the edge sqrt(2n) of the finite-n points, edge - 8 .. edge + 4
+OFFSETS = tuple(range(-8, 5))
+AIRY_POINTS = tuple(-10.0 + 0.5 * k for k in range(37))
+BUNDLE_POINTS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4", "c_phi", "c_psi")
+
+ARGVS = (
+    ("tabulate", "--ensemble", "gue", "--n", "4", "--t-min", "-3", "--t-max", "3", "--steps", "7"),
+    ("tabulate", "--ensemble", "gue", "--n", "40", "--t-min", "6", "--t-max", "10", "--steps", "3",
+     "--method", "exponential"),
+    ("tabulate", "--ensemble", "gue", "--n", "400", "--t-min", "24", "--t-max", "30", "--steps", "7"),
+    ("tabulate", "--ensemble", "goe", "--n", "40", "--t-min", "4", "--t-max", "11", "--steps", "8"),
+    ("tabulate", "--ensemble", "goe", "--n", "400", "--t-min", "25", "--t-max", "30", "--steps", "6",
+     "--format", "json"),
+    ("tabulate", "--ensemble", "gse", "--n", "41", "--t-min", "2", "--t-max", "8", "--steps", "7"),
+    ("tabulate", "--ensemble", "gse", "--n", "5", "--t-min", "-1", "--t-max", "4", "--steps", "6",
+     "--gue-scale"),
+    ("tabulate", "--ensemble", "gse", "--n", "1", "--t-min", "-1", "--t-max", "1", "--steps", "3"),
+    ("limit", "--ensemble", "gue", "--s-min", "-10", "--s-max", "8", "--steps", "10"),
+    ("limit", "--ensemble", "goe", "--steps", "8"),
+    ("limit", "--ensemble", "gse", "--steps", "8", "--format", "json"),
+    ("edgeworth", "--ensemble", "gue", "--n", "40", "--steps", "3"),
+    ("edgeworth", "--ensemble", "goe", "--n", "40", "--c", "0.5", "--steps", "3"),
+    ("edgeworth", "--ensemble", "gse", "--n", "41", "--steps", "3", "--format", "json"),
+    ("mc", "--ensemble", "gue", "--n", "10", "--samples", "2000", "--seed", "1"),
+    ("mc", "--ensemble", "goe", "--n", "8", "--samples", "2000", "--seed", "2"),
+    ("mc", "--ensemble", "gse", "--n", "5", "--samples", "2000", "--seed", "3"),
+    ("convergence", "--ensemble", "gue", "--n-list", "20,40,80", "--steps", "3"),
+    ("validate", "--criteria", "1,2,10"),
+    # a zero sup error: truth and expansion both round to 1.0
+    ("convergence", "--reference", "edgeworth", "--s-min", "8", "--s-max", "8", "--steps", "1",
+     "--n-list", "20,40,80"),
+    ("limit", "--steps", "2", "--out", "{missing}/x.csv"),
+)
+
+
+def _entry(value):
+    """A JSON-ready entry: floats by repr, tuples and lists entry by entry."""
+    if isinstance(value, (tuple, list)):
+        return [_entry(v) for v in value]
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def _record(out: dict, key: str, fn) -> None:
+    try:
+        out[key] = _entry(fn())
+    except Exception as exc:  # a raised error is part of the record
+        out[key] = f"raises {type(exc).__name__}"
+
+
+def _values(gemax) -> dict:
+    finite_n, airy = gemax.finite_n, gemax.airy
+    out: dict = {}
+    for n in FINITE_N:
+        for offset in OFFSETS:
+            t = math.sqrt(2.0 * n) + offset
+            at = f"n={n} t={t!r}"
+            _record(out, f"f_n2 {at}", lambda: finite_n.f_n2(n, t))
+            _record(out, f"q_p_n {at}", lambda: finite_n.q_p_n(n, t))
+            _record(
+                out,
+                f"epsilon_numeric {at}",
+                lambda: [getattr(finite_n.epsilon_numeric(n, t), f) for f in EPS_FIELDS],
+            )
+            if n % 2 == 0:
+                law, x = finite_n.f_n1, t
+            else:
+                law, x = finite_n.f_n4, t / math.sqrt(2.0)
+            for method in ("assembly", "closed"):
+                _record(out, f"{law.__name__} {method} {at}", lambda: law(n, x, method=method))
+            _record(out, f"{law.__name__} assembly nodes=96 {at}", lambda: law(n, x, 96))
+            if n <= 40:
+                _record(out, f"f_n2 exponential {at}", lambda: finite_n.f_n2(n, t, "exponential"))
+                _record(out, f"ab {at}", lambda: finite_n.ab(n, t))
+    for s in AIRY_POINTS:
+        for law in (airy.f1_limit, airy.f2_limit, airy.f4_limit, airy.hastings_mcleod_q):
+            _record(out, f"{law.__name__} s={s!r}", lambda: law(s))
+    for s in BUNDLE_POINTS:
+        _record(out, f"airy_bundle s={s!r}", lambda: repr(airy.airy_bundle(s)))
+        _record(out, f"f2_limit exponential s={s!r}", lambda: airy.f2_limit(s, "exponential"))
+    return out
+
+
+def _argvs(cli) -> dict:
+    out: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        missing = str(Path(tmp) / "missing")
+        for argv in ARGVS:
+            stdout = io.StringIO()
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main([a.format(missing=missing) for a in argv], stdout=stdout)
+                except Exception:  # an uncaught error ends the process with exit 1
+                    code = 1
+            out["gemax " + " ".join(argv)] = {"exit": code, "stdout": stdout.getvalue()}
+    return out
+
+
+def snapshot(tree: Path, path: Path) -> None:
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    gemax = importlib.import_module("gemax")
+    if Path(gemax.__file__).resolve().parent != src / "gemax":
+        sys.exit(f"imported gemax from {gemax.__file__}, not from {src}")
+    cli = importlib.import_module("gemax.cli")
+    record = {**_values(gemax), **_argvs(cli)}
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"{len(record)} keys written to {path}")
+
+
+def _gaps(a, b):
+    """Relative gaps between the differing floats of two entries."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [g for x, y in zip(a, b) for g in _gaps(x, y)]
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return []
+    if x == y or not (math.isfinite(x) and math.isfinite(y)):
+        return []
+    return [abs(x - y) / max(abs(x), abs(y))]
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    a = json.loads(path_a.read_text())
+    b = json.loads(path_b.read_text())
+    differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    for key in differing:
+        gaps = _gaps(a.get(key), b.get(key))
+        gap = f" (relative gap {max(gaps):.3g})" if gaps else ""
+        print(f"{key}{gap}\n  A: {a.get(key, '<missing>')!r}\n  B: {b.get(key, '<missing>')!r}")
+    print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ")
+    return 1 if differing else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) == 2 and not argv[0].startswith("-"):
+        snapshot(Path(argv[0]), Path(argv[1]))
+        return 0
+    sys.exit(__doc__)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
