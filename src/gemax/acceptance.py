@@ -248,16 +248,12 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
     )
 
 
-def _gue_sup_error(n: int, c: float, s_grid, reference: str = "limit") -> float:
+def _gue_sup_error(n: int, c: float, s_grid) -> float:
     worst = 0.0
     for s in s_grid:
         t = airy.tau(n, c, float(s))
         truth = finite_n.f_n2(n, t, "determinant", nodes=96)
-        if reference == "limit":
-            ref = airy.f2_limit(float(s))
-        else:
-            ref = airy.edgeworth_f2(n, c, float(s)).combined
-        worst = max(worst, abs(truth - ref))
+        worst = max(worst, abs(truth - airy.f2_limit(float(s))))
     return worst
 
 

@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
 All numeric output uses 17 significant digits, '.' decimals and '\\n'
 newlines, so files re-parse to full precision and identical configurations
 produce byte-identical output.
+``--out`` is written only once the command has finished, so a usage error
+or a numerical failure leaves an existing file untouched.  A JSON table's
+``config`` echoes every option except ``--out`` and ``--format``.
 """
 
 from __future__ import annotations
@@ -31,20 +34,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(stream, command: str, config: dict, header, rows, fmt: str) -> None:
-    if fmt == "csv":
-        stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-    else:
-        payload = {
-            "command": command,
-            "config": config,
-            "version": __version__,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+def _table(args, header, rows) -> tuple[str, int]:
+    if args.format == "csv":
+        lines = [header, *([_fmt(v) for v in row] for row in rows)]
+        return "".join(",".join(line) + "\n" for line in lines), 0
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
+    rows = [dict(zip(header, row)) for row in rows]
+    payload = {"command": args.command, "config": config, "version": __version__, "rows": rows}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
 
 
 #: the kernel-index parity each ensemble's finite-n law requires
@@ -64,7 +61,14 @@ def _int_list(text: str, option: str) -> list[int]:
         raise ParameterError(f"{option} takes comma-separated integers, got {text!r}") from None
 
 
-def cmd_tabulate(args, stream) -> int:
+def _check_s_window(args) -> None:
+    if args.s_min < airy.S_MIN or args.s_max > airy.S_MAX:
+        raise ParameterError(
+            f"s-window [{args.s_min}, {args.s_max}] outside supported [{airy.S_MIN}, {airy.S_MAX}]"
+        )
+
+
+def cmd_tabulate(args) -> tuple[str, int]:
     finite_n._check_n(args.n, PARITY[args.ensemble])
     if args.method != "determinant" and args.ensemble != "gue":
         raise ParameterError(f"--method {args.method} applies to the GUE only")
@@ -81,31 +85,19 @@ def cmd_tabulate(args, stream) -> int:
             u = x / SQRT2 if args.gue_scale else x
             value = finite_n.f_n4(args.n, u)
         rows.append((x, value))
-    config = {
-        "ensemble": args.ensemble, "n": args.n, "t_min": args.t_min,
-        "t_max": args.t_max, "steps": args.steps, "method": args.method,
-        "gue_scale": args.gue_scale,
-    }
-    _emit(stream, "tabulate", config, ("t", "F"), rows, args.format)
-    return 0
+    return _table(args, ("t", "F"), rows)
 
 
-def cmd_limit(args, stream) -> int:
+def cmd_limit(args) -> tuple[str, int]:
     law = {"gue": airy.f2_limit, "goe": airy.f1_limit, "gse": airy.f4_limit}[args.ensemble]
     grid = _linspace(args.s_min, args.s_max, args.steps)
     rows = [(float(s), law(float(s))) for s in grid]
-    config = {"ensemble": args.ensemble, "s_min": args.s_min,
-              "s_max": args.s_max, "steps": args.steps}
-    _emit(stream, "limit", config, ("s", "F"), rows, args.format)
-    return 0
+    return _table(args, ("s", "F"), rows)
 
 
-def cmd_edgeworth(args, stream) -> int:
+def cmd_edgeworth(args) -> tuple[str, int]:
     finite_n._check_n(args.n, PARITY[args.ensemble])
-    if args.s_min < airy.S_MIN or args.s_max > airy.S_MAX:
-        raise ParameterError(
-            f"s-window [{args.s_min}, {args.s_max}] outside supported [{airy.S_MIN}, {airy.S_MAX}]"
-        )
+    _check_s_window(args)
     rows = []
     for s in _linspace(args.s_min, args.s_max, args.steps):
         s = float(s)
@@ -114,28 +106,21 @@ def cmd_edgeworth(args, stream) -> int:
             (s, truth, r.leading, r.order_one_third, r.order_two_thirds,
              r.combined, r.combined - truth)
         )
-    config = {"ensemble": args.ensemble, "n": args.n, "c": args.c,
-              "s_min": args.s_min, "s_max": args.s_max, "steps": args.steps}
     header = ("s", "finite_n", "leading", "first_order", "second_order",
               "combined", "error")
-    _emit(stream, "edgeworth", config, header, rows, args.format)
-    return 0
+    return _table(args, header, rows)
 
 
-def cmd_mc(args, stream) -> int:
+def cmd_mc(args) -> tuple[str, int]:
     cdf = mc_cdf(args.ensemble, args.n)  # rejects n outside its domain before sampling
     beta = {"goe": 1, "gue": 2, "gse": 4}[args.ensemble]
     run = mc.sample_lambda_max(beta, args.n, args.samples, args.seed)
     ks = mc.ks_statistic(run, cdf, grid_points=201)
     crit = mc.ks_critical_1pct(args.samples)
-    config = {"ensemble": args.ensemble, "n": args.n,
-              "samples": args.samples, "seed": args.seed}
-    rows = [(ks, crit, ks < crit)]
-    _emit(stream, "mc", config, ("ks", "critical_value_1pct", "pass"), rows, args.format)
-    return 0
+    return _table(args, ("ks", "critical_value_1pct", "pass"), [(ks, crit, ks < crit)])
 
 
-def cmd_convergence(args, stream) -> int:
+def cmd_convergence(args) -> tuple[str, int]:
     ns = _int_list(args.n_list, "--n-list")
     if len(ns) < 3:
         raise ParameterError(f"need at least 3 n values, got {ns}")
@@ -145,6 +130,8 @@ def cmd_convergence(args, stream) -> int:
         finite_n._check_n(n, PARITY[args.ensemble])
     if args.steps < 1:
         raise ParameterError(f"need --steps >= 1, got {args.steps}")
+    _check_s_window(args)
+    args.n_list = ns  # the JSON config echoes the parsed list
     s_grid = _linspace(args.s_min, args.s_max, args.steps)
     sup_errors = []
     for n in ns:
@@ -161,22 +148,16 @@ def cmd_convergence(args, stream) -> int:
         else:
             rate = math.log(err / sup_errors[i - 1]) / math.log(n / ns[i - 1])
         rows.append((n, err, rate))
-    config = {"ensemble": args.ensemble, "c": args.c, "n_list": ns,
-              "reference": args.reference, "s_min": args.s_min,
-              "s_max": args.s_max, "steps": args.steps}
-    _emit(stream, "convergence", config, ("n", "sup_error", "rate_estimate"), rows, args.format)
-    return 0
+    return _table(args, ("n", "sup_error", "rate_estimate"), rows)
 
 
-def cmd_validate(args, stream) -> int:
+def cmd_validate(args) -> tuple[str, int]:
     indices = _int_list(args.criteria, "--criteria") if args.criteria else None
     results = run_criteria(indices, args.tolerance_scale)
-    all_pass = True
-    for r in results:
-        all_pass = all_pass and r.passed
-        stream.write(f"criterion {r.index:2d} [{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n")
-    stream.write("validation " + ("PASSED" if all_pass else "FAILED") + "\n")
-    return 0 if all_pass else 1
+    all_pass = all(r.passed for r in results)
+    text = "".join(f"criterion {r.index:2d} [{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n"
+                   for r in results)
+    return text + f"validation {'PASSED' if all_pass else 'FAILED'}\n", 0 if all_pass else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,22 +228,29 @@ COMMANDS = {
 }
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        raise ParameterError(f"cannot open --out {path}: {exc.strerror}") from None
+
+
 def main(argv=None, stdout=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    stream = stdout if stdout is not None else sys.stdout
     try:
         if args.out:
-            try:
-                handle = open(args.out, "w", newline="")
-            except OSError as exc:
-                raise ParameterError(f"cannot open --out {args.out}: {exc.strerror}") from None
-            with handle:
-                return COMMANDS[args.command](args, handle)
-        return COMMANDS[args.command](args, stream)
+            _open_out(args.out, "a").close()  # refuse an unopenable path before any work
+        text, code = COMMANDS[args.command](args)
+        if args.out:
+            with _open_out(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            (stdout if stdout is not None else sys.stdout).write(text)
+        return code
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

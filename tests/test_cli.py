@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import os
 
 import pytest
 
-from gemax import airy, cli, mc
+from gemax import acceptance, airy, cli, mc
 from gemax.acceptance import mc_cdf
+from gemax.errors import NumericalError
 
 
 def run_cli(argv):
@@ -284,6 +286,20 @@ class TestConvergence:
         assert out == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_s_window_checked_before_computing(self, monkeypatch, capsys):
+        # an s-window past [-10, 8] was rejected only after the first value
+        # was computed
+        def refuse(*args):
+            raise AssertionError("computed a value before the s-window check")
+
+        monkeypatch.setattr(cli, "edgeworth_comparison", refuse)
+        code, out = run_cli(
+            ["convergence", "--s-min", "-12", "--n-list", "20,40,80", "--steps", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: s-window [-12.0, 1.0] outside")
+
 
 class TestParser:
     def test_unknown_command(self):
@@ -328,8 +344,14 @@ class TestParser:
         [["limit", "--steps", "2"], ["validate", "--criteria", "1"]],
         ids=["limit", "validate"],
     )
-    def test_unopenable_out_is_a_usage_error(self, argv, tmp_path, capsys):
-        # a path in a missing directory ended in a FileNotFoundError traceback
+    def test_unopenable_out_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        # a path in a missing directory ended in a FileNotFoundError traceback;
+        # it is refused before any value is computed
+        def refuse(*args):
+            raise AssertionError("computed a value before opening --out")
+
+        monkeypatch.setattr(airy, "f2_limit", refuse)
+        monkeypatch.setitem(acceptance.CRITERIA, 1, refuse)
         code, out = run_cli([*argv, "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 2
         assert out == ""
@@ -337,3 +359,45 @@ class TestParser:
 
     def test_missing_required(self):
         assert run_cli(["tabulate"])[0] == 2
+
+
+class TestOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [["limit", "--steps", "2"],
+         ["tabulate", "--ensemble", "goe", "--n", "4", "--t-min", "1", "--t-max", "2",
+          "--steps", "2", "--format", "json"]],
+        ids=["csv", "json"],
+    )
+    def test_out_holds_stdout_bytes(self, argv, tmp_path):
+        path = tmp_path / "table"
+        code, out = run_cli(argv)
+        assert code == 0
+        assert run_cli([*argv, "--out", str(path)]) == (0, "")
+        assert path.read_bytes() == out.encode()
+
+    def test_usage_error_keeps_out_file(self, tmp_path, capsys):
+        # --out was truncated before the arguments were checked
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"t,F\n0,0.5\n")
+        code, _ = run_cli(["tabulate", "--n", "0", "--t-min", "0", "--t-max", "1",
+                           "--steps", "2", "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert path.read_bytes() == b"t,F\n0,0.5\n"
+
+    def test_numerical_failure_keeps_out_file(self, tmp_path, monkeypatch, capsys):
+        def fail(s):
+            raise NumericalError(f"refused s = {s}")
+
+        monkeypatch.setattr(airy, "f2_limit", fail)
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"s,F\n0,0.5\n")
+        code, _ = run_cli(["limit", "--steps", "2", "--out", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert path.read_bytes() == b"s,F\n0,0.5\n"
+
+    def test_devnull(self):
+        # a file that cannot be truncated by position is still a valid --out
+        assert run_cli(["limit", "--steps", "2", "--out", os.devnull]) == (0, "")

@@ -599,6 +599,18 @@ class TestFn4:
         # determinant positivity loss far in the left tail degrades to 0.0
         assert f_n4(3, -4.5) >= 0.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the left tail of f_n4(3, .) is solve error amplified by the bracket "
+        "F^2 / F_{n,2} > 1e12: it reads 6.8e-8 for 7.7e-9 at t = -4, 0.0 at t = -4.3 "
+        "and 9.5e-9 for 6.1e-11 at t = -4.551",
+    )
+    def test_n3_left_tail_matches_erf(self):
+        # [DERIVED] f_n4(3, u) = gse_largest_cdf(1, u) = (1/2)(1 + erf t), t = u sqrt(2)
+        ts = (-4.0, -4.3, -4.551)
+        values = [f_n4(3, t / math.sqrt(2.0)) for t in ts]
+        assert values == pytest.approx([0.5 * erfc(-t) for t in ts], rel=1e-3)
+
 
 class TestLogFn2:
     def test_tail_goes_negative(self):

@@ -58,6 +58,11 @@ ARGVS = (
     ("convergence", "--reference", "edgeworth", "--s-min", "8", "--s-max", "8", "--steps", "1",
      "--n-list", "20,40,80"),
     ("limit", "--steps", "2", "--out", "{missing}/x.csv"),
+    # the JSON config of every table command
+    ("mc", "--ensemble", "goe", "--n", "4", "--samples", "500", "--seed", "3", "--format", "json"),
+    ("convergence", "--n-list", "20,40,80", "--steps", "2", "--format", "json"),
+    ("tabulate", "--ensemble", "gse", "--n", "5", "--t-min", "0", "--t-max", "1", "--steps", "2",
+     "--gue-scale", "--format", "json"),
 )
 
 
