@@ -2,19 +2,20 @@
 Monte Carlo validation, convergence studies, and the acceptance suite.
 
 Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
-All numeric output uses 17 significant digits, '.' decimals and '\\n'
-newlines, so files re-parse to full precision and identical configurations
-produce byte-identical output.
-``--out`` is written only once the command has finished, so a usage error
-or a numerical failure leaves an existing file untouched.  A JSON table's
-``config`` echoes every option except ``--out`` and ``--format``.
+All numeric output uses 17 significant digits, '.' decimals and '\\n' newlines,
+so files re-parse to full precision and identical configurations produce
+byte-identical output.  ``--out`` is written only once the command has finished,
+so a usage error or a numerical failure leaves no new file and an existing one
+untouched.  A JSON table's ``config`` echoes every option but ``--out`` and ``--format``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -241,9 +242,12 @@ def main(argv=None, stdout=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    made = False  # whether the probe below created --out
     try:
         if args.out:
+            existed = os.path.lexists(args.out)
             _open_out(args.out, "a").close()  # refuse an unopenable path before any work
+            made = not existed
         text, code = COMMANDS[args.command](args)
         if args.out:
             with _open_out(args.out, "w") as handle:
@@ -251,12 +255,13 @@ def main(argv=None, stdout=None) -> int:
         else:
             (stdout if stdout is not None else sys.stdout).write(text)
         return code
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
+    except (ParameterError, NumericalError) as exc:
+        if made:  # a failed command leaves no new file behind
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        usage = isinstance(exc, ParameterError)
+        print(f"{'error' if usage else 'numerical failure'}: {exc}", file=sys.stderr)
+        return 2 if usage else 1
 
 
 if __name__ == "__main__":

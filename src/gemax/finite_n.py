@@ -5,11 +5,13 @@ Everything is driven by the endpoint resolvent values
     q_n(t) = ((I - K_{n,2})^{-1} phi)(t),   p_n(t) = ((I - K_{n,2})^{-1} psi)(t)
 
 on (t, infinity) and their tail integrals a(t) = int_t^inf q_n,
-b(t) = int_t^inf p_n.  The GOE/GSE closed forms are hyperbolic functions
-of g = sqrt(2 a b); an independent first-principles path recomputes the
-same epsilon quantities directly from the resolvent for cross-checking.
-Every Hermite-function integral that path needs (eps phi, the integrals
-left of t, c_phi and c_psi) is exact, from the integral recurrence of
+b(t) = int_t^inf p_n.  The GOE/GSE laws have one method: the
+first-principles path computes their epsilon quantities directly from the
+resolvent.  The paper's closed forms, hyperbolic functions of
+g = sqrt(2 a b), are soft-edge asymptotics kept as a cross-check
+(:func:`epsilon_closed`), not as a CDF method.  Every Hermite-function
+integral the first-principles path needs (eps phi, the integrals left of
+t, c_phi and c_psi) is exact, from the integral recurrence of
 :func:`gemax.special.hermite_integrals`; quadrature enters only through the
 Nystrom operator on (t, T).  Each operator takes its kernel's parts on its
 nodes and t from one recurrence pass (``hermite_parts``, or for a GOE/GSE
@@ -101,10 +103,10 @@ def _tail_integrals(n: int, t: float, nodes: int):
     return a, b, moment
 
 
-def ab(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
+def ab(n: int, t: float) -> tuple[float, float]:
     """Tail integrals a(t) = int_t^inf q_n, b(t) = int_t^inf p_n."""
     _check_n(n)
-    a, b, _ = _tail_integrals(n, t, nodes)
+    a, b, _ = _tail_integrals(n, t, DEFAULT_NODES)
     return a, b
 
 
@@ -128,8 +130,7 @@ def c_constants(n: int) -> tuple[float, float]:
 # log F <= 0 for a probability; rounding puts a computed value at most about
 # nodes * eps (~1e-14) above zero.  Anything above this bound is a failed
 # evaluation, not a probability: far in the left tail the exponential path's
-# moment quadrature breaks down (log F = +734 at n = 40, t = -2), and the
-# closed GOE/GSE brackets are edge asymptotics that can exceed 1 / F_{n,2}
+# moment quadrature breaks down (log F = +734 at n = 40, t = -2)
 LOG_F_ROUNDING = 1e-10
 
 
@@ -162,42 +163,33 @@ def _checked_log_f(log_f: float, n: int, t: float, method: str) -> float:
 LOG_FLOOR = -30.0
 
 
-def _cdf(n: int, t: float, parity: int | None, nodes: int, method: str) -> float:
-    """A finite-n CDF value under the one method dispatch and failure policy.
+def _cdf(n: int, t: float, parity: int | None, nodes: int, method: str = "determinant") -> float:
+    """A finite-n CDF value under the one failure policy.
 
     With parity None the value is F_{n,2}(t) = exp(log_f_n2) by ``method``.
     With parity 0 (GOE) or 1 (GSE) it is sqrt(F_{n,2} bracket), the
     bracket being F^2 / F_{n,2} and F_{n,2} the determinant of the operator
-    on (t, T).  The "assembly" bracket comes from the epsilon quantities of
-    that operator, built with their Hermite integrals from one recurrence
-    pass; the "closed" one is the hyperbolic form in a(t), b(t).  A bracket
-    that overflows, or is not finite, raises NumericalError, and so does a
+    on (t, T).  The bracket comes from the epsilon quantities of that
+    operator, built with their Hermite integrals from one recurrence pass.
+    A bracket that is not finite raises NumericalError, and so does a
     combined log F above LOG_F_ROUNDING.  The result is clamped to [0, 1],
     which absorbs rounding only.
     """
     _check_n(n, parity)
-    if parity is not None:
-        if method not in ("assembly", "closed"):
-            raise ParameterError(f"unknown method {method!r}")
-        if parity == 1 and n == 1:  # F_{1,4}: no symplectic eigenvalues
-            return 1.0
-        if method == "assembly":
-            op, integrals = _integral_operator(n, t, nodes)
-            bracket = lambda: (f1_sq_ratio, f4_sq_ratio)[parity](_epsilon_numeric(op, integrals, n))
-        else:
-            op = _operator(n, t, nodes)
-            bracket = lambda: (_f1_closed_bracket, _f4_closed_bracket)[parity](n, t, nodes)
+    if parity == 1 and n == 1:  # F_{1,4}: no symplectic eigenvalues
+        return 1.0
     try:
         if parity is None:
             log_f = log_f_n2(n, t, method, nodes)
         else:
+            op, integrals = _integral_operator(n, t, nodes)
             log_f = _checked_log_f(fredholm_log_det(op), n, t, "determinant")
     except NumericalError:
         # sign loss, or a log F above rounding, happens only where F_{n,2}
         # is far beyond double-precision resolution
         return 0.0
     if parity is not None:
-        ratio = bracket()
+        ratio = (f1_sq_ratio, f4_sq_ratio)[parity](_epsilon_numeric(op, integrals, n))
         if not math.isfinite(ratio):
             raise NumericalError(f"non-finite squared ratio {ratio} at n={n}, t={t}")
         if ratio < -1e-10:
@@ -206,7 +198,7 @@ def _cdf(n: int, t: float, parity: int | None, nodes: int, method: str) -> float
             raise NumericalError(f"negative squared ratio {ratio} at n={n}, t={t}")
         if ratio <= 0.0:
             return 0.0
-        log_f = _checked_log_f(0.5 * (log_f + math.log(ratio)), n, t, method)
+        log_f = _checked_log_f(0.5 * (log_f + math.log(ratio)), n, t, "assembly")
     return min(math.exp(log_f), 1.0)
 
 
@@ -270,17 +262,19 @@ def _hyperbolic_block(a: float, b: float):
     return cosh_g, rho_s, r_s
 
 
-def epsilon_closed(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuantities:
+def epsilon_closed(n: int, t: float) -> EpsilonQuantities:
     """Closed-form epsilon quantities as hyperbolic functions of sqrt(2ab).
 
-    The GSE set (c_psi terms) is the published one up to the sign of the
-    sinh term in P_{n,4}; the GOE set up to the sign of the c_phi term in
-    R_{n,1}.  Both corrections are forced by the first-principles path
-    (:func:`epsilon_numeric`) and by the requirement that the assembled
-    determinant reproduce the direct F_{n,1}/F_{n,4} formulas.
+    These are soft-edge asymptotics, not finite-n identities; no CDF is
+    computed from them.  The GSE set (c_psi terms) is the published one up
+    to the sign of the sinh term in P_{n,4}; the GOE set up to the sign of
+    the c_phi term in R_{n,1}.  Both corrections are forced by the
+    first-principles path (:func:`epsilon_numeric`) and by the requirement
+    that the assembled brackets reproduce the paper's direct F_{n,1}/F_{n,4}
+    formulas, which ``tests/test_finite_n.py::TestPaperBrackets`` holds.
     """
     _check_n(n)
-    return _epsilon_closed(n, *ab(n, t, nodes))
+    return _epsilon_closed(n, *ab(n, t))
 
 
 def _epsilon_closed(n: int, a: float, b: float) -> EpsilonQuantities:
@@ -314,7 +308,7 @@ def _epsilon_closed(n: int, a: float, b: float) -> EpsilonQuantities:
     )
 
 
-def epsilon_numeric(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuantities:
+def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     """First-principles epsilon quantities from the resolvent, no closed forms.
 
     eps phi(x) = c_phi - int_x^inf phi, exact from the integral recurrence,
@@ -323,7 +317,7 @@ def epsilon_numeric(n: int, t: float, nodes: int = DEFAULT_NODES) -> EpsilonQuan
     (-inf, t), taken term by term with the same recurrence.
     """
     _check_n(n)
-    return _epsilon_numeric(*_integral_operator(n, t, nodes), n)
+    return _epsilon_numeric(*_integral_operator(n, t, DEFAULT_NODES), n)
 
 
 def _epsilon_numeric(op: DiscretizedKernel, integrals, n: int) -> EpsilonQuantities:
@@ -390,31 +384,16 @@ def f4_sq_ratio(eps: EpsilonQuantities) -> float:
     return (1.0 - eps.v_tilde_eps) * (1.0 + 0.5 * eps.r4) + 0.5 * eps.q_eps * eps.p4
 
 
-def f_n1(n: int, t: float, nodes: int = DEFAULT_NODES, method: str = "assembly") -> float:
+def f_n1(n: int, t: float, nodes: int = DEFAULT_NODES) -> float:
     """GOE distribution F_{n,1}(t) for n even.
 
-    The default "assembly" method squares to F_{n,2} times the determinant
-    representation evaluated with first-principles epsilon quantities; it is
-    exact up to quadrature error.  The "closed" method evaluates the
-    hyperbolic bracket in a(t), b(t) instead, which is an edge asymptotic
-    (it degrades to percent-level accuracy at small n away from t -> inf).
+    Its square is F_{n,2} times the determinant representation evaluated
+    with first-principles epsilon quantities, exact up to quadrature error.
     """
-    return _cdf(n, t, 0, nodes, method)
+    return _cdf(n, t, 0, nodes)
 
 
-def _f1_closed_bracket(n: int, t: float, nodes: int) -> float:
-    a, b = ab(n, t, nodes)
-    c_phi, _ = c_constants(n)
-    cosh_g, _, r_s = _hyperbolic_block(a, b)
-    # regrouped so the (b/a)(cosh g - 1) piece is entire in the product ab
-    return (
-        0.5 * (1.0 + cosh_g)
-        + 2.0 * c_phi * c_phi * b * b * coshm1_sqrt(2.0 * a * b)
-        - 2.0 * c_phi * r_s
-    )
-
-
-def f_n4(n: int, u: float, nodes: int = DEFAULT_NODES, method: str = "assembly") -> float:
+def f_n4(n: int, u: float, nodes: int = DEFAULT_NODES) -> float:
     """GSE-side distribution F_{n,4}(u) for odd kernel index n.
 
     u is the GSE-scale argument; the representations live on the GUE-side
@@ -422,26 +401,12 @@ def f_n4(n: int, u: float, nodes: int = DEFAULT_NODES, method: str = "assembly")
     not a matrix size: F_{n,4} is the largest-eigenvalue distribution of the
     symplectic ensemble with (n-1)/2 eigenvalues, so F_{1,4} is exactly one
     and builds no operator.  See :func:`gse_largest_cdf` for the matrix-size
-    parametrization.
-
-    The default "assembly" method is exact up to quadrature error; "closed"
-    is the edge-asymptotic cosh(sqrt(ab/2)) exp(-int (x-t) q_n p_n) form.
+    parametrization.  Like :func:`f_n1` it is exact up to quadrature error.
     """
-    return _cdf(n, u * math.sqrt(2.0), 1, nodes, method)
+    return _cdf(n, u * math.sqrt(2.0), 1, nodes)
 
 
-def _f4_closed_bracket(n: int, t: float, nodes: int) -> float:
-    # F_{n,2} = exp(-2 int (x-t) q_n p_n), so the closed form's square is
-    # cosh^2(sqrt(ab/2)) F_{n,2}; signed, so that cos(sqrt(-ab/2)) < 0 is a
-    # negative bracket
-    a, b = ab(n, t, nodes)
-    c = cosh_sqrt(0.5 * a * b)
-    return c * abs(c)
-
-
-def gse_largest_cdf(
-    n_eigs: int, u: float, nodes: int = DEFAULT_NODES, method: str = "assembly"
-) -> float:
+def gse_largest_cdf(n_eigs: int, u: float) -> float:
     """P(largest eigenvalue <= u) for the symplectic ensemble with n_eigs eigenvalues.
 
     The kernel index of the representation is 2 n_eigs + 1: the symplectic
@@ -450,5 +415,4 @@ def gse_largest_cdf(
     """
     if n_eigs < 1:
         raise ParameterError(f"need n_eigs >= 1, got {n_eigs}")
-    return f_n4(2 * n_eigs + 1, u, nodes, method)
-
+    return f_n4(2 * n_eigs + 1, u)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gemax import airy as airy_module
 from gemax.airy import (
@@ -172,6 +174,16 @@ class TestLimitLaws:
         for s in (S_MIN - 0.01, S_MAX + 0.01):
             with pytest.raises(ParameterError):
                 law(s)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=st.sampled_from((f1_limit, f2_limit, f4_limit)), s=st.floats(-11.0, 9.0))
+    def test_unit_interval_or_typed_error_everywhere(self, law, s):
+        # the window [S_MIN, S_MAX] and a margin past it on either side
+        try:
+            value = law(s)
+        except (ParameterError, NumericalError):
+            return
+        assert 0.0 <= value <= 1.0, (s, value)
 
 
 class TestBundleIdentities:

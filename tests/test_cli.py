@@ -398,6 +398,31 @@ class TestOut:
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert path.read_bytes() == b"s,F\n0,0.5\n"
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["tabulate", "--n", "0", "--t-min", "0", "--t-max", "1", "--steps", "2"], 2),
+         (["limit", "--steps", "2"], 1)],
+        ids=["usage", "numerical"],
+    )
+    def test_failure_creates_no_out_file(self, argv, code, tmp_path, monkeypatch, capsys):
+        # the probe that refuses an unopenable path creates the file; a failure removes it
+        def fail(s):
+            raise NumericalError(f"refused s = {s}")
+
+        monkeypatch.setattr(airy, "f2_limit", fail)
+        path = tmp_path / "new.csv"
+        assert run_cli([*argv, "--out", str(path)]) == (code, "")
+        assert capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["file/x.csv", "x" * 300], ids=["under-a-file", "too-long"])
+    def test_unopenable_new_path_is_a_usage_error(self, name, tmp_path, capsys):
+        # removing such a path after the refused probe raised, not FileNotFoundError
+        (tmp_path / "file").write_bytes(b"kept\n")
+        assert run_cli(["limit", "--steps", "2", "--out", str(tmp_path / name)]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: cannot open --out ")
+        assert (tmp_path / "file").read_bytes() == b"kept\n"
+
     def test_devnull(self):
         # a file that cannot be truncated by position is still a valid --out
         assert run_cli(["limit", "--steps", "2", "--out", os.devnull]) == (0, "")

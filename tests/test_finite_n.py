@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erfc
 
@@ -12,6 +14,7 @@ from gemax import finite_n, special
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
     DEFAULT_NODES,
+    N_MAX,
     EpsilonQuantities,
     _epsilon_numeric,
     _integral_operator,
@@ -476,60 +479,90 @@ GSE_SWEEP = (3, 5, 11, 41)
 
 
 class TestCdfContract:
-    @pytest.mark.parametrize("method", ("assembly", "closed"))
-    @pytest.mark.parametrize("n", GOE_SWEEP + GSE_SWEEP)
-    def test_unit_interval_or_typed_error(self, n, method):
+    @pytest.mark.parametrize("n", GOE_SWEEP + GSE_SWEEP, ids=lambda n: f"{n}-assembly")
+    def test_unit_interval_or_typed_error(self, n):
         # every value is in [0, 1] or a ParameterError/NumericalError, on
         # edge - 8 .. edge + 4 of the GUE-side variable t (u = t / sqrt 2)
         for t in math.sqrt(2.0 * n) + np.linspace(-8.0, 4.0, 49):
             try:
                 if n % 2 == 0:
-                    v = f_n1(n, float(t), method=method)
+                    v = f_n1(n, float(t))
                 else:
-                    v = f_n4(n, float(t) / math.sqrt(2.0), method=method)
+                    v = f_n4(n, float(t) / math.sqrt(2.0))
             except (ParameterError, NumericalError):
                 continue
             assert 0.0 <= v <= 1.0, (t, v)
-            # a closed value of exactly 1.0 left of the edge is a clamp, not a probability
-            assert not (method == "closed" and v == 1.0 and t < math.sqrt(2.0 * n)), (t, v)
 
-    def test_closed_bracket_overflow(self, monkeypatch):
-        # cosh(sqrt(2ab)) overflows where the determinant is still positive;
-        # math.cosh raised OverflowError there
-        with pytest.raises(NumericalError):
-            f_n1(2, -4.5, method="closed")
-        # deep in the GSE left tail b(t) is rounding noise of either sign, so
-        # the (a, b) of such a point is pinned: with b = 3.81e6, cosh(sqrt(ab/2))
-        # overflows at a t where the determinant is positive
-        t = math.sqrt(6.0) - 6.0
-        assert math.isfinite(log_f_n2(3, t))
-        monkeypatch.setattr(finite_n, "ab", lambda n, t, nodes: (2.069, 3.81e6))
-        with pytest.raises(NumericalError, match="overflows"):
-            f_n4(3, t / math.sqrt(2.0), method="closed")
-
-    @pytest.mark.parametrize(
-        "f, n, x",
-        [(f_n1, 2, -1.75), (f_n4, 3, (math.sqrt(6.0) - 4.5) / math.sqrt(2.0))],
-        ids=["f_n1", "f_n4"],
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        law=st.sampled_from((f_n2, f_n1, f_n4)),
+        n=st.integers(-2, 405),
+        offset=st.floats(-8.0, 4.0),
     )
-    def test_closed_log_f_above_zero_raises(self, f, n, x):
-        # the closed bracket times F_n2 exceeds 1 here (combined log F = 0.56
-        # and 2.46); the value read 1.0 where the assembly gives 5.4e-4 and 1.9e-3
-        assert 0.0 < f(n, x) < 0.01
-        with pytest.raises(NumericalError, match="log F"):
-            f(n, x, method="closed")
-
-    def test_closed_bracket_infinite(self):
-        # cosh(sqrt(ab/2)) is finite but its square is not; the value read 1.0
-        # where the assembly gives 3.8e-8
-        with pytest.raises(NumericalError):
-            f_n4(3, (math.sqrt(6.0) - 6.5) / math.sqrt(2.0), method="closed")
+    def test_unit_interval_or_typed_error_everywhere(self, law, n, offset):
+        # the whole documented domain and a margin past it: n outside 1..N_MAX
+        # or of the wrong parity raises ParameterError, any other n gives a
+        # value in [0, 1] or a NumericalError
+        parity = {f_n2: None, f_n1: 0, f_n4: 1}[law]
+        t = math.sqrt(2.0 * max(n, 1)) + offset
+        value = partial(law, n, t / math.sqrt(2.0) if law is f_n4 else t)
+        if not 1 <= n <= N_MAX or parity not in (None, n % 2):
+            with pytest.raises(ParameterError):
+                value()
+            return
+        try:
+            v = value()
+        except NumericalError:
+            return
+        assert 0.0 <= v <= 1.0, (n, t, v)
 
     def test_overflow_helpers(self):
         with pytest.raises(NumericalError):
             cosh_sqrt(1e6)
         with pytest.raises(NumericalError):
             sinhc_sqrt(1e6)
+
+
+def _paper_bracket(n: int, t: float) -> float:
+    """The paper's direct F_{n,1}^2 / F_{n,2} (n even) or F_{n,4}^2 / F_{n,2} (n odd).
+
+    [PAPER] In a = int_t^inf q_n, b = int_t^inf p_n and g = sqrt(2ab):
+    1/2 (1 + cosh g) + 2 c_phi^2 b^2 (cosh g - 1)/(2ab) - 2 c_phi b sinh(g)/g
+    for the GOE and cosh^2 sqrt(ab/2) for the GSE, written out with math's
+    hyperbolic functions (ab > 0 on the windows below).
+    """
+    a, b = ab(n, t)
+    if n % 2:
+        return math.cosh(math.sqrt(0.5 * a * b)) ** 2
+    c_phi, _ = c_constants(n)
+    g = math.sqrt(2.0 * a * b)
+    return (
+        0.5 * (1.0 + math.cosh(g))
+        + 2.0 * c_phi**2 * b * b * (math.cosh(g) - 1.0) / (2.0 * a * b)
+        - 2.0 * c_phi * b * math.sinh(g) / g
+    )
+
+
+class TestPaperBrackets:
+    """The paper's closed brackets are a reference for epsilon_closed, not a CDF method."""
+
+    @pytest.mark.parametrize("n", GOE_SWEEP + GSE_SWEEP)
+    def test_closed_epsilon_assembles_the_paper_bracket(self, n):
+        # the assembled bracket of the closed epsilon quantities is the paper's
+        # direct formula (worst 3.3e-12 relative); left of edge - 3 the two
+        # groupings part by up to 1e-3, from cancellation between terms near 1e13
+        sq_ratio = f1_sq_ratio if n % 2 == 0 else f4_sq_ratio
+        for t in math.sqrt(2.0 * n) + np.linspace(-2.0, 3.0, 11):
+            t = float(t)
+            assert sq_ratio(epsilon_closed(n, t)) == pytest.approx(_paper_bracket(n, t), rel=1e-11)
+
+    def test_closed_cdf_tracks_the_assembly_at_large_n(self):
+        # the brackets are soft-edge asymptotics; at n = 40 on the edge the
+        # closed CDF is within a percent of f_n1
+        n = 40
+        t = math.sqrt(2.0 * n)
+        closed = math.sqrt(math.exp(log_f_n2(n, t)) * _paper_bracket(n, t))
+        assert closed == pytest.approx(f_n1(n, t), abs=1e-2)
 
 
 class TestFn1:
@@ -547,15 +580,6 @@ class TestFn1:
     def test_parity_check(self):
         with pytest.raises(ParameterError):
             f_n1(3, 0.0)
-
-    def test_methods_track_each_other_at_large_n(self):
-        # closed method is asymptotic; at n = 40 near the edge it should be
-        # within a percent of the assembly value
-        n = 40
-        t = math.sqrt(2.0 * n)
-        assert f_n1(n, t, method="closed") == pytest.approx(
-            f_n1(n, t, method="assembly"), abs=1e-2
-        )
 
     def test_bounds(self):
         for t in (-3.0, 0.0, 4.0):
@@ -577,8 +601,7 @@ class TestFn4:
 
         monkeypatch.setattr(finite_n, "assemble", refuse)
         for u in np.linspace(-8.0, 4.0, 49):
-            for method in ("assembly", "closed"):
-                assert f_n4(1, float(u), method=method) == 1.0
+            assert f_n4(1, float(u)) == 1.0
 
     def test_parity_check(self):
         with pytest.raises(ParameterError):

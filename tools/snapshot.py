@@ -100,9 +100,8 @@ def _values(gemax) -> dict:
                 law, x = finite_n.f_n1, t
             else:
                 law, x = finite_n.f_n4, t / math.sqrt(2.0)
-            for method in ("assembly", "closed"):
-                _record(out, f"{law.__name__} {method} {at}", lambda: law(n, x, method=method))
-            _record(out, f"{law.__name__} assembly nodes=96 {at}", lambda: law(n, x, 96))
+            _record(out, f"{law.__name__} {at}", lambda: law(n, x))
+            _record(out, f"{law.__name__} nodes=96 {at}", lambda: law(n, x, 96))
             if n <= 40:
                 _record(out, f"f_n2 exponential {at}", lambda: finite_n.f_n2(n, t, "exponential"))
                 _record(out, f"ab {at}", lambda: finite_n.ab(n, t))
