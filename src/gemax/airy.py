@@ -1,6 +1,6 @@
 """Tracy-Widom limit laws on the Airy kernel and Edgeworth expansions.
 
-The three limit laws are Fredholm determinants on one Gauss-Legendre
+The three limit laws are Fredholm determinants on one 64-node Gauss-Legendre
 Nystrom grid on (s, max(s, 0) + 30):  F_2(s) = det(I - K_Ai), and, after
 Ferrari-Spohn and Bornemann, F_1(s) = det(I - A_s) and
 F_4(s) = (det(I - A_s) + det(I + A_s))/2 with A_s(x, y) = Ai((x + y)/2)/2.
@@ -34,7 +34,7 @@ from .fredholm import assemble, fredholm_log_det, positive_log_det, resolvent_so
 from .special import airy as airy_fn
 from .special import build_grid
 
-DEFAULT_NODES = 96
+DEFAULT_NODES = 64
 S_MIN = -10.0
 S_MAX = 8.0
 SQRT2 = math.sqrt(2.0)
@@ -132,7 +132,7 @@ def hastings_mcleod_q(s: float) -> float:
     return q[0]
 
 
-# The one cache keyed on a float argument.  One bundle costs 97 operators, and
+# The one cache keyed on a float argument.  One bundle costs 65 operators, and
 # callers read the same s again: the three Edgeworth expansions at one s and
 # the exponential F_2 they share, and `convergence`, `edgeworth` and
 # criterion 6, which repeat an s for many n

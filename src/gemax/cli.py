@@ -236,6 +236,14 @@ def _open_out(path: str, mode: str):
         raise ParameterError(f"cannot open --out {path}: {exc.strerror}") from None
 
 
+def _is_stdout(path: str) -> bool:
+    # a "w" reopen of the file fd 1 writes to, as /dev/stdout, would truncate it
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def main(argv=None, stdout=None) -> int:
     parser = build_parser()
     try:
@@ -249,7 +257,7 @@ def main(argv=None, stdout=None) -> int:
             _open_out(args.out, "a").close()  # refuse an unopenable path before any work
             made = not existed
         text, code = COMMANDS[args.command](args)
-        if args.out:
+        if args.out and not _is_stdout(args.out):
             with _open_out(args.out, "w") as handle:
                 handle.write(text)
         else:

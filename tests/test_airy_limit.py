@@ -296,3 +296,104 @@ class TestWindowEdges:
             terms = (r.leading, r.order_one_third, r.order_two_thirds, r.combined)
             assert all(math.isfinite(v) for v in terms)
             assert r.leading == pytest.approx(leading, abs=1e-12)
+
+
+RULE_LAW_POINTS = tuple(float(s) for s in np.linspace(-8.0, 6.0, 29))
+RULE_BUNDLE_POINTS = (-4.0, -2.0, 0.0, 2.0, 4.0, 6.0)
+
+
+def _rule_laws() -> np.ndarray:
+    return np.array([[f1_limit(s), f2_limit(s), f4_limit(s)] for s in RULE_LAW_POINTS])
+
+
+def _rule_bundles() -> np.ndarray:
+    """mu, nu, alpha, eta_integral, the exponential log F_2 and q' of fresh bundles."""
+    rows = []
+    for s in RULE_BUNDLE_POINTS:
+        b, log_f2 = airy_module._bundle_cached.__wrapped__(s)
+        rows.append((b.mu, b.nu, b.alpha, b.eta_integral, log_f2, b.q_prime))
+    return np.array(rows)
+
+
+@pytest.fixture(scope="class")
+def rule_reference():
+    """The laws and bundles on a 160-node rule over the same cutoff."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(airy_module, "DEFAULT_NODES", 160)
+        return _rule_laws(), _rule_bundles()
+
+
+class TestRuleSize:
+    """One Gauss-Legendre rule on (s, max(s, 0) + 30) serves every Airy operator.
+
+    Its size is the smallest that keeps the digits of a 160-node rule, so
+    each bound below holds at the default size and fails one step down.
+    """
+
+    def test_default_size(self):
+        assert airy_module.DEFAULT_NODES == 64
+
+    def test_laws_match_reference(self, rule_reference):
+        # measured worst gaps: F1 1.3e-15, F2 1.1e-15, F4 1.2e-15
+        laws, _ = rule_reference
+        assert np.abs(_rule_laws() - laws).max() < 3e-15
+
+    def test_bundle_matches_reference(self, rule_reference):
+        # measured worst: alpha 1.4e-13, the exponential log F_2 3.1e-13, q' 4.6e-12
+        _, bundles = rule_reference
+        gaps = np.abs(_rule_bundles() - bundles) / np.abs(bundles)
+        assert gaps[:, :5].max() < 5e-13
+        assert gaps[:, 5].max() < 2e-11
+
+    def test_smaller_rule_misses_the_bundle_bound(self, rule_reference, monkeypatch):
+        # 48 nodes lose the exponential log F_2 to 6.2e-10 and eta to 1.3e-10
+        _, bundles = rule_reference
+        monkeypatch.setattr(airy_module, "DEFAULT_NODES", 48)
+        gaps = np.abs(_rule_bundles() - bundles) / np.abs(bundles)
+        assert gaps[:, :5].max() > 1e-10
+
+
+def _painleve_log_f2(s: float) -> float:
+    """Left-tail series of log F_2 (Tracy & Widom 1994; constant by Deift, Its & Krasovsky 2008)."""
+    import mpmath
+
+    a = -s
+    return (
+        -(a**3) / 12.0
+        - math.log(a) / 8.0
+        + math.log(2.0) / 24.0
+        + float(mpmath.zeta(-1, derivative=1))
+        + 3.0 / (64.0 * a**3)
+        + 63.0 / (256.0 * a**6)
+        + 2407.0 / (512.0 * a**9)
+    )
+
+
+def _painleve_q(s: float) -> float:
+    """Left-tail series of the Hastings-McLeod q (Tracy & Widom 1994)."""
+    return math.sqrt(-s / 2.0) * (1.0 + s**-3 / 8.0 - 73.0 * s**-6 / 128.0 + 10657.0 * s**-9 / 1024.0)
+
+
+class TestPainleveLeftEdge:
+    """The Painleve II series as the reference at the left edge of the window.
+
+    The series' truncation error is below 1e-9 for s <= -8, so the gaps
+    below are the Nystrom values' own error (F_2(-10) is about 4e-37).  The
+    bounds sit between the 64-node rule's gaps and the 96-node rule's.
+    """
+
+    @pytest.mark.parametrize(
+        "s, bound",
+        # measured gaps at 64 nodes 5.4e-5, 6.5e-7, 1.7e-8; at 96 nodes 8.3e-5, 2.2e-6, 5.3e-8
+        [(-10.0, 1e-4), (-9.0, 1.5e-6), (-8.0, 3e-8)],
+    )
+    def test_log_f2(self, s, bound):
+        assert abs(log_f2_limit(s) - _painleve_log_f2(s)) < bound
+
+    @pytest.mark.parametrize(
+        "s, bound",
+        # measured gaps at 64 nodes 2.4e-4, 2.7e-6, 6.4e-8; at 96 nodes 3.6e-4, 9.1e-6, 2.1e-7
+        [(-10.0, 5e-4), (-9.0, 5e-6), (-8.0, 1.2e-7)],
+    )
+    def test_hastings_mcleod_q(self, s, bound):
+        assert abs(hastings_mcleod_q(s) - _painleve_q(s)) < bound

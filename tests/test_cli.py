@@ -4,6 +4,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -426,3 +429,16 @@ class TestOut:
     def test_devnull(self):
         # a file that cannot be truncated by position is still a valid --out
         assert run_cli(["limit", "--steps", "2", "--out", os.devnull]) == (0, "")
+
+    def test_out_naming_stdout_appends_to_it(self, tmp_path):
+        # a "w" reopen of /dev/stdout truncated the file stdout was redirected to
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"before\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["limit", "--steps", "2"]
+        with path.open("ab") as stdout:
+            done = subprocess.run([sys.executable, "-m", "gemax.cli", *argv, "--out", "/dev/stdout"],
+                                  stdout=stdout, env=env, check=False)
+        assert done.returncode == 0
+        assert path.read_text() == "before\n" + run_cli(argv)[1]

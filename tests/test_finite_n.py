@@ -479,7 +479,7 @@ GSE_SWEEP = (3, 5, 11, 41)
 
 
 class TestCdfContract:
-    @pytest.mark.parametrize("n", GOE_SWEEP + GSE_SWEEP, ids=lambda n: f"{n}-assembly")
+    @pytest.mark.parametrize("n", GOE_SWEEP + GSE_SWEEP)
     def test_unit_interval_or_typed_error(self, n):
         # every value is in [0, 1] or a ParameterError/NumericalError, on
         # edge - 8 .. edge + 4 of the GUE-side variable t (u = t / sqrt 2)

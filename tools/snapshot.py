@@ -8,9 +8,10 @@ above, so no other copy is imported) and writes one JSON object: each key
 names a value of the public API or a CLI argv, each float is stored as its
 ``repr``, a raised error as ``raises <class>``, and each argv as its stdout
 and exit code.  The second form prints every key whose entry differs, with
-both entries and the relative gap of differing floats, and exits 1 if any
-key differs.  A change that must keep every result bit for bit compares the
-records of its parent tree and of itself.
+both entries and the largest relative gap of its differing floats (the
+numbers printed in a CLI stdout included), and exits 1 if any key differs.
+A change that must keep every result bit for bit compares the records of
+its parent tree and of itself.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import importlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +32,8 @@ OFFSETS = tuple(range(-8, 5))
 AIRY_POINTS = tuple(-10.0 + 0.5 * k for k in range(37))
 BUNDLE_POINTS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4", "c_phi", "c_psi")
+#: a decimal number in a CLI stdout, kept by `re.split` as its own part
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 ARGVS = (
     ("tabulate", "--ensemble", "gue", "--n", "4", "--t-min", "-3", "--t-max", "3", "--steps", "7"),
@@ -142,12 +146,22 @@ def snapshot(tree: Path, path: Path) -> None:
 
 
 def _gaps(a, b):
-    """Relative gaps between the differing floats of two entries."""
+    """Relative gaps between the differing floats of two entries.
+
+    Two texts that split into the same tokens apart from their numbers, as
+    the stdouts of one argv do, are compared number by number.
+    """
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [g for k in a for g in _gaps(a[k], b[k])]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [g for x, y in zip(a, b) for g in _gaps(x, y)]
     try:
         x, y = float(a), float(b)
     except (TypeError, ValueError):
+        if isinstance(a, str) and isinstance(b, str):
+            parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
+            if len(parts_a) == len(parts_b) > 1 and parts_a[::2] == parts_b[::2]:
+                return _gaps(parts_a[1::2], parts_b[1::2])
         return []
     if x == y or not (math.isfinite(x) and math.isfinite(y)):
         return []
