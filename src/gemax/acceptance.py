@@ -170,6 +170,7 @@ MC_CASES = (
     ("gse", 4, 1, 9004),
     ("gse", 4, 3, 9005),
 )
+MC_COUNT = 100_000  # samples per MC_CASES run
 
 
 def mc_cdf(ensemble: str, n: int):
@@ -195,13 +196,13 @@ def mc_cdf(ensemble: str, n: int):
     raise ParameterError(f"unknown ensemble {ensemble!r}")
 
 
-def criterion_5(scale: float = 1.0, count: int = 100_000) -> CriterionResult:
+def criterion_5(scale: float = 1.0) -> CriterionResult:
     """KS distance of seeded sampler runs against the analytic CDFs."""
     details = []
     ok = True
-    crit = mc.ks_critical_1pct(count) * scale
+    crit = mc.ks_critical_1pct(MC_COUNT) * scale
     for ensemble, beta, n, seed in MC_CASES:
-        run = mc.sample_lambda_max(beta, n, count, seed)
+        run = mc.sample_lambda_max(beta, n, MC_COUNT, seed)
         ks = mc.ks_statistic(run, mc_cdf(ensemble, n), grid_points=201)
         ok = ok and ks < crit
         details.append(f"{ensemble} n={n}: {ks:.4f}")
@@ -220,15 +221,15 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
         qm, q0, qp = (airy.hastings_mcleod_q(float(s) + k * h) for k in (-1, 0, 1))
         pii = max(pii, abs((qm - 2 * q0 + qp) / h**2 - (s * q0 + 2 * q0**3)))
     bdry = abs(airy.hastings_mcleod_q(5.0) / airy_fn(5.0)[0] - 1.0)
-    dual = abs(airy.f2_limit(-1.0, "exponential") - airy.f2_limit(-1.0, "determinant"))
+    dual = abs(math.exp(airy.airy_bundle(-1.0).log_f2) - airy.f2_limit(-1.0))
     # F_1 and F_4 from their determinants against sqrt(F_2) e^{-mu/2} and
-    # sqrt(F_2) cosh(mu/2), with F_2 on the exponential path and the bundle's mu
+    # sqrt(F_2) cosh(mu/2), with the bundle's exponential F_2 and mu
     f1_gap = f4_gap = 0.0
     for s in (-4.0, -1.0, 2.0):
-        mu = airy.airy_bundle(s).mu
-        root = math.sqrt(airy.f2_limit(s, "exponential"))
-        f1_gap = max(f1_gap, abs(airy.f1_limit(s) - root * math.exp(-0.5 * mu)))
-        f4_gap = max(f4_gap, abs(airy.f4_limit(s) - root * math.cosh(0.5 * mu)))
+        b = airy.airy_bundle(s)
+        root = math.sqrt(math.exp(b.log_f2))
+        f1_gap = max(f1_gap, abs(airy.f1_limit(s) - root * math.exp(-0.5 * b.mu)))
+        f4_gap = max(f4_gap, abs(airy.f4_limit(s) - root * math.cosh(0.5 * b.mu)))
     clauses = (
         Clause("nu identity", nu_gap, 1e-8 * scale),
         Clause("Painleve II", pii, 1e-4 * scale),
@@ -252,7 +253,7 @@ def _gue_sup_error(n: int, c: float, s_grid) -> float:
     worst = 0.0
     for s in s_grid:
         t = airy.tau(n, c, float(s))
-        truth = finite_n.f_n2(n, t, "determinant", nodes=96)
+        truth = finite_n.f_n2(n, t)
         worst = max(worst, abs(truth - airy.f2_limit(float(s))))
     return worst
 
@@ -287,13 +288,13 @@ def edgeworth_comparison(ensemble: str, n: int, c: float, s: float):
 def _edgeworth_point(ensemble: str, n: int, c: float, s: float):
     """(finite-n truth, the ensemble's EdgeworthResult) for one expansion point."""
     if ensemble == "gue":
-        truth = finite_n.f_n2(n, airy.tau(n, c, s), "determinant", nodes=96)
+        truth = finite_n.f_n2(n, airy.tau(n, c, s))
         r = airy.edgeworth_f2(n, c, s)
     elif ensemble == "goe":
-        truth = finite_n.f_n1(n, airy.tau(n, c, s), nodes=96) ** 2
+        truth = finite_n.f_n1(n, airy.tau(n, c, s)) ** 2
         r = airy.edgeworth_f1_sq(n, c, s)
     elif ensemble == "gse":
-        truth = finite_n.f_n4(n, airy.tau(n, c, s) / SQRT2, nodes=96) ** 2
+        truth = finite_n.f_n4(n, airy.tau(n, c, s) / SQRT2) ** 2
         r = airy.edgeworth_f4_sq(n, c, s)
     else:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
@@ -366,7 +367,7 @@ def criterion_9(scale: float = 1.0) -> CriterionResult:
             failures.append(f"gse n={n}")
     s_grid = np.linspace(-8.0, 7.9, 101)
     for name, fn in (
-        ("F2", lambda s: airy.f2_limit(s, "determinant")),
+        ("F2", airy.f2_limit),
         ("F1", airy.f1_limit),
         ("F4", airy.f4_limit),
     ):

@@ -15,10 +15,10 @@ is the Hastings-McLeod q, recovered here from the resolvent rather than by
 ODE shooting (which is exponentially unstable).  The integrals mu, nu,
 alpha, eta need the endpoint scalars as *functions* of the left endpoint,
 so the bundle evaluates them at every outer node.  The same outer values
-give the exponential log F_2 = -int (x - s) q^2, and the endpoint values
-at s give q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The bundle serves
-only the Edgeworth terms, the exponential F_2 and the acceptance
-cross-checks of the limit laws.
+give the exponential log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``),
+and the endpoint values at s give q' = p_0 - q_0 u_0 (the Tracy-Widom
+system).  The bundle serves only the Edgeworth terms and the acceptance
+cross-checks of the limit laws; ``f2_limit`` itself is the determinant.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class AiryBundle:
 
     q, p, u, v, v_tilde, w are triples indexed by the weight power i = 0,1,2
     (rhs x^i Ai and x^i Ai').  eta is split into its c-independent integral
-    piece plus (q', p); eta(c) assembles the full definition.
+    piece plus (q', p); eta(c) assembles the full definition.  log_f2 is
+    the exponential log F_2(s) = -int_s^inf (x - s) q(x)^2 dx.
     """
 
     s: float
@@ -78,6 +79,7 @@ class AiryBundle:
     alpha: float
     eta_integral: float
     q_prime: float
+    log_f2: float
 
     def eta(self, c: float) -> float:
         return self.eta_integral - (20.0 * c * c * self.q_prime + 3.0 * self.p[0]) / (
@@ -133,12 +135,11 @@ def hastings_mcleod_q(s: float) -> float:
 
 
 # The one cache keyed on a float argument.  One bundle costs 65 operators, and
-# callers read the same s again: the three Edgeworth expansions at one s and
-# the exponential F_2 they share, and `convergence`, `edgeworth` and
-# criterion 6, which repeat an s for many n
+# callers read the same s again: the three Edgeworth expansions at one s, and
+# `convergence`, `edgeworth` and criterion 6, which repeat an s for many n
 @lru_cache(maxsize=10_000)
-def _bundle_cached(s: float) -> tuple[AiryBundle, float]:
-    """The bundle at s and the exponential log F_2(s), from one set of outer values."""
+def _bundle_cached(s: float) -> AiryBundle:
+    """The bundle at s, every integral from one set of outer values."""
     q, p, u, v, v_tilde, w = _point_values(s)
     outer = build_grid(s, _cutoff(s), DEFAULT_NODES)
     local = [_point_values(float(x)) for x in outer.nodes]
@@ -162,8 +163,7 @@ def _bundle_cached(s: float) -> tuple[AiryBundle, float]:
         ]
     )
     eta_integral = float(np.sum(outer.weights * eta_integrand)) / (20.0 * SQRT2)
-    log_f2 = -float(np.sum(outer.weights * (outer.nodes - s) * qx * qx))
-    bundle = AiryBundle(
+    return AiryBundle(
         s=s,
         q=q,
         p=p,
@@ -176,29 +176,25 @@ def _bundle_cached(s: float) -> tuple[AiryBundle, float]:
         alpha=alpha,
         eta_integral=eta_integral,
         q_prime=p[0] - q[0] * u[0],
+        log_f2=-float(np.sum(outer.weights * (outer.nodes - s) * qx * qx)),
     )
-    return bundle, log_f2
 
 
 def airy_bundle(s: float) -> AiryBundle:
     """All Airy-resolvent scalars and integrals at s (cached)."""
     _window_check(s)
-    return _bundle_cached(s)[0]
+    return _bundle_cached(s)
 
 
-def log_f2_limit(s: float, method: str = "determinant") -> float:
-    """log F_2(s); Airy Fredholm determinant or exponential integral path."""
+def log_f2_limit(s: float) -> float:
+    """log F_2(s) = log det(I - K_Ai), the Airy Fredholm determinant."""
     _window_check(s)
-    if method == "determinant":
-        return fredholm_log_det(_operator(s))
-    if method == "exponential":
-        return _bundle_cached(s)[1]
-    raise ParameterError(f"unknown method {method!r}")
+    return fredholm_log_det(_operator(s))
 
 
-def f2_limit(s: float, method: str = "determinant") -> float:
+def f2_limit(s: float) -> float:
     """Tracy-Widom distribution F_2(s) = det(I - K_Ai) = exp(-int (x-s) q(x)^2 dx)."""
-    return min(math.exp(log_f2_limit(s, method)), 1.0)
+    return min(math.exp(log_f2_limit(s)), 1.0)
 
 
 def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
@@ -286,7 +282,7 @@ def edgeworth_f2(n: int, c: float, s: float) -> EdgeworthResult:
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     b = airy_bundle(s)
-    f2 = f2_limit(s, "exponential")
+    f2 = math.exp(b.log_f2)
     first = f2 * c * b.u[0]
     second = -f2 * e_c2(s, c) / 20.0
     combined = f2 + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)
@@ -298,7 +294,7 @@ def edgeworth_f1_sq(n: int, c: float, s: float) -> EdgeworthResult:
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     b = airy_bundle(s)
-    f2 = f2_limit(s, "exponential")
+    f2 = math.exp(b.log_f2)
     mu = b.mu
     emu = math.exp(-mu)
     leading = f2 * emu
@@ -319,7 +315,7 @@ def edgeworth_f4_sq(n: int, c: float, s: float) -> EdgeworthResult:
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     b = airy_bundle(s)
-    f2 = f2_limit(s, "exponential")
+    f2 = math.exp(b.log_f2)
     mu = b.mu
     ch, sh = math.cosh(mu), math.sinh(mu)
     q, u0, nu = b.q[0], b.u[0], b.nu

@@ -13,11 +13,12 @@ g = sqrt(2 a b), are soft-edge asymptotics kept as a cross-check
 integral the first-principles path needs (eps phi, the integrals left of
 t, c_phi and c_psi) is exact, from the integral recurrence of
 :func:`gemax.special.hermite_integrals`; quadrature enters only through the
-Nystrom operator on (t, T).  Each operator takes its kernel's parts on its
-nodes and t from one recurrence pass (``hermite_parts``, or for a GOE/GSE
-value the ``hermite_integrals`` pass that also gives its integrals), so a
-GOE/GSE value, a determinant F_{n,2} value and q_p_n make one pass each,
-and an exponential f_n2 or ab value one per outer node.
+Nystrom operator on (t, T), every operator and outer grid on the one
+DEFAULT_NODES rule.  Each operator takes its kernel's parts on its nodes
+and t from one recurrence pass (``hermite_parts``, or for a GOE/GSE value
+the ``hermite_integrals`` pass that also gives its integrals), so a GOE/GSE
+value, a determinant F_{n,2} value and q_p_n make one pass each, and an
+exponential f_n2 or ab value one per outer node.
 """
 
 from __future__ import annotations
@@ -65,23 +66,23 @@ class EpsilonQuantities:
     c_psi: float
 
 
-def _operator(n: int, t: float, nodes: int) -> DiscretizedKernel:
+def _operator(n: int, t: float) -> DiscretizedKernel:
     """The Nystrom operator of K_{n,2} on (t, T), from one recurrence pass on [nodes, t]."""
-    grid = build_grid(t, _upper_cutoff(n, t), nodes)
+    grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
     return assemble(grid, hermite_parts(n, np.append(grid.nodes, t)), math.sqrt(n / 2.0))
 
 
-def _integral_operator(n: int, t: float, nodes: int):
+def _integral_operator(n: int, t: float):
     """The operator of :func:`_operator` and the integrals on [nodes, t], from one pass."""
-    grid = build_grid(t, _upper_cutoff(n, t), nodes)
+    grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
     parts, *integrals = hermite_integrals(n, grid.nodes, t)
     return assemble(grid, parts, math.sqrt(n / 2.0)), integrals
 
 
-def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
+def q_p_n(n: int, t: float) -> tuple[float, float]:
     """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve."""
     _check_n(n)
-    op = _operator(n, t, nodes)
+    op = _operator(n, t)
     scale = phi_psi_scale(n)
     phi, psi = scale * op.node_parts[0], scale * op.node_parts[1]
     sols = resolvent_solve_many(op, np.column_stack([phi, psi]))
@@ -90,13 +91,12 @@ def q_p_n(n: int, t: float, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
     return q_t, p_t
 
 
-def _tail_integrals(n: int, t: float, nodes: int):
+def _tail_integrals(n: int, t: float):
     """a(t), b(t) and int_t^inf (x - t) q_n(x) p_n(x) dx on a shared outer grid."""
-    outer = build_grid(t, _upper_cutoff(n, t), nodes)
-    q_vals = np.empty(nodes)
-    p_vals = np.empty(nodes)
+    outer = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
+    q_vals, p_vals = np.empty((2, DEFAULT_NODES))
     for j, x in enumerate(outer.nodes):
-        q_vals[j], p_vals[j] = q_p_n(n, float(x), nodes)
+        q_vals[j], p_vals[j] = q_p_n(n, float(x))
     a = float(np.sum(outer.weights * q_vals))
     b = float(np.sum(outer.weights * p_vals))
     moment = float(np.sum(outer.weights * (outer.nodes - t) * q_vals * p_vals))
@@ -106,7 +106,7 @@ def _tail_integrals(n: int, t: float, nodes: int):
 def ab(n: int, t: float) -> tuple[float, float]:
     """Tail integrals a(t) = int_t^inf q_n, b(t) = int_t^inf p_n."""
     _check_n(n)
-    a, b, _ = _tail_integrals(n, t, DEFAULT_NODES)
+    a, b, _ = _tail_integrals(n, t)
     return a, b
 
 
@@ -134,7 +134,7 @@ def c_constants(n: int) -> tuple[float, float]:
 LOG_F_ROUNDING = 1e-10
 
 
-def log_f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
+def log_f_n2(n: int, t: float, method: str = "determinant") -> float:
     """log F_{n,2}(t); safe where the probability underflows.
 
     Raises NumericalError where the determinant loses positivity or the
@@ -142,9 +142,9 @@ def log_f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT
     """
     _check_n(n)
     if method == "determinant":
-        log_f = fredholm_log_det(_operator(n, t, nodes))
+        log_f = fredholm_log_det(_operator(n, t))
     elif method == "exponential":
-        _, _, moment = _tail_integrals(n, t, nodes)
+        _, _, moment = _tail_integrals(n, t)
         log_f = -2.0 * moment
     else:
         raise ParameterError(f"unknown method {method!r}")
@@ -163,14 +163,15 @@ def _checked_log_f(log_f: float, n: int, t: float, method: str) -> float:
 LOG_FLOOR = -30.0
 
 
-def _cdf(n: int, t: float, parity: int | None, nodes: int, method: str = "determinant") -> float:
+def _cdf(n: int, t: float, parity: int | None, method: str = "determinant") -> float:
     """A finite-n CDF value under the one failure policy.
 
     With parity None the value is F_{n,2}(t) = exp(log_f_n2) by ``method``.
     With parity 0 (GOE) or 1 (GSE) it is sqrt(F_{n,2} bracket), the
     bracket being F^2 / F_{n,2} and F_{n,2} the determinant of the operator
-    on (t, T).  The bracket comes from the epsilon quantities of that
-    operator, built with their Hermite integrals from one recurrence pass.
+    on (t, T) on the one DEFAULT_NODES rule.  The bracket comes from the
+    epsilon quantities of that operator, built with their Hermite integrals
+    from one recurrence pass.
     A bracket that is not finite raises NumericalError, and so does a
     combined log F above LOG_F_ROUNDING.  The result is clamped to [0, 1],
     which absorbs rounding only.
@@ -180,9 +181,9 @@ def _cdf(n: int, t: float, parity: int | None, nodes: int, method: str = "determ
         return 1.0
     try:
         if parity is None:
-            log_f = log_f_n2(n, t, method, nodes)
+            log_f = log_f_n2(n, t, method)
         else:
-            op, integrals = _integral_operator(n, t, nodes)
+            op, integrals = _integral_operator(n, t)
             log_f = _checked_log_f(fredholm_log_det(op), n, t, "determinant")
     except NumericalError:
         # sign loss, or a log F above rounding, happens only where F_{n,2}
@@ -202,9 +203,9 @@ def _cdf(n: int, t: float, parity: int | None, nodes: int, method: str = "determ
     return min(math.exp(log_f), 1.0)
 
 
-def f_n2(n: int, t: float, method: str = "determinant", nodes: int = DEFAULT_NODES) -> float:
+def f_n2(n: int, t: float, method: str = "determinant") -> float:
     """GUE distribution F_{n,2}(t) = det(I - K_{n,2}) = exp(-2 int (x-t) q_n p_n)."""
-    return _cdf(n, t, None, nodes, method)
+    return _cdf(n, t, None, method)
 
 
 def cosh_sqrt(z: float) -> float:
@@ -317,7 +318,7 @@ def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     (-inf, t), taken term by term with the same recurrence.
     """
     _check_n(n)
-    return _epsilon_numeric(*_integral_operator(n, t, DEFAULT_NODES), n)
+    return _epsilon_numeric(*_integral_operator(n, t), n)
 
 
 def _epsilon_numeric(op: DiscretizedKernel, integrals, n: int) -> EpsilonQuantities:
@@ -384,16 +385,16 @@ def f4_sq_ratio(eps: EpsilonQuantities) -> float:
     return (1.0 - eps.v_tilde_eps) * (1.0 + 0.5 * eps.r4) + 0.5 * eps.q_eps * eps.p4
 
 
-def f_n1(n: int, t: float, nodes: int = DEFAULT_NODES) -> float:
+def f_n1(n: int, t: float) -> float:
     """GOE distribution F_{n,1}(t) for n even.
 
     Its square is F_{n,2} times the determinant representation evaluated
     with first-principles epsilon quantities, exact up to quadrature error.
     """
-    return _cdf(n, t, 0, nodes)
+    return _cdf(n, t, 0)
 
 
-def f_n4(n: int, u: float, nodes: int = DEFAULT_NODES) -> float:
+def f_n4(n: int, u: float) -> float:
     """GSE-side distribution F_{n,4}(u) for odd kernel index n.
 
     u is the GSE-scale argument; the representations live on the GUE-side
@@ -403,7 +404,7 @@ def f_n4(n: int, u: float, nodes: int = DEFAULT_NODES) -> float:
     and builds no operator.  See :func:`gse_largest_cdf` for the matrix-size
     parametrization.  Like :func:`f_n1` it is exact up to quadrature error.
     """
-    return _cdf(n, u * math.sqrt(2.0), 1, nodes)
+    return _cdf(n, u * math.sqrt(2.0), 1)
 
 
 def gse_largest_cdf(n_eigs: int, u: float) -> float:

@@ -11,6 +11,7 @@ from scipy import integrate
 from scipy.special import erfc
 
 from gemax import finite_n, special
+from gemax.airy import tau
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
     DEFAULT_NODES,
@@ -259,7 +260,7 @@ def _per_node_epsilon(n: int, t: float) -> EpsilonQuantities:
     int_t^inf R_n(x, t) dx re-evaluates the full kernel block on the nodes.
     """
     nodes, outer_nodes = DEFAULT_NODES, max(200, 6 * n)
-    op = _operator(n, t, nodes)
+    op = _operator(n, t)
     grid = op.grid
     c_phi, c_psi = c_constants(n)
 
@@ -314,7 +315,7 @@ class TestEpsilonBatched:
     def test_tail_integrals_oracle(self, n):
         # the tail integrals behind eps phi, on each operator's nodes and t
         for t in (math.sqrt(2.0 * n) - 4.0, math.sqrt(2.0 * n) + 0.5):
-            grid = _operator(n, t, DEFAULT_NODES).grid
+            grid = _operator(n, t).grid
             got = phi_psi_scale(n) * hermite_integrals(n, grid.nodes, t)[1]
             want = _phi_tail_oracle(n, np.append(grid.nodes, t))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -367,7 +368,7 @@ class TestEpsilonBatched:
         counted(finite_n, "hermite_integrals")
         got = epsilon_numeric(n, t)
         assert calls == ["hermite_integrals"]
-        op, integrals = _integral_operator(n, t, DEFAULT_NODES)
+        op, integrals = _integral_operator(n, t)
         calls.clear()
         assert _epsilon_numeric(op, integrals, n) == got
         assert calls == []
@@ -378,8 +379,8 @@ class TestEpsilonBatched:
         # hermite_parts bit for bit, so the GOE/GSE operator is the GUE one
         edge = math.sqrt(2.0 * n)
         for t in (edge - 4.0, edge, edge + 2.0):
-            op, _ = _integral_operator(n, t, DEFAULT_NODES)
-            ref = _operator(n, t, DEFAULT_NODES)
+            op, _ = _integral_operator(n, t)
+            ref = _operator(n, t)
             assert np.array_equal(op.matrix, ref.matrix)
             for got, want in zip(op.node_parts + op.end_parts, ref.node_parts + ref.end_parts):
                 assert np.array_equal(got, want)
@@ -642,3 +643,55 @@ class TestLogFn2:
     def test_exp_matches(self):
         t = 1.1
         assert math.exp(log_f_n2(4, t)) == pytest.approx(f_n2(4, t), rel=1e-12)
+
+
+RULE_POINTS = tuple(float(s) for s in np.linspace(-10.0, 8.0, 19))
+
+
+def _rule_values() -> tuple[np.ndarray, np.ndarray]:
+    """f_n2 and f_n1 at n = 4, 40, 400, and f_n4 at n = 21, 41, 399, at tau(n, 0, s).
+
+    The GSE rows leave out n <= 5, whose left tail no rule holds (see
+    ``TestFn4::test_n3_left_tail_matches_erf``).
+    """
+    gue_goe = [
+        [law(n, tau(n, 0.0, s)) for s in RULE_POINTS]
+        for n in (4, 40, 400)
+        for law in (f_n2, f_n1)
+    ]
+    gse = [[f_n4(n, tau(n, 0.0, s) / math.sqrt(2.0)) for s in RULE_POINTS] for n in (21, 41, 399)]
+    return np.array(gue_goe), np.array(gse)
+
+
+@pytest.fixture(scope="class")
+def finite_rule_reference():
+    """The values of :func:`_rule_values` on a 160-node rule over the same cutoff."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finite_n, "DEFAULT_NODES", 160)
+        return _rule_values()
+
+
+class TestRuleSize:
+    """One Gauss-Legendre rule on (t, T) serves every finite-n operator.
+
+    Over the Edgeworth window it keeps the digits of a 160-node rule on
+    the same cutoff T; a 40-node rule misses both bounds.
+    """
+
+    def test_default_size(self):
+        assert DEFAULT_NODES == 64
+
+    def test_values_match_reference(self, finite_rule_reference):
+        # measured worst: f_n2/f_n1 1.1e-14 (n = 400), f_n4 5.2e-14 (n = 21)
+        gue_goe, gse = _rule_values()
+        ref_gue_goe, ref_gse = finite_rule_reference
+        assert np.abs(gue_goe - ref_gue_goe).max() < 5e-14
+        assert np.abs(gse - ref_gse).max() < 1e-12
+
+    def test_smaller_rule_misses_the_bounds(self, finite_rule_reference, monkeypatch):
+        # 40 nodes lose f_n2 at n = 400 to 7.7e-12 and f_n4 at n = 399 to 4.3e-10
+        monkeypatch.setattr(finite_n, "DEFAULT_NODES", 40)
+        gue_goe, gse = _rule_values()
+        ref_gue_goe, ref_gse = finite_rule_reference
+        assert np.abs(gue_goe - ref_gue_goe).max() > 5e-14
+        assert np.abs(gse - ref_gse).max() > 1e-12

@@ -105,7 +105,6 @@ def _values(gemax) -> dict:
             else:
                 law, x = finite_n.f_n4, t / math.sqrt(2.0)
             _record(out, f"{law.__name__} {at}", lambda: law(n, x))
-            _record(out, f"{law.__name__} nodes=96 {at}", lambda: law(n, x, 96))
             if n <= 40:
                 _record(out, f"f_n2 exponential {at}", lambda: finite_n.f_n2(n, t, "exponential"))
                 _record(out, f"ab {at}", lambda: finite_n.ab(n, t))
@@ -114,7 +113,7 @@ def _values(gemax) -> dict:
             _record(out, f"{law.__name__} s={s!r}", lambda: law(s))
     for s in BUNDLE_POINTS:
         _record(out, f"airy_bundle s={s!r}", lambda: repr(airy.airy_bundle(s)))
-        _record(out, f"f2_limit exponential s={s!r}", lambda: airy.f2_limit(s, "exponential"))
+        _record(out, f"f2_limit exponential s={s!r}", lambda: math.exp(airy.airy_bundle(s).log_f2))
     return out
 
 
