@@ -14,8 +14,11 @@ q_i(s), p_i(s); inner products give u_i, v_i, v~_i, w_i.  In particular q_0
 is the Hastings-McLeod q, recovered here from the resolvent rather than by
 ODE shooting (which is exponentially unstable).  The integrals mu, nu,
 alpha, eta need the endpoint scalars as *functions* of the left endpoint,
-so the bundle evaluates them at every outer node.  The same outer values
-give the exponential log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``),
+so the bundle evaluates them at every outer node: one stack of 65
+operators, at s and at the 64 outer nodes, from one Airy call on all their
+nodes and ends (most of them right of x = 10, where special.airy sums the
+asymptotic series), assembled and solved block by block.  The same outer
+values give the exponential log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``),
 and the endpoint values at s give q' = p_0 - q_0 u_0 (the Tracy-Widom
 system).  The bundle serves only the Edgeworth terms and the acceptance
 cross-checks of the limit laws; ``f2_limit`` itself is the determinant.
@@ -30,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .fredholm import assemble, fredholm_log_det, positive_log_det, resolvent_solve_many
+from .fredholm import assemble, fredholm_log_det, map_blocks, positive_log_det
+from .fredholm import resolvent_solve_many
 from .special import airy as airy_fn
 from .special import build_grid
 
@@ -45,9 +49,9 @@ def _window_check(s: float) -> None:
         raise ParameterError(f"s = {s} outside supported window [{S_MIN}, {S_MAX}]")
 
 
-def _cutoff(s: float) -> float:
+def _cutoff(s):
     # Ai(x) ~ e^{-(2/3)x^{3/2}}: thirty units past max(s, 0) the tail is < 1e-16
-    return max(s, 0.0) + 30.0
+    return np.maximum(s, 0.0) + 30.0
 
 
 def tau(n: int, c: float, s: float) -> float:
@@ -97,41 +101,54 @@ class EdgeworthResult:
     combined: float
 
 
-def _operator(s: float):
-    """The operator of K_Ai on (s, S) from one Airy call on [nodes, s]."""
-    grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
-    z = np.append(grid.nodes, s)
+def _parts(grid) -> tuple:
+    """Ai, Ai' and K_Ai(z, z) = Ai'^2 - z Ai^2 at z = grid.nodes_and_lower, from one Airy call."""
+    z = grid.nodes_and_lower
     ai, aip = airy_fn(z)
-    return assemble(grid, (ai, aip, aip * aip - z * ai * ai), 1.0)
+    return ai, aip, aip * aip - z * ai * ai
 
 
-def _point_values(s: float):
-    """Endpoint scalars (q_i, p_i, u_i, v_i, v~_i, w_i) of the operator on (s, S)."""
-    op = _operator(s)
-    grid = op.grid
+def _operator(s: float):
+    """The operator of K_Ai on (s, S)."""
+    grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
+    return assemble(grid, _parts(grid), 1.0)
+
+
+def _endpoint_scalars(op) -> np.ndarray:
+    """(q_i, p_i, u_i, v_i, v~_i, w_i) of a block of operators, shape (6, 3, block)."""
+    x, w = op.grid.nodes, op.grid.weights
     ai, aip, _ = op.node_parts
-    powers = np.column_stack([np.ones(DEFAULT_NODES), grid.nodes, grid.nodes**2])
-    rhs = np.column_stack([powers * ai[:, None], powers * aip[:, None]])
+    powers = np.stack([np.ones_like(x), x, x * x], axis=-1)
+    rhs = np.concatenate([powers * ai[..., None], powers * aip[..., None]], axis=-1)
     sols = resolvent_solve_many(op, rhs)  # columns: Q0 Q1 Q2 P0 P1 P2
-    ai_s, aip_s, _ = op.end_parts
-    endpoint_rhs = np.array([ai_s, s * ai_s, s * s * ai_s, aip_s, s * aip_s, s * s * aip_s])
-    endpoint = endpoint_rhs + op.end_row @ (grid.weights[:, None] * sols)
-    w_ai = grid.weights * ai
-    w_aip = grid.weights * aip
-    u = tuple(float(w_ai @ sols[:, i]) for i in range(3))
-    v = tuple(float(w_ai @ sols[:, 3 + i]) for i in range(3))
-    v_tilde = tuple(float(w_aip @ sols[:, i]) for i in range(3))
-    w = tuple(float(w_aip @ sols[:, 3 + i]) for i in range(3))
-    q = tuple(float(endpoint[i]) for i in range(3))
-    p = tuple(float(endpoint[3 + i]) for i in range(3))
-    return q, p, u, v, v_tilde, w
+    s = op.grid.lower[:, None]
+    ai_s, aip_s, _ = (v[:, None] for v in op.end_parts)
+    end_powers = np.concatenate([np.ones_like(s), s, s * s], axis=-1)
+    end_rhs = np.concatenate([end_powers * ai_s, end_powers * aip_s], axis=-1)
+    endpoint = end_rhs + (op.end_row[:, None, :] @ (w[..., None] * sols))[:, 0]
+    on_ai = ((w * ai)[:, None, :] @ sols)[:, 0]
+    on_aip = ((w * aip)[:, None, :] @ sols)[:, 0]
+    # the 18 columns run q, p, u, v, v~, w, each for i = 0, 1, 2
+    return np.concatenate([endpoint, on_ai, on_aip], axis=-1).T.reshape(6, 3, -1)
+
+
+def _point_values(points: np.ndarray) -> np.ndarray:
+    """Endpoint scalars (q_i, p_i, u_i, v_i, v~_i, w_i) of the operators on (x, S(x)), x in points.
+
+    Returns an array of shape (6, 3, len(points)): the six scalars, each for
+    the weight powers i = 0, 1, 2, at each point.  One Airy call on the
+    nodes and left ends of the whole stack gives the matrices, the
+    right-hand sides x^i Ai, x^i Ai', the rows K(x, x_j) and the endpoint
+    values.
+    """
+    grid = build_grid(points, _cutoff(points), DEFAULT_NODES)
+    return map_blocks(_endpoint_scalars, grid, _parts(grid), 1.0)
 
 
 def hastings_mcleod_q(s: float) -> float:
     """Hastings-McLeod Painleve II solution q(s), from the Airy resolvent."""
     _window_check(s)
-    q, _, _, _, _, _ = _point_values(s)
-    return q[0]
+    return float(_point_values(np.array([s]))[0, 0, 0])
 
 
 # The one cache keyed on a float argument.  One bundle costs 65 operators, and
@@ -139,28 +156,23 @@ def hastings_mcleod_q(s: float) -> float:
 # `convergence`, `edgeworth` and criterion 6, which repeat an s for many n
 @lru_cache(maxsize=10_000)
 def _bundle_cached(s: float) -> AiryBundle:
-    """The bundle at s, every integral from one set of outer values."""
-    q, p, u, v, v_tilde, w = _point_values(s)
+    """The bundle at s, every integral from the point values at the outer nodes."""
     outer = build_grid(s, _cutoff(s), DEFAULT_NODES)
-    local = [_point_values(float(x)) for x in outer.nodes]
-    qx = np.array([loc[0][0] for loc in local])
-    px = np.array([loc[1][0] for loc in local])
-    ux = np.array([loc[2][0] for loc in local])
-    mu = float(np.sum(outer.weights * qx))
-    nu = float(np.sum(outer.weights * px))
-    alpha = float(np.sum(outer.weights * qx * ux))
-    eta_integrand = np.array(
-        [
-            6.0 * lq[0] * lv[0]
-            + 3.0 * lp[0] * lu[0]
-            + 2.0 * lp[2]
-            + 2.0 * lp[1] * lv[0]
-            + 2.0 * lp[0] * lv[1]
-            - 2.0 * lq[2] * lu[0]
-            - 2.0 * lq[1] * lu[1]
-            - 2.0 * lq[0] * lu[2]
-            for lq, lp, lu, lv, _, _ in local
-        ]
+    values = _point_values(np.append(s, outer.nodes))
+    q, p, u, v, v_tilde, w = (tuple(float(x) for x in field[:, 0]) for field in values)
+    lq, lp, lu, lv = values[:4, :, 1:]
+    mu = float(np.sum(outer.weights * lq[0]))
+    nu = float(np.sum(outer.weights * lp[0]))
+    alpha = float(np.sum(outer.weights * lq[0] * lu[0]))
+    eta_integrand = (
+        6.0 * lq[0] * lv[0]
+        + 3.0 * lp[0] * lu[0]
+        + 2.0 * lp[2]
+        + 2.0 * lp[1] * lv[0]
+        + 2.0 * lp[0] * lv[1]
+        - 2.0 * lq[2] * lu[0]
+        - 2.0 * lq[1] * lu[1]
+        - 2.0 * lq[0] * lu[2]
     )
     eta_integral = float(np.sum(outer.weights * eta_integrand)) / (20.0 * SQRT2)
     return AiryBundle(
@@ -176,7 +188,7 @@ def _bundle_cached(s: float) -> AiryBundle:
         alpha=alpha,
         eta_integral=eta_integral,
         q_prime=p[0] - q[0] * u[0],
-        log_f2=-float(np.sum(outer.weights * (outer.nodes - s) * qx * qx)),
+        log_f2=-float(np.sum(outer.weights * (outer.nodes - s) * lq[0] * lq[0])),
     )
 
 
@@ -202,7 +214,7 @@ def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
 
     One Nystrom matrix on the F_2 grid; Ai is evaluated once per distinct
     pairwise sum (the upper triangle).  Raises NumericalError where a
-    determinant loses positivity, by the check `fredholm_log_det` makes.
+    determinant loses positivity, by `positive_log_det`.
     """
     _window_check(s)
     nodes = DEFAULT_NODES

@@ -14,22 +14,26 @@ integral the first-principles path needs (eps phi, the integrals left of
 t, c_phi and c_psi) is exact, from the integral recurrence of
 :func:`gemax.special.hermite_integrals`; quadrature enters only through the
 Nystrom operator on (t, T), every operator and outer grid on the one
-DEFAULT_NODES rule.  Each operator takes its kernel's parts on its nodes
-and t from one recurrence pass (``hermite_parts``, or for a GOE/GSE value
-the ``hermite_integrals`` pass that also gives its integrals), so a GOE/GSE
-value, a determinant F_{n,2} value and q_p_n make one pass each, and an
-exponential f_n2 or ab value one per outer node.
+DEFAULT_NODES rule.  An operator takes its kernel's parts on its nodes and
+t from one recurrence pass (``hermite_parts``, or for a GOE/GSE value the
+``hermite_integrals`` pass that also gives its integrals), so a GOE/GSE
+value, a determinant F_{n,2} value and q_p_n make one pass each.  An
+exponential f_n2 or ab value needs q_n, p_n at every outer node: its 64
+operators form one stack, whose parts come from one pass over all their
+nodes and ends, and which is assembled and solved block by block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fredholm import DiscretizedKernel, assemble, fredholm_log_det, resolvent_solve_many
+from .fredholm import DiscretizedKernel, assemble, fredholm_log_det, map_blocks
+from .fredholm import resolvent_solve_many
 from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
 
 DEFAULT_NODES = 64
@@ -47,9 +51,9 @@ def _check_n(n: int, parity: int | None = None) -> None:
         raise ParameterError(f"need {('even', 'odd')[parity]} n, got {n}")
 
 
-def _upper_cutoff(n: int, t: float) -> float:
+def _upper_cutoff(n: int, t):
     # beyond sqrt(2n)+10 the wave functions are < 1e-16 of their peak
-    return max(t + 1.0, math.sqrt(2.0 * n) + 10.0)
+    return np.maximum(t + 1.0, math.sqrt(2.0 * n) + 10.0)
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class EpsilonQuantities:
 def _operator(n: int, t: float) -> DiscretizedKernel:
     """The Nystrom operator of K_{n,2} on (t, T), from one recurrence pass on [nodes, t]."""
     grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
-    return assemble(grid, hermite_parts(n, np.append(grid.nodes, t)), math.sqrt(n / 2.0))
+    return assemble(grid, hermite_parts(n, grid.nodes_and_lower), math.sqrt(n / 2.0))
 
 
 def _integral_operator(n: int, t: float):
@@ -79,24 +83,39 @@ def _integral_operator(n: int, t: float):
     return assemble(grid, parts, math.sqrt(n / 2.0)), integrals
 
 
+def _endpoint_q_p(scale: float, op: DiscretizedKernel) -> np.ndarray:
+    """(q_n, p_n) at the left ends of a block of operators, shape (2, block).
+
+    ``scale`` is (n/2)^{1/4}, which takes (phi_n, phi_{n-1}) to (phi, psi).
+    """
+    phi, psi = scale * op.node_parts[0], scale * op.node_parts[1]
+    sols = resolvent_solve_many(op, np.stack([phi, psi], axis=-1))
+    endpoint = (op.end_row[:, None, :] @ (op.grid.weights[..., None] * sols))[:, 0]
+    return np.stack([scale * op.end_parts[0], scale * op.end_parts[1]]) + endpoint.T
+
+
+def _q_p(n: int, points: np.ndarray) -> np.ndarray:
+    """(q_n, p_n) at each of the points, shape (2, len(points)), from the operators on (x, T(x)).
+
+    One recurrence pass on the nodes and left ends of the whole stack gives
+    the matrices, the right-hand sides phi, psi and the endpoint values.
+    """
+    grid = build_grid(points, _upper_cutoff(n, points), DEFAULT_NODES)
+    parts = hermite_parts(n, grid.nodes_and_lower)
+    return map_blocks(partial(_endpoint_q_p, phi_psi_scale(n)), grid, parts, math.sqrt(n / 2.0))
+
+
 def q_p_n(n: int, t: float) -> tuple[float, float]:
     """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve."""
     _check_n(n)
-    op = _operator(n, t)
-    scale = phi_psi_scale(n)
-    phi, psi = scale * op.node_parts[0], scale * op.node_parts[1]
-    sols = resolvent_solve_many(op, np.column_stack([phi, psi]))
-    q_t = float(scale * op.end_parts[0] + op.end_row @ (op.grid.weights * sols[:, 0]))
-    p_t = float(scale * op.end_parts[1] + op.end_row @ (op.grid.weights * sols[:, 1]))
-    return q_t, p_t
+    q, p = _q_p(n, np.array([t]))[:, 0]
+    return float(q), float(p)
 
 
 def _tail_integrals(n: int, t: float):
     """a(t), b(t) and int_t^inf (x - t) q_n(x) p_n(x) dx on a shared outer grid."""
     outer = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
-    q_vals, p_vals = np.empty((2, DEFAULT_NODES))
-    for j, x in enumerate(outer.nodes):
-        q_vals[j], p_vals[j] = q_p_n(n, float(x))
+    q_vals, p_vals = _q_p(n, outer.nodes)
     a = float(np.sum(outer.weights * q_vals))
     b = float(np.sum(outer.weights * p_vals))
     moment = float(np.sum(outer.weights * (outer.nodes - t) * q_vals * p_vals))

@@ -10,8 +10,14 @@ one private core evaluates the form and its diagonal limit from them.
 
 A kernel K on (lower, upper) is discretized as the symmetric matrix
 A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Fredholm determinants are
-det(I - A), taken in log space; resolvent solves return the node values of
-(I - K)^{-1} f.
+det(I - A), taken in log space from the LU factors that resolvent solves
+share; resolvent solves return the node values of (I - K)^{-1} f.
+
+Operators come in stacks: on a stack of grids (special.build_grid with
+arrays of ends) every array carries a leading stack axis, and one call
+assembles, factors or solves them all.  A single operator is the stack
+without that axis, by the same code.  :func:`map_blocks` walks a long stack
+BLOCK operators at a time, so the working set stays at a few hundred kB.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NumericalError, ParameterError
 from .special import QuadratureGrid
+
+#: operators per block of a stack: enough to share the per-call overhead,
+#: few enough to keep the block's matrices and their temporaries small
+BLOCK = 4
 
 #: below this separation the difference quotient loses too many digits
 #: and the diagonal-limit form with a first-order Taylor step is used
@@ -39,16 +49,15 @@ def _integrable_form(x, px, y, py, scale: float):
     """
     fx, gx, diag_x = px
     fy, gy, diag_y = py
-    diff = x - y
-    near = np.abs(diff) <= DIAG_GUARD
-    safe = np.where(near, 1.0, diff)
-    off = scale * (fx * gy - fy * gx) / safe
+    # no full-size temporary outlives its use: a stack of matrices stays small
+    near = np.abs(x - y) <= DIAG_GUARD
+    off = scale * (fx * gy - fy * gx) / np.where(near, 1.0, x - y)
     return np.where(near, 0.5 * (diag_x + diag_y), off)
 
 
 @dataclass(frozen=True)
 class DiscretizedKernel:
-    """Symmetrized Nystrom matrix of a kernel on a grid."""
+    """Symmetrized Nystrom matrix of a kernel on a grid, or a stack of them."""
 
     grid: QuadratureGrid
     matrix: np.ndarray
@@ -64,57 +73,90 @@ class DiscretizedKernel:
     @cached_property
     def end_row(self) -> np.ndarray:
         """K(lower, x_j) at the grid nodes, built on first use."""
-        return self.kernel_row(self.grid.lower, self.end_parts)
+        lower = np.asarray(self.grid.lower)[..., None]
+        return self.kernel_row(lower, tuple(v[..., None] for v in self.end_parts))
 
     @cached_property
     def _lu(self):
-        ident = np.eye(self.matrix.shape[0])
-        return lu_factor(ident - self.matrix)
+        """The LU factors of I - A, shared by the determinant and every solve."""
+        return lu_factor(np.eye(self.grid.count) - self.matrix)
 
 
 def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKernel:
     """Build the symmetrized Nystrom matrix of an integrable kernel.
 
-    ``parts`` = (f, g, K(z, z)) at z = [nodes..., lower].  The node values
+    ``parts`` = (f, g, K(z, z)) at z = grid.nodes_and_lower.  The node values
     serve both the row and the column side of the matrix; they and the
     values at the left end stay with the operator.
     """
-    node_parts = tuple(v[:-1] for v in parts)
+    node_parts = tuple(v[..., :-1] for v in parts)
     x = grid.nodes
-    raw = _integrable_form(x[:, None], tuple(v[:, None] for v in node_parts), x, node_parts, scale)
+    rows = tuple(v[..., :, None] for v in node_parts)
+    cols = tuple(v[..., None, :] for v in node_parts)
+    matrix = _integrable_form(x[..., :, None], rows, x[..., None, :], cols, scale)
     sw = grid.sqrt_weights
-    matrix = sw[:, None] * raw * sw[None, :]
-    matrix = 0.5 * (matrix + matrix.T)  # scrub last-bit asymmetry
-    end_parts = tuple(v[-1] for v in parts)
+    matrix *= sw[..., :, None]
+    matrix *= sw[..., None, :]
+    matrix += np.swapaxes(matrix, -1, -2)  # scrub last-bit asymmetry; numpy buffers the overlap
+    matrix *= 0.5
+    end_parts = tuple(v[..., -1] for v in parts)
     return DiscretizedKernel(grid, matrix, scale, node_parts, end_parts)
 
 
-def positive_log_det(matrix: np.ndarray, what: str) -> float:
-    """log det(matrix); NumericalError where the determinant is not positive and finite."""
-    sign, logdet = np.linalg.slogdet(matrix)
+def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float) -> np.ndarray:
+    """fn(operator) for the operators of a stack, BLOCK at a time, joined on the last axis.
+
+    ``grid`` is a stack of grids and ``parts`` the kernel's parts on its
+    ``nodes_and_lower``, both for the whole stack; ``fn`` maps the operator
+    of a block to an array whose last axis runs over that block.  A block's
+    operator is dropped before the next one is assembled.
+    """
+    values = []
+    for start in range(0, grid.nodes.shape[0], BLOCK):
+        block = slice(start, start + BLOCK)
+        sub = QuadratureGrid(*(v[block] for v in (grid.lower, grid.upper, grid.nodes, grid.weights)))
+        values.append(fn(assemble(sub, tuple(v[block] for v in parts), scale)))
+    return np.concatenate(values, axis=-1)
+
+
+def _positive(sign: float, logdet: float, what: str) -> float:
     if sign <= 0 or not np.isfinite(logdet):
         raise NumericalError(f"determinant lost positivity for {what}")
     return float(logdet)
 
 
+def positive_log_det(matrix: np.ndarray, what: str) -> float:
+    """log det(matrix); NumericalError where the determinant is not positive and finite."""
+    return _positive(*np.linalg.slogdet(matrix), what)
+
+
 def fredholm_log_det(op: DiscretizedKernel) -> float:
-    """log det(I - K); stays finite where the determinant underflows."""
+    """log det(I - K) from the operator's LU factors, which its solves reuse.
+
+    Stays finite where the determinant underflows.  The sign is that of the
+    row permutation times the signs of U's diagonal.
+    """
+    lu, piv = op._lu
+    diag = np.diagonal(lu)
+    flips = np.count_nonzero(piv != np.arange(piv.size)) + np.count_nonzero(diag < 0.0)
+    with np.errstate(divide="ignore"):
+        logdet = np.sum(np.log(np.abs(diag)))
     what = f"the kernel on ({op.grid.lower}, {op.grid.upper})"
-    return positive_log_det(np.eye(op.matrix.shape[0]) - op.matrix, what)
+    return _positive(-1.0 if flips % 2 else 1.0, logdet, what)
 
 
 def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.ndarray:
-    """Solve (I - K) f = rhs for each column of ``rhs_block``, shape (count, k).
+    """Solve (I - K) f = rhs for each column of ``rhs_block``, shape (..., count, k).
 
-    All columns share one factorization.  With the symmetrized matrix A the
-    solve is (I - A) y = sqrt(w) rhs, f_j = y_j / sqrt(w_j); returns the
-    node values f, one column per right-hand side.
+    All columns share one factorization per operator.  With the symmetrized
+    matrix A the solve is (I - A) y = sqrt(w) rhs, f_j = y_j / sqrt(w_j);
+    returns the node values f, one column per right-hand side.
     """
     rhs_block = np.asarray(rhs_block, dtype=float)
-    if rhs_block.ndim != 2 or rhs_block.shape[0] != op.grid.count:
+    if rhs_block.ndim != op.grid.nodes.ndim + 1 or rhs_block.shape[:-1] != op.grid.nodes.shape:
         raise ParameterError("rhs sample count does not match grid")
-    sw = op.grid.sqrt_weights
-    y = lu_solve(op._lu, sw[:, None] * rhs_block)
+    sw = op.grid.sqrt_weights[..., None]
+    y = lu_solve(op._lu, sw * rhs_block)
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"resolvent solve failed on ({op.grid.lower}, {op.grid.upper})")
-    return y / sw[:, None]
+    return y / sw

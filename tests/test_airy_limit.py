@@ -24,7 +24,7 @@ from gemax.airy import (
     tau,
 )
 from gemax.errors import NumericalError, ParameterError
-from gemax.special import airy
+from gemax.special import airy, build_grid
 
 
 class TestTau:
@@ -137,20 +137,32 @@ class TestLimitLaws:
         # matrix and the rhs, s's the row K(s, x_j) and the endpoint values
         points = []
         airy_fn = airy_module.airy_fn
-        counted = lambda x: points.append(np.size(x)) or airy_fn(x)
+        counted = lambda x: points.append(np.shape(x)) or airy_fn(x)
         monkeypatch.setattr(airy_module, "airy_fn", counted)
-        q, _, _, _, _, _ = airy_module._point_values(-1.37)
-        assert points == [airy_module.DEFAULT_NODES + 1]
-        assert q[0] == hastings_mcleod_q(-1.37)
+        values = airy_module._point_values(np.array([-1.37]))
+        assert points == [(1, airy_module.DEFAULT_NODES + 1)]
+        assert values[0, 0, 0] == hastings_mcleod_q(-1.37)
 
     def test_fresh_bundle_airy_calls(self, monkeypatch):
-        # one Airy call for the point values at s and one at each outer node
+        # one Airy call for the whole stack of operators: the one at s and one
+        # at each outer node, each on its nodes and its left end
         points = []
         airy_fn = airy_module.airy_fn
-        counted = lambda x: points.append(np.size(x)) or airy_fn(x)
+        counted = lambda x: points.append(np.shape(x)) or airy_fn(x)
         monkeypatch.setattr(airy_module, "airy_fn", counted)
         airy_module._bundle_cached.__wrapped__(-1.37)
-        assert points == [airy_module.DEFAULT_NODES + 1] * (airy_module.DEFAULT_NODES + 1)
+        assert points == [(airy_module.DEFAULT_NODES + 1,) * 2]
+
+    @pytest.mark.parametrize("s", [-4.0, -1.5, 1.0, 3.5, 6.0])
+    def test_stack_matches_single_operators(self, s):
+        # the bundle's stack of 65 operators gives each operator's scalars as
+        # that operator built alone does
+        outer = build_grid(s, airy_module._cutoff(s), airy_module.DEFAULT_NODES)
+        points = np.append(s, outer.nodes)
+        stacked = airy_module._point_values(points)
+        single = [airy_module._point_values(np.array([x])) for x in points]
+        single = np.concatenate(single, axis=-1)
+        assert np.max(np.abs(stacked - single) / np.abs(single)) < 1e-14
 
     @pytest.mark.parametrize("law", [f1_limit, f4_limit], ids=["F1", "F4"])
     def test_sign_loss_raises(self, law, monkeypatch):

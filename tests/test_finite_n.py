@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erfc
 
-from gemax import finite_n, special
+from gemax import finite_n, fredholm, special
 from gemax.airy import tau
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
@@ -425,6 +425,16 @@ class TestWorkPerValue:
         assert [a[1].shape[1] for a in solves] == [3]
         assert 0.0 < value < 1.0
 
+    @pytest.mark.parametrize("n", (40, 41))
+    def test_one_factorization_per_value(self, n, monkeypatch):
+        # log det(I - K) is read from the LU factors that the three-column
+        # solve then reuses: I - K is factored once for a GOE/GSE value
+        factored = self._count(monkeypatch, fredholm, "lu_factor")
+        t = math.sqrt(2.0 * n) + 0.3
+        value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
+        assert len(factored) == 1
+        assert 0.0 < value < 1.0
+
     @pytest.mark.parametrize(
         "value, operators",
         [
@@ -436,16 +446,19 @@ class TestWorkPerValue:
         ids=["f_n1", "f_n4", "q_p_n", "f_n2 exponential"],
     )
     def test_each_operator_solved_once(self, value, operators, monkeypatch):
-        # no operator is left unsolved and none is solved twice
+        # no operator is left unsolved and none is solved twice; a stack of
+        # operators, built block by block, counts each operator of each block
         built = []
         solved = []
-        assemble, solve = finite_n.assemble, finite_n.resolvent_solve_many
-        monkeypatch.setattr(finite_n, "assemble", lambda *a: built.append(assemble(*a)) or built[-1])
+        assemble, solve = fredholm.assemble, finite_n.resolvent_solve_many
+        counted = lambda *a: built.append(assemble(*a)) or built[-1]
+        monkeypatch.setattr(finite_n, "assemble", counted)
+        monkeypatch.setattr(fredholm, "assemble", counted)
         monkeypatch.setattr(
             finite_n, "resolvent_solve_many", lambda op, rhs: solved.append(op) or solve(op, rhs)
         )
         value()
-        assert len(built) == operators
+        assert sum(op.matrix[..., 0, 0].size for op in built) == operators
         assert [id(op) for op in solved] == [id(op) for op in built]
 
     @pytest.mark.parametrize("n", (40, 41))
@@ -460,7 +473,7 @@ class TestWorkPerValue:
         assert 0.0 < value < 1.0
 
     @pytest.mark.parametrize(
-        "value, passes",
+        "value, operators",
         [
             (lambda: q_p_n(40, math.sqrt(80.0) - 0.5), 1),
             (lambda: f_n2(4, 2.0, "exponential"), DEFAULT_NODES),
@@ -468,11 +481,24 @@ class TestWorkPerValue:
         ],
         ids=["q_p_n", "f_n2 exponential", "ab"],
     )
-    def test_one_pass_per_operator(self, value, passes, monkeypatch):
-        # each q_p_n operator takes its parts at the nodes and at t from one pass
+    def test_one_pass_per_operator(self, value, operators, monkeypatch):
+        # every operator takes its parts at its nodes and its left end from one
+        # pass, and the stack of an exponential f_n2 or ab value (one operator
+        # per outer node) shares a single pass over all of them
         phi_two = self._count(monkeypatch, special, "hermite_phi_two")
         value()
-        assert [np.size(a[1]) for a in phi_two] == [DEFAULT_NODES + 1] * passes
+        assert [np.shape(a[1]) for a in phi_two] == [(operators, DEFAULT_NODES + 1)]
+
+    @pytest.mark.parametrize("n", (4, 40))
+    def test_stack_matches_single_operators(self, n):
+        # (q_n, p_n) at the outer nodes of an exponential value, from their
+        # stack, as each operator built alone (q_p_n) gives them, for t on
+        # edge - 4 .. edge + 2.5, where the exponential path is tabulated
+        for t in math.sqrt(2.0 * n) + np.linspace(-4.0, 2.5, 4):
+            outer = build_grid(t, finite_n._upper_cutoff(n, t), DEFAULT_NODES)
+            stacked = finite_n._q_p(n, outer.nodes)
+            single = np.array([q_p_n(n, float(x)) for x in outer.nodes]).T
+            assert np.max(np.abs(stacked - single) / np.abs(single)) < 1e-14, t
 
 
 GOE_SWEEP = (2, 4, 10, 40)

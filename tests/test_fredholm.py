@@ -1,13 +1,14 @@
 """Oracle tests for the Nystrom kernel discretization and resolvent solves."""
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from gemax.errors import ParameterError
-from gemax.fredholm import fredholm_log_det, resolvent_solve_many
+from gemax.errors import NumericalError, ParameterError
+from gemax.fredholm import BLOCK, assemble, fredholm_log_det, map_blocks, resolvent_solve_many
 from gemax.special import airy, build_grid, hermite_parts
 from helpers import (
     airy_kernel,
@@ -139,6 +140,55 @@ class TestFredholmDet:
         grid = build_grid(0.0, 30.0, 96)
         det = math.exp(fredholm_log_det(airy_operator(grid)))
         assert det == pytest.approx(0.9693728283552, abs=1e-10)
+
+    @pytest.mark.parametrize("factor", [1.5, 2.5])
+    def test_sign_from_the_factors(self, factor):
+        # the log det comes from the LU factors that solves share; for the
+        # rank-one kernel phi_0 x phi_0 on (-3, 9), det(I - c K) = 1 - c (1 - e)
+        # with e = erfc(3)/2 ~ 1e-5: negative for c = 1.5 and c = 2.5
+        op = hermite_operator(1, build_grid(-3.0, 9.0, 48))
+        scaled = replace(op, matrix=factor * op.matrix)
+        with pytest.raises(NumericalError):
+            fredholm_log_det(scaled)
+        assert math.exp(fredholm_log_det(op)) == pytest.approx(0.5 * math.erfc(3.0), rel=1e-10)
+        assert "_lu" in op.__dict__
+
+
+class TestStack:
+    """A stack of grids gives a stack of operators, each bit for bit its own operator."""
+
+    LOWER = np.array([-2.0, 0.5, 3.0])
+
+    def _stack(self):
+        grid = build_grid(self.LOWER, self.LOWER + 9.0, 32)
+        return assemble(grid, hermite_parts(5, grid.nodes_and_lower), math.sqrt(2.5))
+
+    def test_operators(self):
+        stack = self._stack()
+        assert stack.matrix.shape == (3, 32, 32)
+        for k, lower in enumerate(self.LOWER):
+            op = hermite_operator(5, build_grid(lower, lower + 9.0, 32))
+            assert np.array_equal(stack.matrix[k], op.matrix)
+            assert np.array_equal(stack.end_row[k], op.end_row)
+
+    def test_solves(self):
+        stack = self._stack()
+        rhs = np.stack([np.cos(stack.grid.nodes), stack.grid.nodes], axis=-1)
+        sols = resolvent_solve_many(stack, rhs)
+        for k, lower in enumerate(self.LOWER):
+            op = hermite_operator(5, build_grid(lower, lower + 9.0, 32))
+            assert np.array_equal(sols[k], resolvent_solve_many(op, rhs[k]))
+
+    def test_map_blocks(self):
+        # blocks of BLOCK operators, joined in order on the last axis
+        grid = build_grid(np.linspace(-2.0, 3.0, 7), np.full(7, 12.0), 32)
+        parts = hermite_parts(5, grid.nodes_and_lower)
+        lowers = map_blocks(lambda op: op.grid.lower[None, :], grid, parts, math.sqrt(2.5))
+        assert np.array_equal(lowers, grid.lower[None, :])
+        size = lambda op: np.full(op.matrix.shape[0], op.matrix.shape[0])
+        sizes = map_blocks(size, grid, parts, 1.0)
+        blocks = np.split(np.arange(7), range(BLOCK, 7, BLOCK))
+        assert np.array_equal(sizes, np.concatenate([np.full(b.size, b.size) for b in blocks]))
 
 
 class TestResolvent:

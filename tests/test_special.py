@@ -197,6 +197,43 @@ class TestAiry:
         fd = (airy(1.0 + h)[0] - airy(1.0 - h)[0]) / (2 * h)
         assert airy(1.0)[1] == pytest.approx(fd, abs=1e-9)
 
+    def test_series_against_mpmath(self):
+        # [DERIVED] right of x = 10 Ai and Ai' come from their asymptotic series;
+        # against 40-digit mpmath their relative error stays within the floor
+        # 1e-15 + 3e-16 zeta that the rounding of zeta = (2/3) x^{3/2} in
+        # e^{-zeta} sets (measured: at most 0.75 of it, as for scipy)
+        xs = np.concatenate([np.linspace(10.0, 12.0, 21)[1:], np.linspace(12.5, 70.0, 24)])
+        ai, aip = airy(xs)
+        with mpmath.workdps(40):
+            ref_ai = np.array([float(mpmath.airyai(x)) for x in xs])
+            ref_aip = np.array([float(mpmath.airyai(x, derivative=1)) for x in xs])
+        bound = 1e-15 + 3e-16 * (2.0 / 3.0) * xs**1.5
+        assert np.all(np.abs(ai / ref_ai - 1.0) < bound)
+        assert np.all(np.abs(aip / ref_aip - 1.0) < bound)
+
+    def test_continuous_across_the_series_start(self):
+        # scipy left of x = 10 and the series right of it meet: across 10 +- h
+        # the values move by their first-order Taylor step, up to a jump of
+        # 4e-15 relative (both sides' error floor at x = 10 is 7e-15)
+        h = 1e-9
+        (ai_lo, ai_hi), (aip_lo, aip_hi) = airy(np.array([10.0 - h, 10.0 + h]))
+        ai, aip = airy(10.0)
+        assert abs(ai_hi - ai_lo - 2.0 * h * aip) < 1e-14 * abs(ai)
+        assert abs(aip_hi - aip_lo - 2.0 * h * 10.0 * ai) < 1e-14 * abs(aip)
+
+    def test_shapes(self):
+        # a scalar gives scalars; arrays keep their shape, empty ones included,
+        # with points on both sides of x = 10 in one call
+        ai, aip = airy(12.0)
+        assert np.ndim(ai) == np.ndim(aip) == 0 and isinstance(ai, float)
+        grid = np.array([[-3.0, 9.0, 11.0], [30.0, 0.5, 10.0]])
+        ai, aip = airy(grid)
+        assert ai.shape == aip.shape == (2, 3)
+        for index, x in np.ndenumerate(grid):
+            assert (ai[index], aip[index]) == airy(x)
+        for empty in (np.empty(0), np.empty((0, 3))):
+            assert [v.shape for v in airy(empty)] == [empty.shape] * 2
+
 
 RULE_SIZES = (4, 5, 64, 96, 200, 201, 2400)
 
@@ -257,6 +294,10 @@ class TestBuildGrid:
             build_grid(1.0, 1.0, 8)
         with pytest.raises(ParameterError):
             build_grid(0.0, 1.0, 3)
+        with pytest.raises(ParameterError):  # a stack needs one pair of ends per grid
+            build_grid(np.zeros(2), np.ones(3), 8)
+        with pytest.raises(ParameterError):  # every grid of a stack is checked
+            build_grid(np.zeros(2), np.array([1.0, 0.0]), 8)
 
     @settings(max_examples=25, deadline=None)
     @given(

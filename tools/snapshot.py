@@ -31,6 +31,8 @@ FINITE_N = (1, 2, 3, 4, 5, 10, 11, 40, 41, 100, 101, 399, 400)
 OFFSETS = tuple(range(-8, 5))
 AIRY_POINTS = tuple(-10.0 + 0.5 * k for k in range(37))
 BUNDLE_POINTS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+#: Ai and Ai' on both sides of special.AIRY_SERIES_START = 10 and well past it
+AIRY_X = (9.5, 10.0 - 1e-9, 10.0 + 1e-9, 12.0, 20.0, 35.0, 60.0)
 EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4", "c_phi", "c_psi")
 #: a decimal number in a CLI stdout, kept by `re.split` as its own part
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -87,8 +89,10 @@ def _record(out: dict, key: str, fn) -> None:
 
 
 def _values(gemax) -> dict:
-    finite_n, airy = gemax.finite_n, gemax.airy
+    finite_n, airy, special = gemax.finite_n, gemax.airy, gemax.special
     out: dict = {}
+    for x in AIRY_X:
+        _record(out, f"special.airy x={x!r}", lambda: [float(v) for v in special.airy(x)])
     for n in FINITE_N:
         for offset in OFFSETS:
             t = math.sqrt(2.0 * n) + offset
