@@ -26,6 +26,7 @@ from .finite_n import (
     EpsilonQuantities,
     ab,
     c_constants,
+    cdf_values,
     epsilon_closed,
     epsilon_numeric,
     f_n1,
@@ -54,6 +55,7 @@ __all__ = [
     "ab",
     "airy_bundle",
     "c_constants",
+    "cdf_values",
     "e_c1",
     "e_c2",
     "edgeworth_f1_sq",

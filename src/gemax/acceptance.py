@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -178,22 +179,20 @@ def mc_cdf(ensemble: str, n: int):
 
     Checks n against that CDF's domain at once, so a caller can reject n
     before it samples: 1 <= n <= N_MAX for the GUE, the same with n even for
-    the GOE, and a kernel index 2n + 1 <= N_MAX for the GSE.
+    the GOE, and a kernel index 2n + 1 <= N_MAX for the GSE.  The CDF takes
+    a float or an array of points (:func:`finite_n.cdf_values`).
     """
-    if ensemble == "gue":
-        finite_n._check_n(n)
-        return lambda t: finite_n.f_n2(n, t)
-    if ensemble == "goe":
-        finite_n._check_n(n, 0)
-        return lambda t: finite_n.f_n1(n, t)
     if ensemble == "gse":
         top = (finite_n.N_MAX - 1) // 2
         if not 1 <= n <= top:
             raise ParameterError(
                 f"need 1 <= n <= {top} (kernel index 2n + 1 <= {finite_n.N_MAX}), got {n}"
             )
-        return lambda u: finite_n.gse_largest_cdf(n, u)
-    raise ParameterError(f"unknown ensemble {ensemble!r}")
+        return partial(finite_n.cdf_values, "gse", 2 * n + 1)
+    if ensemble not in ("gue", "goe"):
+        raise ParameterError(f"unknown ensemble {ensemble!r}")
+    finite_n._check_n(n, finite_n.PARITY[ensemble])
+    return partial(finite_n.cdf_values, ensemble, n)
 
 
 def criterion_5(scale: float = 1.0) -> CriterionResult:
@@ -349,22 +348,15 @@ def _cdf_axioms(values, left_tol=1e-3, right_tol=1e-6, mono_tol=1e-6) -> bool:
 def criterion_9(scale: float = 1.0) -> CriterionResult:
     """CDF axioms for every exposed distribution."""
     failures = []
-    for n in range(1, 7):
-        grid = np.linspace(-2.0 * math.sqrt(n) - 2.0, math.sqrt(2.0 * n) + 4.0, 201)
-        if not _cdf_axioms([finite_n.f_n2(n, float(t)) for t in grid]):
-            failures.append(f"gue n={n}")
-    for n in (2, 4, 6):
-        grid = np.linspace(-2.0 * math.sqrt(n) - 2.0, math.sqrt(2.0 * n) + 4.0, 101)
-        if not _cdf_axioms([finite_n.f_n1(n, float(t)) for t in grid]):
-            failures.append(f"goe n={n}")
-    for n in (1, 3, 5):
-        kernel = 2 * n + 1
-        grid = (
-            np.linspace(-2.0 * math.sqrt(kernel) - 2.0, math.sqrt(2.0 * kernel) + 4.0, 101)
-            / SQRT2
-        )
-        if not _cdf_axioms([finite_n.gse_largest_cdf(n, float(u)) for u in grid]):
-            failures.append(f"gse n={n}")
+    # one array call per finite-n grid; the GSE grid is in u at kernel index 2n + 1
+    for ensemble, ns, steps in (("gue", range(1, 7), 201), ("goe", (2, 4, 6), 101),
+                                ("gse", (1, 3, 5), 101)):
+        for n in ns:
+            kernel = 2 * n + 1 if ensemble == "gse" else n
+            grid = np.linspace(-2.0 * math.sqrt(kernel) - 2.0, math.sqrt(2.0 * kernel) + 4.0, steps)
+            x = grid / SQRT2 if ensemble == "gse" else grid
+            if not _cdf_axioms(finite_n.cdf_values(ensemble, kernel, x)):
+                failures.append(f"{ensemble} n={n}")
     s_grid = np.linspace(-8.0, 7.9, 101)
     for name, fn in (
         ("F2", airy.f2_limit),

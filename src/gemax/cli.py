@@ -45,10 +45,6 @@ def _table(args, header, rows) -> tuple[str, int]:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
 
 
-#: the kernel-index parity each ensemble's finite-n law requires
-PARITY = {"gue": None, "goe": 0, "gse": 1}
-
-
 def _linspace(lower: float, upper: float, steps: int) -> np.ndarray:
     if steps < 0:
         raise ParameterError(f"need --steps >= 0, got {steps}")
@@ -70,23 +66,11 @@ def _check_s_window(args) -> None:
 
 
 def cmd_tabulate(args) -> tuple[str, int]:
-    finite_n._check_n(args.n, PARITY[args.ensemble])
-    if args.method != "determinant" and args.ensemble != "gue":
-        raise ParameterError(f"--method {args.method} applies to the GUE only")
     grid = _linspace(args.t_min, args.t_max, args.steps)
-    rows = []
-    for x in grid:
-        x = float(x)
-        if args.ensemble == "gue":
-            value = finite_n.f_n2(args.n, x, args.method)
-        elif args.ensemble == "goe":
-            value = finite_n.f_n1(args.n, x)
-        else:
-            # grid is in the symplectic variable u unless --gue-scale is given
-            u = x / SQRT2 if args.gue_scale else x
-            value = finite_n.f_n4(args.n, u)
-        rows.append((x, value))
-    return _table(args, ("t", "F"), rows)
+    # the GSE grid is in the symplectic variable u unless --gue-scale is given
+    x = grid / SQRT2 if args.ensemble == "gse" and args.gue_scale else grid
+    values = finite_n.cdf_values(args.ensemble, args.n, x, args.method)
+    return _table(args, ("t", "F"), [(float(t), float(v)) for t, v in zip(grid, values)])
 
 
 def cmd_limit(args) -> tuple[str, int]:
@@ -97,7 +81,7 @@ def cmd_limit(args) -> tuple[str, int]:
 
 
 def cmd_edgeworth(args) -> tuple[str, int]:
-    finite_n._check_n(args.n, PARITY[args.ensemble])
+    finite_n._check_n(args.n, finite_n.PARITY[args.ensemble])
     _check_s_window(args)
     rows = []
     for s in _linspace(args.s_min, args.s_max, args.steps):
@@ -128,7 +112,7 @@ def cmd_convergence(args) -> tuple[str, int]:
     if len(set(ns)) < len(ns):
         raise ParameterError(f"--n-list repeats an n, got {ns}")
     for n in ns:
-        finite_n._check_n(n, PARITY[args.ensemble])
+        finite_n._check_n(n, finite_n.PARITY[args.ensemble])
     if args.steps < 1:
         raise ParameterError(f"need --steps >= 1, got {args.steps}")
     _check_s_window(args)

@@ -21,19 +21,27 @@ value, a determinant F_{n,2} value and q_p_n make one pass each.  An
 exponential f_n2 or ab value needs q_n, p_n at every outer node: its 64
 operators form one stack, whose parts come from one pass over all their
 nodes and ends, and which is assembled and solved block by block.
+
+A table is one stack too: :func:`cdf_values` takes an array of points and
+builds one operator per point, with one recurrence pass over all their
+nodes and left ends, then assembles them BLOCK at a time (the exponential
+method keeps one stack of outer operators per point).  Each block gives a
+signed log-determinant per operator from the LU that its resolvent solve
+shares, and :func:`_cdf` applies the one failure policy point by point.  A
+float point is the stack without its axis, by the same code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fredholm import DiscretizedKernel, assemble, fredholm_log_det, map_blocks
-from .fredholm import resolvent_solve_many
+from .fredholm import DiscretizedKernel, assemble, map_blocks, resolvent_solve_many
+from .fredholm import signed_log_det
 from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
 
 DEFAULT_NODES = 64
@@ -41,6 +49,9 @@ DEFAULT_NODES = 64
 #: largest kernel index of the supported and tested range; by n ~ 700 the
 #: recurrence seed exp(-x^2/2) underflows on the grid and F_{n,2} reads 1.0
 N_MAX = 400
+
+#: the kernel-index parity each ensemble's finite-n law requires
+PARITY = {"gue": None, "goe": 0, "gse": 1}
 
 
 def _check_n(n: int, parity: int | None = None) -> None:
@@ -70,14 +81,8 @@ class EpsilonQuantities:
     c_psi: float
 
 
-def _operator(n: int, t: float) -> DiscretizedKernel:
-    """The Nystrom operator of K_{n,2} on (t, T), from one recurrence pass on [nodes, t]."""
-    grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
-    return assemble(grid, hermite_parts(n, grid.nodes_and_lower), math.sqrt(n / 2.0))
-
-
 def _integral_operator(n: int, t: float):
-    """The operator of :func:`_operator` and the integrals on [nodes, t], from one pass."""
+    """The Nystrom operator of K_{n,2} on (t, T) and the integrals on [nodes, t], from one pass."""
     grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
     parts, *integrals = hermite_integrals(n, grid.nodes, t)
     return assemble(grid, parts, math.sqrt(n / 2.0)), integrals
@@ -112,21 +117,29 @@ def q_p_n(n: int, t: float) -> tuple[float, float]:
     return float(q), float(p)
 
 
-def _tail_integrals(n: int, t: float):
-    """a(t), b(t) and int_t^inf (x - t) q_n(x) p_n(x) dx on a shared outer grid."""
+def _tail_integrals(n: int, t):
+    """a(t), b(t) and int_t^inf (x - t) q_n(x) p_n(x) dx at every point of t.
+
+    Each point has its outer grid, and the operators at its outer nodes form
+    one stack.  A stack over every point of a table would hold all their
+    parts at once: 2.6 MB at the peak for 9 points at n = 40, growing with
+    the table, against 0.7 MB for one point, for a tenth less time.
+    """
     outer = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
-    q_vals, p_vals = _q_p(n, outer.nodes)
-    a = float(np.sum(outer.weights * q_vals))
-    b = float(np.sum(outer.weights * p_vals))
-    moment = float(np.sum(outer.weights * (outer.nodes - t) * q_vals * p_vals))
+    stacks = [_q_p(n, nodes) for nodes in outer.nodes.reshape(-1, DEFAULT_NODES)]
+    q_vals, p_vals = np.stack(stacks, axis=1).reshape(2, *outer.nodes.shape)
+    w = outer.weights
+    a = np.sum(w * q_vals, axis=-1)
+    b = np.sum(w * p_vals, axis=-1)
+    moment = np.sum(w * (outer.nodes - np.asarray(t)[..., None]) * q_vals * p_vals, axis=-1)
     return a, b, moment
 
 
 def ab(n: int, t: float) -> tuple[float, float]:
     """Tail integrals a(t) = int_t^inf q_n, b(t) = int_t^inf p_n."""
     _check_n(n)
-    a, b, _ = _tail_integrals(n, t)
-    return a, b
+    a, b, _ = _tail_integrals(n, float(t))
+    return float(a), float(b)
 
 
 def c_constants(n: int) -> tuple[float, float]:
@@ -153,6 +166,22 @@ def c_constants(n: int) -> tuple[float, float]:
 LOG_F_ROUNDING = 1e-10
 
 
+def _log_f_n2(n: int, t, method: str) -> np.ndarray:
+    """(sign, log |F_{n,2}|) at every point of t by ``method``, shape (2,) + t's shape.
+
+    The determinant is one stack of one operator per point; the exponential
+    form takes a stack of outer operators per point (:func:`_tail_integrals`).
+    """
+    if method == "determinant":
+        grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
+        parts = hermite_parts(n, grid.nodes_and_lower)
+        return map_blocks(signed_log_det, grid, parts, math.sqrt(n / 2.0))
+    if method == "exponential":
+        moment = _tail_integrals(n, t)[2]
+        return np.array([np.ones_like(moment), -2.0 * moment])
+    raise ParameterError(f"unknown method {method!r}")
+
+
 def log_f_n2(n: int, t: float, method: str = "determinant") -> float:
     """log F_{n,2}(t); safe where the probability underflows.
 
@@ -160,20 +189,12 @@ def log_f_n2(n: int, t: float, method: str = "determinant") -> float:
     value exceeds LOG_F_ROUNDING.
     """
     _check_n(n)
-    if method == "determinant":
-        log_f = fredholm_log_det(_operator(n, t))
-    elif method == "exponential":
-        _, _, moment = _tail_integrals(n, t)
-        log_f = -2.0 * moment
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    return _checked_log_f(log_f, n, t, method)
-
-
-def _checked_log_f(log_f: float, n: int, t: float, method: str) -> float:
+    sign, log_f = _log_f_n2(n, float(t), method)
+    if sign <= 0.0 or not math.isfinite(log_f):
+        raise NumericalError(f"F_{{n,2}} lost positivity at n={n}, t={t} ({method})")
     if log_f > LOG_F_ROUNDING:
         raise NumericalError(f"log F = {log_f:.6g} > 0 at n={n}, t={t} ({method})")
-    return log_f
+    return float(log_f)
 
 
 # when log det(I - K) is this small the resolvent conditioning no longer
@@ -182,34 +203,62 @@ def _checked_log_f(log_f: float, n: int, t: float, method: str) -> float:
 LOG_FLOOR = -30.0
 
 
-def _cdf(n: int, t: float, parity: int | None, method: str = "determinant") -> float:
-    """A finite-n CDF value under the one failure policy.
+def _bracket_block(parity: int, n: int, op: DiscretizedKernel, *integrals) -> np.ndarray:
+    """(sign, log |F_{n,2}|, F^2 / F_{n,2}) of a block of operators, shape (3,) + block.
 
-    With parity None the value is F_{n,2}(t) = exp(log_f_n2) by ``method``.
+    The bracket's three-column solve reuses the LU the determinant reads.
+    """
+    sign, log_det = signed_log_det(op)
+    ratio = (f1_sq_ratio, f4_sq_ratio)[parity](_epsilon_numeric(op, integrals, n))
+    return np.array([sign, log_det, ratio])
+
+
+def _cdf(n: int, t, parity: int | None, method: str = "determinant"):
+    """Finite-n CDF values at every point of t under the one failure policy.
+
+    With parity None a value is F_{n,2}(t) = exp(log F_{n,2}) by ``method``.
     With parity 0 (GOE) or 1 (GSE) it is sqrt(F_{n,2} bracket), the
     bracket being F^2 / F_{n,2} and F_{n,2} the determinant of the operator
     on (t, T) on the one DEFAULT_NODES rule.  The bracket comes from the
     epsilon quantities of that operator, built with their Hermite integrals
-    from one recurrence pass.
-    A bracket that is not finite raises NumericalError, and so does a
-    combined log F above LOG_F_ROUNDING.  The result is clamped to [0, 1],
-    which absorbs rounding only.
+    from one recurrence pass over the whole stack.  :func:`_policy` judges
+    each point on its own; one raising point raises for the whole of t.
+    Returns an array of t's shape, or a float for a float t.
     """
     _check_n(n, parity)
-    if parity == 1 and n == 1:  # F_{1,4}: no symplectic eigenvalues
-        return 1.0
-    try:
-        if parity is None:
-            log_f = log_f_n2(n, t, method)
-        else:
-            op, integrals = _integral_operator(n, t)
-            log_f = _checked_log_f(fredholm_log_det(op), n, t, "determinant")
-    except NumericalError:
+    if parity is not None and method != "determinant":
+        raise ParameterError(f"method {method!r} applies to the GUE only")
+    t = np.asarray(t, dtype=float)
+    if (parity == 1 and n == 1) or t.size == 0:  # F_{1,4} (no symplectic eigenvalues), or no t
+        values = np.ones_like(t)
+        return float(values) if values.ndim == 0 else values
+    if parity is None:
+        sign, log_f = _log_f_n2(n, t, method)
+        ratio = np.ones_like(log_f)
+    else:
+        grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
+        parts, *integrals = hermite_integrals(n, grid.nodes, t)
+        block = partial(_bracket_block, parity, n)
+        sign, log_f, ratio = map_blocks(block, grid, parts, math.sqrt(n / 2.0), *integrals)
+    points = zip(*(v.ravel().tolist() for v in (t, sign, log_f, ratio)))
+    values = [_policy(n, parity, *point) for point in points]
+    return values[0] if t.ndim == 0 else np.array(values).reshape(t.shape)
+
+
+def _policy(n: int, parity: int | None, t: float, sign: float, log_f: float, ratio: float) -> float:
+    """The CDF value at one point from the sign and log of F_{n,2} and the bracket.
+
+    Lost positivity, or a log F_{n,2} above LOG_F_ROUNDING, gives 0.0.  For
+    the GOE/GSE a bracket that is not finite raises NumericalError; a
+    negative one gives 0.0 where log F_{n,2} is below LOG_FLOOR and raises
+    elsewhere; a combined log F above LOG_F_ROUNDING raises.  The value is
+    clamped to [0, 1], which absorbs rounding only.
+    """
+    if sign <= 0.0 or not math.isfinite(log_f) or log_f > LOG_F_ROUNDING:
         # sign loss, or a log F above rounding, happens only where F_{n,2}
         # is far beyond double-precision resolution
         return 0.0
     if parity is not None:
-        ratio = (f1_sq_ratio, f4_sq_ratio)[parity](_epsilon_numeric(op, integrals, n))
         if not math.isfinite(ratio):
             raise NumericalError(f"non-finite squared ratio {ratio} at n={n}, t={t}")
         if ratio < -1e-10:
@@ -218,13 +267,31 @@ def _cdf(n: int, t: float, parity: int | None, method: str = "determinant") -> f
             raise NumericalError(f"negative squared ratio {ratio} at n={n}, t={t}")
         if ratio <= 0.0:
             return 0.0
-        log_f = _checked_log_f(0.5 * (log_f + math.log(ratio)), n, t, "assembly")
+        log_f = 0.5 * (log_f + math.log(ratio))
+        if log_f > LOG_F_ROUNDING:
+            raise NumericalError(f"log F = {log_f:.6g} > 0 at n={n}, t={t} (assembly)")
     return min(math.exp(log_f), 1.0)
+
+
+def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
+    """F_{n,2}, F_{n,1} or F_{n,4} at every point of x, from one stack of operators.
+
+    ``ensemble`` is "gue", "goe" or "gse" and n the kernel index, as in
+    :func:`f_n2`, :func:`f_n1` and :func:`f_n4`; x is t, or u for the GSE.
+    ``method`` applies to the GUE only.  A whole table is one call: one
+    recurrence pass, then blocks of operators that share their LU.
+    Returns an array of x's shape, or a float for a float x.
+    """
+    if ensemble not in PARITY:
+        raise ParameterError(f"unknown ensemble {ensemble!r}")
+    parity = PARITY[ensemble]
+    x = np.asarray(x, dtype=float)
+    return _cdf(n, x * math.sqrt(2.0) if parity == 1 else x, parity, method)
 
 
 def f_n2(n: int, t: float, method: str = "determinant") -> float:
     """GUE distribution F_{n,2}(t) = det(I - K_{n,2}) = exp(-2 int (x-t) q_n p_n)."""
-    return _cdf(n, t, None, method)
+    return _cdf(n, float(t), None, method)
 
 
 def cosh_sqrt(z: float) -> float:
@@ -337,7 +404,13 @@ def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     (-inf, t), taken term by term with the same recurrence.
     """
     _check_n(n)
-    return _epsilon_numeric(*_integral_operator(n, t), n)
+    eps = _epsilon_numeric(*_integral_operator(n, t), n)
+    return EpsilonQuantities(*map(float, astuple(eps)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b along the last axis, one BLAS dot per operator of a stack."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _epsilon_numeric(op: DiscretizedKernel, integrals, n: int) -> EpsilonQuantities:
@@ -353,7 +426,8 @@ def _epsilon_numeric(op: DiscretizedKernel, integrals, n: int) -> EpsilonQuantit
     The Nystrom extensions P_n(x) = psi(x) + sum_j w_j K(x, x_j) P_n(x_j) and
     R_n(x, t) = K(x, t) + sum_j w_j K(x, x_j) R_n(x_j, t) are then integrated
     over (-inf, t) term by term, and over (t, inf) as the quadrature sums of
-    the node solutions, which the Nystrom solution reproduces.
+    the node solutions, which the Nystrom solution reproduces.  On a stack
+    of operators every field is an array over the stack.
     """
     grid = op.grid
     c_phi, c_psi = c_constants(n)
@@ -363,28 +437,19 @@ def _epsilon_numeric(op: DiscretizedKernel, integrals, n: int) -> EpsilonQuantit
     tail, psi_left, kernel_left = integrals
 
     eps_phi = c_phi - scale * tail
-    sols = resolvent_solve_many(op, np.column_stack([psi, eps_phi[:-1], op.end_row]))
-    p_sol, q_eps_sol, r_sol = sols[:, 0], sols[:, 1], sols[:, 2]
-    v_tilde = float(np.sum(w * q_eps_sol * psi))
-    q_eps = eps_phi[-1] + op.end_row @ (w * q_eps_sol)
+    sols = resolvent_solve_many(op, np.stack([psi, eps_phi[..., :-1], op.end_row], axis=-1))
+    p_sol, q_eps_sol, r_sol = sols[..., 0], sols[..., 1], sols[..., 2]
+    v_tilde = (w * q_eps_sol * psi).sum(axis=-1)
+    q_eps = eps_phi[..., -1] + _dot(op.end_row, w * q_eps_sol)
 
     # int_{-inf}^t P_n and int_{-inf}^t R_n(x, t) dx
-    p1 = float(scale * psi_left + kernel_left[:-1] @ (w * p_sol))
-    r1 = float(kernel_left[-1] + kernel_left[:-1] @ (w * r_sol))
+    p1 = scale * psi_left + _dot(kernel_left[..., :-1], w * p_sol)
+    r1 = kernel_left[..., -1] + _dot(kernel_left[..., :-1], w * r_sol)
 
     # right-side pieces int_t^inf P_n and int_t^inf R_n(x, t)
-    p4 = 0.5 * (float(np.sum(w * p_sol)) - p1)
-    r4 = 0.5 * (float(np.sum(w * r_sol)) - r1)
-    return EpsilonQuantities(
-        v_tilde_eps=float(v_tilde),
-        q_eps=float(q_eps),
-        p1=p1,
-        r1=r1,
-        p4=p4,
-        r4=r4,
-        c_phi=c_phi,
-        c_psi=c_psi,
-    )
+    p4 = 0.5 * ((w * p_sol).sum(axis=-1) - p1)
+    r4 = 0.5 * ((w * r_sol).sum(axis=-1) - r1)
+    return EpsilonQuantities(v_tilde, q_eps, p1, r1, p4, r4, c_phi, c_psi)
 
 
 def f1_sq_ratio(eps: EpsilonQuantities) -> float:
@@ -410,7 +475,7 @@ def f_n1(n: int, t: float) -> float:
     Its square is F_{n,2} times the determinant representation evaluated
     with first-principles epsilon quantities, exact up to quadrature error.
     """
-    return _cdf(n, t, 0)
+    return _cdf(n, float(t), 0)
 
 
 def f_n4(n: int, u: float) -> float:
@@ -423,7 +488,7 @@ def f_n4(n: int, u: float) -> float:
     and builds no operator.  See :func:`gse_largest_cdf` for the matrix-size
     parametrization.  Like :func:`f_n1` it is exact up to quadrature error.
     """
-    return _cdf(n, u * math.sqrt(2.0), 1)
+    return _cdf(n, float(u) * math.sqrt(2.0), 1)
 
 
 def gse_largest_cdf(n_eigs: int, u: float) -> float:

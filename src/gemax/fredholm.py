@@ -79,7 +79,7 @@ class DiscretizedKernel:
     @cached_property
     def _lu(self):
         """The LU factors of I - A, shared by the determinant and every solve."""
-        return lu_factor(np.eye(self.grid.count) - self.matrix)
+        return _squeeze_one(lu_factor, np.eye(self.grid.count) - self.matrix)
 
 
 def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKernel:
@@ -103,20 +103,38 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     return DiscretizedKernel(grid, matrix, scale, node_parts, end_parts)
 
 
-def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float) -> np.ndarray:
-    """fn(operator) for the operators of a stack, BLOCK at a time, joined on the last axis.
+def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> np.ndarray:
+    """fn(operator, *extra) for the operators of a stack, BLOCK at a time, joined on the last axis.
 
     ``grid`` is a stack of grids and ``parts`` the kernel's parts on its
-    ``nodes_and_lower``, both for the whole stack; ``fn`` maps the operator
-    of a block to an array whose last axis runs over that block.  A block's
-    operator is dropped before the next one is assembled.
+    ``nodes_and_lower``, both for the whole stack, and each of ``extra`` an
+    array with the leading stack axis; ``fn`` maps the operator of a block
+    and the block's rows of ``extra`` to an array whose last axis runs over
+    that block.  A block's operator is dropped before the next one is
+    assembled.  A single grid is the stack without its axis: one call of fn.
     """
+    if grid.nodes.ndim == 1:
+        return fn(assemble(grid, parts, scale), *extra)
     values = []
     for start in range(0, grid.nodes.shape[0], BLOCK):
         block = slice(start, start + BLOCK)
         sub = QuadratureGrid(*(v[block] for v in (grid.lower, grid.upper, grid.nodes, grid.weights)))
-        values.append(fn(assemble(sub, tuple(v[block] for v in parts), scale)))
+        values.append(fn(assemble(sub, tuple(v[block] for v in parts), scale),
+                         *(v[block] for v in extra)))
     return np.concatenate(values, axis=-1)
+
+
+def _squeeze_one(fn, *arrays):
+    """fn(*arrays), where a stack of one goes through as its single operator.
+
+    scipy's ``lu_factor``/``lu_solve`` loop over a leading axis in Python,
+    behind a wrapper that costs more than the LU of a 64-node operator; a
+    stack of one skips it and gets its axis back on every output.
+    """
+    if arrays[0].ndim != 3 or len(arrays[0]) != 1:
+        return fn(*arrays)
+    out = fn(*(a[0] for a in arrays))
+    return tuple(v[None] for v in out) if isinstance(out, tuple) else out[None]
 
 
 def _positive(sign: float, logdet: float, what: str) -> float:
@@ -130,19 +148,26 @@ def positive_log_det(matrix: np.ndarray, what: str) -> float:
     return _positive(*np.linalg.slogdet(matrix), what)
 
 
-def fredholm_log_det(op: DiscretizedKernel) -> float:
-    """log det(I - K) from the operator's LU factors, which its solves reuse.
+def signed_log_det(op: DiscretizedKernel) -> np.ndarray:
+    """(sign, log |det|) of I - K for each operator, shape (2,) + the stack's shape.
 
-    Stays finite where the determinant underflows.  The sign is that of the
-    row permutation times the signs of U's diagonal.
+    Read from the operator's LU factors, which its solves reuse; stays
+    finite where the determinant underflows.  The sign is that of the row
+    permutation times the signs of U's diagonal; the caller decides what a
+    negative sign or a log of -inf means.
     """
     lu, piv = op._lu
-    diag = np.diagonal(lu)
-    flips = np.count_nonzero(piv != np.arange(piv.size)) + np.count_nonzero(diag < 0.0)
+    diag = lu.diagonal(0, -2, -1)
+    flips = (piv != np.arange(op.grid.count)).sum(axis=-1) + (diag < 0.0).sum(axis=-1)
     with np.errstate(divide="ignore"):
-        logdet = np.sum(np.log(np.abs(diag)))
+        logdet = np.log(np.abs(diag)).sum(axis=-1)
+    return np.array([1.0 - 2.0 * (flips % 2), logdet])
+
+
+def fredholm_log_det(op: DiscretizedKernel) -> float:
+    """log det(I - K) of one operator; NumericalError where it is not positive and finite."""
     what = f"the kernel on ({op.grid.lower}, {op.grid.upper})"
-    return _positive(-1.0 if flips % 2 else 1.0, logdet, what)
+    return _positive(*signed_log_det(op), what)
 
 
 def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.ndarray:
@@ -156,7 +181,7 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
     if rhs_block.ndim != op.grid.nodes.ndim + 1 or rhs_block.shape[:-1] != op.grid.nodes.shape:
         raise ParameterError("rhs sample count does not match grid")
     sw = op.grid.sqrt_weights[..., None]
-    y = lu_solve(op._lu, sw * rhs_block)
+    y = _squeeze_one(lambda lu, piv, b: lu_solve((lu, piv), b), *op._lu, sw * rhs_block)
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"resolvent solve failed on ({op.grid.lower}, {op.grid.upper})")
     return y / sw

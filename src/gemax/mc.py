@@ -108,24 +108,52 @@ def empirical_cdf(run: McRun, t: float) -> float:
     return bisect_right(run.samples, t) / run.count
 
 
+def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial through (nodes, values) at x; nodes are Chebyshev points of the second kind.
+
+    The second (true) barycentric formula with the weights (-1)^j, halved at
+    the two ends (Berrut & Trefethen, SIAM Review 46, 2004), which no affine
+    map of the nodes changes.  x is taken _BATCH points at a time, so the
+    largest temporary is _BATCH x len(nodes); a point on a node takes that
+    node's value.
+    """
+    weights = np.ones_like(nodes)
+    weights[1::2] = -1.0
+    weights[[0, -1]] *= 0.5
+    out = np.empty_like(x)
+    for start in range(0, len(x), _BATCH):
+        diff = x[start : start + _BATCH, None] - nodes
+        exact = diff == 0.0
+        diff[exact] = 1.0
+        terms = weights / diff
+        chunk = terms @ values / terms.sum(axis=1)
+        hit = exact.any(axis=1)
+        chunk[hit] = values[exact[hit].argmax(axis=1)]
+        out[start : start + _BATCH] = chunk
+    return out
+
+
 def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of the run against a CDF.
 
     Uses the order-statistic formula max_i max(i/N - F(x_i), F(x_i) - (i-1)/N).
-    With grid_points > 0 the CDF is sampled on that many points spanning the
-    sample range and evaluated by monotone cubic interpolation, so expensive
-    analytic CDFs are called O(grid_points) times instead of once per sample;
-    the interpolation error is far below the KS resolution 1/sqrt(N).
+    With grid_points > 0 the CDF is called once, on an array of that many
+    Chebyshev points of the second kind spanning the sample range, and the
+    samples are evaluated by barycentric interpolation: for the analytic
+    CDFs here it converges geometrically, and at 201 points its error is far
+    below the KS resolution 1/sqrt(N).  With grid_points = 0 the CDF is
+    called once per sample, on a float.
     """
     n = run.count
+    if grid_points < 0 or grid_points == 1:
+        raise ParameterError(f"need grid_points = 0 or >= 2, got {grid_points}")
     if grid_points:
-        from scipy.interpolate import PchipInterpolator
-
         lo, hi = float(run.samples[0]), float(run.samples[-1])
         pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-        xs = np.linspace(lo - pad, hi + pad, grid_points)
-        ys = np.array([cdf(float(x)) for x in xs])
-        values = np.clip(PchipInterpolator(xs, ys)(run.samples), 0.0, 1.0)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo) + pad
+        nodes = mid - half * np.cos(np.pi * np.arange(grid_points) / (grid_points - 1))
+        ys = np.asarray(cdf(nodes), dtype=float)
+        values = np.clip(_barycentric(nodes, ys, run.samples), 0.0, 1.0)
     else:
         values = np.array([cdf(float(x)) for x in run.samples])
     i = np.arange(1, n + 1)

@@ -171,7 +171,7 @@ def hermite_parts(n: int, z):
     return _christoffel_darboux_parts(n, z, *hermite_phi_two(n, z))
 
 
-def hermite_integrals(n: int, x, t: float):
+def hermite_integrals(n: int, x, t):
     """One recurrence pass giving the kernel's parts and integrals at the points z = [x, t].
 
     Returns (parts, I_n(z), J_{n-1}(t), L(z)): parts is :func:`hermite_parts`
@@ -182,25 +182,38 @@ def hermite_integrals(n: int, x, t: float):
     I_{k+1} = sqrt(k/(k+1)) I_{k-1} + sqrt(2/(k+1)) phi_k from
     I_0 = pi^{-1/4} sqrt(pi/2) erfc(z/sqrt 2) and I_1 = sqrt(2) phi_0(z); J
     obeys the same with the sign of every phi term flipped.  No quadrature.
+    For a stack, x has shape (k, m) and t shape (k,): z is [x, t] row by row,
+    and every result carries the leading stack axis.
+
+    -J runs as one more point of the I recurrence, a second copy of t whose
+    seed is -J_0: negation is exact, so every value is the one a separate J
+    recurrence gives.  The pass runs with the points on the first axis, so
+    a step reads J_k as a row (a number for one operator), not a column.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     _check_k(n)
-    z = np.append(np.asarray(x, dtype=float), t)
+    t = np.asarray(t, dtype=float)
+    z = np.concatenate([np.asarray(x, dtype=float).T, [t, t]])
     prev = np.zeros_like(z)
     cur = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
     seed = np.pi ** (-0.25) * math.sqrt(0.5 * np.pi)
-    i_prev, i_cur = seed * _sp.erfc(z / math.sqrt(2.0)), math.sqrt(2.0) * cur
-    j_prev, j_cur = seed * float(_sp.erfc(-t / math.sqrt(2.0))), -math.sqrt(2.0) * cur[-1]
-    total = j_prev * cur
+    i_prev = seed * _sp.erfc(np.concatenate([z[:-1], [-t]]) / math.sqrt(2.0))
+    i_prev[-1] *= -1.0
+    i_cur = math.sqrt(2.0) * cur
+    total = -(i_prev[-1] * cur)
     for k in range(1, n):
         prev, cur = cur, z * math.sqrt(2.0 / k) * cur - math.sqrt((k - 1.0) / k) * prev
-        total += j_cur * cur
+        total -= i_cur[-1] * cur
         down, up = math.sqrt(k / (k + 1.0)), math.sqrt(2.0 / (k + 1))
         i_prev, i_cur = i_cur, down * i_prev + up * cur
-        j_prev, j_cur = j_cur, down * j_prev - up * cur[-1]
     f = z * math.sqrt(2.0 / n) * cur - math.sqrt((n - 1.0) / n) * prev  # phi_n
-    return _christoffel_darboux_parts(n, z, f, cur), i_cur, j_prev, total
+
+    def points(v):  # [x, t] back on the last axis
+        return np.ascontiguousarray(v[:-1].T)
+
+    parts = _christoffel_darboux_parts(n, points(z), points(f), points(cur))
+    return parts, points(i_cur), -i_prev[-1], points(total)
 
 
 def phi_psi_scale(n: int) -> float:

@@ -19,9 +19,9 @@ from gemax.finite_n import (
     EpsilonQuantities,
     _epsilon_numeric,
     _integral_operator,
-    _operator,
     ab,
     c_constants,
+    cdf_values,
     cosh_sqrt,
     coshm1_sqrt,
     epsilon_closed,
@@ -38,7 +38,12 @@ from gemax.finite_n import (
 )
 from gemax.fredholm import resolvent_solve_many
 from gemax.special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
-from helpers import hermite_kernel, nystrom_extend, phi_psi_values
+from helpers import hermite_kernel, hermite_operator, nystrom_extend, phi_psi_values
+
+
+def _operator(n: int, t: float) -> fredholm.DiscretizedKernel:
+    """The operator of K_{n,2} on (t, T) that the finite-n laws build at t."""
+    return hermite_operator(n, build_grid(t, finite_n._upper_cutoff(n, t), DEFAULT_NODES))
 
 
 def gaussian_cdf(t: float) -> float:
@@ -397,13 +402,19 @@ class TestWorkPerValue:
         monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
         return calls
 
+    @staticmethod
+    def _built(monkeypatch):
+        # the operators assembled, by finite_n itself or for it by fredholm.map_blocks
+        built = []
+        assemble = fredholm.assemble
+        counted = lambda *a: built.append(assemble(*a)) or built[-1]
+        monkeypatch.setattr(finite_n, "assemble", counted)
+        monkeypatch.setattr(fredholm, "assemble", counted)
+        return built
+
     def test_determinant_is_one_operator_and_no_solve(self, monkeypatch):
         # one pass on the nodes and t, and no row K(t, x_j)
-        built = []
-        assemble = finite_n.assemble
-        monkeypatch.setattr(
-            finite_n, "assemble", lambda *a: built.append(assemble(*a)) or built[-1]
-        )
+        built = self._built(monkeypatch)
         solves = self._count(monkeypatch, finite_n, "resolvent_solve_many")
         passes = self._count(monkeypatch, special, "hermite_phi_two")
         value = f_n2(400, math.sqrt(800.0) - 1.0)
@@ -417,7 +428,7 @@ class TestWorkPerValue:
         # the operator gives log F_{n,2}, and its LU serves the epsilon
         # quantities: one operator, one solve of the three columns
         # [psi, eps phi, K(., t)]
-        assembled = self._count(monkeypatch, finite_n, "assemble")
+        assembled = self._built(monkeypatch)
         solves = self._count(monkeypatch, finite_n, "resolvent_solve_many")
         t = math.sqrt(2.0 * n) + 0.3
         value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
@@ -448,12 +459,9 @@ class TestWorkPerValue:
     def test_each_operator_solved_once(self, value, operators, monkeypatch):
         # no operator is left unsolved and none is solved twice; a stack of
         # operators, built block by block, counts each operator of each block
-        built = []
+        built = self._built(monkeypatch)
         solved = []
-        assemble, solve = fredholm.assemble, finite_n.resolvent_solve_many
-        counted = lambda *a: built.append(assemble(*a)) or built[-1]
-        monkeypatch.setattr(finite_n, "assemble", counted)
-        monkeypatch.setattr(fredholm, "assemble", counted)
+        solve = finite_n.resolvent_solve_many
         monkeypatch.setattr(
             finite_n, "resolvent_solve_many", lambda op, rhs: solved.append(op) or solve(op, rhs)
         )
@@ -499,6 +507,80 @@ class TestWorkPerValue:
             stacked = finite_n._q_p(n, outer.nodes)
             single = np.array([q_p_n(n, float(x)) for x in outer.nodes]).T
             assert np.max(np.abs(stacked - single) / np.abs(single)) < 1e-14, t
+
+
+#: (ensemble, kernel index, method) of the tables held against scalar calls
+TABLE_CASES = (
+    [("gue", n, "determinant") for n in (4, 40, 400)]
+    + [("goe", n, "determinant") for n in (4, 40, 400)]
+    + [("gse", n, "determinant") for n in (3, 5, 41, 399)]
+    + [("gue", n, "exponential") for n in (4, 40)]
+)
+LAWS = {"gue": f_n2, "goe": f_n1, "gse": f_n4}
+
+
+def _table_points(ensemble: str, n: int) -> np.ndarray:
+    """edge - 6 .. edge + 3 in the GUE-side t, given in u = t / sqrt 2 for the GSE."""
+    t = math.sqrt(2.0 * n) + np.linspace(-6.0, 3.0, 37)
+    return t / math.sqrt(2.0) if ensemble == "gse" else t
+
+
+def _scalar_values(ensemble: str, n: int, x: np.ndarray, method: str) -> np.ndarray:
+    law = partial(f_n2, method=method) if ensemble == "gue" else LAWS[ensemble]
+    return np.array([law(n, float(v)) for v in x])
+
+
+class TestTables:
+    """A table is one stack of operators: the array call is the loop of scalar calls."""
+
+    @pytest.mark.parametrize("ensemble, n, method", TABLE_CASES)
+    def test_table_is_the_loop_of_scalar_calls(self, ensemble, n, method):
+        # within 1e-15 max(1, F^2 / F_{n,2}): the bracket amplifies the solve's
+        # rounding, and a stack runs its LU and solves operator by operator
+        x = _table_points(ensemble, n)
+        scalar = _scalar_values(ensemble, n, x, method)
+        table = cdf_values(ensemble, n, x, method)
+        t = x * math.sqrt(2.0) if ensemble == "gse" else x
+        f2 = np.array([f_n2(n, float(v)) for v in t])
+        bracket = np.where(f2 > 0.0, scalar**2 / np.where(f2 > 0.0, f2, 1.0), 1.0)
+        assert table.shape == x.shape
+        assert np.array_equal(table == 0.0, scalar == 0.0)
+        assert np.all(np.abs(table - scalar) <= 1e-15 * np.maximum(1.0, bracket))
+
+    @pytest.mark.parametrize("ensemble, n, method", TABLE_CASES)
+    def test_float_gives_a_float(self, ensemble, n, method):
+        x = float(_table_points(ensemble, n)[24])
+        value = cdf_values(ensemble, n, x, method)
+        assert type(value) is float
+        assert value == _scalar_values(ensemble, n, np.array([x]), method)[0]
+
+    @pytest.mark.parametrize("ensemble, n", [c[:2] for c in TABLE_CASES if c[0] != "gue"])
+    def test_one_raising_point_raises_the_table(self, ensemble, n, monkeypatch):
+        # a NaN in the integral left of t at one point makes its bracket non-finite:
+        # that point raises, alone or in a table, and the table without it does not
+        x = _table_points(ensemble, n)
+        bad = x[20] * math.sqrt(2.0) if ensemble == "gse" else x[20]
+        original = finite_n.hermite_integrals
+
+        def poisoned(order, nodes, t):
+            parts, tail, left, kernel = original(order, nodes, t)
+            return parts, tail, np.where(np.asarray(t) == bad, np.nan, left), kernel
+
+        monkeypatch.setattr(finite_n, "hermite_integrals", poisoned)
+        with pytest.raises(NumericalError):
+            LAWS[ensemble](n, float(x[20]))
+        with pytest.raises(NumericalError):
+            cdf_values(ensemble, n, x)
+        assert np.all(np.isfinite(cdf_values(ensemble, n, np.delete(x, 20))))
+
+    def test_empty_table(self):
+        assert cdf_values("goe", 4, np.array([])).shape == (0,)
+
+    def test_bad_ensemble_and_method(self):
+        with pytest.raises(ParameterError):
+            cdf_values("gqe", 4, 0.0)
+        with pytest.raises(ParameterError):
+            cdf_values("goe", 4, 0.0, "exponential")
 
 
 GOE_SWEEP = (2, 4, 10, 40)
@@ -627,6 +709,7 @@ class TestFn4:
             raise AssertionError("built an operator for n = 1")
 
         monkeypatch.setattr(finite_n, "assemble", refuse)
+        monkeypatch.setattr(fredholm, "assemble", refuse)
         for u in np.linspace(-8.0, 4.0, 49):
             assert f_n4(1, float(u)) == 1.0
 
