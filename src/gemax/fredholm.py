@@ -18,6 +18,8 @@ arrays of ends) every array carries a leading stack axis, and one call
 assembles, factors or solves them all.  A single operator is the stack
 without that axis, by the same code.  :func:`map_blocks` walks a long stack
 BLOCK operators at a time, so the working set stays at a few hundred kB.
+The LU and its solves are one LAPACK getrf or getrs call per operator
+(:func:`_per_operator`), with no wrapper loop around them.
 """
 
 from __future__ import annotations
@@ -26,17 +28,20 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NumericalError, ParameterError
 from .special import QuadratureGrid
 
-#: operators per block of a stack: enough to share the per-call overhead,
-#: few enough to keep the block's matrices and their temporaries small
+#: operators per block of a stack: enough to share the numpy calls of
+#: assembly and of the endpoint sums, few enough to keep the block's
+#: matrices and their temporaries small (16 was measured no faster)
 BLOCK = 4
 
 #: below this separation the difference quotient loses too many digits
-#: and the diagonal-limit form with a first-order Taylor step is used
+#: and the diagonal-limit form with a first-order Taylor step is used;
+#: assemble takes the limit on the diagonal only, so it refuses a grid
+#: whose distinct nodes come this close
 DIAG_GUARD = 1e-6
 
 
@@ -49,7 +54,6 @@ def _integrable_form(x, px, y, py, scale: float):
     """
     fx, gx, diag_x = px
     fy, gy, diag_y = py
-    # no full-size temporary outlives its use: a stack of matrices stays small
     near = np.abs(x - y) <= DIAG_GUARD
     off = scale * (fx * gy - fy * gx) / np.where(near, 1.0, x - y)
     return np.where(near, 0.5 * (diag_x + diag_y), off)
@@ -78,8 +82,25 @@ class DiscretizedKernel:
 
     @cached_property
     def _lu(self):
-        """The LU factors of I - A, shared by the determinant and every solve."""
-        return _squeeze_one(lu_factor, np.eye(self.grid.count) - self.matrix)
+        """The LU factors and pivots of I - A, shared by the determinant and every solve.
+
+        One getrf per operator, in place: I - A is exactly symmetric (assemble
+        scrubs it), so the transpose of each C-ordered matrix is the same
+        matrix in Fortran order and LAPACK factors it without a copy.  The
+        factors are read back through the transposed view; only their
+        diagonal and getrs read them, so their layout moves no bit.
+        """
+        a = np.eye(self.grid.count) - self.matrix
+        if not np.isfinite(a).all():
+            raise NumericalError(f"I - K is not finite on ({self.grid.lower}, {self.grid.upper})")
+        piv = _per_operator(lambda one: dgetrf(one.T, overwrite_a=True)[1], a)
+        return np.swapaxes(a, -1, -2), piv
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of each matrix of a C-ordered stack."""
+    m = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (m * m,))[..., :: m + 1]
 
 
 def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKernel:
@@ -87,13 +108,23 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
 
     ``parts`` = (f, g, K(z, z)) at z = grid.nodes_and_lower.  The node values
     serve both the row and the column side of the matrix; they and the
-    values at the left end stay with the operator.
+    values at the left end stay with the operator.  The difference quotient
+    is built in place off the diagonal and K(x_i, x_i) is written on it,
+    which is :func:`_integrable_form` bit for bit on a grid whose distinct
+    nodes are more than DIAG_GUARD apart; a closer grid is a ParameterError.
     """
-    node_parts = tuple(v[..., :-1] for v in parts)
     x = grid.nodes
-    rows = tuple(v[..., :, None] for v in node_parts)
-    cols = tuple(v[..., None, :] for v in node_parts)
-    matrix = _integrable_form(x[..., :, None], rows, x[..., None, :], cols, scale)
+    if (np.diff(x, axis=-1) <= DIAG_GUARD).any():
+        raise ParameterError(f"nodes within {DIAG_GUARD} on ({grid.lower}, {grid.upper})")
+    node_parts = tuple(v[..., :-1] for v in parts)
+    f, g, diag = node_parts
+    gap = x[..., :, None] - x[..., None, :]
+    _diagonal(gap)[...] = 1.0
+    matrix = f[..., :, None] * g[..., None, :]
+    matrix -= f[..., None, :] * g[..., :, None]
+    matrix *= scale
+    matrix /= gap
+    _diagonal(matrix)[...] = diag
     sw = grid.sqrt_weights
     matrix *= sw[..., :, None]
     matrix *= sw[..., None, :]
@@ -124,17 +155,18 @@ def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> 
     return np.concatenate(values, axis=-1)
 
 
-def _squeeze_one(fn, *arrays):
-    """fn(*arrays), where a stack of one goes through as its single operator.
+def _per_operator(fn, *arrays) -> np.ndarray:
+    """fn(*slices) for each operator of a stack, joined on the stack axis.
 
-    scipy's ``lu_factor``/``lu_solve`` loop over a leading axis in Python,
-    behind a wrapper that costs more than the LU of a 64-node operator; a
-    stack of one skips it and gets its axis back on every output.
+    ``arrays[0]`` is the (stack of) matrices; each of ``arrays`` carries the
+    same leading stack axis, and fn makes one LAPACK call on one operator's
+    slices.  A single operator is one call.  np.stack keeps LAPACK's
+    Fortran order within each operator, as scipy's batched wrappers did;
+    the endpoint sums read that layout in their last bits.
     """
-    if arrays[0].ndim != 3 or len(arrays[0]) != 1:
+    if arrays[0].ndim == 2:
         return fn(*arrays)
-    out = fn(*(a[0] for a in arrays))
-    return tuple(v[None] for v in out) if isinstance(out, tuple) else out[None]
+    return np.stack([fn(*one) for one in zip(*arrays)])
 
 
 def _positive(sign: float, logdet: float, what: str) -> float:
@@ -175,13 +207,15 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
 
     All columns share one factorization per operator.  With the symmetrized
     matrix A the solve is (I - A) y = sqrt(w) rhs, f_j = y_j / sqrt(w_j);
-    returns the node values f, one column per right-hand side.
+    returns the node values f, one column per right-hand side.  A solution
+    that is not finite is a NumericalError; a zero pivot of the LU (I - K
+    singular) always leaves one.
     """
     rhs_block = np.asarray(rhs_block, dtype=float)
     if rhs_block.ndim != op.grid.nodes.ndim + 1 or rhs_block.shape[:-1] != op.grid.nodes.shape:
         raise ParameterError("rhs sample count does not match grid")
     sw = op.grid.sqrt_weights[..., None]
-    y = _squeeze_one(lambda lu, piv, b: lu_solve((lu, piv), b), *op._lu, sw * rhs_block)
+    y = _per_operator(lambda *one: dgetrs(*one)[0], *op._lu, sw * rhs_block)
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"resolvent solve failed on ({op.grid.lower}, {op.grid.upper})")
     return y / sw

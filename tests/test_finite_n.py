@@ -436,15 +436,35 @@ class TestWorkPerValue:
         assert [a[1].shape[1] for a in solves] == [3]
         assert 0.0 < value < 1.0
 
+    @staticmethod
+    def _factored(monkeypatch):
+        # the shapes of the matrices fredholm factors, one LAPACK getrf per operator
+        shapes = []
+        getrf = fredholm.dgetrf
+        monkeypatch.setattr(
+            fredholm, "dgetrf", lambda a, **kw: shapes.append(a.shape) or getrf(a, **kw)
+        )
+        return shapes
+
     @pytest.mark.parametrize("n", (40, 41))
     def test_one_factorization_per_value(self, n, monkeypatch):
         # log det(I - K) is read from the LU factors that the three-column
         # solve then reuses: I - K is factored once for a GOE/GSE value
-        factored = self._count(monkeypatch, fredholm, "lu_factor")
+        factored = self._factored(monkeypatch)
         t = math.sqrt(2.0 * n) + 0.3
         value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
-        assert len(factored) == 1
+        assert factored == [(DEFAULT_NODES, DEFAULT_NODES)]
         assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("ensemble, n", [("gue", 40), ("goe", 40), ("gse", 41)])
+    def test_one_factorization_per_table_point(self, ensemble, n, monkeypatch):
+        # a k-point table factors k operators, one per point: 9 points are
+        # blocks of 4, 4 and a stack of one
+        factored = self._factored(monkeypatch)
+        x = _table_points(ensemble, n)[10:19]
+        values = cdf_values(ensemble, n, x)
+        assert factored == [(DEFAULT_NODES, DEFAULT_NODES)] * x.size
+        assert np.all((0.0 < values) & (values < 1.0))
 
     @pytest.mark.parametrize(
         "value, operators",

@@ -1,18 +1,29 @@
 """Oracle tests for the Nystrom kernel discretization and resolvent solves."""
 
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from gemax.errors import NumericalError, ParameterError
-from gemax.fredholm import BLOCK, assemble, fredholm_log_det, map_blocks, resolvent_solve_many
+from gemax.fredholm import (
+    BLOCK,
+    _integrable_form,
+    assemble,
+    fredholm_log_det,
+    map_blocks,
+    resolvent_solve_many,
+    signed_log_det,
+)
 from gemax.special import airy, build_grid, hermite_parts
 from helpers import (
     airy_kernel,
     airy_operator,
+    airy_parts,
     hermite_kernel,
     hermite_operator,
     hermite_phi,
@@ -154,6 +165,20 @@ class TestFredholmDet:
         assert "_lu" in op.__dict__
 
 
+#: (parts, scale, left ends, width) of three operators of each kernel
+PINNED = {
+    "hermite": (partial(hermite_parts, 5), math.sqrt(2.5), np.array([-2.0, 0.5, 3.0]), 9.0),
+    "airy": (airy_parts, 1.0, np.array([-6.0, -2.0, 1.0]), 12.0),
+}
+
+
+def _pinned(kind: str, size: int):
+    """(grid, parts, scale) of a stack of ``size`` operators on the 64-node rule."""
+    parts, scale, lower, width = PINNED[kind]
+    grid = build_grid(lower[:size], lower[:size] + width, 64)
+    return grid, parts(grid.nodes_and_lower), scale
+
+
 class TestStack:
     """A stack of grids gives a stack of operators, each bit for bit its own operator."""
 
@@ -189,6 +214,105 @@ class TestStack:
         sizes = map_blocks(size, grid, parts, 1.0)
         blocks = np.split(np.arange(7), range(BLOCK, 7, BLOCK))
         assert np.array_equal(sizes, np.concatenate([np.full(b.size, b.size) for b in blocks]))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("kind", ["hermite", "airy"])
+    def test_matrix_is_the_masked_form(self, kind, size):
+        # the quotient built in place with K(x_i, x_i) set on the diagonal is
+        # the masked form kernel_row keeps, scaled and scrubbed
+        grid, parts, scale = _pinned(kind, size)
+        x = grid.nodes
+        nodes = tuple(v[..., :-1] for v in parts)
+        rows = tuple(v[..., :, None] for v in nodes)
+        cols = tuple(v[..., None, :] for v in nodes)
+        want = _integrable_form(x[..., :, None], rows, x[..., None, :], cols, scale)
+        sw = grid.sqrt_weights
+        want = sw[..., :, None] * want * sw[..., None, :]
+        want = 0.5 * (want + np.swapaxes(want, -1, -2))
+        assert np.array_equal(assemble(grid, parts, scale).matrix, want)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("kind", ["hermite", "airy"])
+    def test_factors_log_det_and_solves(self, kind, size):
+        # the factors, the log det and the solves are those of scipy's
+        # lu_factor/lu_solve run operator by operator, bit for bit
+        op = assemble(*_pinned(kind, size))
+        lu, piv = op._lu
+        sign, log_det = signed_log_det(op)
+        x = op.grid.nodes
+        rhs = np.stack([np.cos(x), x, np.ones_like(x)], axis=-1)
+        sols = resolvent_solve_many(op, rhs)
+        sw = op.grid.sqrt_weights[..., None]
+        want = []
+        for k in range(size):
+            ref_lu, ref_piv = lu_factor(np.eye(64) - op.matrix[k])
+            assert np.array_equal(lu[k], ref_lu)
+            assert np.array_equal(piv[k], ref_piv)
+            diag = ref_lu.diagonal()
+            flips = np.sum(ref_piv != np.arange(64)) + np.sum(diag < 0.0)
+            assert sign[k] == (-1.0) ** flips
+            assert log_det[k] == np.log(np.abs(diag)).sum()
+            want.append(lu_solve((ref_lu, ref_piv), sw[k] * rhs[k]))
+        # joined as scipy's batched wrapper joined them, in Fortran order
+        # within each operator: the endpoint sums read the layout
+        want = np.stack(want) / sw
+        assert np.array_equal(sols, want)
+        assert sols.strides == want.strides
+
+
+class TestFailures:
+    """A non-finite or singular I - K is a NumericalError, with no warning."""
+
+    @staticmethod
+    def _spoiled(size, index, value):
+        # one operator (size 1, no stack axis), or a stack of 3 whose middle
+        # operator is spoiled: its matrix takes value at index
+        if size == 1:
+            op = hermite_operator(5, build_grid(0.5, 9.5, 64))
+        else:
+            op = assemble(*_pinned("hermite", 3))
+        matrix = op.matrix.copy()
+        (matrix if size == 1 else matrix[1])[index] = value
+        return replace(op, matrix=matrix), np.ones(op.grid.nodes.shape + (1,))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_non_finite_matrix(self, size):
+        bad, rhs = self._spoiled(size, (5, 7), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                signed_log_det(bad)
+            with pytest.raises(NumericalError, match="not finite"):
+                resolvent_solve_many(bad, rhs)
+            if size == 1:
+                with pytest.raises(NumericalError, match="not finite"):
+                    fredholm_log_det(bad)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_zero_pivot(self, size):
+        # matrix = I makes I - K = 0: getrf meets a zero pivot, which is lost
+        # positivity for the determinant and a NumericalError for a solve
+        bad, rhs = self._spoiled(size, Ellipsis, np.eye(64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_det = signed_log_det(bad)[1]
+            with pytest.raises(NumericalError, match="solve failed"):
+                resolvent_solve_many(bad, rhs)
+            if size == 1:
+                assert log_det == -np.inf
+                with pytest.raises(NumericalError, match="lost positivity"):
+                    fredholm_log_det(bad)
+            else:
+                assert log_det[1] == -np.inf
+                assert np.all(np.isfinite(log_det[[0, 2]]))
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1e-5), (np.zeros(2), np.array([9.0, 1e-5]))])
+    def test_nodes_too_close(self, lower, upper):
+        # the diagonal limit is taken on the diagonal only, so distinct nodes
+        # within DIAG_GUARD of each other are refused
+        grid = build_grid(lower, upper, 64)
+        with pytest.raises(ParameterError, match="nodes within"):
+            assemble(grid, hermite_parts(5, grid.nodes_and_lower), math.sqrt(2.5))
 
 
 class TestResolvent:
