@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -146,9 +147,14 @@ def cmd_validate(args) -> tuple[str, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # help at a fixed 78 columns, argparse's width when no terminal is attached:
+    # its default asks the terminal for its size in every formatter it makes,
+    # and add_argument makes one per call
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="gemax",
         description="Largest-eigenvalue distributions of the Gaussian ensembles",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("tabulate", help="finite-n CDF table")
+    p = sub.add_parser("tabulate", help="finite-n CDF table", formatter_class=formatter)
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-min", type=float, required=True)
@@ -167,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gue-scale", action="store_true",
                    help="tabulate the symplectic law against t = u*sqrt(2)")
 
-    p = sub.add_parser("limit", help="limiting-law table")
+    p = sub.add_parser("limit", help="limiting-law table", formatter_class=formatter)
     common(p)
     p.add_argument("--s-min", type=float, default=-8.0)
     p.add_argument("--s-max", type=float, default=6.0)
     p.add_argument("--steps", type=int, default=29)
 
-    p = sub.add_parser("edgeworth", help="expansion vs finite-n truth")
+    p = sub.add_parser("edgeworth", help="expansion vs finite-n truth", formatter_class=formatter)
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, default=0.0)
@@ -181,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=9)
 
-    p = sub.add_parser("mc", help="Monte Carlo KS validation")
+    p = sub.add_parser("mc", help="Monte Carlo KS validation", formatter_class=formatter)
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("convergence", help="convergence-rate study")
+    p = sub.add_parser("convergence", help="convergence-rate study", formatter_class=formatter)
     common(p)
     p.add_argument("--n-list", default="20,40,80,160")
     p.add_argument("--c", type=float, default=0.0)
@@ -196,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=9)
 
-    p = sub.add_parser("validate", help="run the acceptance suite")
+    p = sub.add_parser("validate", help="run the acceptance suite", formatter_class=formatter)
     p.add_argument("--tolerance-scale", type=float, default=1.0)
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
     p.add_argument("--out", default=None)

@@ -13,11 +13,16 @@ exp(-(beta/2) sum x^2), the convention used by the analytic distributions
 
 Only the largest eigenvalue is wanted, so no matrix is formed: Sturm-sequence
 bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; LAPACK dstebz)
-runs on the diagonal and squared subdiagonal of a whole batch at once.  It
-halves a Gershgorin bracket to the last bit of every row's eigenvalue: 53-54
-halvings at n >= 16, up to about 64 at n <= 4, where some samples lie near 0.
-Each halving is one pass of the n-step pivot recurrence over the batch, so a
-batch costs O(batch * n * ~55) time and O(batch * n) memory.
+runs on the diagonal and squared subdiagonal of a whole batch at once, and
+Newton's method on the same pivot recurrence narrows its bracket.  A batch
+takes _HALVINGS = 12 halvings of the Gershgorin bracket, 4-6 Newton passes,
+two Sturm passes that confirm the narrowed bracket and about 7 halvings to
+adjacent floats: 21 Sturm and 4-6 Newton passes of the n-step recurrence at
+n >= 8, a Newton pass costing about 2 Sturm passes, where bisection alone
+took 53-54.  At n <= 4, where some samples lie near 0 and take more halvings
+to adjacent floats, it takes 23-35 Sturm passes (bisection: up to about 64).
+A batch costs O(batch * n * ~31) time and O(batch * n) memory.  The samples
+are those of bisection alone, bit for bit (see `_top_eigenvalue`).
 """
 
 from __future__ import annotations
@@ -32,6 +37,15 @@ from .errors import ParameterError
 
 VALID_BETA = (1, 2, 4)
 _BATCH = 2048
+#: Sturm halvings of the Gershgorin bracket before Newton's method; with 6, the
+#: batch needed 7-11 Newton passes at n = 16..96 and 22 at n = 400, with 12
+#: it needs 4-6, and 10-14 all ran the kernel in 0.4-0.56 of bisection's time
+_HALVINGS = 12
+#: Newton passes at most; a top pair of eigenvalues closer than the bracket
+#: makes Newton's convergence linear, and this caps what such a batch loses
+_NEWTON_PASSES = 8
+#: half-width, in ulps, of the bracket Newton's last iterate proposes
+_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -45,18 +59,88 @@ class McRun:
     count: int
 
 
+def _below(a: np.ndarray, b2: np.ndarray, x: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """One Sturm pass: whether each column's largest eigenvalue lies below x[column].
+
+    The LDL^T pivots of T - x I, d_1 = a_1 - x and d_i = (a_i - x) -
+    b_{i-1}^2 / d_{i-1}, are written to pivots; the largest eigenvalue lies
+    below x exactly when all n are negative.
+    """
+    np.subtract(a, x, out=pivots)
+    for i in range(1, len(a)):
+        pivots[i] -= b2[i - 1] / pivots[i - 1]
+    return pivots.max(axis=0) < 0.0
+
+
+def _newton_step(
+    a: np.ndarray, b2: np.ndarray, x: np.ndarray, pivots: np.ndarray, slopes: np.ndarray
+) -> np.ndarray:
+    """One Newton pass: the step f/f' at x for f(x) = det(T - x I) = d_1 ... d_n.
+
+    The pivots' derivatives follow the same recurrence, d_1' = -1 and
+    d_i' = -1 + (b_{i-1}^2 / d_{i-1}^2) d_{i-1}', and f'/f = sum d_i'/d_i.
+    A pivot at or near 0 makes the step inf or NaN, which the caller refuses.
+    """
+    np.subtract(a, x, out=pivots)
+    slopes[0] = -1.0
+    with np.errstate(invalid="ignore"):
+        for i in range(1, len(a)):
+            ratio = b2[i - 1] / pivots[i - 1]
+            pivots[i] -= ratio
+            ratio /= pivots[i - 1]
+            ratio *= slopes[i - 1]
+            np.subtract(ratio, 1.0, out=slopes[i])
+        np.divide(slopes, pivots, out=slopes)
+        return 1.0 / slopes.sum(axis=0)
+
+
+def _narrow(
+    a: np.ndarray, b2: np.ndarray, lo: np.ndarray, hi: np.ndarray, pivots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink each column's bracket [lo, hi] to a few ulps around Newton's limit.
+
+    Newton's method from hi, right of the top root, falls monotonically to
+    it (Wilkinson 1965).  A step is taken only if it lowers x and keeps it at
+    or above lo, so a NaN step or one spoiled by rounding is refused; the
+    passes stop once no column takes a step longer than a width of _ULPS
+    ulps.  Then x -/+ width replace lo and hi only where a Sturm pass
+    confirms them.  The ulps are those of the larger of |x| and max |a_i|:
+    near 0 the test's rounding is set by the diagonal, not by x, and with
+    ulps of |x| alone batches at n = 2, 3 fell back to bisection.
+    """
+    slopes = np.empty_like(pivots)
+    scale = np.maximum(a.max(axis=0), -a.min(axis=0))
+    x = hi
+    for _ in range(_NEWTON_PASSES):
+        step = _newton_step(a, b2, x, pivots, slopes)
+        new = x - step
+        take = (new < x) & (lo <= new)
+        x = np.where(take, new, x)
+        width = _ULPS * np.spacing(np.maximum(np.abs(x), scale))
+        if not np.any(take & (step > width)):
+            break
+    for end in (x - width, x + width):
+        inside = (lo < end) & (end < hi)
+        below = _below(a, b2, end, pivots)
+        hi = np.where(inside & below, end, hi)
+        lo = np.where(inside & ~below, end, lo)
+    return lo, hi
+
+
 def _top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each row's symmetric tridiagonal matrix.
 
     Row k has diagonal diag[k] (length n) and squared off-diagonal sub2[k]
-    (length n - 1).  The LDL^T pivots of T - x I are d_1 = a_1 - x and
-    d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}; the largest eigenvalue lies below x
-    exactly when all n are negative.  Bisection on that test starts from
+    (length n - 1).  Bisection on the Sturm test of `_below` starts from
     [max a_i, max(a_i + |b_{i-1}| + |b_i|)] (Gershgorin) and halves the
-    bracket until its midpoint rounds to an end.  Squared off-diagonals are
-    raised to dstebz's pivmin, tiny * max(1, max b^2), so a zero pivot gives
-    an IEEE infinity and never 0/0; a zero coupling moves the eigenvalue by
-    at most sqrt(pivmin).
+    bracket until its midpoint rounds to an end.  After _HALVINGS halvings,
+    `_narrow` shrinks the bracket by Newton's method, and bisection decides
+    the last bits.  The test is monotone in x under IEEE rounding, so the
+    final pair of adjacent floats, and the returned midpoint, are those of
+    bisection alone: Newton saves passes but never changes a bit.  Squared
+    off-diagonals are raised to dstebz's pivmin, tiny * max(1, max b^2), so a
+    zero pivot gives an IEEE infinity and never 0/0; a zero coupling moves
+    the eigenvalue by at most sqrt(pivmin).
     """
     a = np.ascontiguousarray(diag.T)
     b2 = np.ascontiguousarray(sub2.T)
@@ -66,18 +150,20 @@ def _top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:
     np.add(a, edge[:-1], out=pivots)
     pivots += edge[1:]
     lo, hi = a.max(axis=0), pivots.max(axis=0)
+    del edge
     np.maximum(b2, np.finfo(float).tiny * max(1.0, b2.max(initial=0.0)), out=b2)
+    halvings = 0
     with np.errstate(divide="ignore", over="ignore"):
         while True:
             x = 0.5 * (lo + hi)
             if not np.any((lo < x) & (x < hi)):
                 return x
-            np.subtract(a, x, out=pivots)
-            for i in range(1, len(a)):
-                pivots[i] -= b2[i - 1] / pivots[i - 1]
-            below = pivots.max(axis=0) < 0.0
+            below = _below(a, b2, x, pivots)
             hi = np.where(below, x, hi)
             lo = np.where(below, lo, x)
+            halvings += 1
+            if halvings == _HALVINGS:
+                lo, hi = _narrow(a, b2, lo, hi, pivots)
 
 
 def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
@@ -114,21 +200,22 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.nda
     The second (true) barycentric formula with the weights (-1)^j, halved at
     the two ends (Berrut & Trefethen, SIAM Review 46, 2004), which no affine
     map of the nodes changes.  x is taken _BATCH points at a time, so the
-    largest temporary is _BATCH x len(nodes); a point on a node takes that
-    node's value.
+    largest temporary is _BATCH x len(nodes).  A point on a node makes the
+    formula inf/inf, and such a point, or any other whose value is not
+    finite, takes the value of its nearest node.
     """
     weights = np.ones_like(nodes)
     weights[1::2] = -1.0
     weights[[0, -1]] *= 0.5
     out = np.empty_like(x)
     for start in range(0, len(x), _BATCH):
-        diff = x[start : start + _BATCH, None] - nodes
-        exact = diff == 0.0
-        diff[exact] = 1.0
-        terms = weights / diff
-        chunk = terms @ values / terms.sum(axis=1)
-        hit = exact.any(axis=1)
-        chunk[hit] = values[exact[hit].argmax(axis=1)]
+        points = x[start : start + _BATCH]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = points[:, None] - nodes
+            np.divide(weights, terms, out=terms)
+            chunk = terms @ values / terms.sum(axis=1)
+        bad = ~np.isfinite(chunk)
+        chunk[bad] = values[np.abs(points[bad, None] - nodes).argmin(axis=1)]
         out[start : start + _BATCH] = chunk
     return out
 

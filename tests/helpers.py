@@ -131,3 +131,31 @@ def ks_two_sample(run_a: McRun, run_b: McRun) -> float:
 def ks_critical_1pct_two_sample(count_a: int, count_b: int) -> float:
     """1% critical value of the two-sample KS statistic: 1.63/sqrt of the harmonic N."""
     return 1.63 / math.sqrt(count_a * count_b / (count_a + count_b))
+
+
+def bisection_top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:
+    """Reference for `mc._top_eigenvalue`: Sturm bisection alone, down to adjacent floats.
+
+    The same Gershgorin bracket, pivmin floor and pivot test as the sampler,
+    halved until every row's midpoint rounds to an end.  The test is
+    monotone in x under IEEE rounding, so the final pair of floats, and with
+    it the returned midpoint, does not depend on how the bracket was narrowed.
+    """
+    a = np.ascontiguousarray(diag.T)
+    b2 = np.ascontiguousarray(sub2.T)
+    edge = np.zeros((len(a) + 1, a.shape[1]))
+    np.sqrt(b2, out=edge[1:-1])
+    lo, hi = a.max(axis=0), (a + edge[:-1] + edge[1:]).max(axis=0)
+    b2 = np.maximum(b2, np.finfo(float).tiny * max(1.0, b2.max(initial=0.0)))
+    pivots = np.empty_like(a)
+    with np.errstate(divide="ignore", over="ignore"):
+        while True:
+            x = 0.5 * (lo + hi)
+            if not np.any((lo < x) & (x < hi)):
+                return x
+            np.subtract(a, x, out=pivots)
+            for i in range(1, len(a)):
+                pivots[i] -= b2[i - 1] / pivots[i - 1]
+            below = pivots.max(axis=0) < 0.0
+            hi = np.where(below, x, hi)
+            lo = np.where(below, lo, x)

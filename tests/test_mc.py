@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gemax import mc
 from gemax.errors import ParameterError
 from gemax.mc import (
     _BATCH,
@@ -17,7 +18,12 @@ from gemax.mc import (
     ks_statistic,
     sample_lambda_max,
 )
-from helpers import ks_critical_1pct_two_sample, ks_two_sample, sample_lambda_max_dense
+from helpers import (
+    bisection_top_eigenvalue,
+    ks_critical_1pct_two_sample,
+    ks_two_sample,
+    sample_lambda_max_dense,
+)
 
 
 def dense_eigenvalues(diag, sub2):
@@ -174,11 +180,14 @@ class TestKsStatistic:
 
 
 class TestTopEigenvalue:
-    """The bisection against eigvalsh of the explicit dense tridiagonal."""
+    """The sampler's kernel against eigvalsh of the explicit dense tridiagonal,
+    and bit for bit against Sturm bisection alone."""
 
     def check(self, diag, sub2, rel=1e-13):
-        with np.errstate(invalid="raise"):  # no pivot may become 0/0 = NaN
+        with np.errstate(invalid="raise"):  # no Sturm pivot may become 0/0 = NaN
             top = _top_eigenvalue(diag, sub2)
+        # Newton only narrows the bracket: bisection still picks every bit
+        assert np.array_equal(top, bisection_top_eigenvalue(diag, sub2))
         eigs = dense_eigenvalues(diag, sub2)
         norm = np.abs(eigs).max(axis=1)
         assert not np.any(np.isnan(top))
@@ -187,7 +196,7 @@ class TestTopEigenvalue:
         assert np.all((lo <= top) & (top <= hi))
         return top
 
-    @pytest.mark.parametrize("n", [2, 3, 16, 96, 400])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 96, 400])
     def test_random_rows(self, n):
         rng = np.random.default_rng(n)
         m = 64 if n == 400 else 256
@@ -240,6 +249,30 @@ class TestTopEigenvalue:
         run = sample_lambda_max(beta, n, count, seed)
         assert count <= _BATCH
         assert np.all(np.abs(run.samples - dense) <= 1e-13 * np.abs(dense))
+
+    @pytest.mark.parametrize("beta, n", [(4, 16), (1, 24), (2, 96), (2, 400)])
+    def test_pass_counts(self, beta, n, monkeypatch):
+        # one full batch: bisection alone took 53-54 Sturm passes; measured
+        # 21 Sturm and 4-6 Newton passes, a Newton pass costing about two
+        calls = {"sturm": [], "newton": 0}
+        below, newton_step = mc._below, mc._newton_step
+
+        def counting_below(*args):
+            calls["sturm"].append(np.geterr()["invalid"])
+            return below(*args)
+
+        def counting_newton_step(*args):
+            calls["newton"] += 1
+            return newton_step(*args)
+
+        monkeypatch.setattr(mc, "_below", counting_below)
+        monkeypatch.setattr(mc, "_newton_step", counting_newton_step)
+        with np.errstate(invalid="raise"):
+            sample_lambda_max(beta, n, _BATCH, seed=n)
+        assert len(calls["sturm"]) <= 24
+        assert 1 <= calls["newton"] <= 6
+        # only the Newton pass may ignore an invalid operation
+        assert set(calls["sturm"]) == {"raise"}
 
     def test_memory_bound(self):
         # the dense (2048, 400, 400) batch took 2.6 GB

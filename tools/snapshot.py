@@ -6,10 +6,11 @@
 The first form imports gemax from TREE/src (run it in a fresh process, as
 above, so no other copy is imported) and writes one JSON object: each key
 names a value of the public API or a CLI argv, each float is stored as its
-``repr``, a raised error as ``raises <class>``, and each argv as its stdout
-and exit code.  The second form prints every key whose entry differs, with
-both entries and the largest relative gap of its differing floats (the
-numbers printed in a CLI stdout included), and exits 1 if any key differs.
+``repr``, a raised error as ``raises <class>``, each argv as its stdout
+and exit code, and each Monte Carlo run as the sha256 of its samples'
+bytes.  The second form prints every key whose entry differs, with both
+entries and the largest relative gap of its differing floats (the numbers
+printed in a CLI stdout included), and exits 1 if any key differs.
 A change that must keep every result bit for bit compares the records of
 its parent tree and of itself.
 """
@@ -17,6 +18,7 @@ its parent tree and of itself.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -33,6 +35,11 @@ AIRY_POINTS = tuple(-10.0 + 0.5 * k for k in range(37))
 BUNDLE_POINTS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 #: Ai and Ai' on both sides of special.AIRY_SERIES_START = 10 and well past it
 AIRY_X = (9.5, 10.0 - 1e-9, 10.0 + 1e-9, 12.0, 20.0, 35.0, 60.0)
+#: Monte Carlo runs `sample_lambda_max(beta, n, SAMPLER_COUNT, SAMPLER_SEED)`,
+#: one full batch and part of a second
+SAMPLER_BETAS = (1, 2, 4)
+SAMPLER_N = (1, 2, 4, 96, 400)
+SAMPLER_COUNT, SAMPLER_SEED = 3000, 2026
 EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4", "c_phi", "c_psi")
 #: a decimal number in a CLI stdout, kept by `re.split` as its own part
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -89,8 +96,17 @@ def _record(out: dict, key: str, fn) -> None:
 
 
 def _values(gemax) -> dict:
-    finite_n, airy, special = gemax.finite_n, gemax.airy, gemax.special
+    finite_n, airy, special, mc = gemax.finite_n, gemax.airy, gemax.special, gemax.mc
     out: dict = {}
+    for beta in SAMPLER_BETAS:
+        for n in SAMPLER_N:
+            _record(
+                out,
+                f"sample_lambda_max beta={beta} n={n} sha256",
+                lambda: hashlib.sha256(
+                    mc.sample_lambda_max(beta, n, SAMPLER_COUNT, SAMPLER_SEED).samples.tobytes()
+                ).hexdigest(),
+            )
     for x in AIRY_X:
         _record(out, f"special.airy x={x!r}", lambda: [float(v) for v in special.airy(x)])
     for n in FINITE_N:
