@@ -4,9 +4,10 @@ The three limit laws are Fredholm determinants on one 64-node Gauss-Legendre
 Nystrom grid on (s, max(s, 0) + 30):  F_2(s) = det(I - K_Ai), and, after
 Ferrari-Spohn and Bornemann, F_1(s) = det(I - A_s) and
 F_4(s) = (det(I - A_s) + det(I + A_s))/2 with A_s(x, y) = Ai((x + y)/2)/2.
-With the Hastings-McLeod q and mu(s) = int_s^inf q, these are
-F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
-convention.
+Each determinant is read from the LU of its operator (fredholm); the sum
+kernel's +-A_s are operators without kernel parts.  With the Hastings-McLeod
+q and mu(s) = int_s^inf q, these are F_1 = sqrt(F_2) e^{-mu/2} and
+F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4 convention.
 
 The Edgeworth terms need the Airy bundle: the resolvent (I - K_Ai)^{-1} on
 (s, infinity) and its endpoint values against x^i Ai and x^i Ai' give
@@ -33,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .fredholm import assemble, fredholm_log_det, map_blocks, positive_log_det
+from .fredholm import DiscretizedKernel, assemble, fredholm_log_det, map_blocks
 from .fredholm import resolvent_solve_many
 from .special import airy as airy_fn
 from .special import build_grid
@@ -106,12 +107,6 @@ def _parts(grid) -> tuple:
     z = grid.nodes_and_lower
     ai, aip = airy_fn(z)
     return ai, aip, aip * aip - z * ai * ai
-
-
-def _operator(s: float):
-    """The operator of K_Ai on (s, S)."""
-    grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
-    return assemble(grid, _parts(grid), 1.0)
 
 
 def _endpoint_scalars(op) -> np.ndarray:
@@ -201,7 +196,8 @@ def airy_bundle(s: float) -> AiryBundle:
 def log_f2_limit(s: float) -> float:
     """log F_2(s) = log det(I - K_Ai), the Airy Fredholm determinant."""
     _window_check(s)
-    return fredholm_log_det(_operator(s))
+    grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
+    return fredholm_log_det(assemble(grid, _parts(grid), 1.0))
 
 
 def f2_limit(s: float) -> float:
@@ -213,8 +209,10 @@ def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
     """log det(I - sign A_s) for each sign, with A_s(x, y) = Ai((x + y)/2)/2 on (s, infinity).
 
     One Nystrom matrix on the F_2 grid; Ai is evaluated once per distinct
-    pairwise sum (the upper triangle).  Raises NumericalError where a
-    determinant loses positivity, by `positive_log_det`.
+    pairwise sum (the upper triangle), so the matrix is exactly symmetric.
+    Each sign's matrix is an operator without kernel parts, and its
+    determinant is read from the operator's LU, as every other determinant
+    is; one that loses positivity raises NumericalError.
     """
     _window_check(s)
     nodes = DEFAULT_NODES
@@ -223,8 +221,7 @@ def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
     i, j = np.triu_indices(nodes)
     a = np.empty((nodes, nodes))
     a[i, j] = a[j, i] = 0.5 * sw[i] * airy_fn(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
-    what = f"the Airy sum kernel at s = {s}"
-    return [positive_log_det(np.eye(nodes) - sign * a, what) for sign in signs]
+    return [fredholm_log_det(DiscretizedKernel(grid, sign * a, 1.0, (), ())) for sign in signs]
 
 
 def f1_limit(s: float) -> float:

@@ -5,13 +5,17 @@ scale (f(x)g(y) - f(y)g(x))/(x - y): f, g = phi_n, phi_{n-1} with
 scale = sqrt(n/2) for the Christoffel-Darboux Hermite kernel, and
 f, g = Ai, Ai' with scale = 1 for the Airy kernel.  This module knows no
 kernel by name: each caller evaluates its kernel's parts (f, g, K(z, z))
-once, on the nodes and the left end, and hands them to :func:`assemble`;
-one private core evaluates the form and its diagonal limit from them.
+once, on the nodes and the left end, and hands them to :func:`assemble`.
+One private quotient, built in place, gives both the matrix (whose
+diagonal K(x_i, x_i) is written by index) and the row K(lower, x_j).
 
 A kernel K on (lower, upper) is discretized as the symmetric matrix
 A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Fredholm determinants are
 det(I - A), taken in log space from the LU factors that resolvent solves
-share; resolvent solves return the node values of (I - K)^{-1} f.
+share; resolvent solves return the node values of (I - K)^{-1} f.  Every
+determinant of the library is read from that one LU, also that of the
+Airy sum kernel behind F_1 and F_4, whose exactly symmetric matrix its
+caller builds as an operator without parts.
 
 Operators come in stacks: on a stack of grids (special.build_grid with
 arrays of ends) every array carries a leading stack axis, and one call
@@ -38,25 +42,21 @@ from .special import QuadratureGrid
 #: matrices and their temporaries small (16 was measured no faster)
 BLOCK = 4
 
-#: below this separation the difference quotient loses too many digits
-#: and the diagonal-limit form with a first-order Taylor step is used;
-#: assemble takes the limit on the diagonal only, so it refuses a grid
-#: whose distinct nodes come this close
+#: below this separation the difference quotient loses too many digits;
+#: assemble takes the limit K(x_i, x_i) on the diagonal only, so it refuses
+#: a grid whose distinct nodes, or whose left end and first node, come this
+#: close
 DIAG_GUARD = 1e-6
 
 
-def _integrable_form(x, px, y, py, scale: float):
-    """scale (f(x)g(y) - f(y)g(x))/(x - y) from px = parts(x) and py = parts(y).
-
-    parts(z) = (f(z), g(z), K(z, z)).  Within DIAG_GUARD of the diagonal the
-    midpoint of the two diagonal values is used:
-    K(x, x+h) = K(x, x) + (h/2) d/dx K(x, x) + O(h^2).
-    """
-    fx, gx, diag_x = px
-    fy, gy, diag_y = py
-    near = np.abs(x - y) <= DIAG_GUARD
-    off = scale * (fx * gy - fy * gx) / np.where(near, 1.0, x - y)
-    return np.where(near, 0.5 * (diag_x + diag_y), off)
+def _quotient(px, py, gap, scale: float) -> np.ndarray:
+    """scale (f(x)g(y) - f(y)g(x))/(x - y), in place, from the parts px, py at x, y and gap = x - y."""
+    (fx, gx, *_), (fy, gy, *_) = px, py
+    out = fx * gy
+    out -= fy * gx
+    out *= scale
+    out /= gap
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,12 @@ class DiscretizedKernel:
     end_parts: tuple = field(repr=False)
 
     def kernel_row(self, x, px) -> np.ndarray:
-        """K(x, x_j) at the grid nodes (unsymmetrized), from the parts px at x."""
-        return _integrable_form(x, px, self.grid.nodes, self.node_parts, self.scale)
+        """K(x, x_j) at the grid nodes (unsymmetrized), from the parts px at x.
+
+        The quotient alone: x must lie more than DIAG_GUARD from every node,
+        as the left end of any grid :func:`assemble` accepts does.
+        """
+        return _quotient(px, self.node_parts, x - self.grid.nodes, self.scale)
 
     @cached_property
     def end_row(self) -> np.ndarray:
@@ -84,9 +88,10 @@ class DiscretizedKernel:
     def _lu(self):
         """The LU factors and pivots of I - A, shared by the determinant and every solve.
 
-        One getrf per operator, in place: I - A is exactly symmetric (assemble
-        scrubs it), so the transpose of each C-ordered matrix is the same
-        matrix in Fortran order and LAPACK factors it without a copy.  The
+        One getrf per operator, in place.  Any exactly symmetric I - A
+        qualifies (assemble scrubs its matrix; the Airy sum kernel is built
+        symmetric): the transpose of each C-ordered matrix is then the same
+        matrix in Fortran order, and LAPACK factors it without a copy.  The
         factors are read back through the transposed view; only their
         diagonal and getrs read them, so their layout moves no bit.
         """
@@ -109,22 +114,20 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     ``parts`` = (f, g, K(z, z)) at z = grid.nodes_and_lower.  The node values
     serve both the row and the column side of the matrix; they and the
     values at the left end stay with the operator.  The difference quotient
-    is built in place off the diagonal and K(x_i, x_i) is written on it,
-    which is :func:`_integrable_form` bit for bit on a grid whose distinct
-    nodes are more than DIAG_GUARD apart; a closer grid is a ParameterError.
+    is built in place off the diagonal and K(x_i, x_i) is written on it, so
+    the grid's distinct nodes, and its left end and first node, must lie
+    more than DIAG_GUARD apart; a closer grid is a ParameterError.
     """
     x = grid.nodes
-    if (np.diff(x, axis=-1) <= DIAG_GUARD).any():
+    if (np.diff(x, axis=-1, prepend=np.asarray(grid.lower)[..., None]) <= DIAG_GUARD).any():
         raise ParameterError(f"nodes within {DIAG_GUARD} on ({grid.lower}, {grid.upper})")
     node_parts = tuple(v[..., :-1] for v in parts)
-    f, g, diag = node_parts
     gap = x[..., :, None] - x[..., None, :]
     _diagonal(gap)[...] = 1.0
-    matrix = f[..., :, None] * g[..., None, :]
-    matrix -= f[..., None, :] * g[..., :, None]
-    matrix *= scale
-    matrix /= gap
-    _diagonal(matrix)[...] = diag
+    rows = tuple(v[..., :, None] for v in node_parts)
+    cols = tuple(v[..., None, :] for v in node_parts)
+    matrix = _quotient(rows, cols, gap, scale)
+    _diagonal(matrix)[...] = node_parts[2]
     sw = grid.sqrt_weights
     matrix *= sw[..., :, None]
     matrix *= sw[..., None, :]
@@ -169,17 +172,6 @@ def _per_operator(fn, *arrays) -> np.ndarray:
     return np.stack([fn(*one) for one in zip(*arrays)])
 
 
-def _positive(sign: float, logdet: float, what: str) -> float:
-    if sign <= 0 or not np.isfinite(logdet):
-        raise NumericalError(f"determinant lost positivity for {what}")
-    return float(logdet)
-
-
-def positive_log_det(matrix: np.ndarray, what: str) -> float:
-    """log det(matrix); NumericalError where the determinant is not positive and finite."""
-    return _positive(*np.linalg.slogdet(matrix), what)
-
-
 def signed_log_det(op: DiscretizedKernel) -> np.ndarray:
     """(sign, log |det|) of I - K for each operator, shape (2,) + the stack's shape.
 
@@ -198,8 +190,11 @@ def signed_log_det(op: DiscretizedKernel) -> np.ndarray:
 
 def fredholm_log_det(op: DiscretizedKernel) -> float:
     """log det(I - K) of one operator; NumericalError where it is not positive and finite."""
-    what = f"the kernel on ({op.grid.lower}, {op.grid.upper})"
-    return _positive(*signed_log_det(op), what)
+    sign, logdet = signed_log_det(op)
+    if sign <= 0 or not np.isfinite(logdet):
+        what = f"the kernel on ({op.grid.lower}, {op.grid.upper})"
+        raise NumericalError(f"determinant lost positivity for {what}")
+    return float(logdet)
 
 
 def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Reference routines that only the tests use: the wave functions one order
-at a time, the pointwise Hermite and Airy kernels and their operators, the
-Nystrom extension, the dense GOE/GUE sampler and the two-sample KS statistic
-with its critical value."""
+at a time, the masked integrable form, the pointwise Hermite and Airy
+kernels and their operators, the Nystrom extension, the dense GOE/GUE
+sampler and the two-sample KS statistic with its critical value."""
 
 import math
 from functools import partial
@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 
 from gemax.errors import ParameterError
-from gemax.fredholm import DiscretizedKernel, _integrable_form, assemble
+from gemax.fredholm import DIAG_GUARD, DiscretizedKernel, assemble
 from gemax.mc import _BATCH, McRun
 from gemax.special import airy, hermite_parts, hermite_phi_two, phi_psi_scale
 
@@ -34,11 +34,26 @@ def airy_parts(z):
     return ai, aip, aip * aip - z * ai * ai
 
 
+def integrable_form(x, px, y, py, scale: float):
+    """scale (f(x)g(y) - f(y)g(x))/(x - y) from px = parts(x) and py = parts(y), at any x, y.
+
+    parts(z) = (f(z), g(z), K(z, z)).  Within DIAG_GUARD of the diagonal the
+    midpoint of the two diagonal values is used:
+    K(x, x+h) = K(x, x) + (h/2) d/dx K(x, x) + O(h^2).  Elsewhere it is the
+    quotient the library builds, bit for bit.
+    """
+    fx, gx, diag_x = px
+    fy, gy, diag_y = py
+    near = np.abs(x - y) <= DIAG_GUARD
+    off = scale * (fx * gy - fy * gx) / np.where(near, 1.0, x - y)
+    return np.where(near, 0.5 * (diag_x + diag_y), off)
+
+
 def _integrable_kernel(parts, scale: float, x, y):
     """The integrable form at (x, y), evaluating parts on each side."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = _integrable_form(x, parts(x), y, parts(y), scale)
+    out = integrable_form(x, parts(x), y, parts(y), scale)
     if out.ndim == 0:
         return float(out)
     return out
@@ -82,7 +97,7 @@ def nystrom_extend(op: DiscretizedKernel, parts, node_values: np.ndarray, rhs_fn
     xarr = np.asarray(x, dtype=float)
     scalar = xarr.ndim == 0
     pts = np.atleast_1d(xarr)[:, None]
-    kernel_block = op.kernel_row(pts, parts(pts))  # shape (len(pts), count)
+    kernel_block = integrable_form(pts, parts(pts), op.grid.nodes, op.node_parts, op.scale)
     vals = np.asarray(rhs_fn(pts[:, 0]), dtype=float)
     vals = vals + kernel_block @ (op.grid.weights * node_values)
     return float(vals[0]) if scalar else vals

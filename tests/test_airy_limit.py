@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemax import airy as airy_module
+from gemax import fredholm
 from gemax.airy import (
     S_MAX,
     S_MIN,
@@ -113,23 +114,29 @@ class TestLimitLaws:
             assert f1_limit(s) == pytest.approx(root * math.exp(-0.5 * b.mu), abs=1e-12)
             assert f4_limit(s) == pytest.approx(root * math.cosh(0.5 * b.mu), abs=1e-12)
 
-    @pytest.mark.parametrize("law", [f1_limit, f4_limit], ids=["F1", "F4"])
-    def test_one_matrix_per_value(self, law, monkeypatch):
+    @pytest.mark.parametrize("law,operators", [(f1_limit, 1), (f4_limit, 2)], ids=["F1", "F4"])
+    def test_one_matrix_per_value(self, law, operators, monkeypatch):
         # one grid and one Ai evaluation over the upper triangle of pairwise
-        # sums; the bundle and its point values are never reached
+        # sums; the bundle and its point values are never reached.  Each
+        # determinant is one getrf on a 64 x 64 operator, the LU every other
+        # determinant reads, and numpy's slogdet is never reached
         def unused(*args):
-            raise AssertionError("the limit law reached the Airy bundle")
+            raise AssertionError("the limit law reached the Airy bundle or slogdet")
 
-        grids, points = [], []
+        grids, points, factored = [], [], []
         build_grid, airy_fn = airy_module.build_grid, airy_module.airy_fn
+        dgetrf = fredholm.dgetrf
         monkeypatch.setattr(airy_module, "airy_bundle", unused)
         monkeypatch.setattr(airy_module, "_point_values", unused)
+        monkeypatch.setattr(np.linalg, "slogdet", unused)
         monkeypatch.setattr(airy_module, "build_grid", lambda *a: grids.append(a) or build_grid(*a))
         monkeypatch.setattr(airy_module, "airy_fn", lambda x: points.append(np.size(x)) or airy_fn(x))
+        monkeypatch.setattr(fredholm, "dgetrf", lambda a, **kw: factored.append(a.shape) or dgetrf(a, **kw))
         value = law(-1.37)
         nodes = airy_module.DEFAULT_NODES
         assert len(grids) == 1
         assert points == [nodes * (nodes + 1) // 2]
+        assert factored == [(nodes, nodes)] * operators
         assert 0.0 < value < 1.0
 
     def test_point_values_one_airy_call(self, monkeypatch):

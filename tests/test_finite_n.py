@@ -38,7 +38,13 @@ from gemax.finite_n import (
 )
 from gemax.fredholm import resolvent_solve_many
 from gemax.special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
-from helpers import hermite_kernel, hermite_operator, nystrom_extend, phi_psi_values
+from helpers import (
+    hermite_kernel,
+    hermite_operator,
+    integrable_form,
+    nystrom_extend,
+    phi_psi_values,
+)
 
 
 def _operator(n: int, t: float) -> fredholm.DiscretizedKernel:
@@ -280,7 +286,7 @@ def _per_node_epsilon(n: int, t: float) -> EpsilonQuantities:
         return phi_psi_values(n, pts)[1]
 
     parts = partial(hermite_parts, n)
-    k_col = op.kernel_row(t, parts(t))
+    k_col = integrable_form(t, parts(t), grid.nodes, op.node_parts, op.scale)
     psi_nodes = phi_psi_scale(n) * op.node_parts[1]
     sols = resolvent_solve_many(op, np.column_stack([psi_nodes, eps_phi(grid.nodes), k_col]))
     p_sol, q_eps_sol, r_sol = sols[:, 0], sols[:, 1], sols[:, 2]
@@ -292,7 +298,8 @@ def _per_node_epsilon(n: int, t: float) -> EpsilonQuantities:
     r_left = hermite_kernel(n, left.nodes, t) + k_left @ (grid.weights * r_sol)
     p1 = float(np.sum(left.weights * p_left))
     r1 = float(np.sum(left.weights * r_left))
-    k_nodes = op.kernel_row(grid.nodes[:, None], parts(grid.nodes[:, None]))
+    k_nodes = integrable_form(grid.nodes[:, None], parts(grid.nodes[:, None]), grid.nodes,
+                              op.node_parts, op.scale)
     r_right_vals = k_col + k_nodes @ (grid.weights * r_sol)
     p4 = 0.5 * (float(np.sum(grid.weights * p_sol)) - p1)
     r4 = 0.5 * (float(np.sum(grid.weights * r_right_vals)) - r1)

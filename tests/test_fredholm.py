@@ -12,7 +12,6 @@ from scipy.linalg import lu_factor, lu_solve
 from gemax.errors import NumericalError, ParameterError
 from gemax.fredholm import (
     BLOCK,
-    _integrable_form,
     assemble,
     fredholm_log_det,
     map_blocks,
@@ -27,6 +26,7 @@ from helpers import (
     hermite_kernel,
     hermite_operator,
     hermite_phi,
+    integrable_form,
     nystrom_extend,
 )
 
@@ -219,17 +219,29 @@ class TestStack:
     @pytest.mark.parametrize("kind", ["hermite", "airy"])
     def test_matrix_is_the_masked_form(self, kind, size):
         # the quotient built in place with K(x_i, x_i) set on the diagonal is
-        # the masked form kernel_row keeps, scaled and scrubbed
+        # the masked reference form, scaled and scrubbed
         grid, parts, scale = _pinned(kind, size)
         x = grid.nodes
         nodes = tuple(v[..., :-1] for v in parts)
         rows = tuple(v[..., :, None] for v in nodes)
         cols = tuple(v[..., None, :] for v in nodes)
-        want = _integrable_form(x[..., :, None], rows, x[..., None, :], cols, scale)
+        want = integrable_form(x[..., :, None], rows, x[..., None, :], cols, scale)
         sw = grid.sqrt_weights
         want = sw[..., :, None] * want * sw[..., None, :]
         want = 0.5 * (want + np.swapaxes(want, -1, -2))
         assert np.array_equal(assemble(grid, parts, scale).matrix, want)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("kind", ["hermite", "airy"])
+    def test_end_row_is_the_masked_form(self, kind, size):
+        # the row K(lower, x_j), the same quotient with no mask, is the masked
+        # reference form at the left end bit for bit
+        grid, parts, scale = _pinned(kind, size)
+        lower = grid.lower[:, None]
+        ends = tuple(v[..., -1:] for v in parts)
+        nodes = tuple(v[..., :-1] for v in parts)
+        want = integrable_form(lower, ends, grid.nodes, nodes, scale)
+        assert np.array_equal(assemble(grid, parts, scale).end_row, want)
 
     @pytest.mark.parametrize("size", [1, 3])
     @pytest.mark.parametrize("kind", ["hermite", "airy"])
@@ -306,10 +318,14 @@ class TestFailures:
                 assert log_det[1] == -np.inf
                 assert np.all(np.isfinite(log_det[[0, 2]]))
 
-    @pytest.mark.parametrize("lower, upper", [(0.0, 1e-5), (np.zeros(2), np.array([9.0, 1e-5]))])
+    @pytest.mark.parametrize(
+        "lower, upper", [(0.0, 1e-5), (np.zeros(2), np.array([9.0, 1e-5])), (1e13, 1e13 + 1.0)]
+    )
     def test_nodes_too_close(self, lower, upper):
         # the diagonal limit is taken on the diagonal only, so distinct nodes
-        # within DIAG_GUARD of each other are refused
+        # within DIAG_GUARD of each other are refused; so is a first node
+        # within DIAG_GUARD of the left end (at 1e13 the two are equal), as
+        # the row K(lower, x_j) is the quotient alone
         grid = build_grid(lower, upper, 64)
         with pytest.raises(ParameterError, match="nodes within"):
             assemble(grid, hermite_parts(5, grid.nodes_and_lower), math.sqrt(2.5))

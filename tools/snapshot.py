@@ -9,8 +9,9 @@ names a value of the public API or a CLI argv, each float is stored as its
 ``repr``, a raised error as ``raises <class>``, each argv as its stdout
 and exit code, and each Monte Carlo run as the sha256 of its samples'
 bytes.  The second form prints every key whose entry differs, with both
-entries and the largest relative gap of its differing floats (the numbers
-printed in a CLI stdout included), and exits 1 if any key differs.
+entries and the largest relative and absolute gaps of its differing floats
+(the numbers printed in a CLI stdout included), and exits 1 if any key
+differs.
 A change that must keep every result bit for bit compares the records of
 its parent tree and of itself.
 """
@@ -165,7 +166,7 @@ def snapshot(tree: Path, path: Path) -> None:
 
 
 def _gaps(a, b):
-    """Relative gaps between the differing floats of two entries.
+    """(absolute, relative) gaps between the differing floats of two entries.
 
     Two texts that split into the same tokens apart from their numbers, as
     the stdouts of one argv do, are compared number by number.
@@ -184,7 +185,7 @@ def _gaps(a, b):
         return []
     if x == y or not (math.isfinite(x) and math.isfinite(y)):
         return []
-    return [abs(x - y) / max(abs(x), abs(y))]
+    return [(abs(x - y), abs(x - y) / max(abs(x), abs(y)))]
 
 
 def compare(path_a: Path, path_b: Path) -> int:
@@ -193,7 +194,10 @@ def compare(path_a: Path, path_b: Path) -> int:
     differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     for key in differing:
         gaps = _gaps(a.get(key), b.get(key))
-        gap = f" (relative gap {max(gaps):.3g})" if gaps else ""
+        gap = ""
+        if gaps:
+            absolute, relative = map(max, zip(*gaps))
+            gap = f" (relative gap {relative:.3g}, absolute gap {absolute:.3g})"
         print(f"{key}{gap}\n  A: {a.get(key, '<missing>')!r}\n  B: {b.get(key, '<missing>')!r}")
     print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ")
     return 1 if differing else 0
