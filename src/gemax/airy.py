@@ -15,14 +15,17 @@ q_i(s), p_i(s); inner products give u_i, v_i, v~_i, w_i.  In particular q_0
 is the Hastings-McLeod q, recovered here from the resolvent rather than by
 ODE shooting (which is exponentially unstable).  The integrals mu, nu,
 alpha, eta need the endpoint scalars as *functions* of the left endpoint,
-so the bundle evaluates them at every outer node: one stack of 65
-operators, at s and at the 64 outer nodes, from one Airy call on all their
+so the bundle evaluates them at every outer node: one stack of 49
+operators, at s and at the 48 outer nodes, from one Airy call on all their
 nodes and ends (most of them right of x = 10, where special.airy sums the
-asymptotic series), assembled and solved block by block.  The same outer
-values give the exponential log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``),
-and the endpoint values at s give q' = p_0 - q_0 u_0 (the Tracy-Widom
-system).  The bundle serves only the Edgeworth terms and the acceptance
-cross-checks of the limit laws; ``f2_limit`` itself is the determinant.
+asymptotic series), assembled and solved block by block.  The outer rule
+spans only (s, max(s, 0) + 16): its integrands are O(Ai(x)), and Ai(16) is
+about 4e-20, while each operator keeps the 64-node rule on its own
+(x, max(x, 0) + 30).  The same outer values give the exponential
+log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``), and the endpoint
+values at s give q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The bundle
+serves only the Edgeworth terms and the acceptance cross-checks of the
+limit laws; ``f2_limit`` itself is the determinant.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ from .special import airy as airy_fn
 from .special import build_grid
 
 DEFAULT_NODES = 64
+#: the bundle's outer rule: OUTER_NODES Gauss-Legendre nodes on
+#: (s, max(s, 0) + OUTER_SPAN); past it the O(Ai) integrands are below 1e-19
+OUTER_NODES = 48
+OUTER_SPAN = 16.0
 S_MIN = -10.0
 S_MAX = 8.0
 SQRT2 = math.sqrt(2.0)
@@ -146,13 +153,18 @@ def hastings_mcleod_q(s: float) -> float:
     return float(_point_values(np.array([s]))[0, 0, 0])
 
 
-# The one cache keyed on a float argument.  One bundle costs 65 operators, and
+def _outer_grid(s: float):
+    """The bundle's outer rule, whose nodes are the left ends of its operators."""
+    return build_grid(s, max(s, 0.0) + OUTER_SPAN, OUTER_NODES)
+
+
+# The one cache keyed on a float argument.  One bundle costs 49 operators, and
 # callers read the same s again: the three Edgeworth expansions at one s, and
 # `convergence`, `edgeworth` and criterion 6, which repeat an s for many n
 @lru_cache(maxsize=10_000)
 def _bundle_cached(s: float) -> AiryBundle:
     """The bundle at s, every integral from the point values at the outer nodes."""
-    outer = build_grid(s, _cutoff(s), DEFAULT_NODES)
+    outer = _outer_grid(s)
     values = _point_values(np.append(s, outer.nodes))
     q, p, u, v, v_tilde, w = (tuple(float(x) for x in field[:, 0]) for field in values)
     lq, lp, lu, lv = values[:4, :, 1:]

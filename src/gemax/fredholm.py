@@ -49,6 +49,11 @@ BLOCK = 4
 DIAG_GUARD = 1e-6
 
 
+def _ends(grid: QuadratureGrid) -> str:
+    """The ends (lower, upper) of a grid for a message, a stack's as lists, each at full precision."""
+    return f"({np.asarray(grid.lower).tolist()}, {np.asarray(grid.upper).tolist()})"
+
+
 def _quotient(px, py, gap, scale: float) -> np.ndarray:
     """scale (f(x)g(y) - f(y)g(x))/(x - y), in place, from the parts px, py at x, y and gap = x - y."""
     (fx, gx, *_), (fy, gy, *_) = px, py
@@ -97,7 +102,7 @@ class DiscretizedKernel:
         """
         a = np.eye(self.grid.count) - self.matrix
         if not np.isfinite(a).all():
-            raise NumericalError(f"I - K is not finite on ({self.grid.lower}, {self.grid.upper})")
+            raise NumericalError(f"I - K is not finite on {_ends(self.grid)}")
         piv = _per_operator(lambda one: dgetrf(one.T, overwrite_a=True)[1], a)
         return np.swapaxes(a, -1, -2), piv
 
@@ -120,7 +125,7 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     """
     x = grid.nodes
     if (np.diff(x, axis=-1, prepend=np.asarray(grid.lower)[..., None]) <= DIAG_GUARD).any():
-        raise ParameterError(f"nodes within {DIAG_GUARD} on ({grid.lower}, {grid.upper})")
+        raise ParameterError(f"nodes within {DIAG_GUARD} on {_ends(grid)}")
     node_parts = tuple(v[..., :-1] for v in parts)
     gap = x[..., :, None] - x[..., None, :]
     _diagonal(gap)[...] = 1.0
@@ -192,8 +197,7 @@ def fredholm_log_det(op: DiscretizedKernel) -> float:
     """log det(I - K) of one operator; NumericalError where it is not positive and finite."""
     sign, logdet = signed_log_det(op)
     if sign <= 0 or not np.isfinite(logdet):
-        what = f"the kernel on ({op.grid.lower}, {op.grid.upper})"
-        raise NumericalError(f"determinant lost positivity for {what}")
+        raise NumericalError(f"determinant lost positivity for the kernel on {_ends(op.grid)}")
     return float(logdet)
 
 
@@ -212,5 +216,5 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
     sw = op.grid.sqrt_weights[..., None]
     y = _per_operator(lambda *one: dgetrs(*one)[0], *op._lu, sw * rhs_block)
     if not np.all(np.isfinite(y)):
-        raise NumericalError(f"resolvent solve failed on ({op.grid.lower}, {op.grid.upper})")
+        raise NumericalError(f"resolvent solve failed on {_ends(op.grid)}")
     return y / sw

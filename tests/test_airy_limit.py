@@ -82,6 +82,13 @@ class TestLimitLaws:
         for s in (-4.0, -1.0, 2.0):
             assert f2_limit(s) == pytest.approx(math.exp(airy_bundle(s).log_f2), abs=1e-9)
 
+    def test_exponential_f2_matches_determinant(self):
+        # the bundle's outer quadrature of (x - s) q^2 against the determinant:
+        # measured worst 2.5e-15 at s = -3.75 (6.6e-15 at s = -4 on 64 nodes to +30)
+        for s in np.linspace(-6.0, 6.0, 49):
+            s = float(s)
+            assert abs(math.exp(airy_bundle(s).log_f2) - f2_limit(s)) < 4e-15, s
+
     def test_f1_mean(self):
         # [DERIVED] GOE Tracy-Widom mean -1.206534 from published moment
         # tables
@@ -158,13 +165,13 @@ class TestLimitLaws:
         counted = lambda x: points.append(np.shape(x)) or airy_fn(x)
         monkeypatch.setattr(airy_module, "airy_fn", counted)
         airy_module._bundle_cached.__wrapped__(-1.37)
-        assert points == [(airy_module.DEFAULT_NODES + 1,) * 2]
+        assert points == [(airy_module.OUTER_NODES + 1, airy_module.DEFAULT_NODES + 1)]
 
     @pytest.mark.parametrize("s", [-4.0, -1.5, 1.0, 3.5, 6.0])
     def test_stack_matches_single_operators(self, s):
-        # the bundle's stack of 65 operators gives each operator's scalars as
+        # the bundle's stack of 49 operators gives each operator's scalars as
         # that operator built alone does
-        outer = build_grid(s, airy_module._cutoff(s), airy_module.DEFAULT_NODES)
+        outer = airy_module._outer_grid(s)
         points = np.append(s, outer.nodes)
         stacked = airy_module._point_values(points)
         single = [airy_module._point_values(np.array([x])) for x in points]
@@ -334,21 +341,27 @@ def _rule_bundles() -> np.ndarray:
 
 @pytest.fixture(scope="class")
 def rule_reference():
-    """The laws and bundles on a 160-node rule over the same cutoff."""
+    """The laws and bundles on 160-node rules: each operator's and the outer one, both to +30."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(airy_module, "DEFAULT_NODES", 160)
+        patch.setattr(airy_module, "OUTER_NODES", 160)
+        patch.setattr(airy_module, "OUTER_SPAN", 30.0)
         return _rule_laws(), _rule_bundles()
 
 
 class TestRuleSize:
-    """One Gauss-Legendre rule on (s, max(s, 0) + 30) serves every Airy operator.
+    """Two Gauss-Legendre rules serve the Airy side.
 
-    Its size is the smallest that keeps the digits of a 160-node rule, so
-    each bound below holds at the default size and fails one step down.
+    Every operator's rule is 64 nodes on (s, max(s, 0) + 30); the bundle's
+    outer rule, whose integrands are O(Ai), 48 nodes on (s, max(s, 0) + 16).
+    Against 160-node rules on +30 both keep the reference's digits, and the
+    outer rule is the smallest that does: one step down in either of its
+    dimensions misses the bundle bound.
     """
 
     def test_default_size(self):
         assert airy_module.DEFAULT_NODES == 64
+        assert (airy_module.OUTER_NODES, airy_module.OUTER_SPAN) == (48, 16.0)
 
     def test_laws_match_reference(self, rule_reference):
         # measured worst gaps: F1 1.3e-15, F2 1.1e-15, F4 1.2e-15
@@ -356,18 +369,21 @@ class TestRuleSize:
         assert np.abs(_rule_laws() - laws).max() < 3e-15
 
     def test_bundle_matches_reference(self, rule_reference):
-        # measured worst: alpha 1.4e-13, the exponential log F_2 3.1e-13, q' 4.6e-12
+        # measured worst: alpha 8.6e-14, the exponential log F_2 5.4e-14, q' 4.6e-12
         _, bundles = rule_reference
         gaps = np.abs(_rule_bundles() - bundles) / np.abs(bundles)
         assert gaps[:, :5].max() < 5e-13
         assert gaps[:, 5].max() < 2e-11
 
-    def test_smaller_rule_misses_the_bundle_bound(self, rule_reference, monkeypatch):
-        # 48 nodes lose the exponential log F_2 to 6.2e-10 and eta to 1.3e-10
+    @pytest.mark.parametrize("nodes, span", [(40, 16.0), (48, 12.0)], ids=["40-on-16", "48-on-12"])
+    def test_smaller_rule_misses_the_bundle_bound(self, rule_reference, nodes, span, monkeypatch):
+        # one step down in each dimension of the outer rule: 40 nodes on +16
+        # lose the exponential log F_2 to 3.0e-11, 48 nodes on +12 eta to 3.8e-11
         _, bundles = rule_reference
-        monkeypatch.setattr(airy_module, "DEFAULT_NODES", 48)
+        monkeypatch.setattr(airy_module, "OUTER_NODES", nodes)
+        monkeypatch.setattr(airy_module, "OUTER_SPAN", span)
         gaps = np.abs(_rule_bundles() - bundles) / np.abs(bundles)
-        assert gaps[:, :5].max() > 1e-10
+        assert gaps[:, :5].max() > 1e-11
 
 
 def _painleve_log_f2(s: float) -> float:

@@ -1,6 +1,7 @@
 """Oracle tests for the Nystrom kernel discretization and resolvent solves."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -329,6 +330,19 @@ class TestFailures:
         grid = build_grid(lower, upper, 64)
         with pytest.raises(ParameterError, match="nodes within"):
             assemble(grid, hermite_parts(5, grid.nodes_and_lower), math.sqrt(2.5))
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_refusal_names_both_ends(self, stacked):
+        # numpy's array repr rounds 1e13 + 1 to 1.e+13; the message prints
+        # every end at full precision, on a stack as on a single grid
+        lower, upper = 1e13, 1e13 + 1.0
+        if stacked:
+            lower, upper = np.array([lower]), np.array([upper])
+        grid = build_grid(lower, upper, 64)
+        with pytest.raises(ParameterError) as raised:
+            assemble(grid, hermite_parts(5, grid.nodes_and_lower), math.sqrt(2.5))
+        ends = [float(v) for v in re.findall(r"\d+\.\d+", str(raised.value).split(" on ")[1])]
+        assert ends == [1e13, 1e13 + 1.0]
 
 
 class TestResolvent:

@@ -33,7 +33,7 @@ FINITE_N = (1, 2, 3, 4, 5, 10, 11, 40, 41, 100, 101, 399, 400)
 #: offsets from the edge sqrt(2n) of the finite-n points, edge - 8 .. edge + 4
 OFFSETS = tuple(range(-8, 5))
 AIRY_POINTS = tuple(-10.0 + 0.5 * k for k in range(37))
-BUNDLE_POINTS = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+BUNDLE_POINTS = (-10.0, -8.0, -6.0, -4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0)
 #: Ai and Ai' on both sides of special.AIRY_SERIES_START = 10 and well past it
 AIRY_X = (9.5, 10.0 - 1e-9, 10.0 + 1e-9, 12.0, 20.0, 35.0, 60.0)
 #: Monte Carlo runs `sample_lambda_max(beta, n, SAMPLER_COUNT, SAMPLER_SEED)`,
