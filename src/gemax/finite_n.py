@@ -13,14 +13,16 @@ g = sqrt(2 a b), are soft-edge asymptotics kept as a cross-check
 integral the first-principles path needs (eps phi, the integrals left of
 t, c_phi and c_psi) is exact, from the integral recurrence of
 :func:`gemax.special.hermite_integrals`; quadrature enters only through the
-Nystrom operator on (t, T), every operator and outer grid on the one
-DEFAULT_NODES rule.  An operator takes its kernel's parts on its nodes and
-t from one recurrence pass (``hermite_parts``, or for a GOE/GSE value the
-``hermite_integrals`` pass that also gives its integrals), so a GOE/GSE
-value, a determinant F_{n,2} value and q_p_n make one pass each.  An
-exponential f_n2 or ab value needs q_n, p_n at every outer node: its 64
-operators form one stack, whose parts come from one pass over all their
-nodes and ends, and which is assembled and solved block by block.
+Nystrom operator on (t, T), every operator on the one DEFAULT_NODES rule
+and T EDGE_SPAN soft-edge units past sqrt(2n) (:func:`_upper_cutoff`).  An
+operator takes its kernel's parts on its nodes and t from one recurrence
+pass (``hermite_parts``, or for a GOE/GSE value the ``hermite_integrals``
+pass that also gives its integrals), so a GOE/GSE value, a determinant
+F_{n,2} value and q_p_n make one pass each.  An exponential f_n2 or ab
+value needs q_n, p_n at every node of an outer rule of OUTER_NODES on the
+same (t, T): its 64 outer operators, each on the 48-node rule, form one
+stack, whose parts come from one pass over all their nodes and ends, and
+which is assembled and solved block by block.
 
 A table is one stack too: :func:`cdf_values` takes an array of points and
 builds one operator per point, with one recurrence pass over all their
@@ -44,7 +46,14 @@ from .fredholm import DiscretizedKernel, assemble, map_blocks, resolvent_solve_m
 from .fredholm import signed_log_det
 from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
 
-DEFAULT_NODES = 64
+DEFAULT_NODES = 48
+#: past sqrt(2n) the wave functions decay on the soft-edge scale
+#: sigma_n = 1/(sqrt(2) n^{1/6}); every grid ends EDGE_SPAN of those units
+#: past the edge (:func:`_upper_cutoff`)
+EDGE_SPAN = 16.0
+#: the exponential path's outer rule, on the operators' own cutoff: 48 nodes
+#: there lose about two digits at n <= 8 left of the edge
+OUTER_NODES = 64
 
 #: largest kernel index of the supported and tested range; by n ~ 700 the
 #: recurrence seed exp(-x^2/2) underflows on the grid and F_{n,2} reads 1.0
@@ -63,8 +72,13 @@ def _check_n(n: int, parity: int | None = None) -> None:
 
 
 def _upper_cutoff(n: int, t):
-    # beyond sqrt(2n)+10 the wave functions are < 1e-16 of their peak
-    return np.maximum(t + 1.0, math.sqrt(2.0 * n) + 10.0)
+    """The right end T of every finite-n grid on (t, T): EDGE_SPAN soft-edge units past sqrt(2n).
+
+    There phi_n is at most 3.9e-20 of its peak for every n <= N_MAX (worst at
+    n = 400); a fixed sqrt(2n) + 10 would reach 16 units at n = 2 but 38 at n = 400.
+    """
+    sigma = 1.0 / (math.sqrt(2.0) * n ** (1.0 / 6.0))
+    return np.maximum(t + 1.0, math.sqrt(2.0 * n) + EDGE_SPAN * sigma)
 
 
 @dataclass(frozen=True)
@@ -125,8 +139,8 @@ def _tail_integrals(n: int, t):
     parts at once: 2.6 MB at the peak for 9 points at n = 40, growing with
     the table, against 0.7 MB for one point, for a tenth less time.
     """
-    outer = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
-    stacks = [_q_p(n, nodes) for nodes in outer.nodes.reshape(-1, DEFAULT_NODES)]
+    outer = build_grid(t, _upper_cutoff(n, t), OUTER_NODES)
+    stacks = [_q_p(n, nodes) for nodes in outer.nodes.reshape(-1, OUTER_NODES)]
     q_vals, p_vals = np.stack(stacks, axis=1).reshape(2, *outer.nodes.shape)
     w = outer.weights
     a = np.sum(w * q_vals, axis=-1)
