@@ -300,25 +300,26 @@ def _edgeworth_point(ensemble: str, n: int, c: float, s: float):
     return truth, r
 
 
-def criterion_8(scale: float = 1.0, ensembles=("gue", "goe", "gse")) -> CriterionResult:
+def criterion_8(scale: float = 1.0) -> CriterionResult:
     """Edgeworth improvement over the leading term, plus the GUE error rate.
 
-    The GSE clause fails: the printed symplectic expansion is missing a
-    genuine O(n^{-1/3}) contribution at c = 0 (see the ledger), so its
-    combined form cannot beat the leading term; run with
-    ensembles=("gue", "goe") for the attainable part.
+    One clause per ensemble (worst |combined - truth| / |leading - truth| over
+    s, bound ``scale``) and one for the rate (distance from -1, bound 0.4).
+    The GSE clause fails: the printed symplectic expansion misses a genuine
+    O(n^{-1/3}) contribution at c = 0 (see the ledger), so its combined form
+    cannot beat the leading term.
     """
     details = []
-    ok = True
+    clauses = []
     for ensemble, n in (("gue", 100), ("goe", 100), ("gse", 101)):
-        if ensemble not in ensembles:
-            continue
+        ratios = []
         for s in (-2.0, -1.0, 0.0):
             truth, leading, combined = edgeworth_comparison(ensemble, n, 0.0, s)
-            improved = abs(combined - truth) < abs(leading - truth) * scale
-            ok = ok and improved
-            if not improved:
+            gap = abs(leading - truth)
+            ratios.append(abs(combined - truth) / gap if gap > 0.0 else math.inf)
+            if not ratios[-1] < scale:
                 details.append(f"{ensemble} s={s:g} not improved")
+        clauses.append(Clause(f"{ensemble} improvement", float(np.max(ratios)), scale))
     errs = []
     for n in (40, 160):
         worst = 0.0
@@ -327,22 +328,23 @@ def criterion_8(scale: float = 1.0, ensembles=("gue", "goe", "gse")) -> Criterio
             worst = max(worst, abs(combined - truth))
         errs.append(worst)
     rate = _fit_exponent((40, 160), errs)
-    rate_ok = -1.4 <= rate <= -0.6
-    ok = ok and rate_ok
+    clauses.append(Clause("GUE rate", abs(rate + 1.0), 0.4))
     details.append(f"GUE 2nd-order rate {rate:.3f}")
-    return CriterionResult(8, "Edgeworth improvement", ok, "; ".join(details))
+    ok = all(c.passed for c in clauses)
+    return CriterionResult(8, "Edgeworth improvement", ok, "; ".join(details), tuple(clauses))
 
 
-#: monotonicity slack for deep-tail noise: where the CDF is below ~1e-6 the
-#: Fredholm determinant's condition number grows like 1/F and the computed
-#: values carry ~1e-7 absolute noise, far below the 1e-3 endpoint tolerance
-def _cdf_axioms(values, left_tol=1e-3, right_tol=1e-6, mono_tol=1e-6) -> bool:
+#: a CDF table starts below LEFT_TOL, ends above 1 - RIGHT_TOL and steps down
+#: by less than MONO_TOL, the slack for deep-tail noise: on criterion 9's grids
+#: (kernel index <= 7) a step drops by up to 8.4e-8, but far left of the edge
+#: at large n a value reads up to 0.88 where the truth is below 1e-80
+#: (tests/test_finite_n.py::TestFn2::test_far_left_tail_is_small)
+LEFT_TOL, RIGHT_TOL, MONO_TOL = 1e-3, 1e-6, 1e-6
+
+
+def _cdf_axioms(values) -> bool:
     v = np.asarray(values)
-    return (
-        bool(np.all(np.diff(v) > -mono_tol))
-        and v[0] < left_tol
-        and v[-1] > 1.0 - right_tol
-    )
+    return bool(np.all(np.diff(v) > -MONO_TOL)) and v[0] < LEFT_TOL and v[-1] > 1.0 - RIGHT_TOL
 
 
 def criterion_9(scale: float = 1.0) -> CriterionResult:

@@ -158,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ensembles=("goe", "gue", "gse")):
-        p.add_argument("--ensemble", choices=ensembles, default="gue")
+    def common(p):
+        p.add_argument("--ensemble", choices=("goe", "gue", "gse"), default="gue")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -14,23 +14,22 @@ integral the first-principles path needs (eps phi, the integrals left of
 t, c_phi and c_psi) is exact, from the integral recurrence of
 :func:`gemax.special.hermite_integrals`; quadrature enters only through the
 Nystrom operator on (t, T), every operator on the one DEFAULT_NODES rule
-and T EDGE_SPAN soft-edge units past sqrt(2n) (:func:`_upper_cutoff`).  An
-operator takes its kernel's parts on its nodes and t from one recurrence
-pass (``hermite_parts``, or for a GOE/GSE value the ``hermite_integrals``
-pass that also gives its integrals), so a GOE/GSE value, a determinant
-F_{n,2} value and q_p_n make one pass each.  An exponential f_n2 or ab
-value needs q_n, p_n at every node of an outer rule of OUTER_NODES on the
-same (t, T): its 64 outer operators, each on the 48-node rule, form one
-stack, whose parts come from one pass over all their nodes and ends, and
-which is assembled and solved block by block.
+and T EDGE_SPAN soft-edge units past sqrt(2n) (:func:`_upper_cutoff`).
+One builder, :func:`_on_operators`, makes every operator: the grid, one
+recurrence pass over the nodes and left ends of a stack (``hermite_parts``,
+or for a GOE/GSE value the ``hermite_integrals`` pass that also gives its
+integrals), then the stack BLOCK operators at a time.  A GOE/GSE value, a
+determinant F_{n,2} value and q_p_n make one pass each.  An exponential
+f_n2 or ab value needs q_n, p_n at every node of an outer rule of
+OUTER_NODES on the same (t, T): its 64 outer operators form one stack.
 
 A table is one stack too: :func:`cdf_values` takes an array of points and
-builds one operator per point, with one recurrence pass over all their
-nodes and left ends, then assembles them BLOCK at a time (the exponential
-method keeps one stack of outer operators per point).  Each block gives a
-signed log-determinant per operator from the LU that its resolvent solve
-shares, and :func:`_cdf` applies the one failure policy point by point.  A
-float point is the stack without its axis, by the same code.
+builds one operator per point (the exponential method one stack of outer
+operators per point); each block gives a signed log-determinant per
+operator from the LU that its resolvent solve shares.  One dispatch,
+:func:`_log_cdf`, picks the method and applies the one failure policy
+(:func:`_policy`) point by point; every CDF value and :func:`log_f_n2` read
+its log F.  A float point is the stack without its axis, by the same code.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fredholm import DiscretizedKernel, assemble, map_blocks, resolvent_solve_many
+from .fredholm import DiscretizedKernel, map_blocks, resolvent_solve_many
 from .fredholm import signed_log_det
 from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
 
@@ -95,11 +94,21 @@ class EpsilonQuantities:
     c_psi: float
 
 
-def _integral_operator(n: int, t: float):
-    """The Nystrom operator of K_{n,2} on (t, T) and the integrals on [nodes, t], from one pass."""
+def _on_operators(n: int, t, fn, integrals: bool = False):
+    """fn(operator) of K_{n,2} on (x, T) at every point x of t, by :func:`map_blocks`.
+
+    The one builder of finite-n operators: the DEFAULT_NODES grid on (x, T),
+    one recurrence pass over the nodes and left ends of the whole stack, the
+    scale sqrt(n/2).  With ``integrals`` the pass is ``hermite_integrals``,
+    over twice the cost of ``hermite_parts``, and fn also takes the
+    integrals (:func:`_epsilon_numeric`).  A float t is one call of fn.
+    """
     grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
-    parts, *integrals = hermite_integrals(n, grid.nodes, t)
-    return assemble(grid, parts, math.sqrt(n / 2.0)), integrals
+    if integrals:
+        parts, *extra = hermite_integrals(n, grid.nodes, t)
+    else:
+        parts, extra = hermite_parts(n, grid.nodes_and_lower), ()
+    return map_blocks(fn, grid, parts, math.sqrt(n / 2.0), *extra)
 
 
 def _endpoint_q_p(scale: float, op: DiscretizedKernel) -> np.ndarray:
@@ -119,9 +128,7 @@ def _q_p(n: int, points: np.ndarray) -> np.ndarray:
     One recurrence pass on the nodes and left ends of the whole stack gives
     the matrices, the right-hand sides phi, psi and the endpoint values.
     """
-    grid = build_grid(points, _upper_cutoff(n, points), DEFAULT_NODES)
-    parts = hermite_parts(n, grid.nodes_and_lower)
-    return map_blocks(partial(_endpoint_q_p, phi_psi_scale(n)), grid, parts, math.sqrt(n / 2.0))
+    return _on_operators(n, points, partial(_endpoint_q_p, phi_psi_scale(n)))
 
 
 def q_p_n(n: int, t: float) -> tuple[float, float]:
@@ -179,38 +186,6 @@ def c_constants(n: int) -> tuple[float, float]:
 # moment quadrature breaks down (log F = +734 at n = 40, t = -2)
 LOG_F_ROUNDING = 1e-10
 
-
-def _log_f_n2(n: int, t, method: str) -> np.ndarray:
-    """(sign, log |F_{n,2}|) at every point of t by ``method``, shape (2,) + t's shape.
-
-    The determinant is one stack of one operator per point; the exponential
-    form takes a stack of outer operators per point (:func:`_tail_integrals`).
-    """
-    if method == "determinant":
-        grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
-        parts = hermite_parts(n, grid.nodes_and_lower)
-        return map_blocks(signed_log_det, grid, parts, math.sqrt(n / 2.0))
-    if method == "exponential":
-        moment = _tail_integrals(n, t)[2]
-        return np.array([np.ones_like(moment), -2.0 * moment])
-    raise ParameterError(f"unknown method {method!r}")
-
-
-def log_f_n2(n: int, t: float, method: str = "determinant") -> float:
-    """log F_{n,2}(t); safe where the probability underflows.
-
-    Raises NumericalError where the determinant loses positivity or the
-    value exceeds LOG_F_ROUNDING.
-    """
-    _check_n(n)
-    sign, log_f = _log_f_n2(n, float(t), method)
-    if sign <= 0.0 or not math.isfinite(log_f):
-        raise NumericalError(f"F_{{n,2}} lost positivity at n={n}, t={t} ({method})")
-    if log_f > LOG_F_ROUNDING:
-        raise NumericalError(f"log F = {log_f:.6g} > 0 at n={n}, t={t} ({method})")
-    return float(log_f)
-
-
 # when log det(I - K) is this small the resolvent conditioning no longer
 # supports a trustworthy sign for the assembled bracket; a negative bracket
 # there is rounding noise on a vanishing probability, not a real failure
@@ -223,68 +198,93 @@ def _bracket_block(parity: int, n: int, op: DiscretizedKernel, *integrals) -> np
     The bracket's three-column solve reuses the LU the determinant reads.
     """
     sign, log_det = signed_log_det(op)
-    ratio = (f1_sq_ratio, f4_sq_ratio)[parity](_epsilon_numeric(op, integrals, n))
+    ratio = (f1_sq_ratio, f4_sq_ratio)[parity](_epsilon_numeric(n, op, *integrals))
     return np.array([sign, log_det, ratio])
 
 
-def _cdf(n: int, t, parity: int | None, method: str = "determinant"):
-    """Finite-n CDF values at every point of t under the one failure policy.
+def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.ndarray:
+    """log F at every point of t under the one failure policy, -inf where F is 0.0.
 
-    With parity None a value is F_{n,2}(t) = exp(log F_{n,2}) by ``method``.
-    With parity 0 (GOE) or 1 (GSE) it is sqrt(F_{n,2} bracket), the
-    bracket being F^2 / F_{n,2} and F_{n,2} the determinant of the operator
-    on (t, T) on the one DEFAULT_NODES rule.  The bracket comes from the
-    epsilon quantities of that operator, built with their Hermite integrals
-    from one recurrence pass over the whole stack.  :func:`_policy` judges
+    The one method dispatch.  With parity None the value is log F_{n,2} by
+    ``method``: the determinant of one operator per point, or the
+    exponential form, a stack of outer operators per point
+    (:func:`_tail_integrals`).  With parity 0 (GOE) or 1 (GSE) it is half
+    of log F_{n,2} plus the log of the bracket F^2 / F_{n,2}, which comes
+    from the epsilon quantities of the determinant's operator, built with
+    their Hermite integrals from one integral pass.  :func:`_policy` judges
     each point on its own; one raising point raises for the whole of t.
-    Returns an array of t's shape, or a float for a float t.
+    Returns an array of t's shape, flattened for a t of two or more axes.
     """
     _check_n(n, parity)
+    if method not in ("determinant", "exponential"):
+        raise ParameterError(f"unknown method {method!r}")
     if parity is not None and method != "determinant":
         raise ParameterError(f"method {method!r} applies to the GUE only")
     t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        t = t.ravel()
     if (parity == 1 and n == 1) or t.size == 0:  # F_{1,4} (no symplectic eigenvalues), or no t
-        values = np.ones_like(t)
-        return float(values) if values.ndim == 0 else values
+        return np.zeros_like(t)
     if parity is None:
-        sign, log_f = _log_f_n2(n, t, method)
+        if method == "determinant":
+            sign, log_f = _on_operators(n, t, signed_log_det)
+        else:
+            moment = _tail_integrals(n, t)[2]
+            sign, log_f = np.ones_like(moment), -2.0 * moment
         ratio = np.ones_like(log_f)
     else:
-        grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
-        parts, *integrals = hermite_integrals(n, grid.nodes, t)
-        block = partial(_bracket_block, parity, n)
-        sign, log_f, ratio = map_blocks(block, grid, parts, math.sqrt(n / 2.0), *integrals)
+        sign, log_f, ratio = _on_operators(n, t, partial(_bracket_block, parity, n), integrals=True)
     points = zip(*(v.ravel().tolist() for v in (t, sign, log_f, ratio)))
-    values = [_policy(n, parity, *point) for point in points]
-    return values[0] if t.ndim == 0 else np.array(values).reshape(t.shape)
+    return np.array([_policy(n, parity, *point) for point in points]).reshape(t.shape)
 
 
 def _policy(n: int, parity: int | None, t: float, sign: float, log_f: float, ratio: float) -> float:
-    """The CDF value at one point from the sign and log of F_{n,2} and the bracket.
+    """log F at one point from the sign and log of F_{n,2} and the bracket; -inf for F = 0.0.
 
     Lost positivity, or a log F_{n,2} above LOG_F_ROUNDING, gives 0.0.  For
     the GOE/GSE a bracket that is not finite raises NumericalError; a
     negative one gives 0.0 where log F_{n,2} is below LOG_FLOOR and raises
-    elsewhere; a combined log F above LOG_F_ROUNDING raises.  The value is
-    clamped to [0, 1], which absorbs rounding only.
+    elsewhere; a combined log F above LOG_F_ROUNDING raises.  A log F that
+    passes is at most LOG_F_ROUNDING, which only rounding puts above 0.
     """
     if sign <= 0.0 or not math.isfinite(log_f) or log_f > LOG_F_ROUNDING:
         # sign loss, or a log F above rounding, happens only where F_{n,2}
         # is far beyond double-precision resolution
-        return 0.0
+        return -math.inf
     if parity is not None:
         if not math.isfinite(ratio):
             raise NumericalError(f"non-finite squared ratio {ratio} at n={n}, t={t}")
         if ratio < -1e-10:
             if log_f < LOG_FLOOR:
-                return 0.0
+                return -math.inf
             raise NumericalError(f"negative squared ratio {ratio} at n={n}, t={t}")
         if ratio <= 0.0:
-            return 0.0
+            return -math.inf
         log_f = 0.5 * (log_f + math.log(ratio))
         if log_f > LOG_F_ROUNDING:
             raise NumericalError(f"log F = {log_f:.6g} > 0 at n={n}, t={t} (assembly)")
-    return min(math.exp(log_f), 1.0)
+    return log_f
+
+
+def _cdf(n: int, t, parity: int | None, method: str = "determinant"):
+    """min(exp(log F), 1) at every point of t, by :func:`_log_cdf`: the clamp absorbs rounding only.
+
+    Returns an array of t's shape, or a float for a float t.
+    """
+    values = [min(math.exp(v), 1.0) for v in _log_cdf(n, t, parity, method).ravel().tolist()]
+    return values[0] if np.ndim(t) == 0 else np.array(values).reshape(np.shape(t))
+
+
+def log_f_n2(n: int, t: float) -> float:
+    """log F_{n,2}(t) by the determinant; safe where the probability underflows.
+
+    Raises NumericalError where the one failure policy gives F_{n,2} = 0.0:
+    where the determinant loses positivity or its log exceeds LOG_F_ROUNDING.
+    """
+    log_f = float(_log_cdf(n, float(t), None))
+    if log_f == -math.inf:
+        raise NumericalError(f"F_{{n,2}} lost positivity at n={n}, t={t}")
+    return log_f
 
 
 def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
@@ -418,7 +418,7 @@ def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     (-inf, t), taken term by term with the same recurrence.
     """
     _check_n(n)
-    eps = _epsilon_numeric(*_integral_operator(n, t), n)
+    eps = _on_operators(n, t, partial(_epsilon_numeric, n), integrals=True)
     return EpsilonQuantities(*map(float, astuple(eps)))
 
 
@@ -427,7 +427,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _epsilon_numeric(op: DiscretizedKernel, integrals, n: int) -> EpsilonQuantities:
+def _epsilon_numeric(n: int, op: DiscretizedKernel, *integrals) -> EpsilonQuantities:
     """The epsilon quantities from the operator on (t, T) and one resolvent solve.
 
     ``integrals`` are the integrals :func:`hermite_integrals` gives with the

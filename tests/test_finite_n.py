@@ -20,7 +20,6 @@ from gemax.finite_n import (
     OUTER_NODES,
     EpsilonQuantities,
     _epsilon_numeric,
-    _integral_operator,
     ab,
     c_constants,
     cdf_values,
@@ -52,6 +51,11 @@ from helpers import (
 def _operator(n: int, t: float) -> fredholm.DiscretizedKernel:
     """The operator of K_{n,2} on (t, T) that the finite-n laws build at t."""
     return hermite_operator(n, build_grid(t, finite_n._upper_cutoff(n, t), DEFAULT_NODES))
+
+
+def _built_with_integrals(n: int, t: float):
+    """The operator the GOE/GSE laws build at t and its integrals, from the finite-n builder."""
+    return finite_n._on_operators(n, t, lambda op, *integrals: (op, integrals), integrals=True)
 
 
 def gaussian_cdf(t: float) -> float:
@@ -406,9 +410,9 @@ class TestEpsilonBatched:
         counted(finite_n, "hermite_integrals")
         got = epsilon_numeric(n, t)
         assert calls == ["hermite_integrals"]
-        op, integrals = _integral_operator(n, t)
+        op, integrals = _built_with_integrals(n, t)
         calls.clear()
-        assert _epsilon_numeric(op, integrals, n) == got
+        assert _epsilon_numeric(n, op, *integrals) == got
         assert calls == []
 
     @pytest.mark.parametrize("n", (1, 2, 5, 40, 41, 399, 400))
@@ -417,7 +421,7 @@ class TestEpsilonBatched:
         # hermite_parts bit for bit, so the GOE/GSE operator is the GUE one
         edge = math.sqrt(2.0 * n)
         for t in (edge - 4.0, edge, edge + 2.0):
-            op, _ = _integral_operator(n, t)
+            op, _ = _built_with_integrals(n, t)
             ref = _operator(n, t)
             assert np.array_equal(op.matrix, ref.matrix)
             for got, want in zip(op.node_parts + op.end_parts, ref.node_parts + ref.end_parts):
@@ -437,11 +441,10 @@ class TestWorkPerValue:
 
     @staticmethod
     def _built(monkeypatch):
-        # the operators assembled, by finite_n itself or for it by fredholm.map_blocks
+        # the operators assembled: every finite-n operator is built by fredholm.map_blocks
         built = []
         assemble = fredholm.assemble
         counted = lambda *a: built.append(assemble(*a)) or built[-1]
-        monkeypatch.setattr(finite_n, "assemble", counted)
         monkeypatch.setattr(fredholm, "assemble", counted)
         return built
 
@@ -626,14 +629,32 @@ class TestTables:
             cdf_values(ensemble, n, x)
         assert np.all(np.isfinite(cdf_values(ensemble, n, np.delete(x, 20))))
 
+    @pytest.mark.parametrize(
+        "ensemble, n, method",
+        [("gue", 4, "determinant"), ("gue", 4, "exponential"), ("goe", 40, "determinant"),
+         ("gse", 41, "determinant")],
+    )
+    def test_table_of_two_axes_is_the_flat_table_reshaped(self, ensemble, n, method):
+        # x of any shape: the values are those of the flat table, bit for bit
+        x = _table_points(ensemble, n)[14:24]
+        for shape in ((2, 3), (5, 2)):
+            points = x[: math.prod(shape)]
+            table = cdf_values(ensemble, n, points.reshape(shape), method)
+            assert table.shape == shape
+            assert np.array_equal(table, cdf_values(ensemble, n, points, method).reshape(shape))
+
     def test_empty_table(self):
         assert cdf_values("goe", 4, np.array([])).shape == (0,)
+        assert cdf_values("gue", 4, np.empty((0, 3))).shape == (0, 3)
 
     def test_bad_ensemble_and_method(self):
         with pytest.raises(ParameterError):
             cdf_values("gqe", 4, 0.0)
         with pytest.raises(ParameterError):
             cdf_values("goe", 4, 0.0, "exponential")
+        # the method is checked before any point is read
+        with pytest.raises(ParameterError):
+            cdf_values("gue", 4, np.array([]), "cayley")
 
 
 GOE_SWEEP = (2, 4, 10, 40)
@@ -761,7 +782,6 @@ class TestFn4:
         def refuse(*args):
             raise AssertionError("built an operator for n = 1")
 
-        monkeypatch.setattr(finite_n, "assemble", refuse)
         monkeypatch.setattr(fredholm, "assemble", refuse)
         for u in np.linspace(-8.0, 4.0, 49):
             assert f_n4(1, float(u)) == 1.0
@@ -805,6 +825,23 @@ class TestLogFn2:
     def test_exp_matches(self):
         t = 1.1
         assert math.exp(log_f_n2(4, t)) == pytest.approx(f_n2(4, t), rel=1e-12)
+
+    @pytest.mark.parametrize("n", (4, 40, 399, 400))
+    def test_one_policy_with_f_n2(self, n):
+        # log_f_n2 and f_n2 read one log F under one policy: f_n2 is 0.0 exactly
+        # where log_f_n2 raises, and min(exp(log F), 1) bit for bit elsewhere;
+        # each n has points of both kinds (5 to 29 of the 81 raise)
+        raised = 0
+        for t in math.sqrt(2.0 * n) + np.arange(-16.0, 4.25, 0.25):
+            t = float(t)
+            try:
+                log_f = log_f_n2(n, t)
+            except NumericalError:
+                raised += 1
+                assert f_n2(n, t) == 0.0, t
+                continue
+            assert f_n2(n, t) == min(math.exp(log_f), 1.0), t
+        assert 0 < raised < 81
 
 
 RULE_POINTS = tuple(float(s) for s in np.linspace(-10.0, 8.0, 19))

@@ -115,6 +115,7 @@ def _values(gemax) -> dict:
             t = math.sqrt(2.0 * n) + offset
             at = f"n={n} t={t!r}"
             _record(out, f"f_n2 {at}", lambda: finite_n.f_n2(n, t))
+            _record(out, f"log_f_n2 {at}", lambda: finite_n.log_f_n2(n, t))
             _record(out, f"q_p_n {at}", lambda: finite_n.q_p_n(n, t))
             _record(
                 out,
