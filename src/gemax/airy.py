@@ -1,13 +1,16 @@
 """Tracy-Widom limit laws on the Airy kernel and Edgeworth expansions.
 
-The three limit laws are Fredholm determinants on one 64-node Gauss-Legendre
-Nystrom grid on (s, max(s, 0) + 30):  F_2(s) = det(I - K_Ai), and, after
-Ferrari-Spohn and Bornemann, F_1(s) = det(I - A_s) and
-F_4(s) = (det(I - A_s) + det(I + A_s))/2 with A_s(x, y) = Ai((x + y)/2)/2.
-Each determinant is read from the LU of its operator (fredholm); the sum
-kernel's +-A_s are operators without kernel parts.  With the Hastings-McLeod
-q and mu(s) = int_s^inf q, these are F_1 = sqrt(F_2) e^{-mu/2} and
-F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4 convention.
+The three limit laws are Fredholm determinants on Gauss-Legendre Nystrom
+grids:  F_2(s) = det(I - K_Ai), and, after Ferrari-Spohn and Bornemann,
+F_1(s) = det(I - A_s) and F_4(s) = (det(I - A_s) + det(I + A_s))/2 with
+A_s(x, y) = Ai((x + y)/2)/2.  Every K_Ai operator takes one rule, 48 nodes
+on (s, max(s, 0) + 16): Ai(16) is about 4e-20.  A_s(x, x) = Ai(x)/2 decays
+only as Ai, where K_Ai(x, x) decays as Ai^2, so A_s keeps 64 nodes on
+(s, max(s, 0) + 30).  Each determinant is read from the LU of its operator
+(fredholm); the sum kernel's +-A_s are operators without kernel parts.  With
+the Hastings-McLeod q and mu(s) = int_s^inf q, these are
+F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
+convention.
 
 The Edgeworth terms need the Airy bundle: the resolvent (I - K_Ai)^{-1} on
 (s, infinity) and its endpoint values against x^i Ai and x^i Ai' give
@@ -15,13 +18,12 @@ q_i(s), p_i(s); inner products give u_i, v_i, v~_i, w_i.  In particular q_0
 is the Hastings-McLeod q, recovered here from the resolvent rather than by
 ODE shooting (which is exponentially unstable).  The integrals mu, nu,
 alpha, eta need the endpoint scalars as *functions* of the left endpoint,
-so the bundle evaluates them at every outer node: one stack of 49
-operators, at s and at the 48 outer nodes, from one Airy call on all their
+so the bundle evaluates them at every node of the K_Ai rule at s: one stack
+of 49 operators, at s and at its 48 nodes, from one Airy call on all their
 nodes and ends (most of them right of x = 10, where special.airy sums the
-asymptotic series), assembled and solved block by block.  The outer rule
-spans only (s, max(s, 0) + 16): its integrands are O(Ai(x)), and Ai(16) is
-about 4e-20, while each operator keeps the 64-node rule on its own
-(x, max(x, 0) + 30).  The same outer values give the exponential
+asymptotic series), assembled and solved block by block.  The outer
+integrands are O(Ai(x)), so the operator's own rule serves as the outer
+one.  The same outer values give the exponential
 log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``), and the endpoint
 values at s give q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The bundle
 serves only the Edgeworth terms and the acceptance cross-checks of the
@@ -42,11 +44,13 @@ from .fredholm import resolvent_solve_many
 from .special import airy as airy_fn
 from .special import build_grid
 
-DEFAULT_NODES = 64
-#: the bundle's outer rule: OUTER_NODES Gauss-Legendre nodes on
-#: (s, max(s, 0) + OUTER_SPAN); past it the O(Ai) integrands are below 1e-19
-OUTER_NODES = 48
-OUTER_SPAN = 16.0
+#: the K_Ai rule, every operator's and the bundle's outer one: RULE_NODES
+#: Gauss-Legendre nodes on (s, max(s, 0) + RULE_SPAN)
+RULE_NODES = 48
+RULE_SPAN = 16.0
+#: the sum kernel's rule, SUM_NODES nodes on (s, max(s, 0) + SUM_SPAN)
+SUM_NODES = 64
+SUM_SPAN = 30.0
 S_MIN = -10.0
 S_MAX = 8.0
 SQRT2 = math.sqrt(2.0)
@@ -55,11 +59,6 @@ SQRT2 = math.sqrt(2.0)
 def _window_check(s: float) -> None:
     if not S_MIN <= s <= S_MAX:
         raise ParameterError(f"s = {s} outside supported window [{S_MIN}, {S_MAX}]")
-
-
-def _cutoff(s):
-    # Ai(x) ~ e^{-(2/3)x^{3/2}}: thirty units past max(s, 0) the tail is < 1e-16
-    return np.maximum(s, 0.0) + 30.0
 
 
 def tau(n: int, c: float, s: float) -> float:
@@ -134,8 +133,13 @@ def _endpoint_scalars(op) -> np.ndarray:
     return np.concatenate([endpoint, on_ai, on_aip], axis=-1).T.reshape(6, 3, -1)
 
 
+def _rule(points):
+    """The K_Ai rule at each left end in points: Ai(x) ~ e^{-(2/3)x^{3/2}} < 1e-19 past it."""
+    return build_grid(points, np.maximum(points, 0.0) + RULE_SPAN, RULE_NODES)
+
+
 def _point_values(points: np.ndarray) -> np.ndarray:
-    """Endpoint scalars (q_i, p_i, u_i, v_i, v~_i, w_i) of the operators on (x, S(x)), x in points.
+    """Endpoint scalars (q_i, p_i, u_i, v_i, v~_i, w_i) of the K_Ai operators at each x in points.
 
     Returns an array of shape (6, 3, len(points)): the six scalars, each for
     the weight powers i = 0, 1, 2, at each point.  One Airy call on the
@@ -143,7 +147,7 @@ def _point_values(points: np.ndarray) -> np.ndarray:
     right-hand sides x^i Ai, x^i Ai', the rows K(x, x_j) and the endpoint
     values.
     """
-    grid = build_grid(points, _cutoff(points), DEFAULT_NODES)
+    grid = _rule(points)
     return map_blocks(_endpoint_scalars, grid, _parts(grid), 1.0)
 
 
@@ -153,18 +157,13 @@ def hastings_mcleod_q(s: float) -> float:
     return float(_point_values(np.array([s]))[0, 0, 0])
 
 
-def _outer_grid(s: float):
-    """The bundle's outer rule, whose nodes are the left ends of its operators."""
-    return build_grid(s, max(s, 0.0) + OUTER_SPAN, OUTER_NODES)
-
-
 # The one cache keyed on a float argument.  One bundle costs 49 operators, and
 # callers read the same s again: the three Edgeworth expansions at one s, and
 # `convergence`, `edgeworth` and criterion 6, which repeat an s for many n
 @lru_cache(maxsize=10_000)
 def _bundle_cached(s: float) -> AiryBundle:
-    """The bundle at s, every integral from the point values at the outer nodes."""
-    outer = _outer_grid(s)
+    """The bundle at s, every integral from the point values at the nodes of the rule at s."""
+    outer = _rule(s)
     values = _point_values(np.append(s, outer.nodes))
     q, p, u, v, v_tilde, w = (tuple(float(x) for x in field[:, 0]) for field in values)
     lq, lp, lu, lv = values[:4, :, 1:]
@@ -208,7 +207,7 @@ def airy_bundle(s: float) -> AiryBundle:
 def log_f2_limit(s: float) -> float:
     """log F_2(s) = log det(I - K_Ai), the Airy Fredholm determinant."""
     _window_check(s)
-    grid = build_grid(s, _cutoff(s), DEFAULT_NODES)
+    grid = _rule(s)
     return fredholm_log_det(assemble(grid, _parts(grid), 1.0))
 
 
@@ -220,15 +219,15 @@ def f2_limit(s: float) -> float:
 def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
     """log det(I - sign A_s) for each sign, with A_s(x, y) = Ai((x + y)/2)/2 on (s, infinity).
 
-    One Nystrom matrix on the F_2 grid; Ai is evaluated once per distinct
+    One Nystrom matrix on the sum kernel's rule; Ai is evaluated once per distinct
     pairwise sum (the upper triangle), so the matrix is exactly symmetric.
     Each sign's matrix is an operator without kernel parts, and its
     determinant is read from the operator's LU, as every other determinant
     is; one that loses positivity raises NumericalError.
     """
     _window_check(s)
-    nodes = DEFAULT_NODES
-    grid = build_grid(s, _cutoff(s), nodes)
+    nodes = SUM_NODES
+    grid = build_grid(s, max(s, 0.0) + SUM_SPAN, nodes)
     sw = grid.sqrt_weights
     i, j = np.triu_indices(nodes)
     a = np.empty((nodes, nodes))

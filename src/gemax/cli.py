@@ -146,6 +146,9 @@ def cmd_validate(args) -> tuple[str, int]:
     return text + f"validation {'PASSED' if all_pass else 'FAILED'}\n", 0 if all_pass else 1
 
 
+# built once per process: it keys on nothing, and parse_args leaves it as it
+# was, each call filling a fresh namespace
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # help at a fixed 78 columns, argparse's width when no terminal is attached:
     # its default asks the terminal for its size in every formatter it makes,

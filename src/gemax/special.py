@@ -149,7 +149,7 @@ def hermite_phi_two(k: int, x):
     prev = np.zeros_like(x)
     cur = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
     for j in range(k):
-        prev, cur = cur, x * np.sqrt(2.0 / (j + 1)) * cur - np.sqrt(j / (j + 1.0)) * prev
+        prev, cur = cur, x * math.sqrt(2.0 / (j + 1)) * cur - math.sqrt(j / (j + 1.0)) * prev
     return cur, prev
 
 

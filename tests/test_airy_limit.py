@@ -84,7 +84,7 @@ class TestLimitLaws:
 
     def test_exponential_f2_matches_determinant(self):
         # the bundle's outer quadrature of (x - s) q^2 against the determinant:
-        # measured worst 2.5e-15 at s = -3.75 (6.6e-15 at s = -4 on 64 nodes to +30)
+        # measured worst 2.3e-15 at s = -3.75 (6.6e-15 at s = -4 on 64 nodes to +30)
         for s in np.linspace(-6.0, 6.0, 49):
             s = float(s)
             assert abs(math.exp(airy_bundle(s).log_f2) - f2_limit(s)) < 4e-15, s
@@ -125,8 +125,8 @@ class TestLimitLaws:
     def test_one_matrix_per_value(self, law, operators, monkeypatch):
         # one grid and one Ai evaluation over the upper triangle of pairwise
         # sums; the bundle and its point values are never reached.  Each
-        # determinant is one getrf on a 64 x 64 operator, the LU every other
-        # determinant reads, and numpy's slogdet is never reached
+        # determinant is one getrf on an operator of the sum kernel's rule, the
+        # LU every other determinant reads, and numpy's slogdet is never reached
         def unused(*args):
             raise AssertionError("the limit law reached the Airy bundle or slogdet")
 
@@ -140,7 +140,7 @@ class TestLimitLaws:
         monkeypatch.setattr(airy_module, "airy_fn", lambda x: points.append(np.size(x)) or airy_fn(x))
         monkeypatch.setattr(fredholm, "dgetrf", lambda a, **kw: factored.append(a.shape) or dgetrf(a, **kw))
         value = law(-1.37)
-        nodes = airy_module.DEFAULT_NODES
+        nodes = airy_module.SUM_NODES
         assert len(grids) == 1
         assert points == [nodes * (nodes + 1) // 2]
         assert factored == [(nodes, nodes)] * operators
@@ -154,24 +154,24 @@ class TestLimitLaws:
         counted = lambda x: points.append(np.shape(x)) or airy_fn(x)
         monkeypatch.setattr(airy_module, "airy_fn", counted)
         values = airy_module._point_values(np.array([-1.37]))
-        assert points == [(1, airy_module.DEFAULT_NODES + 1)]
+        assert points == [(1, airy_module.RULE_NODES + 1)]
         assert values[0, 0, 0] == hastings_mcleod_q(-1.37)
 
     def test_fresh_bundle_airy_calls(self, monkeypatch):
         # one Airy call for the whole stack of operators: the one at s and one
-        # at each outer node, each on its nodes and its left end
+        # at each of its nodes, each on its own nodes and its left end
         points = []
         airy_fn = airy_module.airy_fn
         counted = lambda x: points.append(np.shape(x)) or airy_fn(x)
         monkeypatch.setattr(airy_module, "airy_fn", counted)
         airy_module._bundle_cached.__wrapped__(-1.37)
-        assert points == [(airy_module.OUTER_NODES + 1, airy_module.DEFAULT_NODES + 1)]
+        assert points == [(airy_module.RULE_NODES + 1, airy_module.RULE_NODES + 1)]
 
     @pytest.mark.parametrize("s", [-4.0, -1.5, 1.0, 3.5, 6.0])
     def test_stack_matches_single_operators(self, s):
         # the bundle's stack of 49 operators gives each operator's scalars as
         # that operator built alone does
-        outer = airy_module._outer_grid(s)
+        outer = airy_module._rule(s)
         points = np.append(s, outer.nodes)
         stacked = airy_module._point_values(points)
         single = [airy_module._point_values(np.array([x])) for x in points]
@@ -278,7 +278,8 @@ class TestWindowEdges:
     """The documented window [S_MIN, S_MAX] is usable up to both of its edges.
 
     Every bundle field, q' = p_0 - q_0 u_0 included, comes from operators on
-    (x, x + 30) with x in [s, s + 30]; nothing reaches past the window.
+    (x, max(x, 0) + 16) with x in [s, max(s, 0) + 16]; nothing reaches past
+    the window.
     """
 
     @pytest.mark.parametrize("s", [S_MIN, S_MAX])
@@ -341,35 +342,36 @@ def _rule_bundles() -> np.ndarray:
 
 @pytest.fixture(scope="class")
 def rule_reference():
-    """The laws and bundles on 160-node rules: each operator's and the outer one, both to +30."""
+    """The laws and bundles on 160-node rules to +30: the K_Ai rule and the sum kernel's."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(airy_module, "DEFAULT_NODES", 160)
-        patch.setattr(airy_module, "OUTER_NODES", 160)
-        patch.setattr(airy_module, "OUTER_SPAN", 30.0)
+        patch.setattr(airy_module, "RULE_NODES", 160)
+        patch.setattr(airy_module, "RULE_SPAN", 30.0)
+        patch.setattr(airy_module, "SUM_NODES", 160)
         return _rule_laws(), _rule_bundles()
 
 
 class TestRuleSize:
     """Two Gauss-Legendre rules serve the Airy side.
 
-    Every operator's rule is 64 nodes on (s, max(s, 0) + 30); the bundle's
-    outer rule, whose integrands are O(Ai), 48 nodes on (s, max(s, 0) + 16).
-    Against 160-node rules on +30 both keep the reference's digits, and the
-    outer rule is the smallest that does: one step down in either of its
-    dimensions misses the bundle bound.
+    Every K_Ai operator, and the bundle's outer rule, whose integrands are
+    O(Ai), take 48 nodes on (s, max(s, 0) + 16); the sum kernel A_s of F_1
+    and F_4 takes 64 nodes on (s, max(s, 0) + 30).  Against 160-node rules
+    on +30 both keep the reference's digits, and the K_Ai rule is the
+    smallest that does: one step down in either of its dimensions misses the
+    bundle bound, and fewer nodes miss the Painleve II left edge.
     """
 
     def test_default_size(self):
-        assert airy_module.DEFAULT_NODES == 64
-        assert (airy_module.OUTER_NODES, airy_module.OUTER_SPAN) == (48, 16.0)
+        assert (airy_module.RULE_NODES, airy_module.RULE_SPAN) == (48, 16.0)
+        assert (airy_module.SUM_NODES, airy_module.SUM_SPAN) == (64, 30.0)
 
     def test_laws_match_reference(self, rule_reference):
-        # measured worst gaps: F1 1.3e-15, F2 1.1e-15, F4 1.2e-15
+        # measured worst gaps: F1 1.4e-15, F2 7.8e-16, F4 1.3e-15
         laws, _ = rule_reference
         assert np.abs(_rule_laws() - laws).max() < 3e-15
 
     def test_bundle_matches_reference(self, rule_reference):
-        # measured worst: alpha 8.6e-14, the exponential log F_2 5.4e-14, q' 4.6e-12
+        # measured worst: alpha 7.4e-14, the exponential log F_2 6.1e-14, q' 5.2e-12
         _, bundles = rule_reference
         gaps = np.abs(_rule_bundles() - bundles) / np.abs(bundles)
         assert gaps[:, :5].max() < 5e-13
@@ -377,13 +379,20 @@ class TestRuleSize:
 
     @pytest.mark.parametrize("nodes, span", [(40, 16.0), (48, 12.0)], ids=["40-on-16", "48-on-12"])
     def test_smaller_rule_misses_the_bundle_bound(self, rule_reference, nodes, span, monkeypatch):
-        # one step down in each dimension of the outer rule: 40 nodes on +16
+        # one step down in each dimension of the K_Ai rule: 40 nodes on +16
         # lose the exponential log F_2 to 3.0e-11, 48 nodes on +12 eta to 3.8e-11
         _, bundles = rule_reference
-        monkeypatch.setattr(airy_module, "OUTER_NODES", nodes)
-        monkeypatch.setattr(airy_module, "OUTER_SPAN", span)
+        monkeypatch.setattr(airy_module, "RULE_NODES", nodes)
+        monkeypatch.setattr(airy_module, "RULE_SPAN", span)
         gaps = np.abs(_rule_bundles() - bundles) / np.abs(bundles)
         assert gaps[:, :5].max() > 1e-11
+
+    def test_smaller_rule_misses_the_left_edge(self, monkeypatch):
+        # 40 nodes on +16 are off from the Painleve II series at s = -10 by
+        # 4.9e-3 in log F_2 and 2.2e-2 in q, past TestPainleveLeftEdge's bounds
+        monkeypatch.setattr(airy_module, "RULE_NODES", 40)
+        assert abs(log_f2_limit(-10.0) - _painleve_log_f2(-10.0)) > 1e-4
+        assert abs(hastings_mcleod_q(-10.0) - _painleve_q(-10.0)) > 5e-4
 
 
 def _painleve_log_f2(s: float) -> float:
@@ -412,12 +421,14 @@ class TestPainleveLeftEdge:
 
     The series' truncation error is below 1e-9 for s <= -8, so the gaps
     below are the Nystrom values' own error (F_2(-10) is about 4e-37).  The
-    bounds sit between the 64-node rule's gaps and the 96-node rule's.
+    bounds were set between the gaps of 64 and 96 nodes on +30; the K_Ai
+    rule, 48 nodes on +16, is closer to the series than either.
     """
 
     @pytest.mark.parametrize(
         "s, bound",
-        # measured gaps at 64 nodes 5.4e-5, 6.5e-7, 1.7e-8; at 96 nodes 8.3e-5, 2.2e-6, 5.3e-8
+        # measured gaps at 48 nodes on +16 3.9e-5, 7.5e-7, 1.9e-9; at 64 nodes on
+        # +30 5.4e-5, 6.5e-7, 1.7e-8; at 96 nodes on +30 8.3e-5, 2.2e-6, 5.3e-8
         [(-10.0, 1e-4), (-9.0, 1.5e-6), (-8.0, 3e-8)],
     )
     def test_log_f2(self, s, bound):
@@ -425,7 +436,8 @@ class TestPainleveLeftEdge:
 
     @pytest.mark.parametrize(
         "s, bound",
-        # measured gaps at 64 nodes 2.4e-4, 2.7e-6, 6.4e-8; at 96 nodes 3.6e-4, 9.1e-6, 2.1e-7
+        # measured gaps at 48 nodes on +16 1.7e-4, 3.0e-6, 5.3e-9; at 64 nodes on
+        # +30 2.4e-4, 2.7e-6, 6.4e-8; at 96 nodes on +30 3.6e-4, 9.1e-6, 2.1e-7
         [(-10.0, 5e-4), (-9.0, 5e-6), (-8.0, 1.2e-7)],
     )
     def test_hastings_mcleod_q(self, s, bound):

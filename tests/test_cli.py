@@ -363,6 +363,26 @@ class TestParser:
     def test_missing_required(self):
         assert run_cli(["tabulate"])[0] == 2
 
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        # main builds its parser once per process; a sequence of calls on that
+        # one parser gives the bytes and exit codes a fresh parser gives, so no
+        # parsed state leaks from one call into the next
+        sequence = [
+            ["convergence", "--n-list", "20,40,80", "--steps", "2", "--format", "json"],
+            ["convergence", "--steps", "2", "--format", "json"],
+            ["tabulate", "--n", "4", "--t-min", "0"],
+            ["tabulate", "--n", "4", "--t-min", "-1", "--t-max", "1", "--steps", "3"],
+            ["limit", "--steps", "3"],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        shared = [(*run_cli(argv), capsys.readouterr().err) for argv in sequence]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [(*run_cli(argv), capsys.readouterr().err) for argv in sequence]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+        # the second table echoes the default list, not the first call's
+        assert json.loads(shared[1][1])["config"]["n_list"] == [20, 40, 80, 160]
+
 
 class TestOut:
     @pytest.mark.parametrize(

@@ -131,7 +131,8 @@ def _values(gemax) -> dict:
                 _record(out, f"f_n2 exponential {at}", lambda: finite_n.f_n2(n, t, "exponential"))
                 _record(out, f"ab {at}", lambda: finite_n.ab(n, t))
     for s in AIRY_POINTS:
-        for law in (airy.f1_limit, airy.f2_limit, airy.f4_limit, airy.hastings_mcleod_q):
+        for law in (airy.f1_limit, airy.f2_limit, airy.f4_limit, airy.hastings_mcleod_q,
+                    airy.log_f2_limit):
             _record(out, f"{law.__name__} s={s!r}", lambda: law(s))
     for s in BUNDLE_POINTS:
         _record(out, f"airy_bundle s={s!r}", lambda: repr(airy.airy_bundle(s)))
