@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .fredholm import DiscretizedKernel, assemble, fredholm_log_det, map_blocks
+from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
 from .fredholm import resolvent_solve_many
 from .special import airy as airy_fn
 from .special import build_grid
@@ -208,7 +208,7 @@ def log_f2_limit(s: float) -> float:
     """log F_2(s) = log det(I - K_Ai), the Airy Fredholm determinant."""
     _window_check(s)
     grid = _rule(s)
-    return fredholm_log_det(assemble(grid, _parts(grid), 1.0))
+    return map_blocks(fredholm_log_det, grid, _parts(grid), 1.0)
 
 
 def f2_limit(s: float) -> float:

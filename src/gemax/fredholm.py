@@ -24,6 +24,20 @@ without that axis, by the same code.  :func:`map_blocks` walks a long stack
 BLOCK operators at a time, so the working set stays at a few hundred kB.
 The LU and its solves are one LAPACK getrf or getrs call per operator
 (:func:`_per_operator`), with no wrapper loop around them.
+
+An operator below rounding is the identity.  The Hermite kernel on (t, T)
+(a compressed projection) and K_Ai are positive semidefinite, and so is A,
+so ||A||_2 <= tr A = tau = sum_j w_j |K(x_j, x_j)|, read from the parts
+:func:`map_blocks` already holds.  Then (I - A)^{-1} b differs from b by at
+most tau/(1 - tau) ||b||, and log det(I - A) = -tau - O(tau^2); Bornemann's
+bound |det(I - A) - det(I - B)| <= ||A - B||_1 exp(1 + ||A||_1 + ||B||_1)
+(Math. Comp. 79, 2010) with B = 0 says the same of the determinant.  Where
+tau < TRACE_FLOOR = 2^-64, 2^-11 of an ulp, map_blocks builds no matrix and
+runs no LU: the operator's solves return their right-hand side, bit for
+bit what the LU gives, and its signed log-determinant is (1, -tau), where
+the LU's pivots round to 1 and read 0.0.  Such operators are picked by a
+mask, wherever they stand in a stack, and make one block of their own.
+The sum kernel A_s of F_1/F_4 has no parts and is always factored.
 """
 
 from __future__ import annotations
@@ -47,6 +61,10 @@ BLOCK = 4
 #: a grid whose distinct nodes, or whose left end and first node, come this
 #: close
 DIAG_GUARD = 1e-6
+
+#: an operator of trace tr A = sum_j w_j |K(x_j, x_j)| below this is the
+#: identity to rounding (the module docstring): 2^-64, 2^-11 of an ulp
+TRACE_FLOOR = 2.0**-64
 
 
 def _ends(grid: QuadratureGrid) -> str:
@@ -74,6 +92,8 @@ class DiscretizedKernel:
     #: the kernel's parts (f, g, K(x, x)) at the nodes and at the left end
     node_parts: tuple = field(repr=False)
     end_parts: tuple = field(repr=False)
+    #: tr A of an identity operator (:func:`_identity`), None for an assembled one
+    trace: np.ndarray | None = None
 
     def kernel_row(self, x, px) -> np.ndarray:
         """K(x, x_j) at the grid nodes (unsymmetrized), from the parts px at x.
@@ -113,6 +133,12 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (m * m,))[..., :: m + 1]
 
 
+def _check_nodes(grid: QuadratureGrid) -> None:
+    """ParameterError where distinct nodes, or the left end and first node, lie within DIAG_GUARD."""
+    if (np.diff(grid.nodes, axis=-1, prepend=np.asarray(grid.lower)[..., None]) <= DIAG_GUARD).any():
+        raise ParameterError(f"nodes within {DIAG_GUARD} on {_ends(grid)}")
+
+
 def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKernel:
     """Build the symmetrized Nystrom matrix of an integrable kernel.
 
@@ -123,9 +149,8 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     the grid's distinct nodes, and its left end and first node, must lie
     more than DIAG_GUARD apart; a closer grid is a ParameterError.
     """
+    _check_nodes(grid)
     x = grid.nodes
-    if (np.diff(x, axis=-1, prepend=np.asarray(grid.lower)[..., None]) <= DIAG_GUARD).any():
-        raise ParameterError(f"nodes within {DIAG_GUARD} on {_ends(grid)}")
     node_parts = tuple(v[..., :-1] for v in parts)
     gap = x[..., :, None] - x[..., None, :]
     _diagonal(gap)[...] = 1.0
@@ -142,6 +167,26 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     return DiscretizedKernel(grid, matrix, scale, node_parts, end_parts)
 
 
+def _trace(grid: QuadratureGrid, parts: tuple):
+    """tr A = sum_j w_j |K(x_j, x_j)| of each operator, from the kernel's parts on grid.nodes_and_lower."""
+    return np.sum(grid.weights * np.abs(parts[2][..., :-1]), axis=-1)
+
+
+def _identity(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKernel:
+    """The operator of a kernel whose trace on each grid is below TRACE_FLOOR: I - A read as I.
+
+    No matrix is built (``matrix`` is a zero broadcast view: no memory, the
+    operator's shape) and no LU is run; its solves return their right-hand
+    side and its log-determinant is -trace.  The parts, the grid check and
+    ``end_row`` are those of :func:`assemble`.
+    """
+    _check_nodes(grid)
+    zero = np.broadcast_to(0.0, grid.nodes.shape + grid.nodes.shape[-1:])
+    node_parts = tuple(v[..., :-1] for v in parts)
+    end_parts = tuple(v[..., -1] for v in parts)
+    return DiscretizedKernel(grid, zero, scale, node_parts, end_parts, _trace(grid, parts))
+
+
 def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> np.ndarray:
     """fn(operator, *extra) for the operators of a stack, BLOCK at a time, joined on the last axis.
 
@@ -149,18 +194,32 @@ def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> 
     ``nodes_and_lower``, both for the whole stack, and each of ``extra`` an
     array with the leading stack axis; ``fn`` maps the operator of a block
     and the block's rows of ``extra`` to an array whose last axis runs over
-    that block.  A block's operator is dropped before the next one is
-    assembled.  A single grid is the stack without its axis: one call of fn.
+    that block.  The operators whose trace is below TRACE_FLOOR, wherever
+    they stand in the stack, form one last block of identities
+    (:func:`_identity`); the others are assembled BLOCK at a time, and a
+    block's operator is dropped before the next one is built.  The values
+    come back in stack order.  A single grid is the stack without its axis:
+    one call of fn.
     """
+    below = _trace(grid, parts) < TRACE_FLOOR
     if grid.nodes.ndim == 1:
-        return fn(assemble(grid, parts, scale), *extra)
+        return fn((_identity if below else assemble)(grid, parts, scale), *extra)
+    count = below.size - np.count_nonzero(below)
+    arrays = (grid.lower, grid.upper, grid.nodes, grid.weights, *parts, *extra)
+    # the assembled operators first, in stack order; a stack whose identities all
+    # stand right of its assembled operators is in that order already
+    order = np.argsort(below, kind="stable") if below[:count].any() else None
+    if order is not None:
+        arrays = tuple(v[order] for v in arrays)
+    blocks = [(slice(start, min(start + BLOCK, count)), assemble) for start in range(0, count, BLOCK)]
+    blocks += [(slice(count, None), _identity)] if count < below.size else []
     values = []
-    for start in range(0, grid.nodes.shape[0], BLOCK):
-        block = slice(start, start + BLOCK)
-        sub = QuadratureGrid(*(v[block] for v in (grid.lower, grid.upper, grid.nodes, grid.weights)))
-        values.append(fn(assemble(sub, tuple(v[block] for v in parts), scale),
-                         *(v[block] for v in extra)))
-    return np.concatenate(values, axis=-1)
+    for block, build in blocks:
+        lower, upper, nodes, weights, *rest = (v[block] for v in arrays)
+        op = build(QuadratureGrid(lower, upper, nodes, weights), tuple(rest[:len(parts)]), scale)
+        values.append(fn(op, *rest[len(parts):]))
+    values = np.concatenate(values, axis=-1)
+    return values if order is None else values[..., np.argsort(order)]
 
 
 def _per_operator(fn, *arrays) -> np.ndarray:
@@ -183,8 +242,10 @@ def signed_log_det(op: DiscretizedKernel) -> np.ndarray:
     Read from the operator's LU factors, which its solves reuse; stays
     finite where the determinant underflows.  The sign is that of the row
     permutation times the signs of U's diagonal; the caller decides what a
-    negative sign or a log of -inf means.
+    negative sign or a log of -inf means.  An identity operator's is (1, -trace).
     """
+    if op.trace is not None:
+        return np.array([np.ones_like(op.trace), -op.trace])
     lu, piv = op._lu
     diag = lu.diagonal(0, -2, -1)
     flips = (piv != np.arange(op.grid.count)).sum(axis=-1) + (diag < 0.0).sum(axis=-1)
@@ -208,13 +269,18 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
     matrix A the solve is (I - A) y = sqrt(w) rhs, f_j = y_j / sqrt(w_j);
     returns the node values f, one column per right-hand side.  A solution
     that is not finite is a NumericalError; a zero pivot of the LU (I - K
-    singular) always leaves one.
+    singular) always leaves one.  An identity operator's y is sqrt(w) rhs,
+    in the layout getrs gives, so its f is the LU path's bit for bit.
     """
     rhs_block = np.asarray(rhs_block, dtype=float)
     if rhs_block.ndim != op.grid.nodes.ndim + 1 or rhs_block.shape[:-1] != op.grid.nodes.shape:
         raise ParameterError("rhs sample count does not match grid")
     sw = op.grid.sqrt_weights[..., None]
-    y = _per_operator(lambda *one: dgetrs(*one)[0], *op._lu, sw * rhs_block)
+    y = sw * rhs_block
+    if op.trace is None:
+        y = _per_operator(lambda *one: dgetrs(*one)[0], *op._lu, y)
+    else:  # Fortran order within each operator, as getrs returns it
+        y = np.swapaxes(np.swapaxes(y, -1, -2).copy(), -1, -2)
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"resolvent solve failed on {_ends(op.grid)}")
     return y / sw

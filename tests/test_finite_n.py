@@ -3,6 +3,7 @@
 import math
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -514,7 +515,9 @@ class TestWorkPerValue:
     )
     def test_each_operator_solved_once(self, value, operators, monkeypatch):
         # no operator is left unsolved and none is solved twice; a stack of
-        # operators, built block by block, counts each operator of each block
+        # operators, built block by block, counts each operator of each
+        # block, the assembled ones and the block of identities (an operator
+        # below fredholm.TRACE_FLOOR, which is never assembled) alike
         built = self._built(monkeypatch)
         solved = []
         solve = finite_n.resolvent_solve_many
@@ -522,8 +525,10 @@ class TestWorkPerValue:
             finite_n, "resolvent_solve_many", lambda op, rhs: solved.append(op) or solve(op, rhs)
         )
         value()
-        assert sum(op.matrix[..., 0, 0].size for op in built) == operators
-        assert [id(op) for op in solved] == [id(op) for op in built]
+        identities = [op for op in solved if op.trace is not None]
+        assert sum(op.matrix[..., 0, 0].size for op in built + identities) == operators
+        assert [id(op) for op in solved if op.trace is None] == [id(op) for op in built]
+        assert len({id(op) for op in solved}) == len(solved)
 
     @pytest.mark.parametrize("n", (40, 41))
     def test_assembly_is_one_pass_per_point_set(self, n, monkeypatch):
@@ -842,6 +847,33 @@ class TestLogFn2:
                 continue
             assert f_n2(n, t) == min(math.exp(log_f), 1.0), t
         assert 0 < raised < 81
+
+    @pytest.mark.parametrize("n, offset", [(40, 4.0), (41, 4.0), (100, 3.0)])
+    def test_far_right_is_minus_the_trace(self, n, offset):
+        # [DERIVED] past the edge -log F_{n,2} = tr K + tr K^2/2 + ..., and the
+        # operator's trace is below fredholm.TRACE_FLOOR: the LU's pivots round
+        # to 1 and read 0.0, the identity operator reads -tr A.  A 30-digit
+        # mpmath quadrature of int_t^inf K_n(x, x), K_n(x, x) = sum_{k<n} phi_k^2
+        # (scaled by its value at t, so the quadrature's tolerance is relative),
+        # agrees to 1e-12, the rule's quadrature error (measured at most 7.7e-14);
+        # the neglected tr K^2/2 is below 2^-64 of it
+        t = math.sqrt(2.0 * n) + offset
+        with mpmath.workdps(30):
+
+            def density(x):
+                # sum_{k<n} phi_k(x)^2, phi_k by the three-term recurrence
+                prev, cur = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)
+                total = cur * cur
+                for k in map(mpmath.mpf, range(1, n)):
+                    prev, cur = cur, mpmath.sqrt(2 / k) * x * cur - mpmath.sqrt((k - 1) / k) * prev
+                    total += cur * cur
+                return total
+
+            lower = mpmath.mpf(t)
+            peak = density(lower)
+            tail = float(peak * mpmath.quad(lambda x: density(x) / peak, [lower, mpmath.inf]))
+        assert 0.0 < tail < fredholm.TRACE_FLOOR
+        assert -log_f_n2(n, t) == pytest.approx(tail, rel=1e-12)
 
 
 RULE_POINTS = tuple(float(s) for s in np.linspace(-10.0, 8.0, 19))

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from gemax import airy as airy_laws
+from gemax import finite_n
 from gemax.errors import NumericalError, ParameterError
 from gemax.fredholm import (
     BLOCK,
+    TRACE_FLOOR,
     assemble,
     fredholm_log_det,
     map_blocks,
@@ -271,6 +274,103 @@ class TestStack:
         want = np.stack(want) / sw
         assert np.array_equal(sols, want)
         assert sols.strides == want.strides
+
+
+def _spied(monkeypatch, module):
+    """(fn, operator, extra, value) of every call of fn in the module's map_blocks, in order."""
+    calls = []
+    real = module.map_blocks
+
+    def spy(fn, *args):
+        def record(op, *extra):
+            value = fn(op, *extra)
+            calls.append((fn, op, extra, value))
+            return value
+
+        return real(record, *args)
+
+    monkeypatch.setattr(module, "map_blocks", spy)
+    return calls
+
+
+def _soft_edge(n: int, units: float) -> float:
+    """sqrt(2n) + units soft-edge units sigma_n = 2^{-1/2} n^{-1/6}."""
+    return math.sqrt(2.0 * n) + units / (math.sqrt(2.0) * n ** (1.0 / 6.0))
+
+
+def _exponential_table(n: int):
+    # the exponential F_{n,2} at 9 points from edge - 3 to edge + 2.5: a stack
+    # of 64 outer operators per point
+    edge = math.sqrt(2.0 * n)
+    return lambda: finite_n.cdf_values("gue", n, np.linspace(edge - 3.0, edge + 2.5, 9), "exponential")
+
+
+#: (module, the stacks it builds, the left end below which no operator may be
+#: an identity): the bundle's 49 operators at s, the exponential path's 64
+#: outer operators per point.  The rule fires only far right: the first
+#: identity starts at x = 9.23 on the Airy side and 7.98, 8.87 and 9.11
+#: soft-edge units past the edge at n = 4, 40 and 400
+RULE_STACKS = {
+    **{f"bundle s={s}": (airy_laws, partial(airy_laws._bundle_cached.__wrapped__, s), 9.0)
+       for s in (-3.0, 1.5, 5.0)},
+    **{f"exponential n={n}": (finite_n, _exponential_table(n), _soft_edge(n, 7.9))
+       for n in (4, 40, 400)},
+}
+
+
+class TestTraceFloor:
+    """An operator of trace below TRACE_FLOOR is the identity: no matrix, no LU, the same bits."""
+
+    @pytest.mark.parametrize("case", RULE_STACKS)
+    def test_identities_are_the_lu_path_bit_for_bit(self, case, monkeypatch):
+        # each block of identities, assembled and factored after all, gives
+        # the same endpoint values bit for bit
+        module, build, _ = RULE_STACKS[case]
+        calls = _spied(monkeypatch, module)
+        build()
+        identities = [call for call in calls if call[1].trace is not None]
+        assert identities
+        for fn, op, extra, value in identities:
+            parts = tuple(np.concatenate([v, e[..., None]], axis=-1)
+                          for v, e in zip(op.node_parts, op.end_parts))
+            assembled = assemble(op.grid, parts, op.scale)
+            assert np.array_equal(fn(assembled, *extra), value)
+            assert "_lu" in assembled.__dict__ and "_lu" not in op.__dict__
+
+    @pytest.mark.parametrize("case", RULE_STACKS)
+    def test_fires_only_far_right(self, case, monkeypatch):
+        # every operator that starts left of the bound is assembled; past it
+        # the stacks hold both kinds
+        module, build, near = RULE_STACKS[case]
+        calls = _spied(monkeypatch, module)
+        build()
+        kinds = set()
+        for _, op, _, _ in calls:
+            lower = np.atleast_1d(op.grid.lower)
+            kinds.add(op.trace is None)
+            if op.trace is not None:
+                assert lower.min() >= near
+                assert np.all(op.trace < TRACE_FLOOR)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize(
+        "module, values, points",
+        [
+            (airy_laws, airy_laws._point_values, [12.0, -2.0, 9.5, 0.5, 15.0, 3.0, 10.5, -1.0, 20.0]),
+            (finite_n, partial(finite_n._q_p, 40), [14.0, 6.0, 12.5, 9.0, 16.0, 8.0, 13.0]),
+        ],
+        ids=["airy", "finite_n"],
+    )
+    def test_unsorted_stack(self, module, values, points, monkeypatch):
+        # identities picked by a mask wherever they stand: an unsorted stack
+        # gives the values of the same stack sorted, in its own order
+        points = np.array(points)
+        order = np.argsort(points)
+        sorted_values = values(points[order])
+        calls = _spied(monkeypatch, module)
+        unsorted = values(points)
+        assert {op.trace is None for _, op, _, _ in calls} == {True, False}
+        assert np.array_equal(unsorted[..., order], sorted_values)
 
 
 class TestFailures:

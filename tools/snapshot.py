@@ -127,9 +127,8 @@ def _values(gemax) -> dict:
             else:
                 law, x = finite_n.f_n4, t / math.sqrt(2.0)
             _record(out, f"{law.__name__} {at}", lambda: law(n, x))
-            if n <= 40:
-                _record(out, f"f_n2 exponential {at}", lambda: finite_n.f_n2(n, t, "exponential"))
-                _record(out, f"ab {at}", lambda: finite_n.ab(n, t))
+            _record(out, f"f_n2 exponential {at}", lambda: finite_n.f_n2(n, t, "exponential"))
+            _record(out, f"ab {at}", lambda: finite_n.ab(n, t))
     for s in AIRY_POINTS:
         for law in (airy.f1_limit, airy.f2_limit, airy.f4_limit, airy.hastings_mcleod_q,
                     airy.log_f2_limit):
