@@ -210,10 +210,8 @@ def criterion_5(scale: float = 1.0) -> CriterionResult:
 
 def criterion_6(scale: float = 1.0) -> CriterionResult:
     """Airy-side identities: nu = alpha - q, Painleve II, boundary, dual paths."""
-    nu_gap = max(
-        abs(airy.airy_bundle(s).nu - (airy.airy_bundle(s).alpha - airy.airy_bundle(s).q[0]))
-        for s in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0)
-    )
+    bundles = (airy.airy_bundle(s) for s in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0))
+    nu_gap = max(abs(b.nu - (b.alpha - b.q[0])) for b in bundles)
     h = 1e-3
     pii = 0.0
     for s in np.linspace(-4.0, 2.0, 13):

@@ -13,21 +13,21 @@ F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
 convention.
 
 The Edgeworth terms need the Airy bundle: the resolvent (I - K_Ai)^{-1} on
-(s, infinity) and its endpoint values against x^i Ai and x^i Ai' give
-q_i(s), p_i(s); inner products give u_i, v_i, v~_i, w_i.  In particular q_0
-is the Hastings-McLeod q, recovered here from the resolvent rather than by
-ODE shooting (which is exponentially unstable).  The integrals mu, nu,
-alpha, eta need the endpoint scalars as *functions* of the left endpoint,
-so the bundle evaluates them at every node of the K_Ai rule at s: one stack
-of 49 operators, at s and at its 48 nodes, from one Airy call on all their
-nodes and ends (most of them right of x = 10, where special.airy sums the
-asymptotic series), assembled and solved block by block.  The outer
-integrands are O(Ai(x)), so the operator's own rule serves as the outer
-one.  The same outer values give the exponential
-log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``), and the endpoint
-values at s give q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The bundle
-serves only the Edgeworth terms and the acceptance cross-checks of the
-limit laws; ``f2_limit`` itself is the determinant.
+(s, infinity) and its values at s (fredholm's one left-end rule) against
+x^i Ai and x^i Ai' give q_i(s), p_i(s); inner products give u_i, v_i, v~_i,
+w_i.  In particular q_0 is the Hastings-McLeod q, recovered here from the
+resolvent rather than by ODE shooting (which is exponentially unstable).
+The integrals mu, nu, alpha, eta need the endpoint scalars as *functions*
+of the left endpoint, so the bundle evaluates them at every node of the
+K_Ai rule at s: one stack of 49 operators, at s and at its 48 nodes, from
+one Airy call on all their nodes and ends (most of them right of x = 10,
+where special.airy sums the asymptotic series), assembled and solved block
+by block.  The outer integrands are O(Ai(x)), so the operator's own rule
+serves as the outer one.  The same outer values give the exponential
+log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``), and the endpoint values
+at s give q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The bundle serves
+only the Edgeworth terms and the acceptance cross-checks of the limit laws;
+``f2_limit`` itself is the determinant.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
-from .fredholm import resolvent_solve_many
+from .fredholm import resolvent_at_lower
 from .special import airy as airy_fn
 from .special import build_grid
 
@@ -61,10 +61,15 @@ def _window_check(s: float) -> None:
         raise ParameterError(f"s = {s} outside supported window [{S_MIN}, {S_MAX}]")
 
 
+def _check_n_c(n: int, c: float) -> None:
+    """The domain of tau and of the expansions at tau: finite n >= 1 and c, n + c > 0; NaN fails."""
+    if not (1 <= n < math.inf and -math.inf < c < math.inf and n + c > 0):
+        raise ParameterError(f"need finite n >= 1 and c with n + c > 0, got n={n}, c={c}")
+
+
 def tau(n: int, c: float, s: float) -> float:
     """Soft-edge scaling tau(s) = sqrt(2(n+c)) + 2^{-1/2} n^{-1/6} s."""
-    if n < 1 or n + c <= 0:
-        raise ParameterError(f"need n >= 1 and n + c > 0, got n={n}, c={c}")
+    _check_n_c(n, c)
     return math.sqrt(2.0 * (n + c)) + s / (SQRT2 * n ** (1.0 / 6.0))
 
 
@@ -117,18 +122,13 @@ def _parts(grid) -> tuple:
 
 def _endpoint_scalars(op) -> np.ndarray:
     """(q_i, p_i, u_i, v_i, v~_i, w_i) of a block of operators, shape (6, 3, block)."""
-    x, w = op.grid.nodes, op.grid.weights
-    ai, aip, _ = op.node_parts
-    powers = np.stack([np.ones_like(x), x, x * x], axis=-1)
+    z, w = op.grid.nodes_and_lower, op.grid.weights
+    ai, aip, _ = op.parts
+    powers = np.stack([np.ones_like(z), z, z * z], axis=-1)
     rhs = np.concatenate([powers * ai[..., None], powers * aip[..., None]], axis=-1)
-    sols = resolvent_solve_many(op, rhs)  # columns: Q0 Q1 Q2 P0 P1 P2
-    s = op.grid.lower[:, None]
-    ai_s, aip_s, _ = (v[:, None] for v in op.end_parts)
-    end_powers = np.concatenate([np.ones_like(s), s, s * s], axis=-1)
-    end_rhs = np.concatenate([end_powers * ai_s, end_powers * aip_s], axis=-1)
-    endpoint = end_rhs + (op.end_row[:, None, :] @ (w[..., None] * sols))[:, 0]
-    on_ai = ((w * ai)[:, None, :] @ sols)[:, 0]
-    on_aip = ((w * aip)[:, None, :] @ sols)[:, 0]
+    sols, endpoint = resolvent_at_lower(op, rhs)  # columns: Q0 Q1 Q2 P0 P1 P2
+    on_ai = ((w * ai[..., :-1])[:, None, :] @ sols)[:, 0]
+    on_aip = ((w * aip[..., :-1])[:, None, :] @ sols)[:, 0]
     # the 18 columns run q, p, u, v, v~, w, each for i = 0, 1, 2
     return np.concatenate([endpoint, on_ai, on_aip], axis=-1).T.reshape(6, 3, -1)
 
@@ -232,7 +232,7 @@ def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
     i, j = np.triu_indices(nodes)
     a = np.empty((nodes, nodes))
     a[i, j] = a[j, i] = 0.5 * sw[i] * airy_fn(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
-    return [fredholm_log_det(DiscretizedKernel(grid, sign * a, 1.0, (), ())) for sign in signs]
+    return [fredholm_log_det(DiscretizedKernel(grid, sign * a, 1.0, ())) for sign in signs]
 
 
 def f1_limit(s: float) -> float:
@@ -299,8 +299,7 @@ def e_c1(s: float, c: float) -> float:
 
 def edgeworth_f2(n: int, c: float, s: float) -> EdgeworthResult:
     """Unitary expansion F_{n,2}(tau(s)) ~ F_2 {1 + c u_0 n^{-1/3} - E_{c,2}/20 n^{-2/3}}."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    _check_n_c(n, c)
     b = airy_bundle(s)
     f2 = math.exp(b.log_f2)
     first = f2 * c * b.u[0]
@@ -311,8 +310,7 @@ def edgeworth_f2(n: int, c: float, s: float) -> EdgeworthResult:
 
 def edgeworth_f1_sq(n: int, c: float, s: float) -> EdgeworthResult:
     """Orthogonal expansion of F_{n,1}(tau(s))^2 through order n^{-2/3}."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    _check_n_c(n, c)
     b = airy_bundle(s)
     f2 = math.exp(b.log_f2)
     mu = b.mu
@@ -332,8 +330,7 @@ def edgeworth_f1_sq(n: int, c: float, s: float) -> EdgeworthResult:
 
 def edgeworth_f4_sq(n: int, c: float, s: float) -> EdgeworthResult:
     """Symplectic expansion of F_{n,4}(tau(s)/sqrt2)^2 through order n^{-2/3}."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    _check_n_c(n, c)
     b = airy_bundle(s)
     f2 = math.exp(b.log_f2)
     mu = b.mu

@@ -60,10 +60,10 @@ def _int_list(text: str, option: str) -> list[int]:
 
 
 def _check_s_window(args) -> None:
-    if args.s_min < airy.S_MIN or args.s_max > airy.S_MAX:
-        raise ParameterError(
-            f"s-window [{args.s_min}, {args.s_max}] outside supported [{airy.S_MIN}, {airy.S_MAX}]"
-        )
+    for option, value in (("--s-min", args.s_min), ("--s-max", args.s_max)):
+        if not airy.S_MIN <= value <= airy.S_MAX:  # so that a NaN bound fails too
+            raise ParameterError(f"s-window [{args.s_min}, {args.s_max}] outside supported "
+                                 f"[{airy.S_MIN}, {airy.S_MAX}]: {option} is {value}")
 
 
 def cmd_tabulate(args) -> tuple[str, int]:

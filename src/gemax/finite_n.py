@@ -4,24 +4,24 @@ Everything is driven by the endpoint resolvent values
 
     q_n(t) = ((I - K_{n,2})^{-1} phi)(t),   p_n(t) = ((I - K_{n,2})^{-1} psi)(t)
 
-on (t, infinity) and their tail integrals a(t) = int_t^inf q_n,
-b(t) = int_t^inf p_n.  The GOE/GSE laws have one method: the
-first-principles path computes their epsilon quantities directly from the
-resolvent.  The paper's closed forms, hyperbolic functions of
-g = sqrt(2 a b), are soft-edge asymptotics kept as a cross-check
-(:func:`epsilon_closed`), not as a CDF method.  Every Hermite-function
-integral the first-principles path needs (eps phi, the integrals left of
-t, c_phi and c_psi) is exact, from the integral recurrence of
-:func:`gemax.special.hermite_integrals`; quadrature enters only through the
-Nystrom operator on (t, T), every operator on the one DEFAULT_NODES rule
-and T EDGE_SPAN soft-edge units past sqrt(2n) (:func:`_upper_cutoff`).
-One builder, :func:`_on_operators`, makes every operator: the grid, one
+on (t, infinity), read at t by fredholm's one left-end rule from the
+operator's own parts, and their tail integrals a(t) = int_t^inf q_n and
+b(t) = int_t^inf p_n.  The GOE/GSE laws have one method, first principles:
+their epsilon quantities come from the resolvent.  The paper's closed forms,
+hyperbolic functions of g = sqrt(2 a b), are soft-edge asymptotics kept as a
+cross-check (:func:`epsilon_closed`), not as a CDF method.  Every
+Hermite-function integral the first-principles path needs (eps phi, the
+integrals left of t, c_phi and c_psi) is exact, from the integral recurrence
+of :func:`gemax.special.hermite_integrals`; quadrature enters only through
+the Nystrom operator on (t, T), every operator on the one DEFAULT_NODES rule
+and T EDGE_SPAN soft-edge units past sqrt(2n) (:func:`_upper_cutoff`).  One
+builder, :func:`_on_operators`, makes every operator: the grid, one
 recurrence pass over the nodes and left ends of a stack (``hermite_parts``,
 or for a GOE/GSE value the ``hermite_integrals`` pass that also gives its
 integrals), then the stack BLOCK operators at a time.  A GOE/GSE value, a
-determinant F_{n,2} value and q_p_n make one pass each.  An exponential
-f_n2 or ab value needs q_n, p_n at every node of an outer rule of
-OUTER_NODES on the same (t, T): its 64 outer operators form one stack.
+determinant F_{n,2} value and q_p_n make one pass each.  An exponential f_n2
+or ab value needs q_n, p_n at every node of an outer rule of OUTER_NODES on
+the same (t, T): its 64 outer operators form one stack.
 
 A table is one stack too: :func:`cdf_values` takes an array of points and
 builds one operator per point (the exponential method one stack of outer
@@ -41,8 +41,8 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fredholm import DiscretizedKernel, map_blocks, resolvent_solve_many
-from .fredholm import signed_log_det
+from .fredholm import DiscretizedKernel, map_blocks, resolvent_at_lower
+from .fredholm import resolvent_solve_many, signed_log_det
 from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
 
 DEFAULT_NODES = 48
@@ -111,24 +111,15 @@ def _on_operators(n: int, t, fn, integrals: bool = False):
     return map_blocks(fn, grid, parts, math.sqrt(n / 2.0), *extra)
 
 
-def _endpoint_q_p(scale: float, op: DiscretizedKernel) -> np.ndarray:
-    """(q_n, p_n) at the left ends of a block of operators, shape (2, block).
-
-    ``scale`` is (n/2)^{1/4}, which takes (phi_n, phi_{n-1}) to (phi, psi).
-    """
-    phi, psi = scale * op.node_parts[0], scale * op.node_parts[1]
-    sols = resolvent_solve_many(op, np.stack([phi, psi], axis=-1))
-    endpoint = (op.end_row[:, None, :] @ (op.grid.weights[..., None] * sols))[:, 0]
-    return np.stack([scale * op.end_parts[0], scale * op.end_parts[1]]) + endpoint.T
-
-
 def _q_p(n: int, points: np.ndarray) -> np.ndarray:
     """(q_n, p_n) at each of the points, shape (2, len(points)), from the operators on (x, T(x)).
 
-    One recurrence pass on the nodes and left ends of the whole stack gives
-    the matrices, the right-hand sides phi, psi and the endpoint values.
+    The right-hand sides (phi, psi) = (n/2)^{1/4} (phi_n, phi_{n-1}) are the
+    operators' own parts, on the nodes and at x, from one recurrence pass.
     """
-    return _on_operators(n, points, partial(_endpoint_q_p, phi_psi_scale(n)))
+    scale = phi_psi_scale(n)
+    at_lower = lambda op: resolvent_at_lower(op, scale * np.stack(op.parts[:2], axis=-1))[1].T
+    return _on_operators(n, points, at_lower)
 
 
 def q_p_n(n: int, t: float) -> tuple[float, float]:
@@ -454,6 +445,7 @@ def _epsilon_numeric(n: int, op: DiscretizedKernel, *integrals) -> EpsilonQuanti
     sols = resolvent_solve_many(op, np.stack([psi, eps_phi[..., :-1], op.end_row], axis=-1))
     p_sol, q_eps_sol, r_sol = sols[..., 0], sols[..., 1], sols[..., 2]
     v_tilde = (w * q_eps_sol * psi).sum(axis=-1)
+    # not resolvent_at_lower: its three-column product moves q_eps in the last bits
     q_eps = eps_phi[..., -1] + _dot(op.end_row, w * q_eps_sol)
 
     # int_{-inf}^t P_n and int_{-inf}^t R_n(x, t) dx

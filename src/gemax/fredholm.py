@@ -5,17 +5,18 @@ scale (f(x)g(y) - f(y)g(x))/(x - y): f, g = phi_n, phi_{n-1} with
 scale = sqrt(n/2) for the Christoffel-Darboux Hermite kernel, and
 f, g = Ai, Ai' with scale = 1 for the Airy kernel.  This module knows no
 kernel by name: each caller evaluates its kernel's parts (f, g, K(z, z))
-once, on the nodes and the left end, and hands them to :func:`assemble`.
-One private quotient, built in place, gives both the matrix (whose
-diagonal K(x_i, x_i) is written by index) and the row K(lower, x_j).
+once, on z = grid.nodes_and_lower, and hands them to :func:`assemble`,
+whose operator keeps them (``parts``).  One private quotient, built in
+place, gives both the matrix (whose diagonal K(x_i, x_i) is written by
+index) and the row K(lower, x_j).
 
 A kernel K on (lower, upper) is discretized as the symmetric matrix
 A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Fredholm determinants are
 det(I - A), taken in log space from the LU factors that resolvent solves
-share; resolvent solves return the node values of (I - K)^{-1} f.  Every
-determinant of the library is read from that one LU, also that of the
-Airy sum kernel behind F_1 and F_4, whose exactly symmetric matrix its
-caller builds as an operator without parts.
+share; the Airy sum kernel of F_1 and F_4 is such an operator without
+parts.  A solve gives the node values f_j of (I - K)^{-1} f, and one rule,
+:func:`resolvent_at_lower`, reads every endpoint value of the library:
+f(lower) + sum_j w_j K(lower, x_j) f_j.
 
 Operators come in stacks: on a stack of grids (special.build_grid with
 arrays of ends) every array carries a leading stack axis, and one call
@@ -89,11 +90,15 @@ class DiscretizedKernel:
     grid: QuadratureGrid
     matrix: np.ndarray
     scale: float
-    #: the kernel's parts (f, g, K(x, x)) at the nodes and at the left end
-    node_parts: tuple = field(repr=False)
-    end_parts: tuple = field(repr=False)
+    #: the kernel's parts (f, g, K(z, z)) at z = grid.nodes_and_lower, the left end last
+    parts: tuple = field(repr=False)
     #: tr A of an identity operator (:func:`_identity`), None for an assembled one
     trace: np.ndarray | None = None
+
+    @property
+    def node_parts(self) -> tuple:
+        """The parts at the nodes: views of ``parts`` without the left end."""
+        return tuple(v[..., :-1] for v in self.parts)
 
     def kernel_row(self, x, px) -> np.ndarray:
         """K(x, x_j) at the grid nodes (unsymmetrized), from the parts px at x.
@@ -107,7 +112,7 @@ class DiscretizedKernel:
     def end_row(self) -> np.ndarray:
         """K(lower, x_j) at the grid nodes, built on first use."""
         lower = np.asarray(self.grid.lower)[..., None]
-        return self.kernel_row(lower, tuple(v[..., None] for v in self.end_parts))
+        return self.kernel_row(lower, tuple(v[..., -1:] for v in self.parts))
 
     @cached_property
     def _lu(self):
@@ -143,28 +148,26 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     """Build the symmetrized Nystrom matrix of an integrable kernel.
 
     ``parts`` = (f, g, K(z, z)) at z = grid.nodes_and_lower.  The node values
-    serve both the row and the column side of the matrix; they and the
-    values at the left end stay with the operator.  The difference quotient
-    is built in place off the diagonal and K(x_i, x_i) is written on it, so
-    the grid's distinct nodes, and its left end and first node, must lie
-    more than DIAG_GUARD apart; a closer grid is a ParameterError.
+    serve both the row and the column side of the matrix; all of ``parts``
+    stays with the operator.  The difference quotient is built in place off
+    the diagonal and K(x_i, x_i) is written on it, so the grid's distinct
+    nodes, and its left end and first node, must lie more than DIAG_GUARD
+    apart; a closer grid is a ParameterError.
     """
     _check_nodes(grid)
     x = grid.nodes
-    node_parts = tuple(v[..., :-1] for v in parts)
     gap = x[..., :, None] - x[..., None, :]
     _diagonal(gap)[...] = 1.0
-    rows = tuple(v[..., :, None] for v in node_parts)
-    cols = tuple(v[..., None, :] for v in node_parts)
+    rows = tuple(v[..., :-1, None] for v in parts)
+    cols = tuple(v[..., None, :-1] for v in parts)
     matrix = _quotient(rows, cols, gap, scale)
-    _diagonal(matrix)[...] = node_parts[2]
+    _diagonal(matrix)[...] = parts[2][..., :-1]
     sw = grid.sqrt_weights
     matrix *= sw[..., :, None]
     matrix *= sw[..., None, :]
     matrix += np.swapaxes(matrix, -1, -2)  # scrub last-bit asymmetry; numpy buffers the overlap
     matrix *= 0.5
-    end_parts = tuple(v[..., -1] for v in parts)
-    return DiscretizedKernel(grid, matrix, scale, node_parts, end_parts)
+    return DiscretizedKernel(grid, matrix, scale, parts)
 
 
 def _trace(grid: QuadratureGrid, parts: tuple):
@@ -182,9 +185,7 @@ def _identity(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKe
     """
     _check_nodes(grid)
     zero = np.broadcast_to(0.0, grid.nodes.shape + grid.nodes.shape[-1:])
-    node_parts = tuple(v[..., :-1] for v in parts)
-    end_parts = tuple(v[..., -1] for v in parts)
-    return DiscretizedKernel(grid, zero, scale, node_parts, end_parts, _trace(grid, parts))
+    return DiscretizedKernel(grid, zero, scale, parts, _trace(grid, parts))
 
 
 def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> np.ndarray:
@@ -284,3 +285,14 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"resolvent solve failed on {_ends(op.grid)}")
     return y / sw
+
+
+def resolvent_at_lower(op: DiscretizedKernel, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(node solutions f_j, left-end values) of (I - K) f = rhs, rhs on grid.nodes_and_lower.
+
+    ``rhs`` has shape (..., count + 1, k), the left end last, as the parts;
+    the left-end values are f(lower) = rhs(lower) + sum_j w_j K(lower, x_j) f_j.
+    """
+    sols = resolvent_solve_many(op, rhs[..., :-1, :])
+    weighted = op.grid.weights[..., None] * sols
+    return sols, rhs[..., -1, :] + (op.end_row[..., None, :] @ weighted)[..., 0, :]

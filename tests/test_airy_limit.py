@@ -39,6 +39,18 @@ class TestTau:
         target = math.sqrt(2 * (n + c)) + s / (math.sqrt(2.0) * 64 ** (1.0 / 6.0))
         assert tau(n, c, s) == pytest.approx(target, rel=1e-15)
 
+    @pytest.mark.parametrize("fn", [tau, edgeworth_f2, edgeworth_f1_sq, edgeworth_f4_sq])
+    @pytest.mark.parametrize(
+        "n, c",
+        [(40, math.nan), (40, math.inf), (40, -math.inf),
+         (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0, 0.0), (1, -1.0)],
+    )
+    def test_domain(self, fn, n, c):
+        # a non-finite n or c gave NaN or +-inf, silently; n < 1 is refused as
+        # before, and n + c <= 0, where tau is undefined, by the expansions too
+        with pytest.raises(ParameterError, match="need finite n >= 1 and c with n [+] c > 0"):
+            fn(n, c, 0.0)
+
 
 class TestHastingsMcLeod:
     def test_right_asymptote(self):

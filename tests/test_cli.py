@@ -195,6 +195,20 @@ class TestEdgeworth:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, named",
+        [("--s-min", "--s-min is nan"), ("--s-max", "--s-max is nan"), ("--c", "c=nan")],
+    )
+    def test_nan_is_a_usage_error(self, option, named, capsys):
+        # a NaN s-window bound passed the window check, and it and a NaN --c
+        # both failed later as a quadrature grid "(nan, nan)" the user never gave
+        argv = {"--s-min": "-1", "--s-max": "0", "--c": "0", option: "nan"}
+        code, out = run_cli(["edgeworth", "--ensemble", "gue", "--n", "40", "--steps", "3",
+                             *(v for item in argv.items() for v in item)])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
     def test_one_expansion_per_point(self, monkeypatch):
         # the expansion was built once inside the comparison and once more
         # for the row

@@ -425,7 +425,7 @@ class TestEpsilonBatched:
             op, _ = _built_with_integrals(n, t)
             ref = _operator(n, t)
             assert np.array_equal(op.matrix, ref.matrix)
-            for got, want in zip(op.node_parts + op.end_parts, ref.node_parts + ref.end_parts):
+            for got, want in zip(op.parts, ref.parts):
                 assert np.array_equal(got, want)
             assert np.array_equal(op.end_row, ref.end_row)
 
@@ -520,10 +520,11 @@ class TestWorkPerValue:
         # below fredholm.TRACE_FLOOR, which is never assembled) alike
         built = self._built(monkeypatch)
         solved = []
-        solve = finite_n.resolvent_solve_many
-        monkeypatch.setattr(
-            finite_n, "resolvent_solve_many", lambda op, rhs: solved.append(op) or solve(op, rhs)
-        )
+        solve = fredholm.resolvent_solve_many
+        counted = lambda op, rhs: solved.append(op) or solve(op, rhs)
+        # q_p_n solves through fredholm.resolvent_at_lower, the GOE/GSE bracket directly
+        for module in (fredholm, finite_n):
+            monkeypatch.setattr(module, "resolvent_solve_many", counted)
         value()
         identities = [op for op in solved if op.trace is not None]
         assert sum(op.matrix[..., 0, 0].size for op in built + identities) == operators
