@@ -67,6 +67,9 @@ def _check_s_window(args) -> None:
 
 
 def cmd_tabulate(args) -> tuple[str, int]:
+    for option, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not math.isfinite(value):
+            raise ParameterError(f"need a finite {option}, got {value}")
     grid = _linspace(args.t_min, args.t_max, args.steps)
     # the GSE grid is in the symplectic variable u unless --gue-scale is given
     x = grid / SQRT2 if args.ensemble == "gse" and args.gue_scale else grid
@@ -139,6 +142,8 @@ def cmd_convergence(args) -> tuple[str, int]:
 
 def cmd_validate(args) -> tuple[str, int]:
     indices = _int_list(args.criteria, "--criteria") if args.criteria else None
+    if not 0.0 < args.tolerance_scale < math.inf:  # so that a NaN scale fails too
+        raise ParameterError(f"need a finite --tolerance-scale > 0, got {args.tolerance_scale}")
     results = run_criteria(indices, args.tolerance_scale)
     all_pass = all(r.passed for r in results)
     text = "".join(f"criterion {r.index:2d} [{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n"

@@ -203,7 +203,8 @@ def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.n
     of log F_{n,2} plus the log of the bracket F^2 / F_{n,2}, which comes
     from the epsilon quantities of the determinant's operator, built with
     their Hermite integrals from one integral pass.  :func:`_policy` judges
-    each point on its own; one raising point raises for the whole of t.
+    each point on its own; one raising point raises for the whole of t, and
+    so does a point that is not finite (ParameterError, naming the first).
     Returns an array of t's shape, flattened for a t of two or more axes.
     """
     _check_n(n, parity)
@@ -214,6 +215,9 @@ def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.n
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         t = t.ravel()
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ParameterError(f"need finite points, got {t.flat[bad[0]]} at index {bad[0]}")
     if (parity == 1 and n == 1) or t.size == 0:  # F_{1,4} (no symplectic eigenvalues), or no t
         return np.zeros_like(t)
     if parity is None:

@@ -6,15 +6,21 @@ The wave functions are evaluated with the normalized three-term recurrence
 
 seeded with phi_0(x) = pi^{-1/4} exp(-x^2/2).  The Gaussian factor is kept
 inside the recurrence, so intermediate values stay bounded and the functions
-are usable far past k = 30 where raw Hermite polynomials overflow.  One pass
-yields the pair (phi_k, phi_{k-1}); the ladder identities
+are usable far past k = 30 where raw Hermite polynomials overflow.  One loop
+runs it, :func:`_phi_chunks`: it fills a table of phi_0 .. phi_k, one row
+per order, in place at three ufunc calls a step, a chunk of orders at a
+time so that the table never holds more than about TABLE_VALUES values.
+:func:`hermite_phi_two` keeps the last two rows, the pair
+(phi_k, phi_{k-1}); the ladder identities
 phi_k' = -x phi_k + sqrt(2k) phi_{k-1} and
 phi_{k-1}' = x phi_{k-1} - sqrt(2k) phi_k give both derivatives from that
 pair, so no separate derivative routine is needed, and
 :func:`hermite_parts` turns it into the parts (f, g, K(z, z)) of the
 Christoffel-Darboux kernel that :func:`gemax.fredholm.assemble` takes.  The
-integrals of the wave functions obey a recurrence of the same shape, so
-:func:`hermite_integrals` gives them and the same parts from one pass.
+integrals of the wave functions obey a recurrence of the same shape, whose
+chains scale into plain sums over the table's rows, so
+:func:`hermite_integrals` reads them by contractions of the same table
+that gives it the parts.
 
 The Gauss-Legendre rules behind every quadrature grid are built by Newton's
 method in theta on P_m(cos theta) (Hale & Townsend, SIAM J. Sci. Comput. 35,
@@ -138,19 +144,65 @@ def _check_k(k: int) -> None:
         raise ParameterError(f"order {k} exceeds cap {K_CAP}")
 
 
+#: the most values a table of wave functions holds (1 MB); a pass over more
+#: points than fit with every order walks the orders in chunks
+TABLE_VALUES = 2**17
+
+
+def _steps(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence's coefficients sqrt(2/(j+1)) and sqrt(j/(j+1)) for j < k."""
+    j = np.arange(k, dtype=float)
+    return np.sqrt(2.0 / (j + 1.0)), np.sqrt(j / (j + 1.0))
+
+
+def _phi_chunks(x: np.ndarray, up: np.ndarray, down: np.ndarray):
+    """phi_0(x), ..., phi_k(x) at 1-D x, k = len(up), a table of consecutive orders at a time.
+
+    ``up`` and ``down`` are :func:`_steps` (k).  Yields (first, rows) with
+    rows[i] = phi_{first + i - 2}(x): two rows carrying the orders before the
+    chunk (zeros before phi_0), then the chunk's orders.  Every chunk lives
+    in one buffer of at most about TABLE_VALUES values, overwritten by the
+    next, and no work follows the last yield.  A step is
+    phi_{j+1} = (x sqrt(2/(j+1))) phi_j - sqrt(j/(j+1)) phi_{j-1}, three
+    ufunc calls in place, its first factor a row of one outer product per
+    chunk: bit for bit the loop that takes the pair (phi_j, phi_{j-1}) along.
+    """
+    k = len(up)
+    down = down.tolist()
+    size = min(k + 1, max(1, TABLE_VALUES // max(x.size, 1) - 2))
+    table = np.empty((size + 2, x.size))
+    table[:2] = 0.0
+    table[2] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    tmp = np.empty(x.size)
+    mul, sub = np.multiply, np.subtract
+    first = 0
+    while first <= k:
+        if first:
+            table[:2] = rows[-2:]
+        last = min(k + 1, first + size)
+        rows = table[: last - first + 2]
+        start = max(first, 1)  # the chunk's first order made by a step
+        np.multiply.outer(up[start - 1 : last - 1], x, out=rows[start - first + 2 :])
+        views = list(rows[start - first :])
+        for two, one, cur, scale in zip(views, views[1:], views[2:], down[start - 1 : last - 1]):
+            mul(cur, one, cur)
+            mul(two, scale, tmp)
+            sub(cur, tmp, cur)
+        yield first, rows
+        first = last
+
+
 def hermite_phi_two(k: int, x):
     """Return (phi_k(x), phi_{k-1}(x)); phi_{-1} is taken to be 0.
 
-    Accepts scalars or arrays.  One pass of the recurrence serves both
-    orders, which is what the kernel evaluations need.
+    Accepts scalars or arrays.  The last two rows of one table pass serve
+    both orders, which is what the kernel evaluations need.
     """
     _check_k(k)
     x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    for j in range(k):
-        prev, cur = cur, x * math.sqrt(2.0 / (j + 1)) * cur - math.sqrt(j / (j + 1.0)) * prev
-    return cur, prev
+    *_, (_, rows) = _phi_chunks(x.ravel(), *_steps(k))
+    prev, cur = rows[-2:].reshape(2, *x.shape).copy()
+    return cur[()], prev[()]
 
 
 def _christoffel_darboux_parts(n: int, z, f, g):
@@ -172,48 +224,61 @@ def hermite_parts(n: int, z):
 
 
 def hermite_integrals(n: int, x, t):
-    """One recurrence pass giving the kernel's parts and integrals at the points z = [x, t].
+    """The kernel's parts and integrals at the points z = [x, t] from one table of wave functions.
 
     Returns (parts, I_n(z), J_{n-1}(t), L(z)): parts is :func:`hermite_parts`
     at z, bit for bit; I_k(z) = int_z^inf phi_k,
     J_k(t) = int_{-inf}^t phi_k and L(z) = sum_{k<n} phi_k(z) J_k(t), which
     is int_{-inf}^t K_n(s, z) ds for the Christoffel-Darboux kernel K_n.
+    For a stack, x has shape (k, m) and t shape (k,): z is [x, t] row by row,
+    and every result carries the leading stack axis.  No quadrature.
+
     Integrating phi_k' = sqrt(k/2) phi_{k-1} - sqrt((k+1)/2) phi_{k+1} gives
     I_{k+1} = sqrt(k/(k+1)) I_{k-1} + sqrt(2/(k+1)) phi_k from
     I_0 = pi^{-1/4} sqrt(pi/2) erfc(z/sqrt 2) and I_1 = sqrt(2) phi_0(z); J
-    obeys the same with the sign of every phi term flipped.  No quadrature.
-    For a stack, x has shape (k, m) and t shape (k,): z is [x, t] row by row,
-    and every result carries the leading stack axis.
-
-    -J runs as one more point of the I recurrence, a second copy of t whose
-    seed is -J_0: negation is exact, so every value is the one a separate J
-    recurrence gives.  The pass runs with the points on the first axis, so
-    a step reads J_k as a row (a number for one operator), not a column.
+    obeys the same with the sign of every phi term flipped.  With
+    D_0 = D_1 = 1 and D_{k+1} = sqrt(k/(k+1)) D_{k-1} each chain is a sum
+    over the table phi_0..phi_n: I_n / D_n is [n even] I_0 plus
+    sum_{k = n, n-2, ... >= 1} c_{k-1} phi_{k-1}, c_{k-1} = sqrt(2/k) / D_k,
+    one contraction over every other row; J_k / D_k runs down the t column
+    as J_k / D_k = J_{k-2} / D_{k-2} - c_{k-1} phi_{k-1}(t) from
+    J_0 and J_{-1} = 0, one running difference per parity; L is one more
+    contraction.  The chunks of :func:`_phi_chunks` carry the running sums.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     _check_k(n)
     t = np.asarray(t, dtype=float)
-    z = np.concatenate([np.asarray(x, dtype=float).T, [t, t]])
-    prev = np.zeros_like(z)
-    cur = np.pi ** (-0.25) * np.exp(-0.5 * z * z)
+    z = np.concatenate([np.asarray(x, dtype=float), t[..., None]], axis=-1)
+    stack, m = z.size // z.shape[-1], z.shape[-1]
+    up, down = _steps(n)
+    scales = np.ones(n + 1)  # D_k
+    scales[2::2], scales[3::2] = np.cumprod(down[1::2]), np.cumprod(down[2::2])
+    weights = np.append(0.0, up / scales[1:])  # c_{k-1} at k, c_{-1} = 0
     seed = np.pi ** (-0.25) * math.sqrt(0.5 * np.pi)
-    i_prev = seed * _sp.erfc(np.concatenate([z[:-1], [-t]]) / math.sqrt(2.0))
-    i_prev[-1] *= -1.0
-    i_cur = math.sqrt(2.0) * cur
-    total = -(i_prev[-1] * cur)
-    for k in range(1, n):
-        prev, cur = cur, z * math.sqrt(2.0 / k) * cur - math.sqrt((k - 1.0) / k) * prev
-        total -= i_cur[-1] * cur
-        down, up = math.sqrt(k / (k + 1.0)), math.sqrt(2.0 / (k + 1))
-        i_prev, i_cur = i_cur, down * i_prev + up * cur
-    f = z * math.sqrt(2.0 / n) * cur - math.sqrt((n - 1.0) / n) * prev  # phi_n
-
-    def points(v):  # [x, t] back on the last axis
-        return np.ascontiguousarray(v[:-1].T)
-
-    parts = _christoffel_darboux_parts(n, points(z), points(f), points(cur))
-    return parts, points(i_cur), -i_prev[-1], points(total)
+    tail = seed * _sp.erfc(z.ravel() / math.sqrt(2.0)) if n % 2 == 0 else np.zeros(z.size)
+    sums = np.zeros((2, stack))  # J_{k-2} / D_{k-2} and J_{k-1} / D_{k-1} at a chunk's first k
+    sums[0] = seed * _sp.erfc(-t.ravel() / math.sqrt(2.0))
+    kernel = np.zeros((stack, m))
+    for first, rows in _phi_chunks(z.ravel(), up, down):
+        last = first + len(rows) - 2
+        w, prev = weights[first:last], rows[1:-1]  # c_{k-1} and phi_{k-1}, first <= k < last
+        same = (n - first) % 2
+        tail += w[same::2] @ prev[same::2]
+        sums = np.concatenate([sums, w[:, None] * prev[:, m - 1 :: m]])
+        for parity in (0, 1):
+            np.subtract.accumulate(sums[parity::2], axis=0, out=sums[parity::2])
+        count = min(last, n) - first  # the orders k < n
+        left = scales[first : first + count, None] * sums[2 : 2 + count]  # J_k(t)
+        # per stack row, the row vector of J_k(t) times the matrix of phi_k(z)
+        phi = rows[2 : 2 + count].reshape(count, stack, m).transpose(1, 0, 2)
+        kernel += np.matmul(left.T[:, None], phi)[:, 0]
+        sums = sums[-2:]
+    f, g = rows[-1].reshape(z.shape).copy(), rows[-2].reshape(z.shape).copy()
+    del rows, prev, phi  # the table goes before the parts' temporaries come
+    left = scales[n - 1] * sums[0].reshape(t.shape)
+    parts = _christoffel_darboux_parts(n, z, f, g)
+    return parts, scales[n] * tail.reshape(z.shape), left[()], kernel.reshape(z.shape)
 
 
 def phi_psi_scale(n: int) -> float:

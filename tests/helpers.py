@@ -1,7 +1,8 @@
-"""Reference routines that only the tests use: the wave functions one order
-at a time, the masked integrable form, the pointwise Hermite and Airy
-kernels and their operators, the Nystrom extension, the dense GOE/GUE
-sampler and the two-sample KS statistic with its critical value."""
+"""Reference routines that only the tests use: the two-line recurrence loop
+for the wave functions, the wave functions one order at a time, the masked
+integrable form, the pointwise Hermite and Airy kernels and their operators,
+the Nystrom extension, the dense GOE/GUE sampler and the two-sample KS
+statistic with its critical value."""
 
 import math
 from functools import partial
@@ -12,6 +13,20 @@ from gemax.errors import ParameterError
 from gemax.fredholm import DIAG_GUARD, DiscretizedKernel, assemble
 from gemax.mc import _BATCH, McRun
 from gemax.special import airy, hermite_parts, hermite_phi_two, phi_psi_scale
+
+
+def phi_two_reference(k: int, x):
+    """(phi_k(x), phi_{k-1}(x)) by the two-line loop that carries the pair along.
+
+    The reference that :func:`gemax.special.hermite_phi_two` and the parts
+    of :func:`gemax.special.hermite_integrals` must equal bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    prev = np.zeros_like(x)
+    cur = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    for j in range(k):
+        prev, cur = cur, x * math.sqrt(2.0 / (j + 1)) * cur - math.sqrt(j / (j + 1.0)) * prev
+    return cur, prev
 
 
 def hermite_phi(k: int, x):

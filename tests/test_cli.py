@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,19 @@ class TestTabulate:
         assert doc["command"] == "tabulate"
         assert len(doc["rows"]) == 2
         assert set(doc["rows"][0]) == {"t", "F"}
+
+    @pytest.mark.parametrize("option, value", [("--t-min", "nan"), ("--t-max", "inf"),
+                                               ("--t-min", "-inf"), ("--t-max", "nan")])
+    def test_non_finite_window_is_a_usage_error(self, option, value, capsys):
+        # a NaN bound failed as a quadrature grid the user never gave, and an
+        # infinite one printed a numpy RuntimeWarning first
+        argv = {"--t-min": "-1", "--t-max": "1", option: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["tabulate", "--ensemble", "goe", "--n", "40", "--steps", "3",
+                                 *(f"{k}={v}" for k, v in argv.items())])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: need a finite {option}, got {value}\n"
 
     def test_goe_parity_error(self):
         code, _ = run_cli(
@@ -335,6 +349,10 @@ class TestParser:
             ["edgeworth", "--n", "0", "--c", "0.5", "--steps", "1"],
             ["validate", "--criteria", "1.5"],
             ["validate", "--criteria", "11"],
+            ["validate", "--criteria", "1", "--tolerance-scale", "nan"],
+            ["validate", "--criteria", "1", "--tolerance-scale", "-1"],
+            ["validate", "--criteria", "1", "--tolerance-scale", "0"],
+            ["validate", "--criteria", "1", "--tolerance-scale", "inf"],
             ["mc", "--n", "2", "--samples", "100", "--seed", "-1"],
             ["tabulate", "--ensemble", "gue", "--n", "0", "--t-min", "0", "--t-max", "1",
              "--steps", "0"],
@@ -345,12 +363,14 @@ class TestParser:
         ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
              "convergence steps 0",
              "n-list letter", "n-list repeat", "edgeworth n=0", "criteria float",
-             "criteria 11", "mc seed", "tabulate n=0", "tabulate n=401", "edgeworth n=500"],
+             "criteria 11", "scale nan", "scale -1", "scale 0", "scale inf", "mc seed",
+             "tabulate n=0", "tabulate n=401", "edgeworth n=500"],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         # each of these used to end in a traceback (ValueError, KeyError or
-        # ZeroDivisionError) or, with n outside 1..400 and --steps 0, in an
-        # empty table; none may get as far as computing a value
+        # ZeroDivisionError), with n outside 1..400 and --steps 0 in an empty
+        # table, or with a --tolerance-scale that is not finite and positive
+        # in "validation FAILED"; none may get as far as computing a value
         code, out = run_cli(argv)
         assert code == 2
         assert out == ""

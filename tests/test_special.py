@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gemax.errors import ParameterError
 from gemax.special import airy, build_grid, hermite_integrals, hermite_parts, hermite_phi_two
-from helpers import hermite_phi, phi_psi_values
+from helpers import hermite_phi, phi_psi_values, phi_two_reference
 
 
 def mpmath_phi(k: int, x: float) -> float:
@@ -51,6 +51,37 @@ class TestHermitePhi:
         vals = np.array([[hermite_phi(k, float(x)) for x in grid.nodes] for k in (0, 3, 17, 30)])
         gram = (vals * grid.weights) @ vals.T
         assert np.allclose(gram, np.eye(4), atol=1e-9)
+
+
+ORDERS = (0, 1, 2, 5, 40, 41, 399, 400)
+#: a stack of 64 rows of 49 points: at k >= 39 its table is walked in chunks
+#: of TABLE_VALUES // 3136 - 2 = 39 orders, 11 of them at k = 400
+STACK = np.linspace(-31.0, 31.0, 64 * 49).reshape(64, 49)
+POINTS = {"scalar": 0.7, "1-D": np.linspace(-31.0, 31.0, 49), "stack": STACK}
+
+
+class TestPhiTable:
+    # one table loop replaced the two-line loop that carried the pair
+    # (phi_k, phi_{k-1}) along; every wave function must stay bit for bit
+
+    @pytest.mark.parametrize("k", ORDERS)
+    @pytest.mark.parametrize("points", POINTS, ids=str)
+    def test_phi_two_is_the_reference_loop(self, k, points):
+        x = POINTS[points]
+        for got, want in zip(hermite_phi_two(k, x), phi_two_reference(k, x)):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", ORDERS[1:])
+    @pytest.mark.parametrize("points", POINTS, ids=str)
+    def test_integral_parts_are_the_reference_loop(self, n, points):
+        # the scalar case is t alone, with no x
+        x = {"scalar": np.empty(0), "1-D": POINTS["1-D"][:-1], "stack": STACK[:, :-1]}[points]
+        t = {"scalar": 0.7, "1-D": 2.5, "stack": STACK[:, -1]}[points]
+        parts = hermite_integrals(n, x, t)[0]
+        want = phi_two_reference(n, np.concatenate([x, np.asarray(t)[..., None]], axis=-1))
+        for got, ref in zip(parts, want):
+            assert np.array_equal(got, ref)
 
 
 def lowering_deriv(k: int, x: float) -> float:
@@ -141,6 +172,23 @@ def mpmath_phis(n: int):
     return phis
 
 
+def mpmath_integrals(n: int, phi, z, sign: int):
+    """[I_0, ..., I_n] at z for sign 1, or [J_0, ..., J_n] at t = -z for sign -1.
+
+    phi is [phi_0, ..., phi_n] at the point; the chain
+    X_{k+1} = sqrt(k/(k+1)) X_{k-1} + sign sqrt(2/(k+1)) phi_k runs from
+    X_0 = pi^{-1/4} sqrt(pi/2) erfc(z/sqrt 2) and X_1 = sign sqrt(2) phi_0,
+    at the working precision in force when this is called.
+    """
+    two = mpmath.mpf(2)
+    seed = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.sqrt(mpmath.pi / 2)
+    out = [seed * mpmath.erfc(z / mpmath.sqrt(2)), sign * mpmath.sqrt(two) * phi[0]]
+    for k in range(1, n):
+        down, up = mpmath.sqrt(k / mpmath.mpf(k + 1)), mpmath.sqrt(two / (k + 1))
+        out.append(down * out[k - 1] + sign * up * phi[k])
+    return out
+
+
 class TestHermiteIntegrals:
     @pytest.mark.parametrize("n", (1, 2, 5, 12, 40))
     def test_mpmath_quadrature(self, n):
@@ -171,6 +219,26 @@ class TestHermiteIntegrals:
                 np.testing.assert_allclose(tail, want_tail, rtol=0, atol=1e-14)
                 assert left == pytest.approx(float(lefts[-1]), rel=0, abs=1e-14)
                 np.testing.assert_allclose(kernel, want_kernel, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", (100, 101, 399, 400))
+    def test_mpmath_recurrences(self, n):
+        # [DERIVED] I_n(z), J_{n-1}(t) and L(z) against their recurrences
+        # (see hermite_integrals) summed at 40 digits from 40-digit erfc
+        # seeds, with t left of, near and right of the edge and z both sides
+        # of the bulk; measured at most 3.3e-14
+        edge = math.sqrt(2.0 * n)
+        with mpmath.workdps(40):
+            phis = mpmath_phis(n)
+            for t in (edge - 4.0, edge - 1.0, edge + 1.0):
+                x = np.array([-edge - 2.0, 0.3, edge - 5.0, t + 0.3, edge, t + 2.0, edge + 4.0])
+                _, tail, left, kernel = hermite_integrals(n, x, t)
+                lefts = mpmath_integrals(n, phis(mpmath.mpf(t)), -mpmath.mpf(t), -1)
+                z = [mpmath.mpf(v) for v in np.append(x, t)]
+                want_tail = [float(mpmath_integrals(n, phis(v), v, 1)[n]) for v in z]
+                want_kernel = [float(mpmath.fdot(phis(v)[:n], lefts[:n])) for v in z]
+                np.testing.assert_allclose(tail, want_tail, rtol=0, atol=1e-13)
+                assert left == pytest.approx(float(lefts[n - 1]), rel=0, abs=1e-13)
+                np.testing.assert_allclose(kernel, want_kernel, rtol=0, atol=1e-13)
 
     def test_bad_order(self):
         with pytest.raises(ParameterError):

@@ -10,8 +10,10 @@ names a value of the public API or a CLI argv, each float is stored as its
 and exit code, and each Monte Carlo run as the sha256 of its samples'
 bytes.  The second form prints every key whose entry differs, with both
 entries and the largest relative and absolute gaps of its differing floats
-(the numbers printed in a CLI stdout included), and exits 1 if any key
-differs.
+(the numbers printed in a CLI stdout included), then one line counting
+the differing keys per family (a CLI argv's subcommand, or the words of a
+key before its first name=value, such as ``f_n1`` or ``f_n2 exponential``),
+and exits 1 if any key differs.
 A change that must keep every result bit for bit compares the records of
 its parent tree and of itself.
 """
@@ -27,6 +29,8 @@ import math
 import re
 import sys
 import tempfile
+from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 FINITE_N = (1, 2, 3, 4, 5, 10, 11, 40, 41, 100, 101, 399, 400)
@@ -189,6 +193,14 @@ def _gaps(a, b):
     return [(abs(x - y), abs(x - y) / max(abs(x), abs(y)))]
 
 
+def _family(key: str) -> str:
+    """A CLI argv's subcommand, or the words of a key before its first name=value."""
+    words = key.split()
+    if words[0] == "gemax":
+        return words[1]
+    return " ".join(takewhile(lambda word: "=" not in word, words))
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     a = json.loads(path_a.read_text())
     b = json.loads(path_b.read_text())
@@ -201,6 +213,8 @@ def compare(path_a: Path, path_b: Path) -> int:
             gap = f" (relative gap {relative:.3g}, absolute gap {absolute:.3g})"
         print(f"{key}{gap}\n  A: {a.get(key, '<missing>')!r}\n  B: {b.get(key, '<missing>')!r}")
     print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ")
+    families = Counter(map(_family, differing)).most_common()
+    print("differing keys per family: " + (", ".join(f"{f} {c}" for f, c in families) or "none"))
     return 1 if differing else 0
 
 
