@@ -6,9 +6,9 @@ F_1(s) = det(I - A_s) and F_4(s) = (det(I - A_s) + det(I + A_s))/2 with
 A_s(x, y) = Ai((x + y)/2)/2.  Every K_Ai operator takes one rule, 48 nodes
 on (s, max(s, 0) + 16): Ai(16) is about 4e-20.  A_s(x, x) = Ai(x)/2 decays
 only as Ai, where K_Ai(x, x) decays as Ai^2, so A_s keeps 64 nodes on
-(s, max(s, 0) + 30).  Each determinant is read from the LU of its operator
-(fredholm); the sum kernel's +-A_s are operators without kernel parts.  With
-the Hastings-McLeod q and mu(s) = int_s^inf q, these are
+(s, max(s, 0) + 30).  Each determinant is read from the Cholesky factor of
+its operator (fredholm); the sum kernel's +-A_s are operators without kernel
+parts.  With the Hastings-McLeod q and mu(s) = int_s^inf q, these are
 F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
 convention.
 
@@ -216,14 +216,14 @@ def f2_limit(s: float) -> float:
     return min(math.exp(log_f2_limit(s)), 1.0)
 
 
-def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
-    """log det(I - sign A_s) for each sign, with A_s(x, y) = Ai((x + y)/2)/2 on (s, infinity).
+def _log_dets(s: float, coefficients: tuple[float, ...]) -> list[float]:
+    """log det(I - c A_s) for each of the coefficients c, A_s(x, y) = Ai((x + y)/2)/2 on (s, inf).
 
     One Nystrom matrix on the sum kernel's rule; Ai is evaluated once per distinct
     pairwise sum (the upper triangle), so the matrix is exactly symmetric.
-    Each sign's matrix is an operator without kernel parts, and its
-    determinant is read from the operator's LU, as every other determinant
-    is; one that loses positivity raises NumericalError.
+    Each c A_s is an operator without kernel parts, and its determinant is
+    read from the operator's Cholesky factor, as every other determinant is;
+    one that the factorization refuses raises NumericalError.
     """
     _window_check(s)
     nodes = SUM_NODES
@@ -232,7 +232,7 @@ def _log_dets(s: float, signs: tuple[float, ...]) -> list[float]:
     i, j = np.triu_indices(nodes)
     a = np.empty((nodes, nodes))
     a[i, j] = a[j, i] = 0.5 * sw[i] * airy_fn(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
-    return [fredholm_log_det(DiscretizedKernel(grid, sign * a, 1.0, ())) for sign in signs]
+    return [fredholm_log_det(DiscretizedKernel(grid, c * a, 1.0, ())) for c in coefficients]
 
 
 def f1_limit(s: float) -> float:

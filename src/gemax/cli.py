@@ -70,6 +70,8 @@ def cmd_tabulate(args) -> tuple[str, int]:
     for option, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
         if not math.isfinite(value):
             raise ParameterError(f"need a finite {option}, got {value}")
+    if not math.isfinite(args.t_max - args.t_min):
+        raise ParameterError(f"--t-min {args.t_min} and --t-max {args.t_max} span no finite width")
     grid = _linspace(args.t_min, args.t_max, args.steps)
     # the GSE grid is in the symplectic variable u unless --gue-scale is given
     x = grid / SQRT2 if args.ensemble == "gse" and args.gue_scale else grid
@@ -79,6 +81,7 @@ def cmd_tabulate(args) -> tuple[str, int]:
 
 def cmd_limit(args) -> tuple[str, int]:
     law = {"gue": airy.f2_limit, "goe": airy.f1_limit, "gse": airy.f4_limit}[args.ensemble]
+    _check_s_window(args)
     grid = _linspace(args.s_min, args.s_max, args.steps)
     rows = [(float(s), law(float(s))) for s in grid]
     return _table(args, ("s", "F"), rows)

@@ -25,11 +25,13 @@ the same (t, T): its 64 outer operators form one stack.
 
 A table is one stack too: :func:`cdf_values` takes an array of points and
 builds one operator per point (the exponential method one stack of outer
-operators per point); each block gives a signed log-determinant per
-operator from the LU that its resolvent solve shares.  One dispatch,
+operators per point); each block gives a log-determinant per operator from
+the Cholesky factor that its resolvent solve shares.  An operator that the
+factorization refuses (lost positivity) has solves of NaN: :func:`q_p_n`,
+:func:`ab` and :func:`epsilon_numeric` raise there.  One dispatch,
 :func:`_log_cdf`, picks the method and applies the one failure policy
-(:func:`_policy`) point by point; every CDF value and :func:`log_f_n2` read
-its log F.  A float point is the stack without its axis, by the same code.
+(:func:`_policy`) point by point, 0.0 at a refused point; every CDF value
+and :func:`log_f_n2` read its log F.  A float point is the stack without its axis, by the same code.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .fredholm import DiscretizedKernel, map_blocks, resolvent_at_lower
-from .fredholm import resolvent_solve_many, signed_log_det
+from .fredholm import log_det, resolvent_solve_many
 from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
 
 DEFAULT_NODES = 48
@@ -122,11 +124,26 @@ def _q_p(n: int, points: np.ndarray) -> np.ndarray:
     return _on_operators(n, points, at_lower)
 
 
+def _checked(n: int, t, parity: int | None = None) -> np.ndarray:
+    """t as a float array after :func:`_check_n`; ParameterError naming its first point not finite."""
+    _check_n(n, parity)
+    t = np.asarray(t, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ParameterError(f"need finite points, got {t.flat[bad[0]]} at index {bad[0]}")
+    return t
+
+
+def _accepted(n: int, t: float, *values) -> tuple[float, ...]:
+    """The values as floats; NumericalError where a refused operator's solve left them NaN."""
+    if not all(map(math.isfinite, values)):
+        raise NumericalError(f"K_{{n,2}} lost positivity at n={n}, t={t}")
+    return tuple(map(float, values))
+
+
 def q_p_n(n: int, t: float) -> tuple[float, float]:
     """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve."""
-    _check_n(n)
-    q, p = _q_p(n, np.array([t]))[:, 0]
-    return float(q), float(p)
+    return _accepted(n, t, *_q_p(n, _checked(n, [t]))[:, 0])
 
 
 def _tail_integrals(n: int, t):
@@ -149,9 +166,7 @@ def _tail_integrals(n: int, t):
 
 def ab(n: int, t: float) -> tuple[float, float]:
     """Tail integrals a(t) = int_t^inf q_n, b(t) = int_t^inf p_n."""
-    _check_n(n)
-    a, b, _ = _tail_integrals(n, float(t))
-    return float(a), float(b)
+    return _accepted(n, t, *_tail_integrals(n, _checked(n, t))[:2])
 
 
 def c_constants(n: int) -> tuple[float, float]:
@@ -178,19 +193,18 @@ def c_constants(n: int) -> tuple[float, float]:
 LOG_F_ROUNDING = 1e-10
 
 # when log det(I - K) is this small the resolvent conditioning no longer
-# supports a trustworthy sign for the assembled bracket; a negative bracket
-# there is rounding noise on a vanishing probability, not a real failure
+# supports a trustworthy bracket; a negative bracket there is rounding
+# noise on a vanishing probability, not a real failure
 LOG_FLOOR = -30.0
 
 
 def _bracket_block(parity: int, n: int, op: DiscretizedKernel, *integrals) -> np.ndarray:
-    """(sign, log |F_{n,2}|, F^2 / F_{n,2}) of a block of operators, shape (3,) + block.
+    """(log F_{n,2}, F^2 / F_{n,2}) of a block of operators, shape (2,) + block.
 
-    The bracket's three-column solve reuses the LU the determinant reads.
+    The bracket's solve reuses the determinant's factor; a refused operator gives (-inf, NaN).
     """
-    sign, log_det = signed_log_det(op)
     ratio = (f1_sq_ratio, f4_sq_ratio)[parity](_epsilon_numeric(n, op, *integrals))
-    return np.array([sign, log_det, ratio])
+    return np.array([log_det(op), ratio])
 
 
 def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.ndarray:
@@ -207,44 +221,39 @@ def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.n
     so does a point that is not finite (ParameterError, naming the first).
     Returns an array of t's shape, flattened for a t of two or more axes.
     """
-    _check_n(n, parity)
+    t = _checked(n, t, parity)
     if method not in ("determinant", "exponential"):
         raise ParameterError(f"unknown method {method!r}")
     if parity is not None and method != "determinant":
         raise ParameterError(f"method {method!r} applies to the GUE only")
-    t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         t = t.ravel()
-    bad = np.flatnonzero(~np.isfinite(t))
-    if bad.size:
-        raise ParameterError(f"need finite points, got {t.flat[bad[0]]} at index {bad[0]}")
     if (parity == 1 and n == 1) or t.size == 0:  # F_{1,4} (no symplectic eigenvalues), or no t
         return np.zeros_like(t)
     if parity is None:
         if method == "determinant":
-            sign, log_f = _on_operators(n, t, signed_log_det)
+            log_f = _on_operators(n, t, log_det)
         else:
-            moment = _tail_integrals(n, t)[2]
-            sign, log_f = np.ones_like(moment), -2.0 * moment
+            log_f = -2.0 * _tail_integrals(n, t)[2]
         ratio = np.ones_like(log_f)
     else:
-        sign, log_f, ratio = _on_operators(n, t, partial(_bracket_block, parity, n), integrals=True)
-    points = zip(*(v.ravel().tolist() for v in (t, sign, log_f, ratio)))
+        log_f, ratio = _on_operators(n, t, partial(_bracket_block, parity, n), integrals=True)
+    points = zip(*(v.ravel().tolist() for v in (t, log_f, ratio)))
     return np.array([_policy(n, parity, *point) for point in points]).reshape(t.shape)
 
 
-def _policy(n: int, parity: int | None, t: float, sign: float, log_f: float, ratio: float) -> float:
-    """log F at one point from the sign and log of F_{n,2} and the bracket; -inf for F = 0.0.
+def _policy(n: int, parity: int | None, t: float, log_f: float, ratio: float) -> float:
+    """log F at one point from log F_{n,2} and the bracket; -inf for F = 0.0.
 
-    Lost positivity, or a log F_{n,2} above LOG_F_ROUNDING, gives 0.0.  For
-    the GOE/GSE a bracket that is not finite raises NumericalError; a
-    negative one gives 0.0 where log F_{n,2} is below LOG_FLOOR and raises
-    elsewhere; a combined log F above LOG_F_ROUNDING raises.  A log F that
-    passes is at most LOG_F_ROUNDING, which only rounding puts above 0.
+    Lost positivity (a log F_{n,2} of -inf, or NaN on the exponential path)
+    or a log F_{n,2} above LOG_F_ROUNDING gives 0.0.  For the GOE/GSE a
+    bracket that is not finite raises NumericalError; a negative one gives
+    0.0 where log F_{n,2} is below LOG_FLOOR and raises elsewhere; a combined
+    log F above LOG_F_ROUNDING raises, and only rounding puts one that passes above 0.
     """
-    if sign <= 0.0 or not math.isfinite(log_f) or log_f > LOG_F_ROUNDING:
-        # sign loss, or a log F above rounding, happens only where F_{n,2}
-        # is far beyond double-precision resolution
+    if not math.isfinite(log_f) or log_f > LOG_F_ROUNDING:
+        # lost positivity, or a log F above rounding, happens only where
+        # F_{n,2} is far beyond double-precision resolution
         return -math.inf
     if parity is not None:
         if not math.isfinite(ratio):
@@ -288,7 +297,7 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
     ``ensemble`` is "gue", "goe" or "gse" and n the kernel index, as in
     :func:`f_n2`, :func:`f_n1` and :func:`f_n4`; x is t, or u for the GSE.
     ``method`` applies to the GUE only.  A whole table is one call: one
-    recurrence pass, then blocks of operators that share their LU.
+    recurrence pass, then blocks of operators, each factored once.
     Returns an array of x's shape, or a float for a float x.
     """
     if ensemble not in PARITY:
@@ -369,7 +378,6 @@ def epsilon_closed(n: int, t: float) -> EpsilonQuantities:
     that the assembled brackets reproduce the paper's direct F_{n,1}/F_{n,4}
     formulas, which ``tests/test_finite_n.py::TestPaperBrackets`` holds.
     """
-    _check_n(n)
     return _epsilon_closed(n, *ab(n, t))
 
 
@@ -392,16 +400,7 @@ def _epsilon_closed(n: int, a: float, b: float) -> EpsilonQuantities:
         r1 = 1.0 + 2.0 * c_phi * r_s - cosh_g
         p4 = r_s
         r4 = cosh_g - 1.0
-    return EpsilonQuantities(
-        v_tilde_eps=v_tilde,
-        q_eps=q_eps,
-        p1=p1,
-        r1=r1,
-        p4=p4,
-        r4=r4,
-        c_phi=c_phi,
-        c_psi=c_psi,
-    )
+    return EpsilonQuantities(v_tilde, q_eps, p1, r1, p4, r4, c_phi, c_psi)
 
 
 def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
@@ -412,9 +411,8 @@ def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     of the Nystrom extensions of P_n and of the resolvent kernel over
     (-inf, t), taken term by term with the same recurrence.
     """
-    _check_n(n)
-    eps = _on_operators(n, t, partial(_epsilon_numeric, n), integrals=True)
-    return EpsilonQuantities(*map(float, astuple(eps)))
+    eps = _on_operators(n, _checked(n, t), partial(_epsilon_numeric, n), integrals=True)
+    return EpsilonQuantities(*_accepted(n, t, *astuple(eps)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

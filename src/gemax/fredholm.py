@@ -11,34 +11,39 @@ place, gives both the matrix (whose diagonal K(x_i, x_i) is written by
 index) and the row K(lower, x_j).
 
 A kernel K on (lower, upper) is discretized as the symmetric matrix
-A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Fredholm determinants are
-det(I - A), taken in log space from the LU factors that resolvent solves
-share; the Airy sum kernel of F_1 and F_4 is such an operator without
-parts.  A solve gives the node values f_j of (I - K)^{-1} f, and one rule,
-:func:`resolvent_at_lower`, reads every endpoint value of the library:
-f(lower) + sum_j w_j K(lower, x_j) f_j.
+A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Every kernel the library factors
+is positive: K_{n,2} on (t, inf) is a compressed projection (0 <= K <= I),
+K_Ai has its spectrum in [0, 1) and the sum kernel A_s of F_1/F_4 in
+(-1, 1).  So I - A (and I + A_s) is positive definite wherever the law is
+positive, and a resolved, well-conditioned Nystrom matrix keeps that
+(Bornemann, Math. Comp. 79, 2010).  Each operator is factored once by
+Cholesky, I - A = R^T R, and log det(I - A) = 2 sum_i log R_ii.  A refusal
+of the factorization is the one lost-positivity signal: the factor is NaN,
+the log-determinant -inf and the solves NaN, without a raise, so the
+accepted operators of a stack keep their values.  A solve gives the node
+values f_j of (I - K)^{-1} f, and one rule, :func:`resolvent_at_lower`,
+reads every endpoint value: f(lower) + sum_j w_j K(lower, x_j) f_j.
 
 Operators come in stacks: on a stack of grids (special.build_grid with
 arrays of ends) every array carries a leading stack axis, and one call
 assembles, factors or solves them all.  A single operator is the stack
 without that axis, by the same code.  :func:`map_blocks` walks a long stack
 BLOCK operators at a time, so the working set stays at a few hundred kB.
-The LU and its solves are one LAPACK getrf or getrs call per operator
-(:func:`_per_operator`), with no wrapper loop around them.
+The factorization and its solves are one LAPACK potrf or potrs call per
+operator (:func:`_per_operator`), with no wrapper loop around them.
 
-An operator below rounding is the identity.  The Hermite kernel on (t, T)
-(a compressed projection) and K_Ai are positive semidefinite, and so is A,
+An operator below rounding is the identity.  A is positive semidefinite,
 so ||A||_2 <= tr A = tau = sum_j w_j |K(x_j, x_j)|, read from the parts
 :func:`map_blocks` already holds.  Then (I - A)^{-1} b differs from b by at
 most tau/(1 - tau) ||b||, and log det(I - A) = -tau - O(tau^2); Bornemann's
 bound |det(I - A) - det(I - B)| <= ||A - B||_1 exp(1 + ||A||_1 + ||B||_1)
-(Math. Comp. 79, 2010) with B = 0 says the same of the determinant.  Where
-tau < TRACE_FLOOR = 2^-64, 2^-11 of an ulp, map_blocks builds no matrix and
-runs no LU: the operator's solves return their right-hand side, bit for
-bit what the LU gives, and its signed log-determinant is (1, -tau), where
-the LU's pivots round to 1 and read 0.0.  Such operators are picked by a
-mask, wherever they stand in a stack, and make one block of their own.
-The sum kernel A_s of F_1/F_4 has no parts and is always factored.
+with B = 0 says the same of the determinant.  Where tau < TRACE_FLOOR =
+2^-64, 2^-11 of an ulp, map_blocks builds no matrix and factors nothing:
+the operator's solves return their right-hand side, bit for bit what the
+factor gives, and its log-determinant is -tau, where the factor's diagonal
+rounds to 1 and reads 0.0.  Such operators are picked by a mask, wherever
+they stand in a stack, and make one block of their own.  The sum kernel
+A_s of F_1/F_4 has no parts and is always factored.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalError, ParameterError
 from .special import QuadratureGrid
@@ -116,20 +121,22 @@ class DiscretizedKernel:
 
     @cached_property
     def _lu(self):
-        """The LU factors and pivots of I - A, shared by the determinant and every solve.
+        """The Cholesky factor R of I - A = R^T R, shared by the determinant and every solve.
 
-        One getrf per operator, in place.  Any exactly symmetric I - A
-        qualifies (assemble scrubs its matrix; the Airy sum kernel is built
-        symmetric): the transpose of each C-ordered matrix is then the same
-        matrix in Fortran order, and LAPACK factors it without a copy.  The
-        factors are read back through the transposed view; only their
-        diagonal and getrs read them, so their layout moves no bit.
+        One potrf per operator, in place on the Fortran-ordered transposed view
+        of I - A; potrf reads one triangle.  A refused operator's factor is NaN.
         """
         a = np.eye(self.grid.count) - self.matrix
         if not np.isfinite(a).all():
             raise NumericalError(f"I - K is not finite on {_ends(self.grid)}")
-        piv = _per_operator(lambda one: dgetrf(one.T, overwrite_a=True)[1], a)
-        return np.swapaxes(a, -1, -2), piv
+        info = _per_operator(lambda one: dpotrf(one.T, clean=0, overwrite_a=True)[1], a)
+        a[info > 0, ...] = np.nan
+        return np.swapaxes(a, -1, -2)
+
+    @property
+    def refused(self):
+        """Where the factorization refused I - A (lost positivity); never for an identity."""
+        return np.isnan(self._lu[..., 0, 0]) if self.trace is None else np.zeros_like(self.trace, bool)
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -179,7 +186,7 @@ def _identity(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKe
     """The operator of a kernel whose trace on each grid is below TRACE_FLOOR: I - A read as I.
 
     No matrix is built (``matrix`` is a zero broadcast view: no memory, the
-    operator's shape) and no LU is run; its solves return their right-hand
+    operator's shape) and no factor is made; its solves return their right-hand
     side and its log-determinant is -trace.  The parts, the grid check and
     ``end_row`` are those of :func:`assemble`.
     """
@@ -228,37 +235,29 @@ def _per_operator(fn, *arrays) -> np.ndarray:
 
     ``arrays[0]`` is the (stack of) matrices; each of ``arrays`` carries the
     same leading stack axis, and fn makes one LAPACK call on one operator's
-    slices.  A single operator is one call.  np.stack keeps LAPACK's
-    Fortran order within each operator, as scipy's batched wrappers did;
-    the endpoint sums read that layout in their last bits.
+    slices.  A single operator is one call.  np.stack keeps LAPACK's Fortran
+    order within each operator; the endpoint sums read it in their last bits.
     """
     if arrays[0].ndim == 2:
         return fn(*arrays)
     return np.stack([fn(*one) for one in zip(*arrays)])
 
 
-def signed_log_det(op: DiscretizedKernel) -> np.ndarray:
-    """(sign, log |det|) of I - K for each operator, shape (2,) + the stack's shape.
+def log_det(op: DiscretizedKernel) -> np.ndarray:
+    """log det(I - K) = 2 sum_i log R_ii of each operator, from the Cholesky factor its solves share.
 
-    Read from the operator's LU factors, which its solves reuse; stays
-    finite where the determinant underflows.  The sign is that of the row
-    permutation times the signs of U's diagonal; the caller decides what a
-    negative sign or a log of -inf means.  An identity operator's is (1, -trace).
+    Finite where the determinant underflows, -inf where the factorization
+    refused I - A (lost positivity), -trace for an identity operator.
     """
     if op.trace is not None:
-        return np.array([np.ones_like(op.trace), -op.trace])
-    lu, piv = op._lu
-    diag = lu.diagonal(0, -2, -1)
-    flips = (piv != np.arange(op.grid.count)).sum(axis=-1) + (diag < 0.0).sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        logdet = np.log(np.abs(diag)).sum(axis=-1)
-    return np.array([1.0 - 2.0 * (flips % 2), logdet])
+        return -op.trace
+    return np.where(op.refused, -np.inf, 2.0 * np.log(op._lu.diagonal(0, -2, -1)).sum(axis=-1))
 
 
 def fredholm_log_det(op: DiscretizedKernel) -> float:
-    """log det(I - K) of one operator; NumericalError where it is not positive and finite."""
-    sign, logdet = signed_log_det(op)
-    if sign <= 0 or not np.isfinite(logdet):
+    """log det(I - K) of one operator; NumericalError where its factorization is refused."""
+    logdet = log_det(op)
+    if logdet == -np.inf:
         raise NumericalError(f"determinant lost positivity for the kernel on {_ends(op.grid)}")
     return float(logdet)
 
@@ -268,10 +267,10 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
 
     All columns share one factorization per operator.  With the symmetrized
     matrix A the solve is (I - A) y = sqrt(w) rhs, f_j = y_j / sqrt(w_j);
-    returns the node values f, one column per right-hand side.  A solution
-    that is not finite is a NumericalError; a zero pivot of the LU (I - K
-    singular) always leaves one.  An identity operator's y is sqrt(w) rhs,
-    in the layout getrs gives, so its f is the LU path's bit for bit.
+    returns the node values f, one column per right-hand side.  A refused
+    operator's columns are NaN; a solution of an accepted operator that is
+    not finite is a NumericalError.  An identity operator's y is sqrt(w) rhs,
+    in the layout potrs gives, so its f is the factor's bit for bit.
     """
     rhs_block = np.asarray(rhs_block, dtype=float)
     if rhs_block.ndim != op.grid.nodes.ndim + 1 or rhs_block.shape[:-1] != op.grid.nodes.shape:
@@ -279,10 +278,10 @@ def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.nda
     sw = op.grid.sqrt_weights[..., None]
     y = sw * rhs_block
     if op.trace is None:
-        y = _per_operator(lambda *one: dgetrs(*one)[0], *op._lu, y)
-    else:  # Fortran order within each operator, as getrs returns it
+        y = _per_operator(lambda *one: dpotrs(*one)[0], op._lu, y)
+    else:  # Fortran order within each operator, as potrs returns it
         y = np.swapaxes(np.swapaxes(y, -1, -2).copy(), -1, -2)
-    if not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(y).all(axis=(-2, -1)) | op.refused):
         raise NumericalError(f"resolvent solve failed on {_ends(op.grid)}")
     return y / sw
 

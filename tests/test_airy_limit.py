@@ -137,20 +137,21 @@ class TestLimitLaws:
     def test_one_matrix_per_value(self, law, operators, monkeypatch):
         # one grid and one Ai evaluation over the upper triangle of pairwise
         # sums; the bundle and its point values are never reached.  Each
-        # determinant is one getrf on an operator of the sum kernel's rule, the
-        # LU every other determinant reads, and numpy's slogdet is never reached
+        # determinant is one potrf on an operator of the sum kernel's rule, the
+        # Cholesky factor every other determinant reads, and numpy's slogdet is
+        # never reached
         def unused(*args):
             raise AssertionError("the limit law reached the Airy bundle or slogdet")
 
         grids, points, factored = [], [], []
         build_grid, airy_fn = airy_module.build_grid, airy_module.airy_fn
-        dgetrf = fredholm.dgetrf
+        dpotrf = fredholm.dpotrf
         monkeypatch.setattr(airy_module, "airy_bundle", unused)
         monkeypatch.setattr(airy_module, "_point_values", unused)
         monkeypatch.setattr(np.linalg, "slogdet", unused)
         monkeypatch.setattr(airy_module, "build_grid", lambda *a: grids.append(a) or build_grid(*a))
         monkeypatch.setattr(airy_module, "airy_fn", lambda x: points.append(np.size(x)) or airy_fn(x))
-        monkeypatch.setattr(fredholm, "dgetrf", lambda a, **kw: factored.append(a.shape) or dgetrf(a, **kw))
+        monkeypatch.setattr(fredholm, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
         value = law(-1.37)
         nodes = airy_module.SUM_NODES
         assert len(grids) == 1
@@ -198,6 +199,21 @@ class TestLimitLaws:
         monkeypatch.setattr(airy_module, "airy_fn", lambda x: tuple(2.0 * v for v in airy_fn(x)))
         with pytest.raises(NumericalError):
             law(-3.0)
+
+    def test_every_operator_is_accepted(self):
+        # at every s of the window's 0.5 grid (tools/snapshot.py's points) the
+        # Cholesky factorization accepts each K_Ai operator on the rule, at s
+        # and at the 48 nodes of the rule at s (the bundle's stack), and both
+        # I - A_s and I + A_s
+        points = np.arange(S_MIN, S_MAX + 0.25, 0.5)
+        lefts = np.concatenate([np.append(s, airy_module._rule(s).nodes) for s in points])
+        grid = airy_module._rule(lefts)
+        refused = fredholm.map_blocks(
+            lambda op: np.atleast_1d(op.refused), grid, airy_module._parts(grid), 1.0
+        )
+        assert refused.shape == lefts.shape and not refused.any()
+        for s in points:
+            assert all(np.isfinite(airy_module._log_dets(float(s), (1.0, -1.0))))
 
     @pytest.mark.parametrize("law", [f1_limit, f2_limit, f4_limit], ids=["F1", "F2", "F4"])
     def test_unit_interval_or_typed_error(self, law):
@@ -439,7 +455,8 @@ class TestPainleveLeftEdge:
 
     @pytest.mark.parametrize(
         "s, bound",
-        # measured gaps at 48 nodes on +16 3.9e-5, 7.5e-7, 1.9e-9; at 64 nodes on
+        # measured gaps at 48 nodes on +16 4.2e-5, 8.0e-7, 5.4e-10 (an LU read
+        # 3.9e-5, 7.5e-7, 1.9e-9); at 64 nodes on
         # +30 5.4e-5, 6.5e-7, 1.7e-8; at 96 nodes on +30 8.3e-5, 2.2e-6, 5.3e-8
         [(-10.0, 1e-4), (-9.0, 1.5e-6), (-8.0, 3e-8)],
     )
@@ -448,7 +465,8 @@ class TestPainleveLeftEdge:
 
     @pytest.mark.parametrize(
         "s, bound",
-        # measured gaps at 48 nodes on +16 1.7e-4, 3.0e-6, 5.3e-9; at 64 nodes on
+        # measured gaps at 48 nodes on +16 1.8e-4, 3.3e-6, 2.7e-10 (an LU read
+        # 1.7e-4, 3.0e-6, 5.3e-9); at 64 nodes on
         # +30 2.4e-4, 2.7e-6, 6.4e-8; at 96 nodes on +30 3.6e-4, 9.1e-6, 2.1e-7
         [(-10.0, 5e-4), (-9.0, 5e-6), (-8.0, 1.2e-7)],
     )

@@ -359,19 +359,25 @@ class TestParser:
             ["tabulate", "--ensemble", "gue", "--n", "401", "--t-min", "0", "--t-max", "1",
              "--steps", "0"],
             ["edgeworth", "--ensemble", "gue", "--n", "500", "--steps", "0"],
+            ["tabulate", "--n", "4", "--t-min=-1e308", "--t-max", "1e308", "--steps", "3"],
+            ["limit", "--s-min=-1e308", "--s-max", "1e308", "--steps", "3"],
         ],
         ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
              "convergence steps 0",
              "n-list letter", "n-list repeat", "edgeworth n=0", "criteria float",
              "criteria 11", "scale nan", "scale -1", "scale 0", "scale inf", "mc seed",
-             "tabulate n=0", "tabulate n=401", "edgeworth n=500"],
+             "tabulate n=0", "tabulate n=401", "edgeworth n=500", "tabulate width",
+             "limit width"],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         # each of these used to end in a traceback (ValueError, KeyError or
         # ZeroDivisionError), with n outside 1..400 and --steps 0 in an empty
         # table, or with a --tolerance-scale that is not finite and positive
-        # in "validation FAILED"; none may get as far as computing a value
-        code, out = run_cli(argv)
+        # in "validation FAILED"; a window whose width overflows printed numpy
+        # RuntimeWarnings first.  None may warn or get as far as computing a value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(argv)
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.startswith("error: ")

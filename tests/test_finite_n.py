@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from functools import partial
 
 import mpmath
@@ -13,6 +14,7 @@ from scipy import integrate
 from scipy.special import erfc
 
 from gemax import finite_n, fredholm, special
+from gemax.acceptance import MONO_TOL
 from gemax.airy import tau
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
@@ -111,15 +113,12 @@ class TestFn2:
         with pytest.raises(ParameterError):
             gse_largest_cdf(200, 10.0)  # kernel index 401
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="far left of the edge at large n the rule no longer resolves the zeros of phi_n, "
-        "and f_n2 reads noise: 0.88 at n = 200, t = edge - 18.1 and 2.9e-3 at n = 399, "
-        "t = edge - 14.1, where the truth is far below 1e-80",
-    )
     def test_far_left_tail_is_small(self):
         # [DERIVED] F_{n,2} is nondecreasing in t, and at t = edge - 4 the Gram
-        # determinant of perfbench/oracles.py reads below 1e-80 for each n here
+        # determinant of perfbench/oracles.py reads below 1e-80 for each n here.
+        # Far left the rule no longer resolves the zeros of phi_n and I - A
+        # loses positivity (an LU read 0.88 at n = 200, t = edge - 18.1); the
+        # Cholesky factorization refuses those operators, and F reads 0.0
         for n in (200, 399, 400):
             t = np.linspace(-8.0, math.sqrt(2.0 * n) - 14.0, 100)
             assert cdf_values("gue", n, t).max() < 1e-10, n
@@ -127,7 +126,7 @@ class TestFn2:
     def test_exponential_left_tail(self):
         # far left of the edge the moment quadrature of the exponential path
         # breaks down (log F read +9612 at n = 40, t = -2); the policy turns
-        # that into 0.0, as it does the determinant path's sign loss
+        # that into 0.0, as it does a refused determinant
         det = f_n2(40, -2.0, method="determinant")
         assert f_n2(40, -2.0, method="exponential") == pytest.approx(det, abs=1e-12)
 
@@ -333,17 +332,18 @@ EPS_INDICES = (2, 5, 40, 41, 399, 400)
 # reference, at t = edge - 2 and edge - 4, measured and rounded up to one
 # digit (1e-15 where they are at rounding level).  They are agreement gaps
 # between two algorithms on one shared operator, not accuracy bounds: at
-# edge - 4 they grow from 2.8e-12 (n = 2) to 1.1e-2 (n = 400) with the
+# edge - 4 they grow from 2.8e-12 (n = 2) to 5e-4 (n = 40) with the
 # reference's field gaps, while at n >= 40 both values there are off from the
-# de Bruijn Pfaffian by far more.  None marks the point where the determinant
-# loses positivity: GSE n = 399 at edge - 4 (the Pfaffian reads 9.9e-54)
+# de Bruijn Pfaffian by far more.  None marks the points where the determinant
+# loses positivity: GSE n = 399 at edge - 4 (the Pfaffian reads 9.9e-54) and
+# GOE n = 400 at edge - 4 (the Gram log F_{n,2} reads -294)
 CDF_GAPS = {
     2: (1e-15, 3e-12),
     5: (1e-15, 7e-11),
     40: (2e-12, 5e-4),
     41: (5e-14, 7e-5),
     399: (4e-8, None),
-    400: (3e-8, 2e-2),
+    400: (3e-8, None),
 }
 EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4")
 
@@ -390,7 +390,7 @@ class TestEpsilonBatched:
                 # lost positivity: log F_{n,2} raises and the policy's value is 0.0
                 with pytest.raises(NumericalError, match="lost positivity"):
                     log_f_n2(n, t)
-                assert f_n4(n, t / math.sqrt(2.0)) == 0.0
+                assert (f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))) == 0.0
                 continue
             want = math.sqrt(math.exp(log_f_n2(n, t)) * sq_ratio(_per_node_epsilon(n, t)))
             got = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
@@ -463,7 +463,7 @@ class TestWorkPerValue:
 
     @pytest.mark.parametrize("n", (40, 41))
     def test_assembly_builds_one_endpoint_state(self, n, monkeypatch):
-        # the operator gives log F_{n,2}, and its LU serves the epsilon
+        # the operator gives log F_{n,2}, and its factor serves the epsilon
         # quantities: one operator, one solve of the three columns
         # [psi, eps phi, K(., t)]
         assembled = self._built(monkeypatch)
@@ -476,17 +476,17 @@ class TestWorkPerValue:
 
     @staticmethod
     def _factored(monkeypatch):
-        # the shapes of the matrices fredholm factors, one LAPACK getrf per operator
+        # the shapes of the matrices fredholm factors, one LAPACK potrf per operator
         shapes = []
-        getrf = fredholm.dgetrf
+        potrf = fredholm.dpotrf
         monkeypatch.setattr(
-            fredholm, "dgetrf", lambda a, **kw: shapes.append(a.shape) or getrf(a, **kw)
+            fredholm, "dpotrf", lambda a, **kw: shapes.append(a.shape) or potrf(a, **kw)
         )
         return shapes
 
     @pytest.mark.parametrize("n", (40, 41))
     def test_one_factorization_per_value(self, n, monkeypatch):
-        # log det(I - K) is read from the LU factors that the three-column
+        # log det(I - K) is read from the Cholesky factor that the three-column
         # solve then reuses: I - K is factored once for a GOE/GSE value
         factored = self._factored(monkeypatch)
         t = math.sqrt(2.0 * n) + 0.3
@@ -599,7 +599,7 @@ class TestTables:
     @pytest.mark.parametrize("ensemble, n, method", TABLE_CASES)
     def test_table_is_the_loop_of_scalar_calls(self, ensemble, n, method):
         # within 1e-15 max(1, F^2 / F_{n,2}): the bracket amplifies the solve's
-        # rounding, and a stack runs its LU and solves operator by operator
+        # rounding, and a stack factors and solves operator by operator
         x = _table_points(ensemble, n)
         scalar = _scalar_values(ensemble, n, x, method)
         table = cdf_values(ensemble, n, x, method)
@@ -660,6 +660,16 @@ class TestTables:
             cdf_values(ensemble, n, x)
         with pytest.raises(ParameterError, match=f"got {bad} at index 0"):
             LAWS[ensemble](n, bad)
+
+    @pytest.mark.parametrize("reader", (q_p_n, ab, epsilon_numeric, epsilon_closed))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_readers_name_a_non_finite_point(self, reader, bad):
+        # the readers of solves share the tables' check: a NaN point failed as
+        # a grid "(nan, nan)" the caller never gave, an infinite one warned first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"got {bad} at index 0"):
+                reader(40, bad)
 
     def test_goe_table_memory(self):
         # a 200-point table at n = 400 walks its wave-function table in chunks
@@ -731,6 +741,29 @@ class TestCdfContract:
         except NumericalError:
             return
         assert 0.0 <= v <= 1.0, (n, t, v)
+
+    @pytest.mark.parametrize("n", (*range(1, 12), 40, 41, 100, 101, 200, 201, 399, 400))
+    def test_domain_sweep(self, n):
+        # one stack of 300 points on t in [-8, edge + 4] per law of kernel
+        # index n (u = t / sqrt 2 for the GSE): no raise, every value in
+        # [0, 1] and nondecreasing within MONO_TOL.  An LU read 0.47 too much
+        # on GUE stacks far left and raised "negative squared ratio" on GOE
+        # and GSE ones; the Cholesky factorization refuses those operators
+        t = np.linspace(-8.0, math.sqrt(2.0 * n) + 4.0, 300)
+        for ensemble in ("gue", ("goe", "gse")[n % 2]):
+            values = cdf_values(ensemble, n, t / math.sqrt(2.0) if ensemble == "gse" else t)
+            assert np.all((0.0 <= values) & (values <= 1.0)), ensemble
+            assert np.all(np.diff(values) > -MONO_TOL), ensemble
+
+    def test_refused_point_is_zero_or_raises(self):
+        # at n = 400, t = 16 (edge - 12.3) the factorization refuses K_{n,2}:
+        # the laws read 0.0, and the readers of its solves raise rather than
+        # hand out their NaN
+        n, t = 400, 16.0
+        for reader in (q_p_n, ab, epsilon_numeric):
+            with pytest.raises(NumericalError, match="lost positivity"):
+                reader(n, t)
+        assert f_n2(n, t) == f_n1(n, t) == f_n2(n, t, "exponential") == 0.0
 
     def test_overflow_helpers(self):
         with pytest.raises(NumericalError):
@@ -879,8 +912,8 @@ class TestLogFn2:
     @pytest.mark.parametrize("n, offset", [(40, 4.0), (41, 4.0), (100, 3.0)])
     def test_far_right_is_minus_the_trace(self, n, offset):
         # [DERIVED] past the edge -log F_{n,2} = tr K + tr K^2/2 + ..., and the
-        # operator's trace is below fredholm.TRACE_FLOOR: the LU's pivots round
-        # to 1 and read 0.0, the identity operator reads -tr A.  A 30-digit
+        # operator's trace is below fredholm.TRACE_FLOOR: the Cholesky factor's
+        # diagonal rounds to 1 and reads 0.0, the identity operator reads -tr A.  A 30-digit
         # mpmath quadrature of int_t^inf K_n(x, x), K_n(x, x) = sum_{k<n} phi_k^2
         # (scaled by its value at t, so the quadrature's tolerance is relative),
         # agrees to 1e-12, the rule's quadrature error (measured at most 7.7e-14);

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from gemax import airy as airy_laws
 from gemax import finite_n, fredholm
@@ -20,10 +20,10 @@ from gemax.fredholm import (
     TRACE_FLOOR,
     assemble,
     fredholm_log_det,
+    log_det,
     map_blocks,
     resolvent_at_lower,
     resolvent_solve_many,
-    signed_log_det,
 )
 from gemax.special import airy, build_grid, hermite_parts
 from helpers import (
@@ -161,9 +161,10 @@ class TestFredholmDet:
 
     @pytest.mark.parametrize("factor", [1.5, 2.5])
     def test_sign_from_the_factors(self, factor):
-        # the log det comes from the LU factors that solves share; for the
-        # rank-one kernel phi_0 x phi_0 on (-3, 9), det(I - c K) = 1 - c (1 - e)
-        # with e = erfc(3)/2 ~ 1e-5: negative for c = 1.5 and c = 2.5
+        # the log det comes from the Cholesky factor that solves share; for
+        # the rank-one kernel phi_0 x phi_0 on (-3, 9), det(I - c K) = 1 - c (1 - e)
+        # with e = erfc(3)/2 ~ 1e-5: negative for c = 1.5 and c = 2.5, where
+        # the factorization refuses I - c K
         op = hermite_operator(1, build_grid(-3.0, 9.0, 48))
         scaled = replace(op, matrix=factor * op.matrix)
         with pytest.raises(NumericalError):
@@ -253,25 +254,22 @@ class TestStack:
     @pytest.mark.parametrize("size", [1, 3])
     @pytest.mark.parametrize("kind", ["hermite", "airy"])
     def test_factors_log_det_and_solves(self, kind, size):
-        # the factors, the log det and the solves are those of scipy's
-        # lu_factor/lu_solve run operator by operator, bit for bit
+        # the factor, the log det and the solves are those of scipy's
+        # cho_factor/cho_solve run operator by operator, bit for bit
         op = assemble(*_pinned(kind, size))
-        lu, piv = op._lu
-        sign, log_det = signed_log_det(op)
+        factor = op._lu
+        logdet = log_det(op)
         x = op.grid.nodes
         rhs = np.stack([np.cos(x), x, np.ones_like(x)], axis=-1)
         sols = resolvent_solve_many(op, rhs)
         sw = op.grid.sqrt_weights[..., None]
         want = []
         for k in range(size):
-            ref_lu, ref_piv = lu_factor(np.eye(64) - op.matrix[k])
-            assert np.array_equal(lu[k], ref_lu)
-            assert np.array_equal(piv[k], ref_piv)
-            diag = ref_lu.diagonal()
-            flips = np.sum(ref_piv != np.arange(64)) + np.sum(diag < 0.0)
-            assert sign[k] == (-1.0) ** flips
-            assert log_det[k] == np.log(np.abs(diag)).sum()
-            want.append(lu_solve((ref_lu, ref_piv), sw[k] * rhs[k]))
+            ref = cho_factor(np.eye(64) - op.matrix[k])
+            # potrf writes one triangle; the other keeps what it held
+            assert np.array_equal(np.triu(factor[k]), np.triu(ref[0]))
+            assert logdet[k] == 2.0 * np.log(ref[0].diagonal()).sum()
+            want.append(cho_solve(ref, sw[k] * rhs[k]))
         # joined as scipy's batched wrapper joined them, in Fortran order
         # within each operator: the endpoint sums read the layout
         want = np.stack(want) / sw
@@ -322,7 +320,7 @@ RULE_STACKS = {
 
 
 class TestTraceFloor:
-    """An operator of trace below TRACE_FLOOR is the identity: no matrix, no LU, the same bits."""
+    """An operator of trace below TRACE_FLOOR is the identity: no matrix, no factor, the same bits."""
 
     @pytest.mark.parametrize("case", RULE_STACKS)
     def test_identities_are_the_lu_path_bit_for_bit(self, case, monkeypatch):
@@ -375,7 +373,7 @@ class TestTraceFloor:
 
 
 class TestFailures:
-    """A non-finite or singular I - K is a NumericalError, with no warning."""
+    """A non-finite I - K is a NumericalError and a singular one is refused, with no warning."""
 
     @staticmethod
     def _spoiled(size, index, value):
@@ -395,7 +393,7 @@ class TestFailures:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="not finite"):
-                signed_log_det(bad)
+                log_det(bad)
             with pytest.raises(NumericalError, match="not finite"):
                 resolvent_solve_many(bad, rhs)
             if size == 1:
@@ -404,21 +402,25 @@ class TestFailures:
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_zero_pivot(self, size):
-        # matrix = I makes I - K = 0: getrf meets a zero pivot, which is lost
-        # positivity for the determinant and a NumericalError for a solve
+        # matrix = I makes I - K = 0: potrf meets a zero pivot and refuses it.
+        # Its log det is -inf, its columns are NaN, fredholm_log_det raises
+        # lost positivity, and the other operators of a stack solve as they
+        # would alone
         bad, rhs = self._spoiled(size, Ellipsis, np.eye(64))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log_det = signed_log_det(bad)[1]
-            with pytest.raises(NumericalError, match="solve failed"):
-                resolvent_solve_many(bad, rhs)
+            logdet = log_det(bad)
+            sols = resolvent_solve_many(bad, rhs)
             if size == 1:
-                assert log_det == -np.inf
+                assert logdet == -np.inf and np.all(np.isnan(sols))
                 with pytest.raises(NumericalError, match="lost positivity"):
                     fredholm_log_det(bad)
             else:
-                assert log_det[1] == -np.inf
-                assert np.all(np.isfinite(log_det[[0, 2]]))
+                assert logdet[1] == -np.inf and np.all(np.isnan(sols[1]))
+                good = assemble(*_pinned("hermite", 3))
+                assert np.array_equal(logdet[[0, 2]], log_det(good)[[0, 2]])
+                assert np.array_equal(sols[[0, 2]], resolvent_solve_many(good, rhs)[[0, 2]])
+                assert np.array_equal(bad.refused, [False, True, False])
 
     @pytest.mark.parametrize(
         "lower, upper", [(0.0, 1e-5), (np.zeros(2), np.array([9.0, 1e-5])), (1e13, 1e13 + 1.0)]

@@ -10,10 +10,12 @@ names a value of the public API or a CLI argv, each float is stored as its
 and exit code, and each Monte Carlo run as the sha256 of its samples'
 bytes.  The second form prints every key whose entry differs, with both
 entries and the largest relative and absolute gaps of its differing floats
-(the numbers printed in a CLI stdout included), then one line counting
+(the numbers printed in a CLI stdout included), then two lines that count
 the differing keys per family (a CLI argv's subcommand, or the words of a
-key before its first name=value, such as ``f_n1`` or ``f_n2 exponential``),
-and exits 1 if any key differs.
+key before its first name=value, such as ``f_n1`` or ``f_n2 exponential``):
+the keys whose value moved within its kind, and the keys whose kind
+changed (a value, ``raises <class>``, a CLI exit code, or missing), each
+change of kind counted on its own.  It exits 1 if any key differs.
 A change that must keep every result bit for bit compares the records of
 its parent tree and of itself.
 """
@@ -201,6 +203,21 @@ def _family(key: str) -> str:
     return " ".join(takewhile(lambda word: "=" not in word, words))
 
 
+def _kind(entry) -> str:
+    """What an entry is: ``missing``, ``raises <class>``, ``exit <code>`` for an argv, else ``value``."""
+    if entry is None:
+        return "missing"
+    if isinstance(entry, dict):
+        return f"exit {entry['exit']}"
+    if isinstance(entry, str) and entry.startswith("raises "):
+        return entry
+    return "value"
+
+
+def _per_family(counts: Counter) -> str:
+    return ", ".join(f"{label} {count}" for label, count in counts.most_common()) or "none"
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     a = json.loads(path_a.read_text())
     b = json.loads(path_b.read_text())
@@ -213,8 +230,15 @@ def compare(path_a: Path, path_b: Path) -> int:
             gap = f" (relative gap {relative:.3g}, absolute gap {absolute:.3g})"
         print(f"{key}{gap}\n  A: {a.get(key, '<missing>')!r}\n  B: {b.get(key, '<missing>')!r}")
     print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ")
-    families = Counter(map(_family, differing)).most_common()
-    print("differing keys per family: " + (", ".join(f"{f} {c}" for f, c in families) or "none"))
+    kinds = {key: (_kind(a.get(key)), _kind(b.get(key))) for key in differing}
+    moved = Counter(_family(key) for key in differing if kinds[key][0] == kinds[key][1])
+    changed = Counter(
+        f"{_family(key)} ({kinds[key][0]} -> {kinds[key][1]})"
+        for key in differing
+        if kinds[key][0] != kinds[key][1]
+    )
+    print("keys whose value moved, per family: " + _per_family(moved))
+    print("keys whose kind changed, per family: " + _per_family(changed))
     return 1 if differing else 0
 
 
