@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 VALID_BETA = (1, 2, 4)
 _BATCH = 2048
@@ -46,6 +46,9 @@ _HALVINGS = 12
 _NEWTON_PASSES = 8
 #: half-width, in ulps, of the bracket Newton's last iterate proposes
 _ULPS = 64
+#: the tolerance of the KS table's chop: a Chebyshev series is cut where its
+#: coefficients level off near rounding relative to the largest
+_CHOP_TOL = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -194,42 +197,114 @@ def empirical_cdf(run: McRun, t: float) -> float:
     return bisect_right(run.samples, t) / run.count
 
 
-def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomial through (nodes, values) at x; nodes are Chebyshev points of the second kind.
+def _checked(values, points: np.ndarray) -> np.ndarray:
+    """The CDF's values at points as floats; NumericalError if any is not finite."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NumericalError(f"the CDF is not finite at x = {points[bad][0]!r}")
+    return values
 
-    The second (true) barycentric formula with the weights (-1)^j, halved at
-    the two ends (Berrut & Trefethen, SIAM Review 46, 2004), which no affine
-    map of the nodes changes.  x is taken _BATCH points at a time, so the
-    largest temporary is _BATCH x len(nodes).  A point on a node makes the
-    formula inf/inf, and such a point, or any other whose value is not
-    finite, takes the value of its nearest node.
+
+def _chop(coeffs: np.ndarray) -> int:
+    """How many leading Chebyshev coefficients to keep; len(coeffs) if none may go.
+
+    Aurentz & Trefethen's standardChop ("Chopping a Chebyshev series", ACM
+    TOMS 43, 2017) at tolerance _CHOP_TOL: a plateau must show in the
+    normalized monotone envelope of |coeffs| before the series is cut, and
+    the cut lies where that envelope, tilted towards the left end, is least.
+    Fewer than 17 coefficients are never cut.
     """
-    weights = np.ones_like(nodes)
-    weights[1::2] = -1.0
-    weights[[0, -1]] *= 0.5
-    out = np.empty_like(x)
-    for start in range(0, len(x), _BATCH):
-        points = x[start : start + _BATCH]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = points[:, None] - nodes
-            np.divide(weights, terms, out=terms)
-            chunk = terms @ values / terms.sum(axis=1)
-        bad = ~np.isfinite(chunk)
-        chunk[bad] = values[np.abs(points[bad, None] - nodes).argmin(axis=1)]
-        out[start : start + _BATCH] = chunk
-    return out
+    n = len(coeffs)
+    if n < 17:
+        return n
+    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if envelope[0] == 0.0:
+        return 1
+    envelope /= envelope[0]
+    for j in range(2, n + 1):  # 1-based, as in the paper
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return n
+        e1 = envelope[j - 1]
+        if e1 == 0.0 or envelope[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(_CHOP_TOL)):
+            plateau = j - 1
+            break
+    if envelope[plateau - 1] == 0.0:
+        return plateau
+    floor = _CHOP_TOL ** (7.0 / 6.0)
+    j3 = int(np.count_nonzero(envelope >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = floor
+    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(_CHOP_TOL) / 3.0, j2)
+    return max(int(np.argmin(tilted)), 1)
+
+
+def _chebyshev_series(cdf, mid: float, half: float, cap: int) -> np.ndarray:
+    """Chebyshev coefficients of cdf(mid + half u) on [-1, 1], chopped, from at most `cap` points.
+
+    The nodes are the cap's Chebyshev points of the second kind, mid - half
+    cos(pi j / (cap - 1)).  They nest when N - 1 doubles, so the grids are
+    every stride-th node, the stride halving from the largest power of 2
+    that divides cap - 1 and leaves at least 17 points (26, 51, 101, 201
+    for cap = 201).  The coarsest grid is one cdf call, and each finer grid
+    one call on its new nodes alone.  A grid's coefficients come from one
+    DCT-I of its values (one real FFT of their mirror image), and the first
+    grid whose series `_chop` cuts returns the cut series.  If none does,
+    the cap's full series returns: the interpolant through all cap nodes.
+    """
+    nodes = mid - half * np.cos(np.pi * np.arange(cap) / (cap - 1))
+    stride = 1
+    while (cap - 1) // stride % 2 == 0 and (cap - 1) // (2 * stride) >= 16:
+        stride *= 2
+    values = np.empty(cap)
+    values[::stride] = _checked(cdf(nodes[::stride]), nodes[::stride])
+    while True:
+        grid = values[::stride][::-1]  # at cos(pi j / M), j = 0 .. M
+        m = len(grid) - 1
+        coeffs = np.fft.rfft(np.concatenate([grid, grid[-2:0:-1]]))[: m + 1].real / m
+        coeffs[[0, -1]] *= 0.5
+        keep = _chop(coeffs)
+        if keep < len(coeffs) or stride == 1:
+            return coeffs[:keep]
+        stride //= 2
+        new = nodes[stride :: 2 * stride]
+        values[stride :: 2 * stride] = _checked(cdf(new), new)
+
+
+def _clenshaw(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Chebyshev series sum c_k T_k(u) at each u, by Clenshaw's recurrence.
+
+    b_k = c_k + 2u b_{k+1} - b_{k+2} runs in three buffers the size of u.
+    """
+    b1, b2, term = np.zeros_like(u), np.zeros_like(u), np.empty_like(u)
+    two_u = 2.0 * u
+    for c in coeffs[:0:-1]:
+        np.multiply(two_u, b1, out=term)
+        np.subtract(term, b2, out=b2)
+        b2 += c
+        b1, b2 = b2, b1
+    np.multiply(u, b1, out=term)
+    term -= b2
+    term += coeffs[0]
+    return term
 
 
 def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of the run against a CDF.
 
     Uses the order-statistic formula max_i max(i/N - F(x_i), F(x_i) - (i-1)/N).
-    With grid_points > 0 the CDF is called once, on an array of that many
-    Chebyshev points of the second kind spanning the sample range, and the
-    samples are evaluated by barycentric interpolation: for the analytic
-    CDFs here it converges geometrically, and at 201 points its error is far
-    below the KS resolution 1/sqrt(N).  With grid_points = 0 the CDF is
-    called once per sample, on a float.
+    With grid_points > 0 the CDF is called on arrays of Chebyshev points of
+    the second kind spanning the sample range, grid_points of them at most:
+    on nested grids that reuse every value (26, 51, 101, then 201 points for
+    grid_points = 201), until Aurentz & Trefethen's plateau test cuts the
+    Chebyshev series at rounding (`_chebyshev_series`).  For the analytic
+    CDFs here it stops at 101 or 51 points, with a degree of 33-46; a CDF it
+    cannot resolve takes all grid_points.  The samples are evaluated on that
+    series by Clenshaw's recurrence.  With grid_points = 0 the CDF is called
+    once per sample, on a float.  A CDF value that is not finite raises
+    NumericalError.
     """
     n = run.count
     if grid_points < 0 or grid_points == 1:
@@ -238,15 +313,16 @@ def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
         lo, hi = float(run.samples[0]), float(run.samples[-1])
         pad = 1e-9 * max(1.0, abs(lo), abs(hi))
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo) + pad
-        nodes = mid - half * np.cos(np.pi * np.arange(grid_points) / (grid_points - 1))
-        ys = np.asarray(cdf(nodes), dtype=float)
-        values = np.clip(_barycentric(nodes, ys, run.samples), 0.0, 1.0)
+        coeffs = _chebyshev_series(cdf, mid, half, grid_points)
+        values = np.clip(_clenshaw(coeffs, (run.samples - mid) / half), 0.0, 1.0)
     else:
-        values = np.array([cdf(float(x)) for x in run.samples])
+        values = _checked([cdf(float(x)) for x in run.samples], run.samples)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - values, values - (i - 1) / n)))
 
 
 def ks_critical_1pct(count: int) -> float:
     """1% critical value 1.63/sqrt(N) of the one-sample KS statistic."""
+    if count < 1:
+        raise ParameterError(f"need count >= 1, got {count}")
     return 1.63 / math.sqrt(count)

@@ -1,8 +1,9 @@
 """Reference routines that only the tests use: the two-line recurrence loop
 for the wave functions, the wave functions one order at a time, the masked
 integrable form, the pointwise Hermite and Airy kernels and their operators,
-the Nystrom extension, the dense GOE/GUE sampler and the two-sample KS
-statistic with its critical value."""
+the Nystrom extension, the dense GOE/GUE sampler, the two-sample KS
+statistic with its critical value, and the KS statistic on a full
+barycentric interpolant."""
 
 import math
 from functools import partial
@@ -161,6 +162,52 @@ def ks_two_sample(run_a: McRun, run_b: McRun) -> float:
 def ks_critical_1pct_two_sample(count_a: int, count_b: int) -> float:
     """1% critical value of the two-sample KS statistic: 1.63/sqrt of the harmonic N."""
     return 1.63 / math.sqrt(count_a * count_b / (count_a + count_b))
+
+
+def barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial through (nodes, values) at x; nodes are Chebyshev points of the second kind.
+
+    The second (true) barycentric formula with the weights (-1)^j, halved at
+    the two ends (Berrut & Trefethen, SIAM Review 46, 2004), which no affine
+    map of the nodes changes.  x is taken _BATCH points at a time, so the
+    largest temporary is _BATCH x len(nodes).  A point on a node makes the
+    formula inf/inf, and such a point, or any other whose value is not
+    finite, takes the value of its nearest node.
+    """
+    weights = np.ones_like(nodes)
+    weights[1::2] = -1.0
+    weights[[0, -1]] *= 0.5
+    out = np.empty_like(x)
+    for start in range(0, len(x), _BATCH):
+        points = x[start : start + _BATCH]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = points[:, None] - nodes
+            np.divide(weights, terms, out=terms)
+            chunk = terms @ values / terms.sum(axis=1)
+        bad = ~np.isfinite(chunk)
+        chunk[bad] = values[np.abs(points[bad, None] - nodes).argmin(axis=1)]
+        out[start : start + _BATCH] = chunk
+    return out
+
+
+def padded_chebyshev_grid(run: McRun, points: int) -> np.ndarray:
+    """The `points` Chebyshev points of the second kind on the run's padded sample range.
+
+    Computed as :func:`gemax.mc.ks_statistic` computes its largest grid, bit for bit.
+    """
+    lo, hi = float(run.samples[0]), float(run.samples[-1])
+    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo) + pad
+    return mid - half * np.cos(np.pi * np.arange(points) / (points - 1))
+
+
+def ks_statistic_barycentric(run: McRun, cdf, points: int = 201) -> float:
+    """Reference for `mc.ks_statistic(run, cdf, grid_points=points)`: the CDF at all
+    `points` nodes of the padded grid, the samples by the barycentric formula."""
+    nodes = padded_chebyshev_grid(run, points)
+    values = np.clip(barycentric(nodes, np.asarray(cdf(nodes), dtype=float), run.samples), 0.0, 1.0)
+    i = np.arange(1, run.count + 1)
+    return float(np.max(np.maximum(i / run.count - values, values - (i - 1) / run.count)))
 
 
 def bisection_top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:

@@ -264,6 +264,15 @@ class TestMc:
         assert out == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_non_finite_cdf_is_a_numerical_failure(self, monkeypatch, capsys):
+        # a NaN CDF value used to print "nan,...,false" and exit 0
+        monkeypatch.setattr(cli, "mc_cdf", lambda ensemble, n: lambda x: x * math.nan)
+        code, out = run_cli(["mc", "--ensemble", "gue", "--n", "2", "--samples", "200"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the CDF is not finite at x = ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("ensemble, n", [("gue", 400), ("goe", 400), ("gse", 199), ("gse", 1)])
     def test_domain_edges_accepted(self, ensemble, n):
         assert callable(mc_cdf(ensemble, n))

@@ -9,7 +9,8 @@ import pytest
 from scipy import stats
 
 from gemax import mc
-from gemax.errors import ParameterError
+from gemax.acceptance import mc_cdf
+from gemax.errors import NumericalError, ParameterError
 from gemax.mc import (
     _BATCH,
     _top_eigenvalue,
@@ -21,7 +22,9 @@ from gemax.mc import (
 from helpers import (
     bisection_top_eigenvalue,
     ks_critical_1pct_two_sample,
+    ks_statistic_barycentric,
     ks_two_sample,
+    padded_chebyshev_grid,
     sample_lambda_max_dense,
 )
 
@@ -118,8 +121,8 @@ class TestKsStatistic:
         assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_grid_interpolation_close(self):
-        # barycentric interpolation on 201 Chebyshev points of an analytic CDF
-        # (measured gap 0.0; monotone cubic interpolation needed 1e-4)
+        # the chopped Chebyshev series of an analytic CDF (measured gap
+        # 5.6e-17; monotone cubic interpolation needed 1e-4)
         run = sample_lambda_max(2, 1, 2_000, seed=7)
         cdf = lambda t: stats.norm.cdf(t, scale=math.sqrt(0.5))
         exact = ks_statistic(run, cdf)
@@ -127,42 +130,104 @@ class TestKsStatistic:
         assert gridded == pytest.approx(exact, abs=1e-12)
 
     @staticmethod
-    def _counting_cdf(calls):
+    def _counting_cdf(calls, law=lambda x: stats.norm.cdf(x, scale=math.sqrt(0.5))):
         def cdf(x):
             calls.append(np.array(x, copy=True))
-            return stats.norm.cdf(x, scale=math.sqrt(0.5))
+            return law(x)
 
         return cdf
 
-    def test_grid_is_one_cdf_call(self):
-        # the CDF is called once, on the whole grid, at Chebyshev points of the
-        # second kind spanning the padded sample range
+    def test_grid_is_nested(self):
+        # the CDF is called on nested Chebyshev grids of the padded sample
+        # range: each call on nodes of the 201-point grid that no earlier
+        # call took, at most one call per size 26, 51, 101, 201
         run = sample_lambda_max(2, 1, 2_000, seed=7)
         calls = []
         ks_statistic(run, self._counting_cdf(calls), grid_points=201)
-        assert [c.shape for c in calls] == [(201,)]
-        nodes = calls[0]
-        assert nodes[0] < run.samples[0] and run.samples[-1] < nodes[-1]
-        mid, half = 0.5 * (nodes[-1] + nodes[0]), 0.5 * (nodes[-1] - nodes[0])
-        cheb = -np.cos(np.pi * np.arange(201) / 200)
-        np.testing.assert_allclose((nodes - mid) / half, cheb, rtol=0, atol=1e-14)
+        grid = padded_chebyshev_grid(run, 201)
+        assert 1 <= len(calls) <= 4
+        assert calls[0].shape == (26,)
+        taken = np.concatenate(calls)
+        assert np.all(np.isin(taken, grid))
+        assert len(np.unique(taken)) == len(taken)
+        assert grid[0] < run.samples[0] and run.samples[-1] < grid[-1]
+
+    @pytest.mark.parametrize("cap, sizes", [(2, [2]), (3, [3]), (17, [17]), (33, [17, 16]), (64, [64])])
+    def test_small_caps(self, cap, sizes):
+        # N - 1 halves while it stays even and N stays at least 17; where no
+        # size's series is cut, the cap's full series is the interpolant
+        run = sample_lambda_max(2, 1, 2_000, seed=7)
+        calls = []
+        law = lambda x: stats.norm.cdf(x, scale=math.sqrt(0.5))
+        gridded = ks_statistic(run, self._counting_cdf(calls, law), grid_points=cap)
+        assert [len(c) for c in calls] == sizes
+        assert np.all(np.isin(np.concatenate(calls), padded_chebyshev_grid(run, cap)))
+        assert gridded == pytest.approx(ks_statistic_barycentric(run, law, cap), abs=1e-12)
+
+    def test_goe_stops_by_101_points(self):
+        # the analytic GOE n = 24 CDF reaches rounding by degree about 40:
+        # the plateau test stops at 101 points or fewer
+        run = sample_lambda_max(1, 24, 2_000, seed=7)
+        calls = []
+        ks_statistic(run, self._counting_cdf(calls, mc_cdf("goe", 24)), grid_points=201)
+        assert len(np.unique(np.concatenate(calls))) <= 101
+
+    def test_unresolved_cdf_takes_every_node(self):
+        # a clipped linear ramp has a kink inside the range, so its
+        # coefficients decay like k^-2 and never reach a plateau: the cap's
+        # full series, the 201-point interpolant, is used
+        run = sample_lambda_max(2, 1, 2_000, seed=7)
+        calls = []
+        ramp = lambda x: np.clip(0.5 + np.asarray(x), 0.0, 1.0)
+        gridded = ks_statistic(run, self._counting_cdf(calls, ramp), grid_points=201)
+        taken = np.concatenate(calls)
+        assert len(np.unique(taken)) == len(taken) == 201
+        assert gridded == pytest.approx(ks_statistic_barycentric(run, ramp), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "ensemble, beta, n",
+        [("gue", 2, 96), ("goe", 1, 24), ("gse", 4, 16), ("gauss", 2, 1)],
+    )
+    def test_matches_201_point_interpolant(self, ensemble, beta, n):
+        # the chopped series against the barycentric interpolant on all 201
+        # nodes (measured gap at most 5.3e-15 over seeds 31-40 of these cases)
+        run = sample_lambda_max(beta, n, 2_000, seed=31)
+        if ensemble == "gauss":
+            cdf = lambda t: stats.norm.cdf(t, scale=math.sqrt(0.5))
+        else:
+            cdf = mc_cdf(ensemble, n)
+        gridded = ks_statistic(run, cdf, grid_points=201)
+        assert gridded == pytest.approx(ks_statistic_barycentric(run, cdf), abs=1e-12)
 
     def test_sample_on_a_node(self):
-        # a sample exactly on a grid node takes the node's value: the
-        # barycentric formula's 0/0 there gives no NaN
+        # a sample exactly on a grid node gives a finite value: a Chebyshev
+        # series has no 0/0 there, as the barycentric formula has
         run = sample_lambda_max(2, 1, 2_000, seed=7)
         calls = []
         ks_statistic(run, self._counting_cdf(calls), grid_points=201)
-        node = calls[0][100]
+        node = np.concatenate(calls)[10]
         samples = run.samples.copy()
         samples[1000] = node  # the ends, and with them the grid, stay the same
         moved = replace(run, samples=np.sort(samples))
         calls.clear()
         cdf = self._counting_cdf(calls)
         gridded = ks_statistic(moved, cdf, grid_points=201)
-        assert calls[0][100] == node
+        assert node in np.concatenate(calls)
         assert math.isfinite(gridded)
         assert gridded == pytest.approx(ks_statistic(moved, cdf), abs=1e-12)
+
+    @pytest.mark.parametrize("grid_points", (0, 201))
+    def test_non_finite_cdf_raises(self, grid_points):
+        # one NaN used to spoil every interpolated value and return KS = nan
+        run = sample_lambda_max(2, 1, 500, seed=7)
+        bad = float(run.samples[250])
+
+        def cdf(x):
+            values = stats.norm.cdf(x, scale=math.sqrt(0.5))
+            return np.where(np.asarray(x) >= bad, np.nan, values)
+
+        with pytest.raises(NumericalError, match="not finite"):
+            ks_statistic(run, cdf, grid_points=grid_points)
 
     @pytest.mark.parametrize("grid_points", (-1, 1))
     def test_grid_needs_two_points(self, grid_points):
@@ -177,6 +242,12 @@ class TestKsStatistic:
         assert ks_critical_1pct_two_sample(100, 300) == pytest.approx(
             1.63 / math.sqrt(75.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("count", (0, -5))
+    def test_critical_value_needs_a_sample(self, count):
+        # count 0 raised ZeroDivisionError, a negative count ValueError
+        with pytest.raises(ParameterError):
+            ks_critical_1pct(count)
 
 
 class TestTopEigenvalue:
