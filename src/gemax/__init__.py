@@ -6,6 +6,7 @@ Tracy-Widom laws on the Airy kernel, Edgeworth-type finite-n corrections,
 and seeded Monte Carlo validation.
 """
 
+from .acceptance import epsilon_closed
 from .airy import (
     AiryBundle,
     EdgeworthResult,
@@ -27,7 +28,6 @@ from .finite_n import (
     ab,
     c_constants,
     cdf_values,
-    epsilon_closed,
     epsilon_numeric,
     f_n1,
     f_n2,

@@ -1,9 +1,12 @@
 """The validation suite: ten numbered criteria shared by the CLI and the tests.
 
-Each criterion returns a CriterionResult with a pass flag and a short
-detail string, and optionally per-clause numbers (measured value, bound,
-pass); `run_criteria` executes a selection in order.  Tolerances scale
-with `tolerance_scale` so the CLI can force failure paths.
+A criterion measures a few quantities, each a Clause with the bound it must
+stay under, and returns them in a CriterionResult, which passes when every
+clause does and whose detail line lists each clause's value and bound;
+`run_criteria` executes a selection in order.  The bounds a criterion names
+scale with `tolerance_scale` so the CLI can force failure paths.  The
+paper's closed-form epsilon quantities (:func:`epsilon_closed`), which only
+criterion 4 reads, live beside it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import airy, finite_n, mc
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .special import airy as airy_fn
 
 SQRT2 = math.sqrt(2.0)
@@ -37,11 +40,19 @@ class Clause:
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """A numbered criterion's clauses: it passes when every clause does."""
+
     index: int
     name: str
-    passed: bool
-    detail: str
-    clauses: tuple[Clause, ...] = ()
+    clauses: tuple[Clause, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.clauses)
+
+    @property
+    def detail(self) -> str:
+        return ", ".join(f"{c.name} {c.value:.3g} (bound {c.bound:.3g})" for c in self.clauses)
 
     def clause(self, name: str) -> Clause:
         return next(c for c in self.clauses if c.name == name)
@@ -60,8 +71,7 @@ def criterion_1(scale: float = 1.0) -> CriterionResult:
         abs(finite_n.gse_largest_cdf(1, float(t) / SQRT2) - _normal_cdf(float(t)))
         for t in ts
     )
-    worst = max(err2, err4)
-    return CriterionResult(1, "n=1 exactness", worst < tol, f"max err {worst:.2e} (tol {tol:.1e})")
+    return CriterionResult(1, "n=1 exactness", (Clause("max err", max(err2, err4), tol),))
 
 
 def criterion_2(scale: float = 1.0) -> CriterionResult:
@@ -74,7 +84,7 @@ def criterion_2(scale: float = 1.0) -> CriterionResult:
             d = finite_n.f_n2(n, float(t), "determinant")
             e = finite_n.f_n2(n, float(t), "exponential")
             worst = max(worst, abs(d - e))
-    return CriterionResult(2, "dual-path F_n2", worst < tol, f"max gap {worst:.2e} (tol {tol:.1e})")
+    return CriterionResult(2, "dual-path F_n2", (Clause("max gap", worst, tol),))
 
 
 def _brute_2d(beta: int, t: float) -> float:
@@ -95,7 +105,99 @@ def criterion_3(scale: float = 1.0) -> CriterionResult:
     for t in (-1.0, 0.0, 1.0):
         worst = max(worst, abs(finite_n.f_n2(2, t) - _brute_2d(2, t)))
         worst = max(worst, abs(finite_n.f_n1(2, t) - _brute_2d(1, t)))
-    return CriterionResult(3, "brute-force n=2", worst < tol, f"max err {worst:.2e} (tol {tol:.1e})")
+    return CriterionResult(3, "brute-force n=2", (Clause("max err", worst, tol),))
+
+
+def cosh_sqrt(z: float) -> float:
+    """cosh(sqrt(z)) as an entire function of z (cos(sqrt(-z)) for z < 0).
+
+    Raises NumericalError where cosh overflows (z above about 5e5).
+    """
+    if abs(z) < 1e-8:
+        return 1.0 + z / 2.0 + z * z / 24.0
+    if z >= 0.0:
+        try:
+            return math.cosh(math.sqrt(z))
+        except OverflowError:
+            raise NumericalError(f"cosh(sqrt({z:.6g})) overflows") from None
+    return math.cos(math.sqrt(-z))
+
+
+def coshm1_sqrt(z: float) -> float:
+    """(cosh(sqrt(z)) - 1)/z as an entire function of z."""
+    if abs(z) < 1e-8:
+        return 0.5 + z / 24.0 + z * z / 720.0
+    return (cosh_sqrt(z) - 1.0) / z
+
+
+def sinhc_sqrt(z: float) -> float:
+    """sinh(sqrt(z))/sqrt(z) as an entire function of z.
+
+    Raises NumericalError where sinh overflows, as :func:`cosh_sqrt` does.
+    """
+    if abs(z) < 1e-8:
+        return 1.0 + z / 6.0 + z * z / 120.0
+    if z >= 0.0:
+        g = math.sqrt(z)
+        try:
+            return math.sinh(g) / g
+        except OverflowError:
+            raise NumericalError(f"sinh(sqrt({z:.6g})) overflows") from None
+    g = math.sqrt(-z)
+    return math.sin(g) / g
+
+
+def _hyperbolic_block(a: float, b: float):
+    """cosh g, sqrt(a/2b) sinh g, sqrt(b/2a) sinh g with g = sqrt(2ab).
+
+    Everything is expressed through the entire functions cosh(sqrt(z)) and
+    sinh(sqrt(z))/sqrt(z) of z = 2ab, so negative or vanishing products
+    (g imaginary or zero) are handled without branching into complex
+    arithmetic:  sqrt(a/2b) sinh sqrt(2ab) = a * sinh(sqrt(z))/sqrt(z).
+    """
+    z = 2.0 * a * b
+    cosh_g = cosh_sqrt(z)
+    shc = sinhc_sqrt(z)
+    rho_s = a * shc  # sqrt(a/(2b)) sinh g
+    r_s = b * shc  # sqrt(b/(2a)) sinh g
+    return cosh_g, rho_s, r_s
+
+
+def epsilon_closed(n: int, t: float) -> finite_n.EpsilonQuantities:
+    """Closed-form epsilon quantities as hyperbolic functions of sqrt(2ab).
+
+    These are soft-edge asymptotics, not finite-n identities; no CDF is
+    computed from them.  The GSE set (c_psi terms) is the published one up
+    to the sign of the sinh term in P_{n,4}; the GOE set up to the sign of
+    the c_phi term in R_{n,1}.  Both corrections are forced by the
+    first-principles path (:func:`finite_n.epsilon_numeric`) and by the
+    requirement that the assembled brackets reproduce the paper's direct
+    F_{n,1}/F_{n,4} formulas, which ``tests/test_finite_n.py::TestPaperBrackets`` holds.
+    """
+    a, b = finite_n.ab(n, t)
+    return _epsilon_closed(n, a, b, *_hyperbolic_block(a, b))
+
+
+def _epsilon_closed(n: int, a: float, b: float, cosh_g: float, rho_s: float,
+                    r_s: float) -> finite_n.EpsilonQuantities:
+    """The closed-form epsilon quantities from a(t), b(t) and their :func:`_hyperbolic_block`."""
+    c_phi, c_psi = finite_n.c_constants(n)
+    half = 0.5 * (1.0 + cosh_g)
+    if n % 2 == 1:  # GSE parity: c_phi = 0
+        v_tilde = 1.0 - half
+        q_eps = -rho_s
+        p4 = -c_psi * half + r_s
+        r4 = -c_psi * rho_s + cosh_g - 1.0
+        p1 = -r_s  # c_phi = 0 collapses the GOE forms
+        r1 = 1.0 - cosh_g
+    else:  # GOE parity: c_psi = 0
+        v_tilde = 1.0 - half + c_phi * r_s
+        q_eps = -rho_s + c_phi * cosh_g
+        p1 = 2.0 * c_phi * b * b * coshm1_sqrt(2.0 * a * b) - r_s
+        r1 = 1.0 + 2.0 * c_phi * r_s - cosh_g
+        p4 = r_s
+        r4 = cosh_g - 1.0
+    return finite_n.EpsilonQuantities(v_tilde, q_eps, p1, r1, p4, r4, c_phi, c_psi)
 
 
 def criterion_4(scale: float = 1.0) -> CriterionResult:
@@ -113,25 +215,17 @@ def criterion_4(scale: float = 1.0) -> CriterionResult:
     for n, fields in ((4, ("v_tilde_eps", "q_eps", "p1", "r1")), (5, ("v_tilde_eps", "q_eps", "p4", "r4"))):
         edge = math.sqrt(2.0 * n)
         for t in np.linspace(edge - 1.0, edge + 1.0, 5):
-            closed = finite_n.epsilon_closed(n, float(t))
+            closed = epsilon_closed(n, float(t))
             numeric = finite_n.epsilon_numeric(n, float(t))
             for f in fields:
                 c, m = getattr(closed, f), getattr(numeric, f)
                 denom = max(abs(m), 1e-12)
                 worst = max(worst, abs(c - m) / denom)
     cancel = max(cpsi_residual(5, t) for t in (-1.0, 0.0, 1.0))
-    bound = CPSI_BOUND * scale
-    clauses = (
+    return CriterionResult(4, "epsilon cross-check", (
         Clause("epsilon agreement", worst, tol),
-        Clause("c_psi cancellation", cancel, bound),
-    )
-    return CriterionResult(
-        4,
-        "epsilon cross-check",
-        all(c.passed for c in clauses),
-        f"max rel gap {worst:.2e} (tol {tol:.1e}), c_psi rel residual {cancel:.2e} (tol {bound:.1e})",
-        clauses,
-    )
+        Clause("c_psi cancellation", cancel, CPSI_BOUND * scale),
+    ))
 
 
 #: bound on the relative c_psi residual: about 450 machine epsilons, against
@@ -152,8 +246,8 @@ def cpsi_residual(n: int, t: float) -> float:
     trigonometric branch, or rho_s underflowing) and the change does not.
     """
     a, b = finite_n.ab(n, t)
-    eps = finite_n._epsilon_closed(n, a, b)
-    cosh_g, rho_s, r_s = finite_n._hyperbolic_block(a, b)
+    block = cosh_g, rho_s, r_s = _hyperbolic_block(a, b)
+    eps = _epsilon_closed(n, a, b, *block)
     zeroed = replace(eps, p4=r_s, r4=cosh_g - 1.0, c_psi=0.0)
     residual = abs(finite_n.f4_sq_ratio(eps) - finite_n.f4_sq_ratio(zeroed))
     size = abs(eps.c_psi * rho_s * 0.5 * (1.0 + cosh_g))
@@ -179,33 +273,27 @@ def mc_cdf(ensemble: str, n: int):
 
     Checks n against that CDF's domain at once, so a caller can reject n
     before it samples: 1 <= n <= N_MAX for the GUE, the same with n even for
-    the GOE, and a kernel index 2n + 1 <= N_MAX for the GSE.  The CDF takes
-    a float or an array of points (:func:`finite_n.cdf_values`).
+    the GOE, and a kernel index 2n + 1 <= N_MAX for the GSE
+    (:func:`finite_n.gse_kernel_index`).  The CDF takes a float or an array
+    of points (:func:`finite_n.cdf_values`).
     """
     if ensemble == "gse":
-        top = (finite_n.N_MAX - 1) // 2
-        if not 1 <= n <= top:
-            raise ParameterError(
-                f"need 1 <= n <= {top} (kernel index 2n + 1 <= {finite_n.N_MAX}), got {n}"
-            )
-        return partial(finite_n.cdf_values, "gse", 2 * n + 1)
+        return partial(finite_n.cdf_values, "gse", finite_n.gse_kernel_index(n))
     if ensemble not in ("gue", "goe"):
         raise ParameterError(f"unknown ensemble {ensemble!r}")
-    finite_n._check_n(n, finite_n.PARITY[ensemble])
+    finite_n.check_n(n, finite_n.PARITY[ensemble])
     return partial(finite_n.cdf_values, ensemble, n)
 
 
 def criterion_5(scale: float = 1.0) -> CriterionResult:
     """KS distance of seeded sampler runs against the analytic CDFs."""
-    details = []
-    ok = True
     crit = mc.ks_critical_1pct(MC_COUNT) * scale
+    clauses = []
     for ensemble, beta, n, seed in MC_CASES:
         run = mc.sample_lambda_max(beta, n, MC_COUNT, seed)
         ks = mc.ks_statistic(run, mc_cdf(ensemble, n), grid_points=201)
-        ok = ok and ks < crit
-        details.append(f"{ensemble} n={n}: {ks:.4f}")
-    return CriterionResult(5, "Monte Carlo KS", ok, f"crit {crit:.4f}; " + ", ".join(details))
+        clauses.append(Clause(f"{ensemble} n={n} KS", ks, crit))
+    return CriterionResult(5, "Monte Carlo KS", tuple(clauses))
 
 
 def criterion_6(scale: float = 1.0) -> CriterionResult:
@@ -227,23 +315,14 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
         root = math.sqrt(math.exp(b.log_f2))
         f1_gap = max(f1_gap, abs(airy.f1_limit(s) - root * math.exp(-0.5 * b.mu)))
         f4_gap = max(f4_gap, abs(airy.f4_limit(s) - root * math.cosh(0.5 * b.mu)))
-    clauses = (
+    return CriterionResult(6, "Airy identities", (
         Clause("nu identity", nu_gap, 1e-8 * scale),
         Clause("Painleve II", pii, 1e-4 * scale),
         Clause("boundary", bdry, 1e-4 * scale),
         Clause("F2 dual path", dual, 1e-7 * scale),
         Clause("F1 dual path", f1_gap, 1e-12 * scale),
         Clause("F4 dual path", f4_gap, 1e-12 * scale),
-    )
-    return CriterionResult(
-        6,
-        "Airy identities",
-        all(c.passed for c in clauses),
-        "nu {:.1e}, PII {:.1e}, boundary {:.1e}, dual {:.1e}, F1 dual {:.1e}, F4 dual {:.1e}".format(
-            *(c.value for c in clauses)
-        ),
-        clauses,
-    )
+    ))
 
 
 def _gue_sup_error(n: int, c: float, s_grid) -> float:
@@ -263,17 +342,15 @@ def _fit_exponent(ns, errs) -> float:
 
 
 def criterion_7(scale: float = 1.0) -> CriterionResult:
-    """GUE convergence-rate exponents toward the Tracy-Widom limit."""
+    """GUE convergence-rate exponents toward the Tracy-Widom limit: -2/3 at c = 0, -1/3 at c = 1."""
     ns = (20, 40, 80, 160)
     s_grid = np.linspace(-3.0, 1.0, 9)
     rate0 = _fit_exponent(ns, [_gue_sup_error(n, 0.0, s_grid) for n in ns])
     rate1 = _fit_exponent(ns, [_gue_sup_error(n, 1.0, s_grid) for n in ns])
-    lo0, hi0 = -0.67 - 0.2 * scale, -0.67 + 0.2 * scale
-    lo1, hi1 = -0.33 - 0.15 * scale, -0.33 + 0.15 * scale
-    ok = lo0 <= rate0 <= hi0 and lo1 <= rate1 <= hi1
-    return CriterionResult(
-        7, "GUE convergence rates", ok, f"c=0 rate {rate0:.3f}, c=1 rate {rate1:.3f}"
-    )
+    return CriterionResult(7, "GUE convergence rates", (
+        Clause("|c=0 rate + 0.67|", abs(rate0 + 0.67), 0.2 * scale),
+        Clause("|c=1 rate + 0.33|", abs(rate1 + 0.33), 0.15 * scale),
+    ))
 
 
 def edgeworth_comparison(ensemble: str, n: int, c: float, s: float):
@@ -307,7 +384,6 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
     O(n^{-1/3}) contribution at c = 0 (see the ledger), so its combined form
     cannot beat the leading term.
     """
-    details = []
     clauses = []
     for ensemble, n in (("gue", 100), ("goe", 100), ("gse", 101)):
         ratios = []
@@ -315,8 +391,6 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
             truth, leading, combined = edgeworth_comparison(ensemble, n, 0.0, s)
             gap = abs(leading - truth)
             ratios.append(abs(combined - truth) / gap if gap > 0.0 else math.inf)
-            if not ratios[-1] < scale:
-                details.append(f"{ensemble} s={s:g} not improved")
         clauses.append(Clause(f"{ensemble} improvement", float(np.max(ratios)), scale))
     errs = []
     for n in (40, 160):
@@ -327,46 +401,43 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
         errs.append(worst)
     rate = _fit_exponent((40, 160), errs)
     clauses.append(Clause("GUE rate", abs(rate + 1.0), 0.4))
-    details.append(f"GUE 2nd-order rate {rate:.3f}")
-    ok = all(c.passed for c in clauses)
-    return CriterionResult(8, "Edgeworth improvement", ok, "; ".join(details), tuple(clauses))
+    return CriterionResult(8, "Edgeworth improvement", tuple(clauses))
 
 
 #: a CDF table starts below LEFT_TOL, ends above 1 - RIGHT_TOL and steps down
-#: by less than MONO_TOL, the slack for deep-tail noise: on criterion 9's grids
-#: (kernel index <= 7) a step drops by up to 8.4e-8, but far left of the edge
-#: at large n a value reads up to 0.88 where the truth is below 1e-80
-#: (tests/test_finite_n.py::TestFn2::test_far_left_tail_is_small)
+#: by less than MONO_TOL, the slack for rounding and deep-tail noise: the
+#: largest drop over criterion 9's 15 tables is 5.6e-16, since far left of the
+#: edge a refused operator reads 0.0, and tests/test_finite_n.py::TestCdfContract
+#: holds every finite-n law to MONO_TOL over its whole domain
 LEFT_TOL, RIGHT_TOL, MONO_TOL = 1e-3, 1e-6, 1e-6
 
 
-def _cdf_axioms(values) -> bool:
-    v = np.asarray(values)
-    return bool(np.all(np.diff(v) > -MONO_TOL)) and v[0] < LEFT_TOL and v[-1] > 1.0 - RIGHT_TOL
+def _cdf_axioms(values) -> tuple[float, float, float]:
+    """(largest drop between neighbours, first value, 1 - last value) of a CDF table."""
+    v = np.asarray(values, dtype=float)
+    return float(np.max(-np.diff(v))), float(v[0]), float(1.0 - v[-1])
 
 
 def criterion_9(scale: float = 1.0) -> CriterionResult:
-    """CDF axioms for every exposed distribution."""
-    failures = []
+    """CDF axioms for every exposed distribution, each clause the worst over 15 tables."""
+    tables = []
     # one array call per finite-n grid; the GSE grid is in u at kernel index 2n + 1
     for ensemble, ns, steps in (("gue", range(1, 7), 201), ("goe", (2, 4, 6), 101),
                                 ("gse", (1, 3, 5), 101)):
         for n in ns:
-            kernel = 2 * n + 1 if ensemble == "gse" else n
+            kernel = finite_n.gse_kernel_index(n) if ensemble == "gse" else n
             grid = np.linspace(-2.0 * math.sqrt(kernel) - 2.0, math.sqrt(2.0 * kernel) + 4.0, steps)
             x = grid / SQRT2 if ensemble == "gse" else grid
-            if not _cdf_axioms(finite_n.cdf_values(ensemble, kernel, x)):
-                failures.append(f"{ensemble} n={n}")
+            tables.append(_cdf_axioms(finite_n.cdf_values(ensemble, kernel, x)))
     s_grid = np.linspace(-8.0, 7.9, 101)
-    for name, fn in (
-        ("F2", airy.f2_limit),
-        ("F1", airy.f1_limit),
-        ("F4", airy.f4_limit),
-    ):
-        if not _cdf_axioms([fn(float(s)) for s in s_grid]):
-            failures.append(f"limit {name}")
-    ok = not failures
-    return CriterionResult(9, "CDF axioms", ok, "all pass" if ok else ", ".join(failures))
+    for fn in (airy.f2_limit, airy.f1_limit, airy.f4_limit):
+        tables.append(_cdf_axioms([fn(float(s)) for s in s_grid]))
+    drop, first, last = np.max(tables, axis=0)  # a NaN anywhere fails its clause
+    return CriterionResult(9, "CDF axioms", (
+        Clause("largest drop", drop, MONO_TOL),
+        Clause("first value", first, LEFT_TOL),
+        Clause("1 - last value", last, RIGHT_TOL),
+    ))
 
 
 def criterion_10(scale: float = 1.0) -> CriterionResult:
@@ -383,8 +454,8 @@ def criterion_10(scale: float = 1.0) -> CriterionResult:
         "tabulate", "--ensemble", "gue", "--n", "2",
         "--t-min", "-2", "--t-max", "2", "--steps", "9",
     ]
-    ok = run(mc_args) == run(mc_args) and run(tab_args) == run(tab_args)
-    return CriterionResult(10, "determinism", ok, "byte-identical" if ok else "outputs differ")
+    differing = sum(run(argv) != run(argv) for argv in (mc_args, tab_args))
+    return CriterionResult(10, "determinism", (Clause("differing outputs", differing, 1),))
 
 
 CRITERIA = {

@@ -88,7 +88,7 @@ def cmd_limit(args) -> tuple[str, int]:
 
 
 def cmd_edgeworth(args) -> tuple[str, int]:
-    finite_n._check_n(args.n, finite_n.PARITY[args.ensemble])
+    finite_n.check_n(args.n, finite_n.PARITY[args.ensemble])
     _check_s_window(args)
     rows = []
     for s in _linspace(args.s_min, args.s_max, args.steps):
@@ -119,7 +119,7 @@ def cmd_convergence(args) -> tuple[str, int]:
     if len(set(ns)) < len(ns):
         raise ParameterError(f"--n-list repeats an n, got {ns}")
     for n in ns:
-        finite_n._check_n(n, finite_n.PARITY[args.ensemble])
+        finite_n.check_n(n, finite_n.PARITY[args.ensemble])
     if args.steps < 1:
         raise ParameterError(f"need --steps >= 1, got {args.steps}")
     _check_s_window(args)

@@ -9,7 +9,8 @@ operator's own parts, and their tail integrals a(t) = int_t^inf q_n and
 b(t) = int_t^inf p_n.  The GOE/GSE laws have one method, first principles:
 their epsilon quantities come from the resolvent.  The paper's closed forms,
 hyperbolic functions of g = sqrt(2 a b), are soft-edge asymptotics kept as a
-cross-check (:func:`epsilon_closed`), not as a CDF method.  Every
+cross-check beside criterion 4 (:func:`gemax.acceptance.epsilon_closed`),
+not as a CDF method.  Every
 Hermite-function integral the first-principles path needs (eps phi, the
 integrals left of t, c_phi and c_psi) is exact, from the integral recurrence
 of :func:`gemax.special.hermite_integrals`; quadrature enters only through
@@ -64,12 +65,25 @@ N_MAX = 400
 PARITY = {"gue": None, "goe": 0, "gse": 1}
 
 
-def _check_n(n: int, parity: int | None = None) -> None:
+def check_n(n: int, parity: int | None = None) -> None:
     """The finite-n domain: 1 <= n <= N_MAX, and n % 2 == parity where one is given."""
     if not 1 <= n <= N_MAX:
         raise ParameterError(f"need 1 <= n <= {N_MAX}, got {n}")
     if parity is not None and n % 2 != parity:
         raise ParameterError(f"need {('even', 'odd')[parity]} n, got {n}")
+
+
+def gse_kernel_index(n_eigs: int) -> int:
+    """The kernel index 2 n_eigs + 1 of the symplectic ensemble with n_eigs eigenvalues.
+
+    ParameterError, naming n_eigs, unless that index is in the finite-n domain.
+    """
+    top = (N_MAX - 1) // 2
+    if not 1 <= n_eigs <= top:
+        raise ParameterError(
+            f"need 1 <= n <= {top} (kernel index 2n + 1 <= {N_MAX}), got {n_eigs}"
+        )
+    return 2 * n_eigs + 1
 
 
 def _upper_cutoff(n: int, t):
@@ -125,8 +139,8 @@ def _q_p(n: int, points: np.ndarray) -> np.ndarray:
 
 
 def _checked(n: int, t, parity: int | None = None) -> np.ndarray:
-    """t as a float array after :func:`_check_n`; ParameterError naming its first point not finite."""
-    _check_n(n, parity)
+    """t as a float array after :func:`check_n`; ParameterError naming its first point not finite."""
+    check_n(n, parity)
     t = np.asarray(t, dtype=float)
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
@@ -179,7 +193,7 @@ def c_constants(n: int) -> tuple[float, float]:
     The factorial ratio is the product of sqrt(j/(j+1)) over odd j < m, the
     integral recurrence of :func:`hermite_integrals` on the whole line.
     """
-    _check_n(n)
+    check_n(n)
     m = n - n % 2
     ratio = math.sqrt(math.prod(j / (j + 1.0) for j in range(1, m, 2)))
     c = 0.5 * phi_psi_scale(n) * math.sqrt(2.0) * math.pi ** 0.25 * ratio
@@ -312,97 +326,6 @@ def f_n2(n: int, t: float, method: str = "determinant") -> float:
     return _cdf(n, float(t), None, method)
 
 
-def cosh_sqrt(z: float) -> float:
-    """cosh(sqrt(z)) as an entire function of z (cos(sqrt(-z)) for z < 0).
-
-    Raises NumericalError where cosh overflows (z above about 5e5).
-    """
-    if abs(z) < 1e-8:
-        return 1.0 + z / 2.0 + z * z / 24.0
-    if z >= 0.0:
-        try:
-            return math.cosh(math.sqrt(z))
-        except OverflowError:
-            raise NumericalError(f"cosh(sqrt({z:.6g})) overflows") from None
-    return math.cos(math.sqrt(-z))
-
-
-def coshm1_sqrt(z: float) -> float:
-    """(cosh(sqrt(z)) - 1)/z as an entire function of z."""
-    if abs(z) < 1e-8:
-        return 0.5 + z / 24.0 + z * z / 720.0
-    return (cosh_sqrt(z) - 1.0) / z
-
-
-def sinhc_sqrt(z: float) -> float:
-    """sinh(sqrt(z))/sqrt(z) as an entire function of z.
-
-    Raises NumericalError where sinh overflows, as :func:`cosh_sqrt` does.
-    """
-    if abs(z) < 1e-8:
-        return 1.0 + z / 6.0 + z * z / 120.0
-    if z >= 0.0:
-        g = math.sqrt(z)
-        try:
-            return math.sinh(g) / g
-        except OverflowError:
-            raise NumericalError(f"sinh(sqrt({z:.6g})) overflows") from None
-    g = math.sqrt(-z)
-    return math.sin(g) / g
-
-
-def _hyperbolic_block(a: float, b: float):
-    """cosh g, sqrt(a/2b) sinh g, sqrt(b/2a) sinh g with g = sqrt(2ab).
-
-    Everything is expressed through the entire functions cosh(sqrt(z)) and
-    sinh(sqrt(z))/sqrt(z) of z = 2ab, so negative or vanishing products
-    (g imaginary or zero) are handled without branching into complex
-    arithmetic:  sqrt(a/2b) sinh sqrt(2ab) = a * sinh(sqrt(z))/sqrt(z).
-    """
-    z = 2.0 * a * b
-    cosh_g = cosh_sqrt(z)
-    shc = sinhc_sqrt(z)
-    rho_s = a * shc  # sqrt(a/(2b)) sinh g
-    r_s = b * shc  # sqrt(b/(2a)) sinh g
-    return cosh_g, rho_s, r_s
-
-
-def epsilon_closed(n: int, t: float) -> EpsilonQuantities:
-    """Closed-form epsilon quantities as hyperbolic functions of sqrt(2ab).
-
-    These are soft-edge asymptotics, not finite-n identities; no CDF is
-    computed from them.  The GSE set (c_psi terms) is the published one up
-    to the sign of the sinh term in P_{n,4}; the GOE set up to the sign of
-    the c_phi term in R_{n,1}.  Both corrections are forced by the
-    first-principles path (:func:`epsilon_numeric`) and by the requirement
-    that the assembled brackets reproduce the paper's direct F_{n,1}/F_{n,4}
-    formulas, which ``tests/test_finite_n.py::TestPaperBrackets`` holds.
-    """
-    return _epsilon_closed(n, *ab(n, t))
-
-
-def _epsilon_closed(n: int, a: float, b: float) -> EpsilonQuantities:
-    """The closed-form epsilon quantities from the tail integrals a(t), b(t)."""
-    c_phi, c_psi = c_constants(n)
-    cosh_g, rho_s, r_s = _hyperbolic_block(a, b)
-    half = 0.5 * (1.0 + cosh_g)
-    if n % 2 == 1:  # GSE parity: c_phi = 0
-        v_tilde = 1.0 - half
-        q_eps = -rho_s
-        p4 = -c_psi * half + r_s
-        r4 = -c_psi * rho_s + cosh_g - 1.0
-        p1 = -r_s  # c_phi = 0 collapses the GOE forms
-        r1 = 1.0 - cosh_g
-    else:  # GOE parity: c_psi = 0
-        v_tilde = 1.0 - half + c_phi * r_s
-        q_eps = -rho_s + c_phi * cosh_g
-        p1 = 2.0 * c_phi * b * b * coshm1_sqrt(2.0 * a * b) - r_s
-        r1 = 1.0 + 2.0 * c_phi * r_s - cosh_g
-        p4 = r_s
-        r4 = cosh_g - 1.0
-    return EpsilonQuantities(v_tilde, q_eps, p1, r1, p4, r4, c_phi, c_psi)
-
-
 def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     """First-principles epsilon quantities from the resolvent, no closed forms.
 
@@ -502,10 +425,8 @@ def f_n4(n: int, u: float) -> float:
 def gse_largest_cdf(n_eigs: int, u: float) -> float:
     """P(largest eigenvalue <= u) for the symplectic ensemble with n_eigs eigenvalues.
 
-    The kernel index of the representation is 2 n_eigs + 1: the symplectic
-    ensemble with N eigenvalues is governed by the odd Hermite kernel of
-    order 2N + 1.
+    The kernel index of the representation is 2 n_eigs + 1
+    (:func:`gse_kernel_index`): the symplectic ensemble with N eigenvalues is
+    governed by the odd Hermite kernel of order 2N + 1.
     """
-    if n_eigs < 1:
-        raise ParameterError(f"need n_eigs >= 1, got {n_eigs}")
-    return f_n4(2 * n_eigs + 1, u)
+    return f_n4(gse_kernel_index(n_eigs), u)

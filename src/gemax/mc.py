@@ -193,7 +193,9 @@ def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
 
 
 def empirical_cdf(run: McRun, t: float) -> float:
-    """Fraction of samples <= t (binary search on the sorted samples)."""
+    """Fraction of samples <= t (binary search on the sorted samples); ParameterError for NaN."""
+    if math.isnan(t):
+        raise ParameterError("need a point that is not NaN, got nan")
     return bisect_right(run.samples, t) / run.count
 
 

@@ -15,12 +15,15 @@ attainable portion asserted separately:
   leading term; the orthogonal and unitary clauses are asserted separately.
 """
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gemax import acceptance, airy, finite_n
+from gemax.acceptance import Clause
 from gemax.errors import ParameterError
 
 
@@ -56,19 +59,18 @@ class TestAcceptance:
         assert clause.value < clause.bound
         # negative control: closed forms that lose the c_psi term of p4 or of
         # r4 must leave an O(1) relative residual
-        closed = finite_n._epsilon_closed
+        closed = acceptance._epsilon_closed
 
         def dropping(field):
-            def broken(n, a, b):
-                eps = closed(n, a, b)
-                cosh_g, rho_s, _ = finite_n._hyperbolic_block(a, b)
+            def broken(n, a, b, cosh_g, rho_s, r_s):
+                eps = closed(n, a, b, cosh_g, rho_s, r_s)
                 term = {"p4": -eps.c_psi * 0.5 * (1.0 + cosh_g), "r4": -eps.c_psi * rho_s}[field]
                 return replace(eps, **{field: getattr(eps, field) - term})
 
             return broken
 
         for field in ("p4", "r4"):
-            monkeypatch.setattr(finite_n, "_epsilon_closed", dropping(field))
+            monkeypatch.setattr(acceptance, "_epsilon_closed", dropping(field))
             broken = max(acceptance.cpsi_residual(5, t) for t in (-1.0, 0.0, 1.0))
             assert broken > 1e6 * clause.bound
 
@@ -142,3 +144,53 @@ class TestAcceptance:
 def test_unknown_ensemble(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.fixture(scope="module")
+def results():
+    """All ten criteria, run once."""
+    return {r.index: r for r in acceptance.run_criteria()}
+
+
+class TestOutcome:
+    def test_pass_is_every_clause(self, results):
+        assert sorted(results) == list(range(1, 11))
+        for r in results.values():
+            assert r.clauses, r.index
+            assert r.passed == all(c.passed for c in r.clauses), r.index
+            assert r.detail.count("(bound ") == len(r.clauses), r.index
+
+    def test_only_criteria_4_and_8_fail(self, results):
+        assert [i for i, r in results.items() if not r.passed] == [4, 8]
+
+    def test_nan_clause_fails(self):
+        clause = Clause("x", math.nan, 1.0)
+        assert not clause.passed
+        assert not acceptance.CriterionResult(0, "nan", (Clause("y", 0.0, 1.0), clause)).passed
+
+    def test_criterion_9_values(self, results):
+        r = results[9]
+        bounds = {"largest drop": acceptance.MONO_TOL, "first value": acceptance.LEFT_TOL,
+                  "1 - last value": acceptance.RIGHT_TOL}
+        assert {c.name: c.bound for c in r.clauses} == bounds
+        for c in r.clauses:
+            assert c.value < c.bound, c.name
+
+    def test_criterion_9_nan_table_fails(self):
+        drop, first, last = acceptance._cdf_axioms([0.0, 0.5, math.nan, 1.0])
+        assert math.isnan(drop)
+        assert (first, last) == (0.0, 0.0)
+
+    def test_criterion_10_no_differing_output(self, results):
+        assert results[10].clause("differing outputs").value == 0
+
+
+@pytest.mark.parametrize("n_eigs", [200, 0])
+def test_gse_count_rule_is_one(n_eigs):
+    # gse_largest_cdf(200, u) named kernel index 401, which the caller never
+    # passed, and gse_largest_cdf(0, u) had a wording of its own
+    message = re.escape(f"need 1 <= n <= 199 (kernel index 2n + 1 <= 400), got {n_eigs}") + "$"
+    with pytest.raises(ParameterError, match=message):
+        finite_n.gse_largest_cdf(n_eigs, 0.5)
+    with pytest.raises(ParameterError, match=message):
+        acceptance.mc_cdf("gse", n_eigs)

@@ -14,7 +14,7 @@ from scipy import integrate
 from scipy.special import erfc
 
 from gemax import finite_n, fredholm, special
-from gemax.acceptance import MONO_TOL
+from gemax.acceptance import MONO_TOL, cosh_sqrt, coshm1_sqrt, epsilon_closed, sinhc_sqrt
 from gemax.airy import tau
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
@@ -27,9 +27,6 @@ from gemax.finite_n import (
     ab,
     c_constants,
     cdf_values,
-    cosh_sqrt,
-    coshm1_sqrt,
-    epsilon_closed,
     epsilon_numeric,
     f1_sq_ratio,
     f4_sq_ratio,
@@ -39,7 +36,6 @@ from gemax.finite_n import (
     gse_largest_cdf,
     log_f_n2,
     q_p_n,
-    sinhc_sqrt,
 )
 from gemax.fredholm import resolvent_solve_many
 from gemax.special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale

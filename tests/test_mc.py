@@ -110,6 +110,15 @@ class TestEmpiricalCdf:
         t = float(run.samples[49])
         assert empirical_cdf(run, t) == pytest.approx(0.5, abs=0.05)
 
+    def test_nan_point_raises(self):
+        # bisect_right put a NaN past every sample, so it read 1.0; the
+        # infinities are ordered and read 1.0 and 0.0
+        run = sample_lambda_max(2, 2, 100, seed=1)
+        with pytest.raises(ParameterError, match="nan"):
+            empirical_cdf(run, math.nan)
+        assert empirical_cdf(run, math.inf) == 1.0
+        assert empirical_cdf(run, -math.inf) == 0.0
+
 
 class TestKsStatistic:
     def test_scipy_agreement(self):

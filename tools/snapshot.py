@@ -73,7 +73,8 @@ ARGVS = (
     ("mc", "--ensemble", "goe", "--n", "8", "--samples", "2000", "--seed", "2"),
     ("mc", "--ensemble", "gse", "--n", "5", "--samples", "2000", "--seed", "3"),
     ("convergence", "--ensemble", "gue", "--n-list", "20,40,80", "--steps", "3"),
-    ("validate", "--criteria", "1,2,10"),
+    # every criterion's detail line; criteria 4 and 8 fail, so it exits 1
+    ("validate",),
     # a zero sup error: truth and expansion both round to 1.0
     ("convergence", "--reference", "edgeworth", "--s-min", "8", "--s-max", "8", "--steps", "1",
      "--n-list", "20,40,80"),
@@ -127,6 +128,11 @@ def _values(gemax) -> dict:
                 out,
                 f"epsilon_numeric {at}",
                 lambda: [getattr(finite_n.epsilon_numeric(n, t), f) for f in EPS_FIELDS],
+            )
+            _record(
+                out,
+                f"epsilon_closed {at}",
+                lambda: [getattr(gemax.epsilon_closed(n, t), f) for f in EPS_FIELDS],
             )
             if n % 2 == 0:
                 law, x = finite_n.f_n1, t
