@@ -3,10 +3,11 @@
 A criterion measures a few quantities, each a Clause with the bound it must
 stay under, and returns them in a CriterionResult, which passes when every
 clause does and whose detail line lists each clause's value and bound;
-`run_criteria` executes a selection in order.  The bounds a criterion names
-scale with `tolerance_scale` so the CLI can force failure paths.  The
-paper's closed-form epsilon quantities (:func:`epsilon_closed`), which only
-criterion 4 reads, live beside it.
+`run_criteria` executes a selection in order, each index once.  The bounds a
+criterion names scale with `tolerance_scale` so the CLI can force failure
+paths.  The closed-form epsilon quantities live beside criterion 4, and the
+Edgeworth study (:func:`edgeworth_study`, :func:`sup_errors`: one finite-n
+table per ensemble and n), which the CLI reads too, beside criteria 7 and 8.
 """
 
 from __future__ import annotations
@@ -58,33 +59,25 @@ class CriterionResult:
         return next(c for c in self.clauses if c.name == name)
 
 
-def _normal_cdf(t: float) -> float:
-    return 0.5 * (1.0 + math.erf(t))
-
-
 def criterion_1(scale: float = 1.0) -> CriterionResult:
-    """n=1 exactness: both one-eigenvalue laws reduce to the error function."""
-    tol = 1e-8 * scale
+    """n=1 exactness: F_{1,2}(t) and the one-eigenvalue GSE law at u = t/sqrt2 are erf laws."""
     ts = np.linspace(-3.0, 3.0, 51)
-    err2 = max(abs(finite_n.f_n2(1, float(t)) - _normal_cdf(float(t))) for t in ts)
-    err4 = max(
-        abs(finite_n.gse_largest_cdf(1, float(t) / SQRT2) - _normal_cdf(float(t)))
-        for t in ts
-    )
-    return CriterionResult(1, "n=1 exactness", (Clause("max err", max(err2, err4), tol),))
+    normal = 0.5 * (1.0 + np.array([math.erf(t) for t in ts.tolist()]))
+    tables = (finite_n.cdf_values("gue", 1, ts),
+              finite_n.cdf_values("gse", finite_n.gse_kernel_index(1), ts / SQRT2))
+    err = max(float(np.max(np.abs(v - normal))) for v in tables)
+    return CriterionResult(1, "n=1 exactness", (Clause("max err", err, 1e-8 * scale),))
 
 
 def criterion_2(scale: float = 1.0) -> CriterionResult:
-    """Determinant and exponential F_{n,2} paths agree."""
-    tol = 1e-6 * scale
+    """Determinant and exponential F_{n,2} paths agree, one table per path and n."""
     worst = 0.0
     for n in (2, 4, 9):
         edge = math.sqrt(2.0 * n)
-        for t in np.linspace(edge - 4.0, edge + 2.0, 21):
-            d = finite_n.f_n2(n, float(t), "determinant")
-            e = finite_n.f_n2(n, float(t), "exponential")
-            worst = max(worst, abs(d - e))
-    return CriterionResult(2, "dual-path F_n2", (Clause("max gap", worst, tol),))
+        ts = np.linspace(edge - 4.0, edge + 2.0, 21)
+        gap = finite_n.cdf_values("gue", n, ts) - finite_n.cdf_values("gue", n, ts, "exponential")
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return CriterionResult(2, "dual-path F_n2", (Clause("max gap", worst, 1e-6 * scale),))
 
 
 def _brute_2d(beta: int, t: float) -> float:
@@ -325,15 +318,6 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
     ))
 
 
-def _gue_sup_error(n: int, c: float, s_grid) -> float:
-    worst = 0.0
-    for s in s_grid:
-        t = airy.tau(n, c, float(s))
-        truth = finite_n.f_n2(n, t)
-        worst = max(worst, abs(truth - airy.f2_limit(float(s))))
-    return worst
-
-
 def _fit_exponent(ns, errs) -> float:
     logs_n = np.log(np.asarray(ns, dtype=float))
     logs_e = np.log(np.asarray(errs, dtype=float))
@@ -341,38 +325,63 @@ def _fit_exponent(ns, errs) -> float:
     return float(slope)
 
 
+#: each ensemble's expansion of F_{n,2}(tau), F_{n,1}(tau)^2 or F_{n,4}(tau/sqrt2)^2:
+#: (its name in airy, looked up per call so that a wrapped or patched expansion
+#: is the one called, the divisor of tau, the power of the finite-n law)
+EXPANSIONS = {"gue": ("edgeworth_f2", 1.0, 1), "goe": ("edgeworth_f1_sq", 1.0, 2),
+              "gse": ("edgeworth_f4_sq", SQRT2, 2)}
+
+
+def edgeworth_study(ensemble: str, n: int, c: float, s):
+    """The finite-n truths at tau(n, c, s) and the ensemble's EdgeworthResults there.
+
+    An s-grid gives an array of truths, one :func:`finite_n.cdf_values` table
+    (one recurrence pass), and a list of results; a float s gives (truth,
+    EdgeworthResult) by the float path.  Checks the ensemble and n first.
+    """
+    if ensemble not in EXPANSIONS:
+        raise ParameterError(f"unknown ensemble {ensemble!r}")
+    finite_n.check_n(n, finite_n.PARITY[ensemble])
+    name, divisor, power = EXPANSIONS[ensemble]
+    expansion = getattr(airy, name)
+    if np.ndim(s) == 0:
+        s = float(s)
+        tau, results = airy.tau(n, c, s), expansion(n, c, s)
+    else:
+        grid = [float(v) for v in s]
+        tau, results = np.array([airy.tau(n, c, v) for v in grid]), [expansion(n, c, v) for v in grid]
+    return finite_n.cdf_values(ensemble, n, tau / divisor) ** power, results
+
+
+def edgeworth_comparison(ensemble: str, n: int, c: float, s: float):
+    """(finite-n truth, leading, combined) for one expansion point: the float :func:`edgeworth_study`."""
+    truth, r = edgeworth_study(ensemble, n, c, float(s))
+    return truth, r.leading, r.combined
+
+
+def sup_errors(ensemble: str, ns, c: float, s_grid) -> np.ndarray:
+    """Per n of ns, the sup over s_grid of |truth - leading| and of |truth - combined|.
+
+    Shape (len(ns), 2), one :func:`edgeworth_study` per n: column 0 is the
+    error of the limit law (the leading term), column 1 that of the expansion.
+    """
+    rows = []
+    for n in ns:
+        truth, results = edgeworth_study(ensemble, n, c, s_grid)
+        refs = np.array([(r.leading, r.combined) for r in results]).reshape(-1, 2)
+        rows.append(np.max(np.abs(truth[:, None] - refs), axis=0, initial=0.0))
+    return np.array(rows).reshape(-1, 2)
+
+
 def criterion_7(scale: float = 1.0) -> CriterionResult:
     """GUE convergence-rate exponents toward the Tracy-Widom limit: -2/3 at c = 0, -1/3 at c = 1."""
     ns = (20, 40, 80, 160)
     s_grid = np.linspace(-3.0, 1.0, 9)
-    rate0 = _fit_exponent(ns, [_gue_sup_error(n, 0.0, s_grid) for n in ns])
-    rate1 = _fit_exponent(ns, [_gue_sup_error(n, 1.0, s_grid) for n in ns])
+    rate0, rate1 = (_fit_exponent(ns, sup_errors("gue", ns, c, s_grid)[:, 0]) for c in (0.0, 1.0))
     return CriterionResult(7, "GUE convergence rates", (
         Clause("|c=0 rate + 0.67|", abs(rate0 + 0.67), 0.2 * scale),
         Clause("|c=1 rate + 0.33|", abs(rate1 + 0.33), 0.15 * scale),
     ))
-
-
-def edgeworth_comparison(ensemble: str, n: int, c: float, s: float):
-    """(finite-n truth, leading, combined) for one expansion point."""
-    truth, r = _edgeworth_point(ensemble, n, c, s)
-    return truth, r.leading, r.combined
-
-
-def _edgeworth_point(ensemble: str, n: int, c: float, s: float):
-    """(finite-n truth, the ensemble's EdgeworthResult) for one expansion point."""
-    if ensemble == "gue":
-        truth = finite_n.f_n2(n, airy.tau(n, c, s))
-        r = airy.edgeworth_f2(n, c, s)
-    elif ensemble == "goe":
-        truth = finite_n.f_n1(n, airy.tau(n, c, s)) ** 2
-        r = airy.edgeworth_f1_sq(n, c, s)
-    elif ensemble == "gse":
-        truth = finite_n.f_n4(n, airy.tau(n, c, s) / SQRT2) ** 2
-        r = airy.edgeworth_f4_sq(n, c, s)
-    else:
-        raise ParameterError(f"unknown ensemble {ensemble!r}")
-    return truth, r
 
 
 def criterion_8(scale: float = 1.0) -> CriterionResult:
@@ -384,22 +393,14 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
     O(n^{-1/3}) contribution at c = 0 (see the ledger), so its combined form
     cannot beat the leading term.
     """
+    s_grid = (-2.0, -1.0, 0.0)
     clauses = []
     for ensemble, n in (("gue", 100), ("goe", 100), ("gse", 101)):
-        ratios = []
-        for s in (-2.0, -1.0, 0.0):
-            truth, leading, combined = edgeworth_comparison(ensemble, n, 0.0, s)
-            gap = abs(leading - truth)
-            ratios.append(abs(combined - truth) / gap if gap > 0.0 else math.inf)
+        truth, results = edgeworth_study(ensemble, n, 0.0, s_grid)
+        ratios = [abs(r.combined - t) / abs(r.leading - t) if r.leading != t else math.inf
+                  for t, r in zip(truth.tolist(), results)]
         clauses.append(Clause(f"{ensemble} improvement", float(np.max(ratios)), scale))
-    errs = []
-    for n in (40, 160):
-        worst = 0.0
-        for s in (-2.0, -1.0, 0.0):
-            truth, _, combined = edgeworth_comparison("gue", n, 0.0, s)
-            worst = max(worst, abs(combined - truth))
-        errs.append(worst)
-    rate = _fit_exponent((40, 160), errs)
+    rate = _fit_exponent((40, 160), sup_errors("gue", (40, 160), 0.0, s_grid)[:, 1])
     clauses.append(Clause("GUE rate", abs(rate + 1.0), 0.4))
     return CriterionResult(8, "Edgeworth improvement", tuple(clauses))
 
@@ -478,4 +479,7 @@ def run_criteria(indices=None, tolerance_scale: float = 1.0):
     unknown = set(chosen) - set(CRITERIA)
     if unknown:
         raise ParameterError(f"unknown criteria {sorted(unknown)}, choose from 1-{len(CRITERIA)}")
+    repeated = sorted({i for i in chosen if chosen.count(i) > 1})
+    if repeated:
+        raise ParameterError(f"criteria {repeated} repeated, each runs once")
     return [CRITERIA[i](tolerance_scale) for i in chosen]

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, airy, finite_n, mc
-from .acceptance import _edgeworth_point, edgeworth_comparison, mc_cdf, run_criteria
+from .acceptance import edgeworth_study, mc_cdf, run_criteria, sup_errors
 from .errors import NumericalError, ParameterError
 
 SQRT2 = math.sqrt(2.0)
@@ -88,18 +88,12 @@ def cmd_limit(args) -> tuple[str, int]:
 
 
 def cmd_edgeworth(args) -> tuple[str, int]:
-    finite_n.check_n(args.n, finite_n.PARITY[args.ensemble])
     _check_s_window(args)
-    rows = []
-    for s in _linspace(args.s_min, args.s_max, args.steps):
-        s = float(s)
-        truth, r = _edgeworth_point(args.ensemble, args.n, args.c, s)
-        rows.append(
-            (s, truth, r.leading, r.order_one_third, r.order_two_thirds,
-             r.combined, r.combined - truth)
-        )
-    header = ("s", "finite_n", "leading", "first_order", "second_order",
-              "combined", "error")
+    grid = _linspace(args.s_min, args.s_max, args.steps)
+    truths, results = edgeworth_study(args.ensemble, args.n, args.c, grid)
+    rows = [(float(s), t, r.leading, r.order_one_third, r.order_two_thirds, r.combined,
+             r.combined - t) for s, t, r in zip(grid, truths.tolist(), results)]
+    header = ("s", "finite_n", "leading", "first_order", "second_order", "combined", "error")
     return _table(args, header, rows)
 
 
@@ -125,20 +119,14 @@ def cmd_convergence(args) -> tuple[str, int]:
     _check_s_window(args)
     args.n_list = ns  # the JSON config echoes the parsed list
     s_grid = _linspace(args.s_min, args.s_max, args.steps)
-    sup_errors = []
-    for n in ns:
-        worst = 0.0
-        for s in s_grid:
-            truth, leading, combined = edgeworth_comparison(args.ensemble, n, args.c, float(s))
-            ref = combined if args.reference == "edgeworth" else leading
-            worst = max(worst, abs(truth - ref))
-        sup_errors.append(worst)
+    column = 1 if args.reference == "edgeworth" else 0
+    errs = sup_errors(args.ensemble, ns, args.c, s_grid)[:, column].tolist()
     rows = []
-    for i, (n, err) in enumerate(zip(ns, sup_errors)):
-        if i == 0 or err == 0.0 or sup_errors[i - 1] == 0.0:
+    for i, (n, err) in enumerate(zip(ns, errs)):
+        if i == 0 or err == 0.0 or errs[i - 1] == 0.0:
             rate = float("nan")  # no rate from a zero error
         else:
-            rate = math.log(err / sup_errors[i - 1]) / math.log(n / ns[i - 1])
+            rate = math.log(err / errs[i - 1]) / math.log(n / ns[i - 1])
         rows.append((n, err, rate))
     return _table(args, ("n", "sup_error", "rate_estimate"), rows)
 

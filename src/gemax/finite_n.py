@@ -43,7 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integers
 from .fredholm import DiscretizedKernel, map_blocks, resolvent_at_lower
 from .fredholm import log_det, resolvent_solve_many
 from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
@@ -66,7 +66,8 @@ PARITY = {"gue": None, "goe": 0, "gse": 1}
 
 
 def check_n(n: int, parity: int | None = None) -> None:
-    """The finite-n domain: 1 <= n <= N_MAX, and n % 2 == parity where one is given."""
+    """The finite-n domain: an integer 1 <= n <= N_MAX, and n % 2 == parity where one is given."""
+    check_integers(n=n)
     if not 1 <= n <= N_MAX:
         raise ParameterError(f"need 1 <= n <= {N_MAX}, got {n}")
     if parity is not None and n % 2 != parity:
@@ -76,8 +77,9 @@ def check_n(n: int, parity: int | None = None) -> None:
 def gse_kernel_index(n_eigs: int) -> int:
     """The kernel index 2 n_eigs + 1 of the symplectic ensemble with n_eigs eigenvalues.
 
-    ParameterError, naming n_eigs, unless that index is in the finite-n domain.
+    ParameterError, naming n_eigs, unless it is an integer and that index is in the finite-n domain.
     """
+    check_integers(n=n_eigs)
     top = (N_MAX - 1) // 2
     if not 1 <= n_eigs <= top:
         raise ParameterError(
@@ -284,15 +286,6 @@ def _policy(n: int, parity: int | None, t: float, log_f: float, ratio: float) ->
     return log_f
 
 
-def _cdf(n: int, t, parity: int | None, method: str = "determinant"):
-    """min(exp(log F), 1) at every point of t, by :func:`_log_cdf`: the clamp absorbs rounding only.
-
-    Returns an array of t's shape, or a float for a float t.
-    """
-    values = [min(math.exp(v), 1.0) for v in _log_cdf(n, t, parity, method).ravel().tolist()]
-    return values[0] if np.ndim(t) == 0 else np.array(values).reshape(np.shape(t))
-
-
 def log_f_n2(n: int, t: float) -> float:
     """log F_{n,2}(t) by the determinant; safe where the probability underflows.
 
@@ -311,19 +304,23 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
     ``ensemble`` is "gue", "goe" or "gse" and n the kernel index, as in
     :func:`f_n2`, :func:`f_n1` and :func:`f_n4`; x is t, or u for the GSE.
     ``method`` applies to the GUE only.  A whole table is one call: one
-    recurrence pass, then blocks of operators, each factored once.
-    Returns an array of x's shape, or a float for a float x.
+    recurrence pass, then blocks of operators, each factored once.  Each
+    value is min(exp(log F), 1) from :func:`_log_cdf`: the clamp absorbs
+    rounding only.  Returns an array of x's shape, or a float for a float x,
+    the stack without its axis (:func:`f_n2`, :func:`f_n1`, :func:`f_n4`).
     """
     if ensemble not in PARITY:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
     parity = PARITY[ensemble]
     x = np.asarray(x, dtype=float)
-    return _cdf(n, x * math.sqrt(2.0) if parity == 1 else x, parity, method)
+    log_f = _log_cdf(n, x * math.sqrt(2.0) if parity == 1 else x, parity, method)
+    values = [min(math.exp(v), 1.0) for v in log_f.ravel().tolist()]
+    return values[0] if x.ndim == 0 else np.array(values).reshape(x.shape)
 
 
 def f_n2(n: int, t: float, method: str = "determinant") -> float:
     """GUE distribution F_{n,2}(t) = det(I - K_{n,2}) = exp(-2 int (x-t) q_n p_n)."""
-    return _cdf(n, float(t), None, method)
+    return cdf_values("gue", n, float(t), method)
 
 
 def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
@@ -406,7 +403,7 @@ def f_n1(n: int, t: float) -> float:
     Its square is F_{n,2} times the determinant representation evaluated
     with first-principles epsilon quantities, exact up to quadrature error.
     """
-    return _cdf(n, float(t), 0)
+    return cdf_values("goe", n, float(t))
 
 
 def f_n4(n: int, u: float) -> float:
@@ -419,7 +416,7 @@ def f_n4(n: int, u: float) -> float:
     and builds no operator.  See :func:`gse_largest_cdf` for the matrix-size
     parametrization.  Like :func:`f_n1` it is exact up to quadrature error.
     """
-    return _cdf(n, float(u) * math.sqrt(2.0), 1)
+    return cdf_values("gse", n, float(u))
 
 
 def gse_largest_cdf(n_eigs: int, u: float) -> float:

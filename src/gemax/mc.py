@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integers
 
 VALID_BETA = (1, 2, 4)
 _BATCH = 2048
@@ -173,6 +173,7 @@ def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
     """Draw `count` largest eigenvalues of the n-eigenvalue beta ensemble."""
     if beta not in VALID_BETA:
         raise ParameterError(f"beta must be one of {VALID_BETA}, got {beta}")
+    check_integers(n=n, count=count, seed=seed)
     if n < 1 or count < 1:
         raise ParameterError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
     if not 0 <= seed < 2**128:

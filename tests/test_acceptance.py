@@ -15,6 +15,7 @@ attainable portion asserted separately:
   leading term; the orthogonal and unitary clauses are asserted separately.
 """
 
+import io
 import math
 import re
 from dataclasses import replace
@@ -22,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gemax import acceptance, airy, finite_n
+from gemax import acceptance, airy, cli, finite_n
 from gemax.acceptance import Clause
 from gemax.errors import ParameterError
 
@@ -138,12 +139,99 @@ class TestAcceptance:
     [
         lambda: acceptance.mc_cdf("goa", 4),
         lambda: acceptance.edgeworth_comparison("goa", 4, 0.0, -1.0),
+        lambda: acceptance.edgeworth_study("goa", 4, 0.0, [-1.0, 0.0]),
+        lambda: acceptance.sup_errors("goa", (4, 8), 0.0, [-1.0, 0.0]),
     ],
-    ids=["mc_cdf", "edgeworth_comparison"],
+    ids=["mc_cdf", "edgeworth_comparison", "edgeworth_study", "sup_errors"],
 )
-def test_unknown_ensemble(call):
-    with pytest.raises(ParameterError):
+def test_unknown_ensemble(call, monkeypatch):
+    # rejected before any value is computed
+    def refuse(*args):
+        raise AssertionError("computed a value before the ensemble check")
+
+    for module, name in ((finite_n, "cdf_values"), (airy, "tau"), (airy, "edgeworth_f2"),
+                         (airy, "edgeworth_f1_sq"), (airy, "edgeworth_f4_sq")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(ParameterError, match="unknown ensemble 'goa'"):
         call()
+
+
+STUDY_GRID = np.linspace(-3.0, 1.0, 9)
+
+
+class TestEdgeworthStudy:
+    @pytest.mark.parametrize("ensemble, n, tol", [("gue", 40, 0.0), ("goe", 40, 1e-15),
+                                                  ("gse", 41, 1e-15)])
+    def test_grid_is_its_float_calls(self, ensemble, n, tol):
+        # the table's truths are the float path's to rounding (the GUE's bit for
+        # bit; the GOE/GSE integrals contract over a wider table), and the
+        # expansions are the same calls
+        truth, results = acceptance.edgeworth_study(ensemble, n, 0.5, STUDY_GRID)
+        assert truth.shape == STUDY_GRID.shape
+        points = [acceptance.edgeworth_study(ensemble, n, 0.5, float(s)) for s in STUDY_GRID]
+        assert all(isinstance(t, float) for t, _ in points)
+        np.testing.assert_allclose(truth, [t for t, _ in points], rtol=0.0, atol=tol)
+        assert results == [r for _, r in points]
+
+    def test_empty_grid(self):
+        truth, results = acceptance.edgeworth_study("goe", 40, 0.0, [])
+        assert truth.shape == (0,)
+        assert results == []
+        assert acceptance.sup_errors("gue", (20, 40), 0.0, []).tolist() == [[0.0, 0.0]] * 2
+
+    def test_n_checked_before_computing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed a value before the n check")
+
+        monkeypatch.setattr(airy, "tau", refuse)
+        with pytest.raises(ParameterError, match="need even n, got 41"):
+            acceptance.edgeworth_study("goe", 41, 0.0, STUDY_GRID)
+
+    def test_sup_errors_are_the_points_worst(self):
+        # column 0 against the leading term, column 1 against the combined
+        # expansion, each the largest error over the grid; the GUE bit for bit
+        ns = (20, 40)
+        errs = acceptance.sup_errors("gue", ns, 0.0, STUDY_GRID)
+        for n, row in zip(ns, errs.tolist()):
+            points = [acceptance.edgeworth_comparison("gue", n, 0.0, float(s)) for s in STUDY_GRID]
+            assert row == [max(abs(t - ref[k]) for t, *ref in points) for k in (0, 1)]
+
+
+def _count_passes(monkeypatch) -> list:
+    """A list that grows by one entry per finite-n recurrence pass."""
+    passes = []
+    for name in ("hermite_parts", "hermite_integrals"):
+        original = getattr(finite_n, name)
+        monkeypatch.setattr(
+            finite_n, name, lambda *a, _f=original: passes.append(a[0]) or _f(*a)
+        )
+    return passes
+
+
+class TestRecurrencePasses:
+    """One finite-n recurrence pass per (ensemble, n), whatever the s-grid."""
+
+    @pytest.mark.parametrize("argv, passes", [
+        (["edgeworth", "--ensemble", "gue", "--n", "40", "--steps", "9"], [40]),
+        (["edgeworth", "--ensemble", "gse", "--n", "41", "--steps", "9"], [41]),
+        (["convergence", "--ensemble", "gue", "--n-list", "20,40,80"], [20, 40, 80]),
+        (["convergence", "--ensemble", "goe", "--n-list", "20,40,80", "--reference",
+          "edgeworth"], [20, 40, 80]),
+    ], ids=["edgeworth gue", "edgeworth gse", "convergence gue", "convergence goe"])
+    def test_cli(self, argv, passes, monkeypatch):
+        counted = _count_passes(monkeypatch)
+        assert cli.main(argv, stdout=io.StringIO()) == 0
+        assert counted == passes
+
+    def test_criterion_7(self, monkeypatch):
+        counted = _count_passes(monkeypatch)
+        acceptance.criterion_7()
+        assert counted == [20, 40, 80, 160] * 2
+
+    def test_criterion_8(self, monkeypatch):
+        counted = _count_passes(monkeypatch)
+        acceptance.criterion_8()
+        assert counted == [100, 100, 101, 40, 160]
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +271,16 @@ class TestOutcome:
 
     def test_criterion_10_no_differing_output(self, results):
         assert results[10].clause("differing outputs").value == 0
+
+
+def test_repeated_criterion_is_refused(monkeypatch):
+    # a repeated index ran its criterion twice and printed it twice
+    def refuse(scale):
+        raise AssertionError("ran a criterion before the index check")
+
+    monkeypatch.setitem(acceptance.CRITERIA, 10, refuse)
+    with pytest.raises(ParameterError, match=r"criteria \[10\] repeated"):
+        acceptance.run_criteria([10, 1, 10])
 
 
 @pytest.mark.parametrize("n_eigs", [200, 0])

@@ -318,7 +318,7 @@ class TestConvergence:
         def refuse(*args):
             raise AssertionError("computed a value before the n-list check")
 
-        monkeypatch.setattr(cli, "edgeworth_comparison", refuse)
+        monkeypatch.setattr(cli, "sup_errors", refuse)
         code, out = run_cli(
             ["convergence", "--ensemble", ensemble, "--n-list", n_list, "--steps", "3"]
         )
@@ -332,7 +332,7 @@ class TestConvergence:
         def refuse(*args):
             raise AssertionError("computed a value before the s-window check")
 
-        monkeypatch.setattr(cli, "edgeworth_comparison", refuse)
+        monkeypatch.setattr(cli, "sup_errors", refuse)
         code, out = run_cli(
             ["convergence", "--s-min", "-12", "--n-list", "20,40,80", "--steps", "2"]
         )
@@ -358,6 +358,7 @@ class TestParser:
             ["edgeworth", "--n", "0", "--c", "0.5", "--steps", "1"],
             ["validate", "--criteria", "1.5"],
             ["validate", "--criteria", "11"],
+            ["validate", "--criteria", "10,10"],
             ["validate", "--criteria", "1", "--tolerance-scale", "nan"],
             ["validate", "--criteria", "1", "--tolerance-scale", "-1"],
             ["validate", "--criteria", "1", "--tolerance-scale", "0"],
@@ -374,7 +375,8 @@ class TestParser:
         ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
              "convergence steps 0",
              "n-list letter", "n-list repeat", "edgeworth n=0", "criteria float",
-             "criteria 11", "scale nan", "scale -1", "scale 0", "scale inf", "mc seed",
+             "criteria 11", "criteria repeat", "scale nan", "scale -1", "scale 0", "scale inf",
+             "mc seed",
              "tabulate n=0", "tabulate n=401", "edgeworth n=500", "tabulate width",
              "limit width"],
     )

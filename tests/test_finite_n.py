@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import astuple, is_dataclass
 from functools import partial
 
 import mpmath
@@ -14,7 +15,16 @@ from scipy import integrate
 from scipy.special import erfc
 
 from gemax import finite_n, fredholm, special
-from gemax.acceptance import MONO_TOL, cosh_sqrt, coshm1_sqrt, epsilon_closed, sinhc_sqrt
+from gemax.acceptance import (
+    MONO_TOL,
+    cosh_sqrt,
+    coshm1_sqrt,
+    edgeworth_comparison,
+    edgeworth_study,
+    epsilon_closed,
+    mc_cdf,
+    sinhc_sqrt,
+)
 from gemax.airy import tau
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
@@ -38,6 +48,7 @@ from gemax.finite_n import (
     q_p_n,
 )
 from gemax.fredholm import resolvent_solve_many
+from gemax.mc import sample_lambda_max
 from gemax.special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
 from helpers import (
     hermite_kernel,
@@ -125,6 +136,56 @@ class TestFn2:
         # that into 0.0, as it does a refused determinant
         det = f_n2(40, -2.0, method="determinant")
         assert f_n2(40, -2.0, method="exponential") == pytest.approx(det, abs=1e-12)
+
+
+#: every public reader of an integer argument (n, or the sampler's count or seed), as a call of it
+N_READERS = {
+    "f_n2": lambda n: f_n2(n, 0.0),
+    "f_n2 exponential": lambda n: f_n2(n, 0.0, "exponential"),
+    "f_n1": lambda n: f_n1(n, 1.0),
+    "f_n4": lambda n: f_n4(n, 1.0),
+    "gse_largest_cdf": lambda n: gse_largest_cdf(n, 0.3),
+    "cdf_values": lambda n: cdf_values("goe", n, [0.0, 1.0]),
+    "log_f_n2": lambda n: log_f_n2(n, 0.0),
+    "q_p_n": lambda n: q_p_n(n, 1.0),
+    "ab": lambda n: ab(n, 1.0),
+    "epsilon_numeric": lambda n: epsilon_numeric(n, 1.0),
+    "epsilon_closed": lambda n: epsilon_closed(n, 1.0),
+    "c_constants": c_constants,
+    "mc_cdf": lambda n: mc_cdf("gse", n),
+    "sample_lambda_max": lambda n: sample_lambda_max(2, n, 10, 0),
+    "sample_lambda_max count": lambda n: sample_lambda_max(2, 4, n, 0),
+    "sample_lambda_max seed": lambda n: sample_lambda_max(2, 4, 10, n),
+    "edgeworth_study": lambda n: edgeworth_study("goe", n, 0.0, [-1.0]),
+    "edgeworth_comparison": lambda n: edgeworth_comparison("gue", n, 0.0, -1.0),
+}
+
+
+class TestIntegerN:
+    # a float or bool n was read as a number: f_n2(2.5, 0.0) returned 0.0784,
+    # f_n2(True, 0.0) returned 0.5, f_n1(4.0, 1.0) raised TypeError and
+    # gse_largest_cdf(1.5, u) said "need odd n, got 4.0"; the sampler took a
+    # seed of 2.5 and raised TypeError for an n of 2.5
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("reader", list(N_READERS))
+    def test_non_integer_n_is_refused(self, reader, bad):
+        name = {"sample_lambda_max count": "count", "sample_lambda_max seed": "seed"}.get(reader, "n")
+        with pytest.raises(ParameterError, match=f"need an integer {name}, got "):
+            N_READERS[reader](bad)
+
+    @pytest.mark.parametrize("reader", ["f_n2", "f_n1", "cdf_values", "gse_largest_cdf", "ab",
+                                        "sample_lambda_max", "sample_lambda_max seed",
+                                        "edgeworth_study"])
+    def test_numpy_integer_is_an_int(self, reader):
+        def floats(value) -> list:
+            if isinstance(value, (tuple, list)):
+                return [f for v in value for f in floats(v)]
+            if is_dataclass(value):
+                return floats(astuple(value))
+            return np.asarray(value, dtype=float).ravel().tolist()
+
+        for kind in (np.int64, np.int32):
+            assert floats(N_READERS[reader](kind(2))) == floats(N_READERS[reader](2)), kind
 
 
 class TestEndpointQuantities:

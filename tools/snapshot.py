@@ -69,6 +69,9 @@ ARGVS = (
     ("edgeworth", "--ensemble", "gue", "--n", "40", "--steps", "3"),
     ("edgeworth", "--ensemble", "goe", "--n", "40", "--c", "0.5", "--steps", "3"),
     ("edgeworth", "--ensemble", "gse", "--n", "41", "--steps", "3", "--format", "json"),
+    # 9-point grids, where a table's truths and its points' can differ in the last bits
+    ("edgeworth", "--ensemble", "goe", "--n", "40"),
+    ("convergence", "--ensemble", "gse", "--n-list", "21,41,81", "--reference", "edgeworth"),
     ("mc", "--ensemble", "gue", "--n", "10", "--samples", "2000", "--seed", "1"),
     ("mc", "--ensemble", "goe", "--n", "8", "--samples", "2000", "--seed", "2"),
     ("mc", "--ensemble", "gse", "--n", "5", "--samples", "2000", "--seed", "3"),
