@@ -27,7 +27,8 @@ serves as the outer one.  The same outer values give the exponential
 log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``), and the endpoint values
 at s give q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The bundle serves
 only the Edgeworth terms and the acceptance cross-checks of the limit laws;
-``f2_limit`` itself is the determinant.
+``f2_limit`` itself is the determinant.  On [S_MIN, S_MAX] mu falls monotonically
+to 1.6e-8 at S_MAX, so the Edgeworth terms divide by it unguarded.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integers
 from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
 from .fredholm import resolvent_at_lower
 from .special import airy as airy_fn
@@ -62,9 +63,10 @@ def _window_check(s: float) -> None:
 
 
 def _check_n_c(n: int, c: float) -> None:
-    """The domain of tau and of the expansions at tau: finite n >= 1 and c, n + c > 0; NaN fails."""
+    """The domain of tau and of the expansions at tau: integer n >= 1, finite c, n + c > 0."""
     if not (1 <= n < math.inf and -math.inf < c < math.inf and n + c > 0):
         raise ParameterError(f"need finite n >= 1 and c with n + c > 0, got n={n}, c={c}")
+    check_integers(n=n)
 
 
 def tau(n: int, c: float, s: float) -> float:
@@ -268,8 +270,6 @@ def e_c1(s: float, c: float) -> float:
     """Second-order orthogonal correction E_{c,1}(s), assembled term by term."""
     b = airy_bundle(s)
     mu = b.mu
-    if mu < 1e-12:
-        return 0.0
     q, p, u, nu, alpha = b.q[0], b.p[0], b.u[0], b.nu, b.alpha
     eta = b.eta(c)
     emu = math.exp(-mu)
@@ -316,14 +316,8 @@ def edgeworth_f1_sq(n: int, c: float, s: float) -> EdgeworthResult:
     mu = b.mu
     emu = math.exp(-mu)
     leading = f2 * emu
-    if mu < 1e-12:
-        first = 0.0
-        second = 0.0
-    else:
-        first = f2 * (
-            c * (b.q[0] + b.u[0]) * emu - b.nu * (1.0 - emu) / (2.0 * mu)
-        )
-        second = f2 * e_c1(s, c)
+    first = f2 * (c * (b.q[0] + b.u[0]) * emu - b.nu * (1.0 - emu) / (2.0 * mu))
+    second = f2 * e_c1(s, c)
     combined = leading + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)
     return EdgeworthResult(leading, first, second, combined)
 
@@ -338,14 +332,11 @@ def edgeworth_f4_sq(n: int, c: float, s: float) -> EdgeworthResult:
     q, u0, nu = b.q[0], b.u[0], b.nu
     leading = f2 * 0.5 * (1.0 + ch)  # cosh^2(mu/2)
     first = f2 * 0.5 * c * (u0 * (1.0 + ch) - q * sh)
-    if mu < 1e-12:
-        second = 0.0
-    else:
-        second = f2 * 0.25 * (
-            nu * sh / (2.0 * SQRT2 * mu)
-            + c * c * q * q * ch
-            + (ch - 1.0) / 10.0 * e_c2(s, c)
-            + SQRT2 * (b.eta(c) - SQRT2 * c * c * q * u0) * sh
-        )
+    second = f2 * 0.25 * (
+        nu * sh / (2.0 * SQRT2 * mu)
+        + c * c * q * q * ch
+        + (ch - 1.0) / 10.0 * e_c2(s, c)
+        + SQRT2 * (b.eta(c) - SQRT2 * c * c * q * u0) * sh
+    )
     combined = leading + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)
     return EdgeworthResult(leading, first, second, combined)

@@ -21,8 +21,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, airy, finite_n, mc
-from .acceptance import edgeworth_study, mc_cdf, run_criteria, sup_errors
+from . import __version__, acceptance, airy, finite_n, mc
+from .acceptance import edgeworth_study, run_criteria, sup_errors
 from .errors import NumericalError, ParameterError
 
 SQRT2 = math.sqrt(2.0)
@@ -67,6 +67,8 @@ def _check_s_window(args) -> None:
 
 
 def cmd_tabulate(args) -> tuple[str, int]:
+    if args.gue_scale and args.ensemble != "gse":
+        raise ParameterError(f"--gue-scale applies to --ensemble gse only, got {args.ensemble}")
     for option, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
         if not math.isfinite(value):
             raise ParameterError(f"need a finite {option}, got {value}")
@@ -74,7 +76,7 @@ def cmd_tabulate(args) -> tuple[str, int]:
         raise ParameterError(f"--t-min {args.t_min} and --t-max {args.t_max} span no finite width")
     grid = _linspace(args.t_min, args.t_max, args.steps)
     # the GSE grid is in the symplectic variable u unless --gue-scale is given
-    x = grid / SQRT2 if args.ensemble == "gse" and args.gue_scale else grid
+    x = grid / SQRT2 if args.gue_scale else grid
     values = finite_n.cdf_values(args.ensemble, args.n, x, args.method)
     return _table(args, ("t", "F"), [(float(t), float(v)) for t, v in zip(grid, values)])
 
@@ -98,10 +100,7 @@ def cmd_edgeworth(args) -> tuple[str, int]:
 
 
 def cmd_mc(args) -> tuple[str, int]:
-    cdf = mc_cdf(args.ensemble, args.n)  # rejects n outside its domain before sampling
-    beta = {"goe": 1, "gue": 2, "gse": 4}[args.ensemble]
-    run = mc.sample_lambda_max(beta, args.n, args.samples, args.seed)
-    ks = mc.ks_statistic(run, cdf, grid_points=201)
+    ks = acceptance.mc_ks(args.ensemble, args.n, args.samples, args.seed)
     crit = mc.ks_critical_1pct(args.samples)
     return _table(args, ("ks", "critical_value_1pct", "pass"), [(ks, crit, ks < crit)])
 

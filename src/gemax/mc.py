@@ -171,9 +171,9 @@ def _top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:
 
 def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
     """Draw `count` largest eigenvalues of the n-eigenvalue beta ensemble."""
+    check_integers(beta=beta, n=n, count=count, seed=seed)
     if beta not in VALID_BETA:
         raise ParameterError(f"beta must be one of {VALID_BETA}, got {beta}")
-    check_integers(n=n, count=count, seed=seed)
     if n < 1 or count < 1:
         raise ParameterError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
     if not 0 <= seed < 2**128:
@@ -216,7 +216,8 @@ def _chop(coeffs: np.ndarray) -> int:
     TOMS 43, 2017) at tolerance _CHOP_TOL: a plateau must show in the
     normalized monotone envelope of |coeffs| before the series is cut, and
     the cut lies where that envelope, tilted towards the left end, is least.
-    Fewer than 17 coefficients are never cut.
+    Fewer than 17 coefficients are never cut.  The scan stops at the
+    envelope's first zero, so the paper's zero-plateau cut never applies.
     """
     n = len(coeffs)
     if n < 17:
@@ -231,10 +232,7 @@ def _chop(coeffs: np.ndarray) -> int:
             return n
         e1 = envelope[j - 1]
         if e1 == 0.0 or envelope[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(_CHOP_TOL)):
-            plateau = j - 1
             break
-    if envelope[plateau - 1] == 0.0:
-        return plateau
     floor = _CHOP_TOL ** (7.0 / 6.0)
     j3 = int(np.count_nonzero(envelope >= floor))
     if j3 < j2:

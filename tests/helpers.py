@@ -2,8 +2,8 @@
 for the wave functions, the wave functions one order at a time, the masked
 integrable form, the pointwise Hermite and Airy kernels and their operators,
 the Nystrom extension, the dense GOE/GUE sampler, the two-sample KS
-statistic with its critical value, and the KS statistic on a full
-barycentric interpolant."""
+statistic with its critical value, the KS statistic on a full
+barycentric interpolant, and the printed standardChop."""
 
 import math
 from functools import partial
@@ -208,6 +208,47 @@ def ks_statistic_barycentric(run: McRun, cdf, points: int = 201) -> float:
     values = np.clip(barycentric(nodes, np.asarray(cdf(nodes), dtype=float), run.samples), 0.0, 1.0)
     i = np.arange(1, run.count + 1)
     return float(np.max(np.maximum(i / run.count - values, values - (i - 1) / run.count)))
+
+
+def standard_chop(coeffs, tol: float = 2.0**-52) -> tuple[int, str]:
+    """Reference for `mc._chop`: Aurentz & Trefethen's standardChop (ACM TOMS 43, 2017) as printed.
+
+    A line-by-line transcription of the published MATLAB, 1-based indices
+    and MATLAB's round (half away from zero) included.  Returns the cutoff
+    and the step that set it: "short" (n < 17), "zero" (all coefficients
+    0), "no plateau", "zero plateau" (the envelope is 0 at the plateau
+    point), "floor" (the envelope drops below tol^(7/6) before j2) or
+    "tilt".
+    """
+    b = np.abs(np.asarray(coeffs, dtype=float))
+    n = len(b)
+    if n < 17:
+        return n, "short"
+    m = np.full(n, b[-1])
+    for j in range(n - 2, -1, -1):
+        m[j] = max(b[j], m[j + 1])
+    if m[0] == 0.0:
+        return 1, "zero"
+    envelope = m / m[0]
+    for j in range(2, n + 1):
+        j2 = math.floor(1.25 * j + 5 + 0.5)
+        if j2 > n:
+            return n, "no plateau"
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            plateau_point = j - 1
+            break
+    if envelope[plateau_point - 1] == 0.0:
+        return plateau_point, "zero plateau"
+    step = "tilt"
+    j3 = int(np.sum(envelope >= tol ** (7.0 / 6.0)))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = tol ** (7.0 / 6.0)
+        step = "floor"
+    cc = np.log10(envelope[:j2]) + np.linspace(0.0, (-1.0 / 3.0) * math.log10(tol), j2)
+    d = int(np.argmin(cc)) + 1
+    return max(d - 1, 1), step
 
 
 def bisection_top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:

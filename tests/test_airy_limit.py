@@ -317,6 +317,12 @@ class TestWindowEdges:
         scalars += (b.mu, b.nu, b.alpha, b.eta_integral, b.q_prime)
         assert all(math.isfinite(v) for v in scalars)
 
+    def test_mu_is_positive_at_the_right_edge(self):
+        # the orthogonal and symplectic terms divide by mu unguarded; mu falls
+        # monotonically to 1.6e-8 at S_MAX, so a window that grows towards
+        # where mu rounds to 0 fails here first
+        assert airy_bundle(S_MAX).mu > 1e-9
+
     def test_bundle_right_edge_q_prime(self):
         # [DERIVED] q ~ Ai for large s, so q'(8) ~ Ai'(8)
         assert airy_bundle(S_MAX).q_prime == pytest.approx(airy(S_MAX)[1], rel=1e-6)

@@ -266,7 +266,7 @@ class TestMc:
 
     def test_non_finite_cdf_is_a_numerical_failure(self, monkeypatch, capsys):
         # a NaN CDF value used to print "nan,...,false" and exit 0
-        monkeypatch.setattr(cli, "mc_cdf", lambda ensemble, n: lambda x: x * math.nan)
+        monkeypatch.setattr(acceptance, "mc_cdf", lambda ensemble, n: lambda x: x * math.nan)
         code, out = run_cli(["mc", "--ensemble", "gue", "--n", "2", "--samples", "200"])
         assert (code, out) == (1, "")
         err = capsys.readouterr().err
@@ -276,6 +276,23 @@ class TestMc:
     @pytest.mark.parametrize("ensemble, n", [("gue", 400), ("goe", 400), ("gse", 199), ("gse", 1)])
     def test_domain_edges_accepted(self, ensemble, n):
         assert callable(mc_cdf(ensemble, n))
+
+    def test_one_check_with_criterion_5(self, monkeypatch):
+        # gemax mc and criterion 5 each ran their own sampler-and-KS pipeline,
+        # with a beta table of their own
+        class Refused(Exception):
+            pass
+
+        def refuse(*args):
+            raise Refused(args)
+
+        monkeypatch.setattr(acceptance, "mc_ks", refuse)
+        with pytest.raises(Refused) as cli_call:
+            run_cli(["mc", "--ensemble", "gse", "--n", "3", "--samples", "500", "--seed", "4"])
+        with pytest.raises(Refused) as criterion_call:
+            acceptance.criterion_5()
+        assert cli_call.value.args[0] == ("gse", 3, 500, 4)
+        assert criterion_call.value.args[0] == ("gue", 2, acceptance.MC_COUNT, 9001)
 
 
 class TestConvergence:
@@ -341,6 +358,24 @@ class TestConvergence:
         assert capsys.readouterr().err.startswith("error: s-window [-12.0, 1.0] outside")
 
 
+class TestValidate:
+    def test_passing_report(self):
+        code, out = run_cli(["validate", "--criteria", "1,10"])
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0].startswith("criterion  1 [PASS] n=1 exactness: max err ")
+        assert lines[1] == "criterion 10 [PASS] determinism: differing outputs 0 (bound 1)"
+        assert lines[2:] == ["validation PASSED"]
+
+    def test_failing_report(self):
+        # criterion 1's error is a few ulps, above a bound scaled to 1e-308
+        code, out = run_cli(["validate", "--criteria", "1", "--tolerance-scale", "1e-300"])
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0].startswith("criterion  1 [FAIL] n=1 exactness: max err ")
+        assert lines[1:] == ["validation FAILED"]
+
+
 class TestParser:
     def test_unknown_command(self):
         assert run_cli(["frobnicate"])[0] == 2
@@ -371,6 +406,10 @@ class TestParser:
             ["edgeworth", "--ensemble", "gue", "--n", "500", "--steps", "0"],
             ["tabulate", "--n", "4", "--t-min=-1e308", "--t-max", "1e308", "--steps", "3"],
             ["limit", "--s-min=-1e308", "--s-max", "1e308", "--steps", "3"],
+            ["tabulate", "--ensemble", "gue", "--n", "4", "--t-min", "0", "--t-max", "1",
+             "--steps", "3", "--gue-scale"],
+            ["tabulate", "--ensemble", "goe", "--n", "4", "--t-min", "0", "--t-max", "1",
+             "--steps", "3", "--gue-scale"],
         ],
         ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
              "convergence steps 0",
@@ -378,14 +417,15 @@ class TestParser:
              "criteria 11", "criteria repeat", "scale nan", "scale -1", "scale 0", "scale inf",
              "mc seed",
              "tabulate n=0", "tabulate n=401", "edgeworth n=500", "tabulate width",
-             "limit width"],
+             "limit width", "gue-scale gue", "gue-scale goe"],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         # each of these used to end in a traceback (ValueError, KeyError or
         # ZeroDivisionError), with n outside 1..400 and --steps 0 in an empty
         # table, or with a --tolerance-scale that is not finite and positive
         # in "validation FAILED"; a window whose width overflows printed numpy
-        # RuntimeWarnings first.  None may warn or get as far as computing a value
+        # RuntimeWarnings first; --gue-scale was ignored outside the GSE.
+        # None may warn or get as far as computing a value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run_cli(argv)

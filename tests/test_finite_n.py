@@ -25,7 +25,7 @@ from gemax.acceptance import (
     mc_cdf,
     sinhc_sqrt,
 )
-from gemax.airy import tau
+from gemax.airy import edgeworth_f1_sq, edgeworth_f2, edgeworth_f4_sq, tau
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
     DEFAULT_NODES,
@@ -138,7 +138,7 @@ class TestFn2:
         assert f_n2(40, -2.0, method="exponential") == pytest.approx(det, abs=1e-12)
 
 
-#: every public reader of an integer argument (n, or the sampler's count or seed), as a call of it
+#: every public reader of an integer argument (n, or the sampler's beta, count or seed), as a call of it
 N_READERS = {
     "f_n2": lambda n: f_n2(n, 0.0),
     "f_n2 exponential": lambda n: f_n2(n, 0.0, "exponential"),
@@ -156,8 +156,13 @@ N_READERS = {
     "sample_lambda_max": lambda n: sample_lambda_max(2, n, 10, 0),
     "sample_lambda_max count": lambda n: sample_lambda_max(2, 4, n, 0),
     "sample_lambda_max seed": lambda n: sample_lambda_max(2, 4, 10, n),
+    "sample_lambda_max beta": lambda n: sample_lambda_max(n, 4, 10, 0),
     "edgeworth_study": lambda n: edgeworth_study("goe", n, 0.0, [-1.0]),
     "edgeworth_comparison": lambda n: edgeworth_comparison("gue", n, 0.0, -1.0),
+    "tau": lambda n: tau(n, 0.0, -1.0),
+    "edgeworth_f2": lambda n: edgeworth_f2(n, 0.0, -1.0),
+    "edgeworth_f1_sq": lambda n: edgeworth_f1_sq(n, 0.0, -1.0),
+    "edgeworth_f4_sq": lambda n: edgeworth_f4_sq(n, 0.0, -1.0),
 }
 
 
@@ -165,17 +170,21 @@ class TestIntegerN:
     # a float or bool n was read as a number: f_n2(2.5, 0.0) returned 0.0784,
     # f_n2(True, 0.0) returned 0.5, f_n1(4.0, 1.0) raised TypeError and
     # gse_largest_cdf(1.5, u) said "need odd n, got 4.0"; the sampler took a
-    # seed of 2.5 and raised TypeError for an n of 2.5
+    # seed of 2.5 and raised TypeError for an n of 2.5; tau(2.5, 0, 0) returned
+    # 2.236, edgeworth_f2(True, 0, 0) the n = 1 value, and a beta of True
+    # sampled the GOE and recorded beta=True
     @pytest.mark.parametrize("bad", [2.5, 4.0, True, np.float64(2.0)], ids=repr)
     @pytest.mark.parametrize("reader", list(N_READERS))
     def test_non_integer_n_is_refused(self, reader, bad):
-        name = {"sample_lambda_max count": "count", "sample_lambda_max seed": "seed"}.get(reader, "n")
+        name = {"sample_lambda_max count": "count", "sample_lambda_max seed": "seed",
+                "sample_lambda_max beta": "beta"}.get(reader, "n")
         with pytest.raises(ParameterError, match=f"need an integer {name}, got "):
             N_READERS[reader](bad)
 
     @pytest.mark.parametrize("reader", ["f_n2", "f_n1", "cdf_values", "gse_largest_cdf", "ab",
                                         "sample_lambda_max", "sample_lambda_max seed",
-                                        "edgeworth_study"])
+                                        "sample_lambda_max beta", "edgeworth_study", "tau",
+                                        "edgeworth_f2"])
     def test_numpy_integer_is_an_int(self, reader):
         def floats(value) -> list:
             if isinstance(value, (tuple, list)):
@@ -287,6 +296,21 @@ class TestHyperbolicHelpers:
         # [DERIVED] entire continuation: cosh(sqrt(-z)) = cos(sqrt(z))
         z = 2.3
         assert cosh_sqrt(-z) == pytest.approx(math.cos(math.sqrt(z)), rel=1e-13)
+
+    def test_negative_branch_sinhc(self):
+        # [DERIVED] sinh(sqrt(z))/sqrt(z) at z = -g^2 is sin(g)/g
+        with mpmath.workdps(40):
+            for z in (-2e-8, -1e-6, -2.3, -50.0):
+                g = mpmath.sqrt(-mpmath.mpf(z))
+                assert sinhc_sqrt(z) == pytest.approx(float(mpmath.sin(g) / g), rel=1e-15), z
+
+    @pytest.mark.parametrize("z", [2e-8, -2e-8, 1e-6, -1e-6, 1e-4, 1.7, 50.0])
+    def test_coshm1_near_and_far_from_zero(self, z):
+        # [DERIVED] 40-digit mpmath; (cosh(sqrt(z)) - 1)/z cancelled in cosh - 1
+        # and read 7.7e-9 relative off at z = 2e-8, 1.5e-10 at 1e-6
+        with mpmath.workdps(40):
+            exact = float(mpmath.re((mpmath.cosh(mpmath.sqrt(mpmath.mpf(z))) - 1) / z))
+        assert coshm1_sqrt(z) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
     def test_origin(self):
         assert cosh_sqrt(0.0) == 1.0
@@ -827,6 +851,9 @@ class TestCdfContract:
             cosh_sqrt(1e6)
         with pytest.raises(NumericalError):
             sinhc_sqrt(1e6)
+        # sinhc_sqrt(1e6 / 4) is finite, its half square is not
+        with pytest.raises(NumericalError):
+            coshm1_sqrt(1e6)
 
 
 def _paper_bracket(n: int, t: float) -> float:
@@ -939,6 +966,26 @@ class TestFn4:
         ts = (-4.0, -4.3, -4.551)
         values = [f_n4(3, t / math.sqrt(2.0)) for t in ts]
         assert values == pytest.approx([0.5 * erfc(-t) for t in ts], rel=1e-3)
+
+
+class TestPolicy:
+    """finite_n._policy's GOE/GSE branches that no table of the suite reaches, by direct calls."""
+
+    def test_negative_ratio_above_the_floor_raises(self):
+        with pytest.raises(NumericalError, match="negative squared ratio"):
+            finite_n._policy(40, 0, 1.0, finite_n.LOG_FLOOR + 1.0, -1e-9)
+        assert finite_n._policy(40, 0, 1.0, finite_n.LOG_FLOOR - 1.0, -1e-9) == -math.inf
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.0, -1e-12, -1e-10])
+    def test_ratio_within_rounding_of_zero_is_zero(self, ratio):
+        # a ratio in [-1e-10, 0] is F = 0.0 at any log F_{n,2}, above the floor too
+        assert finite_n._policy(41, 1, 1.0, -1.0, ratio) == -math.inf
+
+    def test_combined_log_above_rounding_raises(self):
+        # log F = (log F_{n,2} + log ratio)/2 = 5e-10 > LOG_F_ROUNDING = 1e-10
+        with pytest.raises(NumericalError, match=r"> 0 at n=40, t=1.0 \(assembly\)"):
+            finite_n._policy(40, 0, 1.0, 0.0, math.exp(1e-9))
+        assert finite_n._policy(40, 0, 1.0, 0.0, math.exp(1e-10)) == pytest.approx(5e-11)
 
 
 class TestLogFn2:

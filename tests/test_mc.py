@@ -13,6 +13,7 @@ from gemax.acceptance import mc_cdf
 from gemax.errors import NumericalError, ParameterError
 from gemax.mc import (
     _BATCH,
+    _chop,
     _top_eigenvalue,
     empirical_cdf,
     ks_critical_1pct,
@@ -26,6 +27,7 @@ from helpers import (
     ks_two_sample,
     padded_chebyshev_grid,
     sample_lambda_max_dense,
+    standard_chop,
 )
 
 
@@ -257,6 +259,46 @@ class TestKsStatistic:
         # count 0 raised ZeroDivisionError, a negative count ValueError
         with pytest.raises(ParameterError):
             ks_critical_1pct(count)
+
+
+class TestChop:
+    """mc._chop against the printed standardChop (tests/helpers.py), one series per step of it."""
+
+    @pytest.mark.parametrize(
+        "coeffs, cut, step",
+        [
+            (np.zeros(30), 1, "zero"),
+            # exact zeros after 12 coefficients: the scan stops at the first
+            # zero, and the tol^(7/6) floor keeps the nonzero head
+            (np.where(np.arange(40) < 12, 0.5 ** np.arange(40), 0.0), 12, "floor"),
+            (10.0 ** -np.arange(30), 18, "floor"),
+            (np.maximum(0.3 ** np.arange(80), 1e-14 * (1.5 + np.sin(np.arange(80)))), 26, "tilt"),
+            (0.9 ** np.arange(40), 40, "no plateau"),
+        ],
+        ids=["zero envelope", "zero tail", "floor", "tilt", "no plateau"],
+    )
+    def test_each_step(self, coeffs, cut, step):
+        assert standard_chop(coeffs) == (cut, step)
+        assert _chop(coeffs.copy()) == cut
+
+    def test_random_series(self):
+        # decaying series, some ending in exact zeros and some on a noise
+        # plateau: the cuts agree, and the printed zero-plateau step never
+        # runs, since the scan stops at the envelope's first zero
+        rng = np.random.default_rng(2)
+        steps = set()
+        for _ in range(2000):
+            n = int(rng.integers(17, 120))
+            coeffs = rng.standard_normal(n) * 10.0 ** (-rng.uniform(0, 25) * np.arange(n) / n)
+            kind = rng.random()
+            if kind < 0.4:
+                coeffs[int(rng.integers(0, n + 1)):] = 0.0
+            elif kind < 0.8:
+                coeffs += 10.0 ** -rng.uniform(12, 18) * rng.standard_normal(n)
+            cut, step = standard_chop(coeffs)
+            assert _chop(coeffs.copy()) == cut
+            steps.add(step)
+        assert steps == {"zero", "floor", "tilt", "no plateau"}
 
 
 class TestTopEigenvalue:
