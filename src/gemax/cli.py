@@ -1,7 +1,8 @@
 """Command-line front end: tabulation, limits, Edgeworth comparisons,
 Monte Carlo validation, convergence studies, and the acceptance suite.
 
-Exit codes: 0 success, 1 validation or numerical failure, 2 usage error.
+Exit codes: 0 success, 1 validation or numerical failure or a request too
+large for memory, 2 usage error.
 All numeric output uses 17 significant digits, '.' decimals and '\\n' newlines,
 so files re-parse to full precision and identical configurations produce
 byte-identical output.  ``--out`` is written only once the command has finished,
@@ -251,12 +252,14 @@ def main(argv=None, stdout=None) -> int:
         else:
             (stdout if stdout is not None else sys.stdout).write(text)
         return code
-    except (ParameterError, NumericalError) as exc:
+    except (ParameterError, NumericalError, MemoryError) as exc:
         if made:  # a failed command leaves no new file behind
             with contextlib.suppress(OSError):
                 os.remove(args.out)
+        # numpy refuses a request too large for memory before it allocates: exit 1, as a failure
         usage = isinstance(exc, ParameterError)
-        print(f"{'error' if usage else 'numerical failure'}: {exc}", file=sys.stderr)
+        kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+        print(f"{'error' if usage else kind}: {exc}", file=sys.stderr)
         return 2 if usage else 1
 
 

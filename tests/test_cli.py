@@ -529,6 +529,21 @@ class TestOut:
         assert capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["tabulate", "--n", "4", "--t-min", "0", "--t-max", "1", "--steps", str(10**15)],
+         ["mc", "--n", "4", "--samples", str(10**15)]],
+        ids=["tabulate", "mc"],
+    )
+    def test_request_too_large_for_memory(self, argv, tmp_path, capsys):
+        # numpy refuses the 7.1 PiB array before it allocates anything; its
+        # MemoryError ended the process in a traceback
+        path = tmp_path / "new.csv"
+        assert run_cli([*argv, "--out", str(path)]) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1, err
+        assert not path.exists()
+
     @pytest.mark.parametrize("name", ["file/x.csv", "x" * 300], ids=["under-a-file", "too-long"])
     def test_unopenable_new_path_is_a_usage_error(self, name, tmp_path, capsys):
         # removing such a path after the refused probe raised, not FileNotFoundError

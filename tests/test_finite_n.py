@@ -592,8 +592,12 @@ class TestWorkPerValue:
             (lambda: f_n4(41, (math.sqrt(82.0) - 0.5) / math.sqrt(2.0)), 1),
             (lambda: q_p_n(40, math.sqrt(80.0) - 0.5), 1),
             (lambda: f_n2(4, 2.0, "exponential"), OUTER_NODES),
+            # 9 points 1.45 sigma_n apart: a 16-node cell between neighbours and
+            # the OUTER_NODES rule right of the last, where a rule per point built 576
+            (lambda: cdf_values("gue", 4, _exponential_points(4, 9), "exponential"),
+             OUTER_NODES + 8 * 16),
         ],
-        ids=["f_n1", "f_n4", "q_p_n", "f_n2 exponential"],
+        ids=["f_n1", "f_n4", "q_p_n", "f_n2 exponential", "exponential table"],
     )
     def test_each_operator_solved_once(self, value, operators, monkeypatch):
         # no operator is left unsolved and none is solved twice; a stack of
@@ -641,6 +645,13 @@ class TestWorkPerValue:
         value()
         assert [np.shape(a[1]) for a in phi_two] == [(operators, DEFAULT_NODES + 1)]
 
+    def test_exponential_table_builds_its_outer_operators_in_chunks(self, monkeypatch):
+        # a table's outer operators take their parts in passes of at most
+        # OUTER_NODES left ends: three for the 192 operators of 9 points at n = 4
+        phi_two = self._count(monkeypatch, special, "hermite_phi_two")
+        cdf_values("gue", 4, _exponential_points(4, 9), "exponential")
+        assert [np.shape(a[1]) for a in phi_two] == [(OUTER_NODES, DEFAULT_NODES + 1)] * 3
+
     @pytest.mark.parametrize("n", (4, 40))
     def test_stack_matches_single_operators(self, n):
         # (q_n, p_n) at the outer nodes of an exponential value, from their
@@ -651,6 +662,61 @@ class TestWorkPerValue:
             stacked = finite_n._q_p(n, outer.nodes)
             single = np.array([q_p_n(n, float(x)) for x in outer.nodes]).T
             assert np.max(np.abs(stacked - single) / np.abs(single)) < 1e-14, t
+
+
+def _exponential_points(n: int, steps: int) -> np.ndarray:
+    """edge - 4 .. edge + 2.5 (edge - 2.9 at n = 400), where the exponential path is tabulated."""
+    return math.sqrt(2.0 * n) + np.linspace(-2.9 if n == 400 else -4.0, 2.5, steps)
+
+
+def _outer_reference(n: int, t: float) -> float:
+    """F_{n,2}(t) by the exponential form on a 256-node outer rule on (t, T), four times the scalar's."""
+    outer = build_grid(t, finite_n._upper_cutoff(n, t), 256)
+    q, p = finite_n._q_p(n, outer.nodes)
+    return math.exp(-2.0 * np.sum(outer.weights * (outer.nodes - t) * q * p))
+
+
+class TestExponentialTables:
+    """An exponential table shares one composite outer rule over its points."""
+
+    @staticmethod
+    def _errors(n: int, x: np.ndarray) -> tuple[float, float]:
+        # the worst errors of the table and of the scalar calls on x against the
+        # reference: per-node rounding of q p (1e-14 relative at n = 400) sets
+        # both, so each is taken at its worst point of the table
+        ref = np.array([_outer_reference(n, float(v)) for v in x])
+        scalar = np.array([f_n2(n, float(v), "exponential") for v in x])
+        table = cdf_values("gue", n, x, "exponential")
+        return np.abs(table - ref).max(), np.abs(scalar - ref).max()
+
+    @pytest.mark.parametrize("steps", (3, 9, 21))
+    @pytest.mark.parametrize("n", (4, 40, 400))
+    def test_table_matches_the_reference(self, n, steps):
+        # measured worst: 7.8e-16 (n = 40, 9 steps) and 2.0e-15 at n = 400,
+        # where the scalar calls are off by up to 5.4e-15
+        table, scalar = self._errors(n, _exponential_points(n, steps))
+        assert table <= max(2e-15, 2.0 * scalar), (table, scalar)
+
+    @pytest.mark.parametrize("n, lower, upper", [(4, -2.0, 3.0), (40, -1.5, 2.0), (400, -1.0, 1.5)])
+    def test_sparse_table_is_no_less_accurate(self, n, lower, upper):
+        # two points 8.9, 9.2 and 9.6 sigma_n apart: one cell of OUTER_NODES,
+        # the most a cell takes, with F from 0.006 to 0.03 at the left point
+        assert finite_n._cell_nodes(n, upper - lower) == OUTER_NODES
+        table, scalar = self._errors(n, math.sqrt(2.0 * n) + np.array([lower, upper]))
+        assert table <= max(2e-15, 2.0 * scalar), (table, scalar)
+
+    @pytest.mark.parametrize("n", (4, 40))
+    def test_order_repeats_and_axes(self, n):
+        # the values are those of the sorted table, bit for bit, in the points' own order
+        x = _exponential_points(n, 9)
+        table = cdf_values("gue", n, x, "exponential")
+        order = np.random.default_rng(n).permutation(x.size)
+        assert np.array_equal(cdf_values("gue", n, x[order], "exponential"), table[order])
+        repeated = np.concatenate([x, x[::2], x[:1]])
+        assert np.array_equal(cdf_values("gue", n, repeated, "exponential"),
+                              np.concatenate([table, table[::2], table[:1]]))
+        grid = x[order].reshape(3, 3)
+        assert np.array_equal(cdf_values("gue", n, grid, "exponential"), table[order].reshape(3, 3))
 
 
 #: (ensemble, kernel index, method) of the tables held against scalar calls

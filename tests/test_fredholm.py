@@ -300,15 +300,15 @@ def _soft_edge(n: int, units: float) -> float:
 
 
 def _exponential_table(n: int):
-    # the exponential F_{n,2} at 9 points from edge - 3 to edge + 2.5: a stack
-    # of 64 outer operators per point
+    # the exponential F_{n,2} at 9 points from edge - 3 to edge + 2.5: one
+    # composite outer rule over the points, its operators built 64 at a time
     edge = math.sqrt(2.0 * n)
     return lambda: finite_n.cdf_values("gue", n, np.linspace(edge - 3.0, edge + 2.5, 9), "exponential")
 
 
 #: (module, the stacks it builds, the left end below which no operator may be
-#: an identity): the bundle's 49 operators at s, the exponential path's 64
-#: outer operators per point.  The rule fires only far right: the first
+#: an identity): the bundle's 49 operators at s, the exponential table's
+#: outer operators.  The rule fires only far right: the first
 #: identity starts at x = 9.23 on the Airy side and 7.98, 8.87 and 9.11
 #: soft-edge units past the edge at n = 4, 40 and 400
 RULE_STACKS = {

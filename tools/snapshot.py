@@ -48,6 +48,9 @@ SAMPLER_BETAS = (1, 2, 4)
 SAMPLER_N = (1, 2, 4, 96, 400)
 SAMPLER_COUNT, SAMPLER_SEED = 3000, 2026
 EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4", "c_phi", "c_psi")
+#: exponential tables as `finite_tables` runs them, 9 points on edge - 4 .. edge + 2.5
+#: at n = 4 and 40, and a 2-point table whose one cell takes the most nodes a cell takes
+EXPONENTIAL_TABLES = ((4, -4.0, 2.5, 9), (40, -4.0, 2.5, 9), (40, -1.5, 2.0, 2))
 #: a decimal number in a CLI stdout, kept by `re.split` as its own part
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
@@ -87,6 +90,10 @@ ARGVS = (
     ("convergence", "--n-list", "20,40,80", "--steps", "2", "--format", "json"),
     ("tabulate", "--ensemble", "gse", "--n", "5", "--t-min", "0", "--t-max", "1", "--steps", "2",
      "--gue-scale", "--format", "json"),
+) + tuple(
+    ("tabulate", "--n", str(n), "--t-min", repr(math.sqrt(2.0 * n) + lower),
+     "--t-max", repr(math.sqrt(2.0 * n) + upper), "--steps", str(steps), "--method", "exponential")
+    for n, lower, upper, steps in EXPONENTIAL_TABLES
 )
 
 
