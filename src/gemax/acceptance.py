@@ -12,6 +12,7 @@ table per ensemble and n), which the CLI reads too, beside criteria 7 and 8.
 
 from __future__ import annotations
 
+import cmath
 import io
 import math
 from dataclasses import dataclass, replace
@@ -101,17 +102,17 @@ def criterion_3(scale: float = 1.0) -> CriterionResult:
     return CriterionResult(3, "brute-force n=2", (Clause("max err", worst, tol),))
 
 
-def cosh_sqrt(z: float) -> float:
-    """cosh(sqrt(z)) as an entire function of z (cos(sqrt(-z)) for z < 0).
+def _on_sqrt(f, z: float, name: str) -> float:
+    """f(g).real for g = sqrt(z), imaginary for z < 0; NumericalError, naming name, on overflow."""
+    try:
+        return f(cmath.sqrt(z)).real
+    except OverflowError:
+        raise NumericalError(f"{name}(sqrt({z:.6g})) overflows") from None
 
-    Raises NumericalError where cosh overflows (z above about 5e5).
-    """
-    if z >= 0.0:
-        try:
-            return math.cosh(math.sqrt(z))
-        except OverflowError:
-            raise NumericalError(f"cosh(sqrt({z:.6g})) overflows") from None
-    return math.cos(math.sqrt(-z))
+
+def cosh_sqrt(z: float) -> float:
+    """cosh(sqrt(z)), entire in z (cos(sqrt(-z)) for z < 0); NumericalError from z ~ 5e5 on."""
+    return _on_sqrt(cmath.cosh, z, "cosh")
 
 
 def coshm1_sqrt(z: float) -> float:
@@ -127,36 +128,20 @@ def coshm1_sqrt(z: float) -> float:
 
 
 def sinhc_sqrt(z: float) -> float:
-    """sinh(sqrt(z))/sqrt(z) as an entire function of z (sin(sqrt(-z))/sqrt(-z) for z < 0).
-
-    Raises NumericalError where sinh overflows, as :func:`cosh_sqrt` does.
-    """
-    if z == 0.0:
-        return 1.0
-    if z > 0.0:
-        g = math.sqrt(z)
-        try:
-            return math.sinh(g) / g
-        except OverflowError:
-            raise NumericalError(f"sinh(sqrt({z:.6g})) overflows") from None
-    g = math.sqrt(-z)
-    return math.sin(g) / g
+    """sinh(sqrt(z))/sqrt(z), entire in z (sin(sqrt(-z))/sqrt(-z) for z < 0); raises as cosh_sqrt."""
+    return 1.0 if z == 0.0 else _on_sqrt(lambda g: cmath.sinh(g) / g, z, "sinh")
 
 
 def _hyperbolic_block(a: float, b: float):
     """cosh g, sqrt(a/2b) sinh g, sqrt(b/2a) sinh g with g = sqrt(2ab).
 
-    Everything is expressed through the entire functions cosh(sqrt(z)) and
-    sinh(sqrt(z))/sqrt(z) of z = 2ab, so negative or vanishing products
-    (g imaginary or zero) are handled without branching into complex
-    arithmetic:  sqrt(a/2b) sinh sqrt(2ab) = a * sinh(sqrt(z))/sqrt(z).
+    Through the entire functions cosh(sqrt(z)) and sinh(sqrt(z))/sqrt(z) of
+    z = 2ab, a negative or vanishing product (g imaginary or zero) needs no
+    branch: sqrt(a/2b) sinh sqrt(2ab) = a * sinh(sqrt(z))/sqrt(z), b alike.
     """
     z = 2.0 * a * b
-    cosh_g = cosh_sqrt(z)
     shc = sinhc_sqrt(z)
-    rho_s = a * shc  # sqrt(a/(2b)) sinh g
-    r_s = b * shc  # sqrt(b/(2a)) sinh g
-    return cosh_g, rho_s, r_s
+    return cosh_sqrt(z), a * shc, b * shc
 
 
 def epsilon_closed(n: int, t: float) -> finite_n.EpsilonQuantities:

@@ -63,9 +63,9 @@ def _window_check(s: float) -> None:
 
 
 def _check_n_c(n: int, c: float) -> None:
-    """The domain of tau and of the expansions at tau: integer n >= 1, finite c, n + c > 0."""
-    if not (1 <= n < math.inf and -math.inf < c < math.inf and n + c > 0):
-        raise ParameterError(f"need finite n >= 1 and c with n + c > 0, got n={n}, c={c}")
+    """The domain of tau and of the expansions at tau: integer n >= 1, c with a finite 2(n + c) > 0."""
+    if not (1 <= n < math.inf and 0 < 2.0 * (n + c) < math.inf):
+        raise ParameterError(f"need finite n >= 1 and c with n + c > 0, 2(n + c) finite, got n={n}, c={c}")
     check_integers(n=n)
 
 

@@ -2,7 +2,8 @@
 Monte Carlo validation, convergence studies, and the acceptance suite.
 
 Exit codes: 0 success, 1 validation or numerical failure or a request too
-large for memory, 2 usage error.
+large for memory, 2 usage error.  One table, DOMAINS, decides each option's own
+domain before ``--out`` or any work; n, c, --seed and --samples are the library's.
 All numeric output uses 17 significant digits, '.' decimals and '\\n' newlines,
 so files re-parse to full precision and identical configurations produce
 byte-identical output.  ``--out`` is written only once the command has finished,
@@ -27,6 +28,18 @@ from .acceptance import edgeworth_study, run_criteria, sup_errors
 from .errors import NumericalError, ParameterError
 
 SQRT2 = math.sqrt(2.0)
+S_WINDOW = (lambda v: airy.S_MIN <= v <= airy.S_MAX, f"a value in [{airy.S_MIN}, {airy.S_MAX}]")
+
+#: each option's own domain: dest -> (its test, which NaN fails, and the domain
+#: its error names); up to 10**18 steps numpy itself refuses a table too large for memory
+DOMAINS = {
+    "steps": (lambda v: 0 <= v <= 10**18, "a value in [0, 10**18]"),
+    "t_min": (math.isfinite, "a finite value"),
+    "t_max": (math.isfinite, "a finite value"),
+    "s_min": S_WINDOW,
+    "s_max": S_WINDOW,
+    "tolerance_scale": (lambda v: 0.0 < v < math.inf, "a finite value > 0"),
+}
 
 
 def _fmt(x) -> str:
@@ -47,12 +60,6 @@ def _table(args, header, rows) -> tuple[str, int]:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
 
 
-def _linspace(lower: float, upper: float, steps: int) -> np.ndarray:
-    if steps < 0:
-        raise ParameterError(f"need --steps >= 0, got {steps}")
-    return np.linspace(lower, upper, steps)
-
-
 def _int_list(text: str, option: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",")]
@@ -60,22 +67,12 @@ def _int_list(text: str, option: str) -> list[int]:
         raise ParameterError(f"{option} takes comma-separated integers, got {text!r}") from None
 
 
-def _check_s_window(args) -> None:
-    for option, value in (("--s-min", args.s_min), ("--s-max", args.s_max)):
-        if not airy.S_MIN <= value <= airy.S_MAX:  # so that a NaN bound fails too
-            raise ParameterError(f"s-window [{args.s_min}, {args.s_max}] outside supported "
-                                 f"[{airy.S_MIN}, {airy.S_MAX}]: {option} is {value}")
-
-
 def cmd_tabulate(args) -> tuple[str, int]:
     if args.gue_scale and args.ensemble != "gse":
         raise ParameterError(f"--gue-scale applies to --ensemble gse only, got {args.ensemble}")
-    for option, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
-        if not math.isfinite(value):
-            raise ParameterError(f"need a finite {option}, got {value}")
     if not math.isfinite(args.t_max - args.t_min):
         raise ParameterError(f"--t-min {args.t_min} and --t-max {args.t_max} span no finite width")
-    grid = _linspace(args.t_min, args.t_max, args.steps)
+    grid = np.linspace(args.t_min, args.t_max, args.steps)
     # the GSE grid is in the symplectic variable u unless --gue-scale is given
     x = grid / SQRT2 if args.gue_scale else grid
     values = finite_n.cdf_values(args.ensemble, args.n, x, args.method)
@@ -84,15 +81,13 @@ def cmd_tabulate(args) -> tuple[str, int]:
 
 def cmd_limit(args) -> tuple[str, int]:
     law = {"gue": airy.f2_limit, "goe": airy.f1_limit, "gse": airy.f4_limit}[args.ensemble]
-    _check_s_window(args)
-    grid = _linspace(args.s_min, args.s_max, args.steps)
+    grid = np.linspace(args.s_min, args.s_max, args.steps)
     rows = [(float(s), law(float(s))) for s in grid]
     return _table(args, ("s", "F"), rows)
 
 
 def cmd_edgeworth(args) -> tuple[str, int]:
-    _check_s_window(args)
-    grid = _linspace(args.s_min, args.s_max, args.steps)
+    grid = np.linspace(args.s_min, args.s_max, args.steps)
     truths, results = edgeworth_study(args.ensemble, args.n, args.c, grid)
     rows = [(float(s), t, r.leading, r.order_one_third, r.order_two_thirds, r.combined,
              r.combined - t) for s, t, r in zip(grid, truths.tolist(), results)]
@@ -116,9 +111,8 @@ def cmd_convergence(args) -> tuple[str, int]:
         finite_n.check_n(n, finite_n.PARITY[args.ensemble])
     if args.steps < 1:
         raise ParameterError(f"need --steps >= 1, got {args.steps}")
-    _check_s_window(args)
     args.n_list = ns  # the JSON config echoes the parsed list
-    s_grid = _linspace(args.s_min, args.s_max, args.steps)
+    s_grid = np.linspace(args.s_min, args.s_max, args.steps)
     column = 1 if args.reference == "edgeworth" else 0
     errs = sup_errors(args.ensemble, ns, args.c, s_grid)[:, column].tolist()
     rows = []
@@ -132,9 +126,7 @@ def cmd_convergence(args) -> tuple[str, int]:
 
 
 def cmd_validate(args) -> tuple[str, int]:
-    indices = _int_list(args.criteria, "--criteria") if args.criteria else None
-    if not 0.0 < args.tolerance_scale < math.inf:  # so that a NaN scale fails too
-        raise ParameterError(f"need a finite --tolerance-scale > 0, got {args.tolerance_scale}")
+    indices = None if args.criteria is None else _int_list(args.criteria, "--criteria")
     results = run_criteria(indices, args.tolerance_scale)
     all_pass = all(r.passed for r in results)
     text = "".join(f"criterion {r.index:2d} [{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n"
@@ -241,6 +233,9 @@ def main(argv=None, stdout=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     made = False  # whether the probe below created --out
     try:
+        for dest, value in vars(args).items():
+            if dest in DOMAINS and not DOMAINS[dest][0](value):
+                raise ParameterError(f"--{dest.replace('_', '-')} is {value}; need {DOMAINS[dest][1]}")
         if args.out:
             existed = os.path.lexists(args.out)
             _open_out(args.out, "a").close()  # refuse an unopenable path before any work

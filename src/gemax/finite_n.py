@@ -67,6 +67,9 @@ N_MAX = 400
 #: the kernel-index parity each ensemble's finite-n law requires
 PARITY = {"gue": None, "goe": 0, "gse": 1}
 
+#: the largest point t, where every CDF is 1.0; from 2^43 doubles no longer resolve (t, t + 1)
+T_MAX = 1e12
+
 
 def check_n(n: int, parity: int | None = None) -> None:
     """The finite-n domain: an integer 1 <= n <= N_MAX, and n % 2 == parity where one is given."""
@@ -148,12 +151,12 @@ def _q_p(n: int, points: np.ndarray) -> np.ndarray:
 
 
 def _checked(n: int, t, parity: int | None = None) -> np.ndarray:
-    """t as a float array after :func:`check_n`; ParameterError naming its first point not finite."""
+    """t as floats after :func:`check_n`; ParameterError naming its first point outside (-inf, T_MAX]."""
     check_n(n, parity)
     t = np.asarray(t, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(t))
+    bad = np.flatnonzero(~((-math.inf < t) & (t <= T_MAX)))
     if bad.size:
-        raise ParameterError(f"need finite points, got {t.flat[bad[0]]} at index {bad[0]}")
+        raise ParameterError(f"need finite points up to {T_MAX:g}, got {t.flat[bad[0]]} at index {bad[0]}")
     return t
 
 
@@ -269,8 +272,12 @@ def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.n
     of log F_{n,2} plus the log of the bracket F^2 / F_{n,2}, which comes
     from the epsilon quantities of the determinant's operator, built with
     their Hermite integrals from one integral pass.  :func:`_policy` judges
-    each point on its own; one raising point raises for the whole of t, and
-    so does a point that is not finite (ParameterError, naming the first).
+    each point on its own.  The shift bound: x_i = y_i + t in the joint
+    density of m eigenvalues at weight exp(-(beta/2) x^2) gives
+    log F(t) <= -r t^2 for t <= 0, r = (beta/2) m = n, n/2 or (n - 1)/2
+    (GUE, GOE, GSE in t = u sqrt 2); where it rounds to 0.0 no grid is
+    built.  One raising point raises for the whole of t, and so does one
+    outside (-inf, T_MAX] (ParameterError, naming it).
     Returns an array of t's shape, flattened for a t of two or more axes.
     """
     t = _checked(n, t, parity)
@@ -282,6 +289,12 @@ def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.n
         t = t.ravel()
     if (parity == 1 and n == 1) or t.size == 0:  # F_{1,4} (no symplectic eigenvalues), or no t
         return np.zeros_like(t)
+    # left of the cutoff exp(-r t^2) < 2^-1075, half the least subnormal
+    cutoff = -math.sqrt(1075.0 * math.log(2.0) / _shift_rate(n, parity))
+    if t.min() < cutoff:
+        log_f = np.full(t.shape, -math.inf)
+        log_f[t >= cutoff] = _log_cdf(n, t[t >= cutoff], parity, method)
+        return log_f
     if parity is None:
         if method == "determinant":
             log_f = _on_operators(n, t, log_det)
@@ -294,6 +307,11 @@ def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.n
     return np.array([_policy(n, parity, *point) for point in points]).reshape(t.shape)
 
 
+def _shift_rate(n: int, parity: int | None) -> float:
+    """The rate r of the shift bound log F(t) <= -r t^2 for t <= 0 (:func:`_log_cdf`)."""
+    return {None: n, 0: 0.5 * n, 1: 0.5 * (n - 1)}[parity]
+
+
 def _policy(n: int, parity: int | None, t: float, log_f: float, ratio: float) -> float:
     """log F at one point from log F_{n,2} and the bracket; -inf for F = 0.0.
 
@@ -302,10 +320,9 @@ def _policy(n: int, parity: int | None, t: float, log_f: float, ratio: float) ->
     bracket that is not finite raises NumericalError; a negative one gives
     0.0 where log F_{n,2} is below LOG_FLOOR and raises elsewhere; a combined
     log F above LOG_F_ROUNDING raises, and only rounding puts one that passes above 0.
+    A log F above the shift bound (:func:`_log_cdf`), where the rule misses the kernel, gives 0.0.
     """
     if not math.isfinite(log_f) or log_f > LOG_F_ROUNDING:
-        # lost positivity, or a log F above rounding, happens only where
-        # F_{n,2} is far beyond double-precision resolution
         return -math.inf
     if parity is not None:
         if not math.isfinite(ratio):
@@ -319,18 +336,18 @@ def _policy(n: int, parity: int | None, t: float, log_f: float, ratio: float) ->
         log_f = 0.5 * (log_f + math.log(ratio))
         if log_f > LOG_F_ROUNDING:
             raise NumericalError(f"log F = {log_f:.6g} > 0 at n={n}, t={t} (assembly)")
-    return log_f
+    return -math.inf if log_f > LOG_F_ROUNDING - _shift_rate(n, parity) * min(t, 0.0) ** 2 else log_f
 
 
 def log_f_n2(n: int, t: float) -> float:
     """log F_{n,2}(t) by the determinant; safe where the probability underflows.
 
     Raises NumericalError where the one failure policy gives F_{n,2} = 0.0:
-    where the determinant loses positivity or its log exceeds LOG_F_ROUNDING.
+    where the determinant loses positivity or its log exceeds the shift bound.
     """
     log_f = float(_log_cdf(n, float(t), None))
     if log_f == -math.inf:
-        raise NumericalError(f"F_{{n,2}} lost positivity at n={n}, t={t}")
+        raise NumericalError(f"F_{{n,2}} lost positivity or its shift bound at n={n}, t={t}")
     return log_f
 
 

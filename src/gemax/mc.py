@@ -36,6 +36,8 @@ import numpy as np
 from .errors import NumericalError, ParameterError, check_integers
 
 VALID_BETA = (1, 2, 4)
+#: the largest sample count; below it numpy refuses one too large for memory (MemoryError)
+COUNT_MAX = 10**18
 _BATCH = 2048
 #: Sturm halvings of the Gershgorin bracket before Newton's method; with 6, the
 #: batch needed 7-11 Newton passes at n = 16..96 and 22 at n = 400, with 12
@@ -174,8 +176,8 @@ def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
     check_integers(beta=beta, n=n, count=count, seed=seed)
     if beta not in VALID_BETA:
         raise ParameterError(f"beta must be one of {VALID_BETA}, got {beta}")
-    if n < 1 or count < 1:
-        raise ParameterError(f"need n >= 1 and count >= 1, got n={n}, count={count}")
+    if n < 1 or not 1 <= count <= COUNT_MAX:
+        raise ParameterError(f"need n >= 1 and 1 <= count <= {COUNT_MAX:.0e}, got n={n}, count={count}")
     if not 0 <= seed < 2**128:
         raise ParameterError(f"seed must be in [0, 2**128), got {seed}")
     rng = np.random.default_rng(np.random.Philox(key=seed))

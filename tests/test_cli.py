@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import io
 import json
 import math
@@ -7,13 +8,15 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from gemax import acceptance, airy, cli, mc
 from gemax.acceptance import mc_cdf
-from gemax.errors import NumericalError
+from gemax.errors import NumericalError, ParameterError
+from gemax.finite_n import f_n1, f_n2, f_n4, gse_largest_cdf
 
 
 def run_cli(argv):
@@ -60,7 +63,7 @@ class TestTabulate:
             code, out = run_cli(["tabulate", "--ensemble", "goe", "--n", "40", "--steps", "3",
                                  *(f"{k}={v}" for k, v in argv.items())])
         assert (code, out) == (2, "")
-        assert capsys.readouterr().err == f"error: need a finite {option}, got {value}\n"
+        assert capsys.readouterr().err == f"error: {option} is {value}; need a finite value\n"
 
     def test_goe_parity_error(self):
         code, _ = run_cli(
@@ -355,7 +358,7 @@ class TestConvergence:
         )
         assert code == 2
         assert out == ""
-        assert capsys.readouterr().err.startswith("error: s-window [-12.0, 1.0] outside")
+        assert capsys.readouterr().err == "error: --s-min is -12.0; need a value in [-10.0, 8.0]\n"
 
 
 class TestValidate:
@@ -410,6 +413,14 @@ class TestParser:
              "--steps", "3", "--gue-scale"],
             ["tabulate", "--ensemble", "goe", "--n", "4", "--t-min", "0", "--t-max", "1",
              "--steps", "3", "--gue-scale"],
+            ["tabulate", "--n", "4", "--t-min", "0", "--t-max", "1", "--steps", str(2**63 - 1)],
+            ["limit", "--steps", str(10**18 + 1)],
+            ["edgeworth", "--n", "40", "--steps", str(2**60)],
+            ["convergence", "--steps", str(2**63 - 1)],
+            ["mc", "--n", "4", "--samples", str(2**63 - 1)],
+            ["tabulate", "--n", "4", "--t-min", "1", "--t-max", "1e308", "--steps", "3",
+             "--method", "exponential"],
+            ["validate", "--criteria", ""],
         ],
         ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
              "convergence steps 0",
@@ -417,14 +428,18 @@ class TestParser:
              "criteria 11", "criteria repeat", "scale nan", "scale -1", "scale 0", "scale inf",
              "mc seed",
              "tabulate n=0", "tabulate n=401", "edgeworth n=500", "tabulate width",
-             "limit width", "gue-scale gue", "gue-scale goe"],
+             "limit width", "gue-scale gue", "gue-scale goe", "tabulate steps cap",
+             "limit steps cap", "edgeworth steps cap", "convergence steps cap", "mc samples cap",
+             "exponential far right", "criteria empty"],
     )
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         # each of these used to end in a traceback (ValueError, KeyError or
         # ZeroDivisionError), with n outside 1..400 and --steps 0 in an empty
         # table, or with a --tolerance-scale that is not finite and positive
         # in "validation FAILED"; a window whose width overflows printed numpy
-        # RuntimeWarnings first; --gue-scale was ignored outside the GSE.
+        # RuntimeWarnings first; --gue-scale was ignored outside the GSE; past
+        # the caps numpy raised IndexError or ValueError, and an exponential
+        # table to 1e308 OverflowError; --criteria '' ran all ten criteria.
         # None may warn or get as far as computing a value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -568,3 +583,109 @@ class TestOut:
                                   stdout=stdout, env=env, check=False)
         assert done.returncode == 0
         assert path.read_text() == "before\n" + run_cli(argv)[1]
+
+
+#: every option of every subcommand gets each of these (ROADMAP Direction 14)
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e308", "5e-324", str(2**63 - 1), str(10**15), "", "abc")
+#: a 3-step base argv per subcommand; a swept option is appended as --option=value, which wins
+SWEEP_BASES = {
+    "tabulate": ["tabulate", "--n", "4", "--t-min", "-1", "--t-max", "1", "--steps", "3",
+                 "--method", "exponential"],
+    "tabulate gse": ["tabulate", "--ensemble", "gse", "--n", "5", "--t-min", "-1", "--t-max", "1",
+                     "--steps", "3"],
+    "limit": ["limit", "--steps", "3"],
+    "edgeworth": ["edgeworth", "--n", "40", "--steps", "3"],
+    "mc": ["mc", "--n", "2", "--samples", "200", "--seed", "1"],
+    "convergence": ["convergence", "--n-list", "20,40,80", "--steps", "3"],
+    "validate": ["validate", "--criteria", "1"],
+}
+#: the columns of a table that hold a CDF value
+CDF_COLUMNS = ("F", "finite_n", "leading")
+
+
+def _swept_options(command: str) -> list[str]:
+    """Every option of the subcommand that takes a value, but --out (TestOut's)."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and a.nargs != 0 and a.dest != "out"]
+
+
+def _sweep_faults(argv, capsys) -> list[str]:
+    """What breaks the CLI's contract on argv, run in-process."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, out = run_cli(argv)
+        except BaseException as exc:  # in a process, a traceback
+            return [f"{argv}: {exc!r}"]
+    err = capsys.readouterr().err
+    faults = [f"{argv}: warned {w.message}" for w in caught]
+    lines = err.splitlines()
+    if code not in (0, 1, 2):
+        faults.append(f"{argv}: exit {code}")
+    elif code == 0:
+        if err:
+            faults.append(f"{argv}: exit 0 with stderr {err!r}")
+        rows = json.loads(out)["rows"] if out.startswith("{") else [
+            dict(zip(out.splitlines()[0].split(","), line.split(","))) for line in out.splitlines()[1:]]
+        values = [float(row[k]) for row in rows for k in CDF_COLUMNS if k in row]
+        if not all(0.0 <= v <= 1.0 for v in values):  # a NaN fails too
+            faults.append(f"{argv}: CDF values {values}")
+    elif code == 1 and not err and out.endswith("validation FAILED\n"):
+        pass  # validate's failing report is its stdout
+    elif err.startswith("usage: "):  # argparse's usage, then its one error line
+        if [line for line in lines if ": error: " in line] != lines[-1:]:
+            faults.append(f"{argv}: stderr {err!r}")
+    elif len(lines) != 1 or not lines[0].startswith(("error: ", "numerical failure: ", "out of memory: ")):
+        faults.append(f"{argv}: stderr {err!r}")
+    return faults
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("base", SWEEP_BASES)
+    def test_every_option_and_value(self, base, capsys):
+        # the parent ended in a traceback on --steps 2**63-1 (IndexError inside
+        # np.linspace) on tabulate, limit, edgeworth and convergence, on
+        # mc --samples 2**63-1 (ValueError from np.empty) and on an exponential
+        # table to --t-max=1e308 (OverflowError)
+        argv = SWEEP_BASES[base]
+        faults = [fault for option in _swept_options(argv[0]) for value in HOSTILE
+                  for fault in _sweep_faults([*argv, f"{option}={value}"], capsys)]
+        assert not faults, "\n".join(faults)
+
+    def test_far_left_table_is_quiet(self):
+        # the parent printed a numpy RuntimeWarning before this table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(["tabulate", "--n", "4", "--t-min=-1e308", "--t-max", "0", "--steps", "2"])
+        assert code == 0
+        assert [float(line.split(",")[1]) for line in out.splitlines()[1:]] == [0.0, f_n2(4, 0.0)]
+
+    def test_overflowing_tau_names_c(self, capsys):
+        # 2(n + c) overflowed inside tau: "need finite points, got inf at index 0"
+        assert run_cli(["edgeworth", "--n", "40", "--c", "1e308", "--steps", "3"]) == (2, "")
+        assert capsys.readouterr().err == ("error: need finite n >= 1 and c with n + c > 0, 2(n + c) "
+                                           "finite, got n=40, c=1e+308\n")
+
+    @pytest.mark.parametrize("n, law", [(4, f_n2), (4, partial(f_n2, method="exponential")), (4, f_n1),
+                                        (5, f_n4), (2, gse_largest_cdf), (None, airy.f2_limit),
+                                        (None, airy.f1_limit), (None, airy.f4_limit)],
+                             ids=["f_n2", "f_n2 exponential", "f_n1", "f_n4", "gse_largest_cdf",
+                                  "f2_limit", "f1_limit", "f4_limit"])
+    def test_library_cdfs(self, n, law):
+        # every value in [0, 1], or a ParameterError or NumericalError
+        floats = [float(v) for v in HOSTILE if v not in ("", "abc")]
+        calls = [partial(law, x) for x in floats] if n is None else [
+            partial(law, m, x) for m in (n, 0, -1, 2**63 - 1, 10**15, *floats) for x in (0.0, *floats)]
+        for call in calls:
+            try:
+                value = call()
+            except (ParameterError, NumericalError):
+                continue
+            assert 0.0 <= value <= 1.0, call
+
+    @pytest.mark.parametrize("count", [10**18 + 1, 2**60, 2**63 - 1, 2**64, 10**30])
+    def test_sample_count_above_the_cap(self, count):
+        # np.empty raised "ValueError: array is too big" from 2^60 on
+        with pytest.raises(ParameterError, match="count <= 1e\\+18"):
+            mc.sample_lambda_max(2, 4, count, 0)

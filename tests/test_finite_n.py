@@ -1,6 +1,7 @@
 """Oracle tests for the finite-n largest-eigenvalue distributions."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import astuple, is_dataclass
@@ -920,6 +921,60 @@ class TestCdfContract:
         # sinhc_sqrt(1e6 / 4) is finite, its half square is not
         with pytest.raises(NumericalError):
             coshm1_sqrt(1e6)
+
+
+#: (ensemble, kernel index n, r): the shift bound log F(t) <= -r t^2 for t <= 0 in the GUE-side t
+SHIFT_CASES = (*(("gue", n, n) for n in (1, 2, 4, 40, 400)),
+               *(("goe", n, n / 2) for n in (2, 40, 400)),
+               *(("gse", n, (n - 1) / 2) for n in (3, 41, 399)))
+
+
+class TestDomainEnds:
+    @pytest.mark.parametrize("ensemble, n, rate", SHIFT_CASES, ids=lambda v: str(v))
+    def test_far_left_is_below_the_shift_bound(self, ensemble, n, rate):
+        # [DERIVED] x_i = y_i + t in the joint density gives F(t) <= exp(-r t^2)
+        # for t <= 0.  Far left the 48-node rule stops resolving the kernel and
+        # I - A is positive definite again: the GUE at n = 1 read 5.1e-12 at
+        # t = -6.09 (truth 3.8e-18), 3.2e-3 at -28.54, and n = 400 read 1.0 at
+        # edge - 102756
+        t = math.sqrt(2.0 * n) - 10.0 ** np.linspace(0.5, 6.0, 23)
+        values = np.array([LAWS[ensemble](n, x) for x in (t / math.sqrt(2.0) if ensemble == "gse" else t)])
+        assert np.all(values <= np.exp(-rate * np.minimum(t, 0.0) ** 2))
+        if n == 1:
+            # [DERIVED] one eigenvalue of weight e^{-t^2}
+            assert values == pytest.approx(0.5 * erfc(-t), rel=0.0, abs=1e-13)
+
+    def test_far_left_builds_no_grid(self, monkeypatch):
+        # where the shift bound reads 0.0 in double, the point is decided before
+        # any grid is built; the GOE at n = 2, t = -290 raised "negative squared ratio"
+        def refuse(*args):
+            raise AssertionError("built a grid where the shift bound decides")
+
+        monkeypatch.setattr(finite_n, "build_grid", refuse)
+        assert f_n2(1, -28.54) == f_n2(4, math.sqrt(8.0) - 994.0) == 0.0
+        assert f_n2(400, math.sqrt(800.0) - 102756.0, "exponential") == 0.0
+        assert f_n1(2, -290.0) == f_n1(40, math.sqrt(80.0) - 8515.0) == 0.0
+        assert f_n4(399, -1e308) == 0.0
+        with pytest.raises(NumericalError):
+            log_f_n2(2, -1e5)
+
+    @pytest.mark.parametrize("reader, value", [
+        (f_n2, 1.0), (partial(f_n2, method="exponential"), 1.0), (f_n1, 1.0), (log_f_n2, 0.0),
+        (q_p_n, (0.0, 0.0)), (ab, (0.0, 0.0)),
+        (epsilon_numeric, EpsilonQuantities(0.0, c_constants(4)[0], 0.0, 0.0, 0.0, 0.0, *c_constants(4))),
+    ], ids=("f_n2", "f_n2 exponential", "f_n1", "log_f_n2", "q_p_n", "ab", "epsilon_numeric"))
+    def test_far_right_ends_at_t_max(self, reader, value):
+        # from 2^43 every finite-n function raised "nodes within 1e-06 on
+        # (8796093022208.0, 8796093022209.0)", from 1e16 "need lower < upper":
+        # an internal grid, for a point whose CDF is 1.0.  At T_MAX the
+        # operator is zero to double precision
+        assert reader(4, finite_n.T_MAX) == value
+        for t in (finite_n.T_MAX * (1 + 2**-52), 2.0**43, 1e16):
+            with pytest.raises(ParameterError, match=re.escape(f"up to 1e+12, got {t!r} at index 0")):
+                reader(4, t)
+        assert f_n4(5, finite_n.T_MAX / 2.0) == 1.0
+        with pytest.raises(ParameterError, match=r"up to 1e\+12"):
+            f_n4(5, finite_n.T_MAX)
 
 
 def _paper_bracket(n: int, t: float) -> float:
