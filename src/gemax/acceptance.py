@@ -330,19 +330,19 @@ def edgeworth_study(ensemble: str, n: int, c: float, s):
 
     An s-grid gives an array of truths, one :func:`finite_n.cdf_values` table
     (one recurrence pass), and a list of results; a float s gives (truth,
-    EdgeworthResult) by the float path.  Checks the ensemble and n first.
+    EdgeworthResult) by the float path.  Checks the ensemble and n first,
+    then c: ParameterError, naming c, where tau passes finite_n.T_MAX.
     """
     if ensemble not in EXPANSIONS:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
     finite_n.check_n(n, finite_n.PARITY[ensemble])
     name, divisor, power = EXPANSIONS[ensemble]
     expansion = getattr(airy, name)
-    if np.ndim(s) == 0:
-        s = float(s)
-        tau, results = airy.tau(n, c, s), expansion(n, c, s)
-    else:
-        grid = [float(v) for v in s]
-        tau, results = np.array([airy.tau(n, c, v) for v in grid]), [expansion(n, c, v) for v in grid]
+    grid = float(s) if np.ndim(s) == 0 else [float(v) for v in s]
+    tau = airy.tau(n, c, grid) if np.ndim(s) == 0 else np.array([airy.tau(n, c, v) for v in grid])
+    if np.max(tau, initial=-math.inf) > finite_n.T_MAX:
+        raise ParameterError(f"need c with tau(n, c, s) <= {finite_n.T_MAX:g}, got n={n}, c={c}")
+    results = expansion(n, c, grid) if np.ndim(s) == 0 else [expansion(n, c, v) for v in grid]
     return finite_n.cdf_values(ensemble, n, tau / divisor) ** power, results
 
 

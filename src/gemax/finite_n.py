@@ -10,10 +10,9 @@ b(t) = int_t^inf p_n.  The GOE/GSE laws have one method, first principles:
 their epsilon quantities come from the resolvent.  The paper's closed forms,
 hyperbolic functions of g = sqrt(2 a b), are soft-edge asymptotics kept as a
 cross-check beside criterion 4 (:func:`gemax.acceptance.epsilon_closed`),
-not as a CDF method.  Every
-Hermite-function integral the first-principles path needs (eps phi, the
-integrals left of t, c_phi and c_psi) is exact, from the integral recurrence
-of :func:`gemax.special.hermite_integrals`; quadrature enters only through
+not as a CDF method.  Every Hermite-function integral the first-principles
+path needs (eps phi, the integrals left of t, c_phi and c_psi) is exact, from
+the integral recurrence of :func:`gemax.special.hermite_integrals`; quadrature enters only through
 the Nystrom operator on (t, T), every operator on the one DEFAULT_NODES rule
 and T EDGE_SPAN soft-edge units past sqrt(2n) (:func:`_upper_cutoff`).  One
 builder, :func:`_on_operators`, makes every operator: the grid, one
@@ -25,17 +24,15 @@ or ab value needs q_n, p_n at every node of an outer rule of OUTER_NODES on
 the same (t, T): its 64 outer operators form one stack.
 
 A table is one stack too: :func:`cdf_values` takes an array of points and
-builds one operator per point; each block gives a log-determinant per
-operator from the Cholesky factor that its resolvent solve shares.  An
-exponential table's points share one composite outer rule
-(:func:`_tail_integrals`), whose operators are built OUTER_NODES at a time:
-192 for 9 points at edge - 4 .. edge + 2.5 at n = 4 (200 at n = 40), where
-one rule per point built 576.  An operator that the
-factorization refuses (lost positivity) has solves of NaN: :func:`q_p_n`,
-:func:`ab` and :func:`epsilon_numeric` raise there.  One dispatch,
-:func:`_log_cdf`, picks the method and applies the one failure policy
-(:func:`_policy`) point by point, 0.0 at a refused point; every CDF value
-and :func:`log_f_n2` read its log F.  A float point is the stack without its axis, by the same code.
+builds one operator per distinct point, in ascending order, so every stack
+of the library runs left to right; :func:`_log_cdf` picks the method, and
+each block gives a log-determinant per operator from the Cholesky factor
+that its resolvent solve shares.  An exponential table's points share one
+composite outer rule (:func:`_tail_integrals`).  One failure policy,
+:func:`_policy`, judges every output by its log F_{n,2}: a CDF value reads
+0.0 where it fails, and :func:`log_f_n2`, :func:`q_p_n`, :func:`ab` and
+:func:`epsilon_numeric` raise there (:func:`_resolved`).  A float point is
+one operator, not a stack of one.
 """
 
 from __future__ import annotations
@@ -139,37 +136,48 @@ def _on_operators(n: int, t, fn, integrals: bool = False):
     return map_blocks(fn, grid, parts, math.sqrt(n / 2.0), *extra)
 
 
-def _q_p(n: int, points: np.ndarray) -> np.ndarray:
-    """(q_n, p_n) at each of the points, shape (2, len(points)), from the operators on (x, T(x)).
+def _at_lower(n: int, op: DiscretizedKernel) -> np.ndarray:
+    """(q_n, p_n) at the left end of each operator, shape (2,) + block, from one two-column solve.
 
-    The right-hand sides (phi, psi) = (n/2)^{1/4} (phi_n, phi_{n-1}) are the
-    operators' own parts, on the nodes and at x, from one recurrence pass.
+    Its right-hand sides (phi, psi) = (n/2)^{1/4} (phi_n, phi_{n-1}) are the operators' own parts.
     """
-    scale = phi_psi_scale(n)
-    at_lower = lambda op: resolvent_at_lower(op, scale * np.stack(op.parts[:2], axis=-1))[1].T
-    return _on_operators(n, points, at_lower)
+    return resolvent_at_lower(op, phi_psi_scale(n) * np.stack(op.parts[:2], axis=-1))[1].T
 
 
-def _checked(n: int, t, parity: int | None = None) -> np.ndarray:
-    """t as floats after :func:`check_n`; ParameterError naming its first point outside (-inf, T_MAX]."""
+def _q_p(n: int, points: np.ndarray) -> np.ndarray:
+    """(q_n, p_n) at each of the points, shape (2, len(points)), from the operators on (x, T(x))."""
+    return _on_operators(n, points, partial(_at_lower, n))
+
+
+def _checked(n: int, x, parity: int | None = None) -> np.ndarray:
+    """x as floats after check_n; ParameterError naming its first point past T_MAX in t, T_MAX / sqrt 2 in u."""
     check_n(n, parity)
-    t = np.asarray(t, dtype=float)
-    bad = np.flatnonzero(~((-math.inf < t) & (t <= T_MAX)))
+    x = np.asarray(x, dtype=float)
+    name, top = ("u", T_MAX / math.sqrt(2.0)) if parity == 1 else ("t", T_MAX)
+    bad = np.flatnonzero(~((-math.inf < x) & (x <= top)))
     if bad.size:
-        raise ParameterError(f"need finite points up to {T_MAX:g}, got {t.flat[bad[0]]} at index {bad[0]}")
-    return t
+        raise ParameterError(f"need finite {name} up to {top:g}, got {x.flat[bad[0]]} at index {bad[0]}")
+    return x
 
 
-def _accepted(n: int, t: float, *values) -> tuple[float, ...]:
-    """The values as floats; NumericalError where a refused operator's solve left them NaN."""
-    if not all(map(math.isfinite, values)):
-        raise NumericalError(f"K_{{n,2}} lost positivity at n={n}, t={t}")
-    return tuple(map(float, values))
+def _resolved(n: int, t: float, read) -> tuple[float, ...]:
+    """The values of read(t) = (log F_{n,2}, *values) at one point t as floats: the one raising rule.
+
+    NumericalError left of the far-left cutoff (:func:`_cutoff`), before any
+    grid is built, and where :func:`_policy` gives F_{n,2} = 0.0.
+    """
+    t = _checked(n, t)
+    if t >= _cutoff(n, None):
+        log_f, *values = read(t)
+        if _policy(n, None, float(t), float(log_f), 1.0) > -math.inf:
+            return tuple(map(float, values))
+    raise NumericalError(f"K_{{n,2}} lost positivity or its shift bound at n={n}, t={float(t)}")
 
 
 def q_p_n(n: int, t: float) -> tuple[float, float]:
-    """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve."""
-    return _accepted(n, t, *_q_p(n, _checked(n, [t]))[:, 0])
+    """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve, on a stack of one operator."""
+    read = lambda op: np.vstack([log_det(op), _at_lower(n, op)])
+    return _resolved(n, t, lambda t: _on_operators(n, t[None], read)[:, 0])
 
 
 def _cell_nodes(n: int, width: float) -> int:
@@ -178,22 +186,20 @@ def _cell_nodes(n: int, width: float) -> int:
 
 
 def _tail_integrals(n: int, t):
-    """a(t), b(t) and int_t^inf (x - t) q_n(x) p_n(x) dx at every point of t.
+    """The exponential log F_{n,2} = -2 int_t^inf (x - t) q_n p_n, a(t) and b(t) at every point of t.
 
-    q_n and p_n depend on x alone, so a table's points share one composite
-    outer rule: over its distinct points t_1 < ... < t_k, one Gauss-Legendre
-    cell of :func:`_cell_nodes` between each pair of neighbours and the
-    OUTER_NODES rule on (t_k, T), T the cutoff at t_k (the largest of the
-    points' cutoffs).  The integrals are summed from the right:
-    a_i = a_{i+1} + int_cell q (b alike), and with c_i = int_{t_i}^T q p the
-    moment is int_cell (x - t_i) q p + moment_{i+1} + (t_{i+1} - t_i) c_{i+1}.
-    A single point is the OUTER_NODES rule alone.  The
-    operators at the outer nodes are built OUTER_NODES at a time, so a
-    table's peak memory is one point's: 1.2 MB under tracemalloc at n = 40
-    for 1, 9 or 41 points.
+    t is a float or distinct points t_1 < ... < t_k (:func:`cdf_values`).  q_n
+    and p_n depend on x alone, so the points share one composite outer rule:
+    one Gauss-Legendre cell of :func:`_cell_nodes` between each pair of
+    neighbours and the OUTER_NODES rule on (t_k, T), T the cutoff at t_k
+    (the largest of the points' cutoffs).  The integrals are summed from the
+    right: a_i = a_{i+1} + int_cell q (b alike), and with c_i = int_{t_i}^T q p
+    the moment is int_cell (x - t_i) q p + moment_{i+1} + (t_{i+1} - t_i) c_{i+1}.
+    A single point is the OUTER_NODES rule alone.  The operators at the outer
+    nodes are built OUTER_NODES at a time, so a table's peak memory is one
+    point's: 1.2 MB under tracemalloc at n = 40 for 1, 9 or 41 points.
     """
-    t = np.asarray(t)
-    points, where = np.unique(t.ravel(), return_inverse=True)
+    points = np.atleast_1d(t)
     cells = [build_grid(lo, hi, _cell_nodes(n, hi - lo)) for lo, hi in zip(points[:-1], points[1:])]
     cells.append(build_grid(points[-1], _upper_cutoff(n, points[-1]), OUTER_NODES))
     x = np.concatenate([cell.nodes for cell in cells])
@@ -205,7 +211,7 @@ def _tail_integrals(n: int, t):
     a, b, c = tails(w * q), tails(w * p), tails(w * q * p)
     shift = np.append(np.diff(points) * c[1:], 0.0)
     moment = tails(w * (x - np.repeat(points, counts)) * q * p, shift)
-    return tuple(v[where].reshape(t.shape) for v in (a, b, moment))
+    return tuple(v.reshape(np.shape(t)) for v in (-2.0 * moment, a, b))
 
 
 def _from_right(bounds: np.ndarray, terms: np.ndarray, extra=0.0) -> np.ndarray:
@@ -220,8 +226,8 @@ def _from_right(bounds: np.ndarray, terms: np.ndarray, extra=0.0) -> np.ndarray:
 
 
 def ab(n: int, t: float) -> tuple[float, float]:
-    """Tail integrals a(t) = int_t^inf q_n, b(t) = int_t^inf p_n."""
-    return _accepted(n, t, *_tail_integrals(n, _checked(n, t))[:2])
+    """Tail integrals a(t) = int_t^inf q_n, b(t) = int_t^inf p_n, judged by the exponential log F_{n,2}."""
+    return _resolved(n, t, partial(_tail_integrals, n))
 
 
 def c_constants(n: int) -> tuple[float, float]:
@@ -262,44 +268,19 @@ def _bracket_block(parity: int, n: int, op: DiscretizedKernel, *integrals) -> np
     return np.array([log_det(op), ratio])
 
 
-def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.ndarray:
-    """log F at every point of t under the one failure policy, -inf where F is 0.0.
+def _log_cdf(n: int, t: np.ndarray, parity: int | None, method: str) -> np.ndarray:
+    """log F by the one method dispatch at a float t or ascending points, each judged by :func:`_policy`.
 
-    The one method dispatch.  With parity None the value is log F_{n,2} by
-    ``method``: the determinant of one operator per point, or the
-    exponential form, one composite outer rule over the points
-    (:func:`_tail_integrals`).  With parity 0 (GOE) or 1 (GSE) it is half
-    of log F_{n,2} plus the log of the bracket F^2 / F_{n,2}, which comes
-    from the epsilon quantities of the determinant's operator, built with
-    their Hermite integrals from one integral pass.  :func:`_policy` judges
-    each point on its own.  The shift bound: x_i = y_i + t in the joint
-    density of m eigenvalues at weight exp(-(beta/2) x^2) gives
-    log F(t) <= -r t^2 for t <= 0, r = (beta/2) m = n, n/2 or (n - 1)/2
-    (GUE, GOE, GSE in t = u sqrt 2); where it rounds to 0.0 no grid is
-    built.  One raising point raises for the whole of t, and so does one
-    outside (-inf, T_MAX] (ParameterError, naming it).
-    Returns an array of t's shape, flattened for a t of two or more axes.
+    With parity None it is log F_{n,2} by ``method``: one operator per point,
+    or the exponential form (:func:`_tail_integrals`).  With parity 0 (GOE)
+    or 1 (GSE), half of log F_{n,2} plus the log of the bracket F^2 / F_{n,2}
+    from the epsilon quantities of the same operator; one raise raises for all.
     """
-    t = _checked(n, t, parity)
-    if method not in ("determinant", "exponential"):
-        raise ParameterError(f"unknown method {method!r}")
-    if parity is not None and method != "determinant":
-        raise ParameterError(f"method {method!r} applies to the GUE only")
-    if t.ndim > 1:
-        t = t.ravel()
-    if (parity == 1 and n == 1) or t.size == 0:  # F_{1,4} (no symplectic eigenvalues), or no t
-        return np.zeros_like(t)
-    # left of the cutoff exp(-r t^2) < 2^-1075, half the least subnormal
-    cutoff = -math.sqrt(1075.0 * math.log(2.0) / _shift_rate(n, parity))
-    if t.min() < cutoff:
-        log_f = np.full(t.shape, -math.inf)
-        log_f[t >= cutoff] = _log_cdf(n, t[t >= cutoff], parity, method)
-        return log_f
     if parity is None:
         if method == "determinant":
             log_f = _on_operators(n, t, log_det)
         else:
-            log_f = -2.0 * _tail_integrals(n, t)[2]
+            log_f = _tail_integrals(n, t)[0]
         ratio = np.ones_like(log_f)
     else:
         log_f, ratio = _on_operators(n, t, partial(_bracket_block, parity, n), integrals=True)
@@ -307,8 +288,17 @@ def _log_cdf(n: int, t, parity: int | None, method: str = "determinant") -> np.n
     return np.array([_policy(n, parity, *point) for point in points]).reshape(t.shape)
 
 
+def _cutoff(n: int, parity: int | None) -> float:
+    """The far-left cutoff: left of it the shift bound exp(-r t^2) < 2^-1075, half the least subnormal."""
+    return -math.sqrt(1075.0 * math.log(2.0) / _shift_rate(n, parity))
+
+
 def _shift_rate(n: int, parity: int | None) -> float:
-    """The rate r of the shift bound log F(t) <= -r t^2 for t <= 0 (:func:`_log_cdf`)."""
+    """The rate r of the shift bound log F(t) <= -r t^2 for t <= 0.
+
+    x_i = y_i + t in the joint density of m eigenvalues at weight exp(-(beta/2) x^2)
+    gives r = (beta/2) m = n, n/2 or (n - 1)/2 (GUE, GOE, GSE in t = u sqrt 2).
+    """
     return {None: n, 0: 0.5 * n, 1: 0.5 * (n - 1)}[parity]
 
 
@@ -320,7 +310,7 @@ def _policy(n: int, parity: int | None, t: float, log_f: float, ratio: float) ->
     bracket that is not finite raises NumericalError; a negative one gives
     0.0 where log F_{n,2} is below LOG_FLOOR and raises elsewhere; a combined
     log F above LOG_F_ROUNDING raises, and only rounding puts one that passes above 0.
-    A log F above the shift bound (:func:`_log_cdf`), where the rule misses the kernel, gives 0.0.
+    A log F above the shift bound (:func:`_cutoff`), where the rule misses the kernel, gives 0.0.
     """
     if not math.isfinite(log_f) or log_f > LOG_F_ROUNDING:
         return -math.inf
@@ -342,13 +332,9 @@ def _policy(n: int, parity: int | None, t: float, log_f: float, ratio: float) ->
 def log_f_n2(n: int, t: float) -> float:
     """log F_{n,2}(t) by the determinant; safe where the probability underflows.
 
-    Raises NumericalError where the one failure policy gives F_{n,2} = 0.0:
-    where the determinant loses positivity or its log exceeds the shift bound.
+    Raises NumericalError where the one failure policy gives F_{n,2} = 0.0 (:func:`_resolved`).
     """
-    log_f = float(_log_cdf(n, float(t), None))
-    if log_f == -math.inf:
-        raise NumericalError(f"F_{{n,2}} lost positivity or its shift bound at n={n}, t={t}")
-    return log_f
+    return _resolved(n, t, lambda t: 2 * (_on_operators(n, t, log_det),))[0]
 
 
 def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
@@ -356,17 +342,34 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
 
     ``ensemble`` is "gue", "goe" or "gse" and n the kernel index, as in
     :func:`f_n2`, :func:`f_n1` and :func:`f_n4`; x is t, or u for the GSE.
-    ``method`` applies to the GUE only.  A whole table is one call: one
-    recurrence pass, then blocks of operators, each factored once.  Each
-    value is min(exp(log F), 1) from :func:`_log_cdf`: the clamp absorbs
-    rounding only.  Returns an array of x's shape, or a float for a float x,
-    the stack without its axis (:func:`f_n2`, :func:`f_n1`, :func:`f_n4`).
+    ``method`` applies to the GUE only.  The one point order: a table is its
+    distinct points in ascending order (np.unique, whose inverse puts the
+    values back in x's order and shape); those left of the far-left cutoff,
+    a prefix, read 0.0 before any grid is built, and the rest are one stack
+    for :func:`_log_cdf`: one recurrence pass, then blocks of operators, each
+    factored once.  A float x is one operator and gives a float.  Each value
+    is min(exp(log F), 1): the clamp absorbs rounding only.
     """
     if ensemble not in PARITY:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
     parity = PARITY[ensemble]
-    x = np.asarray(x, dtype=float)
-    log_f = _log_cdf(n, x * math.sqrt(2.0) if parity == 1 else x, parity, method)
+    x = _checked(n, x, parity)
+    if method not in ("determinant", "exponential"):
+        raise ParameterError(f"unknown method {method!r}")
+    if parity is not None and method != "determinant":
+        raise ParameterError(f"method {method!r} applies to the GUE only")
+    t = x * math.sqrt(2.0) if parity == 1 else x
+    if parity == 1 and n == 1:  # F_{1,4}: no symplectic eigenvalues
+        log_f = np.zeros_like(t)
+    elif t.ndim == 0:
+        log_f = _log_cdf(n, t, parity, method) if t >= _cutoff(n, parity) else np.array(-math.inf)
+    else:
+        points, where = np.unique(t, return_inverse=True)
+        first = np.searchsorted(points, _cutoff(n, parity))
+        log_f = np.full(points.shape, -math.inf)
+        if first < points.size:
+            log_f[first:] = _log_cdf(n, points[first:], parity, method)
+        log_f = log_f[where]
     values = [min(math.exp(v), 1.0) for v in log_f.ravel().tolist()]
     return values[0] if x.ndim == 0 else np.array(values).reshape(x.shape)
 
@@ -384,8 +387,8 @@ def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     of the Nystrom extensions of P_n and of the resolvent kernel over
     (-inf, t), taken term by term with the same recurrence.
     """
-    eps = _on_operators(n, _checked(n, t), partial(_epsilon_numeric, n), integrals=True)
-    return EpsilonQuantities(*_accepted(n, t, *astuple(eps)))
+    read = lambda op, *integrals: (log_det(op), *astuple(_epsilon_numeric(n, op, *integrals)))
+    return EpsilonQuantities(*_resolved(n, t, lambda t: _on_operators(n, t, read, integrals=True)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -41,9 +41,12 @@ with B = 0 says the same of the determinant.  Where tau < TRACE_FLOOR =
 2^-64, 2^-11 of an ulp, map_blocks builds no matrix and factors nothing:
 the operator's solves return their right-hand side, bit for bit what the
 factor gives, and its log-determinant is -tau, where the factor's diagonal
-rounds to 1 and reads 0.0.  Such operators are picked by a mask, wherever
-they stand in a stack, and make one block of their own.  The sum kernel
-A_s of F_1/F_4 has no parts and is always factored.
+rounds to 1 and reads 0.0.  The trailing run of such operators in a stack
+makes one block of their own.  A trace falls as the left end moves right,
+so in a stack of ascending left ends, as every stack of the library is,
+that run holds them all; one left of an assembled operator is assembled,
+and its solves give the same bits.  The sum kernel A_s of F_1/F_4 has no
+parts and is always factored.
 """
 
 from __future__ import annotations
@@ -202,23 +205,18 @@ def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> 
     ``nodes_and_lower``, both for the whole stack, and each of ``extra`` an
     array with the leading stack axis; ``fn`` maps the operator of a block
     and the block's rows of ``extra`` to an array whose last axis runs over
-    that block.  The operators whose trace is below TRACE_FLOOR, wherever
-    they stand in the stack, form one last block of identities
-    (:func:`_identity`); the others are assembled BLOCK at a time, and a
-    block's operator is dropped before the next one is built.  The values
-    come back in stack order.  A single grid is the stack without its axis:
-    one call of fn.
+    that block.  The trailing run of operators whose trace is below
+    TRACE_FLOOR forms one last block of identities (:func:`_identity`); the
+    others, a below-floor operator left of an assembled one among them, are
+    assembled BLOCK at a time, and a block's operator is dropped before the
+    next one is built.  The values come back in stack order.  A single grid
+    is the stack without its axis: one call of fn.
     """
     below = _trace(grid, parts) < TRACE_FLOOR
     if grid.nodes.ndim == 1:
         return fn((_identity if below else assemble)(grid, parts, scale), *extra)
-    count = below.size - np.count_nonzero(below)
+    count = np.max(np.flatnonzero(~below), initial=-1) + 1  # the operators left of the trailing run
     arrays = (grid.lower, grid.upper, grid.nodes, grid.weights, *parts, *extra)
-    # the assembled operators first, in stack order; a stack whose identities all
-    # stand right of its assembled operators is in that order already
-    order = np.argsort(below, kind="stable") if below[:count].any() else None
-    if order is not None:
-        arrays = tuple(v[order] for v in arrays)
     blocks = [(slice(start, min(start + BLOCK, count)), assemble) for start in range(0, count, BLOCK)]
     blocks += [(slice(count, None), _identity)] if count < below.size else []
     values = []
@@ -226,8 +224,7 @@ def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> 
         lower, upper, nodes, weights, *rest = (v[block] for v in arrays)
         op = build(QuadratureGrid(lower, upper, nodes, weights), tuple(rest[:len(parts)]), scale)
         values.append(fn(op, *rest[len(parts):]))
-    values = np.concatenate(values, axis=-1)
-    return values if order is None else values[..., np.argsort(order)]
+    return np.concatenate(values, axis=-1)
 
 
 def _per_operator(fn, *arrays) -> np.ndarray:

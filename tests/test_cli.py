@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gemax import acceptance, airy, cli, mc
+from gemax import acceptance, airy, cli, finite_n, mc
 from gemax.acceptance import mc_cdf
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import f_n1, f_n2, f_n4, gse_largest_cdf
@@ -666,6 +666,29 @@ class TestHostileInputs:
         assert run_cli(["edgeworth", "--n", "40", "--c", "1e308", "--steps", "3"]) == (2, "")
         assert capsys.readouterr().err == ("error: need finite n >= 1 and c with n + c > 0, 2(n + c) "
                                            "finite, got n=40, c=1e+308\n")
+
+    def test_tau_past_t_max_names_c(self, capsys):
+        # tau past finite_n.T_MAX with 2(n + c) finite was reported as an internal
+        # point: "need finite points up to 1e+12, got 4472135954998.433 at index 0"
+        for argv, n in ((["edgeworth", "--n", "40", "--c", "1e25", "--steps", "2"], 40),
+                        (["convergence", "--n-list", "20,40,80", "--c", "1e25", "--steps", "2"], 20)):
+            assert run_cli(argv) == (2, "")
+            assert capsys.readouterr().err == f"error: need c with tau(n, c, s) <= 1e+12, got n={n}, c=1e+25\n"
+
+    @pytest.mark.parametrize("reader", [finite_n.q_p_n, finite_n.ab, finite_n.epsilon_numeric],
+                             ids=["q_p_n", "ab", "epsilon_numeric"])
+    def test_library_readers(self, reader):
+        # the readers of solves over the same floats: a value, or a ParameterError
+        # or NumericalError, and no warning
+        floats = [float(v) for v in HOSTILE if v not in ("", "abc")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (4, 0, -1, 2**63 - 1, 10**15, *floats):
+                for x in (0.0, *floats):
+                    try:
+                        reader(m, x)
+                    except (ParameterError, NumericalError):
+                        continue
 
     @pytest.mark.parametrize("n, law", [(4, f_n2), (4, partial(f_n2, method="exponential")), (4, f_n1),
                                         (5, f_n4), (2, gse_largest_cdf), (None, airy.f2_limit),

@@ -708,16 +708,22 @@ class TestExponentialTables:
 
     @pytest.mark.parametrize("n", (4, 40))
     def test_order_repeats_and_axes(self, n):
-        # the values are those of the sorted table, bit for bit, in the points' own order
-        x = _exponential_points(n, 9)
-        table = cdf_values("gue", n, x, "exponential")
-        order = np.random.default_rng(n).permutation(x.size)
-        assert np.array_equal(cdf_values("gue", n, x[order], "exponential"), table[order])
-        repeated = np.concatenate([x, x[::2], x[:1]])
-        assert np.array_equal(cdf_values("gue", n, repeated, "exponential"),
-                              np.concatenate([table, table[::2], table[:1]]))
-        grid = x[order].reshape(3, 3)
-        assert np.array_equal(cdf_values("gue", n, grid, "exponential"), table[order].reshape(3, 3))
+        _assert_order_repeats_and_axes("gue", n, _exponential_points(n, 9), "exponential")
+
+
+def _assert_order_repeats_and_axes(ensemble: str, n: int, x: np.ndarray, method: str) -> None:
+    """The values of a 9-point table shuffled, with repeats and on two axes are those of the sorted table.
+
+    Bit for bit, in the points' own order: a table enters as its distinct points in ascending order.
+    """
+    table = cdf_values(ensemble, n, x, method)
+    order = np.random.default_rng(n).permutation(x.size)
+    assert np.array_equal(cdf_values(ensemble, n, x[order], method), table[order])
+    repeated = np.concatenate([x, x[::2], x[:1]])
+    assert np.array_equal(cdf_values(ensemble, n, repeated, method),
+                          np.concatenate([table, table[::2], table[:1]]))
+    grid = x[order].reshape(3, 3)
+    assert np.array_equal(cdf_values(ensemble, n, grid, method), table[order].reshape(3, 3))
 
 
 #: (ensemble, kernel index, method) of the tables held against scalar calls
@@ -833,6 +839,28 @@ class TestTables:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 10**6
+
+    @pytest.mark.parametrize("ensemble, n", [("gue", 40), ("gue", 400), ("goe", 40), ("goe", 400),
+                                             ("gse", 41), ("gse", 399)])
+    def test_order_repeats_and_axes(self, ensemble, n):
+        # a determinant table decides its point order once too: where a stack
+        # held the points as given, repeats moved values of the GOE tables at
+        # n = 40 and 400 (6 of 15 at n = 400) and of the GSE table at n = 399
+        # (5 of 15) in their last bits
+        t = math.sqrt(2.0 * n) + np.linspace(-2.9, 2.5, 9)
+        _assert_order_repeats_and_axes(ensemble, n, t / math.sqrt(2.0) if ensemble == "gse" else t,
+                                       "determinant")
+
+    def test_exponential_table_at_n400(self):
+        # on edge - 2.9 .. edge + 3, right of the first refusal at edge - 3.00:
+        # measured worst 5.7e-15 between the table and the scalar calls, the
+        # per-node rounding of q p (1e-14 relative at n = 400), where n <= 40
+        # stays within 6.1e-16; on edge - 6 .. edge + 3 the two zero sets differ
+        x = math.sqrt(800.0) + np.linspace(-2.9, 3.0, 37)
+        scalar = _scalar_values("gue", 400, x, "exponential")
+        table = cdf_values("gue", 400, x, "exponential")
+        assert np.all(scalar > 0.0) and np.all(table > 0.0)
+        assert np.abs(table - scalar).max() <= 1e-14
 
     def test_empty_table(self):
         assert cdf_values("goe", 4, np.array([])).shape == (0,)
@@ -958,6 +986,27 @@ class TestDomainEnds:
         with pytest.raises(NumericalError):
             log_f_n2(2, -1e5)
 
+    @pytest.mark.parametrize("reader", (q_p_n, ab, epsilon_numeric))
+    def test_far_left_readers_raise(self, reader, monkeypatch):
+        # the readers of solves answer to the CDFs' failure policy: q_p_n(1, -6.09)
+        # read (-2.86e-8, 1090.5) where the rank-one closed form gives
+        # (6.32e-10, 1.563e9), its log F_{1,2} of -26.0 above the shift bound
+        # -37.1; (4, -1e10) read (0.0, 0.0) and epsilon_numeric(4, -1e200)
+        # overflowed to q_eps = -0.686.  Left of the cutoff no grid is built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, t in ((1, -6.09), (1, -9.74)):
+                with pytest.raises(NumericalError, match="lost positivity or its shift bound"):
+                    reader(n, t)
+            monkeypatch.setattr(finite_n, "build_grid", self._refuse)
+            for n, t in ((4, -1e10), (4, -1e200)):
+                with pytest.raises(NumericalError, match="lost positivity or its shift bound"):
+                    reader(n, t)
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("built a grid where the shift bound decides")
+
     @pytest.mark.parametrize("reader, value", [
         (f_n2, 1.0), (partial(f_n2, method="exponential"), 1.0), (f_n1, 1.0), (log_f_n2, 0.0),
         (q_p_n, (0.0, 0.0)), (ab, (0.0, 0.0)),
@@ -973,8 +1022,17 @@ class TestDomainEnds:
             with pytest.raises(ParameterError, match=re.escape(f"up to 1e+12, got {t!r} at index 0")):
                 reader(4, t)
         assert f_n4(5, finite_n.T_MAX / 2.0) == 1.0
-        with pytest.raises(ParameterError, match=r"up to 1e\+12"):
-            f_n4(5, finite_n.T_MAX)
+
+    @pytest.mark.parametrize("law, n", [(f_n4, 5), (gse_largest_cdf, 2)], ids=("f_n4", "gse_largest_cdf"))
+    def test_gse_names_u(self, law, n):
+        # the GSE's u was reported as t = u sqrt 2 against the bound in t:
+        # f_n4(5, 1e12) said "got 1414213562373.0952"; the bound in u is T_MAX / sqrt 2
+        top = finite_n.T_MAX / math.sqrt(2.0)
+        assert law(n, top) == 1.0
+        for u in (math.nextafter(top, math.inf), 8e11, finite_n.T_MAX):
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"need finite u up to 7.07107e+11, got {u!r} at index 0")):
+                law(n, u)
 
 
 def _paper_bracket(n: int, t: float) -> float:

@@ -361,7 +361,9 @@ class TestTraceFloor:
         ids=["airy", "finite_n"],
     )
     def test_unsorted_stack(self, module, values, points, monkeypatch):
-        # identities picked by a mask wherever they stand: an unsorted stack
+        # only the trailing run of below-floor operators is a block of
+        # identities; one that stands left of an assembled operator is
+        # assembled, and its solves give the same bits, so an unsorted stack
         # gives the values of the same stack sorted, in its own order
         points = np.array(points)
         order = np.argsort(points)

@@ -51,6 +51,10 @@ EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4", "c_phi", "c_psi")
 #: exponential tables as `finite_tables` runs them, 9 points on edge - 4 .. edge + 2.5
 #: at n = 4 and 40, and a 2-point table whose one cell takes the most nodes a cell takes
 EXPONENTIAL_TABLES = ((4, -4.0, 2.5, 9), (40, -4.0, 2.5, 9), (40, -1.5, 2.0, 2))
+#: far-left points where the readers of solves handed out unresolved values
+FAR_LEFT = ((1, -6.09), (4, -1e10))
+#: a GOE table whose points repeat: edge - 2.9 .. edge + 2.5 at n = 400, then every other point again
+REPEATED_GOE = 400
 #: a decimal number in a CLI stdout, kept by `re.split` as its own part
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
@@ -90,6 +94,8 @@ ARGVS = (
     ("convergence", "--n-list", "20,40,80", "--steps", "2", "--format", "json"),
     ("tabulate", "--ensemble", "gse", "--n", "5", "--t-min", "0", "--t-max", "1", "--steps", "2",
      "--gue-scale", "--format", "json"),
+    # a descending grid
+    ("tabulate", "--ensemble", "goe", "--n", "40", "--t-min", "10", "--t-max", "4", "--steps", "7"),
 ) + tuple(
     ("tabulate", "--n", str(n), "--t-min", repr(math.sqrt(2.0 * n) + lower),
      "--t-max", repr(math.sqrt(2.0 * n) + upper), "--steps", str(steps), "--method", "exponential")
@@ -151,6 +157,15 @@ def _values(gemax) -> dict:
             _record(out, f"{law.__name__} {at}", lambda: law(n, x))
             _record(out, f"f_n2 exponential {at}", lambda: finite_n.f_n2(n, t, "exponential"))
             _record(out, f"ab {at}", lambda: finite_n.ab(n, t))
+    for n, t in FAR_LEFT:
+        for reader in (finite_n.q_p_n, finite_n.ab):
+            _record(out, f"{reader.__name__} n={n} t={t!r}", lambda: reader(n, t))
+        _record(out, f"epsilon_numeric n={n} t={t!r}",
+                lambda: [getattr(finite_n.epsilon_numeric(n, t), f) for f in EPS_FIELDS])
+    edge = math.sqrt(2.0 * REPEATED_GOE)
+    points = [edge - 2.9 + 5.4 * k / 8 for k in range(9)]
+    _record(out, f"cdf_values goe n={REPEATED_GOE} repeated",
+            lambda: finite_n.cdf_values("goe", REPEATED_GOE, points + points[::2]).tolist())
     for s in AIRY_POINTS:
         for law in (airy.f1_limit, airy.f2_limit, airy.f4_limit, airy.hastings_mcleod_q,
                     airy.log_f2_limit):
