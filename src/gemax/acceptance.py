@@ -331,7 +331,8 @@ def edgeworth_study(ensemble: str, n: int, c: float, s):
     An s-grid gives an array of truths, one :func:`finite_n.cdf_values` table
     (one recurrence pass), and a list of results; a float s gives (truth,
     EdgeworthResult) by the float path.  Checks the ensemble and n first,
-    then c: ParameterError, naming c, where tau passes finite_n.T_MAX.
+    then every s against the Airy window, then c: ParameterError, naming c,
+    where tau passes finite_n.T_MAX.
     """
     if ensemble not in EXPANSIONS:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
@@ -339,6 +340,8 @@ def edgeworth_study(ensemble: str, n: int, c: float, s):
     name, divisor, power = EXPANSIONS[ensemble]
     expansion = getattr(airy, name)
     grid = float(s) if np.ndim(s) == 0 else [float(v) for v in s]
+    for v in np.atleast_1d(grid):
+        airy.check_window(v)
     tau = airy.tau(n, c, grid) if np.ndim(s) == 0 else np.array([airy.tau(n, c, v) for v in grid])
     if np.max(tau, initial=-math.inf) > finite_n.T_MAX:
         raise ParameterError(f"need c with tau(n, c, s) <= {finite_n.T_MAX:g}, got n={n}, c={c}")
@@ -400,7 +403,7 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
 
 #: a CDF table starts below LEFT_TOL, ends above 1 - RIGHT_TOL and steps down
 #: by less than MONO_TOL, the slack for rounding and deep-tail noise: the
-#: largest drop over criterion 9's 15 tables is 5.6e-16, since far left of the
+#: largest drop over criterion 9's 15 tables is 7.8e-16, since far left of the
 #: edge a refused operator reads 0.0, and tests/test_finite_n.py::TestCdfContract
 #: holds every finite-n law to MONO_TOL over its whole domain
 LEFT_TOL, RIGHT_TOL, MONO_TOL = 1e-3, 1e-6, 1e-6
@@ -467,8 +470,10 @@ CRITERIA = {
 
 
 def run_criteria(indices=None, tolerance_scale: float = 1.0):
-    """Run the selected criteria (all by default) and return their results."""
-    chosen = sorted(indices) if indices else sorted(CRITERIA)
+    """Run the selected criteria (all for None) and return their results; an empty selection is refused."""
+    chosen = sorted(CRITERIA if indices is None else indices)
+    if not chosen:
+        raise ParameterError(f"need at least one criterion, choose from 1-{len(CRITERIA)}")
     unknown = set(chosen) - set(CRITERIA)
     if unknown:
         raise ParameterError(f"unknown criteria {sorted(unknown)}, choose from 1-{len(CRITERIA)}")

@@ -3,10 +3,10 @@
 The three limit laws are Fredholm determinants on Gauss-Legendre Nystrom
 grids:  F_2(s) = det(I - K_Ai), and, after Ferrari-Spohn and Bornemann,
 F_1(s) = det(I - A_s) and F_4(s) = (det(I - A_s) + det(I + A_s))/2 with
-A_s(x, y) = Ai((x + y)/2)/2.  Every K_Ai operator takes one rule, 48 nodes
-on (s, max(s, 0) + 16): Ai(16) is about 4e-20.  A_s(x, x) = Ai(x)/2 decays
-only as Ai, where K_Ai(x, x) decays as Ai^2, so A_s keeps 64 nodes on
-(s, max(s, 0) + 30).  Each determinant is read from the Cholesky factor of
+A_s(x, y) = Ai((x + y)/2)/2.  Every operator takes 48 nodes, on a reach
+that ends where its kernel's row at s falls to Ai(16), about 4e-20: K_Ai on
+(s, max(s, 0) + 16), and A_s, which couples s with every y up to there, on
+(s, 32 - s).  Each determinant is read from the Cholesky factor of
 its operator (fredholm); the sum kernel's +-A_s are operators without kernel
 parts.  With the Hastings-McLeod q and mu(s) = int_s^inf q, these are
 F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -45,25 +46,27 @@ from .fredholm import resolvent_at_lower
 from .special import airy as airy_fn
 from .special import build_grid
 
-#: the K_Ai rule, every operator's and the bundle's outer one: RULE_NODES
-#: Gauss-Legendre nodes on (s, max(s, 0) + RULE_SPAN)
+#: the Airy rule: RULE_NODES Gauss-Legendre nodes on (s, max(s, 0) + RULE_SPAN)
+#: for every K_Ai operator and the bundle's outer rule, on (s, 2 RULE_SPAN - s) for A_s
 RULE_NODES = 48
 RULE_SPAN = 16.0
-#: the sum kernel's rule, SUM_NODES nodes on (s, max(s, 0) + SUM_SPAN)
-SUM_NODES = 64
-SUM_SPAN = 30.0
 S_MIN = -10.0
 S_MAX = 8.0
 SQRT2 = math.sqrt(2.0)
 
 
-def _window_check(s: float) -> None:
+def check_window(s: float) -> None:
+    """ParameterError, naming s, unless S_MIN <= s <= S_MAX."""
     if not S_MIN <= s <= S_MAX:
         raise ParameterError(f"s = {s} outside supported window [{S_MIN}, {S_MAX}]")
 
 
 def _check_n_c(n: int, c: float) -> None:
     """The domain of tau and of the expansions at tau: integer n >= 1, c with a finite 2(n + c) > 0."""
+    if not isinstance(n, Real):
+        check_integers(n=n)
+    if not isinstance(c, Real):
+        raise ParameterError(f"need a real number c, got {c!r}")
     if not (1 <= n < math.inf and 0 < 2.0 * (n + c) < math.inf):
         raise ParameterError(f"need finite n >= 1 and c with n + c > 0, 2(n + c) finite, got n={n}, c={c}")
     check_integers(n=n)
@@ -155,7 +158,7 @@ def _point_values(points: np.ndarray) -> np.ndarray:
 
 def hastings_mcleod_q(s: float) -> float:
     """Hastings-McLeod Painleve II solution q(s), from the Airy resolvent."""
-    _window_check(s)
+    check_window(s)
     return float(_point_values(np.array([s]))[0, 0, 0])
 
 
@@ -183,32 +186,19 @@ def _bundle_cached(s: float) -> AiryBundle:
         - 2.0 * lq[0] * lu[2]
     )
     eta_integral = float(np.sum(outer.weights * eta_integrand)) / (20.0 * SQRT2)
-    return AiryBundle(
-        s=s,
-        q=q,
-        p=p,
-        u=u,
-        v=v,
-        v_tilde=v_tilde,
-        w=w,
-        mu=mu,
-        nu=nu,
-        alpha=alpha,
-        eta_integral=eta_integral,
-        q_prime=p[0] - q[0] * u[0],
-        log_f2=-float(np.sum(outer.weights * (outer.nodes - s) * lq[0] * lq[0])),
-    )
+    return AiryBundle(s, q, p, u, v, v_tilde, w, mu, nu, alpha, eta_integral, q_prime=p[0] - q[0] * u[0],
+                      log_f2=-float(np.sum(outer.weights * (outer.nodes - s) * lq[0] * lq[0])))
 
 
 def airy_bundle(s: float) -> AiryBundle:
     """All Airy-resolvent scalars and integrals at s (cached)."""
-    _window_check(s)
+    check_window(s)
     return _bundle_cached(s)
 
 
 def log_f2_limit(s: float) -> float:
     """log F_2(s) = log det(I - K_Ai), the Airy Fredholm determinant."""
-    _window_check(s)
+    check_window(s)
     grid = _rule(s)
     return map_blocks(fredholm_log_det, grid, _parts(grid), 1.0)
 
@@ -221,18 +211,16 @@ def f2_limit(s: float) -> float:
 def _log_dets(s: float, coefficients: tuple[float, ...]) -> list[float]:
     """log det(I - c A_s) for each of the coefficients c, A_s(x, y) = Ai((x + y)/2)/2 on (s, inf).
 
-    One Nystrom matrix on the sum kernel's rule; Ai is evaluated once per distinct
-    pairwise sum (the upper triangle), so the matrix is exactly symmetric.
-    Each c A_s is an operator without kernel parts, and its determinant is
-    read from the operator's Cholesky factor, as every other determinant is;
-    one that the factorization refuses raises NumericalError.
+    One Nystrom matrix on the rule for A_s, Ai evaluated once per distinct pairwise
+    sum (the upper triangle), so the matrix is exactly symmetric.  Each c A_s is an
+    operator without kernel parts, its determinant read from its Cholesky factor
+    as every other one is; one that the factorization refuses raises NumericalError.
     """
-    _window_check(s)
-    nodes = SUM_NODES
-    grid = build_grid(s, max(s, 0.0) + SUM_SPAN, nodes)
+    check_window(s)
+    grid = build_grid(s, 2.0 * RULE_SPAN - s, RULE_NODES)
     sw = grid.sqrt_weights
-    i, j = np.triu_indices(nodes)
-    a = np.empty((nodes, nodes))
+    i, j = np.triu_indices(RULE_NODES)
+    a = np.empty((RULE_NODES, RULE_NODES))
     a[i, j] = a[j, i] = 0.5 * sw[i] * airy_fn(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
     return [fredholm_log_det(DiscretizedKernel(grid, c * a, 1.0, ())) for c in coefficients]
 

@@ -179,6 +179,12 @@ class TestEdgeworthStudy:
         assert results == []
         assert acceptance.sup_errors("gue", (20, 40), 0.0, []).tolist() == [[0.0, 0.0]] * 2
 
+    @pytest.mark.parametrize("s", [[1e13], [math.inf], [0.0, math.inf], 1e13], ids=repr)
+    def test_s_outside_window_is_named(self, s):
+        # an s far right passed tau's T_MAX cap first, and the message blamed c
+        with pytest.raises(ParameterError, match=r"s = (10000000000000\.0|inf) outside supported window"):
+            acceptance.edgeworth_study("gue", 40, 0.0, s)
+
     def test_n_checked_before_computing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("computed a value before the n check")
@@ -281,6 +287,15 @@ def test_repeated_criterion_is_refused(monkeypatch):
     monkeypatch.setitem(acceptance.CRITERIA, 10, refuse)
     with pytest.raises(ParameterError, match=r"criteria \[10\] repeated"):
         acceptance.run_criteria([10, 1, 10])
+
+
+def test_empty_selection_is_refused(monkeypatch):
+    # an empty selection read as "all" and ran every criterion; only None does
+    for i in acceptance.CRITERIA:
+        monkeypatch.setitem(acceptance.CRITERIA, i, lambda scale, i=i: i)
+    assert acceptance.run_criteria() == list(range(1, 11))
+    with pytest.raises(ParameterError, match="need at least one criterion, choose from 1-10$"):
+        acceptance.run_criteria([])
 
 
 @pytest.mark.parametrize("n_eigs", [200, 0])

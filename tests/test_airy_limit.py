@@ -1,6 +1,7 @@
 """Oracle tests for the Tracy-Widom limits and Edgeworth corrections."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ class TestTau:
         # before, and n + c <= 0, where tau is undefined, by the expansions too
         with pytest.raises(ParameterError, match="need finite n >= 1 and c with n [+] c > 0"):
             fn(n, c, 0.0)
+
+    @pytest.mark.parametrize("fn", [tau, edgeworth_f2, edgeworth_f1_sq, edgeworth_f4_sq])
+    @pytest.mark.parametrize("c", [None, "0", 1j], ids=repr)
+    def test_non_real_c_is_refused(self, fn, c):
+        # a c that is not a real number raised TypeError
+        with pytest.raises(ParameterError, match=f"need a real number c, got {re.escape(repr(c))}$"):
+            fn(4, c, 0.0)
 
 
 class TestHastingsMcLeod:
@@ -137,9 +145,9 @@ class TestLimitLaws:
     def test_one_matrix_per_value(self, law, operators, monkeypatch):
         # one grid and one Ai evaluation over the upper triangle of pairwise
         # sums; the bundle and its point values are never reached.  Each
-        # determinant is one potrf on an operator of the sum kernel's rule, the
-        # Cholesky factor every other determinant reads, and numpy's slogdet is
-        # never reached
+        # determinant is one potrf on RULE_NODES nodes on (s, 2 RULE_SPAN - s),
+        # the Cholesky factor every other determinant reads, and numpy's
+        # slogdet is never reached
         def unused(*args):
             raise AssertionError("the limit law reached the Airy bundle or slogdet")
 
@@ -153,8 +161,8 @@ class TestLimitLaws:
         monkeypatch.setattr(airy_module, "airy_fn", lambda x: points.append(np.size(x)) or airy_fn(x))
         monkeypatch.setattr(fredholm, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
         value = law(-1.37)
-        nodes = airy_module.SUM_NODES
-        assert len(grids) == 1
+        nodes = airy_module.RULE_NODES
+        assert grids == [(-1.37, 2.0 * airy_module.RULE_SPAN + 1.37, nodes)]
         assert points == [nodes * (nodes + 1) // 2]
         assert factored == [(nodes, nodes)] * operators
         assert 0.0 < value < 1.0
@@ -374,35 +382,73 @@ def _rule_bundles() -> np.ndarray:
     return np.array(rows)
 
 
+def _eigen_log_det(matrix: np.ndarray, sign: float) -> float:
+    """log det(I - sign A) as the sum of log1p(-sign lambda_i) over the eigenvalues of the symmetric A."""
+    return float(np.sum(np.log1p(-sign * np.linalg.eigvalsh(matrix))))
+
+
+def _reference_laws() -> np.ndarray:
+    """F_1, F_2, F_4 on the rule, each determinant a sum over its matrix's eigenvalues.
+
+    K_Ai is fredholm.assemble's matrix on the K_Ai rule; A_s is built here on
+    RULE_NODES nodes on (s, 2 RULE_SPAN - s).  On the 160-node rule these
+    sums lie within 6.3e-16 of 30-digit determinants of the same matrices at
+    nine points of [-4, 5], and within 9e-17 for s >= 0, where the Cholesky
+    factors of I -+ A are up to 2.5e-15 off.
+    """
+    rows = []
+    for s in RULE_LAW_POINTS:
+        grid = airy_module._rule(s)
+        f2 = math.exp(_eigen_log_det(fredholm.assemble(grid, airy_module._parts(grid), 1.0).matrix, 1.0))
+        grid = build_grid(s, 2.0 * airy_module.RULE_SPAN - s, airy_module.RULE_NODES)
+        sw = grid.sqrt_weights
+        a = 0.5 * sw[:, None] * airy(0.5 * np.add.outer(grid.nodes, grid.nodes))[0] * sw
+        minus, plus = (math.exp(_eigen_log_det(a, sign)) for sign in (1.0, -1.0))
+        rows.append((minus, f2, 0.5 * (minus + plus)))
+    return np.array(rows)
+
+
 @pytest.fixture(scope="class")
 def rule_reference():
-    """The laws and bundles on 160-node rules to +30: the K_Ai rule and the sum kernel's."""
+    """The laws and bundles on the 160-node rule with RULE_SPAN = 30."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(airy_module, "RULE_NODES", 160)
         patch.setattr(airy_module, "RULE_SPAN", 30.0)
-        patch.setattr(airy_module, "SUM_NODES", 160)
-        return _rule_laws(), _rule_bundles()
+        return _reference_laws(), _rule_bundles()
 
 
 class TestRuleSize:
-    """Two Gauss-Legendre rules serve the Airy side.
+    """One Gauss-Legendre rule of RULE_NODES nodes serves the Airy side.
 
     Every K_Ai operator, and the bundle's outer rule, whose integrands are
-    O(Ai), take 48 nodes on (s, max(s, 0) + 16); the sum kernel A_s of F_1
-    and F_4 takes 64 nodes on (s, max(s, 0) + 30).  Against 160-node rules
-    on +30 both keep the reference's digits, and the K_Ai rule is the
-    smallest that does: one step down in either of its dimensions misses the
-    bundle bound, and fewer nodes miss the Painleve II left edge.
+    O(Ai), take 48 nodes on (s, max(s, 0) + 16).  The sum kernel A_s of F_1
+    and F_4 takes 48 nodes on (s, 32 - s): its row x = s falls to Ai(16)/2
+    only there, so A_s needs its own reach but no more nodes.  Against the
+    160-node rule with RULE_SPAN = 30 both keep the reference's digits, and
+    the K_Ai rule is the smallest that does: one step down in either of its
+    dimensions misses the bundle bound, and fewer nodes miss the Painleve II
+    left edge.
     """
 
     def test_default_size(self):
         assert (airy_module.RULE_NODES, airy_module.RULE_SPAN) == (48, 16.0)
-        assert (airy_module.SUM_NODES, airy_module.SUM_SPAN) == (64, 30.0)
 
     def test_laws_match_reference(self, rule_reference):
-        # measured worst gaps: F1 1.4e-15, F2 7.8e-16, F4 1.3e-15
+        # measured worst gaps: F1 1.8e-15 (s = -4), F2 1.3e-15 (s = 5), F4 1.1e-15
+        # (s = -2.5); against 160-node Cholesky determinants, which round to
+        # 2.5e-15 near F = 1, F4 read 2.4e-15 and the former 64-node A_s 3.0e-15
         laws, _ = rule_reference
         assert np.abs(_rule_laws() - laws).max() < 3e-15
+
+    def test_kai_reach_misses_the_law_bound(self, rule_reference, monkeypatch):
+        # A_s on the K_Ai rule's reach (s, max(s, 0) + 16) cuts the row x = s
+        # at Ai((s + 16 + max(s, 0))/2)/2, not at Ai(16)/2: F_4 misses the
+        # reference by 4.4e-11 at s = -6.5, F_1 by 8.6e-13 at s = -5
+        laws, _ = rule_reference
+        build_grid = airy_module.build_grid
+        monkeypatch.setattr(airy_module, "build_grid", lambda lower, upper, nodes: build_grid(
+            lower, np.maximum(lower, 0.0) + airy_module.RULE_SPAN, nodes))
+        assert np.abs(_rule_laws() - laws)[:, 2].max() > 1e-12
 
     def test_bundle_matches_reference(self, rule_reference):
         # measured worst: alpha 7.4e-14, the exponential log F_2 6.1e-14, q' 5.2e-12
@@ -478,3 +524,43 @@ class TestPainleveLeftEdge:
     )
     def test_hastings_mcleod_q(self, s, bound):
         assert abs(hastings_mcleod_q(s) - _painleve_q(s)) < bound
+
+
+#: F_1 and F_4 at the left edge from 30-digit determinants of A_s on a 30-digit
+#: Gauss-Legendre rule on (s, 56 - s); 96, 128 and 160 nodes, and 128 nodes on
+#: (s, 40 - s), agree to the 15 digits kept here
+LEFT_EDGE_LAWS = {
+    (f1_limit, -8.0): 1.80682792118542e-12,
+    (f4_limit, -8.0): 5.4956342237951e-8,
+    (f1_limit, -9.0): 7.57642214187232e-17,
+    (f4_limit, -9.0): 1.80953179410802e-11,
+}
+
+
+class TestSumKernelLeftEdge:
+    """F_1 and F_4 at s = -9, -8 against 30-digit determinants, as TestPainleveLeftEdge holds F_2 and q.
+
+    Here I - A_s is nearly singular (1 - lambda_1 is 1e-8 at s = -8, 2e-10 at
+    s = -9), so the gaps are mostly the rounding of the rule and of the
+    factor, amplified by 1/(1 - lambda_1).  A 30-digit determinant on a rule
+    rounded to doubles carries the same amplification: on 128 and 160 such
+    nodes F_1(-8) differs by 4.7e-8.  Measured relative gaps, 48 nodes on
+    (s, 32 - s) / the former 64 nodes on (s, max(s, 0) + 30) / 40 nodes on
+    (s, 32 - s): F_1(-8) 2.6e-8 / 1.8e-8 / 5.4e-8, F_4(-8) 6.5e-11 / 7.4e-11
+    / 1.2e-9, F_1(-9) 4.4e-8 / 2.0e-6 / 2.7e-6, F_4(-9) 9.6e-9 / 7.1e-10 /
+    2.8e-6.  F_1's rounding does not tell 40 nodes from 48; F_4's does.
+    """
+
+    BOUNDS = {(f1_limit, -8.0): 1e-7, (f4_limit, -8.0): 5e-10,
+              (f1_limit, -9.0): 5e-6, (f4_limit, -9.0): 3e-8}
+
+    @pytest.mark.parametrize("law, s", list(LEFT_EDGE_LAWS), ids=["F1(-8)", "F4(-8)", "F1(-9)", "F4(-9)"])
+    def test_law(self, law, s):
+        reference = LEFT_EDGE_LAWS[law, s]
+        assert abs(law(s) - reference) / reference < self.BOUNDS[law, s]
+
+    @pytest.mark.parametrize("s", [-8.0, -9.0])
+    def test_smaller_rule_misses_f4(self, s, monkeypatch):
+        monkeypatch.setattr(airy_module, "RULE_NODES", 40)
+        reference = LEFT_EDGE_LAWS[f4_limit, s]
+        assert abs(f4_limit(s) - reference) / reference > self.BOUNDS[f4_limit, s]

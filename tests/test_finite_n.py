@@ -173,8 +173,9 @@ class TestIntegerN:
     # gse_largest_cdf(1.5, u) said "need odd n, got 4.0"; the sampler took a
     # seed of 2.5 and raised TypeError for an n of 2.5; tau(2.5, 0, 0) returned
     # 2.236, edgeworth_f2(True, 0, 0) the n = 1 value, and a beta of True
-    # sampled the GOE and recorded beta=True
-    @pytest.mark.parametrize("bad", [2.5, 4.0, True, np.float64(2.0)], ids=repr)
+    # sampled the GOE and recorded beta=True; tau and the expansions raised
+    # TypeError for an n of None or "4"
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, np.float64(2.0), None, "4"], ids=repr)
     @pytest.mark.parametrize("reader", list(N_READERS))
     def test_non_integer_n_is_refused(self, reader, bad):
         name = {"sample_lambda_max count": "count", "sample_lambda_max seed": "seed",
