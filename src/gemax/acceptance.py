@@ -328,31 +328,31 @@ EXPANSIONS = {"gue": ("edgeworth_f2", 1.0, 1), "goe": ("edgeworth_f1_sq", 1.0, 2
 def edgeworth_study(ensemble: str, n: int, c: float, s):
     """The finite-n truths at tau(n, c, s) and the ensemble's EdgeworthResults there.
 
-    An s-grid gives an array of truths, one :func:`finite_n.cdf_values` table
-    (one recurrence pass), and a list of results; a float s gives (truth,
-    EdgeworthResult) by the float path.  Checks the ensemble and n first,
-    then every s against the Airy window, then c: ParameterError, naming c,
-    where tau passes finite_n.T_MAX.
+    s is read as a grid, a float as a grid of one: an array of truths, one
+    :func:`finite_n.cdf_values` table (one recurrence pass; one operator for
+    a grid of one), and a list of results.  Checks the ensemble and n
+    first, then every s against the Airy window, then c: ParameterError,
+    naming c, where tau passes finite_n.T_MAX.
     """
     if ensemble not in EXPANSIONS:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
     finite_n.check_n(n, finite_n.PARITY[ensemble])
     name, divisor, power = EXPANSIONS[ensemble]
     expansion = getattr(airy, name)
-    grid = float(s) if np.ndim(s) == 0 else [float(v) for v in s]
-    for v in np.atleast_1d(grid):
+    grid = [float(v) for v in np.atleast_1d(s)]
+    for v in grid:
         airy.check_window(v)
-    tau = airy.tau(n, c, grid) if np.ndim(s) == 0 else np.array([airy.tau(n, c, v) for v in grid])
+    tau = np.array([airy.tau(n, c, v) for v in grid])
     if np.max(tau, initial=-math.inf) > finite_n.T_MAX:
         raise ParameterError(f"need c with tau(n, c, s) <= {finite_n.T_MAX:g}, got n={n}, c={c}")
-    results = expansion(n, c, grid) if np.ndim(s) == 0 else [expansion(n, c, v) for v in grid]
+    results = [expansion(n, c, v) for v in grid]
     return finite_n.cdf_values(ensemble, n, tau / divisor) ** power, results
 
 
 def edgeworth_comparison(ensemble: str, n: int, c: float, s: float):
-    """(finite-n truth, leading, combined) for one expansion point: the float :func:`edgeworth_study`."""
-    truth, r = edgeworth_study(ensemble, n, c, float(s))
-    return truth, r.leading, r.combined
+    """(finite-n truth, leading, combined) for one expansion point: :func:`edgeworth_study` on a grid of one."""
+    (truth,), (r,) = edgeworth_study(ensemble, n, c, [s])
+    return float(truth), r.leading, r.combined
 
 
 def sup_errors(ensemble: str, ns, c: float, s_grid) -> np.ndarray:

@@ -40,7 +40,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ParameterError, check_integers
+from .errors import NumericalError, ParameterError, check_integers
 from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
 from .fredholm import resolvent_at_lower
 from .special import airy as airy_fn
@@ -56,7 +56,9 @@ SQRT2 = math.sqrt(2.0)
 
 
 def check_window(s: float) -> None:
-    """ParameterError, naming s, unless S_MIN <= s <= S_MAX."""
+    """ParameterError, naming s, unless s is a real number with S_MIN <= s <= S_MAX."""
+    if not isinstance(s, Real):
+        raise ParameterError(f"need a real number s, got {s!r}")
     if not S_MIN <= s <= S_MAX:
         raise ParameterError(f"s = {s} outside supported window [{S_MIN}, {S_MAX}]")
 
@@ -70,6 +72,12 @@ def _check_n_c(n: int, c: float) -> None:
     if not (1 <= n < math.inf and 0 < 2.0 * (n + c) < math.inf):
         raise ParameterError(f"need finite n >= 1 and c with n + c > 0, 2(n + c) finite, got n={n}, c={c}")
     check_integers(n=n)
+
+
+def _check_c(c: float) -> None:
+    """The domain of E_{c,1}, E_{c,2} and eta: ParameterError, naming c, unless it is a finite real number."""
+    if not (isinstance(c, Real) and math.isfinite(c)):
+        raise ParameterError(f"need a finite real number c, got {c!r}")
 
 
 def tau(n: int, c: float, s: float) -> float:
@@ -103,6 +111,7 @@ class AiryBundle:
     log_f2: float
 
     def eta(self, c: float) -> float:
+        _check_c(c)
         return self.eta_integral - (20.0 * c * c * self.q_prime + 3.0 * self.p[0]) / (
             20.0 * SQRT2
         )
@@ -118,6 +127,14 @@ class EdgeworthResult:
     combined: float
 
 
+def _expansion(n: int, c: float, s: float, leading: float, first: float, second: float) -> EdgeworthResult:
+    """The terms at (n, c, s) and their sum; NumericalError, naming n, c and s, unless all are finite."""
+    terms = (leading, first, second, leading + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0))
+    if not all(map(math.isfinite, terms)):
+        raise NumericalError(f"Edgeworth terms {terms} not finite at n={n}, c={c}, s={s}")
+    return EdgeworthResult(*terms)
+
+
 def _parts(grid) -> tuple:
     """Ai, Ai' and K_Ai(z, z) = Ai'^2 - z Ai^2 at z = grid.nodes_and_lower, from one Airy call."""
     z = grid.nodes_and_lower
@@ -126,16 +143,16 @@ def _parts(grid) -> tuple:
 
 
 def _endpoint_scalars(op) -> np.ndarray:
-    """(q_i, p_i, u_i, v_i, v~_i, w_i) of a block of operators, shape (6, 3, block)."""
+    """(q_i, p_i, u_i, v_i, v~_i, w_i) of an operator or a block of them, shape (6, 3) or (6, 3, block)."""
     z, w = op.grid.nodes_and_lower, op.grid.weights
     ai, aip, _ = op.parts
     powers = np.stack([np.ones_like(z), z, z * z], axis=-1)
     rhs = np.concatenate([powers * ai[..., None], powers * aip[..., None]], axis=-1)
     sols, endpoint = resolvent_at_lower(op, rhs)  # columns: Q0 Q1 Q2 P0 P1 P2
-    on_ai = ((w * ai[..., :-1])[:, None, :] @ sols)[:, 0]
-    on_aip = ((w * aip[..., :-1])[:, None, :] @ sols)[:, 0]
+    on_ai = ((w * ai[..., :-1])[..., None, :] @ sols)[..., 0, :]
+    on_aip = ((w * aip[..., :-1])[..., None, :] @ sols)[..., 0, :]
     # the 18 columns run q, p, u, v, v~, w, each for i = 0, 1, 2
-    return np.concatenate([endpoint, on_ai, on_aip], axis=-1).T.reshape(6, 3, -1)
+    return np.concatenate([endpoint, on_ai, on_aip], axis=-1).T.reshape(6, 3, *endpoint.shape[:-1])
 
 
 def _rule(points):
@@ -143,23 +160,21 @@ def _rule(points):
     return build_grid(points, np.maximum(points, 0.0) + RULE_SPAN, RULE_NODES)
 
 
-def _point_values(points: np.ndarray) -> np.ndarray:
-    """Endpoint scalars (q_i, p_i, u_i, v_i, v~_i, w_i) of the K_Ai operators at each x in points.
-
-    Returns an array of shape (6, 3, len(points)): the six scalars, each for
-    the weight powers i = 0, 1, 2, at each point.  One Airy call on the
-    nodes and left ends of the whole stack gives the matrices, the
-    right-hand sides x^i Ai, x^i Ai', the rows K(x, x_j) and the endpoint
-    values.
-    """
+def _on_operators(points, fn):
+    """The one K_Ai builder: fn(operator) on the rule at each left end in points; a float is one operator."""
     grid = _rule(points)
-    return map_blocks(_endpoint_scalars, grid, _parts(grid), 1.0)
+    return map_blocks(fn, grid, _parts(grid), 1.0)
+
+
+def _point_values(points) -> np.ndarray:
+    """The endpoint scalars at each point, shape (6, 3, len(points)), or (6, 3) at a float point."""
+    return _on_operators(points, _endpoint_scalars)
 
 
 def hastings_mcleod_q(s: float) -> float:
     """Hastings-McLeod Painleve II solution q(s), from the Airy resolvent."""
     check_window(s)
-    return float(_point_values(np.array([s]))[0, 0, 0])
+    return float(_point_values(s)[0, 0])
 
 
 # The one cache keyed on a float argument.  One bundle costs 49 operators, and
@@ -199,8 +214,7 @@ def airy_bundle(s: float) -> AiryBundle:
 def log_f2_limit(s: float) -> float:
     """log F_2(s) = log det(I - K_Ai), the Airy Fredholm determinant."""
     check_window(s)
-    grid = _rule(s)
-    return map_blocks(fredholm_log_det, grid, _parts(grid), 1.0)
+    return _on_operators(s, fredholm_log_det)
 
 
 def f2_limit(s: float) -> float:
@@ -242,6 +256,7 @@ def f4_limit(s: float) -> float:
 
 def e_c2(s: float, c: float) -> float:
     """Second-order unitary correction polynomial E_{c,2}(s)."""
+    _check_c(c)
     b = airy_bundle(s)
     return (
         2.0 * b.w[1]
@@ -256,6 +271,7 @@ def e_c2(s: float, c: float) -> float:
 
 def e_c1(s: float, c: float) -> float:
     """Second-order orthogonal correction E_{c,1}(s), assembled term by term."""
+    _check_c(c)
     b = airy_bundle(s)
     mu = b.mu
     q, p, u, nu, alpha = b.q[0], b.p[0], b.u[0], b.nu, b.alpha
@@ -292,8 +308,7 @@ def edgeworth_f2(n: int, c: float, s: float) -> EdgeworthResult:
     f2 = math.exp(b.log_f2)
     first = f2 * c * b.u[0]
     second = -f2 * e_c2(s, c) / 20.0
-    combined = f2 + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)
-    return EdgeworthResult(f2, first, second, combined)
+    return _expansion(n, c, s, f2, first, second)
 
 
 def edgeworth_f1_sq(n: int, c: float, s: float) -> EdgeworthResult:
@@ -306,8 +321,7 @@ def edgeworth_f1_sq(n: int, c: float, s: float) -> EdgeworthResult:
     leading = f2 * emu
     first = f2 * (c * (b.q[0] + b.u[0]) * emu - b.nu * (1.0 - emu) / (2.0 * mu))
     second = f2 * e_c1(s, c)
-    combined = leading + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)
-    return EdgeworthResult(leading, first, second, combined)
+    return _expansion(n, c, s, leading, first, second)
 
 
 def edgeworth_f4_sq(n: int, c: float, s: float) -> EdgeworthResult:
@@ -326,5 +340,4 @@ def edgeworth_f4_sq(n: int, c: float, s: float) -> EdgeworthResult:
         + (ch - 1.0) / 10.0 * e_c2(s, c)
         + SQRT2 * (b.eta(c) - SQRT2 * c * c * q * u0) * sh
     )
-    combined = leading + first * n ** (-1.0 / 3.0) + second * n ** (-2.0 / 3.0)
-    return EdgeworthResult(leading, first, second, combined)
+    return _expansion(n, c, s, leading, first, second)

@@ -31,8 +31,8 @@ that its resolvent solve shares.  An exponential table's points share one
 composite outer rule (:func:`_tail_integrals`).  One failure policy,
 :func:`_policy`, judges every output by its log F_{n,2}: a CDF value reads
 0.0 where it fails, and :func:`log_f_n2`, :func:`q_p_n`, :func:`ab` and
-:func:`epsilon_numeric` raise there (:func:`_resolved`).  A float point is
-one operator, not a stack of one.
+:func:`epsilon_numeric` raise there (:func:`_resolved`).  One point, in
+any shape, is one operator, not a stack of one.
 """
 
 from __future__ import annotations
@@ -175,9 +175,9 @@ def _resolved(n: int, t: float, read) -> tuple[float, ...]:
 
 
 def q_p_n(n: int, t: float) -> tuple[float, float]:
-    """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve, on a stack of one operator."""
-    read = lambda op: np.vstack([log_det(op), _at_lower(n, op)])
-    return _resolved(n, t, lambda t: _on_operators(n, t[None], read)[:, 0])
+    """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve on one operator."""
+    read = lambda op: (log_det(op), *_at_lower(n, op))
+    return _resolved(n, t, lambda t: _on_operators(n, t, read))
 
 
 def _cell_nodes(n: int, width: float) -> int:
@@ -347,8 +347,8 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
     values back in x's order and shape); those left of the far-left cutoff,
     a prefix, read 0.0 before any grid is built, and the rest are one stack
     for :func:`_log_cdf`: one recurrence pass, then blocks of operators, each
-    factored once.  A float x is one operator and gives a float.  Each value
-    is min(exp(log F), 1): the clamp absorbs rounding only.
+    factored once.  One point, in any shape, is one operator; a float x gives
+    a float.  Each value is min(exp(log F), 1): the clamp absorbs rounding only.
     """
     if ensemble not in PARITY:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
@@ -361,8 +361,8 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
     t = x * math.sqrt(2.0) if parity == 1 else x
     if parity == 1 and n == 1:  # F_{1,4}: no symplectic eigenvalues
         log_f = np.zeros_like(t)
-    elif t.ndim == 0:
-        log_f = _log_cdf(n, t, parity, method) if t >= _cutoff(n, parity) else np.array(-math.inf)
+    elif t.size == 1:  # one point, in any shape: one operator, not a stack of one
+        log_f = _log_cdf(n, t.reshape(()), parity, method) if t >= _cutoff(n, parity) else np.array(-math.inf)
     else:
         points, where = np.unique(t, return_inverse=True)
         first = np.searchsorted(points, _cutoff(n, parity))

@@ -326,6 +326,7 @@ def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
 
 def ks_critical_1pct(count: int) -> float:
     """1% critical value 1.63/sqrt(N) of the one-sample KS statistic."""
+    check_integers(count=count)
     if count < 1:
         raise ParameterError(f"need count >= 1, got {count}")
     return 1.63 / math.sqrt(count)

@@ -163,15 +163,15 @@ class TestEdgeworthStudy:
     @pytest.mark.parametrize("ensemble, n, tol", [("gue", 40, 0.0), ("goe", 40, 1e-15),
                                                   ("gse", 41, 1e-15)])
     def test_grid_is_its_float_calls(self, ensemble, n, tol):
-        # the table's truths are the float path's to rounding (the GUE's bit for
-        # bit; the GOE/GSE integrals contract over a wider table), and the
-        # expansions are the same calls
+        # a float s is a grid of one; the table's truths are its points' to
+        # rounding (the GUE's bit for bit; the GOE/GSE integrals contract over
+        # a wider table), and the expansions are the same calls
         truth, results = acceptance.edgeworth_study(ensemble, n, 0.5, STUDY_GRID)
         assert truth.shape == STUDY_GRID.shape
         points = [acceptance.edgeworth_study(ensemble, n, 0.5, float(s)) for s in STUDY_GRID]
-        assert all(isinstance(t, float) for t, _ in points)
-        np.testing.assert_allclose(truth, [t for t, _ in points], rtol=0.0, atol=tol)
-        assert results == [r for _, r in points]
+        assert all(t.shape == (1,) and len(r) == 1 for t, r in points)
+        np.testing.assert_allclose(truth, [t[0] for t, _ in points], rtol=0.0, atol=tol)
+        assert results == [r[0] for _, r in points]
 
     def test_empty_grid(self):
         truth, results = acceptance.edgeworth_study("goe", 40, 0.0, [])

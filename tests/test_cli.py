@@ -5,12 +5,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gemax import acceptance, airy, cli, finite_n, mc
@@ -706,6 +708,37 @@ class TestHostileInputs:
             except (ParameterError, NumericalError):
                 continue
             assert 0.0 <= value <= 1.0, call
+
+    @pytest.mark.parametrize("call, message", [
+        # numpy's ValueError (ambiguous truth value)
+        (lambda: airy.f2_limit(np.array([1.0, 2.0])), "need a real number s, got array([1., 2.])"),
+        # TypeError
+        (lambda: airy.f1_limit("1"), "need a real number s, got '1'"),
+        (lambda: airy.f4_limit(1j), "need a real number s, got 1j"),
+        (lambda: airy.hastings_mcleod_q(None), "need a real number s, got None"),
+        (lambda: airy.e_c2(None, 0.0), "need a real number s, got None"),
+        (lambda: airy.e_c1(0.0, "1"), "need a finite real number c, got '1'"),
+        # TypeError: unhashable type, from the bundle's cache
+        (lambda: airy.airy_bundle(np.array([1.0])), "need a real number s, got array([1.])"),
+        # NaN, returned
+        (lambda: airy.e_c2(0.0, math.nan), "need a finite real number c, got nan"),
+        (lambda: airy.airy_bundle(0.0).eta(math.nan), "need a finite real number c, got nan"),
+        # 1.63 and 1.031, returned
+        (lambda: mc.ks_critical_1pct(True), "need an integer count, got True"),
+        (lambda: mc.ks_critical_1pct(2.5), "need an integer count, got 2.5"),
+    ], ids=["f2_limit array", "f1_limit str", "f4_limit complex", "hastings_mcleod_q None",
+            "e_c2 s None", "e_c1 c str", "airy_bundle array", "e_c2 c nan", "eta nan",
+            "ks_critical_1pct bool", "ks_critical_1pct float"])
+    def test_library_arguments_are_named(self, call, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("expansion", [airy.edgeworth_f2, airy.edgeworth_f1_sq, airy.edgeworth_f4_sq],
+                             ids=["f2", "f1_sq", "f4_sq"])
+    def test_overflowing_expansion_raises(self, expansion):
+        # -inf, NaN and +inf were returned as terms
+        with pytest.raises(NumericalError, match=r"not finite at n=40, c=1e\+154, s=0\.0$"):
+            expansion(40, 1e154, 0.0)
 
     @pytest.mark.parametrize("count", [10**18 + 1, 2**60, 2**63 - 1, 2**64, 10**30])
     def test_sample_count_above_the_cap(self, count):

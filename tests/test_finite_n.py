@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erfc
 
-from gemax import finite_n, fredholm, special
+from gemax import airy, finite_n, fredholm, special
 from gemax.acceptance import (
+    EXPANSIONS,
     MONO_TOL,
     cosh_sqrt,
     coshm1_sqrt,
@@ -631,21 +632,21 @@ class TestWorkPerValue:
         assert 0.0 < value < 1.0
 
     @pytest.mark.parametrize(
-        "value, operators",
+        "value, shape",
         [
-            (lambda: q_p_n(40, math.sqrt(80.0) - 0.5), 1),
-            (lambda: f_n2(4, 2.0, "exponential"), OUTER_NODES),
-            (lambda: ab(4, 2.0), OUTER_NODES),
+            (lambda: q_p_n(40, math.sqrt(80.0) - 0.5), (DEFAULT_NODES + 1,)),
+            (lambda: f_n2(4, 2.0, "exponential"), (OUTER_NODES, DEFAULT_NODES + 1)),
+            (lambda: ab(4, 2.0), (OUTER_NODES, DEFAULT_NODES + 1)),
         ],
         ids=["q_p_n", "f_n2 exponential", "ab"],
     )
-    def test_one_pass_per_operator(self, value, operators, monkeypatch):
+    def test_one_pass_per_operator(self, value, shape, monkeypatch):
         # every operator takes its parts at its nodes and its left end from one
-        # pass, and the stack of an exponential f_n2 or ab value (one operator
-        # per outer node) shares a single pass over all of them
+        # pass: q_p_n's one operator, with no stack axis, and the stack of an
+        # exponential f_n2 or ab value (one operator per outer node) alike
         phi_two = self._count(monkeypatch, special, "hermite_phi_two")
         value()
-        assert [np.shape(a[1]) for a in phi_two] == [(operators, DEFAULT_NODES + 1)]
+        assert [np.shape(a[1]) for a in phi_two] == [shape]
 
     def test_exponential_table_builds_its_outer_operators_in_chunks(self, monkeypatch):
         # a table's outer operators take their parts in passes of at most
@@ -664,6 +665,71 @@ class TestWorkPerValue:
             stacked = finite_n._q_p(n, outer.nodes)
             single = np.array([q_p_n(n, float(x)) for x in outer.nodes]).T
             assert np.max(np.abs(stacked - single) / np.abs(single)) < 1e-14, t
+
+
+#: one point per read: (ensemble, n, x, method), x a GUE/GOE t or a GSE u left of the edge
+ONE_POINTS = [("gue", 40, math.sqrt(80.0) - 0.5, "determinant"),
+              ("goe", 40, math.sqrt(80.0) - 0.5, "determinant"),
+              ("gse", 41, (math.sqrt(82.0) - 0.5) / math.sqrt(2.0), "determinant"),
+              ("gue", 4, 2.0, "exponential")]
+
+
+def _stacked_cdf(ensemble: str, n: int, x: float, method: str = "determinant") -> float:
+    """The CDF at x read from a stack of one operator (for an exponential value, of its outer rule's)."""
+    parity = finite_n.PARITY[ensemble]
+    t = np.array([x * math.sqrt(2.0) if parity == 1 else x])
+    return min(math.exp(finite_n._log_cdf(n, t, parity, method)[0]), 1.0)
+
+
+class TestOnePointReads:
+    """One point is one operator, with no stack axis, in every reader, and it gives the stack of one's bits."""
+
+    @staticmethod
+    def _ndims(monkeypatch) -> list:
+        # grid.nodes.ndim of every operator fredholm assembles: 1 for one operator, 2 for a stack
+        ndims = []
+        assemble = fredholm.assemble
+        monkeypatch.setattr(fredholm, "assemble",
+                            lambda grid, *a: ndims.append(grid.nodes.ndim) or assemble(grid, *a))
+        return ndims
+
+    def test_q_p_n(self, monkeypatch):
+        t = math.sqrt(80.0) - 0.5
+        stacked = tuple(finite_n._q_p(40, np.array([t]))[:, 0].tolist())
+        ndims = self._ndims(monkeypatch)
+        assert q_p_n(40, t) == stacked
+        assert ndims == [1]
+
+    def test_hastings_mcleod_q(self, monkeypatch):
+        stacked = float(airy._point_values(np.array([-1.0]))[0, 0, 0])
+        ndims = self._ndims(monkeypatch)
+        assert airy.hastings_mcleod_q(-1.0) == stacked
+        assert ndims == [1]
+
+    @pytest.mark.parametrize("ensemble, n", [("gue", 40), ("goe", 40), ("gse", 41)])
+    def test_edgeworth_comparison(self, ensemble, n, monkeypatch):
+        _, divisor, power = EXPANSIONS[ensemble]
+        stacked = _stacked_cdf(ensemble, n, tau(n, 0.5, -1.0) / divisor) ** power
+        airy.airy_bundle(-1.0)  # cached, so the spy sees the finite-n operators alone
+        ndims = self._ndims(monkeypatch)
+        truth, _, _ = edgeworth_comparison(ensemble, n, 0.5, -1.0)
+        assert truth == stacked
+        assert ndims == [1]
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 1)])
+    @pytest.mark.parametrize("ensemble, n, x, method", ONE_POINTS,
+                             ids=["gue", "goe", "gse", "gue exponential"])
+    def test_cdf_values(self, ensemble, n, x, method, shape, monkeypatch):
+        # an exponential value is its outer rule's stack of operators, as a float x's is
+        stacked = _stacked_cdf(ensemble, n, x, method)
+        ndims = self._ndims(monkeypatch)
+        point = cdf_values(ensemble, n, x, method)
+        at_float = list(ndims)
+        table = cdf_values(ensemble, n, np.full(shape, x), method)
+        assert table.shape == shape
+        assert table.item() == point == stacked
+        assert ndims == 2 * at_float
+        assert method == "exponential" or at_float == [1]
 
 
 def _exponential_points(n: int, steps: int) -> np.ndarray:

@@ -35,6 +35,8 @@ from collections import Counter
 from itertools import takewhile
 from pathlib import Path
 
+import numpy as np
+
 FINITE_N = (1, 2, 3, 4, 5, 10, 11, 40, 41, 100, 101, 399, 400)
 #: offsets from the edge sqrt(2n) of the finite-n points, edge - 8 .. edge + 4
 OFFSETS = tuple(range(-8, 5))
@@ -55,6 +57,8 @@ EXPONENTIAL_TABLES = ((4, -4.0, 2.5, 9), (40, -4.0, 2.5, 9), (40, -1.5, 2.0, 2))
 FAR_LEFT = ((1, -6.09), (4, -1e10))
 #: a GOE table whose points repeat: edge - 2.9 .. edge + 2.5 at n = 400, then every other point again
 REPEATED_GOE = 400
+#: a c past every finite term: each expansion there overflows and raises
+OVERFLOW_C = 1e154
 #: a decimal number in a CLI stdout, kept by `re.split` as its own part
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
@@ -96,6 +100,10 @@ ARGVS = (
      "--gue-scale", "--format", "json"),
     # a descending grid
     ("tabulate", "--ensemble", "goe", "--n", "40", "--t-min", "10", "--t-max", "4", "--steps", "7"),
+    # one-point tables: one operator each
+    ("tabulate", "--ensemble", "gue", "--n", "40", "--t-min", "8.5", "--t-max", "8.5", "--steps", "1"),
+    ("tabulate", "--ensemble", "goe", "--n", "40", "--t-min", "8.5", "--t-max", "8.5", "--steps", "1"),
+    ("tabulate", "--ensemble", "gse", "--n", "41", "--t-min", "6", "--t-max", "6", "--steps", "1"),
 ) + tuple(
     ("tabulate", "--n", str(n), "--t-min", repr(math.sqrt(2.0 * n) + lower),
      "--t-max", repr(math.sqrt(2.0 * n) + upper), "--steps", str(steps), "--method", "exponential")
@@ -173,6 +181,10 @@ def _values(gemax) -> dict:
     for s in BUNDLE_POINTS:
         _record(out, f"airy_bundle s={s!r}", lambda: repr(airy.airy_bundle(s)))
         _record(out, f"f2_limit exponential s={s!r}", lambda: math.exp(airy.airy_bundle(s).log_f2))
+    for expansion in (airy.edgeworth_f2, airy.edgeworth_f1_sq, airy.edgeworth_f4_sq):
+        _record(out, f"{expansion.__name__} n=40 c={OVERFLOW_C!r} s=0.0",
+                lambda: repr(expansion(40, OVERFLOW_C, 0.0)))
+    _record(out, "f2_limit s=[1.0, 2.0]", lambda: airy.f2_limit(np.array([1.0, 2.0])))
     return out
 
 
