@@ -3,12 +3,13 @@
 The three limit laws are Fredholm determinants on Gauss-Legendre Nystrom
 grids:  F_2(s) = det(I - K_Ai), and, after Ferrari-Spohn and Bornemann,
 F_1(s) = det(I - A_s) and F_4(s) = (det(I - A_s) + det(I + A_s))/2 with
-A_s(x, y) = Ai((x + y)/2)/2.  Every operator takes 48 nodes, on a reach
-that ends where its kernel's row at s falls to Ai(16), about 4e-20: K_Ai on
-(s, max(s, 0) + 16), and A_s, which couples s with every y up to there, on
-(s, 32 - s).  Each determinant is read from the Cholesky factor of
-its operator (fredholm); the sum kernel's +-A_s are operators without kernel
-parts.  With the Hastings-McLeod q and mu(s) = int_s^inf q, these are
+A_s(x, y) = Ai((x + y)/2)/2.  Every operator takes special's 48-node rule,
+on a reach that ends where its kernel's row at s falls to Ai(16), about
+4e-20: K_Ai on (s, max(s, 0) + 16), the finite-n kernels' special.edge_rule
+at the edge 0 on the unit 1, and A_s, which couples s with every y up to
+there, on (s, 32 - s).  Each determinant is read from the Cholesky factor
+of its operator (fredholm); the sum kernel's +-A_s are operators without
+kernel parts.  With the Hastings-McLeod q and mu(s) = int_s^inf q, these are
 F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
 convention.
 
@@ -43,13 +44,10 @@ import numpy as np
 from .errors import NumericalError, ParameterError, check_integers
 from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
 from .fredholm import resolvent_at_lower
+from . import special
 from .special import airy as airy_fn
-from .special import build_grid
+from .special import build_grid, edge_rule
 
-#: the Airy rule: RULE_NODES Gauss-Legendre nodes on (s, max(s, 0) + RULE_SPAN)
-#: for every K_Ai operator and the bundle's outer rule, on (s, 2 RULE_SPAN - s) for A_s
-RULE_NODES = 48
-RULE_SPAN = 16.0
 S_MIN = -10.0
 S_MAX = 8.0
 SQRT2 = math.sqrt(2.0)
@@ -155,14 +153,9 @@ def _endpoint_scalars(op) -> np.ndarray:
     return np.concatenate([endpoint, on_ai, on_aip], axis=-1).T.reshape(6, 3, *endpoint.shape[:-1])
 
 
-def _rule(points):
-    """The K_Ai rule at each left end in points: Ai(x) ~ e^{-(2/3)x^{3/2}} < 1e-19 past it."""
-    return build_grid(points, np.maximum(points, 0.0) + RULE_SPAN, RULE_NODES)
-
-
 def _on_operators(points, fn):
-    """The one K_Ai builder: fn(operator) on the rule at each left end in points; a float is one operator."""
-    grid = _rule(points)
+    """The one K_Ai builder: fn(operator) on the edge rule (edge 0, unit 1) at each left end; a float is one."""
+    grid = edge_rule(points, 0.0, 1.0)
     return map_blocks(fn, grid, _parts(grid), 1.0)
 
 
@@ -183,7 +176,7 @@ def hastings_mcleod_q(s: float) -> float:
 @lru_cache(maxsize=10_000)
 def _bundle_cached(s: float) -> AiryBundle:
     """The bundle at s, every integral from the point values at the nodes of the rule at s."""
-    outer = _rule(s)
+    outer = edge_rule(s, 0.0, 1.0)
     values = _point_values(np.append(s, outer.nodes))
     q, p, u, v, v_tilde, w = (tuple(float(x) for x in field[:, 0]) for field in values)
     lq, lp, lu, lv = values[:4, :, 1:]
@@ -231,10 +224,10 @@ def _log_dets(s: float, coefficients: tuple[float, ...]) -> list[float]:
     as every other one is; one that the factorization refuses raises NumericalError.
     """
     check_window(s)
-    grid = build_grid(s, 2.0 * RULE_SPAN - s, RULE_NODES)
+    grid = build_grid(s, 2.0 * special.RULE_SPAN - s, special.RULE_NODES)
     sw = grid.sqrt_weights
-    i, j = np.triu_indices(RULE_NODES)
-    a = np.empty((RULE_NODES, RULE_NODES))
+    i, j = np.triu_indices(grid.count)
+    a = np.empty((grid.count, grid.count))
     a[i, j] = a[j, i] = 0.5 * sw[i] * airy_fn(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
     return [fredholm_log_det(DiscretizedKernel(grid, c * a, 1.0, ())) for c in coefficients]
 

@@ -12,16 +12,18 @@ hyperbolic functions of g = sqrt(2 a b), are soft-edge asymptotics kept as a
 cross-check beside criterion 4 (:func:`gemax.acceptance.epsilon_closed`),
 not as a CDF method.  Every Hermite-function integral the first-principles
 path needs (eps phi, the integrals left of t, c_phi and c_psi) is exact, from
-the integral recurrence of :func:`gemax.special.hermite_integrals`; quadrature enters only through
-the Nystrom operator on (t, T), every operator on the one DEFAULT_NODES rule
-and T EDGE_SPAN soft-edge units past sqrt(2n) (:func:`_upper_cutoff`).  One
-builder, :func:`_on_operators`, makes every operator: the grid, one
-recurrence pass over the nodes and left ends of a stack (``hermite_parts``,
-or for a GOE/GSE value the ``hermite_integrals`` pass that also gives its
-integrals), then the stack BLOCK operators at a time.  A GOE/GSE value, a
-determinant F_{n,2} value and q_p_n make one pass each.  An exponential f_n2
-or ab value needs q_n, p_n at every node of an outer rule of OUTER_NODES on
-the same (t, T): its 64 outer operators form one stack.
+the integral recurrence of :func:`gemax.special.hermite_integrals`; quadrature
+enters only through the Nystrom operator on (t, T), every operator on the
+one rule of :func:`gemax.special.edge_rule` at the edge sqrt(2n) on the unit
+sigma_n: T is 16 soft-edge units past the larger of t and the edge, the
+Airy side's rule on the soft-edge scale.  One builder,
+:func:`_on_operators`, makes every operator: the grid, one recurrence pass
+over the nodes and left ends of a stack (``hermite_parts``, or for a GOE/GSE
+value the ``hermite_integrals`` pass that also gives its integrals), then
+the stack BLOCK operators at a time.  A GOE/GSE value, a determinant
+F_{n,2} value and q_p_n make one pass each.  An exponential f_n2 or ab
+value needs q_n, p_n at every node of an outer rule of OUTER_NODES on the
+same (t, T): its 64 outer operators form one stack.
 
 A table is one stack too: :func:`cdf_values` takes an array of points and
 builds one operator per distinct point, in ascending order, so every stack
@@ -46,14 +48,9 @@ import numpy as np
 from .errors import NumericalError, ParameterError, check_integers
 from .fredholm import DiscretizedKernel, map_blocks, resolvent_at_lower
 from .fredholm import log_det, resolvent_solve_many
-from .special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
+from .special import build_grid, edge_rule, hermite_integrals, hermite_parts, phi_psi_scale
 
-DEFAULT_NODES = 48
-#: past sqrt(2n) the wave functions decay on the soft-edge scale
-#: sigma_n = 1/(sqrt(2) n^{1/6}); every grid ends EDGE_SPAN of those units
-#: past the edge (:func:`_upper_cutoff`)
-EDGE_SPAN = 16.0
-#: the exponential path's outer rule, on the operators' own cutoff: 48 nodes
+#: the exponential path's outer rule, on the operators' own reach: 48 nodes
 #: there lose about two digits at n <= 8 left of the edge
 OUTER_NODES = 64
 
@@ -64,7 +61,7 @@ N_MAX = 400
 #: the kernel-index parity each ensemble's finite-n law requires
 PARITY = {"gue": None, "goe": 0, "gse": 1}
 
-#: the largest point t, where every CDF is 1.0; from 2^43 doubles no longer resolve (t, t + 1)
+#: the largest point t, where every CDF is 1.0; from 2^44 doubles no longer resolve (t, t + 16 sigma_400)
 T_MAX = 1e12
 
 
@@ -96,15 +93,6 @@ def _sigma(n: int) -> float:
     return 1.0 / (math.sqrt(2.0) * n ** (1.0 / 6.0))
 
 
-def _upper_cutoff(n: int, t):
-    """The right end T of every finite-n grid on (t, T): EDGE_SPAN soft-edge units past sqrt(2n).
-
-    There phi_n is at most 3.9e-20 of its peak for every n <= N_MAX (worst at
-    n = 400); a fixed sqrt(2n) + 10 would reach 16 units at n = 2 but 38 at n = 400.
-    """
-    return np.maximum(t + 1.0, math.sqrt(2.0 * n) + EDGE_SPAN * _sigma(n))
-
-
 @dataclass(frozen=True)
 class EpsilonQuantities:
     """The epsilon-operator quantities entering the GOE/GSE representations."""
@@ -122,13 +110,14 @@ class EpsilonQuantities:
 def _on_operators(n: int, t, fn, integrals: bool = False):
     """fn(operator) of K_{n,2} on (x, T) at every point x of t, by :func:`map_blocks`.
 
-    The one builder of finite-n operators: the DEFAULT_NODES grid on (x, T),
-    one recurrence pass over the nodes and left ends of the whole stack, the
-    scale sqrt(n/2).  With ``integrals`` the pass is ``hermite_integrals``,
-    over twice the cost of ``hermite_parts``, and fn also takes the
-    integrals (:func:`_epsilon_numeric`).  A float t is one call of fn.
+    The one builder of finite-n operators: the edge rule on (x, T) at the
+    soft edge (:func:`gemax.special.edge_rule`), one recurrence pass over the
+    nodes and left ends of the whole stack, the scale sqrt(n/2).  With
+    ``integrals`` the pass is ``hermite_integrals``, over twice the cost of
+    ``hermite_parts``, and fn also takes the integrals
+    (:func:`_epsilon_numeric`).  A float t is one call of fn.
     """
-    grid = build_grid(t, _upper_cutoff(n, t), DEFAULT_NODES)
+    grid = edge_rule(t, math.sqrt(2.0 * n), _sigma(n))
     if integrals:
         parts, *extra = hermite_integrals(n, grid.nodes, t)
     else:
@@ -191,8 +180,8 @@ def _tail_integrals(n: int, t):
     t is a float or distinct points t_1 < ... < t_k (:func:`cdf_values`).  q_n
     and p_n depend on x alone, so the points share one composite outer rule:
     one Gauss-Legendre cell of :func:`_cell_nodes` between each pair of
-    neighbours and the OUTER_NODES rule on (t_k, T), T the cutoff at t_k
-    (the largest of the points' cutoffs).  The integrals are summed from the
+    neighbours and the edge rule of OUTER_NODES on (t_k, T), T the operators'
+    reach at t_k (the largest of the points' reaches).  The integrals are summed from the
     right: a_i = a_{i+1} + int_cell q (b alike), and with c_i = int_{t_i}^T q p
     the moment is int_cell (x - t_i) q p + moment_{i+1} + (t_{i+1} - t_i) c_{i+1}.
     A single point is the OUTER_NODES rule alone.  The operators at the outer
@@ -201,7 +190,7 @@ def _tail_integrals(n: int, t):
     """
     points = np.atleast_1d(t)
     cells = [build_grid(lo, hi, _cell_nodes(n, hi - lo)) for lo, hi in zip(points[:-1], points[1:])]
-    cells.append(build_grid(points[-1], _upper_cutoff(n, points[-1]), OUTER_NODES))
+    cells.append(edge_rule(points[-1], math.sqrt(2.0 * n), _sigma(n), OUTER_NODES))
     x = np.concatenate([cell.nodes for cell in cells])
     w = np.concatenate([cell.weights for cell in cells])
     counts = [cell.count for cell in cells]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemax import airy as airy_module
-from gemax import fredholm
+from gemax import fredholm, special
 from gemax.airy import (
     S_MAX,
     S_MIN,
@@ -26,7 +26,7 @@ from gemax.airy import (
     tau,
 )
 from gemax.errors import NumericalError, ParameterError
-from gemax.special import airy, build_grid
+from gemax.special import airy, build_grid, edge_rule
 
 
 class TestTau:
@@ -161,8 +161,8 @@ class TestLimitLaws:
         monkeypatch.setattr(airy_module, "airy_fn", lambda x: points.append(np.size(x)) or airy_fn(x))
         monkeypatch.setattr(fredholm, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
         value = law(-1.37)
-        nodes = airy_module.RULE_NODES
-        assert grids == [(-1.37, 2.0 * airy_module.RULE_SPAN + 1.37, nodes)]
+        nodes = special.RULE_NODES
+        assert grids == [(-1.37, 2.0 * special.RULE_SPAN + 1.37, nodes)]
         assert points == [nodes * (nodes + 1) // 2]
         assert factored == [(nodes, nodes)] * operators
         assert 0.0 < value < 1.0
@@ -175,7 +175,7 @@ class TestLimitLaws:
         counted = lambda x: points.append(np.shape(x)) or airy_fn(x)
         monkeypatch.setattr(airy_module, "airy_fn", counted)
         values = airy_module._point_values(np.array([-1.37]))
-        assert points == [(1, airy_module.RULE_NODES + 1)]
+        assert points == [(1, special.RULE_NODES + 1)]
         assert values[0, 0, 0] == hastings_mcleod_q(-1.37)
 
     def test_fresh_bundle_airy_calls(self, monkeypatch):
@@ -186,13 +186,13 @@ class TestLimitLaws:
         counted = lambda x: points.append(np.shape(x)) or airy_fn(x)
         monkeypatch.setattr(airy_module, "airy_fn", counted)
         airy_module._bundle_cached.__wrapped__(-1.37)
-        assert points == [(airy_module.RULE_NODES + 1, airy_module.RULE_NODES + 1)]
+        assert points == [(special.RULE_NODES + 1, special.RULE_NODES + 1)]
 
     @pytest.mark.parametrize("s", [-4.0, -1.5, 1.0, 3.5, 6.0])
     def test_stack_matches_single_operators(self, s):
         # the bundle's stack of 49 operators gives each operator's scalars as
         # that operator built alone does
-        outer = airy_module._rule(s)
+        outer = edge_rule(s, 0.0, 1.0)
         points = np.append(s, outer.nodes)
         stacked = airy_module._point_values(points)
         single = [airy_module._point_values(np.array([x])) for x in points]
@@ -214,8 +214,8 @@ class TestLimitLaws:
         # and at the 48 nodes of the rule at s (the bundle's stack), and both
         # I - A_s and I + A_s
         points = np.arange(S_MIN, S_MAX + 0.25, 0.5)
-        lefts = np.concatenate([np.append(s, airy_module._rule(s).nodes) for s in points])
-        grid = airy_module._rule(lefts)
+        lefts = np.concatenate([np.append(s, edge_rule(s, 0.0, 1.0).nodes) for s in points])
+        grid = edge_rule(lefts, 0.0, 1.0)
         refused = fredholm.map_blocks(
             lambda op: np.atleast_1d(op.refused), grid, airy_module._parts(grid), 1.0
         )
@@ -398,9 +398,9 @@ def _reference_laws() -> np.ndarray:
     """
     rows = []
     for s in RULE_LAW_POINTS:
-        grid = airy_module._rule(s)
+        grid = edge_rule(s, 0.0, 1.0)
         f2 = math.exp(_eigen_log_det(fredholm.assemble(grid, airy_module._parts(grid), 1.0).matrix, 1.0))
-        grid = build_grid(s, 2.0 * airy_module.RULE_SPAN - s, airy_module.RULE_NODES)
+        grid = build_grid(s, 2.0 * special.RULE_SPAN - s, special.RULE_NODES)
         sw = grid.sqrt_weights
         a = 0.5 * sw[:, None] * airy(0.5 * np.add.outer(grid.nodes, grid.nodes))[0] * sw
         minus, plus = (math.exp(_eigen_log_det(a, sign)) for sign in (1.0, -1.0))
@@ -412,26 +412,27 @@ def _reference_laws() -> np.ndarray:
 def rule_reference():
     """The laws and bundles on the 160-node rule with RULE_SPAN = 30."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(airy_module, "RULE_NODES", 160)
-        patch.setattr(airy_module, "RULE_SPAN", 30.0)
+        patch.setattr(special, "RULE_NODES", 160)
+        patch.setattr(special, "RULE_SPAN", 30.0)
         return _reference_laws(), _rule_bundles()
 
 
 class TestRuleSize:
-    """One Gauss-Legendre rule of RULE_NODES nodes serves the Airy side.
+    """special's one rule, RULE_NODES nodes RULE_SPAN units past the edge, serves the Airy side.
 
     Every K_Ai operator, and the bundle's outer rule, whose integrands are
-    O(Ai), take 48 nodes on (s, max(s, 0) + 16).  The sum kernel A_s of F_1
-    and F_4 takes 48 nodes on (s, 32 - s): its row x = s falls to Ai(16)/2
-    only there, so A_s needs its own reach but no more nodes.  Against the
-    160-node rule with RULE_SPAN = 30 both keep the reference's digits, and
-    the K_Ai rule is the smallest that does: one step down in either of its
-    dimensions misses the bundle bound, and fewer nodes miss the Painleve II
-    left edge.
+    O(Ai), take 48 nodes on (s, max(s, 0) + 16): the edge rule at the edge 0
+    on the unit 1, which the finite-n kernels take on the soft-edge scale.
+    The sum kernel A_s of F_1 and F_4 takes 48 nodes on (s, 32 - s): its row
+    x = s falls to Ai(16)/2 only there, so A_s needs its own reach but no
+    more nodes.  Against the 160-node rule with RULE_SPAN = 30 both keep the
+    reference's digits, and the K_Ai rule is the smallest that does: one step
+    down in either of its dimensions misses the bundle bound, and fewer nodes
+    miss the Painleve II left edge.
     """
 
     def test_default_size(self):
-        assert (airy_module.RULE_NODES, airy_module.RULE_SPAN) == (48, 16.0)
+        assert (special.RULE_NODES, special.RULE_SPAN) == (48, 16.0)
 
     def test_laws_match_reference(self, rule_reference):
         # measured worst gaps: F1 1.8e-15 (s = -4), F2 1.3e-15 (s = 5), F4 1.1e-15
@@ -447,7 +448,7 @@ class TestRuleSize:
         laws, _ = rule_reference
         build_grid = airy_module.build_grid
         monkeypatch.setattr(airy_module, "build_grid", lambda lower, upper, nodes: build_grid(
-            lower, np.maximum(lower, 0.0) + airy_module.RULE_SPAN, nodes))
+            lower, np.maximum(lower, 0.0) + special.RULE_SPAN, nodes))
         assert np.abs(_rule_laws() - laws)[:, 2].max() > 1e-12
 
     def test_bundle_matches_reference(self, rule_reference):
@@ -462,15 +463,15 @@ class TestRuleSize:
         # one step down in each dimension of the K_Ai rule: 40 nodes on +16
         # lose the exponential log F_2 to 3.0e-11, 48 nodes on +12 eta to 3.8e-11
         _, bundles = rule_reference
-        monkeypatch.setattr(airy_module, "RULE_NODES", nodes)
-        monkeypatch.setattr(airy_module, "RULE_SPAN", span)
+        monkeypatch.setattr(special, "RULE_NODES", nodes)
+        monkeypatch.setattr(special, "RULE_SPAN", span)
         gaps = np.abs(_rule_bundles() - bundles) / np.abs(bundles)
         assert gaps[:, :5].max() > 1e-11
 
     def test_smaller_rule_misses_the_left_edge(self, monkeypatch):
         # 40 nodes on +16 are off from the Painleve II series at s = -10 by
         # 4.9e-3 in log F_2 and 2.2e-2 in q, past TestPainleveLeftEdge's bounds
-        monkeypatch.setattr(airy_module, "RULE_NODES", 40)
+        monkeypatch.setattr(special, "RULE_NODES", 40)
         assert abs(log_f2_limit(-10.0) - _painleve_log_f2(-10.0)) > 1e-4
         assert abs(hastings_mcleod_q(-10.0) - _painleve_q(-10.0)) > 5e-4
 
@@ -561,6 +562,6 @@ class TestSumKernelLeftEdge:
 
     @pytest.mark.parametrize("s", [-8.0, -9.0])
     def test_smaller_rule_misses_f4(self, s, monkeypatch):
-        monkeypatch.setattr(airy_module, "RULE_NODES", 40)
+        monkeypatch.setattr(special, "RULE_NODES", 40)
         reference = LEFT_EDGE_LAWS[f4_limit, s]
         assert abs(f4_limit(s) - reference) / reference > self.BOUNDS[f4_limit, s]

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import astuple, is_dataclass
 from functools import partial
 
@@ -30,8 +31,6 @@ from gemax.acceptance import (
 from gemax.airy import edgeworth_f1_sq, edgeworth_f2, edgeworth_f4_sq, tau
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import (
-    DEFAULT_NODES,
-    EDGE_SPAN,
     N_MAX,
     OUTER_NODES,
     EpsilonQuantities,
@@ -51,7 +50,7 @@ from gemax.finite_n import (
 )
 from gemax.fredholm import resolvent_solve_many
 from gemax.mc import sample_lambda_max
-from gemax.special import build_grid, hermite_integrals, hermite_parts, phi_psi_scale
+from gemax.special import RULE_NODES, build_grid, edge_rule, hermite_integrals, hermite_parts, phi_psi_scale
 from helpers import (
     hermite_kernel,
     hermite_operator,
@@ -61,9 +60,14 @@ from helpers import (
 )
 
 
+def _rule(n: int, t, count: int | None = None):
+    """The finite-n rule at t, of count nodes: the edge rule at sqrt(2n) on the soft-edge unit."""
+    return edge_rule(t, math.sqrt(2.0 * n), finite_n._sigma(n), count)
+
+
 def _operator(n: int, t: float) -> fredholm.DiscretizedKernel:
     """The operator of K_{n,2} on (t, T) that the finite-n laws build at t."""
-    return hermite_operator(n, build_grid(t, finite_n._upper_cutoff(n, t), DEFAULT_NODES))
+    return hermite_operator(n, _rule(n, t))
 
 
 def _built_with_integrals(n: int, t: float):
@@ -541,7 +545,7 @@ class TestWorkPerValue:
         passes = self._count(monkeypatch, special, "hermite_phi_two")
         value = f_n2(400, math.sqrt(800.0) - 1.0)
         assert (len(built), len(solves), len(passes)) == (1, 0, 1)
-        assert np.size(passes[0][1]) == DEFAULT_NODES + 1
+        assert np.size(passes[0][1]) == RULE_NODES + 1
         assert "end_row" not in built[0].__dict__
         assert 0.0 < value < 1.0
 
@@ -575,7 +579,7 @@ class TestWorkPerValue:
         factored = self._factored(monkeypatch)
         t = math.sqrt(2.0 * n) + 0.3
         value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
-        assert factored == [(DEFAULT_NODES, DEFAULT_NODES)]
+        assert factored == [(RULE_NODES, RULE_NODES)]
         assert 0.0 < value < 1.0
 
     @pytest.mark.parametrize("ensemble, n", [("gue", 40), ("goe", 40), ("gse", 41)])
@@ -585,7 +589,7 @@ class TestWorkPerValue:
         factored = self._factored(monkeypatch)
         x = _table_points(ensemble, n)[10:19]
         values = cdf_values(ensemble, n, x)
-        assert factored == [(DEFAULT_NODES, DEFAULT_NODES)] * x.size
+        assert factored == [(RULE_NODES, RULE_NODES)] * x.size
         assert np.all((0.0 < values) & (values < 1.0))
 
     @pytest.mark.parametrize(
@@ -634,9 +638,9 @@ class TestWorkPerValue:
     @pytest.mark.parametrize(
         "value, shape",
         [
-            (lambda: q_p_n(40, math.sqrt(80.0) - 0.5), (DEFAULT_NODES + 1,)),
-            (lambda: f_n2(4, 2.0, "exponential"), (OUTER_NODES, DEFAULT_NODES + 1)),
-            (lambda: ab(4, 2.0), (OUTER_NODES, DEFAULT_NODES + 1)),
+            (lambda: q_p_n(40, math.sqrt(80.0) - 0.5), (RULE_NODES + 1,)),
+            (lambda: f_n2(4, 2.0, "exponential"), (OUTER_NODES, RULE_NODES + 1)),
+            (lambda: ab(4, 2.0), (OUTER_NODES, RULE_NODES + 1)),
         ],
         ids=["q_p_n", "f_n2 exponential", "ab"],
     )
@@ -653,7 +657,7 @@ class TestWorkPerValue:
         # OUTER_NODES left ends: three for the 192 operators of 9 points at n = 4
         phi_two = self._count(monkeypatch, special, "hermite_phi_two")
         cdf_values("gue", 4, _exponential_points(4, 9), "exponential")
-        assert [np.shape(a[1]) for a in phi_two] == [(OUTER_NODES, DEFAULT_NODES + 1)] * 3
+        assert [np.shape(a[1]) for a in phi_two] == [(OUTER_NODES, RULE_NODES + 1)] * 3
 
     @pytest.mark.parametrize("n", (4, 40))
     def test_stack_matches_single_operators(self, n):
@@ -661,7 +665,7 @@ class TestWorkPerValue:
         # stack, as each operator built alone (q_p_n) gives them, for t on
         # edge - 4 .. edge + 2.5, where the exponential path is tabulated
         for t in math.sqrt(2.0 * n) + np.linspace(-4.0, 2.5, 4):
-            outer = build_grid(t, finite_n._upper_cutoff(n, t), OUTER_NODES)
+            outer = _rule(n, t, OUTER_NODES)
             stacked = finite_n._q_p(n, outer.nodes)
             single = np.array([q_p_n(n, float(x)) for x in outer.nodes]).T
             assert np.max(np.abs(stacked - single) / np.abs(single)) < 1e-14, t
@@ -739,7 +743,7 @@ def _exponential_points(n: int, steps: int) -> np.ndarray:
 
 def _outer_reference(n: int, t: float) -> float:
     """F_{n,2}(t) by the exponential form on a 256-node outer rule on (t, T), four times the scalar's."""
-    outer = build_grid(t, finite_n._upper_cutoff(n, t), 256)
+    outer = _rule(n, t, 256)
     q, p = finite_n._q_p(n, outer.nodes)
     return math.exp(-2.0 * np.sum(outer.weights * (outer.nodes - t) * q * p))
 
@@ -1317,53 +1321,106 @@ def _left_band_values() -> np.ndarray:
     return np.array([[log_f_n2(n, tau(n, 0.0, float(s))) for s in points] for n in LEFT_BANDS])
 
 
-def _fixed_cutoff(n: int, t):
-    """The former finite-n cutoff, 10 past the edge: about 16 soft-edge units at n = 2, 38 at n = 400."""
-    return np.maximum(t + 1.0, math.sqrt(2.0 * n) + 10.0)
+@contextmanager
+def _rule_patched(nodes: int, span: float, outer_nodes: int = OUTER_NODES):
+    """The finite-n values on nodes nodes ending span soft-edge units past the larger of t and the edge."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(special, "RULE_NODES", nodes)
+        patch.setattr(special, "RULE_SPAN", span)
+        patch.setattr(finite_n, "OUTER_NODES", outer_nodes)
+        yield
+
+
+#: the reference rule: 160 nodes 40 units past, a rule that shares neither dimension, and 200 outer nodes
+REFERENCE_RULE = (160, 40.0, 200)
 
 
 @pytest.fixture(scope="class")
 def finite_rule_reference():
-    """The rule's values on 160 nodes over the fixed cutoff, a rule that shares neither dimension."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(finite_n, "DEFAULT_NODES", 160)
-        patch.setattr(finite_n, "_upper_cutoff", _fixed_cutoff)
+    """The rule's values on the reference rule."""
+    with _rule_patched(*REFERENCE_RULE):
         return *_rule_values(), _left_band_values()
 
 
 class TestRuleSize:
-    """One Gauss-Legendre rule on (t, T) serves every finite-n operator.
+    """special's one rule on (t, T) serves every finite-n operator.
 
-    It is 48 nodes on T = max(t + 1, sqrt(2n) + EDGE_SPAN sigma_n), 16 soft-edge
-    units past the edge; the exponential path's outer rule is 64 nodes on the
-    same (t, T).  Against 160 nodes on the former sqrt(2n) + 10 the rule keeps
-    the reference's digits over the Edgeworth window and left of the edge, and
-    one step down in either dimension misses a bound it meets.
+    It is 48 nodes on T = max(t, sqrt(2n)) + RULE_SPAN sigma_n, 16 soft-edge
+    units past the larger of t and the edge, as the K_Ai rule ends 16 past
+    max(s, 0); the exponential path's outer rule is 64 nodes on the same
+    (t, T).  Against 160 nodes on 40 units the rule keeps the reference's
+    digits over the Edgeworth window and left of the edge, and one step down
+    in either dimension misses a bound it meets.
     """
 
     def test_default_size(self):
-        assert (DEFAULT_NODES, OUTER_NODES, EDGE_SPAN) == (48, 64, 16.0)
+        assert (special.RULE_NODES, OUTER_NODES, special.RULE_SPAN) == (48, 64, 16.0)
 
     def test_values_match_reference(self, finite_rule_reference):
-        # measured worst: f_n2/f_n1 6.4e-15 (n = 400), f_n4 1.2e-13
+        # measured worst: f_n2/f_n1 1.1e-14, f_n4 1.5e-14
         gue_goe, gse = _rule_values()
         ref_gue_goe, ref_gse, _ = finite_rule_reference
         assert np.abs(gue_goe - ref_gue_goe).max() < 5e-14
         assert np.abs(gse - ref_gse).max() < 1e-12
 
     def test_left_bands_match_reference(self, finite_rule_reference):
-        # measured worst: 4.3e-7 at n = 400, 1.8e-8 at n = 2
+        # measured worst: 4.8e-7 at n = 400, 1.7e-8 at n = 2
         gaps = np.abs(_left_band_values() - finite_rule_reference[2]).max(axis=1)
         assert np.all(gaps < list(LEFT_BANDS.values())), gaps
 
     def test_smaller_rule_misses_the_bounds(self, finite_rule_reference):
-        # one step down in each dimension: 48 nodes on the fixed +10 lose log
-        # F_{400,2} to 7e-4, 40 nodes on 16 units lose log F_{2,2} to 2e-5; on
-        # the Edgeworth window 40 nodes still pass (2.2e-14 and 1.0e-13)
-        smaller = {400: (48, _fixed_cutoff), 2: (40, finite_n._upper_cutoff)}
+        # one step down in each dimension: 48 nodes on 40 units (10.4 past the
+        # edge) lose log F_{400,2} to 1.1e-3, 40 nodes on 16 units lose log
+        # F_{2,2} to 1.9e-5; on the Edgeworth window 40 nodes still pass
+        # (1.5e-14 and 2.0e-14)
+        smaller = {400: (48, 40.0), 2: (40, 16.0)}
         for row, n in enumerate(LEFT_BANDS):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(finite_n, "DEFAULT_NODES", smaller[n][0])
-                patch.setattr(finite_n, "_upper_cutoff", smaller[n][1])
+            with _rule_patched(*smaller[n]):
                 gaps = np.abs(_left_band_values() - finite_rule_reference[2])
             assert gaps[row].max() > LEFT_BANDS[n], n
+
+
+#: (n, offset from the edge) of the ab points right of the edge; the former
+#: rule spanned 0.73 soft-edge units at (101, 5) and missed a by 1.0e-6
+FAR_RIGHT_AB = ((100, 4.0), (101, 5.0), (400, 3.0), (40, 4.0))
+#: kernel indices of log F_{n,2} 15 soft-edge units right of the edge
+FAR_RIGHT_LOG_F = (2, 4, 40)
+
+
+def _far_right_values() -> tuple[np.ndarray, np.ndarray]:
+    """ab at FAR_RIGHT_AB and log F_{n,2} at sqrt(2n) + 15 sigma_n for FAR_RIGHT_LOG_F."""
+    a_b = [ab(n, math.sqrt(2.0 * n) + offset) for n, offset in FAR_RIGHT_AB]
+    log_f = [log_f_n2(n, math.sqrt(2.0 * n) + 15.0 * finite_n._sigma(n)) for n in FAR_RIGHT_LOG_F]
+    return np.array(a_b), np.array(log_f)
+
+
+class TestFarRightReach:
+    """Right of the edge a finite-n rule ends 16 soft-edge units past t, not past the edge.
+
+    The former reach max(t + 1, sqrt(2n) + 16 sigma_n) spans less than one
+    unit from about 15 units right of the edge on, and cut off the kernel's
+    tail: ab 1.0e-6 relative off at (101, edge + 5), log F_{n,2} 1e-10 off
+    at 15 units.  log F_{2,2} at edge + 4, which both rules miss by 0.1-0.3
+    relative (the far-right log defect), is left out.
+    """
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5], ids=["left", "right"])
+    def test_operator_reach(self, offset, monkeypatch):
+        # a point right of the edge is factored on (t, t + 16 sigma_n), one left
+        # of it on (t, sqrt(2n) + 16 sigma_n)
+        n, grids = 40, []
+        map_blocks = finite_n.map_blocks
+        spy = lambda fn, grid, *a: grids.append(grid) or map_blocks(fn, grid, *a)
+        monkeypatch.setattr(finite_n, "map_blocks", spy)
+        edge, reach = math.sqrt(2.0 * n), 16.0 * finite_n._sigma(n)
+        t = edge + offset
+        assert 0.0 < f_n2(n, t) < 1.0
+        assert [(g.lower, g.upper) for g in grids] == [(t, (t if offset > 0 else edge) + reach)]
+
+    def test_values_match_reference(self):
+        # measured worst: ab 3.4e-14 at (101, edge + 5), log F_{n,2} 5.9e-14 at n = 4
+        with _rule_patched(*REFERENCE_RULE):
+            ref_ab, ref_log_f = _far_right_values()
+        a_b, log_f = _far_right_values()
+        assert np.max(np.abs(a_b - ref_ab) / np.abs(ref_ab)) < 1e-12
+        assert np.max(np.abs(log_f - ref_log_f) / np.abs(ref_log_f)) < 1e-12
