@@ -339,9 +339,10 @@ def edgeworth_study(ensemble: str, n: int, c: float, s):
     finite_n.check_n(n, finite_n.PARITY[ensemble])
     name, divisor, power = EXPANSIONS[ensemble]
     expansion = getattr(airy, name)
-    grid = [float(v) for v in np.atleast_1d(s)]
+    grid = np.atleast_1d(np.asarray(s, dtype=object)).tolist()
     for v in grid:
         airy.check_window(v)
+    grid = [float(v) for v in grid]
     tau = np.array([airy.tau(n, c, v) for v in grid])
     if np.max(tau, initial=-math.inf) > finite_n.T_MAX:
         raise ParameterError(f"need c with tau(n, c, s) <= {finite_n.T_MAX:g}, got n={n}, c={c}")

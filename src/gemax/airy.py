@@ -41,7 +41,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_integers
+from .errors import NumericalError, ParameterError, check_integers, check_reals
 from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
 from .fredholm import resolvent_at_lower
 from . import special
@@ -55,8 +55,7 @@ SQRT2 = math.sqrt(2.0)
 
 def check_window(s: float) -> None:
     """ParameterError, naming s, unless s is a real number with S_MIN <= s <= S_MAX."""
-    if not isinstance(s, Real):
-        raise ParameterError(f"need a real number s, got {s!r}")
+    check_reals(s=s)
     if not S_MIN <= s <= S_MAX:
         raise ParameterError(f"s = {s} outside supported window [{S_MIN}, {S_MAX}]")
 
@@ -65,22 +64,16 @@ def _check_n_c(n: int, c: float) -> None:
     """The domain of tau and of the expansions at tau: integer n >= 1, c with a finite 2(n + c) > 0."""
     if not isinstance(n, Real):
         check_integers(n=n)
-    if not isinstance(c, Real):
-        raise ParameterError(f"need a real number c, got {c!r}")
+    check_reals(c=c)
     if not (1 <= n < math.inf and 0 < 2.0 * (n + c) < math.inf):
         raise ParameterError(f"need finite n >= 1 and c with n + c > 0, 2(n + c) finite, got n={n}, c={c}")
     check_integers(n=n)
 
 
-def _check_c(c: float) -> None:
-    """The domain of E_{c,1}, E_{c,2} and eta: ParameterError, naming c, unless it is a finite real number."""
-    if not (isinstance(c, Real) and math.isfinite(c)):
-        raise ParameterError(f"need a finite real number c, got {c!r}")
-
-
 def tau(n: int, c: float, s: float) -> float:
-    """Soft-edge scaling tau(s) = sqrt(2(n+c)) + 2^{-1/2} n^{-1/6} s."""
+    """Soft-edge scaling tau(s) = sqrt(2(n+c)) + 2^{-1/2} n^{-1/6} s; s a finite real number."""
     _check_n_c(n, c)
+    check_reals(finite=True, s=s)
     return math.sqrt(2.0 * (n + c)) + s / (SQRT2 * n ** (1.0 / 6.0))
 
 
@@ -109,10 +102,8 @@ class AiryBundle:
     log_f2: float
 
     def eta(self, c: float) -> float:
-        _check_c(c)
-        return self.eta_integral - (20.0 * c * c * self.q_prime + 3.0 * self.p[0]) / (
-            20.0 * SQRT2
-        )
+        check_reals(finite=True, c=c)
+        return _finite("eta", _eta(self, c), c, self.s)
 
 
 @dataclass(frozen=True)
@@ -123,6 +114,13 @@ class EdgeworthResult:
     order_one_third: float
     order_two_thirds: float
     combined: float
+
+
+def _finite(name: str, value: float, c: float, s: float) -> float:
+    """value, or NumericalError naming c and s where it is not finite."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{name} = {value} not finite at c={c}, s={s}")
+    return value
 
 
 def _expansion(n: int, c: float, s: float, leading: float, first: float, second: float) -> EdgeworthResult:
@@ -247,10 +245,19 @@ def f4_limit(s: float) -> float:
     return min(0.5 * (math.exp(minus) + math.exp(plus)), 1.0)
 
 
+def _eta(b: AiryBundle, c: float) -> float:
+    """eta(c) at the bundle's s, unchecked."""
+    return b.eta_integral - (20.0 * c * c * b.q_prime + 3.0 * b.p[0]) / (20.0 * SQRT2)
+
+
 def e_c2(s: float, c: float) -> float:
-    """Second-order unitary correction polynomial E_{c,2}(s)."""
-    _check_c(c)
-    b = airy_bundle(s)
+    """Second-order unitary correction polynomial E_{c,2}(s); NumericalError where it overflows."""
+    check_reals(finite=True, c=c)
+    return _finite("E_{c,2}", _e_c2(airy_bundle(s), c), c, s)
+
+
+def _e_c2(b: AiryBundle, c: float) -> float:
+    """E_{c,2} at the bundle's s, unchecked."""
     return (
         2.0 * b.w[1]
         - 3.0 * b.u[2]
@@ -263,14 +270,18 @@ def e_c2(s: float, c: float) -> float:
 
 
 def e_c1(s: float, c: float) -> float:
-    """Second-order orthogonal correction E_{c,1}(s), assembled term by term."""
-    _check_c(c)
-    b = airy_bundle(s)
+    """Second-order orthogonal correction E_{c,1}(s); NumericalError where it overflows."""
+    check_reals(finite=True, c=c)
+    return _finite("E_{c,1}", _e_c1(airy_bundle(s), c), c, s)
+
+
+def _e_c1(b: AiryBundle, c: float) -> float:
+    """E_{c,1} at the bundle's s, unchecked, assembled term by term."""
     mu = b.mu
     q, p, u, nu, alpha = b.q[0], b.p[0], b.u[0], b.nu, b.alpha
-    eta = b.eta(c)
+    eta = _eta(b, c)
     emu = math.exp(-mu)
-    total = -e_c2(s, c) * emu / 20.0
+    total = -_e_c2(b, c) * emu / 20.0
     total += -c * alpha / (2.0 * mu * mu) + c * p / (2.0 * mu)
     total += (2.0 * c - 1.0) * nu * nu / (4.0 * mu * mu)
     total += c * u * (c * q * emu - nu * (1.0 - emu) / (2.0 * mu))
@@ -300,7 +311,7 @@ def edgeworth_f2(n: int, c: float, s: float) -> EdgeworthResult:
     b = airy_bundle(s)
     f2 = math.exp(b.log_f2)
     first = f2 * c * b.u[0]
-    second = -f2 * e_c2(s, c) / 20.0
+    second = -f2 * _e_c2(b, c) / 20.0
     return _expansion(n, c, s, f2, first, second)
 
 
@@ -313,7 +324,7 @@ def edgeworth_f1_sq(n: int, c: float, s: float) -> EdgeworthResult:
     emu = math.exp(-mu)
     leading = f2 * emu
     first = f2 * (c * (b.q[0] + b.u[0]) * emu - b.nu * (1.0 - emu) / (2.0 * mu))
-    second = f2 * e_c1(s, c)
+    second = f2 * _e_c1(b, c)
     return _expansion(n, c, s, leading, first, second)
 
 
@@ -330,7 +341,7 @@ def edgeworth_f4_sq(n: int, c: float, s: float) -> EdgeworthResult:
     second = f2 * 0.25 * (
         nu * sh / (2.0 * SQRT2 * mu)
         + c * c * q * q * ch
-        + (ch - 1.0) / 10.0 * e_c2(s, c)
-        + SQRT2 * (b.eta(c) - SQRT2 * c * c * q * u0) * sh
+        + (ch - 1.0) / 10.0 * _e_c2(b, c)
+        + SQRT2 * (_eta(b, c) - SQRT2 * c * c * q * u0) * sh
     )
     return _expansion(n, c, s, leading, first, second)

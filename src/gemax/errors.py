@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one integer check."""
+"""Exception types shared across the package, and the one integer check and real-number check."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class ParameterError(ValueError):
@@ -16,3 +17,10 @@ def check_integers(**values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ParameterError(f"need an integer {name}, got {value!r}")
+
+
+def check_reals(finite: bool = False, **values) -> None:
+    """ParameterError naming the first value that is not a real number (a bool is not), with ``finite`` a finite one."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or finite and not math.isfinite(value):
+            raise ParameterError(f"need a {'finite ' * finite}real number {name}, got {value!r}")

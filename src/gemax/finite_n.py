@@ -138,11 +138,25 @@ def _q_p(n: int, points: np.ndarray) -> np.ndarray:
     return _on_operators(n, points, partial(_at_lower, n))
 
 
+def _point(name: str, x):
+    """x, or ParameterError naming it where it is not one point: an array of one or more dimensions."""
+    if np.ndim(x):
+        raise ParameterError(f"need one point {name}, got {x!r}")
+    return x
+
+
 def _checked(n: int, x, parity: int | None = None) -> np.ndarray:
-    """x as floats after check_n; ParameterError naming its first point past T_MAX in t, T_MAX / sqrt 2 in u."""
+    """x as floats after check_n.
+
+    ParameterError naming x unless it holds integers or floats (a bool or a
+    string does not), then naming its first point past T_MAX in t, T_MAX / sqrt 2 in u.
+    """
     check_n(n, parity)
-    x = np.asarray(x, dtype=float)
     name, top = ("u", T_MAX / math.sqrt(2.0)) if parity == 1 else ("t", T_MAX)
+    values = np.asarray(x)
+    if values.dtype.kind not in "iuf":
+        raise ParameterError(f"need real {name}, got {x!r}")
+    x = values.astype(float, copy=False)
     bad = np.flatnonzero(~((-math.inf < x) & (x <= top)))
     if bad.size:
         raise ParameterError(f"need finite {name} up to {top:g}, got {x.flat[bad[0]]} at index {bad[0]}")
@@ -155,7 +169,7 @@ def _resolved(n: int, t: float, read) -> tuple[float, ...]:
     NumericalError left of the far-left cutoff (:func:`_cutoff`), before any
     grid is built, and where :func:`_policy` gives F_{n,2} = 0.0.
     """
-    t = _checked(n, t)
+    t = _checked(n, _point("t", t))
     if t >= _cutoff(n, None):
         log_f, *values = read(t)
         if _policy(n, None, float(t), float(log_f), 1.0) > -math.inf:
@@ -365,7 +379,7 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
 
 def f_n2(n: int, t: float, method: str = "determinant") -> float:
     """GUE distribution F_{n,2}(t) = det(I - K_{n,2}) = exp(-2 int (x-t) q_n p_n)."""
-    return cdf_values("gue", n, float(t), method)
+    return cdf_values("gue", n, _point("t", t), method)
 
 
 def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
@@ -448,7 +462,7 @@ def f_n1(n: int, t: float) -> float:
     Its square is F_{n,2} times the determinant representation evaluated
     with first-principles epsilon quantities, exact up to quadrature error.
     """
-    return cdf_values("goe", n, float(t))
+    return cdf_values("goe", n, _point("t", t))
 
 
 def f_n4(n: int, u: float) -> float:
@@ -461,7 +475,7 @@ def f_n4(n: int, u: float) -> float:
     and builds no operator.  See :func:`gse_largest_cdf` for the matrix-size
     parametrization.  Like :func:`f_n1` it is exact up to quadrature error.
     """
-    return cdf_values("gse", n, float(u))
+    return cdf_values("gse", n, _point("u", u))
 
 
 def gse_largest_cdf(n_eigs: int, u: float) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_integers
+from .errors import NumericalError, ParameterError, check_integers, check_reals
 
 VALID_BETA = (1, 2, 4)
 #: the largest sample count; below it numpy refuses one too large for memory (MemoryError)
@@ -196,7 +196,8 @@ def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
 
 
 def empirical_cdf(run: McRun, t: float) -> float:
-    """Fraction of samples <= t (binary search on the sorted samples); ParameterError for NaN."""
+    """Fraction of samples <= t (binary search on the sorted samples); ParameterError for NaN or a non-real t."""
+    check_reals(t=t)
     if math.isnan(t):
         raise ParameterError("need a point that is not NaN, got nan")
     return bisect_right(run.samples, t) / run.count
@@ -310,6 +311,7 @@ def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
     NumericalError.
     """
     n = run.count
+    check_integers(grid_points=grid_points)
     if grid_points < 0 or grid_points == 1:
         raise ParameterError(f"need grid_points = 0 or >= 2, got {grid_points}")
     if grid_points:

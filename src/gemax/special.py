@@ -137,14 +137,14 @@ def build_grid(lower, upper, count: int) -> QuadratureGrid:
     return QuadratureGrid(lower, upper, mid[..., None] + half[..., None] * x, half[..., None] * w)
 
 
-#: the one Nystrom rule: RULE_NODES Gauss-Legendre nodes that end RULE_SPAN
-#: units past the larger of the left end and the edge (:func:`edge_rule`)
+#: the one Nystrom rule: RULE_NODES Gauss-Legendre nodes that end RULE_SPAN units past
+#: the larger of the left end and the edge; :func:`edge_rule` reads both at each call
 RULE_NODES = 48
 RULE_SPAN = 16.0
 
 
 def edge_rule(lower, edge: float, unit: float, count: int | None = None) -> QuadratureGrid:
-    """count (RULE_NODES) nodes on (lower, max(lower, edge) + RULE_SPAN unit), as :func:`build_grid`.
+    """The rule of count nodes, RULE_NODES by default, on (lower, max(lower, edge) + RULE_SPAN unit).
 
     Past its edge a kernel decays on its unit, K_{n,2} past sqrt(2n) on
     sigma_n = 2^{-1/2} n^{-1/6} and K_Ai past 0 on 1: RULE_SPAN units past the

@@ -726,9 +726,43 @@ class TestHostileInputs:
         # 1.63 and 1.031, returned
         (lambda: mc.ks_critical_1pct(True), "need an integer count, got True"),
         (lambda: mc.ks_critical_1pct(2.5), "need an integer count, got 2.5"),
+        # a bool read as a number: F_2(1) = 0.99751 and the rest returned
+        (lambda: airy.f2_limit(True), "need a real number s, got True"),
+        (lambda: airy.airy_bundle(True), "need a real number s, got True"),
+        (lambda: airy.hastings_mcleod_q(True), "need a real number s, got True"),
+        (lambda: airy.e_c2(0.0, True), "need a finite real number c, got True"),
+        (lambda: airy.tau(40, True, 0), "need a real number c, got True"),
+        # TypeError, TypeError and NaN, returned: tau never checked s
+        (lambda: airy.tau(40, 0, "x"), "need a finite real number s, got 'x'"),
+        (lambda: airy.tau(40, 0, None), "need a finite real number s, got None"),
+        (lambda: airy.tau(40, 0, math.nan), "need a finite real number s, got nan"),
+        # float() ran over s before the window check: a value, and a bare ValueError
+        (lambda: acceptance.edgeworth_comparison("gue", 40, 0.0, "1"), "need a real number s, got '1'"),
+        (lambda: acceptance.edgeworth_study("gue", 40, 0.0, ["-1", True]), "need a real number s, got '-1'"),
+        # the finite-n and Monte Carlo readers: q_p_n(40, '8') read (1.6288, 2.4398),
+        # and every other string or bool point returned a value
+        (lambda: finite_n.q_p_n(40, "8"), "need real t, got '8'"),
+        (lambda: finite_n.ab(4, "1"), "need real t, got '1'"),
+        (lambda: finite_n.epsilon_numeric(4, "1"), "need real t, got '1'"),
+        (lambda: finite_n.cdf_values("gue", 40, [True, "2"]), "need real t, got [True, '2']"),
+        (lambda: f_n2(40, True), "need real t, got True"),
+        (lambda: gse_largest_cdf(1, "0"), "need real u, got '0'"),
+        (lambda: mc.empirical_cdf(mc.sample_lambda_max(2, 4, 10, 1), True), "need a real number t, got True"),
+        # TypeError from float(), from comparing a float with a str, and from math.isnan
+        (lambda: f_n2(40, np.array([1.0, 2.0])), "need one point t, got array([1., 2.])"),
+        (lambda: f_n1(40, np.array([1.0, 2.0])), "need one point t, got array([1., 2.])"),
+        (lambda: f_n4(41, np.array([1.0, 2.0])), "need one point u, got array([1., 2.])"),
+        (lambda: mc.ks_statistic(mc.sample_lambda_max(2, 4, 10, 1), mc_cdf("gue", 4), grid_points=2.5),
+         "need an integer grid_points, got 2.5"),
+        (lambda: mc.empirical_cdf(mc.sample_lambda_max(2, 4, 10, 1), "1"), "need a real number t, got '1'"),
     ], ids=["f2_limit array", "f1_limit str", "f4_limit complex", "hastings_mcleod_q None",
             "e_c2 s None", "e_c1 c str", "airy_bundle array", "e_c2 c nan", "eta nan",
-            "ks_critical_1pct bool", "ks_critical_1pct float"])
+            "ks_critical_1pct bool", "ks_critical_1pct float",
+            "f2_limit bool", "airy_bundle bool", "hastings_mcleod_q bool", "e_c2 c bool", "tau c bool",
+            "tau s str", "tau s None", "tau s nan", "edgeworth_comparison s str", "edgeworth_study s list",
+            "q_p_n str", "ab str", "epsilon_numeric str", "cdf_values list", "f_n2 bool",
+            "gse_largest_cdf str", "empirical_cdf bool", "f_n2 array", "f_n1 array", "f_n4 array", "ks_statistic grid_points float",
+            "empirical_cdf str"])
     def test_library_arguments_are_named(self, call, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             call()
@@ -739,6 +773,14 @@ class TestHostileInputs:
         # -inf, NaN and +inf were returned as terms
         with pytest.raises(NumericalError, match=r"not finite at n=40, c=1e\+154, s=0\.0$"):
             expansion(40, 1e154, 0.0)
+
+    @pytest.mark.parametrize("call", [lambda: airy.e_c1(0.0, 1e154), lambda: airy.e_c2(0.0, 1e154),
+                                      lambda: airy.airy_bundle(0.0).eta(1e154)],
+                             ids=["e_c1", "e_c2", "eta"])
+    def test_overflowing_correction_raises(self, call):
+        # inf, NaN and inf were returned
+        with pytest.raises(NumericalError, match=r"not finite at c=1e\+154, s=0\.0$"):
+            call()
 
     @pytest.mark.parametrize("count", [10**18 + 1, 2**60, 2**63 - 1, 2**64, 10**30])
     def test_sample_count_above_the_cap(self, count):

@@ -1323,7 +1323,7 @@ def _left_band_values() -> np.ndarray:
 
 @contextmanager
 def _rule_patched(nodes: int, span: float, outer_nodes: int = OUTER_NODES):
-    """The finite-n values on nodes nodes ending span soft-edge units past the larger of t and the edge."""
+    """special's rule patched to nodes nodes ending span units past the edge or t, and outer_nodes outer nodes."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(special, "RULE_NODES", nodes)
         patch.setattr(special, "RULE_SPAN", span)

@@ -57,7 +57,7 @@ EXPONENTIAL_TABLES = ((4, -4.0, 2.5, 9), (40, -4.0, 2.5, 9), (40, -1.5, 2.0, 2))
 FAR_LEFT = ((1, -6.09), (4, -1e10))
 #: a GOE table whose points repeat: edge - 2.9 .. edge + 2.5 at n = 400, then every other point again
 REPEATED_GOE = 400
-#: a c past every finite term: each expansion there overflows and raises
+#: a c past every finite term: each expansion, E_{c,1}, E_{c,2} and eta there overflow and raise
 OVERFLOW_C = 1e154
 #: a decimal number in a CLI stdout, kept by `re.split` as its own part
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -185,6 +185,38 @@ def _values(gemax) -> dict:
         _record(out, f"{expansion.__name__} n=40 c={OVERFLOW_C!r} s=0.0",
                 lambda: repr(expansion(40, OVERFLOW_C, 0.0)))
     _record(out, "f2_limit s=[1.0, 2.0]", lambda: airy.f2_limit(np.array([1.0, 2.0])))
+    # arguments that are not real numbers, or not one point, each refused by name; a value is its repr
+    acceptance, run = gemax.acceptance, mc.sample_lambda_max(2, 4, 10, 1)
+    refused = {
+        "f2_limit s=True": lambda: airy.f2_limit(True),
+        "airy_bundle s=True": lambda: airy.airy_bundle(True),
+        "hastings_mcleod_q s=True": lambda: airy.hastings_mcleod_q(True),
+        "e_c2 s=0.0 c=True": lambda: airy.e_c2(0.0, True),
+        "tau n=40 c=True s=0": lambda: airy.tau(40, True, 0),
+        "tau n=40 c=0 s='x'": lambda: airy.tau(40, 0, "x"),
+        "tau n=40 c=0 s=None": lambda: airy.tau(40, 0, None),
+        "tau n=40 c=0 s=nan": lambda: airy.tau(40, 0, math.nan),
+        "edgeworth_comparison gue n=40 c=0.0 s='1'": lambda: acceptance.edgeworth_comparison("gue", 40, 0.0, "1"),
+        "edgeworth_study gue n=40 c=0.0 s=['-1', True]": lambda: acceptance.edgeworth_study(
+            "gue", 40, 0.0, ["-1", True]),
+        "q_p_n n=40 t='8'": lambda: finite_n.q_p_n(40, "8"),
+        "ab n=4 t='1'": lambda: finite_n.ab(4, "1"),
+        "epsilon_numeric n=4 t='1'": lambda: finite_n.epsilon_numeric(4, "1"),
+        "cdf_values gue n=40 x=[True, '2']": lambda: finite_n.cdf_values("gue", 40, [True, "2"]),
+        "f_n2 n=40 t=True": lambda: finite_n.f_n2(40, True),
+        "f_n2 n=40 t=[1.0, 2.0]": lambda: finite_n.f_n2(40, np.array([1.0, 2.0])),
+        "f_n1 n=40 t=[1.0, 2.0]": lambda: finite_n.f_n1(40, np.array([1.0, 2.0])),
+        "f_n4 n=41 u=[1.0, 2.0]": lambda: finite_n.f_n4(41, np.array([1.0, 2.0])),
+        "gse_largest_cdf n=1 u='0'": lambda: finite_n.gse_largest_cdf(1, "0"),
+        "empirical_cdf t=True": lambda: mc.empirical_cdf(run, True),
+        "empirical_cdf t='1'": lambda: mc.empirical_cdf(run, "1"),
+        "ks_statistic grid_points=2.5": lambda: mc.ks_statistic(run, acceptance.mc_cdf("gue", 4), grid_points=2.5),
+    }
+    for key, call in refused.items():
+        _record(out, key, lambda: repr(call()))
+    for correction in ("e_c1", "e_c2"):
+        _record(out, f"{correction} s=0.0 c={OVERFLOW_C!r}", lambda: getattr(airy, correction)(0.0, OVERFLOW_C))
+    _record(out, f"airy_bundle eta s=0.0 c={OVERFLOW_C!r}", lambda: airy.airy_bundle(0.0).eta(OVERFLOW_C))
     return out
 
 
