@@ -20,6 +20,7 @@ from .airy import (
     f2_limit,
     f4_limit,
     hastings_mcleod_q,
+    limit_values,
     tau,
 )
 from .errors import NumericalError, ParameterError
@@ -74,6 +75,7 @@ __all__ = [
     "hastings_mcleod_q",
     "ks_critical_1pct",
     "ks_statistic",
+    "limit_values",
     "q_p_n",
     "sample_lambda_max",
     "tau",

@@ -254,10 +254,10 @@ def mc_cdf(ensemble: str, n: int):
     (:func:`finite_n.gse_kernel_index`).  The CDF takes a float or an array
     of points (:func:`finite_n.cdf_values`).
     """
+    if not isinstance(ensemble, str) or ensemble not in BETA:
+        raise ParameterError(f"unknown ensemble {ensemble!r}")
     if ensemble == "gse":
         return partial(finite_n.cdf_values, "gse", finite_n.gse_kernel_index(n))
-    if ensemble not in ("gue", "goe"):
-        raise ParameterError(f"unknown ensemble {ensemble!r}")
     finite_n.check_n(n, finite_n.PARITY[ensemble])
     return partial(finite_n.cdf_values, ensemble, n)
 
@@ -334,7 +334,7 @@ def edgeworth_study(ensemble: str, n: int, c: float, s):
     first, then every s against the Airy window, then c: ParameterError,
     naming c, where tau passes finite_n.T_MAX.
     """
-    if ensemble not in EXPANSIONS:
+    if not isinstance(ensemble, str) or ensemble not in EXPANSIONS:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
     finite_n.check_n(n, finite_n.PARITY[ensemble])
     name, divisor, power = EXPANSIONS[ensemble]
@@ -428,8 +428,8 @@ def criterion_9(scale: float = 1.0) -> CriterionResult:
             x = grid / SQRT2 if ensemble == "gse" else grid
             tables.append(_cdf_axioms(finite_n.cdf_values(ensemble, kernel, x)))
     s_grid = np.linspace(-8.0, 7.9, 101)
-    for fn in (airy.f2_limit, airy.f1_limit, airy.f4_limit):
-        tables.append(_cdf_axioms([fn(float(s)) for s in s_grid]))
+    for ensemble in ("gue", "goe", "gse"):
+        tables.append(_cdf_axioms(airy.limit_values(ensemble, s_grid)))
     drop, first, last = np.max(tables, axis=0)  # a NaN anywhere fails its clause
     return CriterionResult(9, "CDF axioms", (
         Clause("largest drop", drop, MONO_TOL),

@@ -9,9 +9,11 @@ on a reach that ends where its kernel's row at s falls to Ai(16), about
 at the edge 0 on the unit 1, and A_s, which couples s with every y up to
 there, on (s, 32 - s).  Each determinant is read from the Cholesky factor
 of its operator (fredholm); the sum kernel's +-A_s are operators without
-kernel parts.  With the Hastings-McLeod q and mu(s) = int_s^inf q, these are
+kernel parts, their matrices from Ai alone (special.airy_ai).  With the
+Hastings-McLeod q and mu(s) = int_s^inf q, these are
 F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
-convention.
+convention.  A table is one stack, as in finite_n.cdf_values:
+:func:`limit_values` takes an array of points, and the laws are its float case.
 
 The Edgeworth terms need the Airy bundle: the resolvent (I - K_Ai)^{-1} on
 (s, infinity) and its values at s (fredholm's one left-end rule) against
@@ -41,12 +43,12 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_integers, check_reals
-from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
+from .errors import NumericalError, ParameterError, check_integers, check_reals, real_points
+from .fredholm import BLOCK, DiscretizedKernel, fredholm_log_det, map_blocks
 from .fredholm import resolvent_at_lower
 from . import special
 from .special import airy as airy_fn
-from .special import build_grid, edge_rule
+from .special import airy_ai, build_grid, edge_rule
 
 S_MIN = -10.0
 S_MAX = 8.0
@@ -208,41 +210,92 @@ def log_f2_limit(s: float) -> float:
     return _on_operators(s, fredholm_log_det)
 
 
-def f2_limit(s: float) -> float:
-    """Tracy-Widom distribution F_2(s) = det(I - K_Ai) = exp(-int (x-s) q(x)^2 dx)."""
-    return min(math.exp(log_f2_limit(s)), 1.0)
+def _sum_kernel_block(s, coefficients: tuple[float, ...]) -> np.ndarray:
+    """log det(I - c A_s) for each of the coefficients c (rows), at a float s or a block of points (columns).
 
-
-def _log_dets(s: float, coefficients: tuple[float, ...]) -> list[float]:
-    """log det(I - c A_s) for each of the coefficients c, A_s(x, y) = Ai((x + y)/2)/2 on (s, inf).
-
-    One Nystrom matrix on the rule for A_s, Ai evaluated once per distinct pairwise
-    sum (the upper triangle), so the matrix is exactly symmetric.  Each c A_s is an
-    operator without kernel parts, its determinant read from its Cholesky factor
-    as every other one is; one that the factorization refuses raises NumericalError.
+    A_s(x, y) = Ai((x + y)/2)/2 on (s, 2 RULE_SPAN - s), its RULE_NODES-node
+    Nystrom matrices from one Airy call, of Ai alone, once per distinct pairwise
+    sum of each grid's nodes (the upper triangle), so each matrix is exactly
+    symmetric.  Each c A_s is an operator without kernel parts, its determinant
+    read from its Cholesky factor as every other one is; the first one the
+    factorization refuses, I - A_s before I + A_s, raises NumericalError.
     """
-    check_window(s)
     grid = build_grid(s, 2.0 * special.RULE_SPAN - s, special.RULE_NODES)
-    sw = grid.sqrt_weights
+    sw, x = grid.sqrt_weights, grid.nodes
     i, j = np.triu_indices(grid.count)
-    a = np.empty((grid.count, grid.count))
-    a[i, j] = a[j, i] = 0.5 * sw[i] * airy_fn(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
-    return [fredholm_log_det(DiscretizedKernel(grid, c * a, 1.0, ())) for c in coefficients]
+    a = np.empty(x.shape + x.shape[-1:])
+    a[..., i, j] = a[..., j, i] = 0.5 * sw[..., i] * airy_ai(0.5 * (x[..., i] + x[..., j])) * sw[..., j]
+    return np.array([fredholm_log_det(DiscretizedKernel(grid, c * a, 1.0, ())) for c in coefficients])
+
+
+def _law_logs(ensemble: str, points) -> np.ndarray:
+    """The log-determinants of one law at a float or ascending points, shape (rows,) or (rows, k).
+
+    One row, log F_2, for "gue": one stack of K_Ai operators.  For "goe" the
+    row log det(I - A_s) and for "gse" also log det(I + A_s), fredholm.BLOCK
+    points at a time, so only one block's matrices are held.
+    """
+    if ensemble == "gue":
+        return np.array([_on_operators(points, fredholm_log_det)])
+    coefficients = (1.0,) if ensemble == "goe" else (1.0, -1.0)
+    if np.ndim(points) == 0:
+        return _sum_kernel_block(points, coefficients)
+    blocks = (points[k : k + BLOCK] for k in range(0, points.size, BLOCK))
+    return np.concatenate([_sum_kernel_block(block, coefficients) for block in blocks], axis=-1)
+
+
+def limit_values(ensemble: str, s):
+    """F_2, F_1 or F_4 for ensemble "gue", "goe" or "gse" at every point of s, from one stack of operators.
+
+    The point order of :func:`gemax.finite_n.cdf_values`: every point is
+    checked before any work, a real number (errors.real_points) in
+    [S_MIN, S_MAX], a table is its distinct points in ascending order
+    (np.unique, whose inverse puts the values back in s's order and shape),
+    and one point, in any shape, is one operator; a float s gives a float.
+    A refused operator raises NumericalError naming its rule's ends (the
+    first of its block; for F_4, I - A_s before I + A_s).  Each value is
+    min(exp(log F), 1), F_4's the mean of its two determinants, by math.exp,
+    so a table holds its points' values bit for bit.
+    """
+    if not isinstance(ensemble, str) or ensemble not in ("gue", "goe", "gse"):
+        raise ParameterError(f"unknown ensemble {ensemble!r}")
+    x = real_points("s", s)
+    inside = (S_MIN <= x) & (x <= S_MAX)
+    if not inside.all():
+        bad = np.flatnonzero(~inside)[0]
+        at = f" at index {bad}" if x.ndim else ""
+        raise ParameterError(f"s = {x.flat[bad]} outside supported window [{S_MIN}, {S_MAX}]{at}")
+    if x.size == 1:  # one point, in any shape: one operator, not a stack of one
+        logs, where = _law_logs(ensemble, float(x.flat[0]))[:, None], 0
+    else:
+        points, where = np.unique(x, return_inverse=True)
+        logs = _law_logs(ensemble, points) if points.size else np.empty((1, 0))
+    if ensemble == "gse":
+        values = [min(0.5 * (math.exp(minus) + math.exp(plus)), 1.0) for minus, plus in zip(*logs.tolist())]
+    else:
+        values = [min(math.exp(v), 1.0) for v in logs[0].tolist()]
+    return values[0] if x.ndim == 0 else np.array(values)[where].reshape(x.shape)
+
+
+def f2_limit(s: float) -> float:
+    """Tracy-Widom distribution F_2(s) = det(I - K_Ai) = exp(-int (x-s) q(x)^2 dx); a point of limit_values."""
+    check_window(s)
+    return limit_values("gue", s)
 
 
 def f1_limit(s: float) -> float:
-    """Limiting orthogonal-ensemble law F_1(s) = det(I - A_s) = sqrt(F_2(s)) e^{-mu/2}."""
-    (minus,) = _log_dets(s, (1.0,))
-    return min(math.exp(minus), 1.0)
+    """Limiting orthogonal-ensemble law F_1(s) = det(I - A_s) = sqrt(F_2(s)) e^{-mu/2}; a point of limit_values."""
+    check_window(s)
+    return limit_values("goe", s)
 
 
 def f4_limit(s: float) -> float:
     """Limiting symplectic-ensemble law F_4(s) = (det(I - A_s) + det(I + A_s))/2.
 
-    Equal to sqrt(F_2(s)) cosh(mu/2).
+    Equal to sqrt(F_2(s)) cosh(mu/2); one point of :func:`limit_values`.
     """
-    minus, plus = _log_dets(s, (1.0, -1.0))
-    return min(0.5 * (math.exp(minus) + math.exp(plus)), 1.0)
+    check_window(s)
+    return limit_values("gse", s)
 
 
 def _eta(b: AiryBundle, c: float) -> float:

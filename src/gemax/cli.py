@@ -80,10 +80,9 @@ def cmd_tabulate(args) -> tuple[str, int]:
 
 
 def cmd_limit(args) -> tuple[str, int]:
-    law = {"gue": airy.f2_limit, "goe": airy.f1_limit, "gse": airy.f4_limit}[args.ensemble]
     grid = np.linspace(args.s_min, args.s_max, args.steps)
-    rows = [(float(s), law(float(s))) for s in grid]
-    return _table(args, ("s", "F"), rows)
+    values = airy.limit_values(args.ensemble, grid)
+    return _table(args, ("s", "F"), list(zip(grid.tolist(), values.tolist())))
 
 
 def cmd_edgeworth(args) -> tuple[str, int]:

@@ -45,7 +45,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_integers
+from .errors import NumericalError, ParameterError, check_integers, real_points
 from .fredholm import DiscretizedKernel, map_blocks, resolvent_at_lower
 from .fredholm import log_det, resolvent_solve_many
 from .special import build_grid, edge_rule, hermite_integrals, hermite_parts, phi_psi_scale
@@ -153,10 +153,7 @@ def _checked(n: int, x, parity: int | None = None) -> np.ndarray:
     """
     check_n(n, parity)
     name, top = ("u", T_MAX / math.sqrt(2.0)) if parity == 1 else ("t", T_MAX)
-    values = np.asarray(x)
-    if values.dtype.kind not in "iuf":
-        raise ParameterError(f"need real {name}, got {x!r}")
-    x = values.astype(float, copy=False)
+    x = real_points(name, x)
     bad = np.flatnonzero(~((-math.inf < x) & (x <= top)))
     if bad.size:
         raise ParameterError(f"need finite {name} up to {top:g}, got {x.flat[bad[0]]} at index {bad[0]}")
@@ -353,7 +350,7 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
     factored once.  One point, in any shape, is one operator; a float x gives
     a float.  Each value is min(exp(log F), 1): the clamp absorbs rounding only.
     """
-    if ensemble not in PARITY:
+    if not isinstance(ensemble, str) or ensemble not in PARITY:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
     parity = PARITY[ensemble]
     x = _checked(n, x, parity)

@@ -251,12 +251,14 @@ def log_det(op: DiscretizedKernel) -> np.ndarray:
     return np.where(op.refused, -np.inf, 2.0 * np.log(op._lu.diagonal(0, -2, -1)).sum(axis=-1))
 
 
-def fredholm_log_det(op: DiscretizedKernel) -> float:
-    """log det(I - K) of one operator; NumericalError where its factorization is refused."""
+def fredholm_log_det(op: DiscretizedKernel):
+    """log det(I - K) of one operator, a float, or of a stack; NumericalError naming the first refused one."""
     logdet = log_det(op)
-    if logdet == -np.inf:
-        raise NumericalError(f"determinant lost positivity for the kernel on {_ends(op.grid)}")
-    return float(logdet)
+    refused = np.flatnonzero(np.ravel(logdet) == -np.inf)
+    if refused.size:
+        lower, upper = (np.ravel(end)[refused[0]].tolist() for end in (op.grid.lower, op.grid.upper))
+        raise NumericalError(f"determinant lost positivity for the kernel on ({lower}, {upper})")
+    return logdet if np.ndim(logdet) else float(logdet)
 
 
 def resolvent_solve_many(op: DiscretizedKernel, rhs_block: np.ndarray) -> np.ndarray:

@@ -36,7 +36,8 @@ import numpy as np
 from .errors import NumericalError, ParameterError, check_integers, check_reals
 
 VALID_BETA = (1, 2, 4)
-#: the largest sample count; below it numpy refuses one too large for memory (MemoryError)
+#: the largest sample count and the largest n; up to it numpy refuses a sample or
+#: an n too large for memory (MemoryError), past it an n overflows numpy's sizes
 COUNT_MAX = 10**18
 _BATCH = 2048
 #: Sturm halvings of the Gershgorin bracket before Newton's method; with 6, the
@@ -172,12 +173,17 @@ def _top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:
 
 
 def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
-    """Draw `count` largest eigenvalues of the n-eigenvalue beta ensemble."""
+    """Draw `count` largest eigenvalues of the n-eigenvalue beta ensemble.
+
+    1 <= n <= COUNT_MAX and 1 <= count <= COUNT_MAX (10^18), else ParameterError;
+    an n or count too large for memory raises MemoryError before any draw.
+    """
     check_integers(beta=beta, n=n, count=count, seed=seed)
     if beta not in VALID_BETA:
         raise ParameterError(f"beta must be one of {VALID_BETA}, got {beta}")
-    if n < 1 or not 1 <= count <= COUNT_MAX:
-        raise ParameterError(f"need n >= 1 and 1 <= count <= {COUNT_MAX:.0e}, got n={n}, count={count}")
+    if not (1 <= n <= COUNT_MAX and 1 <= count <= COUNT_MAX):
+        raise ParameterError(f"need 1 <= n <= {COUNT_MAX:.0e} and 1 <= count <= {COUNT_MAX:.0e}, "
+                             f"got n={n}, count={count}")
     if not 0 <= seed < 2**128:
         raise ParameterError(f"seed must be in [0, 2**128), got {seed}")
     rng = np.random.default_rng(np.random.Philox(key=seed))

@@ -33,7 +33,8 @@ Ai and Ai' come from scipy for x <= AIRY_SERIES_START only.  Right of it
 scipy routes every point through the complex AMOS routines (about 2.6 us a
 point, against 0.06-0.4 us left of it), so there they are summed from
 their asymptotic series (DLMF 9.7.5, 9.7.6) in powers of -1/zeta,
-zeta = (2/3) x^{3/2} >= 21.
+zeta = (2/3) x^{3/2} >= 21.  :func:`airy_ai` gives Ai alone, for the
+kernels that need no Ai', and sums only its series.
 """
 
 from __future__ import annotations
@@ -323,25 +324,41 @@ def _airy_series_coefficients(terms: int) -> tuple[np.ndarray, np.ndarray]:
 _AIRY_U, _AIRY_V = _airy_series_coefficients(26)
 
 
-def _airy_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ai and Ai' for x >= AIRY_SERIES_START from DLMF 9.7.5 and 9.7.6.
+def _series(coefficients: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[k] r^k by Horner's rule in place."""
+    total = np.full_like(r, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        total *= r
+        total += c
+    return total
+
+
+def _airy_series(x: np.ndarray, derivative: bool) -> tuple[np.ndarray, ...]:
+    """Ai, and Ai' with ``derivative``, for x >= AIRY_SERIES_START from DLMF 9.7.5 and 9.7.6.
 
     Ai(x) = e^{-zeta} / (2 sqrt(pi) x^{1/4}) sum_k u_k (-1/zeta)^k and
     Ai'(x) = -x^{1/4} e^{-zeta} / (2 sqrt(pi)) sum_k v_k (-1/zeta)^k, each
-    sum by Horner's rule in place.  The rounding of zeta in e^{-zeta} sets
-    the error floor, about 3e-16 zeta relative, as it does in scipy.
+    sum by Horner's rule, so Ai alone is Ai of the pair bit for bit.  The
+    rounding of zeta in e^{-zeta} sets the error floor, about 3e-16 zeta
+    relative, as it does in scipy.
     """
     zeta = (2.0 / 3.0) * x * np.sqrt(x)
     r = -1.0 / zeta
-    sum_u, sum_v = np.full_like(x, _AIRY_U[-1]), np.full_like(x, _AIRY_V[-1])
-    for u, v in zip(_AIRY_U[-2::-1], _AIRY_V[-2::-1]):
-        sum_u *= r
-        sum_u += u
-        sum_v *= r
-        sum_v += v
     scale = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     root4 = np.sqrt(np.sqrt(x))
-    return scale / root4 * sum_u, -scale * root4 * sum_v
+    ai = scale / root4 * _series(_AIRY_U, r)
+    return (ai, -scale * root4 * _series(_AIRY_V, r)) if derivative else (ai,)
+
+
+def _airy(x, derivative: bool) -> tuple:
+    """Ai, and Ai' with ``derivative``, of the shape of x: scipy up to AIRY_SERIES_START, the series past it."""
+    x = np.asarray(x, dtype=float)
+    far = x > AIRY_SERIES_START
+    near = ~far
+    values = tuple(np.empty_like(x) for _ in range(1 + derivative))
+    for value, part, series in zip(values, _sp.airy(x[near]), _airy_series(x[far], derivative)):
+        value[near], value[far] = part, series
+    return tuple(v[()] for v in values)
 
 
 def airy(x):
@@ -352,10 +369,9 @@ def airy(x):
     hold the series to 40-digit mpmath and both sides to the ODE residual
     Ai'' = x Ai; the closed forms at the origin check scipy.
     """
-    x = np.asarray(x, dtype=float)
-    far = x > AIRY_SERIES_START
-    ai, aip = np.empty_like(x), np.empty_like(x)
-    ai[far], aip[far] = _airy_series(x[far])
-    near = ~far
-    ai[near], aip[near], _, _ = _sp.airy(x[near])
-    return ai[()], aip[()]
+    return _airy(x, True)
+
+
+def airy_ai(x):
+    """Ai(x) alone, of the shape of x: :func:`airy`'s first value bit for bit, without the Ai' series."""
+    return _airy(x, False)[0]

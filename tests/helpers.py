@@ -1,7 +1,8 @@
 """Reference routines that only the tests use: the two-line recurrence loop
 for the wave functions, the wave functions one order at a time, the masked
 integrable form, the pointwise Hermite and Airy kernels and their operators,
-the Nystrom extension, the dense GOE/GUE sampler, the two-sample KS
+the Nystrom extension, the limit laws one point at a time, the dense
+GOE/GUE sampler, the two-sample KS
 statistic with its critical value, the KS statistic on a full
 barycentric interpolant, and the printed standardChop."""
 
@@ -10,10 +11,12 @@ from functools import partial
 
 import numpy as np
 
+from gemax.airy import check_window
 from gemax.errors import ParameterError
-from gemax.fredholm import DIAG_GUARD, DiscretizedKernel, assemble
+from gemax.fredholm import DIAG_GUARD, DiscretizedKernel, assemble, fredholm_log_det, map_blocks
 from gemax.mc import _BATCH, McRun
-from gemax.special import airy, hermite_parts, hermite_phi_two, phi_psi_scale
+from gemax.special import RULE_NODES, RULE_SPAN, airy, build_grid, edge_rule, hermite_parts
+from gemax.special import hermite_phi_two, phi_psi_scale
 
 
 def phi_two_reference(k: int, x):
@@ -117,6 +120,40 @@ def nystrom_extend(op: DiscretizedKernel, parts, node_values: np.ndarray, rhs_fn
     vals = np.asarray(rhs_fn(pts[:, 0]), dtype=float)
     vals = vals + kernel_block @ (op.grid.weights * node_values)
     return float(vals[0]) if scalar else vals
+
+
+def sum_kernel_log_dets(s: float, coefficients: tuple[float, ...]) -> list[float]:
+    """log det(I - c A_s) for each of the coefficients c at one point s, A_s(x, y) = Ai((x + y)/2)/2.
+
+    One Nystrom matrix on RULE_NODES nodes on (s, 2 RULE_SPAN - s), Ai taken
+    from the pair special.airy gives, once per distinct pairwise sum of nodes;
+    each c A_s an operator without kernel parts.
+    """
+    check_window(s)
+    grid = build_grid(s, 2.0 * RULE_SPAN - s, RULE_NODES)
+    sw = grid.sqrt_weights
+    i, j = np.triu_indices(grid.count)
+    a = np.empty((grid.count, grid.count))
+    a[i, j] = a[j, i] = 0.5 * sw[i] * airy(0.5 * (grid.nodes[i] + grid.nodes[j]))[0] * sw[j]
+    return [fredholm_log_det(DiscretizedKernel(grid, c * a, 1.0, ())) for c in coefficients]
+
+
+def limit_law_reference(ensemble: str, s: float) -> float:
+    """F_2, F_1 or F_4 ("gue", "goe", "gse") at one point s, one operator at a time.
+
+    F_2 from the one K_Ai operator on the edge rule at s, F_1 and F_4 from
+    :func:`sum_kernel_log_dets`; each min(exp(log F), 1), F_4's the mean of
+    its two determinants.  :func:`gemax.airy.limit_values` must equal it bit for bit.
+    """
+    if ensemble == "gue":
+        check_window(s)
+        grid = edge_rule(s, 0.0, 1.0)
+        return min(math.exp(map_blocks(fredholm_log_det, grid, airy_parts(grid.nodes_and_lower), 1.0)), 1.0)
+    if ensemble == "goe":
+        (minus,) = sum_kernel_log_dets(s, (1.0,))
+        return min(math.exp(minus), 1.0)
+    minus, plus = sum_kernel_log_dets(s, (1.0, -1.0))
+    return min(0.5 * (math.exp(minus) + math.exp(plus)), 1.0)
 
 
 def sample_lambda_max_dense(beta: int, n: int, count: int, seed: int) -> McRun:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from gemax.airy import (
     f2_limit,
     f4_limit,
     hastings_mcleod_q,
+    limit_values,
     log_f2_limit,
     tau,
 )
 from gemax.errors import NumericalError, ParameterError
 from gemax.special import airy, build_grid, edge_rule
+from helpers import limit_law_reference
 
 
 class TestTau:
@@ -143,22 +146,23 @@ class TestLimitLaws:
 
     @pytest.mark.parametrize("law,operators", [(f1_limit, 1), (f4_limit, 2)], ids=["F1", "F4"])
     def test_one_matrix_per_value(self, law, operators, monkeypatch):
-        # one grid and one Ai evaluation over the upper triangle of pairwise
-        # sums; the bundle and its point values are never reached.  Each
-        # determinant is one potrf on RULE_NODES nodes on (s, 2 RULE_SPAN - s),
-        # the Cholesky factor every other determinant reads, and numpy's
-        # slogdet is never reached
+        # one grid and one evaluation of Ai alone over the upper triangle of
+        # pairwise sums; the bundle, its point values and the (Ai, Ai') pair are
+        # never reached.  Each determinant is one potrf on RULE_NODES nodes on
+        # (s, 2 RULE_SPAN - s), the Cholesky factor every other determinant
+        # reads, and numpy's slogdet is never reached
         def unused(*args):
-            raise AssertionError("the limit law reached the Airy bundle or slogdet")
+            raise AssertionError("the limit law reached the Airy bundle, Ai' or slogdet")
 
         grids, points, factored = [], [], []
-        build_grid, airy_fn = airy_module.build_grid, airy_module.airy_fn
+        build_grid, airy_ai = airy_module.build_grid, airy_module.airy_ai
         dpotrf = fredholm.dpotrf
         monkeypatch.setattr(airy_module, "airy_bundle", unused)
         monkeypatch.setattr(airy_module, "_point_values", unused)
+        monkeypatch.setattr(airy_module, "airy_fn", unused)
         monkeypatch.setattr(np.linalg, "slogdet", unused)
         monkeypatch.setattr(airy_module, "build_grid", lambda *a: grids.append(a) or build_grid(*a))
-        monkeypatch.setattr(airy_module, "airy_fn", lambda x: points.append(np.size(x)) or airy_fn(x))
+        monkeypatch.setattr(airy_module, "airy_ai", lambda x: points.append(np.size(x)) or airy_ai(x))
         monkeypatch.setattr(fredholm, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
         value = law(-1.37)
         nodes = special.RULE_NODES
@@ -166,6 +170,22 @@ class TestLimitLaws:
         assert points == [nodes * (nodes + 1) // 2]
         assert factored == [(nodes, nodes)] * operators
         assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("ensemble,operators", [("goe", 1), ("gse", 2)])
+    def test_table_blocks(self, ensemble, operators, monkeypatch):
+        # a 9-point table: one grid and one Ai call per block of fredholm.BLOCK
+        # points, the same one matrix per point and operator as a point call
+        grids, points, factored = [], [], []
+        build_grid, airy_ai = airy_module.build_grid, airy_module.airy_ai
+        dpotrf = fredholm.dpotrf
+        monkeypatch.setattr(airy_module, "build_grid", lambda *a: grids.append(np.shape(a[0])) or build_grid(*a))
+        monkeypatch.setattr(airy_module, "airy_ai", lambda x: points.append(np.size(x)) or airy_ai(x))
+        monkeypatch.setattr(fredholm, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
+        limit_values(ensemble, np.linspace(-3.0, 1.0, 9))
+        nodes = special.RULE_NODES
+        assert fredholm.BLOCK == 4 and grids == [(4,), (4,), (1,)]
+        assert points == [4 * nodes * (nodes + 1) // 2] * 2 + [nodes * (nodes + 1) // 2]
+        assert factored == [(nodes, nodes)] * (9 * operators)
 
     def test_point_values_one_airy_call(self, monkeypatch):
         # Ai, Ai' on the nodes and at s in one call; the nodes' values serve the
@@ -203,10 +223,18 @@ class TestLimitLaws:
     def test_sign_loss_raises(self, law, monkeypatch):
         # with Ai doubled, A_s at s = -3 has one eigenvalue 1.9 > 1 (the others
         # in (-0.9, 0.2)), so det(I - A_s) < 0: a typed error, not a value
-        airy_fn = airy_module.airy_fn
-        monkeypatch.setattr(airy_module, "airy_fn", lambda x: tuple(2.0 * v for v in airy_fn(x)))
+        airy_ai = airy_module.airy_ai
+        monkeypatch.setattr(airy_module, "airy_ai", lambda x: 2.0 * airy_ai(x))
         with pytest.raises(NumericalError):
             law(-3.0)
+
+    @pytest.mark.parametrize("ensemble", ["goe", "gse"])
+    def test_table_sign_loss_names_the_first_point(self, ensemble, monkeypatch):
+        # the same doubled Ai in a table: the first refused point raises, by its rule's ends
+        airy_ai = airy_module.airy_ai
+        monkeypatch.setattr(airy_module, "airy_ai", lambda x: 2.0 * airy_ai(x))
+        with pytest.raises(NumericalError, match=r"on \(-3.0, 35.0\)$"):
+            limit_values(ensemble, [6.0, 2.0, -3.0, -3.0, 5.0])
 
     def test_every_operator_is_accepted(self):
         # at every s of the window's 0.5 grid (tools/snapshot.py's points) the
@@ -220,8 +248,8 @@ class TestLimitLaws:
             lambda op: np.atleast_1d(op.refused), grid, airy_module._parts(grid), 1.0
         )
         assert refused.shape == lefts.shape and not refused.any()
-        for s in points:
-            assert all(np.isfinite(airy_module._log_dets(float(s), (1.0, -1.0))))
+        logs = airy_module._law_logs("gse", points)
+        assert logs.shape == (2, points.size) and np.isfinite(logs).all()
 
     @pytest.mark.parametrize("law", [f1_limit, f2_limit, f4_limit], ids=["F1", "F2", "F4"])
     def test_unit_interval_or_typed_error(self, law):
@@ -244,6 +272,84 @@ class TestLimitLaws:
         except (ParameterError, NumericalError):
             return
         assert 0.0 <= value <= 1.0, (s, value)
+
+
+#: window points, and s-grids of them as a table takes them: unsorted, with
+#: repeats, descending
+_WINDOW = st.floats(S_MIN, S_MAX)
+_GRIDS = st.one_of(
+    st.lists(_WINDOW, min_size=1, max_size=10),
+    st.lists(_WINDOW, min_size=1, max_size=5).map(lambda v: v + v[::2]),
+    st.lists(_WINDOW, min_size=2, max_size=10).map(lambda v: sorted(v, reverse=True)),
+)
+
+
+class TestLimitValues:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ensemble=st.sampled_from(("gue", "goe", "gse")), grid=_GRIDS,
+           form=st.sampled_from(("list", "array", "2-d", "0-d", "float")))
+    def test_table_is_its_points(self, ensemble, grid, form):
+        # every value of a table is the one-operator read of its point, bit for
+        # bit, in the table's order and shape; one point, in any shape, is one
+        # operator, and a float or 0-d array gives a float
+        s = {"list": grid, "array": np.array(grid), "2-d": np.array(grid)[:, None],
+             "0-d": np.array(grid[0]), "float": grid[0]}[form]
+        values = limit_values(ensemble, s)
+        expected = [limit_law_reference(ensemble, float(x)) for x in np.ravel(s)]
+        if form in ("0-d", "float"):
+            assert type(values) is float and values == expected[0]
+        else:
+            assert values.shape == np.shape(s) and values.ravel().tolist() == expected
+
+    @pytest.mark.parametrize("ensemble", ["gue", "goe", "gse"])
+    def test_point_readers_are_the_table(self, ensemble):
+        # f2_limit, f1_limit and f4_limit read one point of the table, and an
+        # empty table is empty
+        law = {"gue": f2_limit, "goe": f1_limit, "gse": f4_limit}[ensemble]
+        grid = np.linspace(S_MIN, S_MAX, 37)
+        assert limit_values(ensemble, grid).tolist() == [law(float(x)) for x in grid]
+        assert limit_values(ensemble, np.empty((0, 3))).shape == (0, 3)
+
+    def test_table_holds_one_block(self):
+        # A_s on 48 nodes is 18 KB.  A table holds one block's matrices and,
+        # beyond them, arrays of O(steps) floats: a 2,000-step F4 table peaks
+        # less than 1 KB a step above a 200-step one, where keeping each
+        # point's A_s would add 18 KB a step
+        def peak(steps: int) -> int:
+            grid = np.linspace(-8.0, 6.0, steps)
+            tracemalloc.start()
+            try:
+                limit_values("gse", grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) - peak(200) < 1800 * 1024
+
+    @pytest.mark.parametrize("s, message", [
+        ([True, 2.0], "need real s, got True at index 0"),
+        ([[1.0], [np.bool_(False)]], "need real s, got np.False_ at index 1"),
+        (["1"], "need real s, got ['1']"),
+        ([1.0, 8.5], "s = 8.5 outside supported window [-10.0, 8.0] at index 1"),
+        ([math.nan], "s = nan outside supported window [-10.0, 8.0] at index 0"),
+        (-10.5, "s = -10.5 outside supported window [-10.0, 8.0]"),
+    ], ids=["bool", "numpy bool", "str", "right", "nan", "float"])
+    def test_points_are_checked_before_any_work(self, s, message, monkeypatch):
+        # a bool among numbers was read as 0 or 1; every point is checked before
+        # any grid is built
+        def unused(*args):
+            raise AssertionError("built a grid before checking every point")
+
+        monkeypatch.setattr(airy_module, "build_grid", unused)
+        monkeypatch.setattr(special, "build_grid", unused)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            limit_values("gue", s)
+
+    @pytest.mark.parametrize("ensemble", [["gue"], None, "GUE", b"gue"], ids=repr)
+    def test_ensemble_is_a_known_name(self, ensemble):
+        # a list raised TypeError (unhashable) in cdf_values
+        with pytest.raises(ParameterError, match=f"^unknown ensemble {re.escape(repr(ensemble))}$"):
+            limit_values(ensemble, 0.0)
 
 
 class TestBundleIdentities:

@@ -19,6 +19,7 @@ from gemax import acceptance, airy, cli, finite_n, mc
 from gemax.acceptance import mc_cdf
 from gemax.errors import NumericalError, ParameterError
 from gemax.finite_n import f_n1, f_n2, f_n4, gse_largest_cdf
+from helpers import limit_law_reference
 
 
 def run_cli(argv):
@@ -170,10 +171,25 @@ class TestLimit:
         assert len(values) == 2
         assert all(0.0 <= v <= 1.0 for v in values)
 
+    @pytest.mark.parametrize("ensemble", ["goe", "gue", "gse"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_is_its_points(self, ensemble, fmt):
+        # a 37-step table over the whole window is one stack; each row is the
+        # one-operator read of its s, bit for bit
+        code, out = run_cli(["limit", "--ensemble", ensemble, "--s-min", "-10", "--s-max", "8",
+                             "--steps", "37", "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            rows = [(r["s"], r["F"]) for r in json.loads(out)["rows"]]
+        else:
+            rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert [s for s, _ in rows] == np.linspace(-10.0, 8.0, 37).tolist()
+        assert [f for _, f in rows] == [limit_law_reference(ensemble, s) for s, _ in rows]
+
     def test_sign_loss_exit_code(self, monkeypatch, capsys):
         # a determinant of I - A_s that loses positivity is a numerical failure
-        airy_fn = airy.airy_fn
-        monkeypatch.setattr(airy, "airy_fn", lambda x: tuple(2.0 * v for v in airy_fn(x)))
+        airy_ai = airy.airy_ai
+        monkeypatch.setattr(airy, "airy_ai", lambda x: 2.0 * airy_ai(x))
         code, _ = run_cli(
             ["limit", "--ensemble", "goe", "--s-min", "-3", "--s-max", "-3", "--steps", "1"]
         )
@@ -461,7 +477,7 @@ class TestParser:
         def refuse(*args):
             raise AssertionError("computed a value before opening --out")
 
-        monkeypatch.setattr(airy, "f2_limit", refuse)
+        monkeypatch.setattr(airy, "limit_values", refuse)
         monkeypatch.setitem(acceptance.CRITERIA, 1, refuse)
         code, out = run_cli([*argv, "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 2
@@ -518,10 +534,10 @@ class TestOut:
         assert path.read_bytes() == b"t,F\n0,0.5\n"
 
     def test_numerical_failure_keeps_out_file(self, tmp_path, monkeypatch, capsys):
-        def fail(s):
+        def fail(ensemble, s):
             raise NumericalError(f"refused s = {s}")
 
-        monkeypatch.setattr(airy, "f2_limit", fail)
+        monkeypatch.setattr(airy, "limit_values", fail)
         path = tmp_path / "table.csv"
         path.write_bytes(b"s,F\n0,0.5\n")
         code, _ = run_cli(["limit", "--steps", "2", "--out", str(path)])
@@ -537,10 +553,10 @@ class TestOut:
     )
     def test_failure_creates_no_out_file(self, argv, code, tmp_path, monkeypatch, capsys):
         # the probe that refuses an unopenable path creates the file; a failure removes it
-        def fail(s):
+        def fail(ensemble, s):
             raise NumericalError(f"refused s = {s}")
 
-        monkeypatch.setattr(airy, "f2_limit", fail)
+        monkeypatch.setattr(airy, "limit_values", fail)
         path = tmp_path / "new.csv"
         assert run_cli([*argv, "--out", str(path)]) == (code, "")
         assert capsys.readouterr().err
@@ -755,6 +771,14 @@ class TestHostileInputs:
         (lambda: mc.ks_statistic(mc.sample_lambda_max(2, 4, 10, 1), mc_cdf("gue", 4), grid_points=2.5),
          "need an integer grid_points, got 2.5"),
         (lambda: mc.empirical_cdf(mc.sample_lambda_max(2, 4, 10, 1), "1"), "need a real number t, got '1'"),
+        # values at t = 1.0 and 2.0, a TypeError (unhashable list or array)
+        # three times and numpy's ValueError: Maximum allowed size exceeded
+        (lambda: finite_n.cdf_values("gue", 40, [True, 2.0]), "need real t, got True at index 0"),
+        (lambda: finite_n.cdf_values(["gue"], 40, 1.0), "unknown ensemble ['gue']"),
+        (lambda: acceptance.edgeworth_study(["gue"], 40, 0.0, 0.0), "unknown ensemble ['gue']"),
+        (lambda: mc_cdf(np.array(["gue"]), 4), "unknown ensemble array(['gue'], dtype='<U3')"),
+        (lambda: mc.sample_lambda_max(2, 2**70, 10, 1),
+         f"need 1 <= n <= 1e+18 and 1 <= count <= 1e+18, got n={2**70}, count=10"),
     ], ids=["f2_limit array", "f1_limit str", "f4_limit complex", "hastings_mcleod_q None",
             "e_c2 s None", "e_c1 c str", "airy_bundle array", "e_c2 c nan", "eta nan",
             "ks_critical_1pct bool", "ks_critical_1pct float",
@@ -762,7 +786,8 @@ class TestHostileInputs:
             "tau s str", "tau s None", "tau s nan", "edgeworth_comparison s str", "edgeworth_study s list",
             "q_p_n str", "ab str", "epsilon_numeric str", "cdf_values list", "f_n2 bool",
             "gse_largest_cdf str", "empirical_cdf bool", "f_n2 array", "f_n1 array", "f_n4 array", "ks_statistic grid_points float",
-            "empirical_cdf str"])
+            "empirical_cdf str", "cdf_values bool in a table", "cdf_values list ensemble",
+            "edgeworth_study list ensemble", "mc_cdf array ensemble", "sample_lambda_max n 2**70"])
     def test_library_arguments_are_named(self, call, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             call()

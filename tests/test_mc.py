@@ -73,6 +73,16 @@ class TestSampler:
         with pytest.raises(ParameterError):
             sample_lambda_max(2, 2, 10, seed=seed)
 
+    @pytest.mark.parametrize("count", (10, 2048))
+    def test_n_bound(self, count):
+        # n = 2**70 ended in numpy's ValueError (Maximum allowed size exceeded).
+        # Past COUNT_MAX an n is refused by name; up to it numpy refuses one too
+        # large for memory before it allocates, as it does a count
+        with pytest.raises(ParameterError, match=f"got n={mc.COUNT_MAX + 1}, count={count}$"):
+            sample_lambda_max(2, mc.COUNT_MAX + 1, count, seed=0)
+        with pytest.raises(MemoryError):
+            sample_lambda_max(4, mc.COUNT_MAX, count, seed=0)
+
     def test_n1_gaussian(self):
         # [DERIVED] a single beta = 2 eigenvalue is N(0, 1/2): KS test
         # against the exact normal CDF

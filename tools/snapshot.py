@@ -40,6 +40,7 @@ import numpy as np
 FINITE_N = (1, 2, 3, 4, 5, 10, 11, 40, 41, 100, 101, 399, 400)
 #: offsets from the edge sqrt(2n) of the finite-n points, edge - 8 .. edge + 4
 OFFSETS = tuple(range(-8, 5))
+#: the window [-10, 8] on a 0.5 grid, read point by point and as one table per law
 AIRY_POINTS = tuple(-10.0 + 0.5 * k for k in range(37))
 BUNDLE_POINTS = (-10.0, -8.0, -6.0, -4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0)
 #: Ai and Ai' on both sides of special.AIRY_SERIES_START = 10 and well past it
@@ -178,6 +179,9 @@ def _values(gemax) -> dict:
         for law in (airy.f1_limit, airy.f2_limit, airy.f4_limit, airy.hastings_mcleod_q,
                     airy.log_f2_limit):
             _record(out, f"{law.__name__} s={s!r}", lambda: law(s))
+    for ensemble in ("gue", "goe", "gse"):  # each law's table on the same points, one stack
+        _record(out, f"limit_values ensemble={ensemble} s=AIRY_POINTS",
+                lambda: airy.limit_values(ensemble, AIRY_POINTS).tolist())
     for s in BUNDLE_POINTS:
         _record(out, f"airy_bundle s={s!r}", lambda: repr(airy.airy_bundle(s)))
         _record(out, f"f2_limit exponential s={s!r}", lambda: math.exp(airy.airy_bundle(s).log_f2))
