@@ -44,9 +44,9 @@ from numbers import Real
 import numpy as np
 
 from .errors import NumericalError, ParameterError, check_integers, check_reals, real_points
-from .fredholm import BLOCK, DiscretizedKernel, fredholm_log_det, map_blocks
+from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
 from .fredholm import resolvent_at_lower
-from . import special
+from . import fredholm, special
 from .special import airy as airy_fn
 from .special import airy_ai, build_grid, edge_rule
 
@@ -240,7 +240,7 @@ def _law_logs(ensemble: str, points) -> np.ndarray:
     coefficients = (1.0,) if ensemble == "goe" else (1.0, -1.0)
     if np.ndim(points) == 0:
         return _sum_kernel_block(points, coefficients)
-    blocks = (points[k : k + BLOCK] for k in range(0, points.size, BLOCK))
+    blocks = (points[k : k + fredholm.BLOCK] for k in range(0, points.size, fredholm.BLOCK))
     return np.concatenate([_sum_kernel_block(block, coefficients) for block in blocks], axis=-1)
 
 

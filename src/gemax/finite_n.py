@@ -20,10 +20,11 @@ Airy side's rule on the soft-edge scale.  One builder,
 :func:`_on_operators`, makes every operator: the grid, one recurrence pass
 over the nodes and left ends of a stack (``hermite_parts``, or for a GOE/GSE
 value the ``hermite_integrals`` pass that also gives its integrals), then
-the stack BLOCK operators at a time.  A GOE/GSE value, a determinant
-F_{n,2} value and q_p_n make one pass each.  An exponential f_n2 or ab
-value needs q_n, p_n at every node of an outer rule of OUTER_NODES on the
-same (t, T): its 64 outer operators form one stack.
+the stack fredholm.BLOCK operators at a time, one block's matrices alive at
+once.  A GOE/GSE value, a determinant F_{n,2} value and q_p_n make one pass
+each.  An exponential f_n2 or ab value needs q_n, p_n at every node of an
+outer rule of OUTER_NODES on the same (t, T): its 64 outer operators form
+one stack.
 
 A table is one stack too: :func:`cdf_values` takes an array of points and
 builds one operator per distinct point, in ascending order, so every stack

@@ -28,7 +28,9 @@ Operators come in stacks: on a stack of grids (special.build_grid with
 arrays of ends) every array carries a leading stack axis, and one call
 assembles, factors or solves them all.  A single operator is the stack
 without that axis, by the same code.  :func:`map_blocks` walks a long stack
-BLOCK operators at a time, so the working set stays at a few hundred kB.
+BLOCK operators at a time and drops each block's operator before it builds
+the next, so a stack holds one block's matrix and factor, 0.3 MB each at
+BLOCK = 16 and 48 nodes, and :func:`assemble` at most two such arrays.
 The factorization and its solves are one LAPACK potrf or potrs call per
 operator (:func:`_per_operator`), with no wrapper loop around them.
 
@@ -62,8 +64,12 @@ from .special import QuadratureGrid
 
 #: operators per block of a stack: enough to share the numpy calls of
 #: assembly and of the endpoint sums, few enough to keep the block's
-#: matrices and their temporaries small (16 was measured no faster)
-BLOCK = 4
+#: matrices and their temporaries small.  Against 4, in-process medians (one
+#: BLAS thread, interleaved) took 0.82-0.93 of the time at 8, 0.75-0.90 at
+#: 16 and 0.73-0.89 at 24 and 32 on a fresh Airy bundle, 41-point GUE tables
+#: at n = 40 and 400, an 11-point GOE table at n = 400 and an 8-step F_4
+#: table; 16 is the largest size at which these tables peak no higher than at 4
+BLOCK = 16
 
 #: below this separation the difference quotient loses too many digits;
 #: assemble takes the limit K(x_i, x_i) on the diagonal only, so it refuses
@@ -81,12 +87,22 @@ def _ends(grid: QuadratureGrid) -> str:
     return f"({np.asarray(grid.lower).tolist()}, {np.asarray(grid.upper).tolist()})"
 
 
-def _quotient(px, py, gap, scale: float) -> np.ndarray:
-    """scale (f(x)g(y) - f(y)g(x))/(x - y), in place, from the parts px, py at x, y and gap = x - y."""
+def _quotient(px, py, x, y, scale: float, square: bool = False) -> np.ndarray:
+    """scale (f(x)g(y) - f(y)g(x))/(x - y), in place, from the parts px, py at x, y.
+
+    The product f(y)g(x) is overwritten by the gap x - y, so at most two
+    arrays of the quotient's size are live.  A ``square`` quotient (x the
+    nodes as a column, y as a row) divides its diagonal by 1, where
+    :func:`assemble` then writes K(x_i, x_i).
+    """
     (fx, gx, *_), (fy, gy, *_) = px, py
     out = fx * gy
-    out -= fy * gx
+    gap = fy * gx
+    out -= gap
     out *= scale
+    np.subtract(x, y, out=gap)
+    if square:
+        _diagonal(gap)[...] = 1.0
     out /= gap
     return out
 
@@ -114,7 +130,7 @@ class DiscretizedKernel:
         The quotient alone: x must lie more than DIAG_GUARD from every node,
         as the left end of any grid :func:`assemble` accepts does.
         """
-        return _quotient(px, self.node_parts, x - self.grid.nodes, self.scale)
+        return _quotient(px, self.node_parts, x, self.grid.nodes, self.scale)
 
     @cached_property
     def end_row(self) -> np.ndarray:
@@ -129,7 +145,8 @@ class DiscretizedKernel:
         One potrf per operator, in place on the Fortran-ordered transposed view
         of I - A; potrf reads one triangle.  A refused operator's factor is NaN.
         """
-        a = np.eye(self.grid.count) - self.matrix
+        a = np.subtract(0.0, self.matrix, order="C")
+        _diagonal(a)[...] += 1.0
         if not np.isfinite(a).all():
             raise NumericalError(f"I - K is not finite on {_ends(self.grid)}")
         info = _per_operator(lambda one: dpotrf(one.T, clean=0, overwrite_a=True)[1], a)
@@ -166,11 +183,9 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     """
     _check_nodes(grid)
     x = grid.nodes
-    gap = x[..., :, None] - x[..., None, :]
-    _diagonal(gap)[...] = 1.0
     rows = tuple(v[..., :-1, None] for v in parts)
     cols = tuple(v[..., None, :-1] for v in parts)
-    matrix = _quotient(rows, cols, gap, scale)
+    matrix = _quotient(rows, cols, x[..., :, None], x[..., None, :], scale, square=True)
     _diagonal(matrix)[...] = parts[2][..., :-1]
     sw = grid.sqrt_weights
     matrix *= sw[..., :, None]
@@ -224,6 +239,7 @@ def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> 
         lower, upper, nodes, weights, *rest = (v[block] for v in arrays)
         op = build(QuadratureGrid(lower, upper, nodes, weights), tuple(rest[:len(parts)]), scale)
         values.append(fn(op, *rest[len(parts):]))
+        del op  # the block's matrices and factor go before the next block is built
     return np.concatenate(values, axis=-1)
 
 

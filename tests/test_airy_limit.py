@@ -173,19 +173,35 @@ class TestLimitLaws:
 
     @pytest.mark.parametrize("ensemble,operators", [("goe", 1), ("gse", 2)])
     def test_table_blocks(self, ensemble, operators, monkeypatch):
-        # a 9-point table: one grid and one Ai call per block of fredholm.BLOCK
-        # points, the same one matrix per point and operator as a point call
+        # a table of 2 fredholm.BLOCK + 1 points: one grid and one Ai call per
+        # block of fredholm.BLOCK points, the same one matrix per point and
+        # operator as a point call
         grids, points, factored = [], [], []
         build_grid, airy_ai = airy_module.build_grid, airy_module.airy_ai
         dpotrf = fredholm.dpotrf
         monkeypatch.setattr(airy_module, "build_grid", lambda *a: grids.append(np.shape(a[0])) or build_grid(*a))
         monkeypatch.setattr(airy_module, "airy_ai", lambda x: points.append(np.size(x)) or airy_ai(x))
         monkeypatch.setattr(fredholm, "dpotrf", lambda a, **kw: factored.append(a.shape) or dpotrf(a, **kw))
-        limit_values(ensemble, np.linspace(-3.0, 1.0, 9))
+        block = fredholm.BLOCK
+        limit_values(ensemble, np.linspace(-3.0, 1.0, 2 * block + 1))
         nodes = special.RULE_NODES
-        assert fredholm.BLOCK == 4 and grids == [(4,), (4,), (1,)]
-        assert points == [4 * nodes * (nodes + 1) // 2] * 2 + [nodes * (nodes + 1) // 2]
-        assert factored == [(nodes, nodes)] * (9 * operators)
+        assert grids == [(block,), (block,), (1,)]
+        assert points == [block * nodes * (nodes + 1) // 2] * 2 + [nodes * (nodes + 1) // 2]
+        assert factored == [(nodes, nodes)] * ((2 * block + 1) * operators)
+
+    @pytest.mark.parametrize("ensemble,rows", [("gue", 1), ("goe", 1), ("gse", 2)])
+    def test_block_size_is_read_at_call_time(self, ensemble, rows, monkeypatch):
+        # fredholm.BLOCK is the one block size: set to 3, it splits the K_Ai
+        # stack of F_2 and the A_s blocks of F_1/F_4 alike, and no value moves
+        s = np.linspace(-3.0, 1.0, 7)
+        want = limit_values(ensemble, s)
+        blocks = []
+        log_det = fredholm.log_det
+        monkeypatch.setattr(fredholm, "log_det", lambda op: blocks.append(np.shape(op.grid.lower)) or log_det(op))
+        monkeypatch.setattr(fredholm, "BLOCK", 3)
+        got = limit_values(ensemble, s)
+        assert blocks == [(3,)] * (2 * rows) + [(1,)] * rows
+        assert np.array_equal(got, want)
 
     def test_point_values_one_airy_call(self, monkeypatch):
         # Ai, Ai' on the nodes and at s in one call; the nodes' values serve the
@@ -207,6 +223,19 @@ class TestLimitLaws:
         monkeypatch.setattr(airy_module, "airy_fn", counted)
         airy_module._bundle_cached.__wrapped__(-1.37)
         assert points == [(special.RULE_NODES + 1, special.RULE_NODES + 1)]
+
+    def test_fresh_bundle_memory(self):
+        # the bundle's 49 operators walk in blocks, each block's operator gone
+        # before the next is built: under the 2 MB bound of the 200-point GOE
+        # table (TestTables::test_goe_table_memory) at the peak under tracemalloc
+        airy_module._bundle_cached.__wrapped__(-1.37)
+        tracemalloc.start()
+        try:
+            airy_module._bundle_cached.__wrapped__(-1.37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
 
     @pytest.mark.parametrize("s", [-4.0, -1.5, 1.0, 3.5, 6.0])
     def test_stack_matches_single_operators(self, s):

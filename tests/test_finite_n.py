@@ -896,20 +896,31 @@ class TestTables:
             with pytest.raises(ParameterError, match=f"got {bad} at index 0"):
                 reader(40, bad)
 
-    def test_goe_table_memory(self):
-        # a 200-point table at n = 400 walks its wave-function table in chunks
-        # of orders: 1.6 MB at the peak under tracemalloc (1.3 MB with the
-        # former loop), where every order at all 9,800 points would be 31 MB
+    @staticmethod
+    def _table_peak(ensemble: str) -> int:
+        """The tracemalloc peak of a 200-point table at n = 400 on edge - 4 .. edge + 2, after a warm-up."""
         edge = math.sqrt(800.0)
         x = np.linspace(edge - 4.0, edge + 2.0, 200)
-        cdf_values("goe", 400, x[:2])
+        cdf_values(ensemble, 400, x[:2])
         tracemalloc.start()
         try:
-            cdf_values("goe", 400, x)
-            _, peak = tracemalloc.get_traced_memory()
+            cdf_values(ensemble, 400, x)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 10**6
+
+    def test_goe_table_memory(self):
+        # a 200-point table at n = 400 walks its wave-function table in chunks
+        # of orders and its operators in blocks, each block's operator gone
+        # before the next is built: 1.6 MB at the peak under tracemalloc, at
+        # BLOCK 4 and 16 alike (2.2 MB at 16 when a block's operator outlived
+        # it), where every order at all 9,800 points would be 31 MB
+        assert self._table_peak("goe") < 2 * 10**6
+
+    def test_gue_table_memory(self):
+        # the determinant table under the GOE table's bound: 1.4 MB at the
+        # peak (2.0 MB at BLOCK 16 when a block's operator outlived it)
+        assert self._table_peak("gue") < 2 * 10**6
 
     @pytest.mark.parametrize("ensemble, n", [("gue", 40), ("gue", 400), ("goe", 40), ("goe", 400),
                                              ("gse", 41), ("gse", 399)])

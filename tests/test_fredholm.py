@@ -4,6 +4,7 @@ import importlib
 import math
 import re
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -212,16 +213,46 @@ class TestStack:
             op = hermite_operator(5, build_grid(lower, lower + 9.0, 32))
             assert np.array_equal(sols[k], resolvent_solve_many(op, rhs[k]))
 
+    def _three_blocks(self):
+        """A stack of 2 BLOCK + 1 Hermite operators, three blocks at any BLOCK, and its parts."""
+        count = 2 * BLOCK + 1
+        grid = build_grid(np.linspace(-2.0, 3.0, count), np.full(count, 12.0), 32)
+        return grid, hermite_parts(5, grid.nodes_and_lower)
+
     def test_map_blocks(self):
         # blocks of BLOCK operators, joined in order on the last axis
-        grid = build_grid(np.linspace(-2.0, 3.0, 7), np.full(7, 12.0), 32)
-        parts = hermite_parts(5, grid.nodes_and_lower)
+        grid, parts = self._three_blocks()
         lowers = map_blocks(lambda op: op.grid.lower[None, :], grid, parts, math.sqrt(2.5))
         assert np.array_equal(lowers, grid.lower[None, :])
         size = lambda op: np.full(op.matrix.shape[0], op.matrix.shape[0])
         sizes = map_blocks(size, grid, parts, 1.0)
-        blocks = np.split(np.arange(7), range(BLOCK, 7, BLOCK))
+        count = grid.lower.size
+        blocks = np.split(np.arange(count), range(BLOCK, count, BLOCK))
+        assert len(blocks) == 3
         assert np.array_equal(sizes, np.concatenate([np.full(b.size, b.size) for b in blocks]))
+
+    @pytest.mark.parametrize("read", [
+        lambda op, rhs: log_det(op),
+        lambda op, rhs: resolvent_at_lower(op, rhs)[1].T,
+    ], ids=["log_det", "resolvent_at_lower"])
+    def test_block_operator_is_dropped(self, read, monkeypatch):
+        # a block's operator, with the factor and end row it built, is gone
+        # when the next block is assembled, and none outlives the stack
+        grid, parts = self._three_blocks()
+        refs, alive = [], []
+        real = fredholm.assemble
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            op = real(*args)
+            refs.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(fredholm, "assemble", tracked)
+        values = map_blocks(read, grid, parts, math.sqrt(2.5), np.stack(parts[:2], axis=-1))
+        assert values.shape[-1] == grid.lower.size
+        assert alive == [0, 0, 0]
+        assert [ref() for ref in refs] == [None] * 3
 
     @pytest.mark.parametrize("size", [1, 3])
     @pytest.mark.parametrize("kind", ["hermite", "airy"])
