@@ -82,14 +82,21 @@ def criterion_2(scale: float = 1.0) -> CriterionResult:
 
 
 def _brute_2d(beta: int, t: float) -> float:
-    from scipy import integrate
+    """P(both eigenvalues <= t) at n = 2 by numpy's 80-node Gauss-Legendre rule, sharing no code with gemax.
 
-    def weight(y, x):
-        return abs(y - x) ** beta * math.exp(-beta * (x * x + y * y) / 2.0)
+    The weight |y - x|^beta exp(-beta (x^2 + y^2)/2) is smooth off its kink y = x: it is taken on the triangle
+    y < x of [a, t]^2, a = -8, mapped to a square by y = a + (x - a) u, and doubled; 120 nodes agree within 2e-14.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(80)
+    u, wu = 0.5 * (nodes + 1.0), 0.5 * weights
 
-    num, _ = integrate.dblquad(weight, -8.0, t, -8.0, t, epsabs=1e-12)
-    den, _ = integrate.dblquad(weight, -8.0, 8.0, -8.0, 8.0, epsabs=1e-12)
-    return num / den
+    def mass(a: float, b: float) -> float:  # the weight's integral over [a, b]^2
+        x, wx = a + (b - a) * u[:, None], (b - a) * wu[:, None]
+        y = a + (x - a) * u
+        weight = np.abs(y - x) ** beta * np.exp(-beta * (x * x + y * y) / 2.0)
+        return 2.0 * float(np.sum(wx * (x - a) * wu * weight))
+
+    return mass(-8.0, t) / mass(-8.0, 8.0)
 
 
 def criterion_3(scale: float = 1.0) -> CriterionResult:

@@ -5,30 +5,26 @@ grids:  F_2(s) = det(I - K_Ai), and, after Ferrari-Spohn and Bornemann,
 F_1(s) = det(I - A_s) and F_4(s) = (det(I - A_s) + det(I + A_s))/2 with
 A_s(x, y) = Ai((x + y)/2)/2.  Every operator takes special's 48-node rule,
 on a reach that ends where its kernel's row at s falls to Ai(16), about
-4e-20: K_Ai on (s, max(s, 0) + 16), the finite-n kernels' special.edge_rule
-at the edge 0 on the unit 1, and A_s, which couples s with every y up to
-there, on (s, 32 - s).  Each determinant is read from the Cholesky factor
-of its operator (fredholm); the sum kernel's +-A_s are operators without
-kernel parts, their matrices from Ai alone (special.airy_ai).  With the
-Hastings-McLeod q and mu(s) = int_s^inf q, these are
-F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the unscaled F_4
-convention.  A table is one stack, as in finite_n.cdf_values:
-:func:`limit_values` takes an array of points, and the laws are its float case.
+4e-20: K_Ai (the fredholm.Kernel ``_AIRY``) on (s, max(s, 0) + 16), the
+finite-n kernels' special.edge_rule at the edge 0 on the unit 1, and A_s,
+which couples s with every y up to there, on (s, 32 - s).  Each determinant
+is read from the Cholesky factor of its operator (fredholm); the sum
+kernel's +-A_s are operators without kernel parts, their matrices from Ai
+alone (special.airy_ai).  With the Hastings-McLeod q and mu(s) = int_s^inf q,
+these are F_1 = sqrt(F_2) e^{-mu/2} and F_4 = sqrt(F_2) cosh(mu/2), the
+unscaled F_4 convention.  A table is one stack in fredholm.at_points' point
+order: :func:`limit_values` takes an array of points, and the laws are its float case.
 
 The Edgeworth terms need the Airy bundle: the resolvent (I - K_Ai)^{-1} on
 (s, infinity) and its values at s (fredholm's one left-end rule) against
 x^i Ai and x^i Ai' give q_i(s), p_i(s); inner products give u_i, v_i, v~_i,
 w_i.  In particular q_0 is the Hastings-McLeod q, recovered here from the
-resolvent rather than by ODE shooting (which is exponentially unstable).
-The integrals mu, nu, alpha, eta need the endpoint scalars as *functions*
-of the left endpoint, so the bundle evaluates them at every node of the
-K_Ai rule at s: one stack of 49 operators, at s and at its 48 nodes, from
-one Airy call on all their nodes and ends (most of them right of x = 10,
-where special.airy sums the asymptotic series), assembled and solved block
-by block.  The outer integrands are O(Ai(x)), so the operator's own rule
-serves as the outer one.  The same outer values give the exponential
-log F_2 = -int (x - s) q^2 (the bundle's ``log_f2``), and the endpoint values
-at s give q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The bundle serves
+resolvent rather than by ODE shooting (which is exponentially unstable), and
+q' = p_0 - q_0 u_0 (the Tracy-Widom system).  The integrals mu, nu, alpha,
+eta and the exponential log F_2 = -int (x - s) q^2 (``log_f2``) are
+fredholm.tails of the point values, at s as a table of one point: on the
+K_Ai rule at s, since the outer integrands are O(Ai(x)), and the operator at
+s joins that table's one stack of 48 outer operators.  The bundle serves
 only the Edgeworth terms and the acceptance cross-checks of the limit laws;
 ``f2_limit`` itself is the determinant.  On [S_MIN, S_MAX] mu falls monotonically
 to 1.6e-8 at S_MAX, so the Edgeworth terms divide by it unguarded.
@@ -38,17 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Real
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError, check_integers, check_reals, real_points
-from .fredholm import DiscretizedKernel, fredholm_log_det, map_blocks
-from .fredholm import resolvent_at_lower
+from .fredholm import DiscretizedKernel, Kernel, at_points, fredholm_log_det, on_operators
+from .fredholm import resolvent_at_lower, tails
 from . import fredholm, special
 from .special import airy as airy_fn
-from .special import airy_ai, build_grid, edge_rule
+from .special import airy_ai, build_grid
 
 S_MIN = -10.0
 S_MAX = 8.0
@@ -153,15 +149,26 @@ def _endpoint_scalars(op) -> np.ndarray:
     return np.concatenate([endpoint, on_ai, on_aip], axis=-1).T.reshape(6, 3, *endpoint.shape[:-1])
 
 
-def _on_operators(points, fn):
-    """The one K_Ai builder: fn(operator) on the edge rule (edge 0, unit 1) at each left end; a float is one."""
-    grid = edge_rule(points, 0.0, 1.0)
-    return map_blocks(fn, grid, _parts(grid), 1.0)
+_AIRY = Kernel(lambda grid: (_parts(grid),), 0.0, 1.0, 1.0)
 
 
 def _point_values(points) -> np.ndarray:
     """The endpoint scalars at each point, shape (6, 3, len(points)), or (6, 3) at a float point."""
-    return _on_operators(points, _endpoint_scalars)
+    return on_operators(_AIRY, points, _endpoint_scalars)
+
+
+def _outer_rows(values: np.ndarray) -> np.ndarray:
+    """q_0, p_0, u_0 and eta's integrand from endpoint scalars (6, 3, k): the rows the bundle's integrals take."""
+    q, p, u, v = values[:4]
+    eta = (6.0 * q[0] * v[0] + 3.0 * p[0] * u[0] + 2.0 * p[2] + 2.0 * p[1] * v[0] + 2.0 * p[0] * v[1]
+           - 2.0 * q[2] * u[0] - 2.0 * q[1] * u[1] - 2.0 * q[0] * u[2])
+    return np.array([q[0], p[0], u[0], eta])
+
+
+def _integrals(s, rows) -> tuple:
+    """mu, nu, alpha, eta's integral and log F_2 = -int (x - s) q^2 at a float s or ascending points, from rows(x)."""
+    mu, nu, alpha, eta, _, moment = tails(_AIRY, s, rows, ((0,), (1,), (0, 2), (3,), (0, 0)), special.RULE_NODES)
+    return mu, nu, alpha, eta / (20.0 * SQRT2), -moment
 
 
 def hastings_mcleod_q(s: float) -> float:
@@ -175,39 +182,29 @@ def hastings_mcleod_q(s: float) -> float:
 # `convergence`, `edgeworth` and criterion 6, which repeat an s for many n
 @lru_cache(maxsize=10_000)
 def _bundle_cached(s: float) -> AiryBundle:
-    """The bundle at s, every integral from the point values at the nodes of the rule at s."""
-    outer = edge_rule(s, 0.0, 1.0)
-    values = _point_values(np.append(s, outer.nodes))
-    q, p, u, v, v_tilde, w = (tuple(float(x) for x in field[:, 0]) for field in values)
-    lq, lp, lu, lv = values[:4, :, 1:]
-    mu = float(np.sum(outer.weights * lq[0]))
-    nu = float(np.sum(outer.weights * lp[0]))
-    alpha = float(np.sum(outer.weights * lq[0] * lu[0]))
-    eta_integrand = (
-        6.0 * lq[0] * lv[0]
-        + 3.0 * lp[0] * lu[0]
-        + 2.0 * lp[2]
-        + 2.0 * lp[1] * lv[0]
-        + 2.0 * lp[0] * lv[1]
-        - 2.0 * lq[2] * lu[0]
-        - 2.0 * lq[1] * lu[1]
-        - 2.0 * lq[0] * lu[2]
-    )
-    eta_integral = float(np.sum(outer.weights * eta_integrand)) / (20.0 * SQRT2)
-    return AiryBundle(s, q, p, u, v, v_tilde, w, mu, nu, alpha, eta_integral, q_prime=p[0] - q[0] * u[0],
-                      log_f2=-float(np.sum(outer.weights * (outer.nodes - s) * lq[0] * lq[0])))
+    """The bundle at s: its integrals as a table of one point, and its scalars at s from that table's one stack."""
+    at_s = []
+
+    def rows(x):  # a point's outer operators are one call: the operator at s joins their stack
+        values = _point_values(np.append(s, x))
+        at_s.append(values[..., 0])
+        return _outer_rows(values[..., 1:])
+
+    mu, nu, alpha, eta_integral, log_f2 = map(float, _integrals(s, rows))
+    q, p, u, v, v_tilde, w = (tuple(map(float, field)) for field in at_s[0])
+    return AiryBundle(s, q, p, u, v, v_tilde, w, mu, nu, alpha, eta_integral, p[0] - q[0] * u[0], log_f2)
 
 
 def airy_bundle(s: float) -> AiryBundle:
-    """All Airy-resolvent scalars and integrals at s (cached)."""
+    """All Airy-resolvent scalars and integrals at s (cached on float(s), so one s is one bundle)."""
     check_window(s)
-    return _bundle_cached(s)
+    return _bundle_cached(float(s))
 
 
 def log_f2_limit(s: float) -> float:
     """log F_2(s) = log det(I - K_Ai), the Airy Fredholm determinant."""
     check_window(s)
-    return _on_operators(s, fredholm_log_det)
+    return on_operators(_AIRY, s, fredholm_log_det)
 
 
 def _sum_kernel_block(s, coefficients: tuple[float, ...]) -> np.ndarray:
@@ -236,7 +233,7 @@ def _law_logs(ensemble: str, points) -> np.ndarray:
     points at a time, so only one block's matrices are held.
     """
     if ensemble == "gue":
-        return np.array([_on_operators(points, fredholm_log_det)])
+        return np.array([on_operators(_AIRY, points, fredholm_log_det)])
     coefficients = (1.0,) if ensemble == "goe" else (1.0, -1.0)
     if np.ndim(points) == 0:
         return _sum_kernel_block(points, coefficients)
@@ -247,13 +244,11 @@ def _law_logs(ensemble: str, points) -> np.ndarray:
 def limit_values(ensemble: str, s):
     """F_2, F_1 or F_4 for ensemble "gue", "goe" or "gse" at every point of s, from one stack of operators.
 
-    The point order of :func:`gemax.finite_n.cdf_values`: every point is
-    checked before any work, a real number (errors.real_points) in
-    [S_MIN, S_MAX], a table is its distinct points in ascending order
-    (np.unique, whose inverse puts the values back in s's order and shape),
-    and one point, in any shape, is one operator; a float s gives a float.
-    A refused operator raises NumericalError naming its rule's ends (the
-    first of its block; for F_4, I - A_s before I + A_s).  Each value is
+    Every point is checked before any work, a real number
+    (errors.real_points) in [S_MIN, S_MAX]; then the one point order
+    (:func:`gemax.fredholm.at_points`), so a float s gives a float.  A
+    refused operator raises NumericalError naming its rule's ends (the first
+    of its block; for F_4, I - A_s before I + A_s).  Each value is
     min(exp(log F), 1), F_4's the mean of its two determinants, by math.exp,
     so a table holds its points' values bit for bit.
     """
@@ -265,16 +260,15 @@ def limit_values(ensemble: str, s):
         bad = np.flatnonzero(~inside)[0]
         at = f" at index {bad}" if x.ndim else ""
         raise ParameterError(f"s = {x.flat[bad]} outside supported window [{S_MIN}, {S_MAX}]{at}")
-    if x.size == 1:  # one point, in any shape: one operator, not a stack of one
-        logs, where = _law_logs(ensemble, float(x.flat[0]))[:, None], 0
-    else:
-        points, where = np.unique(x, return_inverse=True)
-        logs = _law_logs(ensemble, points) if points.size else np.empty((1, 0))
+    return at_points(partial(_law_values, ensemble), x)
+
+
+def _law_values(ensemble: str, points) -> list:
+    """The law at a 0-d or at ascending points, each min(exp(log F), 1), F_4's the mean of its two determinants."""
+    logs = _law_logs(ensemble, points).reshape(-1, points.size).tolist()
     if ensemble == "gse":
-        values = [min(0.5 * (math.exp(minus) + math.exp(plus)), 1.0) for minus, plus in zip(*logs.tolist())]
-    else:
-        values = [min(math.exp(v), 1.0) for v in logs[0].tolist()]
-    return values[0] if x.ndim == 0 else np.array(values)[where].reshape(x.shape)
+        return [min(0.5 * (math.exp(minus) + math.exp(plus)), 1.0) for minus, plus in zip(*logs)]
+    return [min(math.exp(v), 1.0) for v in logs[0]]
 
 
 def f2_limit(s: float) -> float:

@@ -13,29 +13,18 @@ cross-check beside criterion 4 (:func:`gemax.acceptance.epsilon_closed`),
 not as a CDF method.  Every Hermite-function integral the first-principles
 path needs (eps phi, the integrals left of t, c_phi and c_psi) is exact, from
 the integral recurrence of :func:`gemax.special.hermite_integrals`; quadrature
-enters only through the Nystrom operator on (t, T), every operator on the
-one rule of :func:`gemax.special.edge_rule` at the edge sqrt(2n) on the unit
-sigma_n: T is 16 soft-edge units past the larger of t and the edge, the
-Airy side's rule on the soft-edge scale.  One builder,
-:func:`_on_operators`, makes every operator: the grid, one recurrence pass
-over the nodes and left ends of a stack (``hermite_parts``, or for a GOE/GSE
-value the ``hermite_integrals`` pass that also gives its integrals), then
-the stack fredholm.BLOCK operators at a time, one block's matrices alive at
-once.  A GOE/GSE value, a determinant F_{n,2} value and q_p_n make one pass
-each.  An exponential f_n2 or ab value needs q_n, p_n at every node of an
-outer rule of OUTER_NODES on the same (t, T): its 64 outer operators form
-one stack.
+enters only through the Nystrom operator on (t, T).  K_{n,2} is described once,
+by :func:`_hermite`, and for a GOE/GSE value by :func:`_hermite_integrals`,
+whose one recurrence pass also gives its integrals: fredholm.on_operators
+builds every operator from them, one pass per stack.  The exponential f_n2
+and ab, at a point or a table, are fredholm.tails on (q_n, p_n).
 
-A table is one stack too: :func:`cdf_values` takes an array of points and
-builds one operator per distinct point, in ascending order, so every stack
-of the library runs left to right; :func:`_log_cdf` picks the method, and
-each block gives a log-determinant per operator from the Cholesky factor
-that its resolvent solve shares.  An exponential table's points share one
-composite outer rule (:func:`_tail_integrals`).  One failure policy,
+A table is one stack in fredholm.at_points' point order; :func:`_log_cdf`
+picks the method, and each block gives a log-determinant per operator from
+the Cholesky factor that its resolvent solve shares.  One failure policy,
 :func:`_policy`, judges every output by its log F_{n,2}: a CDF value reads
 0.0 where it fails, and :func:`log_f_n2`, :func:`q_p_n`, :func:`ab` and
-:func:`epsilon_numeric` raise there (:func:`_resolved`).  One point, in
-any shape, is one operator, not a stack of one.
+:func:`epsilon_numeric` raise there (:func:`_resolved`).
 """
 
 from __future__ import annotations
@@ -47,9 +36,9 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError, ParameterError, check_integers, real_points
-from .fredholm import DiscretizedKernel, map_blocks, resolvent_at_lower
-from .fredholm import log_det, resolvent_solve_many
-from .special import build_grid, edge_rule, hermite_integrals, hermite_parts, phi_psi_scale
+from .fredholm import DiscretizedKernel, Kernel, at_points, log_det, on_operators, resolvent_at_lower
+from .fredholm import resolvent_solve_many, tails
+from .special import hermite_integrals, hermite_parts, phi_psi_scale
 
 #: the exponential path's outer rule, on the operators' own reach: 48 nodes
 #: there lose about two digits at n <= 8 left of the edge
@@ -108,35 +97,25 @@ class EpsilonQuantities:
     c_psi: float
 
 
-def _on_operators(n: int, t, fn, integrals: bool = False):
-    """fn(operator) of K_{n,2} on (x, T) at every point x of t, by :func:`map_blocks`.
+def _hermite(n: int) -> Kernel:
+    """K_{n,2}: its parts from one hermite_parts pass, at the edge sqrt(2n) on the unit sigma_n, scale sqrt(n/2)."""
+    parts = lambda grid: (hermite_parts(n, grid.nodes_and_lower),)
+    return Kernel(parts, math.sqrt(2.0 * n), _sigma(n), math.sqrt(n / 2.0))
 
-    The one builder of finite-n operators: the edge rule on (x, T) at the
-    soft edge (:func:`gemax.special.edge_rule`), one recurrence pass over the
-    nodes and left ends of the whole stack, the scale sqrt(n/2).  With
-    ``integrals`` the pass is ``hermite_integrals``, over twice the cost of
-    ``hermite_parts``, and fn also takes the integrals
-    (:func:`_epsilon_numeric`).  A float t is one call of fn.
-    """
-    grid = edge_rule(t, math.sqrt(2.0 * n), _sigma(n))
-    if integrals:
-        parts, *extra = hermite_integrals(n, grid.nodes, t)
-    else:
-        parts, extra = hermite_parts(n, grid.nodes_and_lower), ()
-    return map_blocks(fn, grid, parts, math.sqrt(n / 2.0), *extra)
+
+def _hermite_integrals(n: int) -> Kernel:
+    """K_{n,2} whose one parts pass, hermite_integrals, also gives the integrals of :func:`_epsilon_numeric`."""
+    return _hermite(n)._replace(parts=lambda grid: hermite_integrals(n, grid.nodes, grid.lower))
 
 
 def _at_lower(n: int, op: DiscretizedKernel) -> np.ndarray:
-    """(q_n, p_n) at the left end of each operator, shape (2,) + block, from one two-column solve.
-
-    Its right-hand sides (phi, psi) = (n/2)^{1/4} (phi_n, phi_{n-1}) are the operators' own parts.
-    """
+    """(q_n, p_n) at each operator's left end, shape (2,) + block: one solve of (n/2)^{1/4} (phi_n, phi_{n-1})."""
     return resolvent_at_lower(op, phi_psi_scale(n) * np.stack(op.parts[:2], axis=-1))[1].T
 
 
 def _q_p(n: int, points: np.ndarray) -> np.ndarray:
     """(q_n, p_n) at each of the points, shape (2, len(points)), from the operators on (x, T(x))."""
-    return _on_operators(n, points, partial(_at_lower, n))
+    return on_operators(_hermite(n), points, partial(_at_lower, n))
 
 
 def _point(name: str, x):
@@ -178,57 +157,18 @@ def _resolved(n: int, t: float, read) -> tuple[float, ...]:
 def q_p_n(n: int, t: float) -> tuple[float, float]:
     """Endpoint resolvent values (q_n(t), p_n(t)) from one two-column solve on one operator."""
     read = lambda op: (log_det(op), *_at_lower(n, op))
-    return _resolved(n, t, lambda t: _on_operators(n, t, read))
+    return _resolved(n, t, lambda t: on_operators(_hermite(n), t, read))
 
 
-def _cell_nodes(n: int, width: float) -> int:
-    """The nodes of a table's outer cell of this width: 8 per soft-edge unit, 16 to OUTER_NODES."""
-    return min(OUTER_NODES, max(16, math.ceil(8.0 * width / _sigma(n))))
-
-
-def _tail_integrals(n: int, t):
-    """The exponential log F_{n,2} = -2 int_t^inf (x - t) q_n p_n, a(t) and b(t) at every point of t.
-
-    t is a float or distinct points t_1 < ... < t_k (:func:`cdf_values`).  q_n
-    and p_n depend on x alone, so the points share one composite outer rule:
-    one Gauss-Legendre cell of :func:`_cell_nodes` between each pair of
-    neighbours and the edge rule of OUTER_NODES on (t_k, T), T the operators'
-    reach at t_k (the largest of the points' reaches).  The integrals are summed from the
-    right: a_i = a_{i+1} + int_cell q (b alike), and with c_i = int_{t_i}^T q p
-    the moment is int_cell (x - t_i) q p + moment_{i+1} + (t_{i+1} - t_i) c_{i+1}.
-    A single point is the OUTER_NODES rule alone.  The operators at the outer
-    nodes are built OUTER_NODES at a time, so a table's peak memory is one
-    point's: 1.2 MB under tracemalloc at n = 40 for 1, 9 or 41 points.
-    """
-    points = np.atleast_1d(t)
-    cells = [build_grid(lo, hi, _cell_nodes(n, hi - lo)) for lo, hi in zip(points[:-1], points[1:])]
-    cells.append(edge_rule(points[-1], math.sqrt(2.0 * n), _sigma(n), OUTER_NODES))
-    x = np.concatenate([cell.nodes for cell in cells])
-    w = np.concatenate([cell.weights for cell in cells])
-    counts = [cell.count for cell in cells]
-    chunks = np.split(x, range(OUTER_NODES, x.size, OUTER_NODES))
-    q, p = np.concatenate([_q_p(n, chunk) for chunk in chunks], axis=1)
-    tails = partial(_from_right, np.cumsum(counts[:-1]))
-    a, b, c = tails(w * q), tails(w * p), tails(w * q * p)
-    shift = np.append(np.diff(points) * c[1:], 0.0)
-    moment = tails(w * (x - np.repeat(points, counts)) * q * p, shift)
-    return tuple(v.reshape(np.shape(t)) for v in (-2.0 * moment, a, b))
-
-
-def _from_right(bounds: np.ndarray, terms: np.ndarray, extra=0.0) -> np.ndarray:
-    """Per cell, the sum of terms over it and every cell right of it (plus extra per cell).
-
-    ``bounds`` are the cells' starts after the first.  Each cell is one
-    pairwise np.sum: np.add.reduceat sums in order, which moved the values
-    of a single point, one cell, in their last bits.
-    """
-    cells = np.array([np.sum(cell) for cell in np.split(terms, bounds)])
-    return np.cumsum((cells + extra)[::-1])[::-1]
+def _exponential(n: int, t) -> tuple:
+    """The exponential log F_{n,2} = -2 int_t^inf (x - t) q_n p_n, a(t) and b(t) at a float t or ascending points."""
+    a, b, _, moment = tails(_hermite(n), t, partial(_q_p, n), ((0,), (1,), (0, 1)), OUTER_NODES)
+    return -2.0 * moment, a, b
 
 
 def ab(n: int, t: float) -> tuple[float, float]:
     """Tail integrals a(t) = int_t^inf q_n, b(t) = int_t^inf p_n, judged by the exponential log F_{n,2}."""
-    return _resolved(n, t, partial(_tail_integrals, n))
+    return _resolved(n, t, partial(_exponential, n))
 
 
 def c_constants(n: int) -> tuple[float, float]:
@@ -273,18 +213,15 @@ def _log_cdf(n: int, t: np.ndarray, parity: int | None, method: str) -> np.ndarr
     """log F by the one method dispatch at a float t or ascending points, each judged by :func:`_policy`.
 
     With parity None it is log F_{n,2} by ``method``: one operator per point,
-    or the exponential form (:func:`_tail_integrals`).  With parity 0 (GOE)
+    or the exponential form (:func:`_exponential`).  With parity 0 (GOE)
     or 1 (GSE), half of log F_{n,2} plus the log of the bracket F^2 / F_{n,2}
     from the epsilon quantities of the same operator; one raise raises for all.
     """
-    if parity is None:
-        if method == "determinant":
-            log_f = _on_operators(n, t, log_det)
-        else:
-            log_f = _tail_integrals(n, t)[0]
-        ratio = np.ones_like(log_f)
+    if parity is not None:
+        log_f, ratio = on_operators(_hermite_integrals(n), t, partial(_bracket_block, parity, n))
     else:
-        log_f, ratio = _on_operators(n, t, partial(_bracket_block, parity, n), integrals=True)
+        log_f = on_operators(_hermite(n), t, log_det) if method == "determinant" else _exponential(n, t)[0]
+        ratio = np.ones_like(log_f)
     points = zip(*(v.ravel().tolist() for v in (t, log_f, ratio)))
     return np.array([_policy(n, parity, *point) for point in points]).reshape(t.shape)
 
@@ -335,7 +272,7 @@ def log_f_n2(n: int, t: float) -> float:
 
     Raises NumericalError where the one failure policy gives F_{n,2} = 0.0 (:func:`_resolved`).
     """
-    return _resolved(n, t, lambda t: 2 * (_on_operators(n, t, log_det),))[0]
+    return _resolved(n, t, lambda t: 2 * (on_operators(_hermite(n), t, log_det),))[0]
 
 
 def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
@@ -343,13 +280,8 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
 
     ``ensemble`` is "gue", "goe" or "gse" and n the kernel index, as in
     :func:`f_n2`, :func:`f_n1` and :func:`f_n4`; x is t, or u for the GSE.
-    ``method`` applies to the GUE only.  The one point order: a table is its
-    distinct points in ascending order (np.unique, whose inverse puts the
-    values back in x's order and shape); those left of the far-left cutoff,
-    a prefix, read 0.0 before any grid is built, and the rest are one stack
-    for :func:`_log_cdf`: one recurrence pass, then blocks of operators, each
-    factored once.  One point, in any shape, is one operator; a float x gives
-    a float.  Each value is min(exp(log F), 1): the clamp absorbs rounding only.
+    ``method`` applies to the GUE only.  The points take the one point order
+    (:func:`gemax.fredholm.at_points`), so a float x gives a float.
     """
     if not isinstance(ensemble, str) or ensemble not in PARITY:
         raise ParameterError(f"unknown ensemble {ensemble!r}")
@@ -360,19 +292,22 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
     if parity is not None and method != "determinant":
         raise ParameterError(f"method {method!r} applies to the GUE only")
     t = x * math.sqrt(2.0) if parity == 1 else x
+    return at_points(partial(_values, n, parity, method), t)
+
+
+def _values(n: int, parity: int | None, method: str, t: np.ndarray) -> list:
+    """F at a 0-d t or at ascending points, each min(exp(log F), 1): the clamp absorbs rounding only.
+
+    The points left of the far-left cutoff, a prefix, read 0.0 before any grid is built; the rest
+    are one stack for :func:`_log_cdf`: one recurrence pass, then blocks of operators, each factored once.
+    """
     if parity == 1 and n == 1:  # F_{1,4}: no symplectic eigenvalues
-        log_f = np.zeros_like(t)
-    elif t.size == 1:  # one point, in any shape: one operator, not a stack of one
-        log_f = _log_cdf(n, t.reshape(()), parity, method) if t >= _cutoff(n, parity) else np.array(-math.inf)
-    else:
-        points, where = np.unique(t, return_inverse=True)
-        first = np.searchsorted(points, _cutoff(n, parity))
-        log_f = np.full(points.shape, -math.inf)
-        if first < points.size:
-            log_f[first:] = _log_cdf(n, points[first:], parity, method)
-        log_f = log_f[where]
-    values = [min(math.exp(v), 1.0) for v in log_f.ravel().tolist()]
-    return values[0] if x.ndim == 0 else np.array(values).reshape(x.shape)
+        return [1.0] * t.size
+    first = t.ravel().searchsorted(_cutoff(n, parity))
+    log_f = [-math.inf] * first
+    if first < t.size:
+        log_f += _log_cdf(n, t[first:] if t.ndim else t, parity, method).ravel().tolist()
+    return [min(math.exp(v), 1.0) for v in log_f]
 
 
 def f_n2(n: int, t: float, method: str = "determinant") -> float:
@@ -389,7 +324,7 @@ def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     (-inf, t), taken term by term with the same recurrence.
     """
     read = lambda op, *integrals: (log_det(op), *astuple(_epsilon_numeric(n, op, *integrals)))
-    return EpsilonQuantities(*_resolved(n, t, lambda t: _on_operators(n, t, read, integrals=True)))
+    return EpsilonQuantities(*_resolved(n, t, lambda t: on_operators(_hermite_integrals(n), t, read)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

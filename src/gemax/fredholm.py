@@ -4,11 +4,12 @@ The Hermite and Airy kernels both have the integrable form
 scale (f(x)g(y) - f(y)g(x))/(x - y): f, g = phi_n, phi_{n-1} with
 scale = sqrt(n/2) for the Christoffel-Darboux Hermite kernel, and
 f, g = Ai, Ai' with scale = 1 for the Airy kernel.  This module knows no
-kernel by name: each caller evaluates its kernel's parts (f, g, K(z, z))
-once, on z = grid.nodes_and_lower, and hands them to :func:`assemble`,
-whose operator keeps them (``parts``).  One private quotient, built in
-place, gives both the matrix (whose diagonal K(x_i, x_i) is written by
-index) and the row K(lower, x_j).
+kernel by name: each caller describes its kernel once, as a :class:`Kernel`,
+and one core serves both: :func:`on_operators` builds every operator,
+:func:`tails` gives every tail integral int_t^T of resolvent point values,
+and :func:`at_points` owns a table's point order.  One private quotient,
+built in place, gives both the matrix (whose diagonal K(x_i, x_i) is written
+by index) and the row K(lower, x_j).
 
 A kernel K on (lower, upper) is discretized as the symmetric matrix
 A_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j).  Every kernel the library factors
@@ -53,14 +54,17 @@ parts and is always factored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericalError, ParameterError
-from .special import QuadratureGrid
+from .special import QuadratureGrid, build_grid, edge_rule
 
 #: operators per block of a stack: enough to share the numpy calls of
 #: assembly and of the endpoint sums, few enough to keep the block's
@@ -241,6 +245,69 @@ def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> 
         values.append(fn(op, *rest[len(parts):]))
         del op  # the block's matrices and factor go before the next block is built
     return np.concatenate(values, axis=-1)
+
+
+class Kernel(NamedTuple):
+    """An integrable kernel, described once: its parts on a grid, its edge, its unit and its scale."""
+
+    #: grid -> (parts, *extra), as :func:`map_blocks` takes them; past edge the kernel decays on unit
+    parts: Callable
+    edge: float
+    unit: float
+    scale: float
+
+
+def on_operators(kernel: Kernel, points, fn):
+    """fn(operator, *extra) of the kernel on special.edge_rule at every point, by :func:`map_blocks`; a float is one."""
+    grid = edge_rule(points, kernel.edge, kernel.unit)
+    parts, *extra = kernel.parts(grid)
+    return map_blocks(fn, grid, parts, kernel.scale, *extra)
+
+
+def _cell_nodes(kernel: Kernel, width: float, outer: int) -> int:
+    """The nodes of a composite rule's cell of this width: 8 per unit of the kernel, 16 to outer."""
+    return min(outer, max(16, math.ceil(8.0 * width / kernel.unit)))
+
+
+def tails(kernel: Kernel, t, values, integrands: tuple, outer: int) -> tuple:
+    """int_{t_i}^T of each integrand, then the first moment of the last, at a float t or ascending points.
+
+    values(x) gives rows of point values at left ends x, and an integrand is
+    a tuple of rows, multiplied left to right after the weight.  The points
+    share one composite rule: a cell of :func:`_cell_nodes` between
+    neighbours, then the edge rule of outer nodes right of the last point,
+    values taken outer left ends at a time.  Each sum runs from the right
+    over one pairwise sum per cell (np.add.reduceat sums in order, which moved
+    a single point's last bits); with c_i the integral of the last integrand
+    g, the moment is int_cell (x - t_i) g + moment_{i+1} + (t_{i+1} - t_i) c_{i+1}.
+    """
+    points = np.atleast_1d(t)
+    cells = [build_grid(lo, hi, _cell_nodes(kernel, hi - lo, outer)) for lo, hi in zip(points[:-1], points[1:])]
+    cells.append(edge_rule(points[-1], kernel.edge, kernel.unit, outer))
+    x = np.concatenate([cell.nodes for cell in cells])
+    w = np.concatenate([cell.weights for cell in cells])
+    counts = [cell.count for cell in cells]
+    rows = np.concatenate([values(x[k:k + outer]) for k in range(0, x.size, outer)], axis=-1)
+    product = lambda first, integrand: reduce(mul, (rows[i] for i in integrand), first)
+    moment_weights = w * (x - np.repeat(points, counts))
+    terms = np.array([product(w, g) for g in integrands] + [product(moment_weights, integrands[-1])])
+    bounds = np.cumsum([0, *counts])
+    per_cell = np.stack([terms[:, lo:hi].sum(axis=-1) for lo, hi in zip(bounds[:-1], bounds[1:])], axis=-1)
+    from_right = lambda sums, extra: np.cumsum((sums + extra)[..., ::-1], axis=-1)[..., ::-1]
+    integrals = from_right(per_cell[:-1], 0.0)
+    moment = from_right(per_cell[-1], np.append(np.diff(points) * integrals[-1, 1:], 0.0))
+    return tuple(v.reshape(np.shape(t)) for v in (*integrals, moment))
+
+
+def at_points(fn, x: np.ndarray):
+    """fn's values at every point of the array x, in x's order and shape; a float where x is 0-d.
+
+    The one point order: fn takes x's distinct points in ascending order (np.unique), or one
+    point in any shape as a 0-d array (one operator, not a stack of one), and gives a float per point.
+    """
+    points, where = (x.reshape(()), 0) if x.size == 1 else np.unique(x, return_inverse=True)
+    values = np.array(fn(points) if points.size else [], dtype=float)
+    return values.item() if x.ndim == 0 else values[where].reshape(x.shape)
 
 
 def _per_operator(fn, *arrays) -> np.ndarray:

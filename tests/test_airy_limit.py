@@ -237,6 +237,31 @@ class TestLimitLaws:
             tracemalloc.stop()
         assert peak < 2 * 10**6
 
+    def test_bundle_is_cached_on_float_s(self):
+        # lru_cache keyed an int apart from a float: airy_bundle(1) and
+        # airy_bundle(1.0) built two bundles, and s kept the caller's type
+        airy_module._bundle_cached.cache_clear()
+        bundles = [airy_bundle(s) for s in (1, 1.0, np.float64(1.0))]
+        assert all(b is bundles[0] for b in bundles)
+        assert type(bundles[0].s) is float
+        assert airy_module._bundle_cached.cache_info().misses == 1
+
+    def test_tail_core_serves_a_table(self, monkeypatch):
+        # the bundle's integrals on 9 points of [-3, 1] from one composite
+        # outer rule (cells of 16 nodes, then the 48-node rule at 1): 176
+        # operators, where 9 bundles build 441, within 1e-13 relative of each
+        # point's bundle (measured 5.8e-15)
+        points = np.linspace(-3.0, 1.0, 9)
+        want = [airy_module._bundle_cached.__wrapped__(float(s)) for s in points]
+        operators = []
+        airy_fn = airy_module.airy_fn
+        monkeypatch.setattr(airy_module, "airy_fn", lambda x: operators.append(len(x)) or airy_fn(x))
+        got = airy_module._integrals(points, lambda x: airy_module._outer_rows(airy_module._point_values(x)))
+        assert sum(operators) == 176
+        for k, name in enumerate(("mu", "nu", "alpha", "eta_integral", "log_f2")):
+            ref = np.array([getattr(b, name) for b in want])
+            assert np.max(np.abs(got[k] - ref) / np.abs(ref)) < 1e-13, name
+
     @pytest.mark.parametrize("s", [-4.0, -1.5, 1.0, 3.5, 6.0])
     def test_stack_matches_single_operators(self, s):
         # the bundle's stack of 49 operators gives each operator's scalars as

@@ -71,8 +71,8 @@ def _operator(n: int, t: float) -> fredholm.DiscretizedKernel:
 
 
 def _built_with_integrals(n: int, t: float):
-    """The operator the GOE/GSE laws build at t and its integrals, from the finite-n builder."""
-    return finite_n._on_operators(n, t, lambda op, *integrals: (op, integrals), integrals=True)
+    """The operator the GOE/GSE laws build at t and its integrals, from the one operator builder."""
+    return fredholm.on_operators(finite_n._hermite_integrals(n), t, lambda op, *integrals: (op, integrals))
 
 
 def gaussian_cdf(t: float) -> float:
@@ -773,7 +773,7 @@ class TestExponentialTables:
     def test_sparse_table_is_no_less_accurate(self, n, lower, upper):
         # two points 8.9, 9.2 and 9.6 sigma_n apart: one cell of OUTER_NODES,
         # the most a cell takes, with F from 0.006 to 0.03 at the left point
-        assert finite_n._cell_nodes(n, upper - lower) == OUTER_NODES
+        assert fredholm._cell_nodes(finite_n._hermite(n), upper - lower, OUTER_NODES) == OUTER_NODES
         table, scalar = self._errors(n, math.sqrt(2.0 * n) + np.array([lower, upper]))
         assert table <= max(2e-15, 2.0 * scalar), (table, scalar)
 
@@ -897,14 +897,14 @@ class TestTables:
                 reader(40, bad)
 
     @staticmethod
-    def _table_peak(ensemble: str) -> int:
+    def _table_peak(ensemble: str, method: str = "determinant") -> int:
         """The tracemalloc peak of a 200-point table at n = 400 on edge - 4 .. edge + 2, after a warm-up."""
         edge = math.sqrt(800.0)
         x = np.linspace(edge - 4.0, edge + 2.0, 200)
-        cdf_values(ensemble, 400, x[:2])
+        cdf_values(ensemble, 400, x[:2], method)
         tracemalloc.start()
         try:
-            cdf_values(ensemble, 400, x)
+            cdf_values(ensemble, 400, x, method)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -921,6 +921,12 @@ class TestTables:
         # the determinant table under the GOE table's bound: 1.4 MB at the
         # peak (2.0 MB at BLOCK 16 when a block's operator outlived it)
         assert self._table_peak("gue") < 2 * 10**6
+
+    def test_exponential_table_memory(self):
+        # the tail core builds the outer operators OUTER_NODES at a time, so
+        # the exponential table stays under the same bound: 1.55 MB at the
+        # peak, 1.17 MB for one point
+        assert self._table_peak("gue", "exponential") < 2 * 10**6
 
     @pytest.mark.parametrize("ensemble, n", [("gue", 40), ("gue", 400), ("goe", 40), ("goe", 400),
                                              ("gse", 41), ("gse", 399)])
@@ -1060,7 +1066,8 @@ class TestDomainEnds:
         def refuse(*args):
             raise AssertionError("built a grid where the shift bound decides")
 
-        monkeypatch.setattr(finite_n, "build_grid", refuse)
+        monkeypatch.setattr(fredholm, "build_grid", refuse)
+        monkeypatch.setattr(fredholm, "edge_rule", refuse)
         assert f_n2(1, -28.54) == f_n2(4, math.sqrt(8.0) - 994.0) == 0.0
         assert f_n2(400, math.sqrt(800.0) - 102756.0, "exponential") == 0.0
         assert f_n1(2, -290.0) == f_n1(40, math.sqrt(80.0) - 8515.0) == 0.0
@@ -1080,7 +1087,8 @@ class TestDomainEnds:
             for n, t in ((1, -6.09), (1, -9.74)):
                 with pytest.raises(NumericalError, match="lost positivity or its shift bound"):
                     reader(n, t)
-            monkeypatch.setattr(finite_n, "build_grid", self._refuse)
+            monkeypatch.setattr(fredholm, "build_grid", self._refuse)
+            monkeypatch.setattr(fredholm, "edge_rule", self._refuse)
             for n, t in ((4, -1e10), (4, -1e200)):
                 with pytest.raises(NumericalError, match="lost positivity or its shift bound"):
                     reader(n, t)
@@ -1420,9 +1428,9 @@ class TestFarRightReach:
         # a point right of the edge is factored on (t, t + 16 sigma_n), one left
         # of it on (t, sqrt(2n) + 16 sigma_n)
         n, grids = 40, []
-        map_blocks = finite_n.map_blocks
+        map_blocks = fredholm.map_blocks
         spy = lambda fn, grid, *a: grids.append(grid) or map_blocks(fn, grid, *a)
-        monkeypatch.setattr(finite_n, "map_blocks", spy)
+        monkeypatch.setattr(fredholm, "map_blocks", spy)
         edge, reach = math.sqrt(2.0 * n), 16.0 * finite_n._sigma(n)
         t = edge + offset
         assert 0.0 < f_n2(n, t) < 1.0

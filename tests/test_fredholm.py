@@ -343,9 +343,9 @@ def _exponential_table(n: int):
 #: identity starts at x = 9.23 on the Airy side and 7.98, 8.87 and 9.11
 #: soft-edge units past the edge at n = 4, 40 and 400
 RULE_STACKS = {
-    **{f"bundle s={s}": (airy_laws, partial(airy_laws._bundle_cached.__wrapped__, s), 9.0)
+    **{f"bundle s={s}": (fredholm, partial(airy_laws._bundle_cached.__wrapped__, s), 9.0)
        for s in (-3.0, 1.5, 5.0)},
-    **{f"exponential n={n}": (finite_n, _exponential_table(n), _soft_edge(n, 7.9))
+    **{f"exponential n={n}": (fredholm, _exponential_table(n), _soft_edge(n, 7.9))
        for n in (4, 40, 400)},
 }
 
@@ -386,8 +386,8 @@ class TestTraceFloor:
     @pytest.mark.parametrize(
         "module, values, points",
         [
-            (airy_laws, airy_laws._point_values, [12.0, -2.0, 9.5, 0.5, 15.0, 3.0, 10.5, -1.0, 20.0]),
-            (finite_n, partial(finite_n._q_p, 40), [14.0, 6.0, 12.5, 9.0, 16.0, 8.0, 13.0]),
+            (fredholm, airy_laws._point_values, [12.0, -2.0, 9.5, 0.5, 15.0, 3.0, 10.5, -1.0, 20.0]),
+            (fredholm, partial(finite_n._q_p, 40), [14.0, 6.0, 12.5, 9.0, 16.0, 8.0, 13.0]),
         ],
         ids=["airy", "finite_n"],
     )
