@@ -16,13 +16,15 @@ bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; LAPACK dstebz)
 runs on the diagonal and squared subdiagonal of a whole batch at once, and
 Newton's method on the same pivot recurrence narrows its bracket.  A batch
 takes _HALVINGS = 12 halvings of the Gershgorin bracket, 4-6 Newton passes,
-two Sturm passes that confirm the narrowed bracket and about 7 halvings to
-adjacent floats: 21 Sturm and 4-6 Newton passes of the n-step recurrence at
-n >= 8, a Newton pass costing about 2 Sturm passes, where bisection alone
-took 53-54.  At n <= 4, where some samples lie near 0 and take more halvings
-to adjacent floats, it takes 23-35 Sturm passes (bisection: up to about 64).
-A batch costs O(batch * n * ~31) time and O(batch * n) memory.  The samples
-are those of bisection alone, bit for bit (see `_top_eigenvalue`).
+two Sturm passes that confirm a bracket of 4 ulps either side of Newton's
+limit and 3 halvings to adjacent floats: 17 Sturm passes (18 in some
+batches at n = 8) and 4-6 Newton passes of the n-step recurrence at n >= 8,
+where bisection alone took 53-54.  A Sturm pass does 1 division a row and a
+Newton pass 2, and a Newton pass costs about 1.8 Sturm passes.  At n <= 4,
+where some samples lie near 0 and take more halvings to adjacent floats, it
+takes 18-30 Sturm passes (bisection: up to about 64).  A batch costs
+O(batch * n * ~26) time and O(batch * n) memory.  The samples are those of
+bisection alone, bit for bit (see `_top_eigenvalue`).
 """
 
 from __future__ import annotations
@@ -47,8 +49,12 @@ _HALVINGS = 12
 #: Newton passes at most; a top pair of eigenvalues closer than the bracket
 #: makes Newton's convergence linear, and this caps what such a batch loses
 _NEWTON_PASSES = 8
-#: half-width, in ulps, of the bracket Newton's last iterate proposes
+#: Newton's passes stop once no column's step is longer than this many ulps
 _ULPS = 64
+#: half-width, in ulps, of the bracket about Newton's last iterate that two
+#: Sturm passes confirm; it closed all 823,296 columns of 402 batches at
+#: beta 1, 2, 4 and n 2-400, and bisection finishes any column it leaves open
+_CONFIRM_ULPS = 4
 #: the tolerance of the KS table's chop: a Chebyshev series is cut where its
 #: coefficients level off near rounding relative to the largest
 _CHOP_TOL = 2.0**-52
@@ -56,13 +62,34 @@ _CHOP_TOL = 2.0**-52
 
 @dataclass(frozen=True)
 class McRun:
-    """A seeded, sorted sample set of largest eigenvalues."""
+    """A seeded, sorted sample set of largest eigenvalues.
+
+    Checked when made: ParameterError unless beta is one of VALID_BETA, the
+    integers n and count are at least 1, seed is an integer and samples is a
+    1-D float array of count finite values in ascending order.
+    """
 
     beta: int
     n: int
     seed: int
     samples: np.ndarray
     count: int
+
+    def __post_init__(self):
+        check_integers(beta=self.beta, n=self.n, seed=self.seed, count=self.count)
+        if self.beta not in VALID_BETA:
+            raise ParameterError(f"beta must be one of {VALID_BETA}, got {self.beta}")
+        if self.n < 1 or self.count < 1:
+            raise ParameterError(f"need n >= 1 and count >= 1, got n={self.n}, count={self.count}")
+        samples = self.samples
+        if not (isinstance(samples, np.ndarray) and samples.dtype.kind == "f"
+                and samples.shape == (self.count,)):
+            raise ParameterError(f"need samples as a 1-D float array of count = {self.count} "
+                                 f"values, got {type(samples).__name__} of shape {np.shape(samples)}")
+        if not np.all(np.isfinite(samples)):
+            raise ParameterError("need finite samples")
+        if np.any(samples[1:] < samples[:-1]):
+            raise ParameterError("need samples in ascending order")
 
 
 def _below(a: np.ndarray, b2: np.ndarray, x: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -73,8 +100,10 @@ def _below(a: np.ndarray, b2: np.ndarray, x: np.ndarray, pivots: np.ndarray) -> 
     below x exactly when all n are negative.
     """
     np.subtract(a, x, out=pivots)
-    for i in range(1, len(a)):
-        pivots[i] -= b2[i - 1] / pivots[i - 1]
+    quotient = np.empty_like(x)
+    for b, prev, row in zip(b2, pivots, pivots[1:]):
+        np.divide(b, prev, out=quotient)
+        row -= quotient
     return pivots.max(axis=0) < 0.0
 
 
@@ -84,19 +113,22 @@ def _newton_step(
     """One Newton pass: the step f/f' at x for f(x) = det(T - x I) = d_1 ... d_n.
 
     The pivots' derivatives follow the same recurrence, d_1' = -1 and
-    d_i' = -1 + (b_{i-1}^2 / d_{i-1}^2) d_{i-1}', and f'/f = sum d_i'/d_i.
-    A pivot at or near 0 makes the step inf or NaN, which the caller refuses.
+    d_i' = -1 + r_{i-1} d_{i-1}' / d_{i-1} with the pivot quotient
+    r_{i-1} = b_{i-1}^2 / d_{i-1}, so the log-derivatives s_i = d_i'/d_i,
+    written to slopes, follow s_1 = -1/d_1 and s_i = (r_{i-1} s_{i-1} - 1)/d_i:
+    two divisions a row, r_{i-1} and s_i.  Then f'/f = sum s_i.  A pivot at
+    or near 0 makes the step inf or NaN, which the caller refuses.
     """
     np.subtract(a, x, out=pivots)
-    slopes[0] = -1.0
+    quotient = np.empty_like(x)
     with np.errstate(invalid="ignore"):
-        for i in range(1, len(a)):
-            ratio = b2[i - 1] / pivots[i - 1]
-            pivots[i] -= ratio
-            ratio /= pivots[i - 1]
-            ratio *= slopes[i - 1]
-            np.subtract(ratio, 1.0, out=slopes[i])
-        np.divide(slopes, pivots, out=slopes)
+        np.divide(-1.0, pivots[0], out=slopes[0])
+        for b, prev, row, slope, out in zip(b2, pivots, pivots[1:], slopes, slopes[1:]):
+            np.divide(b, prev, out=quotient)
+            row -= quotient
+            quotient *= slope
+            quotient -= 1.0
+            np.divide(quotient, row, out=out)
         return 1.0 / slopes.sum(axis=0)
 
 
@@ -108,11 +140,12 @@ def _narrow(
     Newton's method from hi, right of the top root, falls monotonically to
     it (Wilkinson 1965).  A step is taken only if it lowers x and keeps it at
     or above lo, so a NaN step or one spoiled by rounding is refused; the
-    passes stop once no column takes a step longer than a width of _ULPS
-    ulps.  Then x -/+ width replace lo and hi only where a Sturm pass
-    confirms them.  The ulps are those of the larger of |x| and max |a_i|:
-    near 0 the test's rounding is set by the diagonal, not by x, and with
-    ulps of |x| alone batches at n = 2, 3 fell back to bisection.
+    passes stop once no column takes a step longer than _ULPS ulps.  Then
+    x -/+ _CONFIRM_ULPS ulps replace lo and hi only where a Sturm pass
+    confirms them, and bisection finishes a column they leave open.  The
+    ulps are those of the larger of |x| and max |a_i|: near 0 the test's
+    rounding is set by the diagonal, not by x, and with ulps of |x| alone
+    batches at n = 2, 3 fell back to bisection.
     """
     slopes = np.empty_like(pivots)
     scale = np.maximum(a.max(axis=0), -a.min(axis=0))
@@ -122,10 +155,10 @@ def _narrow(
         new = x - step
         take = (new < x) & (lo <= new)
         x = np.where(take, new, x)
-        width = _ULPS * np.spacing(np.maximum(np.abs(x), scale))
-        if not np.any(take & (step > width)):
+        ulp = np.spacing(np.maximum(np.abs(x), scale))
+        if not np.any(take & (step > _ULPS * ulp)):
             break
-    for end in (x - width, x + width):
+    for end in (x - _CONFIRM_ULPS * ulp, x + _CONFIRM_ULPS * ulp):
         inside = (lo < end) & (end < hi)
         below = _below(a, b2, end, pivots)
         hi = np.where(inside & below, end, hi)
@@ -140,23 +173,22 @@ def _top_eigenvalue(diag: np.ndarray, sub2: np.ndarray) -> np.ndarray:
     (length n - 1).  Bisection on the Sturm test of `_below` starts from
     [max a_i, max(a_i + |b_{i-1}| + |b_i|)] (Gershgorin) and halves the
     bracket until its midpoint rounds to an end.  After _HALVINGS halvings,
-    `_narrow` shrinks the bracket by Newton's method, and bisection decides
-    the last bits.  The test is monotone in x under IEEE rounding, so the
-    final pair of adjacent floats, and the returned midpoint, are those of
-    bisection alone: Newton saves passes but never changes a bit.  Squared
-    off-diagonals are raised to dstebz's pivmin, tiny * max(1, max b^2), so a
-    zero pivot gives an IEEE infinity and never 0/0; a zero coupling moves
-    the eigenvalue by at most sqrt(pivmin).
+    `_narrow` shrinks the bracket by Newton's method to 4 ulps either side of
+    its limit, and 3 more halvings decide the last bits: 17 Sturm and 4-6
+    Newton passes at n >= 8.  The test is monotone in x under IEEE rounding,
+    so the final pair of adjacent floats, and the returned midpoint, are
+    those of bisection alone: Newton saves passes but never changes a bit.
+    Squared off-diagonals are raised to dstebz's pivmin, tiny * max(1, max
+    b^2), so a zero pivot gives an IEEE infinity and never 0/0; a zero
+    coupling moves the eigenvalue by at most sqrt(pivmin).
     """
     a = np.ascontiguousarray(diag.T)
     b2 = np.ascontiguousarray(sub2.T)
-    pivots = np.empty_like(a)
-    edge = np.zeros((len(a) + 1, a.shape[1]))
-    np.sqrt(b2, out=edge[1:-1])
-    np.add(a, edge[:-1], out=pivots)
-    pivots += edge[1:]
+    pivots, b = a.copy(), np.sqrt(b2)
+    pivots[1:] += b
+    pivots[:-1] += b
     lo, hi = a.max(axis=0), pivots.max(axis=0)
-    del edge
+    del b
     np.maximum(b2, np.finfo(float).tiny * max(1.0, b2.max(initial=0.0)), out=b2)
     halvings = 0
     with np.errstate(divide="ignore", over="ignore"):
@@ -201,8 +233,18 @@ def sample_lambda_max(beta: int, n: int, count: int, seed: int) -> McRun:
     return McRun(beta=beta, n=n, seed=seed, samples=out, count=count)
 
 
+def _check_run(run) -> None:
+    """ParameterError naming run unless it is an McRun (which checked itself when made)."""
+    if not isinstance(run, McRun):
+        raise ParameterError(f"need an McRun as run, got {type(run).__name__}")
+
+
 def empirical_cdf(run: McRun, t: float) -> float:
-    """Fraction of samples <= t (binary search on the sorted samples); ParameterError for NaN or a non-real t."""
+    """Fraction of samples <= t (binary search on the sorted samples).
+
+    ParameterError for a run that is not an McRun, and for a NaN or non-real t.
+    """
+    _check_run(run)
     check_reals(t=t)
     if math.isnan(t):
         raise ParameterError("need a point that is not NaN, got nan")
@@ -210,11 +252,14 @@ def empirical_cdf(run: McRun, t: float) -> float:
 
 
 def _checked(values, points: np.ndarray) -> np.ndarray:
-    """The CDF's values at points as floats; NumericalError if any is not finite."""
+    """The CDF's values at points as floats; NumericalError naming the first point not in [0, 1]."""
     values = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(values)
+    bad = ~((0.0 <= values) & (values <= 1.0))
     if bad.any():
-        raise NumericalError(f"the CDF is not finite at x = {points[bad][0]!r}")
+        value, point = float(values[bad][0]), float(points[bad][0])
+        if not math.isfinite(value):
+            raise NumericalError(f"the CDF is not finite at x = {point!r}")
+        raise NumericalError(f"the CDF reads {value!r}, outside [0, 1], at x = {point!r}")
     return values
 
 
@@ -313,9 +358,13 @@ def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
     CDFs here it stops at 101 or 51 points, with a degree of 33-46; a CDF it
     cannot resolve takes all grid_points.  The samples are evaluated on that
     series by Clenshaw's recurrence.  With grid_points = 0 the CDF is called
-    once per sample, on a float.  A CDF value that is not finite raises
-    NumericalError.
+    once per sample, on a float.  A CDF value that is not finite or lies
+    outside [0, 1] raises NumericalError naming its point; a run that is not
+    an McRun, or a cdf that is not callable, raises ParameterError.
     """
+    _check_run(run)
+    if not callable(cdf):
+        raise ParameterError(f"need a callable cdf, got {type(cdf).__name__}")
     n = run.count
     check_integers(grid_points=grid_points)
     if grid_points < 0 or grid_points == 1:

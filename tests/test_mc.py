@@ -1,6 +1,7 @@
 """Tests for the seeded Monte Carlo samplers and KS machinery."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from gemax.mc import (
     _BATCH,
     _chop,
     _top_eigenvalue,
+    McRun,
     empirical_cdf,
     ks_critical_1pct,
     ks_statistic,
@@ -109,6 +111,44 @@ class TestSampler:
         dense = sample_lambda_max_dense(2, 3, 8_000, seed=404)
         d = ks_two_sample(tri, dense)
         assert d < ks_critical_1pct_two_sample(tri.count, dense.count)
+
+
+class TestMcRun:
+    """An McRun checks itself when made, so the KS readers may trust it."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # a reversed copy made ks_statistic read 0.997 against the GUE law
+            (lambda r: {"samples": r.samples[::-1].copy()}, "ascending"),
+            # empirical_cdf divided 10 samples by a count of 50 and read 0.2 at the top
+            (lambda r: {"samples": r.samples[:10].copy()}, "count = 50"),
+            # an empty run raised IndexError in ks_statistic
+            (lambda r: {"samples": np.empty(0), "count": 0}, "count >= 1"),
+            (lambda r: {"samples": r.samples.reshape(5, 10)}, "1-D float array"),
+            (lambda r: {"samples": list(r.samples)}, "got list of shape (50,)"),
+            (lambda r: {"samples": np.arange(50)}, "1-D float array"),
+            (lambda r: {"samples": np.append(r.samples[:-1], np.inf)}, "finite"),
+            (lambda r: {"samples": np.append(r.samples[:-1], np.nan)}, "finite"),
+            (lambda r: {"beta": 3}, "beta must be one of"),
+            (lambda r: {"beta": 2.0}, "integer beta"),
+            (lambda r: {"n": 0}, "n >= 1"),
+            (lambda r: {"count": 50.0}, "integer count"),
+            (lambda r: {"seed": None}, "integer seed"),
+        ],
+        ids=["reversed", "short", "empty", "2-d", "list", "integers", "inf", "nan", "beta 3",
+             "beta float", "n 0", "count float", "seed None"],
+    )
+    def test_refuses_a_bad_run(self, change, message):
+        run = sample_lambda_max(2, 4, 50, seed=1)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            replace(run, **change(run))
+
+    def test_accepts_ties_and_a_single_sample(self):
+        run = McRun(beta=1, n=2, seed=0, samples=np.array([0.5, 0.5, 1.0]), count=3)
+        assert empirical_cdf(run, 0.5) == pytest.approx(2 / 3)
+        one = McRun(beta=4, n=1, seed=0, samples=np.array([0.0]), count=1)
+        assert ks_statistic(one, lambda t: 0.5) == 0.5
 
 
 class TestEmpiricalCdf:
@@ -250,6 +290,39 @@ class TestKsStatistic:
         with pytest.raises(NumericalError, match="not finite"):
             ks_statistic(run, cdf, grid_points=grid_points)
 
+    @pytest.mark.parametrize("grid_points", (0, 201))
+    @pytest.mark.parametrize("value", (2.0, -1e-3, 1.0 + 2**-52))
+    def test_cdf_outside_unit_interval_raises(self, grid_points, value):
+        # a CDF that read 2.0 everywhere gave a KS statistic of 1.0
+        run = sample_lambda_max(2, 1, 500, seed=7)
+        bad = float(run.samples[250])
+
+        def cdf(x):
+            values = stats.norm.cdf(x, scale=math.sqrt(0.5))
+            return np.where(np.asarray(x) >= bad, value, values)
+
+        message = re.escape(f"reads {value!r}, outside [0, 1], at x = ")
+        with pytest.raises(NumericalError, match=message):
+            ks_statistic(run, cdf, grid_points=grid_points)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # AttributeError: 'NoneType' object has no attribute 'count'
+            (lambda run: ks_statistic(None, lambda t: 0.5), "need an McRun as run, got NoneType"),
+            (lambda run: ks_statistic(run.samples, lambda t: 0.5), "need an McRun as run, got ndarray"),
+            (lambda run: empirical_cdf(run.samples, 0.0), "need an McRun as run, got ndarray"),
+            # TypeError: 'float' object is not callable
+            (lambda run: ks_statistic(run, 0.5), "need a callable cdf, got float"),
+            (lambda run: ks_statistic(run, None, grid_points=201), "need a callable cdf, got NoneType"),
+        ],
+        ids=["ks none", "ks array", "empirical array", "cdf float", "cdf none"],
+    )
+    def test_arguments_are_named(self, call, message):
+        run = sample_lambda_max(2, 1, 100, seed=7)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call(run)
+
     @pytest.mark.parametrize("grid_points", (-1, 1))
     def test_grid_needs_two_points(self, grid_points):
         run = sample_lambda_max(2, 1, 100, seed=7)
@@ -328,13 +401,24 @@ class TestTopEigenvalue:
         assert np.all((lo <= top) & (top <= hi))
         return top
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 96, 400])
-    def test_random_rows(self, n):
+    @staticmethod
+    def random_rows(n):
         rng = np.random.default_rng(n)
         m = 64 if n == 400 else 256
         diag = rng.normal(0.0, math.sqrt(2.0), size=(m, n))
         sub2 = rng.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(m, n - 1))
-        self.check(diag, sub2)
+        return diag, sub2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 96, 400])
+    def test_random_rows(self, n):
+        self.check(*self.random_rows(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 400])
+    def test_unconfirmed_bracket_is_bisected(self, n, monkeypatch):
+        # a 0-ulp window leaves one side of every column's bracket where the
+        # halvings put it, and bisection still picks every bit from there
+        monkeypatch.setattr(mc, "_CONFIRM_ULPS", 0)
+        self.check(*self.random_rows(n))
 
     def test_one_by_one(self):
         diag = np.array([[-1.5], [0.0], [2.25]])
@@ -385,7 +469,7 @@ class TestTopEigenvalue:
     @pytest.mark.parametrize("beta, n", [(4, 16), (1, 24), (2, 96), (2, 400)])
     def test_pass_counts(self, beta, n, monkeypatch):
         # one full batch: bisection alone took 53-54 Sturm passes; measured
-        # 21 Sturm and 4-6 Newton passes, a Newton pass costing about two
+        # 17 Sturm and 4-6 Newton passes, a Newton pass costing about 1.8
         calls = {"sturm": [], "newton": 0}
         below, newton_step = mc._below, mc._newton_step
 
@@ -401,7 +485,7 @@ class TestTopEigenvalue:
         monkeypatch.setattr(mc, "_newton_step", counting_newton_step)
         with np.errstate(invalid="raise"):
             sample_lambda_max(beta, n, _BATCH, seed=n)
-        assert len(calls["sturm"]) <= 24
+        assert len(calls["sturm"]) <= 18
         assert 1 <= calls["newton"] <= 6
         # only the Newton pass may ignore an invalid operation
         assert set(calls["sturm"]) == {"raise"}

@@ -48,7 +48,7 @@ AIRY_X = (9.5, 10.0 - 1e-9, 10.0 + 1e-9, 12.0, 20.0, 35.0, 60.0)
 #: Monte Carlo runs `sample_lambda_max(beta, n, SAMPLER_COUNT, SAMPLER_SEED)`,
 #: one full batch and part of a second
 SAMPLER_BETAS = (1, 2, 4)
-SAMPLER_N = (1, 2, 4, 96, 400)
+SAMPLER_N = (1, 2, 3, 4, 16, 24, 96, 400)
 SAMPLER_COUNT, SAMPLER_SEED = 3000, 2026
 EPS_FIELDS = ("v_tilde_eps", "q_eps", "p1", "r1", "p4", "r4", "c_phi", "c_psi")
 #: exponential tables as `finite_tables` runs them, 9 points on edge - 4 .. edge + 2.5
