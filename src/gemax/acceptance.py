@@ -3,11 +3,10 @@
 A criterion measures a few quantities, each a Clause with the bound it must
 stay under, and returns them in a CriterionResult, which passes when every
 clause does and whose detail line lists each clause's value and bound;
-`run_criteria` executes a selection in order, each index once.  The bounds a
-criterion names scale with `tolerance_scale` so the CLI can force failure
-paths.  The closed-form epsilon quantities live beside criterion 4, and the
-Edgeworth study (:func:`edgeworth_study`, :func:`sup_errors`: one finite-n
-table per ensemble and n), which the CLI reads too, beside criteria 7 and 8.
+`run_criteria` executes a selection in order, each index once.  The
+closed-form epsilon quantities live beside criterion 4, and the Edgeworth
+study (:func:`edgeworth_study`, :func:`sup_errors`: one finite-n table per
+ensemble and n), which the CLI reads too, beside criteria 7 and 8.
 """
 
 from __future__ import annotations
@@ -60,17 +59,17 @@ class CriterionResult:
         return next(c for c in self.clauses if c.name == name)
 
 
-def criterion_1(scale: float = 1.0) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """n=1 exactness: F_{1,2}(t) and the one-eigenvalue GSE law at u = t/sqrt2 are erf laws."""
     ts = np.linspace(-3.0, 3.0, 51)
     normal = 0.5 * (1.0 + np.array([math.erf(t) for t in ts.tolist()]))
     tables = (finite_n.cdf_values("gue", 1, ts),
               finite_n.cdf_values("gse", finite_n.gse_kernel_index(1), ts / SQRT2))
     err = max(float(np.max(np.abs(v - normal))) for v in tables)
-    return CriterionResult(1, "n=1 exactness", (Clause("max err", err, 1e-8 * scale),))
+    return CriterionResult(1, "n=1 exactness", (Clause("max err", err, 1e-8),))
 
 
-def criterion_2(scale: float = 1.0) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Determinant and exponential F_{n,2} paths agree, one table per path and n."""
     worst = 0.0
     for n in (2, 4, 9):
@@ -78,7 +77,7 @@ def criterion_2(scale: float = 1.0) -> CriterionResult:
         ts = np.linspace(edge - 4.0, edge + 2.0, 21)
         gap = finite_n.cdf_values("gue", n, ts) - finite_n.cdf_values("gue", n, ts, "exponential")
         worst = max(worst, float(np.max(np.abs(gap))))
-    return CriterionResult(2, "dual-path F_n2", (Clause("max gap", worst, 1e-6 * scale),))
+    return CriterionResult(2, "dual-path F_n2", (Clause("max gap", worst, 1e-6),))
 
 
 def _brute_2d(beta: int, t: float) -> float:
@@ -99,14 +98,13 @@ def _brute_2d(beta: int, t: float) -> float:
     return mass(-8.0, t) / mass(-8.0, 8.0)
 
 
-def criterion_3(scale: float = 1.0) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """F_{2,2} and F_{2,1} against brute-force 2-D quadrature."""
-    tol = 1e-6 * scale
     worst = 0.0
     for t in (-1.0, 0.0, 1.0):
         worst = max(worst, abs(finite_n.f_n2(2, t) - _brute_2d(2, t)))
         worst = max(worst, abs(finite_n.f_n1(2, t) - _brute_2d(1, t)))
-    return CriterionResult(3, "brute-force n=2", (Clause("max err", worst, tol),))
+    return CriterionResult(3, "brute-force n=2", (Clause("max err", worst, 1e-6),))
 
 
 def _on_sqrt(f, z: float, name: str) -> float:
@@ -188,7 +186,7 @@ def _epsilon_closed(n: int, a: float, b: float, cosh_g: float, rho_s: float,
     return finite_n.EpsilonQuantities(v_tilde, q_eps, p1, r1, p4, r4, c_phi, c_psi)
 
 
-def criterion_4(scale: float = 1.0) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Closed-form vs first-principles epsilon quantities (and c_psi cancellation).
 
     The componentwise agreement clause fails by design of the closed forms:
@@ -198,7 +196,6 @@ def criterion_4(scale: float = 1.0) -> CriterionResult:
     is measured relative to the size of the cancelled terms and bounded by
     a few hundred machine epsilons.
     """
-    tol = 1e-5 * scale
     worst = 0.0
     for n, fields in ((4, ("v_tilde_eps", "q_eps", "p1", "r1")), (5, ("v_tilde_eps", "q_eps", "p4", "r4"))):
         edge = math.sqrt(2.0 * n)
@@ -211,8 +208,8 @@ def criterion_4(scale: float = 1.0) -> CriterionResult:
                 worst = max(worst, abs(c - m) / denom)
     cancel = max(cpsi_residual(5, t) for t in (-1.0, 0.0, 1.0))
     return CriterionResult(4, "epsilon cross-check", (
-        Clause("epsilon agreement", worst, tol),
-        Clause("c_psi cancellation", cancel, CPSI_BOUND * scale),
+        Clause("epsilon agreement", worst, 1e-5),
+        Clause("c_psi cancellation", cancel, CPSI_BOUND),
     ))
 
 
@@ -280,16 +277,16 @@ def mc_ks(ensemble: str, n: int, count: int, seed: int) -> float:
     return mc.ks_statistic(run, cdf, grid_points=201)
 
 
-def criterion_5(scale: float = 1.0) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """KS distance of seeded sampler runs against the analytic CDFs."""
-    crit = mc.ks_critical_1pct(MC_COUNT) * scale
+    crit = mc.ks_critical_1pct(MC_COUNT)
     return CriterionResult(5, "Monte Carlo KS", tuple(
         Clause(f"{ensemble} n={n} KS", mc_ks(ensemble, n, MC_COUNT, seed), crit)
         for ensemble, n, seed in MC_CASES
     ))
 
 
-def criterion_6(scale: float = 1.0) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Airy-side identities: nu = alpha - q, Painleve II, boundary, dual paths."""
     bundles = (airy.airy_bundle(s) for s in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0))
     nu_gap = max(abs(b.nu - (b.alpha - b.q[0])) for b in bundles)
@@ -309,12 +306,12 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
         f1_gap = max(f1_gap, abs(airy.f1_limit(s) - root * math.exp(-0.5 * b.mu)))
         f4_gap = max(f4_gap, abs(airy.f4_limit(s) - root * math.cosh(0.5 * b.mu)))
     return CriterionResult(6, "Airy identities", (
-        Clause("nu identity", nu_gap, 1e-8 * scale),
-        Clause("Painleve II", pii, 1e-4 * scale),
-        Clause("boundary", bdry, 1e-4 * scale),
-        Clause("F2 dual path", dual, 1e-7 * scale),
-        Clause("F1 dual path", f1_gap, 1e-12 * scale),
-        Clause("F4 dual path", f4_gap, 1e-12 * scale),
+        Clause("nu identity", nu_gap, 1e-8),
+        Clause("Painleve II", pii, 1e-4),
+        Clause("boundary", bdry, 1e-4),
+        Clause("F2 dual path", dual, 1e-7),
+        Clause("F1 dual path", f1_gap, 1e-12),
+        Clause("F4 dual path", f4_gap, 1e-12),
     ))
 
 
@@ -377,22 +374,22 @@ def sup_errors(ensemble: str, ns, c: float, s_grid) -> np.ndarray:
     return np.array(rows).reshape(-1, 2)
 
 
-def criterion_7(scale: float = 1.0) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """GUE convergence-rate exponents toward the Tracy-Widom limit: -2/3 at c = 0, -1/3 at c = 1."""
     ns = (20, 40, 80, 160)
     s_grid = np.linspace(-3.0, 1.0, 9)
     rate0, rate1 = (_fit_exponent(ns, sup_errors("gue", ns, c, s_grid)[:, 0]) for c in (0.0, 1.0))
     return CriterionResult(7, "GUE convergence rates", (
-        Clause("|c=0 rate + 0.67|", abs(rate0 + 0.67), 0.2 * scale),
-        Clause("|c=1 rate + 0.33|", abs(rate1 + 0.33), 0.15 * scale),
+        Clause("|c=0 rate + 0.67|", abs(rate0 + 0.67), 0.2),
+        Clause("|c=1 rate + 0.33|", abs(rate1 + 0.33), 0.15),
     ))
 
 
-def criterion_8(scale: float = 1.0) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Edgeworth improvement over the leading term, plus the GUE error rate.
 
     One clause per ensemble (worst |combined - truth| / |leading - truth| over
-    s, bound ``scale``) and one for the rate (distance from -1, bound 0.4).
+    s, bound 1) and one for the rate (distance from -1, bound 0.4).
     The GSE clause fails: the printed symplectic expansion misses a genuine
     O(n^{-1/3}) contribution at c = 0 (see the ledger), so its combined form
     cannot beat the leading term.
@@ -403,7 +400,7 @@ def criterion_8(scale: float = 1.0) -> CriterionResult:
         truth, results = edgeworth_study(ensemble, n, 0.0, s_grid)
         ratios = [abs(r.combined - t) / abs(r.leading - t) if r.leading != t else math.inf
                   for t, r in zip(truth.tolist(), results)]
-        clauses.append(Clause(f"{ensemble} improvement", float(np.max(ratios)), scale))
+        clauses.append(Clause(f"{ensemble} improvement", float(np.max(ratios)), 1.0))
     rate = _fit_exponent((40, 160), sup_errors("gue", (40, 160), 0.0, s_grid)[:, 1])
     clauses.append(Clause("GUE rate", abs(rate + 1.0), 0.4))
     return CriterionResult(8, "Edgeworth improvement", tuple(clauses))
@@ -423,7 +420,7 @@ def _cdf_axioms(values) -> tuple[float, float, float]:
     return float(np.max(-np.diff(v))), float(v[0]), float(1.0 - v[-1])
 
 
-def criterion_9(scale: float = 1.0) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """CDF axioms for every exposed distribution, each clause the worst over 15 tables."""
     tables = []
     # one array call per finite-n grid; the GSE grid is in u at kernel index 2n + 1
@@ -445,7 +442,7 @@ def criterion_9(scale: float = 1.0) -> CriterionResult:
     ))
 
 
-def criterion_10(scale: float = 1.0) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Byte-identical CLI output for repeated mc and tabulate runs."""
     from . import cli
 
@@ -477,7 +474,7 @@ CRITERIA = {
 }
 
 
-def run_criteria(indices=None, tolerance_scale: float = 1.0):
+def run_criteria(indices=None):
     """Run the selected criteria (all for None) and return their results; an empty selection is refused."""
     chosen = sorted(CRITERIA if indices is None else indices)
     if not chosen:
@@ -488,4 +485,4 @@ def run_criteria(indices=None, tolerance_scale: float = 1.0):
     repeated = sorted({i for i in chosen if chosen.count(i) > 1})
     if repeated:
         raise ParameterError(f"criteria {repeated} repeated, each runs once")
-    return [CRITERIA[i](tolerance_scale) for i in chosen]
+    return [CRITERIA[i]() for i in chosen]

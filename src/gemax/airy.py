@@ -228,21 +228,23 @@ def _sum_kernel_block(s, coefficients: tuple[float, ...]) -> np.ndarray:
 def _law_logs(ensemble: str, points) -> np.ndarray:
     """The log-determinants of one law at a float or ascending points, shape (rows,) or (rows, k).
 
-    One row, log F_2, for "gue": one stack of K_Ai operators.  For "goe" the
-    row log det(I - A_s) and for "gse" also log det(I + A_s), fredholm.BLOCK
-    points at a time, so only one block's matrices are held.
+    One row, log F_2, for "gue", from K_Ai operators; for "goe" the row
+    log det(I - A_s) and for "gse" also log det(I + A_s).  Each law walks
+    its points fredholm.BLOCK at a time, so only one block's grids, parts
+    and matrices are held.
     """
     if ensemble == "gue":
-        return np.array([on_operators(_AIRY, points, fredholm_log_det)])
-    coefficients = (1.0,) if ensemble == "goe" else (1.0, -1.0)
+        logs = lambda block: np.array([on_operators(_AIRY, block, fredholm_log_det)])
+    else:
+        logs = partial(_sum_kernel_block, coefficients=(1.0,) if ensemble == "goe" else (1.0, -1.0))
     if np.ndim(points) == 0:
-        return _sum_kernel_block(points, coefficients)
+        return logs(points)
     blocks = (points[k : k + fredholm.BLOCK] for k in range(0, points.size, fredholm.BLOCK))
-    return np.concatenate([_sum_kernel_block(block, coefficients) for block in blocks], axis=-1)
+    return np.concatenate([logs(block) for block in blocks], axis=-1)
 
 
 def limit_values(ensemble: str, s):
-    """F_2, F_1 or F_4 for ensemble "gue", "goe" or "gse" at every point of s, from one stack of operators.
+    """F_2, F_1 or F_4 for ensemble "gue", "goe" or "gse" at every point of s, walked fredholm.BLOCK points at a time.
 
     Every point is checked before any work, a real number
     (errors.real_points) in [S_MIN, S_MAX]; then the one point order

@@ -38,7 +38,6 @@ DOMAINS = {
     "t_max": (math.isfinite, "a finite value"),
     "s_min": S_WINDOW,
     "s_max": S_WINDOW,
-    "tolerance_scale": (lambda v: 0.0 < v < math.inf, "a finite value > 0"),
 }
 
 
@@ -55,7 +54,9 @@ def _table(args, header, rows) -> tuple[str, int]:
         lines = [header, *([_fmt(v) for v in row] for row in rows)]
         return "".join(",".join(line) + "\n" for line in lines), 0
     config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
-    rows = [dict(zip(header, row)) for row in rows]
+    # RFC 8259 has no NaN or infinity: such a value is null, where CSV writes nan
+    rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in zip(header, row)}
+            for row in rows]
     payload = {"command": args.command, "config": config, "version": __version__, "rows": rows}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
 
@@ -126,7 +127,7 @@ def cmd_convergence(args) -> tuple[str, int]:
 
 def cmd_validate(args) -> tuple[str, int]:
     indices = None if args.criteria is None else _int_list(args.criteria, "--criteria")
-    results = run_criteria(indices, args.tolerance_scale)
+    results = run_criteria(indices)
     all_pass = all(r.passed for r in results)
     text = "".join(f"criterion {r.index:2d} [{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}\n"
                    for r in results)
@@ -193,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=9)
 
     p = sub.add_parser("validate", help="run the acceptance suite", formatter_class=formatter)
-    p.add_argument("--tolerance-scale", type=float, default=1.0)
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
     p.add_argument("--out", default=None)
     return parser

@@ -287,7 +287,7 @@ def cdf_values(ensemble: str, n: int, x, method: str = "determinant"):
         raise ParameterError(f"unknown ensemble {ensemble!r}")
     parity = PARITY[ensemble]
     x = _checked(n, x, parity)
-    if method not in ("determinant", "exponential"):
+    if not isinstance(method, str) or method not in ("determinant", "exponential"):
         raise ParameterError(f"unknown method {method!r}")
     if parity is not None and method != "determinant":
         raise ParameterError(f"method {method!r} applies to the GUE only")

@@ -38,8 +38,8 @@ import numpy as np
 from .errors import NumericalError, ParameterError, check_integers, check_reals
 
 VALID_BETA = (1, 2, 4)
-#: the largest sample count and the largest n; up to it numpy refuses a sample or
-#: an n too large for memory (MemoryError), past it an n overflows numpy's sizes
+#: the largest sample count, n and KS grid; up to it numpy refuses one too large
+#: for memory (MemoryError), past it one overflows numpy's sizes
 COUNT_MAX = 10**18
 _BATCH = 2048
 #: Sturm halvings of the Gershgorin bracket before Newton's method; with 6, the
@@ -360,15 +360,16 @@ def ks_statistic(run: McRun, cdf, grid_points: int = 0) -> float:
     series by Clenshaw's recurrence.  With grid_points = 0 the CDF is called
     once per sample, on a float.  A CDF value that is not finite or lies
     outside [0, 1] raises NumericalError naming its point; a run that is not
-    an McRun, or a cdf that is not callable, raises ParameterError.
+    an McRun, a cdf that is not callable, or grid_points outside 0 and
+    2..COUNT_MAX raises ParameterError.
     """
     _check_run(run)
     if not callable(cdf):
         raise ParameterError(f"need a callable cdf, got {type(cdf).__name__}")
     n = run.count
     check_integers(grid_points=grid_points)
-    if grid_points < 0 or grid_points == 1:
-        raise ParameterError(f"need grid_points = 0 or >= 2, got {grid_points}")
+    if not (grid_points == 0 or 2 <= grid_points <= COUNT_MAX):
+        raise ParameterError(f"need grid_points = 0 or 2 <= grid_points <= {COUNT_MAX:.0e}, got {grid_points}")
     if grid_points:
         lo, hi = float(run.samples[0]), float(run.samples[-1])
         pad = 1e-9 * max(1.0, abs(lo), abs(hi))

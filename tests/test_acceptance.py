@@ -281,7 +281,7 @@ class TestOutcome:
 
 def test_repeated_criterion_is_refused(monkeypatch):
     # a repeated index ran its criterion twice and printed it twice
-    def refuse(scale):
+    def refuse():
         raise AssertionError("ran a criterion before the index check")
 
     monkeypatch.setitem(acceptance.CRITERIA, 10, refuse)
@@ -292,7 +292,7 @@ def test_repeated_criterion_is_refused(monkeypatch):
 def test_empty_selection_is_refused(monkeypatch):
     # an empty selection read as "all" and ran every criterion; only None does
     for i in acceptance.CRITERIA:
-        monkeypatch.setitem(acceptance.CRITERIA, i, lambda scale, i=i: i)
+        monkeypatch.setitem(acceptance.CRITERIA, i, lambda i=i: i)
     assert acceptance.run_criteria() == list(range(1, 11))
     with pytest.raises(ParameterError, match="need at least one criterion, choose from 1-10$"):
         acceptance.run_criteria([])

@@ -340,6 +340,23 @@ class TestConvergence:
         assert [float(row[1]) for row in rows] == [0.0, 0.0, 0.0]
         assert all(math.isnan(float(row[2])) for row in rows)
 
+    @pytest.mark.parametrize("argv, rated", [
+        (["--n-list", "20,40,80", "--steps", "2"], [False, True, True]),
+        (["--reference", "edgeworth", "--s-min", "8", "--s-max", "8", "--steps", "1", "--n-list", "20,40,80"],
+         [False, False, False]),
+    ], ids=["first row", "zero errors"])
+    def test_json_rate_without_value_is_null(self, argv, rated):
+        # the rate of row 1, and any rate after a zero error, was the bare
+        # token NaN, which RFC 8259 does not allow and jq and JSON.parse reject
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        code, out = run_cli(["convergence", *argv, "--format", "json"])
+        assert code == 0
+        rates = [row["rate_estimate"] for row in json.loads(out, parse_constant=refuse)["rows"]]
+        assert [rate is not None for rate in rates] == rated
+        assert all(isinstance(rate, float) for rate in rates if rate is not None)
+
     def test_n_list_validation(self):
         code, _ = run_cli(
             ["convergence", "--ensemble", "gue", "--n-list", "20,40",
@@ -388,13 +405,29 @@ class TestValidate:
         assert lines[1] == "criterion 10 [PASS] determinism: differing outputs 0 (bound 1)"
         assert lines[2:] == ["validation PASSED"]
 
-    def test_failing_report(self):
-        # criterion 1's error is a few ulps, above a bound scaled to 1e-308
-        code, out = run_cli(["validate", "--criteria", "1", "--tolerance-scale", "1e-300"])
+    def test_failing_report(self, monkeypatch):
+        # a stand-in criterion 1 whose one clause lies above its bound
+        failing = acceptance.CriterionResult(1, "stand-in", (acceptance.Clause("max err", 2e-8, 1e-8),))
+        monkeypatch.setitem(acceptance.CRITERIA, 1, lambda: failing)
+        code, out = run_cli(["validate", "--criteria", "1,10"])
         lines = out.splitlines()
         assert code == 1
-        assert lines[0].startswith("criterion  1 [FAIL] n=1 exactness: max err ")
-        assert lines[1:] == ["validation FAILED"]
+        assert lines[0] == "criterion  1 [FAIL] stand-in: max err 2e-08 (bound 1e-08)"
+        assert lines[1].startswith("criterion 10 [PASS] ")
+        assert lines[2:] == ["validation FAILED"]
+
+    def test_bounds_take_no_scale(self, monkeypatch, capsys):
+        # --tolerance-scale multiplied 21 of the 26 clause bounds, so
+        # --criteria 9,10 --tolerance-scale 1e-300 passed; each bound is now
+        # the literal its line prints, and the option is refused before any work
+        def refuse():
+            raise AssertionError("ran a criterion")
+
+        for i in acceptance.CRITERIA:
+            monkeypatch.setitem(acceptance.CRITERIA, i, refuse)
+        assert run_cli(["validate", "--tolerance-scale", "1"]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --tolerance-scale 1" in err
 
 
 class TestParser:
@@ -415,10 +448,6 @@ class TestParser:
             ["validate", "--criteria", "1.5"],
             ["validate", "--criteria", "11"],
             ["validate", "--criteria", "10,10"],
-            ["validate", "--criteria", "1", "--tolerance-scale", "nan"],
-            ["validate", "--criteria", "1", "--tolerance-scale", "-1"],
-            ["validate", "--criteria", "1", "--tolerance-scale", "0"],
-            ["validate", "--criteria", "1", "--tolerance-scale", "inf"],
             ["mc", "--n", "2", "--samples", "100", "--seed", "-1"],
             ["tabulate", "--ensemble", "gue", "--n", "0", "--t-min", "0", "--t-max", "1",
              "--steps", "0"],
@@ -443,8 +472,7 @@ class TestParser:
         ids=["tabulate steps", "limit steps", "edgeworth steps", "convergence steps",
              "convergence steps 0",
              "n-list letter", "n-list repeat", "edgeworth n=0", "criteria float",
-             "criteria 11", "criteria repeat", "scale nan", "scale -1", "scale 0", "scale inf",
-             "mc seed",
+             "criteria 11", "criteria repeat", "mc seed",
              "tabulate n=0", "tabulate n=401", "edgeworth n=500", "tabulate width",
              "limit width", "gue-scale gue", "gue-scale goe", "tabulate steps cap",
              "limit steps cap", "edgeworth steps cap", "convergence steps cap", "mc samples cap",
@@ -453,8 +481,7 @@ class TestParser:
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         # each of these used to end in a traceback (ValueError, KeyError or
         # ZeroDivisionError), with n outside 1..400 and --steps 0 in an empty
-        # table, or with a --tolerance-scale that is not finite and positive
-        # in "validation FAILED"; a window whose width overflows printed numpy
+        # table; a window whose width overflows printed numpy
         # RuntimeWarnings first; --gue-scale was ignored outside the GSE; past
         # the caps numpy raised IndexError or ValueError, and an exponential
         # table to 1e308 OverflowError; --criteria '' ran all ten criteria.
