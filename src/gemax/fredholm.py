@@ -41,15 +41,16 @@ so ||A||_2 <= tr A = tau = sum_j w_j |K(x_j, x_j)|, read from the parts
 most tau/(1 - tau) ||b||, and log det(I - A) = -tau - O(tau^2); Bornemann's
 bound |det(I - A) - det(I - B)| <= ||A - B||_1 exp(1 + ||A||_1 + ||B||_1)
 with B = 0 says the same of the determinant.  Where tau < TRACE_FLOOR =
-2^-64, 2^-11 of an ulp, map_blocks builds no matrix and factors nothing:
-the operator's solves return their right-hand side, bit for bit what the
-factor gives, and its log-determinant is -tau, where the factor's diagonal
-rounds to 1 and reads 0.0.  The trailing run of such operators in a stack
-makes one block of their own.  A trace falls as the left end moves right,
-so in a stack of ascending left ends, as every stack of the library is,
-that run holds them all; one left of an assembled operator is assembled,
-and its solves give the same bits.  The sum kernel A_s of F_1/F_4 has no
-parts and is always factored.
+2^-64, 2^-11 of an ulp, for every operator of a block, :func:`assemble`
+builds no matrix and factors nothing: the operators' solves return their
+right-hand side, bit for bit what the factor gives, and their
+log-determinant is -tau, where the factor's diagonal rounds to 1 and reads
+0.0.  map_blocks keeps the trailing run of such operators in a stack as
+one block.  A trace falls as the left end moves right, so in a stack of
+ascending left ends, as every stack of the library is, that run holds them
+all.  In an unsorted stack, one that shares a block with an assembled
+operator is assembled, and its solves give the same bits.  The sum kernel
+A_s of F_1/F_4 has no parts and is always factored.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class DiscretizedKernel:
     scale: float
     #: the kernel's parts (f, g, K(z, z)) at z = grid.nodes_and_lower, the left end last
     parts: tuple = field(repr=False)
-    #: tr A of an identity operator (:func:`_identity`), None for an assembled one
+    #: tr A of an identity operator (a block :func:`assemble` finds below TRACE_FLOOR), None otherwise
     trace: np.ndarray | None = None
 
     @property
@@ -175,6 +176,11 @@ def _check_nodes(grid: QuadratureGrid) -> None:
         raise ParameterError(f"nodes within {DIAG_GUARD} on {_ends(grid)}")
 
 
+def _trace(grid: QuadratureGrid, parts: tuple):
+    """tr A = sum_j w_j |K(x_j, x_j)| of each operator, from the kernel's parts on grid.nodes_and_lower."""
+    return np.sum(grid.weights * np.abs(parts[2][..., :-1]), axis=-1)
+
+
 def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKernel:
     """Build the symmetrized Nystrom matrix of an integrable kernel.
 
@@ -183,9 +189,17 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     stays with the operator.  The difference quotient is built in place off
     the diagonal and K(x_i, x_i) is written on it, so the grid's distinct
     nodes, and its left end and first node, must lie more than DIAG_GUARD
-    apart; a closer grid is a ParameterError.
+    apart; a closer grid is a ParameterError.  A grid or stack whose every
+    trace is below TRACE_FLOOR is the identity, I - A read as I: ``matrix``
+    is a zero broadcast view (no memory, the operator's shape), no factor is
+    made, its solves return their right-hand side and its log-determinant is
+    -trace.
     """
     _check_nodes(grid)
+    trace = _trace(grid, parts)
+    if (trace < TRACE_FLOOR).all():
+        zero = np.broadcast_to(0.0, grid.nodes.shape + grid.nodes.shape[-1:])
+        return DiscretizedKernel(grid, zero, scale, parts, trace)
     x = grid.nodes
     rows = tuple(v[..., :-1, None] for v in parts)
     cols = tuple(v[..., None, :-1] for v in parts)
@@ -199,24 +213,6 @@ def assemble(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKer
     return DiscretizedKernel(grid, matrix, scale, parts)
 
 
-def _trace(grid: QuadratureGrid, parts: tuple):
-    """tr A = sum_j w_j |K(x_j, x_j)| of each operator, from the kernel's parts on grid.nodes_and_lower."""
-    return np.sum(grid.weights * np.abs(parts[2][..., :-1]), axis=-1)
-
-
-def _identity(grid: QuadratureGrid, parts: tuple, scale: float) -> DiscretizedKernel:
-    """The operator of a kernel whose trace on each grid is below TRACE_FLOOR: I - A read as I.
-
-    No matrix is built (``matrix`` is a zero broadcast view: no memory, the
-    operator's shape) and no factor is made; its solves return their right-hand
-    side and its log-determinant is -trace.  The parts, the grid check and
-    ``end_row`` are those of :func:`assemble`.
-    """
-    _check_nodes(grid)
-    zero = np.broadcast_to(0.0, grid.nodes.shape + grid.nodes.shape[-1:])
-    return DiscretizedKernel(grid, zero, scale, parts, _trace(grid, parts))
-
-
 def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> np.ndarray:
     """fn(operator, *extra) for the operators of a stack, BLOCK at a time, joined on the last axis.
 
@@ -225,23 +221,22 @@ def map_blocks(fn, grid: QuadratureGrid, parts: tuple, scale: float, *extra) -> 
     array with the leading stack axis; ``fn`` maps the operator of a block
     and the block's rows of ``extra`` to an array whose last axis runs over
     that block.  The trailing run of operators whose trace is below
-    TRACE_FLOOR forms one last block of identities (:func:`_identity`); the
-    others, a below-floor operator left of an assembled one among them, are
-    assembled BLOCK at a time, and a block's operator is dropped before the
-    next one is built.  The values come back in stack order.  A single grid
-    is the stack without its axis: one call of fn.
+    TRACE_FLOOR forms one last block and the others blocks of BLOCK;
+    :func:`assemble` builds each, a block wholly below the floor as
+    identities, and a block's operator is dropped before the next one is
+    built.  The values come back in stack order.  A single grid is the
+    stack without its axis: one call of fn.
     """
-    below = _trace(grid, parts) < TRACE_FLOOR
     if grid.nodes.ndim == 1:
-        return fn((_identity if below else assemble)(grid, parts, scale), *extra)
+        return fn(assemble(grid, parts, scale), *extra)
+    below = _trace(grid, parts) < TRACE_FLOOR
     count = np.max(np.flatnonzero(~below), initial=-1) + 1  # the operators left of the trailing run
     arrays = (grid.lower, grid.upper, grid.nodes, grid.weights, *parts, *extra)
-    blocks = [(slice(start, min(start + BLOCK, count)), assemble) for start in range(0, count, BLOCK)]
-    blocks += [(slice(count, None), _identity)] if count < below.size else []
+    edges = sorted({*range(0, count, BLOCK), count, below.size})
     values = []
-    for block, build in blocks:
-        lower, upper, nodes, weights, *rest = (v[block] for v in arrays)
-        op = build(QuadratureGrid(lower, upper, nodes, weights), tuple(rest[:len(parts)]), scale)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        lower, upper, nodes, weights, *rest = (v[start:stop] for v in arrays)
+        op = assemble(QuadratureGrid(lower, upper, nodes, weights), tuple(rest[:len(parts)]), scale)
         values.append(fn(op, *rest[len(parts):]))
         del op  # the block's matrices and factor go before the next block is built
     return np.concatenate(values, axis=-1)

@@ -531,7 +531,8 @@ class TestWorkPerValue:
 
     @staticmethod
     def _built(monkeypatch):
-        # the operators assembled: every finite-n operator is built by fredholm.map_blocks
+        # the operators built, identities included: every finite-n operator is built by
+        # fredholm.map_blocks through fredholm.assemble
         built = []
         assemble = fredholm.assemble
         counted = lambda *a: built.append(assemble(*a)) or built[-1]
@@ -609,8 +610,8 @@ class TestWorkPerValue:
     def test_each_operator_solved_once(self, value, operators, monkeypatch):
         # no operator is left unsolved and none is solved twice; a stack of
         # operators, built block by block, counts each operator of each
-        # block, the assembled ones and the block of identities (an operator
-        # below fredholm.TRACE_FLOOR, which is never assembled) alike
+        # block, the assembled ones and the block of identities (operators
+        # below fredholm.TRACE_FLOOR, for which assemble builds no matrix) alike
         built = self._built(monkeypatch)
         solved = []
         solve = fredholm.resolvent_solve_many
@@ -619,9 +620,8 @@ class TestWorkPerValue:
         for module in (fredholm, finite_n):
             monkeypatch.setattr(module, "resolvent_solve_many", counted)
         value()
-        identities = [op for op in solved if op.trace is not None]
-        assert sum(op.matrix[..., 0, 0].size for op in built + identities) == operators
-        assert [id(op) for op in solved if op.trace is None] == [id(op) for op in built]
+        assert sum(op.matrix[..., 0, 0].size for op in built) == operators
+        assert [id(op) for op in solved] == [id(op) for op in built]
         assert len({id(op) for op in solved}) == len(solved)
 
     @pytest.mark.parametrize("n", (40, 41))

@@ -355,13 +355,14 @@ class TestTraceFloor:
 
     @pytest.mark.parametrize("case", RULE_STACKS)
     def test_identities_are_the_lu_path_bit_for_bit(self, case, monkeypatch):
-        # each block of identities, assembled and factored after all, gives
-        # the same endpoint values bit for bit
+        # each block of identities, assembled and factored after all (no
+        # trace is below a floor of 0), gives the same endpoint values bit for bit
         module, build, _ = RULE_STACKS[case]
         calls = _spied(monkeypatch, module)
         build()
         identities = [call for call in calls if call[1].trace is not None]
         assert identities
+        monkeypatch.setattr(fredholm, "TRACE_FLOOR", 0.0)
         for fn, op, extra, value in identities:
             assembled = assemble(op.grid, op.parts, op.scale)
             assert np.array_equal(fn(assembled, *extra), value)
@@ -392,10 +393,10 @@ class TestTraceFloor:
         ids=["airy", "finite_n"],
     )
     def test_unsorted_stack(self, module, values, points, monkeypatch):
-        # only the trailing run of below-floor operators is a block of
-        # identities; one that stands left of an assembled operator is
-        # assembled, and its solves give the same bits, so an unsorted stack
-        # gives the values of the same stack sorted, in its own order
+        # the trailing run of below-floor operators is a block of identities;
+        # one that shares its block with an assembled operator is assembled,
+        # and its solves give the same bits, so an unsorted stack gives the
+        # values of the same stack sorted, in its own order
         points = np.array(points)
         order = np.argsort(points)
         sorted_values = values(points[order])
@@ -403,6 +404,48 @@ class TestTraceFloor:
         unsorted = values(points)
         assert {op.trace is None for _, op, _, _ in calls} == {True, False}
         assert np.array_equal(unsorted[..., order], sorted_values)
+
+    @pytest.mark.parametrize("lower", [12.0, np.array([12.0, 12.0, 12.0])], ids=["one", "stack of 3"])
+    def test_assemble_builds_the_identity(self, lower):
+        # K_Ai on (12, 28) is below the floor: assemble builds no matrix (a zero
+        # view of the operator's shape, every stride 0) and no factor, and the
+        # log-determinant is -trace
+        grid = build_grid(lower, np.full_like(lower, 28.0), 48)
+        parts = airy_parts(grid.nodes_and_lower)
+        op = assemble(grid, parts, 1.0)
+        trace = np.sum(grid.weights * np.abs(parts[2][..., :-1]), axis=-1)
+        assert op.trace is not None and np.array_equal(op.trace, trace)
+        assert np.all(op.trace < TRACE_FLOOR)
+        assert op.matrix.shape == grid.nodes.shape + (48,) and not op.matrix.any()
+        assert set(op.matrix.strides) == {0}
+        assert np.array_equal(log_det(op), -op.trace)
+        rhs = np.stack([np.cos(grid.nodes), np.sin(grid.nodes)], axis=-1)
+        # sqrt(w) rhs / sqrt(w): rhs to an ulp
+        np.testing.assert_allclose(resolvent_solve_many(op, rhs), rhs, rtol=2.0**-52, atol=0.0)
+        assert "_lu" not in op.__dict__
+
+    def test_unsorted_block_below_the_floor(self, monkeypatch):
+        # an unsorted K_Ai stack: BLOCK left ends past the floor, then s = -2.
+        # The first block lies wholly below the floor, so it is a block of
+        # identities whose log-determinants read -trace; assembled (a floor
+        # of 0) its factor reads 0.0.  Every endpoint value is the assembled
+        # one, bit for bit
+        points = np.append(np.linspace(10.0, 17.5, BLOCK), -2.0)
+        ops = []
+
+        def read(op):
+            ops.append(op)
+            return np.vstack([log_det(op), airy_laws._endpoint_scalars(op).reshape(18, -1)])
+
+        values = fredholm.on_operators(airy_laws._AIRY, points, read)
+        monkeypatch.setattr(fredholm, "TRACE_FLOOR", 0.0)
+        assembled = fredholm.on_operators(airy_laws._AIRY, points, read)
+        assert [op.trace is None for op in ops] == [False, True, True, True]
+        assert np.all(ops[0].trace < TRACE_FLOOR) and np.all(ops[0].trace > 0.0)
+        assert np.array_equal(values[0, :BLOCK], -ops[0].trace)
+        assert np.all(assembled[0, :BLOCK] == 0.0)
+        assert values[0, BLOCK] == assembled[0, BLOCK]
+        assert np.array_equal(values[1:], assembled[1:])
 
 
 class TestFailures:
