@@ -7,7 +7,9 @@ Everything is driven by the endpoint resolvent values
 on (t, infinity), read at t by fredholm's one left-end rule from the
 operator's own parts, and their tail integrals a(t) = int_t^inf q_n and
 b(t) = int_t^inf p_n.  The GOE/GSE laws have one method, first principles:
-their epsilon quantities come from the resolvent.  The paper's closed forms,
+their epsilon quantities come from the resolvent, one solve of three columns
+psi, eps phi and K(., t) on the grid's nodes and t, read by the same rule,
+whose endpoint values are P_n(t), q_eps and R_n(t, t).  The paper's closed forms,
 hyperbolic functions of g = sqrt(2 a b), are soft-edge asymptotics kept as a
 cross-check beside criterion 4 (:func:`gemax.acceptance.epsilon_closed`),
 not as a CDF method.  Every Hermite-function integral the first-principles
@@ -36,8 +38,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError, ParameterError, check_integers, real_points
-from .fredholm import DiscretizedKernel, Kernel, at_points, log_det, on_operators, resolvent_at_lower
-from .fredholm import resolvent_solve_many, tails
+from .fredholm import DiscretizedKernel, Kernel, at_points, log_det, on_operators, resolvent_at_lower, tails
 from .special import hermite_integrals, hermite_parts, phi_psi_scale
 
 #: the exponential path's outer rule, on the operators' own reach: 48 nodes
@@ -327,49 +328,40 @@ def epsilon_numeric(n: int, t: float) -> EpsilonQuantities:
     return EpsilonQuantities(*_resolved(n, t, lambda t: on_operators(_hermite_integrals(n), t, read)))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b along the last axis, one BLAS dot per operator of a stack."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _epsilon_numeric(n: int, op: DiscretizedKernel, *integrals) -> EpsilonQuantities:
     """The epsilon quantities from the operator on (t, T) and one resolvent solve.
 
     ``integrals`` are the integrals :func:`hermite_integrals` gives with the
     operator's parts in one recurrence pass: eps phi = c_phi - int_x^inf phi
-    at the nodes and at t, and the integrals left of t of psi and of the
-    kernel K(s, x) at the nodes and at t.  psi (from the operator's node
-    parts), eps phi and the kernel column
-    K(x_j, t) = K(t, x_j) share one three-column resolvent solve, whose
-    columns are P_n, (I - K)^{-1} eps phi and the resolvent kernel R_n(x_j, t).
+    and the integrals left of t of psi and of the kernel K(s, x), at the
+    nodes and at t.  Three columns on grid.nodes_and_lower, psi, eps phi and
+    K(x, t) = K(t, x) (K(t, t) from the operator's parts at the left end),
+    share one solve, read by fredholm.resolvent_at_lower: their node
+    solutions are P_n, (I - K)^{-1} eps phi and the resolvent kernel
+    R_n(x_j, t), and their endpoint values P_n(t), q_eps and R_n(t, t).
     The Nystrom extensions P_n(x) = psi(x) + sum_j w_j K(x, x_j) P_n(x_j) and
-    R_n(x, t) = K(x, t) + sum_j w_j K(x, x_j) R_n(x_j, t) are then integrated
-    over (-inf, t) term by term, and over (t, inf) as the quadrature sums of
-    the node solutions, which the Nystrom solution reproduces.  On a stack
-    of operators every field is an array over the stack.
+    R_n(x, t) = K(x, t) + sum_j w_j K(x, x_j) R_n(x_j, t) are integrated
+    over (-inf, t) term by term, one product of the left integrals with the
+    weighted node solutions, and over (t, inf) as the quadrature sums of the
+    node solutions, which the Nystrom solution reproduces.  On a stack of
+    operators every field is an array over the stack.
     """
-    grid = op.grid
     c_phi, c_psi = c_constants(n)
-    w = grid.weights
     scale = phi_psi_scale(n)
-    psi = scale * op.node_parts[1]
     tail, psi_left, kernel_left = integrals
+    psi = scale * op.parts[1]
+    k_col = np.concatenate([op.end_row, op.parts[2][..., -1:]], axis=-1)
+    sols, at_t = resolvent_at_lower(op, np.stack([psi, c_phi - scale * tail, k_col], axis=-1))
+    weighted = op.grid.weights[..., None] * sols
+    v_tilde = (weighted[..., 1] * psi[..., :-1]).sum(axis=-1)
 
-    eps_phi = c_phi - scale * tail
-    sols = resolvent_solve_many(op, np.stack([psi, eps_phi[..., :-1], op.end_row], axis=-1))
-    p_sol, q_eps_sol, r_sol = sols[..., 0], sols[..., 1], sols[..., 2]
-    v_tilde = (w * q_eps_sol * psi).sum(axis=-1)
-    # not resolvent_at_lower: its three-column product moves q_eps in the last bits
-    q_eps = eps_phi[..., -1] + _dot(op.end_row, w * q_eps_sol)
-
-    # int_{-inf}^t P_n and int_{-inf}^t R_n(x, t) dx
-    p1 = scale * psi_left + _dot(kernel_left[..., :-1], w * p_sol)
-    r1 = kernel_left[..., -1] + _dot(kernel_left[..., :-1], w * r_sol)
-
-    # right-side pieces int_t^inf P_n and int_t^inf R_n(x, t)
-    p4 = 0.5 * ((w * p_sol).sum(axis=-1) - p1)
-    r4 = 0.5 * ((w * r_sol).sum(axis=-1) - r1)
-    return EpsilonQuantities(v_tilde, q_eps, p1, r1, p4, r4, c_phi, c_psi)
+    # int_{-inf}^t P_n and int_{-inf}^t R_n(x, t) dx, then int_t^inf of both
+    left = (kernel_left[..., None, :-1] @ weighted)[..., 0, :]
+    p1 = scale * psi_left + left[..., 0]
+    r1 = kernel_left[..., -1] + left[..., 2]
+    right = weighted.sum(axis=-2)
+    p4, r4 = 0.5 * (right[..., 0] - p1), 0.5 * (right[..., 2] - r1)
+    return EpsilonQuantities(v_tilde, at_t[..., 1], p1, r1, p4, r4, c_phi, c_psi)
 
 
 def f1_sq_ratio(eps: EpsilonQuantities) -> float:

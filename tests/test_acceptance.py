@@ -82,6 +82,29 @@ class TestAcceptance:
         worst = max(acceptance.cpsi_residual(5, float(t)) for t in ts)
         assert worst * 10.0 <= acceptance.CPSI_BOUND
 
+    @pytest.mark.parametrize("ab", [(0.0, 1.0), (1.0, -math.pi**2 / 2.0)], ids=["rho_s 0", "cosh g -1"])
+    def test_cpsi_residual_where_the_size_vanishes(self, ab, monkeypatch):
+        # a = 0 makes rho_s 0; 2ab = -pi^2 puts cosh g at -1, so 1 + cosh g
+        # and 1 - v_tilde are 0: the c_psi terms vanish with their size and
+        # the residual is 0.0, not 0/0
+        monkeypatch.setattr(finite_n, "ab", lambda n, t: ab)
+        assert acceptance.cpsi_residual(5, 0.0) == 0.0
+
+    def test_cpsi_residual_refuses_a_residual_of_no_size(self, monkeypatch):
+        # closed forms whose r4 carries a c_psi term without its factor
+        # rho_s leave a residual where the size vanishes: there is no
+        # relative residual to return
+        monkeypatch.setattr(finite_n, "ab", lambda n, t: (0.0, 1.0))
+        closed = acceptance._epsilon_closed
+
+        def wrong(*args):
+            eps = closed(*args)
+            return replace(eps, r4=eps.r4 - eps.c_psi)
+
+        monkeypatch.setattr(acceptance, "_epsilon_closed", wrong)
+        with pytest.raises(ParameterError, match="c_psi terms vanish"):
+            acceptance.cpsi_residual(5, 0.0)
+
     def test_criterion_5_monte_carlo(self):
         check(acceptance.criterion_5())
 

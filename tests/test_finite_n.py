@@ -484,6 +484,30 @@ class TestEpsilonBatched:
             got = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
             assert abs(got - want) <= tol * want, (offset, got, want)
 
+    @pytest.mark.parametrize("n", (4, 40, 400, 41))
+    def test_third_endpoint_value_is_the_log_derivative(self, n, monkeypatch):
+        # the third column K(., t) of the epsilon solve has the endpoint value
+        # R_n(t, t) = d/dt log F_{n,2}(t), read by the one endpoint rule with
+        # no extra solve; the reference is the central difference of
+        # log F_{n,2} with step 1e-5, which the rule meets to 1.4e-8 relative
+        ends = []
+        read = finite_n.resolvent_at_lower
+
+        def spied(op, rhs):
+            sols, at_lower = read(op, rhs)
+            ends.append(at_lower)
+            return sols, at_lower
+
+        monkeypatch.setattr(finite_n, "resolvent_at_lower", spied)
+        edge, h = math.sqrt(2.0 * n), 1e-5
+        for offset in (-1.0 if n == 400 else -2.0, -0.5, 0.5):
+            t = edge + offset
+            ends.clear()
+            value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
+            assert 0.0 < value < 1.0 and len(ends) == 1 and ends[0].shape == (3,)
+            want = (log_f_n2(n, t + h) - log_f_n2(n, t - h)) / (2.0 * h)
+            assert abs(ends[0][2] - want) <= 1e-6 * abs(want), (offset, ends[0][2], want)
+
     def test_one_recurrence_pass_per_point_set(self, monkeypatch):
         # the operator, with its parts at the nodes and at t, and the integrals
         # come from one hermite_integrals pass over the nodes and t; the
@@ -542,7 +566,7 @@ class TestWorkPerValue:
     def test_determinant_is_one_operator_and_no_solve(self, monkeypatch):
         # one pass on the nodes and t, and no row K(t, x_j)
         built = self._built(monkeypatch)
-        solves = self._count(monkeypatch, finite_n, "resolvent_solve_many")
+        solves = self._count(monkeypatch, fredholm, "resolvent_solve_many")
         passes = self._count(monkeypatch, special, "hermite_phi_two")
         value = f_n2(400, math.sqrt(800.0) - 1.0)
         assert (len(built), len(solves), len(passes)) == (1, 0, 1)
@@ -556,7 +580,7 @@ class TestWorkPerValue:
         # quantities: one operator, one solve of the three columns
         # [psi, eps phi, K(., t)]
         assembled = self._built(monkeypatch)
-        solves = self._count(monkeypatch, finite_n, "resolvent_solve_many")
+        solves = self._count(monkeypatch, fredholm, "resolvent_solve_many")
         t = math.sqrt(2.0 * n) + 0.3
         value = f_n1(n, t) if n % 2 == 0 else f_n4(n, t / math.sqrt(2.0))
         assert len(assembled) == 1
@@ -616,9 +640,7 @@ class TestWorkPerValue:
         solved = []
         solve = fredholm.resolvent_solve_many
         counted = lambda op, rhs: solved.append(op) or solve(op, rhs)
-        # q_p_n solves through fredholm.resolvent_at_lower, the GOE/GSE bracket directly
-        for module in (fredholm, finite_n):
-            monkeypatch.setattr(module, "resolvent_solve_many", counted)
+        monkeypatch.setattr(fredholm, "resolvent_solve_many", counted)
         value()
         assert sum(op.matrix[..., 0, 0].size for op in built) == operators
         assert [id(op) for op in solved] == [id(op) for op in built]

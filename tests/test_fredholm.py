@@ -551,6 +551,17 @@ class TestResolvent:
             single = np.linalg.solve(system, sw * rhs[:, j]) / sw
             assert np.allclose(block[:, j], single, atol=1e-13)
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_non_finite_solution_raises(self, size):
+        # an accepted operator (no refusal) whose solution is not finite, here
+        # from a NaN in its right-hand side, is a NumericalError; a stack raises for all
+        op = hermite_operator(5, build_grid(0.5, 9.5, 64)) if size == 1 else assemble(*_pinned("hermite", 3))
+        rhs = np.ones(op.grid.nodes.shape + (2,))
+        rhs[..., 5, 1] = np.nan
+        assert not np.any(op.refused)
+        with pytest.raises(NumericalError, match="resolvent solve failed"):
+            resolvent_solve_many(op, rhs)
+
     def test_rhs_shape_check(self):
         grid = build_grid(-1.0, 8.0, 40)
         op = hermite_operator(3, grid)
@@ -651,8 +662,7 @@ class TestTracerNames:
     def test_tracer_counts_the_core(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
         trace = importlib.import_module("perfbench.trace")
-        originals = (fredholm.resolvent_solve_many, finite_n.resolvent_solve_many,
-                     fredholm.DiscretizedKernel.kernel_row)
+        originals = (fredholm.resolvent_solve_many, fredholm.DiscretizedKernel.kernel_row)
         tracer = trace.Tracer()
         tracer.install()
         try:
@@ -662,6 +672,5 @@ class TestTracerNames:
             tracer.uninstall()
         assert tracer.calls["fredholm.kernel_row"] > 0
         assert tracer.calls["fredholm.resolvent_solve_many"] > 0
-        restored = (fredholm.resolvent_solve_many, finite_n.resolvent_solve_many,
-                    fredholm.DiscretizedKernel.kernel_row)
+        restored = (fredholm.resolvent_solve_many, fredholm.DiscretizedKernel.kernel_row)
         assert all(a is b for a, b in zip(restored, originals))

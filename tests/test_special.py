@@ -39,6 +39,10 @@ class TestHermitePhi:
         # [DERIVED] high-precision recurrence oracle
         assert hermite_phi(k, x) == pytest.approx(mpmath_phi(k, x), rel=1e-11, abs=1e-300)
 
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ParameterError, match="order must be nonnegative, got -1"):
+            hermite_phi_two(-1, 0.5)
+
     def test_cap(self):
         with pytest.raises(ParameterError):
             hermite_phi(10_001, 0.0)

@@ -13,7 +13,9 @@ entries and the largest relative and absolute gaps of its differing floats
 (the numbers printed in a CLI stdout included), then two lines that count
 the differing keys per family (a CLI argv's subcommand, or the words of a
 key before its first name=value, such as ``f_n1`` or ``f_n2 exponential``):
-the keys whose value moved within its kind, and the keys whose kind
+the keys whose value moved within its kind, each family with the largest
+absolute and relative gaps of its moved floats, as in
+``epsilon_numeric 54 (abs 4.6e-05, rel 6.7e-11)``, and the keys whose kind
 changed (a value, ``raises <class>``, a CLI exit code, or missing), each
 change of kind counted on its own.  It exits 1 if any key differs.
 A change that must keep every result bit for bit compares the records of
@@ -293,30 +295,40 @@ def _kind(entry) -> str:
     return "value"
 
 
-def _per_family(counts: Counter) -> str:
-    return ", ".join(f"{label} {count}" for label, count in counts.most_common()) or "none"
+def _per_family(counts: Counter, gaps: dict | None = None) -> str:
+    """Each label's count, most first, then the largest (absolute, relative) gaps of its floats where gaps has any."""
+    labels = []
+    for label, count in counts.most_common():
+        largest = (gaps or {}).get(label)
+        labels.append(f"{label} {count}" + (f" (abs {largest[0]:.2g}, rel {largest[1]:.2g})" if largest else ""))
+    return ", ".join(labels) or "none"
 
 
 def compare(path_a: Path, path_b: Path) -> int:
     a = json.loads(path_a.read_text())
     b = json.loads(path_b.read_text())
     differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    largest = {}
     for key in differing:
         gaps = _gaps(a.get(key), b.get(key))
         gap = ""
         if gaps:
-            absolute, relative = map(max, zip(*gaps))
-            gap = f" (relative gap {relative:.3g}, absolute gap {absolute:.3g})"
+            largest[key] = tuple(map(max, zip(*gaps)))
+            gap = f" (relative gap {largest[key][1]:.3g}, absolute gap {largest[key][0]:.3g})"
         print(f"{key}{gap}\n  A: {a.get(key, '<missing>')!r}\n  B: {b.get(key, '<missing>')!r}")
     print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ")
     kinds = {key: (_kind(a.get(key)), _kind(b.get(key))) for key in differing}
     moved = Counter(_family(key) for key in differing if kinds[key][0] == kinds[key][1])
+    family_gaps = {}
+    for key, gap in largest.items():
+        if kinds[key][0] == kinds[key][1]:
+            family_gaps[_family(key)] = tuple(map(max, gap, family_gaps.get(_family(key), gap)))
     changed = Counter(
         f"{_family(key)} ({kinds[key][0]} -> {kinds[key][1]})"
         for key in differing
         if kinds[key][0] != kinds[key][1]
     )
-    print("keys whose value moved, per family: " + _per_family(moved))
+    print("keys whose value moved, per family: " + _per_family(moved, family_gaps))
     print("keys whose kind changed, per family: " + _per_family(changed))
     return 1 if differing else 0
 
